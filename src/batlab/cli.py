@@ -28,6 +28,7 @@ import math
 import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -143,6 +144,70 @@ def _box_sampler(samples: dict, rng: np.random.Generator):
 
 
 # -- verify-kind cases -------------------------------------------------------------------
+#
+# A case samples its points, evaluates the constructor once per point (one solve
+# per point and seed) and runs every check on those jets from ``_CHECKS``.  A
+# point whose evaluation failed holds its EvaluationError (``residuals.attempt``)
+# and is skipped by each check that reads it.
+
+
+@dataclass
+class _Solved:
+    """One verify case, sampled and solved."""
+
+    label: str
+    rng: np.random.Generator
+    requested: int
+    points: list  # sample points; (u, v) for hodograph cases
+    jets: list  # per point: the constructor's jets, or its EvaluationError
+    model: object = None  # HodographSolver or LeznovSystem
+    tx: list | None = None  # hodograph cases: the (t, x) image of each (u, v)
+
+
+def _expr(block: dict, key: str):
+    return _parse_expr(_field_or(block, key, required=True), key)
+
+
+def _lookup(table: dict, key, message: str):
+    try:
+        return table[key]
+    except (KeyError, TypeError):  # TypeError: an unhashable key from the file
+        raise ScenarioError(message) from None
+
+
+def _field_case(make):
+    """Case builder for a constructor that returns a FieldHandle."""
+
+    def build(block, label, case, rng) -> _Solved:
+        handle = make(block)
+        points, requested = _box_sampler(_field_or(case, "samples", required=True), rng)
+        return _Solved(label, rng, requested, points,
+                       [residuals.attempt(handle, p) for p in points])
+
+    return build
+
+
+def _hodograph_case(block, label, case, rng) -> _Solved:
+    solver = construct.HodographSolver(_expr(block, "f"), _expr(block, "g"),
+                                       _solve_config(block.get("config")))
+    samples = _field_or(case, "samples", required=True)
+    if samples.get("mode", "uv_box") != "uv_box":
+        raise ScenarioError("hodograph cases sample the (u, v) parameter box")
+    uv, requested = _box_sampler(samples, rng)
+    tx = [solver.forward(u0, v0) for u0, v0 in uv]
+    fields = [residuals.attempt(solver.fields, t, x, s) for (t, x), s in zip(tx, uv)]
+    return _Solved(label, rng, requested, uv, fields, solver, tx)
+
+
+def _leznov_case(block, label, case, rng) -> _Solved:
+    sys_ = leznov.LeznovSystem(
+        n=int(_field_or(block, "n", required=True)),
+        Q=[_parse_expr(q, "Q") for q in _field_or(block, "Q", required=True)],
+        P=[_parse_expr(p, "P") for p in _field_or(block, "P", required=True)],
+        cfg=_solve_config(block.get("config")),
+    )
+    points, requested = _box_sampler(_field_or(case, "samples", required=True), rng)
+    return _Solved(label, rng, requested, points, leznov.solve_points(sys_, points), sys_)
 
 
 def _run_verify_case(case: dict, rng: np.random.Generator,
@@ -151,183 +216,106 @@ def _run_verify_case(case: dict, rng: np.random.Generator,
     op = _field_or(block, "op", required=True)
     label = case.get("label", op)
     checks = _field_or(case, "checks", required=True)
-    entries = []
+    build = _lookup(_CONSTRUCTORS, op, f"unknown constructor op {op!r}")
+    runs = [_lookup(_CHECKS, (op, eq), f"check {eq!r} does not apply to {label!r}")
+            for eq in (_field_or(check, "equation", required=True) for check in checks)]
 
-    if op == "solve_implicit_fg":
-        handle = construct.solve_implicit_fg(
-            _parse_expr(block["F"], "F"), _parse_expr(block["G"], "G"),
-            _solve_config(block.get("config")))
-        entries += _scalar_field_checks(handle, label, checks, case, rng, sink)
-    elif op == "holo_sum":
-        handle = construct.holo_sum(_parse_expr(block["f"], "f"),
-                                    _parse_expr(block["g"], "g"))
-        entries += _scalar_field_checks(handle, label, checks, case, rng, sink)
-    elif op == "implicit_3d":
-        handle = construct.implicit_3d(
-            _parse_expr(block["F"], "F"), _parse_expr(block["G"], "G"),
-            _parse_expr(block["K"], "K"), float(block.get("const_c", 0.0)),
-            _solve_config(block.get("config")))
-        entries += _scalar_field_checks(handle, label, checks, case, rng, sink)
-    elif op == "parametric_hodograph":
-        entries += _hodograph_checks(block, label, checks, case, rng, sink)
-    elif op == "leznov":
-        entries += _leznov_checks(block, label, checks, case, rng, sink)
-    else:
-        raise ScenarioError(f"unknown constructor op {op!r}")
-    return entries
-
-
-def _scalar_field_checks(handle, label, checks, case, rng,
-                         sink: dict | None = None) -> list[dict]:
-    points, requested = _box_sampler(_field_or(case, "samples", required=True), rng)
+    c = build(block, label, case, rng)
     if sink is not None:
-        sink[label] = points
+        sink[label] = c.points if c.tx is None else [
+            (*tx, *uv) for tx, uv in zip(c.tx, c.points)]
     entries = []
-    for check in checks:
-        eq = _field_or(check, "equation", required=True)
-        tol = float(_field_or(check, "tolerance", required=True))
-        if eq in ("complex_bateman", "euclidean_3d"):
-            fn = residuals.complex_bateman if eq == "complex_bateman" \
-                else residuals.euclidean_3d
-            rep = residuals.sweep(eq, lambda: points, lambda p: fn(handle(p)))
-            entries.append(_entry(f"{eq}[{label}]", rep, tol, requested))
-        elif eq == "euclid_first_order":
-            rep = residuals.sweep(
-                eq, lambda: points,
-                lambda p: residuals.euclidean_first_order(handle(p)))
-            entries.append(_entry(f"{eq}[{label}]", rep, tol, requested))
-        elif eq == "reparametrization":
-            for htxt in check.get("maps", ["s^3 + s"]):
-                comp = construct.reparametrize(handle, _parse_expr(htxt, "map"))
-                target = check.get("target", "complex_bateman")
-                fn = residuals.complex_bateman if target == "complex_bateman" \
-                    else residuals.euclidean_3d
-                rep = residuals.sweep(target, lambda: points,
-                                      lambda p, c=comp: fn(c(p)))
-                entries.append(_entry(
-                    f"reparametrized_{target}[{label}:{htxt}]", rep, tol, requested))
-        else:
-            raise ScenarioError(f"check {eq!r} does not apply to {label!r}")
+    for run, check in zip(runs, checks):
+        entries += run(c, check, float(_field_or(check, "tolerance", required=True)))
     return entries
 
 
-def _hodograph_checks(block, label, checks, case, rng,
-                      sink: dict | None = None) -> list[dict]:
-    f = _parse_expr(block["f"], "f")
-    g = _parse_expr(block["g"], "g")
-    cfg = _solve_config(block.get("config"))
-    phi, phibar = construct.parametric_hodograph(f, g, cfg)
+# -- the checks: (solved case, check block, tolerance) -> report entries ------------------
 
-    samples = _field_or(case, "samples", required=True)
-    if samples.get("mode", "uv_box") != "uv_box":
-        raise ScenarioError("hodograph cases sample the (u, v) parameter box")
-    uv_points, requested = _box_sampler(samples, rng)
-    tx_points = [construct.hodograph_forward(f, g, u0, v0) for u0, v0 in uv_points]
-    if sink is not None:
-        sink[label] = [(*tx, *uv) for tx, uv in zip(tx_points, uv_points)]
 
+def _swept(c: _Solved, name: str, solved: list, residual, tol: float) -> dict:
+    """Entry for ``residual`` of every solved point's jets, normalized per sample."""
+    rep = residuals.sweep(name, lambda: solved, lambda j: residual(residuals.unwrap(j)))
+    return _entry(f"{name}[{c.label}]", rep, tol, c.requested)
+
+
+def _per_point(residual):
+    """Check applying ``residual`` to the constructor's jets at every point."""
+    return lambda c, check, tol: [_swept(c, check["equation"], c.jets, residual, tol)]
+
+
+def _reparametrized(c: _Solved, check: dict, tol: float, name: str, residual) -> list[dict]:
+    """One entry per map h of the check: ``residual(h, jets)`` at every point."""
     entries = []
-    for check in checks:
-        eq = _field_or(check, "equation", required=True)
-        tol = float(_field_or(check, "tolerance", required=True))
-        if eq == "two_field_bateman":
-            def both(item):
-                (t, x), (u0, v0) = item
-                jp = phi([t, x], seed=(u0, v0))
-                jb = phibar([t, x], seed=(u0, v0))
-                return (residuals.two_field_bateman(jp, jb),
-                        residuals.two_field_bateman(jp, jb, conjugate=True))
-
-            rep = residuals.sweep(eq, lambda: list(zip(tx_points, uv_points)), both)
-            entries.append(_entry(f"{eq}[{label}]", rep, tol, requested))
-        elif eq == "hodograph_identities":
-            def identities(uv):
-                return construct.hodograph_identity_residuals(f, g, uv[0], uv[1])
-
-            rep = residuals.sweep(eq, lambda: uv_points, identities)
-            entries.append(_entry(f"{eq}[{label}]", rep, tol, requested))
-        elif eq == "roundtrip":
-            worst = 0.0
-            skipped = 0
-            for (t, x), (u0, v0) in zip(tx_points, uv_points):
-                try:
-                    u1 = phibar([t, x], seed=(u0, v0)).value
-                    v1 = phi([t, x], seed=(u0, v0)).value
-                    t2, x2 = construct.hodograph_forward(f, g, u1, v1)
-                except EvaluationError:
-                    skipped += 1
-                    continue
-                scale = max(1.0, abs(t), abs(x))
-                worst = max(worst, abs(t2 - t) / scale, abs(x2 - x) / scale)
-            rep = ResidualReport(eq, requested - skipped, worst, worst, skipped)
-            entries.append(_entry(f"{eq}[{label}]", rep, tol, requested))
-        elif eq == "born_infeld":
-            lam = float(check.get("lambda", 1.0))
-            bi = construct.born_infeld_field(phibar, phi, lam)
-
-            def bi_res(item):
-                (t, x), (u0, v0) = item
-                return residuals.born_infeld(bi([t, x], seed=(u0, v0)), lam)
-
-            rep = residuals.sweep(eq, lambda: list(zip(tx_points, uv_points)), bi_res)
-            entries.append(_entry(f"{eq}[{label}]", rep, tol, requested))
-
-            def bi_cross(item):
-                (t, x), (u0, v0) = item
-                return construct.born_infeld_cross_residual(phibar, phi, lam, [t, x])
-
-            rep = residuals.sweep("born_infeld_cross",
-                                  lambda: list(zip(tx_points, uv_points)), bi_cross)
-            entries.append(_entry(f"born_infeld_cross[{label}]", rep, tol, requested))
-        elif eq == "linear_covariance":
-            entries += _linear_covariance_check(
-                (phi, phibar), f, g, uv_points, check, label, rng)
-        elif eq == "reparametrized_two_field":
-            for htxt in check.get("maps", ["s^3 + s"]):
-                hmap = _parse_expr(htxt, "map")
-                cphi = construct.reparametrize(phi, hmap)
-                cbar = construct.reparametrize(phibar, hmap)
-
-                def comp_res(item, a=cphi, b=cbar):
-                    (t, x), (u0, v0) = item
-                    jp = a([t, x], seed=(u0, v0))
-                    jb = b([t, x], seed=(u0, v0))
-                    return residuals.two_field_bateman(jp, jb)
-
-                rep = residuals.sweep(eq, lambda: list(zip(tx_points, uv_points)),
-                                      comp_res)
-                entries.append(_entry(
-                    f"reparametrized_two_field[{label}:{htxt}]", rep, tol, requested))
-        else:
-            raise ScenarioError(f"check {eq!r} does not apply to {label!r}")
+    for htxt in check.get("maps", ["s^3 + s"]):
+        h = construct.reparametrization(_parse_expr(htxt, "map"))
+        rep = residuals.sweep(name, lambda: c.jets, lambda j: residual(h, residuals.unwrap(j)))
+        entries.append(_entry(f"{name}[{c.label}:{htxt}]", rep, tol, c.requested))
     return entries
 
 
-def _linear_covariance_check(pair, f, g, uv_points, check, label, rng) -> list[dict]:
-    tol = float(_field_or(check, "tolerance", required=True))
+def _hodograph_identities(c: _Solved, check: dict, tol: float) -> list[dict]:
+    rep = residuals.sweep("hodograph_identities", lambda: c.points,
+                          lambda uv: c.model.identity_residuals(*uv))
+    return [_entry(f"hodograph_identities[{c.label}]", rep, tol, c.requested)]
+
+
+def _reparametrization(c: _Solved, check: dict, tol: float) -> list[dict]:
+    target = check.get("target", "complex_bateman")
+    fn = residuals.complex_bateman if target == "complex_bateman" else residuals.euclidean_3d
+    return _reparametrized(c, check, tol, f"reparametrized_{target}",
+                           lambda h, jet: fn(h(jet)))
+
+
+def _roundtrip(c: _Solved, check: dict, tol: float) -> list[dict]:
+    worst, skipped = 0.0, 0
+    for (t, x), fields in zip(c.tx, c.jets):
+        try:
+            phi, phibar = residuals.unwrap(fields)
+            t2, x2 = c.model.forward(phibar.value, phi.value)
+        except EvaluationError:
+            skipped += 1
+            continue
+        scale = max(1.0, abs(t), abs(x))
+        worst = max(worst, abs(t2 - t) / scale, abs(x2 - x) / scale)
+    rep = ResidualReport("roundtrip", c.requested - skipped, worst, worst, skipped)
+    return [_entry(f"roundtrip[{c.label}]", rep, tol, c.requested)]
+
+
+def _born_infeld(c: _Solved, check: dict, tol: float) -> list[dict]:
+    lam = float(check.get("lambda", 1.0))
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    # (u, v) = (phibar, phi).  The integrability check solves from the
+    # configured seed, not from the sample's.
+    cross = [residuals.attempt(c.model.fields, t, x) for t, x in c.tx]
+    return [
+        _swept(c, "born_infeld", c.jets, lambda f: residuals.born_infeld(
+            construct.born_infeld_jet(f[1], f[0], lam), lam), tol),
+        _swept(c, "born_infeld_cross", cross,
+               lambda f: construct.born_infeld_cross_residual(f[1], f[0], lam), tol),
+    ]
+
+
+def _linear_covariance(c: _Solved, check: dict, tol: float) -> list[dict]:
     speed_tol = float(check.get("speed_tolerance", 1e-8))
     n_maps = int(check.get("maps", 10))
     maps = []
     while len(maps) < n_maps:
-        a, b, c, d = rng.uniform(-2.0, 2.0, size=4)
-        if abs(a * d - b * c) >= 0.3:
-            maps.append(LinearMap2(a, b, c, d))
+        m = LinearMap2(*c.rng.uniform(-2.0, 2.0, size=4))
+        if abs(m.det) >= 0.3:
+            maps.append(m)
 
-    res_samples = []
-    speed_samples = []
-    skipped = 0
+    res_samples, speed_samples, skipped = [], [], 0
     for m in maps:
-        tphi, tphibar = construct.transform_solution(pair, m)
-        mat = m.matrix()
-        for u0, v0 in uv_points:
-            t, x = construct.hodograph_forward(f, g, u0, v0)
-            q = mat @ np.array([t, x])
+        mat, minv = m.matrix(), m.inverse()
+        for (t, x), uv, base in zip(c.tx, c.points, c.jets):
+            q = minv @ (mat @ np.array([t, x]))  # (t, x) only up to rounding
             try:
-                jp = tphi(q, seed=(u0, v0))
-                jb = tphibar(q, seed=(u0, v0))
+                jp, jb = (construct.pull_back(j, minv) for j in c.model.fields(*q, uv))
                 res_samples.append(residuals.two_field_bateman(jp, jb))
-                base = pair[1]([t, x], seed=(u0, v0))
-                u_orig = base.grad[0] / base.grad[1]
+                base_bar = residuals.unwrap(base)[1]
+                u_orig = base_bar.grad[0] / base_bar.grad[1]
                 expected_u, _ = construct.moebius_transform((u_orig, u_orig), m)
                 u_new = jb.grad[0] / jb.grad[1]
                 speed_samples.append(residuals.ResidualSample(
@@ -335,61 +323,73 @@ def _linear_covariance_check(pair, f, g, uv_points, check, label, rng) -> list[d
             except EvaluationError:
                 skipped += 1
                 continue
-    requested = n_maps * len(uv_points)
+    requested = n_maps * len(c.points)
     rep = residuals.grid_report("linear_covariance", res_samples, skipped)
-    entries = [_entry(f"linear_covariance[{label}]", rep, tol, requested)]
     rep2 = residuals.grid_report("moebius_speed_match", speed_samples, skipped)
-    entries.append(_entry(f"moebius_speed_match[{label}]", rep2, speed_tol, requested))
-    return entries
+    return [_entry(f"linear_covariance[{c.label}]", rep, tol, requested),
+            _entry(f"moebius_speed_match[{c.label}]", rep2, speed_tol, requested)]
 
 
-def _leznov_checks(block, label, checks, case, rng,
-                   sink: dict | None = None) -> list[dict]:
-    n = int(_field_or(block, "n", required=True))
-    sys_ = leznov.LeznovSystem(
-        n=n,
-        Q=[_parse_expr(q, "Q") for q in _field_or(block, "Q", required=True)],
-        P=[_parse_expr(p, "P") for p in _field_or(block, "P", required=True)],
-        cfg=_solve_config(block.get("config")),
-    )
-    points, requested = _box_sampler(_field_or(case, "samples", required=True), rng)
-    if sink is not None:
-        sink[label] = points
-    entries = []
-    for check in checks:
-        eq = _field_or(check, "equation", required=True)
-        tol = float(_field_or(check, "tolerance", required=True))
-        if eq == "constraint_gap":
-            worst = 0.0
-            skipped = 0
-            used = 0
-            for z in points:
-                try:
-                    worst = max(worst, leznov.constraint_gap(sys_, z))
-                    used += 1
-                except EvaluationError:
-                    skipped += 1
-            rep = ResidualReport(eq, used, worst, worst, skipped)
-            entries.append(_entry(f"{eq}[{label}]", rep, tol, requested))
-        elif eq == "holomorphy":
-            binding = check.get("speeds_on_x", "v")
-            d_rep, dbar_rep = leznov.holomorphy_reports(sys_, points, binding)
-            entries.append(_entry(f"d_phi[{label}]", d_rep, tol, requested))
-            entries.append(_entry(f"dbar_phi[{label}]", dbar_rep, tol, requested))
-        elif eq == "zero_curvature":
-            binding = check.get("speeds_on_x", "v")
-            rep = leznov.verify_zero_curvature(sys_, points, binding)
-            entries.append(_entry(f"{eq}[{label}]", rep, tol, requested))
-        elif eq == "complex_bateman":
-            if n != 2:
-                raise ScenarioError("complex_bateman check needs n = 2")
-            handle = leznov.field_handle(sys_, 0)
-            rep = residuals.sweep(eq, lambda: points,
-                                  lambda p: residuals.complex_bateman(handle(p)))
-            entries.append(_entry(f"{eq}[{label}]", rep, tol, requested))
-        else:
-            raise ScenarioError(f"check {eq!r} does not apply to {label!r}")
-    return entries
+def _constraint_gap(c: _Solved, check: dict, tol: float) -> list[dict]:
+    rep = leznov.constraint_gap_report(c.model, c.jets)
+    return [_entry(f"constraint_gap[{c.label}]", rep, tol, c.requested)]
+
+
+def _holomorphy(c: _Solved, check: dict, tol: float) -> list[dict]:
+    d_rep, dbar_rep = leznov.holomorphy_reports(
+        c.model, c.jets, check.get("speeds_on_x", "v"))
+    return [_entry(f"d_phi[{c.label}]", d_rep, tol, c.requested),
+            _entry(f"dbar_phi[{c.label}]", dbar_rep, tol, c.requested)]
+
+
+def _zero_curvature(c: _Solved, check: dict, tol: float) -> list[dict]:
+    rep = leznov.verify_zero_curvature(c.model, c.jets, check.get("speeds_on_x", "v"))
+    return [_entry(f"zero_curvature[{c.label}]", rep, tol, c.requested)]
+
+
+def _leznov_bateman(c: _Solved, check: dict, tol: float) -> list[dict]:
+    if c.model.n != 2:
+        raise ScenarioError("complex_bateman check needs n = 2")
+    return [_swept(c, "complex_bateman", c.jets, lambda pair: residuals.complex_bateman(
+        residuals.unwrap(pair[0]).field_jets[0]), tol)]
+
+
+_CONSTRUCTORS = {
+    "solve_implicit_fg": _field_case(lambda b: construct.solve_implicit_fg(
+        _expr(b, "F"), _expr(b, "G"), _solve_config(b.get("config")))),
+    "holo_sum": _field_case(lambda b: construct.holo_sum(_expr(b, "f"), _expr(b, "g"))),
+    "implicit_3d": _field_case(lambda b: construct.implicit_3d(
+        _expr(b, "F"), _expr(b, "G"), _expr(b, "K"), float(b.get("const_c", 0.0)),
+        _solve_config(b.get("config")))),
+    "parametric_hodograph": _hodograph_case,
+    "leznov": _leznov_case,
+}
+
+_FIELD_CHECKS = {
+    "complex_bateman": _per_point(residuals.complex_bateman),
+    "euclidean_3d": _per_point(residuals.euclidean_3d),
+    "euclid_first_order": _per_point(residuals.euclidean_first_order),
+    "reparametrization": _reparametrization,
+}
+
+# (constructor op, check equation) -> check
+_CHECKS = {
+    **{(op, eq): run for op in ("solve_implicit_fg", "holo_sum", "implicit_3d")
+       for eq, run in _FIELD_CHECKS.items()},
+    ("parametric_hodograph", "two_field_bateman"): _per_point(lambda f: (
+        residuals.two_field_bateman(*f), residuals.two_field_bateman(*f, conjugate=True))),
+    ("parametric_hodograph", "hodograph_identities"): _hodograph_identities,
+    ("parametric_hodograph", "roundtrip"): _roundtrip,
+    ("parametric_hodograph", "born_infeld"): _born_infeld,
+    ("parametric_hodograph", "linear_covariance"): _linear_covariance,
+    ("parametric_hodograph", "reparametrized_two_field"): lambda c, check, tol: _reparametrized(
+        c, check, tol, "reparametrized_two_field",
+        lambda h, fields: residuals.two_field_bateman(*map(h, fields))),
+    ("leznov", "constraint_gap"): _constraint_gap,
+    ("leznov", "holomorphy"): _holomorphy,
+    ("leznov", "zero_curvature"): _zero_curvature,
+    ("leznov", "complex_bateman"): _leznov_bateman,
+}
 
 
 # -- simulate-kind cases -----------------------------------------------------------------
@@ -406,7 +406,6 @@ def _run_simulate_case(case: dict, rng: np.random.Generator, out_dir: Path,
 
     per_resolution: dict[int, dict[str, float]] = {}
     entries: list[dict] = []
-    hs: dict[int, float] = {}
 
     for res in resolutions:
         if system == "two_field":
@@ -418,10 +417,10 @@ def _run_simulate_case(case: dict, rng: np.random.Generator, out_dir: Path,
                 cfl=float(grid_block.get("cfl", 0.5)),
                 bc=grid_block.get("bc", "periodic"),
             )
+            init = _field_or(case, "init", required=True)
             grid = hydro.integrate_characteristics(
-                _parse_expr(case["init"]["u"], "init.u"),
-                _parse_expr(case["init"]["v"], "init.v"), spec)
-            hs[res] = grid.h
+                _parse_expr(_field_or(init, "u", required=True), "init.u"),
+                _parse_expr(_field_or(init, "v", required=True), "init.v"), spec)
             if dump:
                 hydro.dump_char_grid(
                     grid, out_dir / f"{scenario_name}.{label}.{res}.csv")
@@ -432,9 +431,9 @@ def _run_simulate_case(case: dict, rng: np.random.Generator, out_dir: Path,
                 t_end=float(_field_or(grid_block, "t_end", required=True)),
                 cfl=float(grid_block.get("cfl", 0.4)),
             )
-            init = {k: _parse_expr(v, f"init.{k}") for k, v in case["init"].items()}
+            init = {k: _parse_expr(v, f"init.{k}")
+                    for k, v in _field_or(case, "init", required=True).items()}
             grid = hydro.integrate_multifield(init, spec)
-            hs[res] = grid.h2
             if dump:
                 hydro.dump_multi_grid(
                     grid, out_dir / f"{scenario_name}.{label}.{res}.csv")
@@ -533,11 +532,11 @@ def _multifield_checks(grid, checks, entries, label, res) -> dict[str, float]:
 def _run_variational_case(case: dict, rng: np.random.Generator) -> list[dict]:
     label = case.get("label", "variational")
     src = _field_or(case, "source", required=True)
-    f = _parse_expr(src["f"], "source.f")
-    g = _parse_expr(src["g"], "source.g")
+    f = _parse_expr(_field_or(src, "f", required=True), "source.f")
+    g = _parse_expr(_field_or(src, "g", required=True), "source.g")
     cfg = _solve_config(src.get("config"))
-    t_lo, t_hi = (float(v) for v in src["t_window"])
-    x_lo, x_hi = (float(v) for v in src["x_window"])
+    t_lo, t_hi = (float(v) for v in _field_or(src, "t_window", required=True))
+    x_lo, x_hi = (float(v) for v in _field_or(src, "x_window", required=True))
     coeff = float(case.get("tolerance_h2_coeff", 5.0))
     min_ratio = float(case.get("halving_ratio", 0.0))
     resolutions = [int(n) for n in _field_or(case, "resolutions", required=True)]

@@ -1,10 +1,22 @@
 """Constructors for the exact solution families.
 
-Every constructor returns a :class:`FieldHandle`: an immutable
-``point -> Jet2`` evaluator whose gradients and Hessians come from implicit /
+Every constructor evaluates its solution at one point with one solve, and
+returns jets (``Jet2``) whose gradients and Hessians come from implicit /
 inverse-function differentiation of the defining relations, never from finite
-differences.  Evaluations are independent (Newton state is per call), so
-handles are safe to share across threads.
+differences:
+
+* the scalar families (:func:`solve_implicit_fg`, :func:`holo_sum`,
+  :func:`implicit_3d`) return a :class:`FieldHandle`, an immutable
+  ``point -> Jet2`` evaluator;
+* the hodograph pair is solved by :class:`HodographSolver`, whose
+  :meth:`~HodographSolver.fields` returns both fields ``(phi, phibar)`` from
+  one Newton solve.
+
+The covariance and Born-Infeld operations act on jets that are already
+solved (:func:`pull_back`, :func:`reparametrization`, :func:`born_infeld_jet`),
+so a check that reads several of them costs no further solve.  Evaluations
+are independent (Newton state is per call), so everything here is safe to
+share across threads.
 
 Coordinate orders match the residual operators: ``(x1, x2, xb1, xb2)`` for the
 four-variable equation, ``(t, x)`` for the two-field equation and Born-Infeld,
@@ -67,6 +79,13 @@ class LinearMap2:
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]])
+
+    def inverse(self) -> np.ndarray:
+        """Matrix of the inverse map; raises ValueError if there is none."""
+        det = self.det
+        if abs(det) <= 1e-14 * max(1.0, abs(self.a * self.d), abs(self.b * self.c)):
+            raise ValueError("linear map is not invertible")
+        return np.array([[self.d, -self.b], [-self.c, self.a]]) / det
 
 
 class FieldHandle:
@@ -241,30 +260,15 @@ def holo_sum(f: ExprSpec, g: ExprSpec) -> FieldHandle:
 # -- hodograph parametric solution --------------------------------------------------
 
 
-def hodograph_forward_exprs(f: ExprSpec, g: ExprSpec) -> tuple[ExprSpec, ExprSpec]:
-    """Parametric formulas t(u, v), x(u, v) as expression trees.
-
-    t = f'(u) + g'(v);  x = f(u) - u f'(u) + g(v) - v g'(v).
-    """
-    _require_vars(f, {"u"}, "f")
-    _require_vars(g, {"v"}, "g")
-    df, dg = partial(f, "u"), partial(g, "v")
-    t_ast = Bin("+", df.ast, dg.ast)
-    x_ast = Bin(
-        "+",
-        Bin("-", f.ast, Bin("*", Var("u"), df.ast)),
-        Bin("-", g.ast, Bin("*", Var("v"), dg.ast)),
-    )
-    return ExprSpec(t_ast, ("u", "v")), ExprSpec(x_ast, ("u", "v"))
-
-
-def hodograph_forward(f: ExprSpec, g: ExprSpec, u: float, v: float) -> tuple[float, float]:
-    t_expr, x_expr = hodograph_forward_exprs(f, g)
-    args = {"u": u, "v": v}
-    return eval_float(t_expr, args), eval_float(x_expr, args)
-
-
 class HodographSolver:
+    """Inversion of the parametric solution
+
+        t = f'(u) + g'(v),   x = f(u) - u f'(u) + g(v) - v g'(v)
+
+    for (u, v) at a point (t, x).  Every symbolic partial it needs is built
+    once, here.
+    """
+
     def __init__(self, f: ExprSpec, g: ExprSpec, cfg: ImplicitSolveConfig):
         _require_vars(f, {"u"}, "f")
         _require_vars(g, {"v"}, "g")
@@ -276,8 +280,31 @@ class HodographSolver:
         self.d2g = partial(self.d1g, "v")
         self.d3g = partial(self.d2g, "v")
         self.f, self.g = f, g
+        t_ast = Bin("+", self.d1f.ast, self.d1g.ast)
+        x_ast = Bin(
+            "+",
+            Bin("-", f.ast, Bin("*", Var("u"), self.d1f.ast)),
+            Bin("-", g.ast, Bin("*", Var("v"), self.d1g.ast)),
+        )
+        self.t_expr = ExprSpec(t_ast, ("u", "v"))
+        self.x_expr = ExprSpec(x_ast, ("u", "v"))
+        self._identity_terms = [(partial(self.x_expr, var), partial(self.t_expr, var), var)
+                                for var in ("v", "u")]
+
+    def forward(self, u: float, v: float) -> tuple[float, float]:
+        """(t, x) at (u, v), evaluated from the parametric formulas as written."""
+        args = {"u": u, "v": v}
+        return eval_float(self.t_expr, args), eval_float(self.x_expr, args)
+
+    def identity_residuals(self, u: float, v: float) -> tuple[ResidualSample, ResidualSample]:
+        """x_v + v t_v and x_u + u t_u evaluated through symbolic partials."""
+        args = {"u": u, "v": v}
+        return tuple(_from_terms((eval_float(x_d, args), args[var] * eval_float(t_d, args)))
+                     for x_d, t_d, var in self._identity_terms)
 
     def _forward(self, u: float, v: float) -> tuple[float, float]:
+        # Newton's own form of the forward map: fewer evaluations than
+        # ``forward``, summed in a different order.
         fu = eval_float(self.f, {"u": u})
         f1 = eval_float(self.d1f, {"u": u})
         gv = eval_float(self.g, {"v": v})
@@ -358,37 +385,10 @@ class HodographSolver:
                 hv[a, b] = hv[b, a] = sec[1]
         return u, v, du, dv, hu, hv
 
-
-def parametric_hodograph(
-    f: ExprSpec, g: ExprSpec, cfg: ImplicitSolveConfig
-) -> tuple[FieldHandle, FieldHandle]:
-    """Invert the parametric solution; returns (phi, phibar) = (v-field, u-field)."""
-    solver = HodographSolver(f, g, cfg)
-
-    def eval_phi(point: np.ndarray, seed=None) -> jets.Jet2:
-        _, v, _, dv, _, hv = solver.jets_uv(point[0], point[1], seed)
-        return jets.from_parts(v, dv, hv)
-
-    def eval_phibar(point: np.ndarray, seed=None) -> jets.Jet2:
-        u, _, du, _, hu, _ = solver.jets_uv(point[0], point[1], seed)
-        return jets.from_parts(u, du, hu)
-
-    base = f"parametric_hodograph(f={f}, g={g}, seed={cfg.seed})"
-    return (FieldHandle(eval_phi, 2, base + "[phi=v]"),
-            FieldHandle(eval_phibar, 2, base + "[phibar=u]"))
-
-
-def hodograph_identity_residuals(
-    f: ExprSpec, g: ExprSpec, u: float, v: float
-) -> tuple[ResidualSample, ResidualSample]:
-    """x_v + v t_v and x_u + u t_u evaluated through symbolic partials."""
-    t_expr, x_expr = hodograph_forward_exprs(f, g)
-    args = {"u": u, "v": v}
-    x_v = eval_float(partial(x_expr, "v"), args)
-    t_v = eval_float(partial(t_expr, "v"), args)
-    x_u = eval_float(partial(x_expr, "u"), args)
-    t_u = eval_float(partial(t_expr, "u"), args)
-    return _from_terms((x_v, v * t_v)), _from_terms((x_u, u * t_u))
+    def fields(self, t: float, x: float, seed=None) -> tuple[jets.Jet2, jets.Jet2]:
+        """(phi, phibar) = (v, u) as jets over (t, x), from one solve."""
+        u, v, du, dv, hu, hv = self.jets_uv(t, x, seed)
+        return jets.from_parts(v, dv, hv), jets.from_parts(u, du, hu)
 
 
 # -- covariance machinery -----------------------------------------------------------
@@ -408,38 +408,18 @@ def moebius_transform(uv: tuple[float, float], m: LinearMap2) -> tuple[float, fl
     return out[0], out[1]
 
 
-def transform_solution(
-    pair: tuple[FieldHandle, FieldHandle], m: LinearMap2
-) -> tuple[FieldHandle, FieldHandle]:
-    """Pull both fields back along the inverse linear map (chain rule on jets)."""
-    det = m.det
-    if abs(det) <= 1e-14 * max(1.0, abs(m.a * m.d), abs(m.b * m.c)):
-        raise ValueError("linear map is not invertible")
-    minv = np.array([[m.d, -m.b], [-m.c, m.a]]) / det
-
-    def make(handle: FieldHandle) -> FieldHandle:
-        def evaluate(point: np.ndarray, seed=None) -> jets.Jet2:
-            q = minv @ point
-            base = handle(q, seed=seed)
-            grad = minv.T @ base.grad
-            hess = minv.T @ base.hess @ minv
-            return jets.from_parts(base.value, grad, hess)
-
-        return FieldHandle(evaluate, handle.k, f"pullback({handle.label})")
-
-    return make(pair[0]), make(pair[1])
+def pull_back(jet: jets.Jet2, minv: np.ndarray) -> jets.Jet2:
+    """A field's jet at ``minv @ q``, re-expressed as a jet over ``q`` (chain
+    rule through the linear map ``minv``, e.g. :meth:`LinearMap2.inverse`)."""
+    return jets.from_parts(jet.value, minv.T @ jet.grad, minv.T @ jet.hess @ minv)
 
 
-def reparametrize(handle: FieldHandle, h: ExprSpec) -> FieldHandle:
-    """Compose a single-variable expression with the field: h(phi)."""
+def reparametrization(h: ExprSpec) -> Callable[[jets.Jet2], jets.Jet2]:
+    """The map phi -> h(phi) on jets, for a single-variable expression h."""
     if len(h.vars) != 1:
         raise ValueError("reparametrization must use exactly one variable")
     var = h.vars[0]
-
-    def evaluate(point: np.ndarray, seed=None) -> jets.Jet2:
-        return eval_jet(h, {var: handle(point, seed=seed)})
-
-    return FieldHandle(evaluate, handle.k, f"{h}∘({handle.label})")
+    return lambda jet: eval_jet(h, {var: jet})
 
 
 # -- Born-Infeld gradient field -------------------------------------------------------
@@ -466,36 +446,24 @@ def born_infeld_point(u_val: float, v_val: float, lam: float) -> tuple[float, fl
     return phi_t.value, phi_x.value
 
 
-def born_infeld_field(u: FieldHandle, v: FieldHandle, lam: float) -> FieldHandle:
-    """Gradient-level field: returns a jet with grad = (phi_t, phi_x) and the
-    corresponding second derivatives; the scalar value is 0 by convention (phi
-    is defined only up to a constant and is never materialized).
+def born_infeld_jet(uj: jets.Jet2, vj: jets.Jet2, lam: float) -> jets.Jet2:
+    """Gradient-level field from the (u, v) jets over (t, x): a jet with
+    grad = (phi_t, phi_x) and the corresponding second derivatives; the scalar
+    value is 0 by convention (phi is defined only up to a constant and is never
+    materialized).  ``lam`` must be positive.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-
-    def evaluate(point: np.ndarray, seed=None) -> jets.Jet2:
-        uj = u(point, seed=seed)
-        vj = v(point, seed=seed)
-        pt, px = _born_infeld_uv_jets(uj.value, vj.value, lam)
-        # Chain through (u, v)(t, x); cross derivative symmetrized, the two
-        # estimates agree when (u, v) solve the hydrodynamic pair.
-        d_pt = pt.grad[0] * uj.grad + pt.grad[1] * vj.grad  # (d_t phi_t, d_x phi_t)
-        d_px = px.grad[0] * uj.grad + px.grad[1] * vj.grad
-        cross = 0.5 * (d_pt[1] + d_px[0])
-        hess = np.array([[d_pt[0], cross], [cross, d_px[1]]])
-        return jets.from_parts(0.0, np.array([pt.value, px.value]), hess)
-
-    return FieldHandle(evaluate, 2, f"born_infeld(lam={lam}, u={u.label}, v={v.label})")
+    pt, px = _born_infeld_uv_jets(uj.value, vj.value, lam)
+    # Chain through (u, v)(t, x); cross derivative symmetrized, the two
+    # estimates agree when (u, v) solve the hydrodynamic pair.
+    d_pt = pt.grad[0] * uj.grad + pt.grad[1] * vj.grad  # (d_t phi_t, d_x phi_t)
+    d_px = px.grad[0] * uj.grad + px.grad[1] * vj.grad
+    cross = 0.5 * (d_pt[1] + d_px[0])
+    hess = np.array([[d_pt[0], cross], [cross, d_px[1]]])
+    return jets.from_parts(0.0, np.array([pt.value, px.value]), hess)
 
 
-def born_infeld_cross_residual(
-    u: FieldHandle, v: FieldHandle, lam: float, point: Sequence[float]
-) -> ResidualSample:
+def born_infeld_cross_residual(uj: jets.Jet2, vj: jets.Jet2, lam: float) -> ResidualSample:
     """Integrability check d_t(phi_x) - d_x(phi_t) for the substitution."""
-    pt_arr = np.asarray(point, dtype=float)
-    uj = u(pt_arr)
-    vj = v(pt_arr)
     pt, px = _born_infeld_uv_jets(uj.value, vj.value, lam)
     d_t_phix = px.grad[0] * uj.grad[0] + px.grad[1] * vj.grad[0]
     d_x_phit = pt.grad[0] * uj.grad[1] + pt.grad[1] * vj.grad[1]

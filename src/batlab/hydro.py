@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -497,16 +497,21 @@ def integrate_multifield(
         vmax_m = max(np.abs(level[n]).max() for n in names)
         if dt > spec.cfl * min(h2, h3) / max(vmax_m, 1e-12) * (1 + 1e-12):
             err = CFLViolationError(m, dt, spec.cfl * min(h2, h3) / vmax_m)
-            err.partial = grid
+            err.partial = _truncate_multi(grid, m + 1)
             raise err
         try:
             nxt = _advance_multi(level, dt, h2, h3, idx2, idx3, m)
         except CharacteristicCrossingError as err:
-            err.partial = grid
+            err.partial = _truncate_multi(grid, m + 1)
             raise
         for n in names:
             data[n][m + 1] = level[n] if n in freeze else nxt[n]
     return grid
+
+
+def _truncate_multi(grid: MultiCharGrid, levels: int) -> MultiCharGrid:
+    return replace(grid, x1_levels=grid.x1_levels[:levels],
+                   fields={n: f[:levels] for n, f in grid.fields.items()})
 
 
 def _advance_multi(level, dt, h2, h3, idx2, idx3, m):

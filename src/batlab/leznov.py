@@ -22,6 +22,12 @@ both bindings are exposed:
 The test suite records which binding yields vanishing residuals on
 constructed systems (it is ``v_on_x``).
 
+Everything at a point follows from one Newton solve: :func:`solve_constraints`
+returns the field jets, :func:`speed_jets` derives the speeds from that
+solution, and the residual functions read both.  :func:`solve_points` does
+this once per sample point, so every check of a case shares the same solves.
+The symbolic partials of Q and P are built once per :class:`LeznovSystem`.
+
 Coordinate order of all jets and handles: (x_1..x_n, xb_1..xb_n).
 """
 
@@ -35,9 +41,16 @@ import numpy as np
 
 from . import jets
 from .construct import FieldHandle, ImplicitSolveConfig
-from .errors import NewtonConvergenceError, SingularMatrixError
+from .errors import EvaluationError, NewtonConvergenceError, SingularMatrixError
 from .exprspec import ExprSpec, eval_float, eval_jet, partial
-from .residuals import ResidualReport, ResidualSample, _from_terms, grid_report
+from .residuals import (
+    ResidualReport,
+    ResidualSample,
+    _from_terms,
+    attempt,
+    grid_report,
+    unwrap,
+)
 
 _COND_LIMIT = 1e10
 
@@ -78,6 +91,11 @@ class LeznovSystem:
                         for q in self.Q]
         self._dp_phi = [[partial(p, f) if f in p.vars else None for f in self.fields]
                         for p in self.P]
+        # Coordinate partials, for the speeds: Q^i_{x_k} and P^i_{xb_k}.
+        self._dq_x = [[partial(q, x) if x in q.vars else None
+                       for x in map(self.x_name, range(self.n))] for q in self.Q]
+        self._dp_xb = [[partial(p, xb) if xb in p.vars else None
+                        for xb in map(self.xb_name, range(self.n))] for p in self.P]
 
     @property
     def fields(self) -> tuple[str, ...]:
@@ -247,13 +265,14 @@ def solve_constraints(sys: LeznovSystem, point, seed=None) -> LeznovSolution:
     return LeznovSolution(point, phi.copy(), field_jets)
 
 
-def field_handle(sys: LeznovSystem, j: int) -> FieldHandle:
-    """FieldHandle for phi^{j+1} over the 2n coordinates."""
-
-    def evaluate(point, seed=None):
-        return solve_constraints(sys, point, seed).field_jets[j]
-
-    return FieldHandle(evaluate, 2 * sys.n, f"leznov(n={sys.n})[phi{j + 1}]")
+def _jet_args(sys: LeznovSystem, sol: LeznovSolution) -> dict:
+    """Field jets and coordinate variables at a solved point, by name."""
+    nz = 2 * sys.n
+    args = {name: sol.field_jets[m] for m, name in enumerate(sys.fields)}
+    for k in range(sys.n):
+        args[sys.x_name(k)] = jets.variable(k, sol.point[k], nz)
+        args[sys.xb_name(k)] = jets.variable(sys.n + k, sol.point[sys.n + k], nz)
+    return args
 
 
 def composite_handle(sys: LeznovSystem, expr: ExprSpec) -> FieldHandle:
@@ -267,28 +286,12 @@ def composite_handle(sys: LeznovSystem, expr: ExprSpec) -> FieldHandle:
 
     def evaluate(point, seed=None):
         sol = solve_constraints(sys, point, seed)
-        nz = 2 * sys.n
-        args = {}
-        for m, name in enumerate(sys.fields):
-            args[name] = sol.field_jets[m]
-        for k in range(sys.n):
-            args[sys.x_name(k)] = jets.variable(k, point[k], nz)
-            args[sys.xb_name(k)] = jets.variable(sys.n + k, point[sys.n + k], nz)
-        return eval_jet(expr, args, k=nz)
+        return eval_jet(expr, _jet_args(sys, sol), k=2 * sys.n)
 
     return FieldHandle(evaluate, 2 * sys.n, f"leznov(n={sys.n})[{expr}]")
 
 
 # -- speeds -------------------------------------------------------------------------
-
-
-@dataclass
-class SpeedFields:
-    """(n-1)-vectors of speed FieldHandles over the 2n coordinates."""
-
-    n: int
-    u: list
-    v: list
 
 
 def _matrix_solve_jets(a_rows, b_vec):
@@ -309,56 +312,45 @@ def _matrix_solve_jets(a_rows, b_vec):
     return [x1, x2]
 
 
-def speed_jets(sys: LeznovSystem, point, seed=None):
-    """(u_jets, v_jets) at one point, each a list of arity-2n jets.
+def speed_jets(sys: LeznovSystem, sol: LeznovSolution):
+    """(u_jets, v_jets) at a solved point, each a list of arity-2n jets.
 
     v = -(Q_x)^{-1} Q_{x_n} and u = -(P_xb)^{-1} P_{xb_n}, differentiated
     through the constraint solution by evaluating the symbolic coordinate
     partials of Q and P on the full field jets.
     """
-    sol = solve_constraints(sys, point, seed)
     nz = 2 * sys.n
     nf = sys.nf
+    args = _jet_args(sys, sol)
 
-    args = {}
-    for m, name in enumerate(sys.fields):
-        args[name] = sol.field_jets[m]
-    for k in range(sys.n):
-        args[sys.x_name(k)] = jets.variable(k, point[k], nz)
-        args[sys.xb_name(k)] = jets.variable(sys.n + k, point[sys.n + k], nz)
-
-    def coord_partial_jet(spec, var):
-        d = partial(spec, var) if var in spec.vars else None
+    def partial_jet(d):
         if d is None:
             return jets.constant(0.0, nz)
-        out = eval_jet(d, {k: v for k, v in args.items() if k in d.vars}, k=nz)
-        return out
+        return eval_jet(d, {k: v for k, v in args.items() if k in d.vars}, k=nz)
 
-    q_x = [[coord_partial_jet(sys.Q[i], sys.x_name(k)) for k in range(nf)]
-           for i in range(nf)]
-    q_xn = [coord_partial_jet(sys.Q[i], sys.x_name(sys.n - 1)) for i in range(nf)]
-    p_xb = [[coord_partial_jet(sys.P[i], sys.xb_name(k)) for k in range(nf)]
-            for i in range(nf)]
-    p_xbn = [coord_partial_jet(sys.P[i], sys.xb_name(sys.n - 1)) for i in range(nf)]
+    q_x = [[partial_jet(sys._dq_x[i][k]) for k in range(nf)] for i in range(nf)]
+    q_xn = [partial_jet(sys._dq_x[i][sys.n - 1]) for i in range(nf)]
+    p_xb = [[partial_jet(sys._dp_xb[i][k]) for k in range(nf)] for i in range(nf)]
+    p_xbn = [partial_jet(sys._dp_xb[i][sys.n - 1]) for i in range(nf)]
 
     v = [-w for w in _matrix_solve_jets(q_x, q_xn)]
     u = [-w for w in _matrix_solve_jets(p_xb, p_xbn)]
     return u, v
 
 
-def derive_speeds(sys: LeznovSystem) -> SpeedFields:
-    def make(idx: int, which: str) -> FieldHandle:
-        def evaluate(point, seed=None):
-            u, v = speed_jets(sys, np.asarray(point, dtype=float), seed)
-            return (u if which == "u" else v)[idx]
+def solve_points(sys: LeznovSystem, points) -> list:
+    """One constraint solve per point, with the speeds derived from it.
 
-        return FieldHandle(evaluate, 2 * sys.n, f"leznov(n={sys.n})[{which}{idx + 1}]")
-
-    return SpeedFields(
-        sys.n,
-        [make(i, "u") for i in range(sys.nf)],
-        [make(i, "v") for i in range(sys.nf)],
-    )
+    Each entry is a ``(solution, (u, v))`` pair of :func:`residuals.attempt`
+    results: a failed solve leaves its EvaluationError in both places, a
+    failed speed derivation only in the second.
+    """
+    out = []
+    for point in points:
+        sol = attempt(solve_constraints, sys, point)
+        speeds = sol if isinstance(sol, EvaluationError) else attempt(speed_jets, sys, sol)
+        out.append((sol, speeds))
+    return out
 
 
 # -- directional operators -------------------------------------------------------------
@@ -391,21 +383,16 @@ def apply_D(field_jet, u_vals, v_vals, n: int, which: str = "D",
     return _from_terms(terms, floor=coef * np.abs(g).max())
 
 
-def holomorphy_reports(sys: LeznovSystem, points, speeds_on_x: str = "v"):
-    """D phi^j and Dbar phi^j residual reports over the sample points."""
+def holomorphy_reports(sys: LeznovSystem, solved, speeds_on_x: str = "v"):
+    """D phi^j and Dbar phi^j residual reports over points from :func:`solve_points`."""
     d_samples, dbar_samples = [], []
     skipped = 0
-    for point in points:
+    for sol, speeds in solved:
         try:
-            sol = solve_constraints(sys, point)
-            u, v = speed_jets(sys, point)
-        except Exception as err:  # noqa: BLE001 - singular points are skipped
-            from .errors import EvaluationError
-
-            if isinstance(err, EvaluationError):
-                skipped += 1
-                continue
-            raise
+            sol, (u, v) = unwrap(sol), unwrap(speeds)
+        except EvaluationError:
+            skipped += 1
+            continue
         u_vals = [j.value for j in u]
         v_vals = [j.value for j in v]
         for fj in sol.field_jets:
@@ -415,19 +402,18 @@ def holomorphy_reports(sys: LeznovSystem, points, speeds_on_x: str = "v"):
             grid_report("leznov_dbar_phi", dbar_samples, skipped))
 
 
-def verify_zero_curvature(sys: LeznovSystem, points, speeds_on_x: str = "v") -> ResidualReport:
-    """Commutator residuals of the operator pair on the derived speeds.
+def verify_zero_curvature(sys: LeznovSystem, solved, speeds_on_x: str = "v") -> ResidualReport:
+    """Commutator residuals of the operator pair on the derived speeds, over
+    points from :func:`solve_points`.
 
     Under the ``v_on_x`` binding the pair commutes iff D u^j = 0 and
     Dbar v^j = 0; under ``u_on_x`` iff D v^j = 0 and Dbar u^j = 0.
     """
     samples = []
     skipped = 0
-    from .errors import EvaluationError
-
-    for point in points:
+    for _, speeds in solved:
         try:
-            u, v = speed_jets(sys, point)
+            u, v = unwrap(speeds)
         except EvaluationError:
             skipped += 1
             continue
@@ -444,15 +430,26 @@ def verify_zero_curvature(sys: LeznovSystem, points, speeds_on_x: str = "v") -> 
     return grid_report(f"zero_curvature[{speeds_on_x}_on_x]", samples, skipped)
 
 
-def constraint_gap(sys: LeznovSystem, point, seed=None) -> float:
-    """max_i |Q^i - P^i| at the solved root (should sit at solver precision)."""
-    sol = solve_constraints(sys, point, seed)
+def constraint_gap(sys: LeznovSystem, sol: LeznovSolution) -> float:
+    """max_i |Q^i - P^i| at a solved root (should sit at solver precision)."""
     worst = 0.0
     for i in range(sys.nf):
         qa = _float_args(sys, sys.Q[i].vars, sol.phi, sol.point, False)
         pa = _float_args(sys, sys.P[i].vars, sol.phi, sol.point, True)
         worst = max(worst, abs(eval_float(sys.Q[i], qa) - eval_float(sys.P[i], pa)))
     return worst
+
+
+def constraint_gap_report(sys: LeznovSystem, solved) -> ResidualReport:
+    """Worst :func:`constraint_gap` over points from :func:`solve_points`."""
+    worst, used, skipped = 0.0, 0, 0
+    for sol, _ in solved:
+        try:
+            worst = max(worst, constraint_gap(sys, unwrap(sol)))
+            used += 1
+        except EvaluationError:
+            skipped += 1
+    return ResidualReport("constraint_gap", used, worst, worst, skipped)
 
 
 def antiholo_speed_spread(sys: LeznovSystem, xbar, level: float,
@@ -469,19 +466,18 @@ def antiholo_speed_spread(sys: LeznovSystem, xbar, level: float,
         raise ValueError("level-curve tracing is implemented for n = 2")
     from scipy.optimize import brentq
 
+    def u_jet(x1, x2):
+        point = np.array([x1, x2, *xbar])
+        return speed_jets(sys, solve_constraints(sys, point, seed))[0][0]
+
+    lo, hi = x2_bracket
     values = []
     for x1 in x1_values:
-        def gap(x2):
-            u, _ = speed_jets(sys, np.array([x1, x2, *xbar]), seed)
-            return u[0].value - level
-
-        lo, hi = x2_bracket
         try:
-            x2 = brentq(gap, lo, hi, xtol=1e-13)
+            x2 = brentq(lambda x2: u_jet(x1, x2).value - level, lo, hi, xtol=1e-13)
         except ValueError:
             continue
-        u, _ = speed_jets(sys, np.array([x1, x2, *xbar]), seed)
-        uj = u[0]
+        uj = u_jet(x1, x2)
         w = uj.grad[3] + uj.value * uj.grad[2]  # u_xb2 + u * u_xb1
         values.append(w)
     if len(values) < 2:

@@ -60,15 +60,6 @@ class ResidualReport:
     rms_norm: float
     skipped_singular: int
 
-    def as_dict(self) -> dict:
-        return {
-            "equation": self.equation,
-            "samples": self.samples,
-            "skipped": self.skipped_singular,
-            "max_norm": self.max_norm,
-            "rms_norm": self.rms_norm,
-        }
-
 
 def _from_terms(terms: Sequence[float], floor: float = 0.0) -> ResidualSample:
     raw = math.fsum(terms)
@@ -94,6 +85,22 @@ def grid_report(
     norms = raws / max(global_scale, _SCALE_FLOOR)
     return ResidualReport(equation, len(samples), float(norms.max()),
                           float(np.sqrt(np.mean(norms**2))), skipped)
+
+
+def attempt(fn: Callable, *args):
+    """``fn(*args)``, or the EvaluationError it raised: a singular sample, which
+    every check that reads it (through :func:`unwrap`) counts as skipped."""
+    try:
+        return fn(*args)
+    except EvaluationError as err:
+        return err
+
+
+def unwrap(value):
+    """The result of an :func:`attempt`; re-raises a singular sample's error."""
+    if isinstance(value, EvaluationError):
+        raise value.with_traceback(None)
+    return value
 
 
 def sweep(

@@ -1,8 +1,17 @@
 """Scenario driver: exit codes, report schema, determinism, bundled files."""
 
+import hashlib
 import json
+from collections import Counter
+from pathlib import Path
 
-from batlab import cli
+import numpy as np
+import pytest
+
+import batlab
+from batlab import cli, construct, leznov
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write(tmp_path, name, data):
@@ -207,3 +216,124 @@ def test_skip_fraction_gate(tmp_path):
     entry = report["reports"][0]
     assert entry["skipped"] > 0.2 * 40
     assert not entry["pass"]
+
+
+def _verify_scenario(block, low, high, equation="complex_bateman"):
+    return {"name": "m", "paper_anchor": "t", "kind": "verify", "cases": [{
+        "construct": block,
+        "samples": {"count": 4, "low": low, "high": high},
+        "checks": [{"equation": equation, "tolerance": 1e-9}]}]}
+
+
+_COMPLETE = {
+    "implicit_fg": lambda: _tiny_verify_scenario(),
+    "holo_sum": lambda: _verify_scenario(
+        {"op": "holo_sum", "f": "x1*x2", "g": "xb1"}, [-1] * 4, [1] * 4),
+    "implicit_3d": lambda: _verify_scenario(
+        {"op": "implicit_3d", "F": "phi", "G": "1", "K": "0", "config": {"seed": 0.0}},
+        [0.5, -1, -1], [1.5, 1, 1], "euclidean_3d"),
+    "hodograph": lambda: _verify_scenario(
+        {"op": "parametric_hodograph", "f": "u^2", "g": "v^2",
+         "config": {"seed": [1.5, 3.5]}}, [1.0, 3.0], [2.0, 4.0], "two_field_bateman"),
+    "two_field": lambda: {
+        "name": "m", "paper_anchor": "t", "kind": "simulate",
+        "cases": [{"system": "two_field", "init": {"u": "1.0", "v": "1.0"},
+                   "grid": {"t_end": 0.05}, "resolutions": [16],
+                   "checks": [{"equation": "conservation", "n_values": [1]}]}]},
+    "multifield": lambda: {
+        "name": "m", "paper_anchor": "t", "kind": "simulate",
+        "cases": [{"system": "multifield",
+                   "init": {"u1": "0.4", "u2": "-0.3", "v1": "0.9", "v2": "1.1"},
+                   "grid": {"t_end": 0.1}, "resolutions": [8],
+                   "checks": [{"equation": "multifield_det"}]}]},
+    "variational": lambda: {
+        "name": "m", "paper_anchor": "t", "kind": "variational",
+        "cases": [{"source": {"f": "u^2", "g": "v^2", "config": {"seed": [1.5, 3.5]},
+                              "t_window": [9.75, 10.25], "x_window": [-14.75, -14.25]},
+                   "resolutions": [9], "psi": ["s"]}]},
+}
+
+
+@pytest.mark.parametrize("scenario,path", [
+    ("implicit_fg", ("construct", "F")), ("implicit_fg", ("construct", "G")),
+    ("holo_sum", ("construct", "f")), ("holo_sum", ("construct", "g")),
+    ("implicit_3d", ("construct", "F")), ("implicit_3d", ("construct", "G")),
+    ("implicit_3d", ("construct", "K")),
+    ("hodograph", ("construct", "f")), ("hodograph", ("construct", "g")),
+    ("two_field", ("init",)), ("multifield", ("init",)),
+    ("variational", ("source", "f")), ("variational", ("source", "g")),
+    ("variational", ("source", "t_window")), ("variational", ("source", "x_window")),
+])
+def test_missing_required_field_exits_2(tmp_path, capsys, scenario, path):
+    data = _COMPLETE[scenario]()
+    node = data["cases"][0]
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    command = "simulate" if data["kind"] == "simulate" else "verify"
+    args = [command, _write(tmp_path, "m.json", data), "--out", str(tmp_path / "o")]
+    assert cli.main(args) == cli.EXIT_VALIDATION
+    assert f"missing required field {path[-1]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(batlab.JET_BACKEND != "python",
+                    reason="the digests were recorded on the pure-Python jet backend")
+def test_pointwise_reports_match_recorded_digests(tmp_path):
+    recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+    digests = recorded["20240801"]["pointwise_verify"]
+    assert sorted(digests) == [p.name[:-5] for p in cli.bundled_scenarios()
+                               if p.name[:3] in ("c01", "c02", "c03", "c04", "c06",
+                                                 "c07", "c10")]
+    for path in cli.bundled_scenarios():
+        name = path.name[:-5]
+        if name not in digests:
+            continue
+        cli.run_scenario(json.loads(path.read_text()), tmp_path / name, seed=20240801)
+        for fname, digest in digests[name].items():
+            written = (tmp_path / name / fname).read_bytes()
+            assert hashlib.sha256(written).hexdigest() == digest, fname
+
+
+def test_one_solve_per_point_and_seed(tmp_path, monkeypatch):
+    """Every check of a case reads the case's one solve per point and seed."""
+    solves = Counter()
+    hodograph_solve, leznov_solve = construct.HodographSolver.solve, leznov.solve_constraints
+
+    def seed_key(seed):
+        return None if seed is None else tuple(np.ravel(seed).tolist())
+
+    def count_hodograph(self, t, x, seed=None):
+        solves["hodograph", float(t), float(x), seed_key(seed)] += 1
+        return hodograph_solve(self, t, x, seed)
+
+    def count_leznov(sys, point, seed=None):
+        solves["leznov", *np.asarray(point, dtype=float).tolist(), seed_key(seed)] += 1
+        return leznov_solve(sys, point, seed)
+
+    monkeypatch.setattr(construct.HodographSolver, "solve", count_hodograph)
+    monkeypatch.setattr(leznov, "solve_constraints", count_leznov)
+    data = {"name": "solves", "paper_anchor": "t", "kind": "verify", "cases": [
+        {"label": "hodograph",
+         "construct": {"op": "parametric_hodograph", "f": "u^2", "g": "v^2",
+                       "config": {"seed": [1.5, 3.5]}},
+         "samples": {"mode": "uv_box", "count": 12, "low": [1.0, 3.0], "high": [2.0, 4.0]},
+         "checks": [{"equation": "two_field_bateman", "tolerance": 1e-9},
+                    {"equation": "roundtrip", "tolerance": 1e-10},
+                    {"equation": "born_infeld", "tolerance": 1e-9, "lambda": 1.3},
+                    {"equation": "reparametrized_two_field", "tolerance": 1e-9,
+                     "maps": ["s^3 + s", "exp(0.3*s)"]}]},
+        {"label": "leznov",
+         "construct": {"op": "leznov", "n": 2, "Q": ["phi + 0.3*phi^3 - x1 - 0.5*x1*x2"],
+                       "P": ["xb1 + xb2^2 + 0.2*sin(xb2)"], "config": {"seed": 0.3}},
+         "samples": {"count": 10, "low": [-0.5] * 4, "high": [0.5] * 4},
+         "checks": [{"equation": "constraint_gap", "tolerance": 1e-12},
+                    {"equation": "holomorphy", "tolerance": 1e-8},
+                    {"equation": "zero_curvature", "tolerance": 1e-8},
+                    {"equation": "complex_bateman", "tolerance": 1e-8}]},
+    ]}
+    _, code = cli.run_scenario(data, tmp_path, seed=3)
+    assert code == cli.EXIT_PASS
+    # 12 sample-seeded solves, plus 12 from the configured seed for the
+    # Born-Infeld integrability check; 10 Leznov solves.
+    assert Counter(key[0] for key in solves) == {"hodograph": 24, "leznov": 10}
+    assert max(solves.values()) == 1

@@ -5,20 +5,18 @@ import pytest
 
 from batlab import construct, residuals
 from batlab.construct import (
+    HodographSolver,
     ImplicitSolveConfig,
     LinearMap2,
     born_infeld_cross_residual,
-    born_infeld_field,
+    born_infeld_jet,
     born_infeld_point,
-    hodograph_forward,
-    hodograph_identity_residuals,
     holo_sum,
     implicit_3d,
     moebius_transform,
-    parametric_hodograph,
-    reparametrize,
+    pull_back,
+    reparametrization,
     solve_implicit_fg,
-    transform_solution,
 )
 from batlab.errors import (
     DegenerateRootError,
@@ -143,16 +141,14 @@ def test_holo_sum_zero_fields():
 
 def test_hodograph_forward_map_hand_case():
     # f = u^2, g = v^2: t = 2u + 2v, x = -u^2 - v^2; (u,v) = (1,2) -> (6,-5).
-    t, x = hodograph_forward(parse("u^2"), parse("v^2"), 1.0, 2.0)
+    t, x = HodographSolver(parse("u^2"), parse("v^2"), ImplicitSolveConfig()).forward(1.0, 2.0)
     assert t == pytest.approx(6.0)
     assert x == pytest.approx(-5.0)
 
 
 def test_hodograph_inversion_recovers_parameters():
     cfg = ImplicitSolveConfig(seed=(1.1, 1.9))
-    phi, phibar = parametric_hodograph(parse("u^2"), parse("v^2"), cfg)
-    jv = phi([6.0, -5.0])
-    ju = phibar([6.0, -5.0])
+    jv, ju = HodographSolver(parse("u^2"), parse("v^2"), cfg).fields(6.0, -5.0)
     assert ju.value == pytest.approx(1.0, abs=1e-10)
     assert jv.value == pytest.approx(2.0, abs=1e-10)
 
@@ -160,15 +156,16 @@ def test_hodograph_inversion_recovers_parameters():
 def test_hodograph_roundtrip():
     f, g = parse("u^3"), parse("v^2")
     cfg = ImplicitSolveConfig(seed=(1.5, 3.5))
-    phi, phibar = parametric_hodograph(f, g, cfg)
+    solver = HodographSolver(f, g, cfg)
     rng = np.random.default_rng(1)
     for _ in range(20):
         u0 = rng.uniform(1.0, 2.0)
         v0 = rng.uniform(3.0, 4.0)
-        t, x = hodograph_forward(f, g, u0, v0)
-        u1 = phibar([t, x], seed=(u0 + 0.05, v0 - 0.05)).value
-        v1 = phi([t, x], seed=(u0 + 0.05, v0 - 0.05)).value
-        t2, x2 = hodograph_forward(f, g, u1, v1)
+        t, x = solver.forward(u0, v0)
+        phi, phibar = solver.fields(t, x, seed=(u0 + 0.05, v0 - 0.05))
+        u1 = phibar.value
+        v1 = phi.value
+        t2, x2 = solver.forward(u1, v1)
         assert abs(t2 - t) <= 1e-10 * max(1, abs(t))
         assert abs(x2 - x) <= 1e-10 * max(1, abs(x))
 
@@ -176,11 +173,11 @@ def test_hodograph_roundtrip():
 def test_hodograph_identities():
     rng = np.random.default_rng(2)
     for ftxt, gtxt in [("u^2", "v^2"), ("exp(u)", "v^3"), ("log(u)", "v^2")]:
-        f, g = parse(ftxt), parse(gtxt)
+        solver = HodographSolver(parse(ftxt), parse(gtxt), ImplicitSolveConfig())
         for _ in range(10):
             u = rng.uniform(0.5, 1.5)
             v = rng.uniform(2.0, 3.0)
-            r1, r2 = hodograph_identity_residuals(f, g, u, v)
+            r1, r2 = solver.identity_residuals(u, v)
             assert r1.normalized <= 1e-12
             assert r2.normalized <= 1e-12
 
@@ -188,15 +185,14 @@ def test_hodograph_identities():
 def test_hodograph_pair_solves_two_field_equation():
     cfg = ImplicitSolveConfig(seed=(1.5, 3.5))
     f, g = parse("u^2"), parse("v^2")
-    phi, phibar = parametric_hodograph(f, g, cfg)
+    solver = HodographSolver(f, g, cfg)
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(40):
         u0 = rng.uniform(1.0, 2.0)
         v0 = rng.uniform(3.0, 4.0)
-        t, x = hodograph_forward(f, g, u0, v0)
-        jp = phi([t, x], seed=(u0, v0))
-        jb = phibar([t, x], seed=(u0, v0))
+        t, x = solver.forward(u0, v0)
+        jp, jb = solver.fields(t, x, seed=(u0, v0))
         worst = max(worst, residuals.two_field_bateman(jp, jb).normalized)
         worst = max(worst, residuals.two_field_bateman(jp, jb, conjugate=True).normalized)
     assert worst <= 1e-9
@@ -205,23 +201,23 @@ def test_hodograph_pair_solves_two_field_equation():
 def test_hodograph_fold_raises():
     # u = v is a fold of the parametric map.
     cfg = ImplicitSolveConfig(seed=(2.0, 2.0), max_iter=5)
-    phi, _ = parametric_hodograph(parse("u^2"), parse("v^2"), cfg)
+    solver = HodographSolver(parse("u^2"), parse("v^2"), cfg)
     with pytest.raises((SingularMatrixError, NewtonConvergenceError)):
-        phi([8.0, -8.0])
+        solver.fields(8.0, -8.0)
 
 
 def test_hodograph_jets_match_finite_differences():
     cfg = ImplicitSolveConfig(seed=(1.5, 3.5))
     f, g = parse("u^3"), parse("exp(v)")
-    phi, phibar = parametric_hodograph(f, g, cfg)
+    solver = HodographSolver(f, g, cfg)
     u0, v0 = 1.4, 3.2
-    t0, x0 = hodograph_forward(f, g, u0, v0)
+    t0, x0 = solver.forward(u0, v0)
     p0 = np.array([t0, x0])
-    for handle in (phi, phibar):
-        j0 = handle(p0, seed=(u0, v0))
+    for which in (0, 1):  # phi, phibar
+        j0 = solver.fields(*p0, seed=(u0, v0))[which]
 
         def value(p):
-            return handle(p, seed=(u0, v0)).value
+            return solver.fields(*p, seed=(u0, v0))[which].value
 
         errs = []
         for hstep in (4e-3, 2e-3):
@@ -268,26 +264,24 @@ def test_moebius_pole():
 
 def test_transform_identity_bitwise():
     cfg = ImplicitSolveConfig(seed=(1.5, 3.5))
-    pair = parametric_hodograph(parse("u^2"), parse("v^2"), cfg)
-    tpair = transform_solution(pair, LinearMap2(1, 0, 0, 1))
+    solver = HodographSolver(parse("u^2"), parse("v^2"), cfg)
+    minv = LinearMap2(1, 0, 0, 1).inverse()
     p = np.array([10.0, -14.5])
-    a = pair[0](p)
-    b = tpair[0](p)
+    a = solver.fields(*p)[0]
+    b = pull_back(solver.fields(*(minv @ p))[0], minv)
     assert a.value == b.value
     assert np.array_equal(a.grad, b.grad)
 
 
 def test_transform_requires_invertible():
-    cfg = ImplicitSolveConfig(seed=(1.5, 3.5))
-    pair = parametric_hodograph(parse("u^2"), parse("v^2"), cfg)
     with pytest.raises(ValueError):
-        transform_solution(pair, LinearMap2(1.0, 2.0, 2.0, 4.0))
+        LinearMap2(1.0, 2.0, 2.0, 4.0).inverse()
 
 
 def test_transformed_solution_still_solves_and_speeds_follow_moebius():
     f, g = parse("u^2"), parse("v^2")
     cfg = ImplicitSolveConfig(seed=(1.5, 3.5))
-    pair = parametric_hodograph(f, g, cfg)
+    solver = HodographSolver(f, g, cfg)
     rng = np.random.default_rng(5)
     maps = []
     while len(maps) < 5:
@@ -295,17 +289,16 @@ def test_transformed_solution_still_solves_and_speeds_follow_moebius():
         if abs(a * d - b * c) >= 0.3:
             maps.append(LinearMap2(a, b, c, d))
     for m in maps:
-        tphi, tphibar = transform_solution(pair, m)
+        minv = m.inverse()
         for _ in range(10):
             u0 = rng.uniform(1.0, 2.0)
             v0 = rng.uniform(3.0, 4.0)
-            t, x = hodograph_forward(f, g, u0, v0)
+            t, x = solver.forward(u0, v0)
             q = m.matrix() @ np.array([t, x])
-            jp = tphi(q, seed=(u0, v0))
-            jb = tphibar(q, seed=(u0, v0))
+            jp, jb = (pull_back(j, minv) for j in solver.fields(*(minv @ q), seed=(u0, v0)))
             assert residuals.two_field_bateman(jp, jb).normalized <= 1e-9
             # Speeds transform by the Moebius rule.
-            u_speed = pair[1]([t, x], seed=(u0, v0))
+            _, u_speed = solver.fields(t, x, seed=(u0, v0))
             u_orig = u_speed.grad[0] / u_speed.grad[1]
             try:
                 expected_u, _ = moebius_transform((u_orig, u_orig), m)
@@ -320,16 +313,17 @@ def test_two_field_covariance_with_distinct_maps():
     two-field solution set."""
     f, g = parse("u^2"), parse("v^2")
     cfg = ImplicitSolveConfig(seed=(1.5, 3.5))
-    phi, phibar = parametric_hodograph(f, g, cfg)
-    cphi = reparametrize(phi, parse("s^3 + s"))
-    cbar = reparametrize(phibar, parse("exp(0.4*s)"))
+    solver = HodographSolver(f, g, cfg)
+    cphi = reparametrization(parse("s^3 + s"))
+    cbar = reparametrization(parse("exp(0.4*s)"))
     rng = np.random.default_rng(11)
     for _ in range(20):
         u0 = rng.uniform(1.0, 2.0)
         v0 = rng.uniform(3.0, 4.0)
-        t, x = hodograph_forward(f, g, u0, v0)
-        jp = cphi([t, x], seed=(u0, v0))
-        jb = cbar([t, x], seed=(u0, v0))
+        t, x = solver.forward(u0, v0)
+        phi, phibar = solver.fields(t, x, seed=(u0, v0))
+        jp = cphi(phi)
+        jb = cbar(phibar)
         assert residuals.two_field_bateman(jp, jb).normalized <= 1e-9
         assert residuals.two_field_bateman(jp, jb, conjugate=True).normalized <= 1e-9
 
@@ -350,11 +344,11 @@ def test_reparametrized_solution_remains_solution():
                           ImplicitSolveConfig(seed=0.0))
     rng = np.random.default_rng(6)
     for htxt in ["s^3 + s", "exp(s)", "1 - 2/(exp(2*s) + 1)"]:
-        comp = reparametrize(h, parse(htxt))
+        comp = reparametrization(parse(htxt))
         for _ in range(15):
             p = rng.uniform(-1, 1, size=4)
             try:
-                j = comp(p)
+                j = comp(h(p))
             except EvaluationError:
                 continue
             assert residuals.complex_bateman(j).normalized <= 1e-9
@@ -379,18 +373,19 @@ def test_born_infeld_coincident_roots():
 def test_born_infeld_from_hodograph_solves_equation():
     f, g = parse("u^2"), parse("v^2")
     cfg = ImplicitSolveConfig(seed=(1.5, 3.5))
-    phi, phibar = parametric_hodograph(f, g, cfg)
+    solver = HodographSolver(f, g, cfg)
     lam = 1.3
     # u = phibar, v = phi solve the hydrodynamic pair; both stay positive on the box.
-    bi = born_infeld_field(phibar, phi, lam)
     rng = np.random.default_rng(7)
     for _ in range(25):
         u0 = rng.uniform(1.0, 2.0)
         v0 = rng.uniform(3.0, 4.0)
-        t, x = hodograph_forward(f, g, u0, v0)
-        j = bi([t, x], seed=(u0, v0))
+        t, x = solver.forward(u0, v0)
+        phi, phibar = solver.fields(t, x, seed=(u0, v0))
+        j = born_infeld_jet(phibar, phi, lam)
         assert residuals.born_infeld(j, lam).normalized <= 1e-9
-        cross = born_infeld_cross_residual(phibar, phi, lam, [t, x])
+        phi, phibar = solver.fields(t, x)
+        cross = born_infeld_cross_residual(phibar, phi, lam)
         assert cross.normalized <= 1e-9
 
 
@@ -476,13 +471,13 @@ def test_implicit_3d_jets_match_finite_differences():
 def test_implicit_3d_reparametrization_covariance():
     h = implicit_3d(parse("phi^3 + phi"), parse("2"), parse("phi"), 2.0,
                     ImplicitSolveConfig(seed=0.8))
-    comp = reparametrize(h, parse("s^3 + s"))
+    comp = reparametrization(parse("s^3 + s"))
     rng = np.random.default_rng(10)
     for _ in range(15):
         p = [rng.uniform(0.5, 1.0), rng.uniform(-0.5, 0.5), rng.uniform(0.2, 0.6)]
         base = h(p)
         assert residuals.euclidean_3d(base).normalized <= 1e-9
-        assert residuals.euclidean_3d(comp(p)).normalized <= 1e-9
+        assert residuals.euclidean_3d(comp(base)).normalized <= 1e-9
 
 
 # -- grid sampling -------------------------------------------------------------------------
@@ -509,9 +504,9 @@ def test_hodograph_grid_matches_handles():
     t_nodes = np.linspace(9.9, 10.1, 4)
     x_nodes = np.linspace(-14.6, -14.4, 5)
     phi_vals, phibar_vals = construct.hodograph_grid(f, g, cfg, t_nodes, x_nodes)
-    phi, phibar = parametric_hodograph(f, g, cfg)
+    solver = HodographSolver(f, g, cfg)
     for i in (0, 3):
         for j in (0, 4):
-            p = [t_nodes[i], x_nodes[j]]
-            assert phi_vals[i, j] == pytest.approx(phi(p).value, abs=1e-9)
-            assert phibar_vals[i, j] == pytest.approx(phibar(p).value, abs=1e-9)
+            phi, phibar = solver.fields(t_nodes[i], x_nodes[j])
+            assert phi_vals[i, j] == pytest.approx(phi.value, abs=1e-9)
+            assert phibar_vals[i, j] == pytest.approx(phibar.value, abs=1e-9)

@@ -313,3 +313,15 @@ def test_multifield_determinant_second_order():
     k2 = w2 / h2**2
     assert k2 <= 2.0 * k1  # K stable (no blow-up under refinement)
     assert w2 <= k1 * 2.0 * h2**2
+
+
+def test_multifield_abort_keeps_only_computed_levels():
+    init = {"u1": parse("3*sin(x2)"), "v1": parse("-3*sin(x2)"),
+            "u2": parse("0.2"), "v2": parse("0.1")}
+    with pytest.raises(CharacteristicCrossingError) as err:
+        integrate_multifield(init, MultiGridSpec(n2=16, n3=16, t_end=20.0))
+    partial = err.value.partial
+    assert partial.nt == err.value.level + 1
+    for field in partial.fields.values():
+        assert field.shape[0] == partial.nt
+        assert np.isfinite(field).all()

@@ -13,10 +13,9 @@ from batlab.leznov import (
     apply_D,
     composite_handle,
     constraint_gap,
-    derive_speeds,
-    field_handle,
     holomorphy_reports,
     solve_constraints,
+    solve_points,
     speed_jets,
     verify_zero_curvature,
 )
@@ -103,7 +102,7 @@ def test_n3_newton_matches_decoupled_scalar_oracle():
         # Component 2: phi2 = 0.5 x3 + xb3^2.
         assert sol.phi[1] == pytest.approx(0.5 * z[2] + z[5] ** 2, abs=1e-11)
 
-        gap = constraint_gap(sys, z)
+        gap = constraint_gap(sys, sol)
         assert gap <= 1e-12
 
 
@@ -112,7 +111,7 @@ def test_n2_constraint_gap_and_derivative_formula():
     rng = np.random.default_rng(1)
     for z in _points_n2(10, rng):
         sol = solve_constraints(sys, z)
-        assert constraint_gap(sys, z) <= 1e-12
+        assert constraint_gap(sys, sol) <= 1e-12
         # First derivatives match the implicit formula directly.
         phi = sol.phi[0]
         x1, x2 = z[0], z[1]
@@ -126,35 +125,24 @@ def test_speed_hand_value():
     # Q = phi - 2 x1 - x2 gives v = -(Q_x1)^{-1} Q_x2 = -1/2.
     sys = LeznovSystem(n=2, Q=[parse("phi - 2*x1 - x2")], P=[parse("xb1 + xb2")],
                        cfg=ImplicitSolveConfig(seed=0.0))
-    u, v = speed_jets(sys, [0.3, -0.2, 0.5, 0.1])
+    u, v = speed_jets(sys, solve_constraints(sys, [0.3, -0.2, 0.5, 0.1]))
     assert v[0].value == pytest.approx(-0.5, abs=1e-12)
     assert u[0].value == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_derive_speeds_handles_match_pointwise_jets():
-    sys = _sys_n2()
-    speeds = derive_speeds(sys)
-    assert len(speeds.u) == 1 and len(speeds.v) == 1
-    z = np.array([0.2, -0.1, 0.3, 0.15])
-    u_jets, v_jets = speed_jets(sys, z)
-    hu = speeds.u[0](z)
-    hv = speeds.v[0](z)
-    assert hu.value == u_jets[0].value
-    assert hv.value == v_jets[0].value
-    np.testing.assert_array_equal(hu.grad, u_jets[0].grad)
-    assert hu.k == 4
 
 
 def test_speed_singular_when_constraint_ignores_x_block():
     sys = LeznovSystem(n=2, Q=[parse("phi - x2")], P=[parse("xb1 + xb2")],
                        cfg=ImplicitSolveConfig(seed=0.0))
     with pytest.raises(SingularMatrixError):
-        speed_jets(sys, [0.1, 0.2, 0.3, 0.4])
+        speed_jets(sys, solve_constraints(sys, [0.1, 0.2, 0.3, 0.4]))
 
 
 def test_fields_jets_match_finite_differences_n2():
     sys = _sys_n2()
-    h = field_handle(sys, 0)
+
+    def h(p):
+        return solve_constraints(sys, p).field_jets[0]
+
     p0 = np.array([0.2, -0.1, 0.3, 0.15])
     j0 = h(p0)
     errs = []
@@ -173,7 +161,9 @@ def test_fields_jets_match_finite_differences_n3():
     sys = _sys_n3()
     p0 = np.array([0.1, -0.2, 1.0, 0.2, 0.1, 0.9])
     for j in (0, 1):
-        h = field_handle(sys, j)
+        def h(p):
+            return solve_constraints(sys, p).field_jets[j]
+
         j0 = h(p0)
         errs = []
         for step in (2e-3, 1e-3):
@@ -195,12 +185,13 @@ def test_holomorphy_and_zero_curvature(make_sys, points):
     sys = make_sys()
     rng = np.random.default_rng(2)
     pts = points(25, rng)
-    d_rep, dbar_rep = holomorphy_reports(sys, pts, speeds_on_x="v")
+    solved = solve_points(sys, pts)
+    d_rep, dbar_rep = holomorphy_reports(sys, solved, speeds_on_x="v")
     assert d_rep.skipped_singular <= 5
     assert d_rep.max_norm <= 1e-8
     assert dbar_rep.max_norm <= 1e-8
 
-    zc = verify_zero_curvature(sys, pts, speeds_on_x="v")
+    zc = verify_zero_curvature(sys, solved, speeds_on_x="v")
     assert zc.max_norm <= 1e-8
 
 
@@ -210,8 +201,9 @@ def test_binding_comparison_records_v_on_x():
     sys = _sys_n2()
     rng = np.random.default_rng(3)
     pts = _points_n2(15, rng)
-    d_v, _ = holomorphy_reports(sys, pts, speeds_on_x="v")
-    d_u, _ = holomorphy_reports(sys, pts, speeds_on_x="u")
+    solved = solve_points(sys, pts)
+    d_v, _ = holomorphy_reports(sys, solved, speeds_on_x="v")
+    d_u, _ = holomorphy_reports(sys, solved, speeds_on_x="u")
     assert d_v.max_norm <= 1e-8
     assert d_u.max_norm >= 1e-3
 
@@ -223,7 +215,7 @@ def test_functions_of_phi_and_xb_annihilated_by_D():
     samples = []
     for z in _points_n2(15, rng):
         jet = w(z)
-        u, v = speed_jets(sys, z)
+        u, v = speed_jets(sys, solve_constraints(sys, z))
         samples.append(apply_D(jet, [u[0].value], [v[0].value], 2, "D", "v"))
     rep = residuals.grid_report("leznov_dw", samples)
     assert rep.max_norm <= 1e-8
@@ -238,7 +230,7 @@ def test_constraint_directional_identities():
     rng = np.random.default_rng(5)
     q_samples, p_samples = [], []
     for z in _points_n2(15, rng):
-        u, v = speed_jets(sys, z)
+        u, v = speed_jets(sys, solve_constraints(sys, z))
         q_samples.append(apply_D(q_comp(z), [u[0].value], [v[0].value], 2, "D", "v"))
         p_samples.append(apply_D(p_comp(z), [u[0].value], [v[0].value], 2, "Dbar", "v"))
     assert residuals.grid_report("dq", q_samples).max_norm <= 1e-8
@@ -247,11 +239,11 @@ def test_constraint_directional_identities():
 
 def test_n2_field_solves_complex_bateman():
     sys = _sys_n2()
-    h = field_handle(sys, 0)
     rng = np.random.default_rng(6)
     worst = 0.0
     for z in _points_n2(25, rng):
-        worst = max(worst, residuals.complex_bateman(h(z)).normalized)
+        jet = solve_constraints(sys, z).field_jets[0]
+        worst = max(worst, residuals.complex_bateman(jet).normalized)
     assert worst <= 1e-8
 
 
@@ -266,7 +258,7 @@ def test_antiholo_speed_spread_small():
         cfg=ImplicitSolveConfig(seed=0.3),
     )
     xbar = (0.2, 0.4)
-    u, _ = speed_jets(sys, np.array([0.3, 0.2, *xbar]))
+    u, _ = speed_jets(sys, solve_constraints(sys, np.array([0.3, 0.2, *xbar])))
     level = u[0].value
     spread, scale = antiholo_speed_spread(
         sys, xbar, level, x1_values=np.linspace(0.25, 0.45, 7), x2_bracket=(-1.2, 1.2))
