@@ -23,6 +23,7 @@ singular, so passes can never be manufactured by skipping.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -91,26 +92,9 @@ def _entry(equation: str, report: ResidualReport, tolerance: float,
     }
 
 
-def _ratio_entry(equation: str, coarse: float, fine: float, min_ratio: float) -> dict:
-    # Measured as fine/coarse, which must not exceed 1/min_ratio; identically
-    # zero pairs (exactly satisfied identities) count as converged.
-    if coarse <= 1e-14 and fine <= 1e-14:
-        value = 0.0
-    else:
-        value = fine / max(coarse, 1e-300)
-    tol = 1.0 / min_ratio
-    return {
-        "equation": equation,
-        "samples": 2,
-        "skipped": 0,
-        "max_norm": value,
-        "rms_norm": value,
-        "tolerance": tol,
-        "pass": bool(value <= tol),
-    }
-
-
 def _field_or(d: dict, key: str, default=None, required: bool = False):
+    if not isinstance(d, dict):
+        raise ScenarioError(f"expected a JSON object with field {key!r}, got {d!r}")
     if key not in d:
         if required:
             raise ScenarioError(f"missing required field {key!r}")
@@ -118,8 +102,37 @@ def _field_or(d: dict, key: str, default=None, required: bool = False):
     return d[key]
 
 
-def _solve_config(block: dict | None) -> ImplicitSolveConfig:
-    block = block or {}
+def _object(d: dict, key: str, required: bool = True) -> dict:
+    """Object-valued field ``key`` of ``d``; an absent or null optional one is ``{}``."""
+    block = _field_or(d, key, required=required)
+    if not isinstance(block, dict) and (required or block is not None):
+        raise ScenarioError(f"{key}: expected a JSON object, got {block!r}")
+    return block or {}
+
+
+def _lookup(table: dict, key, message: str):
+    try:
+        return table[key]
+    except (KeyError, TypeError):  # TypeError: an unhashable key from the file
+        raise ScenarioError(message) from None
+
+
+def _halving(label: str, resolutions: list, measured: dict, min_ratio: float) -> list[dict]:
+    """One entry per key measured at every resolution: fine/coarse, which must not
+    exceed 1/min_ratio.  Identically zero pairs (exactly satisfied identities)
+    count as converged."""
+    if min_ratio <= 0 or len(resolutions) < 2:
+        return []
+    entries = []
+    for key, coarse in measured[resolutions[0]].items():
+        fine = measured[resolutions[-1]][key]
+        value = 0.0 if coarse <= 1e-14 and fine <= 1e-14 else fine / max(coarse, 1e-300)
+        rep = ResidualReport("halving", 2, value, value, 0)
+        entries.append(_entry(f"halving[{label}:{key}]", rep, 1.0 / min_ratio, 2))
+    return entries
+
+
+def _solve_config(block: dict) -> ImplicitSolveConfig:
     seed = block.get("seed", 1.0)
     if isinstance(seed, list):
         seed = tuple(float(s) for s in seed)
@@ -138,6 +151,8 @@ def _box_sampler(samples: dict, rng: np.random.Generator):
     low = np.asarray(_field_or(samples, "low", required=True), dtype=float)
     high = np.asarray(_field_or(samples, "high", required=True), dtype=float)
     count = int(_field_or(samples, "count", required=True))
+    if count < 1:
+        raise ScenarioError(f"samples count must be at least 1, got {count}")
     if low.shape != high.shape or np.any(low >= high):
         raise ScenarioError("samples box must satisfy low < high componentwise")
     return [rng.uniform(low, high) for _ in range(count)], count
@@ -168,19 +183,12 @@ def _expr(block: dict, key: str):
     return _parse_expr(_field_or(block, key, required=True), key)
 
 
-def _lookup(table: dict, key, message: str):
-    try:
-        return table[key]
-    except (KeyError, TypeError):  # TypeError: an unhashable key from the file
-        raise ScenarioError(message) from None
-
-
 def _field_case(make):
     """Case builder for a constructor that returns a FieldHandle."""
 
     def build(block, label, case, rng) -> _Solved:
         handle = make(block)
-        points, requested = _box_sampler(_field_or(case, "samples", required=True), rng)
+        points, requested = _box_sampler(_object(case, "samples"), rng)
         return _Solved(label, rng, requested, points,
                        [residuals.attempt(handle, p) for p in points])
 
@@ -189,8 +197,8 @@ def _field_case(make):
 
 def _hodograph_case(block, label, case, rng) -> _Solved:
     solver = construct.HodographSolver(_expr(block, "f"), _expr(block, "g"),
-                                       _solve_config(block.get("config")))
-    samples = _field_or(case, "samples", required=True)
+                                       _solve_config(_object(block, "config", False)))
+    samples = _object(case, "samples")
     if samples.get("mode", "uv_box") != "uv_box":
         raise ScenarioError("hodograph cases sample the (u, v) parameter box")
     uv, requested = _box_sampler(samples, rng)
@@ -204,21 +212,21 @@ def _leznov_case(block, label, case, rng) -> _Solved:
         n=int(_field_or(block, "n", required=True)),
         Q=[_parse_expr(q, "Q") for q in _field_or(block, "Q", required=True)],
         P=[_parse_expr(p, "P") for p in _field_or(block, "P", required=True)],
-        cfg=_solve_config(block.get("config")),
+        cfg=_solve_config(_object(block, "config", False)),
     )
-    points, requested = _box_sampler(_field_or(case, "samples", required=True), rng)
+    points, requested = _box_sampler(_object(case, "samples"), rng)
     return _Solved(label, rng, requested, points, leznov.solve_points(sys_, points), sys_)
 
 
 def _run_verify_case(case: dict, rng: np.random.Generator,
                      sink: dict | None = None) -> list[dict]:
-    block = _field_or(case, "construct", required=True)
+    block = _object(case, "construct")
     op = _field_or(block, "op", required=True)
     label = case.get("label", op)
     checks = _field_or(case, "checks", required=True)
     build = _lookup(_CONSTRUCTORS, op, f"unknown constructor op {op!r}")
     runs = [_lookup(_CHECKS, (op, eq), f"check {eq!r} does not apply to {label!r}")
-            for eq in (_field_or(check, "equation", required=True) for check in checks)]
+            for eq in map(_check_key, checks)]
 
     c = build(block, label, case, rng)
     if sink is not None:
@@ -228,6 +236,14 @@ def _run_verify_case(case: dict, rng: np.random.Generator,
     for run, check in zip(runs, checks):
         entries += run(c, check, float(_field_or(check, "tolerance", required=True)))
     return entries
+
+
+def _check_key(check: dict) -> str:
+    """A verify check's ``_CHECKS`` key: its equation, and a reparametrization's target."""
+    eq = _field_or(check, "equation", required=True)
+    if eq == "reparametrization" and "target" in check:
+        return f"{eq}:{check['target']}"
+    return eq
 
 
 # -- the checks: (solved case, check block, tolerance) -> report entries ------------------
@@ -258,13 +274,6 @@ def _hodograph_identities(c: _Solved, check: dict, tol: float) -> list[dict]:
     rep = residuals.sweep("hodograph_identities", lambda: c.points,
                           lambda uv: c.model.identity_residuals(*uv))
     return [_entry(f"hodograph_identities[{c.label}]", rep, tol, c.requested)]
-
-
-def _reparametrization(c: _Solved, check: dict, tol: float) -> list[dict]:
-    target = check.get("target", "complex_bateman")
-    fn = residuals.complex_bateman if target == "complex_bateman" else residuals.euclidean_3d
-    return _reparametrized(c, check, tol, f"reparametrized_{target}",
-                           lambda h, jet: fn(h(jet)))
 
 
 def _roundtrip(c: _Solved, check: dict, tol: float) -> list[dict]:
@@ -354,28 +363,39 @@ def _leznov_bateman(c: _Solved, check: dict, tol: float) -> list[dict]:
         residuals.unwrap(pair[0]).field_jets[0]), tol)]
 
 
+def _scalar_checks(equation: str, residual, **others) -> dict:
+    """Checks of a scalar field that solves ``equation``: the equation, its
+    reparametrization (whose ``target`` can only be that equation) and ``others``."""
+    def reparametrized(c, check, tol):
+        return _reparametrized(c, check, tol, f"reparametrized_{equation}",
+                               lambda h, jet: residual(h(jet)))
+    return {equation: _per_point(residual), "reparametrization": reparametrized,
+            f"reparametrization:{equation}": reparametrized, **others}
+
+
 _CONSTRUCTORS = {
     "solve_implicit_fg": _field_case(lambda b: construct.solve_implicit_fg(
-        _expr(b, "F"), _expr(b, "G"), _solve_config(b.get("config")))),
+        _expr(b, "F"), _expr(b, "G"), _solve_config(_object(b, "config", False)))),
     "holo_sum": _field_case(lambda b: construct.holo_sum(_expr(b, "f"), _expr(b, "g"))),
     "implicit_3d": _field_case(lambda b: construct.implicit_3d(
         _expr(b, "F"), _expr(b, "G"), _expr(b, "K"), float(b.get("const_c", 0.0)),
-        _solve_config(b.get("config")))),
+        _solve_config(_object(b, "config", False)))),
     "parametric_hodograph": _hodograph_case,
     "leznov": _leznov_case,
 }
 
-_FIELD_CHECKS = {
-    "complex_bateman": _per_point(residuals.complex_bateman),
-    "euclidean_3d": _per_point(residuals.euclidean_3d),
-    "euclid_first_order": _per_point(residuals.euclidean_first_order),
-    "reparametrization": _reparametrization,
+# jet arity -> the checks of a scalar field with that arity
+_ARITY_CHECKS = {
+    4: _scalar_checks("complex_bateman", residuals.complex_bateman),
+    3: _scalar_checks("euclidean_3d", residuals.euclidean_3d,
+                      euclid_first_order=_per_point(residuals.euclidean_first_order)),
 }
 
-# (constructor op, check equation) -> check
+# (constructor op, check key) -> check
 _CHECKS = {
-    **{(op, eq): run for op in ("solve_implicit_fg", "holo_sum", "implicit_3d")
-       for eq, run in _FIELD_CHECKS.items()},
+    **{(op, eq): run for op, arity in (("solve_implicit_fg", 4), ("holo_sum", 4),
+                                        ("implicit_3d", 3))
+       for eq, run in _ARITY_CHECKS[arity].items()},
     ("parametric_hodograph", "two_field_bateman"): _per_point(lambda f: (
         residuals.two_field_bateman(*f), residuals.two_field_bateman(*f, conjugate=True))),
     ("parametric_hodograph", "hodograph_identities"): _hodograph_identities,
@@ -393,6 +413,9 @@ _CHECKS = {
 
 
 # -- simulate-kind cases -----------------------------------------------------------------
+#
+# A case integrates its system once per resolution and runs every check from
+# ``_SIM_CHECKS`` on that grid; a check gives (halving key, report entry) pairs.
 
 
 def _run_simulate_case(case: dict, rng: np.random.Generator, out_dir: Path,
@@ -401,129 +424,119 @@ def _run_simulate_case(case: dict, rng: np.random.Generator, out_dir: Path,
     label = case.get("label", system)
     checks = _field_or(case, "checks", required=True)
     resolutions = [int(r) for r in _field_or(case, "resolutions", required=True)]
-    grid_block = _field_or(case, "grid", required=True)
+    grid_block = _object(case, "grid")
     min_ratio = float(case.get("halving_ratio", 0.0))
+    integrate = _lookup(_SYSTEMS, system, f"unknown system {system!r}")
+    runs = [_lookup(_SIM_CHECKS, (system, eq), f"check {eq!r} does not apply to {system} runs")
+            for eq in (_field_or(check, "equation", required=True) for check in checks)]
 
-    per_resolution: dict[int, dict[str, float]] = {}
+    measured: dict[int, dict[str, float]] = {}
     entries: list[dict] = []
-
     for res in resolutions:
-        if system == "two_field":
-            spec = hydro.CharGridSpec(
-                nx=res,
-                t_end=float(_field_or(grid_block, "t_end", required=True)),
-                x0=float(grid_block.get("x0", 0.0)),
-                x1=float(grid_block.get("x1", hydro.TWO_PI)),
-                cfl=float(grid_block.get("cfl", 0.5)),
-                bc=grid_block.get("bc", "periodic"),
-            )
-            init = _field_or(case, "init", required=True)
-            grid = hydro.integrate_characteristics(
-                _parse_expr(_field_or(init, "u", required=True), "init.u"),
-                _parse_expr(_field_or(init, "v", required=True), "init.v"), spec)
-            if dump:
-                hydro.dump_char_grid(
-                    grid, out_dir / f"{scenario_name}.{label}.{res}.csv")
-            per_resolution[res] = _two_field_checks(grid, checks, entries, label, res)
-        elif system == "multifield":
-            spec = hydro.MultiGridSpec(
-                n2=res, n3=res,
-                t_end=float(_field_or(grid_block, "t_end", required=True)),
-                cfl=float(grid_block.get("cfl", 0.4)),
-            )
-            init = {k: _parse_expr(v, f"init.{k}")
-                    for k, v in _field_or(case, "init", required=True).items()}
-            grid = hydro.integrate_multifield(init, spec)
-            if dump:
-                hydro.dump_multi_grid(
-                    grid, out_dir / f"{scenario_name}.{label}.{res}.csv")
-            per_resolution[res] = _multifield_checks(grid, checks, entries, label, res)
-        else:
-            raise ScenarioError(f"unknown system {system!r}")
-
-    if min_ratio > 0 and len(resolutions) >= 2:
-        coarse_res, fine_res = resolutions[0], resolutions[-1]
-        for key in per_resolution[coarse_res]:
-            entries.append(_ratio_entry(
-                f"halving[{label}:{key}]",
-                per_resolution[coarse_res][key],
-                per_resolution[fine_res][key], min_ratio))
-    return entries
+        grid = integrate(case, grid_block, res)
+        if dump:
+            _dump_grid(grid, out_dir / f"{scenario_name}.{label}.{res}.csv")
+        measured[res] = {}
+        for run, check in zip(runs, checks):
+            for key, entry in run(grid, check, f"{label}@{res}"):
+                entries.append(entry)
+                measured[res][key] = entry["max_norm"]
+    return entries + _halving(label, resolutions, measured, min_ratio)
 
 
-def _two_field_checks(grid, checks, entries, label, res) -> dict[str, float]:
-    measured: dict[str, float] = {}
-    tol_h2 = grid.h**2
-    for check in checks:
-        eq = _field_or(check, "equation", required=True)
-        coeff = float(check.get("tolerance_h2_coeff", 5.0))
-        tol = coeff * tol_h2
-        if eq == "conservation":
-            for n in check.get("n_values", [1, 2, 3, 4, 5]):
-                drift = hydro.conservation_drift(grid, int(n))
-                rep = ResidualReport(f"conservation_s{n}", grid.nt * grid.nx,
-                                     drift, drift, 0)
-                entries.append(_entry(f"conservation_s{n}[{label}@{res}]", rep, tol,
-                                      grid.nt * grid.nx))
-                measured[f"s{n}"] = drift
-        elif eq == "transport":
-            m = grid.nt // 2
-            for name, field, other in (("u", grid.u, grid.v), ("v", grid.v, grid.u)):
-                samples = []
-                for i in range(grid.nx):
-                    jet = hydro.fd_jet_at(field, grid.dt, grid.h, m, i,
-                                          periodic=grid.bc == "periodic")
-                    samples.append(residuals.transport(
-                        jet, [-other[m, i]], TransportPattern(0, (1,))))
-                rep = residuals.grid_report(f"transport_{name}", samples)
-                entries.append(_entry(f"transport_{name}[{label}@{res}]", rep, tol,
-                                      grid.nx))
-                measured[f"transport_{name}"] = rep.max_norm
-        else:
-            raise ScenarioError(f"check {eq!r} does not apply to two_field runs")
-    return measured
+def _dump_grid(grid, csv_path: Path) -> None:
+    dump = hydro.dump_char_grid if isinstance(grid, hydro.CharGrid) else hydro.dump_multi_grid
+    dump(grid, csv_path)
 
 
-def _multifield_checks(grid, checks, entries, label, res) -> dict[str, float]:
-    measured: dict[str, float] = {}
-    for check in checks:
-        eq = _field_or(check, "equation", required=True)
-        coeff = float(check.get("tolerance_h2_coeff", 1.0))
-        tol = coeff * grid.h2**2
-        if eq != "multifield_det":
-            raise ScenarioError(f"check {eq!r} does not apply to multifield runs")
-        deriv = {}
-        for name in ("u1", "u2", "v1", "v2"):
-            deriv[name] = hydro.fd_derivatives_multi(
-                grid.fields[name], grid.dt, grid.h2, grid.h3)
-        m = deriv["u1"][0].shape[0] // 2
-        grads = []
-        for name in ("u1", "u2", "v1", "v2"):
-            g = deriv[name][1]
-            grads.append(np.stack(
-                [g[1][m].ravel(), g[2][m].ravel(), g[3][m].ravel()], axis=-1))
-        # Fields constant to rounding satisfy the determinant identically;
-        # their difference quotients are pure float noise with no scale.
-        deriv_mag = max(np.abs(g).max() for g in grads)
-        field_mag = max(np.abs(grid.fields[n]).max() for n in ("u1", "u2", "v1", "v2"))
-        flat = deriv_mag <= 1e-10 * max(field_mag, 1.0) / min(grid.h2, grid.h3)
-        for j, fname in ((1, "u1"), (2, "u2")):
-            hs = deriv[fname][2]
-            n_nodes = grads[0].shape[0]
-            hess = np.zeros((n_nodes, 3, 3))
-            for (a, b), arr in hs.items():
-                hess[:, a - 1, b - 1] = arr[m].ravel()
-                hess[:, b - 1, a - 1] = arr[m].ravel()
-            raw, scale = residuals.multifield_det_grid(grads, hess)
-            if flat:
-                value = 0.0
-            else:
-                value = float(np.abs(raw).max() / max(scale.max(), 1e-300))
-            rep = ResidualReport(f"multifield_det_j{j}", n_nodes, value, value, 0)
-            entries.append(_entry(f"multifield_det_j{j}[{label}@{res}]", rep, tol,
-                                  n_nodes))
-            measured[f"det_j{j}"] = value
-    return measured
+def _two_field(case: dict, grid_block: dict, res: int):
+    spec = hydro.CharGridSpec(
+        nx=res, t_end=float(_field_or(grid_block, "t_end", required=True)),
+        x0=float(grid_block.get("x0", 0.0)),
+        x1=float(grid_block.get("x1", hydro.TWO_PI)),
+        cfl=float(grid_block.get("cfl", 0.5)),
+        bc=grid_block.get("bc", "periodic"),
+    )
+    init = _object(case, "init")
+    return hydro.integrate_characteristics(
+        _parse_expr(_field_or(init, "u", required=True), "init.u"),
+        _parse_expr(_field_or(init, "v", required=True), "init.v"), spec)
+
+
+def _multifield(case: dict, grid_block: dict, res: int):
+    spec = hydro.MultiGridSpec(
+        n2=res, n3=res,
+        t_end=float(_field_or(grid_block, "t_end", required=True)),
+        cfl=float(grid_block.get("cfl", 0.4)),
+    )
+    init = {k: _parse_expr(v, f"init.{k}") for k, v in _object(case, "init").items()}
+    return hydro.integrate_multifield(init, spec)
+
+
+def _conservation(grid, check: dict, where: str) -> list[tuple[str, dict]]:
+    tol = float(check.get("tolerance_h2_coeff", 5.0)) * grid.h**2
+    out = []
+    for n in check.get("n_values", [1, 2, 3, 4, 5]):
+        drift = hydro.conservation_drift(grid, int(n))
+        rep = ResidualReport(f"conservation_s{n}", grid.nt * grid.nx, drift, drift, 0)
+        out.append((f"s{n}", _entry(f"conservation_s{n}[{where}]", rep, tol,
+                                    grid.nt * grid.nx)))
+    return out
+
+
+def _transport(grid, check: dict, where: str) -> list[tuple[str, dict]]:
+    tol = float(check.get("tolerance_h2_coeff", 5.0)) * grid.h**2
+    m = grid.nt // 2
+    out = []
+    for name, field, other in (("u", grid.u, grid.v), ("v", grid.v, grid.u)):
+        samples = []
+        for i in range(grid.nx):
+            jet = hydro.fd_jet_at(field, grid.dt, grid.h, m, i,
+                                  periodic=grid.bc == "periodic")
+            samples.append(residuals.transport(
+                jet, [-other[m, i]], TransportPattern(0, (1,))))
+        rep = residuals.grid_report(f"transport_{name}", samples)
+        out.append((f"transport_{name}",
+                    _entry(f"transport_{name}[{where}]", rep, tol, grid.nx)))
+    return out
+
+
+def _multifield_det(grid, check: dict, where: str) -> list[tuple[str, dict]]:
+    tol = float(check.get("tolerance_h2_coeff", 1.0)) * grid.h2**2
+    names = ("u1", "u2", "v1", "v2")
+    deriv = {n: hydro.fd_derivatives_multi(grid.fields[n], grid.dt, grid.h2, grid.h3)
+             for n in names}
+    m = deriv["u1"][0].shape[0] // 2
+    grads = [np.stack([deriv[n][1][d][m].ravel() for d in (1, 2, 3)], axis=-1)
+             for n in names]
+    # Fields constant to rounding satisfy the determinant identically;
+    # their difference quotients are pure float noise with no scale.
+    deriv_mag = max(np.abs(g).max() for g in grads)
+    field_mag = max(np.abs(grid.fields[n]).max() for n in names)
+    flat = deriv_mag <= 1e-10 * max(field_mag, 1.0) / min(grid.h2, grid.h3)
+    n_nodes = grads[0].shape[0]
+    out = []
+    for j, fname in ((1, "u1"), (2, "u2")):
+        hess = np.zeros((n_nodes, 3, 3))
+        for (a, b), arr in deriv[fname][2].items():
+            hess[:, a - 1, b - 1] = hess[:, b - 1, a - 1] = arr[m].ravel()
+        raw, scale = residuals.multifield_det_grid(grads, hess)
+        value = 0.0 if flat else float(np.abs(raw).max() / max(scale.max(), 1e-300))
+        rep = ResidualReport(f"multifield_det_j{j}", n_nodes, value, value, 0)
+        out.append((f"det_j{j}", _entry(f"multifield_det_j{j}[{where}]", rep, tol,
+                                        n_nodes)))
+    return out
+
+
+# system -> (case, grid block, resolution) -> integrated grid
+_SYSTEMS = {"two_field": _two_field, "multifield": _multifield}
+
+# (system, check equation) -> check
+_SIM_CHECKS = {
+    ("two_field", "conservation"): _conservation,
+    ("two_field", "transport"): _transport,
+    ("multifield", "multifield_det"): _multifield_det,
+}
 
 
 # -- variational-kind cases ----------------------------------------------------------------
@@ -531,10 +544,10 @@ def _multifield_checks(grid, checks, entries, label, res) -> dict[str, float]:
 
 def _run_variational_case(case: dict, rng: np.random.Generator) -> list[dict]:
     label = case.get("label", "variational")
-    src = _field_or(case, "source", required=True)
+    src = _object(case, "source")
     f = _parse_expr(_field_or(src, "f", required=True), "source.f")
     g = _parse_expr(_field_or(src, "g", required=True), "source.g")
-    cfg = _solve_config(src.get("config"))
+    cfg = _solve_config(_object(src, "config", False))
     t_lo, t_hi = (float(v) for v in _field_or(src, "t_window", required=True))
     x_lo, x_hi = (float(v) for v in _field_or(src, "x_window", required=True))
     coeff = float(case.get("tolerance_h2_coeff", 5.0))
@@ -544,6 +557,9 @@ def _run_variational_case(case: dict, rng: np.random.Generator) -> list[dict]:
     psi_choices = case.get("psi", ["s"])
     factors = case.get("factors", ["p/q"])
     vary_list = case.get("vary", ["psi", "phibar", "phi"])
+    if not isinstance(vary_list, list) or any(
+            vary not in ("psi", "phibar", "phi") for vary in vary_list):
+        raise ScenarioError(f"vary must name psi, phibar or phi, got {vary_list!r}")
 
     measured: dict[int, dict[str, float]] = {}
     entries: list[dict] = []
@@ -560,28 +576,19 @@ def _run_variational_case(case: dict, rng: np.random.Generator) -> list[dict]:
                                              factor=_parse_expr(factor, "factor"))
             for w in psi_choices:
                 psi = varlag.psi_from(phibar, _parse_expr(w, "psi"))
+                deg = varlag.onshell_degeneracy(func, phi, phibar, psi, tolerance=tol)
                 for vary in vary_list:
-                    rep = varlag.variational_residual(
-                        func, phi, phibar, psi, vary).report(vary)
-                    key = f"{vary}|psi={w}|H={factor}"
+                    rep = deg.per_vary[vary]
                     entries.append(_entry(
                         f"variational_{vary}[{label}:psi={w},H={factor}@{n}]",
                         rep, tol, rep.samples))
-                    measured[n][key] = rep.max_norm
-                deg = varlag.onshell_degeneracy(func, phi, phibar, psi, tolerance=tol)
+                    measured[n][f"{vary}|psi={w}|H={factor}"] = rep.max_norm
                 rep = ResidualReport("degeneracy_action", phi.size,
                                      deg.action_normalized, deg.action_normalized, 0)
                 entries.append(_entry(
                     f"degeneracy_action[{label}:psi={w},H={factor}@{n}]",
                     rep, tol, phi.size))
-
-    if min_ratio > 0 and len(resolutions) >= 2:
-        coarse, fine = resolutions[0], resolutions[-1]
-        for key in measured[coarse]:
-            entries.append(_ratio_entry(f"halving[{label}:{key}]",
-                                        measured[coarse][key], measured[fine][key],
-                                        min_ratio))
-    return entries
+    return entries + _halving(label, resolutions, measured, min_ratio)
 
 
 # -- ad-kind cases ----------------------------------------------------------------------
@@ -694,8 +701,9 @@ def load_scenario(path) -> dict:
             raise ScenarioError(f"scenario {path}: missing field {key!r}")
     if data["kind"] not in ("verify", "simulate", "variational", "ad"):
         raise ScenarioError(f"scenario {path}: unknown kind {data['kind']!r}")
-    if not isinstance(data["cases"], list) or not data["cases"]:
-        raise ScenarioError(f"scenario {path}: cases must be a non-empty list")
+    if not (isinstance(data["cases"], list) and data["cases"]
+            and all(isinstance(c, dict) for c in data["cases"])):
+        raise ScenarioError(f"scenario {path}: cases must be a non-empty list of JSON objects")
     return data
 
 
@@ -720,16 +728,9 @@ def run_scenario(data: dict, out_dir: Path, seed: int, dump: bool = False) -> tu
     except (CharacteristicCrossingError, CFLViolationError) as err:
         partial = getattr(err, "partial", None)
         if partial is not None:
-            if isinstance(partial, hydro.CharGrid):
-                hydro.dump_char_grid(partial, out_dir / f"{data['name']}.partial.csv")
-            else:
-                hydro.dump_multi_grid(partial, out_dir / f"{data['name']}.partial.csv")
-        entries.append({
-            "equation": f"aborted[level={err.level}]",
-            "samples": 0, "skipped": 0,
-            "max_norm": math.inf, "rms_norm": math.inf,
-            "tolerance": 0.0, "pass": False,
-        })
+            _dump_grid(partial, out_dir / f"{data['name']}.partial.csv")
+        rep = ResidualReport("aborted", 0, math.inf, math.inf, 0)
+        entries.append(_entry(f"aborted[level={err.level}]", rep, 0.0, 0))
         abort_code = EXIT_ABORT
 
     report = {
@@ -740,12 +741,10 @@ def run_scenario(data: dict, out_dir: Path, seed: int, dump: bool = False) -> tu
         "version": __version__,
     }
     if dump and sample_sink:
-        import csv as _csv
-
         for label, pts in sample_sink.items():
             with (out_dir / f"{data['name']}.{label}.samples.csv").open(
                     "w", newline="") as fh:
-                w = _csv.writer(fh)
+                w = csv.writer(fh)
                 w.writerow([f"c{i}" for i in range(len(pts[0]))])
                 for p in pts:
                     w.writerow([repr(float(v)) for v in p])

@@ -10,6 +10,9 @@ by centered differences.  Variational residuals are the *exact* derivatives of
 that discrete sum with respect to nodal values: because the density depends on
 a nodal value only through the centered stencils, the derivative is the
 centered divergence of the momentum grids dL/d(field_t), dL/d(field_x).
+All three residuals come from one pass over the nodes: the density jet at a
+node is an arity-6 jet in every field's slots, so its gradient and Hessian
+hold the momenta and the expanded-equation terms of each field at once.
 Convergence of these residuals to zero on sampled exact solutions is then the
 tested property.
 
@@ -100,11 +103,12 @@ class DiscreteFunctional:
         return bracket * hj
 
 
-def _centered_grids(F: np.ndarray, ht: float, hx: float):
-    """(F_t, F_x) at interior nodes (1..nt-2) x (1..nx-2)."""
-    ft = (F[2:, 1:-1] - F[:-2, 1:-1]) / (2 * ht)
-    fx = (F[1:-1, 2:] - F[1:-1, :-2]) / (2 * hx)
-    return ft, fx
+def _slot_grids(functional: DiscreteFunctional, *fields: np.ndarray) -> tuple:
+    """(F_t, F_x) of each field at interior nodes (1..nt-2) x (1..nx-2); for
+    (phi, phibar, psi) these are the six ``_SLOTS``."""
+    ht, hx = functional.ht, functional.hx
+    return tuple(grid for F in fields for grid in ((F[2:, 1:-1] - F[:-2, 1:-1]) / (2 * ht),
+                                                   (F[1:-1, 2:] - F[1:-1, :-2]) / (2 * hx)))
 
 
 @dataclass
@@ -135,54 +139,54 @@ def variational_residual(
     phi: np.ndarray,
     phibar: np.ndarray,
     psi: np.ndarray,
-    vary: str,
-) -> VariationalGrid:
-    """Exact discrete Euler-Lagrange residual for one field, per unit area.
+) -> dict[str, VariationalGrid]:
+    """Exact discrete Euler-Lagrange residuals of all three fields, per unit
+    area, keyed ``psi``, ``phibar``, ``phi``.
 
     Defined on nodes two layers inside the grid (one layer for the density
     stencil, another for the divergence of the momenta).
     """
-    if vary not in ("psi", "phibar", "phi"):
-        raise ValueError("vary must be one of psi, phibar, phi")
     nt, nx = phi.shape
     if nt < 5 or nx < 5:
         raise ValueError("grid too small: need at least 5 nodes per axis")
     if phibar.shape != (nt, nx) or psi.shape != (nt, nx):
         raise ValueError("field grids must share one shape")
 
-    slot_grids = (*_centered_grids(phi, functional.ht, functional.hx),
-                  *_centered_grids(phibar, functional.ht, functional.hx),
-                  *_centered_grids(psi, functional.ht, functional.hx))
+    slot_grids = _slot_grids(functional, phi, phibar, psi)
     second = _second_derivative_grids(
         (phi, phibar, psi), functional.ht, functional.hx)
 
+    # One density jet per node; its gradient holds every field's momenta.
     it, ix = slot_grids[0].shape
-    mom_t = np.empty((it, ix))
-    mom_x = np.empty((it, ix))
-    expanded = np.empty((it, ix))
-    slot_offset = {"phi": 0, "phibar": 2, "psi": 4}[vary]
+    mom = np.empty((it, ix, 6))
+    hess = np.empty((it, ix, 6, 6))
     for a in range(it):
         for b in range(ix):
             lj = functional._density_jet([g[a, b] for g in slot_grids])
-            mom_t[a, b] = lj.grad[slot_offset]
-            mom_x[a, b] = lj.grad[slot_offset + 1]
-            # No-cancellation magnitude of the fully expanded equation:
-            # sum_b |d2L/dw_a dslot_b| * |d_a slot_b| over both directions.
-            tot = 0.0
-            for s in range(6):
-                tot += abs(lj.hess[slot_offset, s]) * abs(second[s][0][a, b])
-                tot += abs(lj.hess[slot_offset + 1, s]) * abs(second[s][1][a, b])
-            expanded[a, b] = tot
+            mom[a, b] = lj.grad
+            hess[a, b] = lj.hess
+    np.abs(hess, out=hess)
 
-    div_t = (mom_t[2:, 1:-1] - mom_t[:-2, 1:-1]) / (2 * functional.ht)
-    div_x = (mom_x[1:-1, 2:] - mom_x[1:-1, :-2]) / (2 * functional.hx)
-    sign = 1.0 if vary == "psi" else -1.0
-    raw = sign * (-(div_t + div_x))
-    scale = np.abs(div_t) + np.abs(div_x)
-    abs_div = ((np.abs(mom_t[2:, 1:-1]) + np.abs(mom_t[:-2, 1:-1])) / (2 * functional.ht)
-               + (np.abs(mom_x[1:-1, 2:]) + np.abs(mom_x[1:-1, :-2])) / (2 * functional.hx))
-    floor = expanded[1:-1, 1:-1] + 1e-6 * abs_div
-    return VariationalGrid(raw, scale, floor)
+    grids = {}
+    for vary, offset in (("psi", 4), ("phibar", 2), ("phi", 0)):
+        mom_t, mom_x = mom[:, :, offset], mom[:, :, offset + 1]
+        # No-cancellation magnitude of the fully expanded equation:
+        # sum_b |d2L/dw_a dslot_b| * |d_a slot_b| over both directions.
+        expanded = 0.0
+        for s in range(6):
+            expanded = expanded + hess[:, :, offset, s] * np.abs(second[s][0])
+            expanded = expanded + hess[:, :, offset + 1, s] * np.abs(second[s][1])
+
+        div_t = (mom_t[2:, 1:-1] - mom_t[:-2, 1:-1]) / (2 * functional.ht)
+        div_x = (mom_x[1:-1, 2:] - mom_x[1:-1, :-2]) / (2 * functional.hx)
+        sign = 1.0 if vary == "psi" else -1.0
+        raw = sign * (-(div_t + div_x))
+        scale = np.abs(div_t) + np.abs(div_x)
+        abs_div = ((np.abs(mom_t[2:, 1:-1]) + np.abs(mom_t[:-2, 1:-1])) / (2 * functional.ht)
+                   + (np.abs(mom_x[1:-1, 2:]) + np.abs(mom_x[1:-1, :-2])) / (2 * functional.hx))
+        floor = expanded[1:-1, 1:-1] + 1e-6 * abs_div
+        grids[vary] = VariationalGrid(raw, scale, floor)
+    return grids
 
 
 def _second_derivative_grids(fields, ht: float, hx: float):
@@ -224,21 +228,15 @@ def onshell_degeneracy(
     Raises ``ValueError`` when the configuration is not on-shell to within
     ten times the requested tolerance.
     """
-    psi_rep = variational_residual(functional, phi, phibar, psi, "psi").report("psi")
-    if not math.isfinite(psi_rep.max_norm) or psi_rep.max_norm > 10 * tolerance:
+    per = {vary: grid.report(vary) for vary, grid in
+           variational_residual(functional, phi, phibar, psi).items()}
+    if not math.isfinite(per["psi"].max_norm) or per["psi"].max_norm > 10 * tolerance:
         raise ValueError(
-            f"fields are not on-shell: psi residual {psi_rep.max_norm!r} "
+            f"fields are not on-shell: psi residual {per['psi'].max_norm!r} "
             f"exceeds 10 x {tolerance!r}")
-
-    per = {"psi": psi_rep}
-    for vary in ("phibar", "phi"):
-        per[vary] = variational_residual(functional, phi, phibar, psi, vary).report(vary)
     stationarity = max(rep.max_norm for rep in per.values())
 
-    slot_grids = (*_centered_grids(phi, functional.ht, functional.hx),
-                  *_centered_grids(phibar, functional.ht, functional.hx),
-                  *_centered_grids(psi, functional.ht, functional.hx))
-    pt, px, bt, bx, st, sx = slot_grids
+    pt, px, bt, bx, st, sx = _slot_grids(functional, phi, phibar, psi)
     bracket = bt * sx - st * bx
     h_vals = np.empty_like(bracket)
     for a in range(bracket.shape[0]):

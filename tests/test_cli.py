@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import batlab
-from batlab import cli, construct, leznov
+from batlab import cli, construct, hydro, leznov, varlag
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -279,16 +279,24 @@ def test_missing_required_field_exits_2(tmp_path, capsys, scenario, path):
 @pytest.mark.skipif(batlab.JET_BACKEND != "python",
                     reason="the digests were recorded on the pure-Python jet backend")
 def test_pointwise_reports_match_recorded_digests(tmp_path):
-    recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text())
-    digests = recorded["20240801"]["pointwise_verify"]
+    """Reports of every sampled and grid scenario, and the grid dumps of the
+    simulate ones, match the digests the benchmark recorded."""
+    recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text())["20240801"]
+    digests = recorded["pointwise_verify"]
     assert sorted(digests) == [p.name[:-5] for p in cli.bundled_scenarios()
                                if p.name[:3] in ("c01", "c02", "c03", "c04", "c06",
                                                  "c07", "c10")]
+    dumped = recorded["characteristic_dump"]
+    assert sorted(dumped) == ["c05_conservation_hierarchy", "c08_multifield_determinant"]
+    digests = {**digests, **dumped, **recorded["variational_grid"]}
+    assert "c09_degenerate_lagrangian" in digests
     for path in cli.bundled_scenarios():
         name = path.name[:-5]
         if name not in digests:
             continue
-        cli.run_scenario(json.loads(path.read_text()), tmp_path / name, seed=20240801)
+        cli.run_scenario(json.loads(path.read_text()), tmp_path / name, seed=20240801,
+                         dump=name in dumped)
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == sorted(digests[name])
         for fname, digest in digests[name].items():
             written = (tmp_path / name / fname).read_bytes()
             assert hashlib.sha256(written).hexdigest() == digest, fname
@@ -337,3 +345,127 @@ def test_one_solve_per_point_and_seed(tmp_path, monkeypatch):
     # Born-Infeld integrability check; 10 Leznov solves.
     assert Counter(key[0] for key in solves) == {"hodograph": 24, "leznov": 10}
     assert max(solves.values()) == 1
+
+
+def _with(data, path, value):
+    node = data["cases"][0]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+def _forbid_work(monkeypatch):
+    """Make every solve and integration fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solved or integrated before validation")
+
+    monkeypatch.setattr(construct.FieldHandle, "__call__", forbidden)
+    monkeypatch.setattr(construct.HodographSolver, "solve", forbidden)
+    monkeypatch.setattr(construct, "hodograph_grid", forbidden)
+    monkeypatch.setattr(hydro, "integrate_characteristics", forbidden)
+    monkeypatch.setattr(hydro, "integrate_multifield", forbidden)
+
+
+def _main_exit(tmp_path, data, *extra):
+    command = "simulate" if data["kind"] == "simulate" else "verify"
+    return cli.main([command, _write(tmp_path, "m.json", data),
+                     "--out", str(tmp_path / "o"), *extra])
+
+
+@pytest.mark.parametrize("scenario,check", [
+    ("implicit_3d", {"equation": "complex_bateman"}),
+    ("implicit_fg", {"equation": "euclidean_3d"}),
+    ("holo_sum", {"equation": "euclid_first_order"}),
+    ("implicit_fg", {"equation": "reparametrization", "target": "nonsense"}),
+    ("holo_sum", {"equation": "reparametrization", "target": "euclidean_3d"}),
+    ("implicit_3d", {"equation": "reparametrization", "target": "complex_bateman"}),
+    ("hodograph", {"equation": "reparametrization", "target": "complex_bateman"}),
+])
+def test_check_of_another_arity_exits_2_before_solving(tmp_path, monkeypatch, capsys,
+                                                       scenario, check):
+    data = _with(_COMPLETE[scenario](), ("checks",), [{**check, "tolerance": 1e-9}])
+    _forbid_work(monkeypatch)
+    assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
+    assert "does not apply to" in capsys.readouterr().err
+
+
+def test_reparametrization_target_defaults_to_the_fields_equation(tmp_path):
+    data = _with(_COMPLETE["implicit_3d"](), ("checks",),
+                 [{"equation": "reparametrization", "tolerance": 1e-9}])
+    report, code = cli.run_scenario(data, tmp_path, seed=1)
+    assert code == cli.EXIT_PASS
+    assert [e["equation"] for e in report["reports"]] == [
+        "reparametrized_euclidean_3d[implicit_3d:s^3 + s]"]
+
+
+@pytest.mark.parametrize("count", [0, -2])
+@pytest.mark.parametrize("dump", [False, True])
+def test_sample_count_below_one_exits_2(tmp_path, capsys, count, dump):
+    data = _with(_tiny_verify_scenario(), ("samples", "count"), count)
+    assert _main_exit(tmp_path, data, *(["--dump"] if dump else [])) == cli.EXIT_VALIDATION
+    assert "samples count must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario,path,value", [
+    ("two_field", ("init",), "uv"),
+    ("multifield", ("init",), "uv"),
+    ("two_field", ("grid",), "fine"),
+    ("implicit_fg", ("construct",), "solve_implicit_fg"),
+    ("implicit_fg", ("construct", "config"), "fast"),
+    ("hodograph", ("construct", "config"), [1.5, 3.5]),
+    ("implicit_fg", ("samples",), "box"),
+    ("hodograph", ("samples",), "box"),
+    ("variational", ("source",), "hodograph"),
+    ("variational", ("source", "config"), "fast"),
+    ("implicit_fg", ("checks", 0), "complex_bateman"),
+    ("two_field", ("checks", 0), 5),
+])
+def test_block_of_wrong_json_type_exits_2(tmp_path, monkeypatch, capsys, scenario, path,
+                                          value):
+    data = _with(_COMPLETE[scenario](), path, value)
+    _forbid_work(monkeypatch)
+    assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
+    data = {**_COMPLETE["two_field"](), "cases": ["two_field"]}
+    assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
+    assert "JSON objects" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario,path,value", [
+    ("variational", ("vary",), ["psi", "chi"]),
+    ("variational", ("vary",), [["psi"]]),
+    ("variational", ("vary",), 5),
+    ("two_field", ("system",), "three_field"),
+    ("two_field", ("checks",), [{"equation": "multifield_det"}]),
+    ("multifield", ("checks",), [{"equation": "conservation"}]),
+])
+def test_unknown_variation_system_or_check_exits_2_before_solving(
+        tmp_path, monkeypatch, scenario, path, value):
+    data = _with(_COMPLETE[scenario](), path, value)
+    _forbid_work(monkeypatch)
+    assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
+
+
+def test_one_density_jet_per_node(tmp_path, monkeypatch):
+    """A variational case builds one density jet per interior node and
+    (resolution, factor, psi), shared by all three variations."""
+    calls = Counter()
+    density_jet = varlag.DiscreteFunctional._density_jet
+
+    def counting(self, slots):
+        calls[self.ht] += 1
+        return density_jet(self, slots)
+
+    monkeypatch.setattr(varlag.DiscreteFunctional, "_density_jet", counting)
+    data = _COMPLETE["variational"]()
+    data["cases"][0].update(resolutions=[9, 11], psi=["s", "s^3"],
+                            factors=["p/q", "p^2/(p^2 + q^2)"])
+    report, code = cli.run_scenario(data, tmp_path, seed=1)
+    assert code == cli.EXIT_PASS
+    assert len(report["reports"]) == 2 * 2 * 2 * 4
+    # two factors times two psi choices per resolution
+    assert sorted(calls.values()) == [4 * (11 - 2) ** 2, 4 * (9 - 2) ** 2][::-1]
