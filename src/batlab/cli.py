@@ -110,6 +110,27 @@ def _object(d: dict, key: str, required: bool = True) -> dict:
     return block or {}
 
 
+def _number(value, where: str, kind=float):
+    """Scenario scalar ``value`` as ``kind``: a finite JSON number, a whole one for
+    ``int``.  A string, a boolean, null, 1e400 or a fractional count is a
+    ScenarioError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value) and kind(value) == value:
+                return kind(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ScenarioError(f"{where}: expected a finite {kind.__name__}, got {value!r}")
+
+
+def _numbers(values, where: str, kind=float, length: int | None = None) -> list:
+    """A JSON list of scenario scalars, each read by ``_number``."""
+    if not isinstance(values, list) or length not in (None, len(values)):
+        raise ScenarioError(f"{where}: expected a list of {length or 'finite'} numbers, "
+                            f"got {values!r}")
+    return [_number(v, where, kind) for v in values]
+
+
 def _lookup(table: dict, key, message: str):
     try:
         return table[key]
@@ -134,23 +155,23 @@ def _halving(label: str, resolutions: list, measured: dict, min_ratio: float) ->
 
 def _solve_config(block: dict) -> ImplicitSolveConfig:
     seed = block.get("seed", 1.0)
-    if isinstance(seed, list):
-        seed = tuple(float(s) for s in seed)
+    seed = (tuple(_numbers(seed, "config.seed")) if isinstance(seed, list)
+            else _number(seed, "config.seed"))
     bracket = block.get("bracket")
     if bracket is not None:
-        bracket = (float(bracket[0]), float(bracket[1]))
+        bracket = tuple(_numbers(bracket, "config.bracket", length=2))
     return ImplicitSolveConfig(
-        newton_tol=float(block.get("newton_tol", 1e-12)),
-        max_iter=int(block.get("max_iter", 50)),
+        newton_tol=_number(block.get("newton_tol", 1e-12), "config.newton_tol"),
+        max_iter=_number(block.get("max_iter", 50), "config.max_iter", int),
         seed=seed,
         bracket=bracket,
     )
 
 
 def _box_sampler(samples: dict, rng: np.random.Generator):
-    low = np.asarray(_field_or(samples, "low", required=True), dtype=float)
-    high = np.asarray(_field_or(samples, "high", required=True), dtype=float)
-    count = int(_field_or(samples, "count", required=True))
+    low = np.asarray(_numbers(_field_or(samples, "low", required=True), "samples.low"))
+    high = np.asarray(_numbers(_field_or(samples, "high", required=True), "samples.high"))
+    count = _number(_field_or(samples, "count", required=True), "samples.count", int)
     if count < 1:
         raise ScenarioError(f"samples count must be at least 1, got {count}")
     if low.shape != high.shape or np.any(low >= high):
@@ -209,7 +230,7 @@ def _hodograph_case(block, label, case, rng) -> _Solved:
 
 def _leznov_case(block, label, case, rng) -> _Solved:
     sys_ = leznov.LeznovSystem(
-        n=int(_field_or(block, "n", required=True)),
+        n=_number(_field_or(block, "n", required=True), "n", int),
         Q=[_parse_expr(q, "Q") for q in _field_or(block, "Q", required=True)],
         P=[_parse_expr(p, "P") for p in _field_or(block, "P", required=True)],
         cfg=_solve_config(_object(block, "config", False)),
@@ -227,14 +248,16 @@ def _run_verify_case(case: dict, rng: np.random.Generator,
     build = _lookup(_CONSTRUCTORS, op, f"unknown constructor op {op!r}")
     runs = [_lookup(_CHECKS, (op, eq), f"check {eq!r} does not apply to {label!r}")
             for eq in map(_check_key, checks)]
+    tolerances = [_number(_field_or(check, "tolerance", required=True), "tolerance")
+                  for check in checks]
 
     c = build(block, label, case, rng)
     if sink is not None:
         sink[label] = c.points if c.tx is None else [
             (*tx, *uv) for tx, uv in zip(c.tx, c.points)]
     entries = []
-    for run, check in zip(runs, checks):
-        entries += run(c, check, float(_field_or(check, "tolerance", required=True)))
+    for run, check, tol in zip(runs, checks, tolerances):
+        entries += run(c, check, tol)
     return entries
 
 
@@ -292,7 +315,7 @@ def _roundtrip(c: _Solved, check: dict, tol: float) -> list[dict]:
 
 
 def _born_infeld(c: _Solved, check: dict, tol: float) -> list[dict]:
-    lam = float(check.get("lambda", 1.0))
+    lam = _number(check.get("lambda", 1.0), "lambda")
     if lam <= 0:
         raise ValueError("lambda must be positive")
     # (u, v) = (phibar, phi).  The integrability check solves from the
@@ -307,8 +330,8 @@ def _born_infeld(c: _Solved, check: dict, tol: float) -> list[dict]:
 
 
 def _linear_covariance(c: _Solved, check: dict, tol: float) -> list[dict]:
-    speed_tol = float(check.get("speed_tolerance", 1e-8))
-    n_maps = int(check.get("maps", 10))
+    speed_tol = _number(check.get("speed_tolerance", 1e-8), "speed_tolerance")
+    n_maps = _number(check.get("maps", 10), "maps", int)
     maps = []
     while len(maps) < n_maps:
         m = LinearMap2(*c.rng.uniform(-2.0, 2.0, size=4))
@@ -378,7 +401,7 @@ _CONSTRUCTORS = {
         _expr(b, "F"), _expr(b, "G"), _solve_config(_object(b, "config", False)))),
     "holo_sum": _field_case(lambda b: construct.holo_sum(_expr(b, "f"), _expr(b, "g"))),
     "implicit_3d": _field_case(lambda b: construct.implicit_3d(
-        _expr(b, "F"), _expr(b, "G"), _expr(b, "K"), float(b.get("const_c", 0.0)),
+        _expr(b, "F"), _expr(b, "G"), _expr(b, "K"), _number(b.get("const_c", 0.0), "const_c"),
         _solve_config(_object(b, "config", False)))),
     "parametric_hodograph": _hodograph_case,
     "leznov": _leznov_case,
@@ -423,9 +446,9 @@ def _run_simulate_case(case: dict, rng: np.random.Generator, out_dir: Path,
     system = case.get("system", "two_field")
     label = case.get("label", system)
     checks = _field_or(case, "checks", required=True)
-    resolutions = [int(r) for r in _field_or(case, "resolutions", required=True)]
+    resolutions = _numbers(_field_or(case, "resolutions", required=True), "resolutions", int)
     grid_block = _object(case, "grid")
-    min_ratio = float(case.get("halving_ratio", 0.0))
+    min_ratio = _number(case.get("halving_ratio", 0.0), "halving_ratio")
     integrate = _lookup(_SYSTEMS, system, f"unknown system {system!r}")
     runs = [_lookup(_SIM_CHECKS, (system, eq), f"check {eq!r} does not apply to {system} runs")
             for eq in (_field_or(check, "equation", required=True) for check in checks)]
@@ -451,10 +474,10 @@ def _dump_grid(grid, csv_path: Path) -> None:
 
 def _two_field(case: dict, grid_block: dict, res: int):
     spec = hydro.CharGridSpec(
-        nx=res, t_end=float(_field_or(grid_block, "t_end", required=True)),
-        x0=float(grid_block.get("x0", 0.0)),
-        x1=float(grid_block.get("x1", hydro.TWO_PI)),
-        cfl=float(grid_block.get("cfl", 0.5)),
+        nx=res, t_end=_number(_field_or(grid_block, "t_end", required=True), "grid.t_end"),
+        x0=_number(grid_block.get("x0", 0.0), "grid.x0"),
+        x1=_number(grid_block.get("x1", hydro.TWO_PI), "grid.x1"),
+        cfl=_number(grid_block.get("cfl", 0.5), "grid.cfl"),
         bc=grid_block.get("bc", "periodic"),
     )
     init = _object(case, "init")
@@ -466,18 +489,18 @@ def _two_field(case: dict, grid_block: dict, res: int):
 def _multifield(case: dict, grid_block: dict, res: int):
     spec = hydro.MultiGridSpec(
         n2=res, n3=res,
-        t_end=float(_field_or(grid_block, "t_end", required=True)),
-        cfl=float(grid_block.get("cfl", 0.4)),
+        t_end=_number(_field_or(grid_block, "t_end", required=True), "grid.t_end"),
+        cfl=_number(grid_block.get("cfl", 0.4), "grid.cfl"),
     )
     init = {k: _parse_expr(v, f"init.{k}") for k, v in _object(case, "init").items()}
     return hydro.integrate_multifield(init, spec)
 
 
 def _conservation(grid, check: dict, where: str) -> list[tuple[str, dict]]:
-    tol = float(check.get("tolerance_h2_coeff", 5.0)) * grid.h**2
+    tol = _number(check.get("tolerance_h2_coeff", 5.0), "tolerance_h2_coeff") * grid.h**2
     out = []
-    for n in check.get("n_values", [1, 2, 3, 4, 5]):
-        drift = hydro.conservation_drift(grid, int(n))
+    for n in _numbers(check.get("n_values", [1, 2, 3, 4, 5]), "n_values", int):
+        drift = hydro.conservation_drift(grid, n)
         rep = ResidualReport(f"conservation_s{n}", grid.nt * grid.nx, drift, drift, 0)
         out.append((f"s{n}", _entry(f"conservation_s{n}[{where}]", rep, tol,
                                     grid.nt * grid.nx)))
@@ -485,7 +508,7 @@ def _conservation(grid, check: dict, where: str) -> list[tuple[str, dict]]:
 
 
 def _transport(grid, check: dict, where: str) -> list[tuple[str, dict]]:
-    tol = float(check.get("tolerance_h2_coeff", 5.0)) * grid.h**2
+    tol = _number(check.get("tolerance_h2_coeff", 5.0), "tolerance_h2_coeff") * grid.h**2
     m = grid.nt // 2
     out = []
     for name, field, other in (("u", grid.u, grid.v), ("v", grid.v, grid.u)):
@@ -502,7 +525,7 @@ def _transport(grid, check: dict, where: str) -> list[tuple[str, dict]]:
 
 
 def _multifield_det(grid, check: dict, where: str) -> list[tuple[str, dict]]:
-    tol = float(check.get("tolerance_h2_coeff", 1.0)) * grid.h2**2
+    tol = _number(check.get("tolerance_h2_coeff", 1.0), "tolerance_h2_coeff") * grid.h2**2
     names = ("u1", "u2", "v1", "v2")
     deriv = {n: hydro.fd_derivatives_multi(grid.fields[n], grid.dt, grid.h2, grid.h3)
              for n in names}
@@ -548,11 +571,13 @@ def _run_variational_case(case: dict, rng: np.random.Generator) -> list[dict]:
     f = _parse_expr(_field_or(src, "f", required=True), "source.f")
     g = _parse_expr(_field_or(src, "g", required=True), "source.g")
     cfg = _solve_config(_object(src, "config", False))
-    t_lo, t_hi = (float(v) for v in _field_or(src, "t_window", required=True))
-    x_lo, x_hi = (float(v) for v in _field_or(src, "x_window", required=True))
-    coeff = float(case.get("tolerance_h2_coeff", 5.0))
-    min_ratio = float(case.get("halving_ratio", 0.0))
-    resolutions = [int(n) for n in _field_or(case, "resolutions", required=True)]
+    t_lo, t_hi = _numbers(_field_or(src, "t_window", required=True), "source.t_window",
+                          length=2)
+    x_lo, x_hi = _numbers(_field_or(src, "x_window", required=True), "source.x_window",
+                          length=2)
+    coeff = _number(case.get("tolerance_h2_coeff", 5.0), "tolerance_h2_coeff")
+    min_ratio = _number(case.get("halving_ratio", 0.0), "halving_ratio")
+    resolutions = _numbers(_field_or(case, "resolutions", required=True), "resolutions", int)
 
     psi_choices = case.get("psi", ["s"])
     factors = case.get("factors", ["p/q"])
@@ -649,9 +674,9 @@ def _fd_probe(spec, names, point, h):
 
 
 def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
-    count = int(case.get("expressions", 500))
-    steps = [float(s) for s in case.get("steps", [1e-3, 5e-4])]
-    min_ratio = float(case.get("min_ratio", 3.5))
+    count = _number(case.get("expressions", 500), "expressions", int)
+    steps = _numbers(case.get("steps", [1e-3, 5e-4]), "steps", length=2)
+    min_ratio = _number(case.get("min_ratio", 3.5), "min_ratio")
     names = ["a", "b", "c"]
     defects = []
     produced = 0
@@ -669,7 +694,7 @@ def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
                 g_fd, h_fd = _fd_probe(spec, names, point, h)
                 errs.append(max(np.abs(g_fd - jet.grad).max(),
                                 np.abs(h_fd - jet.hess).max()))
-        except (EvaluationError, OverflowError):
+        except EvaluationError:
             continue
         produced += 1
         scale = max(1.0, abs(jet.value), np.abs(jet.grad).max(),
@@ -694,8 +719,10 @@ def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
 def load_scenario(path) -> dict:
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # ValueError: not UTF-8, or not JSON
         raise ScenarioError(f"cannot load scenario {path}: {err}") from None
+    if not isinstance(data, dict):
+        raise ScenarioError(f"scenario {path}: expected a JSON object, got {data!r}")
     for key in ("name", "paper_anchor", "kind", "cases"):
         if key not in data:
             raise ScenarioError(f"scenario {path}: missing field {key!r}")

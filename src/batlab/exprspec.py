@@ -317,10 +317,12 @@ def _float_pow(base: float, expo: float) -> float:
     if isinstance(expo, int):
         if base == 0.0 and expo < 0:
             raise JetDomainError("pow", 0.0)
-        return float(base**expo)
-    if base <= 0.0:
+    elif base <= 0.0:
         raise JetDomainError("pow", base)
-    return float(base**expo)
+    try:
+        return float(base**expo)
+    except OverflowError:
+        raise JetDomainError("pow", base) from None
 
 
 def eval_float(spec: ExprSpec, args: Mapping[str, float]) -> float:

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import batlab
 from batlab import cli, construct, hydro, leznov, varlag
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -276,8 +275,6 @@ def test_missing_required_field_exits_2(tmp_path, capsys, scenario, path):
     assert f"missing required field {path[-1]!r}" in capsys.readouterr().err
 
 
-@pytest.mark.skipif(batlab.JET_BACKEND != "python",
-                    reason="the digests were recorded on the pure-Python jet backend")
 def test_pointwise_reports_match_recorded_digests(tmp_path):
     """Reports of every sampled and grid scenario, and the grid dumps of the
     simulate ones, match the digests the benchmark recorded."""
@@ -433,6 +430,53 @@ def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
     data = {**_COMPLETE["two_field"](), "cases": ["two_field"]}
     assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
     assert "JSON objects" in capsys.readouterr().err
+    path = _write(tmp_path, "five.json", 5)
+    assert cli.main(["verify", path, "--out", str(tmp_path / "o")]) == cli.EXIT_VALIDATION
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario,path,value", [
+    ("implicit_fg", ("samples", "count"), "many"),
+    ("implicit_fg", ("samples", "count"), 1e400),
+    ("implicit_fg", ("samples", "count"), True),
+    ("implicit_fg", ("samples", "count"), 2.5),
+    ("implicit_fg", ("samples", "low"), ["x", -1, -1, -1]),
+    ("implicit_fg", ("samples", "low"), -1),
+    ("implicit_fg", ("checks", 0, "tolerance"), "tight"),
+    ("implicit_fg", ("checks", 0, "tolerance"), float("nan")),
+    ("implicit_fg", ("checks", 0, "tolerance"), None),
+    ("implicit_fg", ("construct", "config", "max_iter"), "lots"),
+    ("implicit_fg", ("construct", "config", "bracket"), [0.0]),
+    ("hodograph", ("construct", "config", "seed"), ["1.5", 3.5]),
+    ("two_field", ("resolutions",), ["16"]),
+    ("two_field", ("grid", "t_end"), "soon"),
+    ("variational", ("resolutions",), 9),
+    ("variational", ("source", "t_window"), [9.75]),
+])
+def test_scalar_of_wrong_type_exits_2_before_solving(tmp_path, monkeypatch, capsys, scenario,
+                                                     path, value):
+    data = _with(_COMPLETE[scenario](), path, value)
+    _forbid_work(monkeypatch)
+    assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "expected a" in err and path[-1] in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("block", [
+    {"op": "solve_implicit_fg", "F": "phi - x1^400", "G": "xb1 + xb2",
+     "config": {"seed": 0.0}},
+    {"op": "holo_sum", "f": "x1^400", "g": "xb1"},
+])
+def test_power_overflow_skips_every_sample(tmp_path, capsys, block):
+    data = _verify_scenario(block, [9, -1, -1, -1], [11, 1, 1, 1])
+    assert _main_exit(tmp_path, data) == cli.EXIT_FAIL
+    assert capsys.readouterr().err == ""
+    text = (tmp_path / "o" / "m.report.json").read_text()
+    assert "NaN" not in text
+    entry = json.loads(text)["reports"][0]
+    assert (entry["samples"], entry["skipped"], entry["pass"]) == (0, 4, False)
 
 
 @pytest.mark.parametrize("scenario,path,value", [

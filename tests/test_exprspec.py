@@ -110,6 +110,17 @@ def test_eval_jet_domain_error():
         eval_jet(parse("sqrt(u)"), {"u": u})
 
 
+def test_power_overflow_is_a_domain_error():
+    # Python's float power raises OverflowError; a sweep must see a singular sample.
+    for text in ("x^400", "x^400.5", "x^y"):
+        with pytest.raises(JetDomainError):
+            eval_float(parse(text), {"x": 10.0, "y": 400.5})
+    with pytest.raises(JetDomainError):
+        eval_jet(parse("x^400.5"), {"x": jets.variable(0, 10.0, 1)})
+    with pytest.raises(JetDomainError):
+        eval_jet(parse("20^400.5 * x"), {"x": jets.variable(0, 10.0, 1)})
+
+
 def test_eval_jet_missing_variable():
     with pytest.raises(ValueError):
         eval_jet(parse("u + v"), {"u": jets.constant(1.0, 1)})

@@ -7,19 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batlab import _jetpy
+from batlab import jets
 from batlab.errors import JetDomainError
 
-BACKENDS = [_jetpy]
-try:
-    from batlab import _jetcore
 
-    BACKENDS.append(_jetcore)
-except ImportError:
-    pass
-
-
-@pytest.fixture(params=BACKENDS, ids=[m.BACKEND for m in BACKENDS])
+@pytest.fixture(params=[jets], ids=[jets.JET_BACKEND])
 def J(request):
     return request.param
 
@@ -121,6 +113,15 @@ def test_integer_pow_negative_base(J):
     assert z.value == pytest.approx(0.25)
     assert z.grad[0] == pytest.approx(0.25)
     assert z.hess[0, 0] == pytest.approx(0.375)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_pow_overflow_is_a_domain_error(J):
+    x = J.variable(0, 10.0, 1)
+    for exponent in (400, 400.0, 400.5):
+        with pytest.raises(JetDomainError):
+            J.powc(x, exponent)
 
 
 def test_pow_float_equals_pow_int_for_integral_exponent(J):
@@ -241,30 +242,29 @@ def test_fd_convergence_second_order(J):
 )
 @settings(max_examples=80, deadline=None)
 def test_hessian_symmetric_after_random_ops(data, ops):
-    for J in BACKENDS:
-        a = J.variable(0, data[0], 3)
-        b = J.variable(1, data[1], 3)
-        acc = J.variable(2, data[2], 3)
-        try:
-            for op in ops:
-                if op == "add":
-                    acc = acc + a
-                elif op == "sub":
-                    acc = acc - b
-                elif op == "mul":
-                    acc = acc * a
-                elif op == "div":
-                    acc = acc / (b * b + 1.0)
-                elif op == "exp":
-                    acc = J.exp(acc * 0.1)
-                elif op == "sin":
-                    acc = J.sin(acc)
-                else:
-                    acc = J.cos(acc)
-        except JetDomainError:
-            continue
-        assert np.array_equal(acc.hess, acc.hess.T)
-        assert np.isfinite(acc.hess).all()
+    a = jets.variable(0, data[0], 3)
+    b = jets.variable(1, data[1], 3)
+    acc = jets.variable(2, data[2], 3)
+    try:
+        for op in ops:
+            if op == "add":
+                acc = acc + a
+            elif op == "sub":
+                acc = acc - b
+            elif op == "mul":
+                acc = acc * a
+            elif op == "div":
+                acc = acc / (b * b + 1.0)
+            elif op == "exp":
+                acc = jets.exp(acc * 0.1)
+            elif op == "sin":
+                acc = jets.sin(acc)
+            else:
+                acc = jets.cos(acc)
+    except JetDomainError:
+        return
+    assert np.array_equal(acc.hess, acc.hess.T)
+    assert np.isfinite(acc.hess).all()
 
 
 def test_value_associativity_tolerance(J):
@@ -279,21 +279,3 @@ def test_value_associativity_tolerance(J):
         scale = max(abs(left.value), 1.0)
         assert abs(left.value - right.value) <= 1e-14 * scale
 
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled backend not built")
-def test_backend_parity():
-    """Both backends must agree to the last few ulps on a composed expression."""
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        pt = rng.uniform(0.2, 1.8, size=3)
-        results = []
-        for J in BACKENDS:
-            t = J.variable(0, pt[0], 3)
-            x = J.variable(1, pt[1], 3)
-            y = J.variable(2, pt[2], 3)
-            f = J.exp(t * x * 0.2) - J.log(y + 1.0) * J.powc(x, 3) + t / (y + 0.5)
-            results.append((f.value, f.grad.copy(), f.hess.copy()))
-        (v1, g1, h1), (v2, g2, h2) = results
-        assert v1 == pytest.approx(v2, rel=1e-14, abs=1e-14)
-        np.testing.assert_allclose(g1, g2, rtol=1e-13, atol=1e-14)
-        np.testing.assert_allclose(h1, h2, rtol=1e-13, atol=1e-13)
