@@ -15,9 +15,10 @@ samples); 2 scenario parse/validation error; 3 runtime numerical failure;
 grid dumps retained.
 
 Report schema: ``{scenario, paper_anchor, reports: [{equation, samples,
-skipped, max_norm, rms_norm, tolerance, pass}], seed, version}``.  A check
-also fails when more than 20% of its requested samples were skipped as
-singular, so passes can never be manufactured by skipping.
+skipped, max_norm, rms_norm, tolerance, pass}], seed, version}``, written as
+strict JSON (a norm without a finite value is null).  A check also fails when
+more than 20% of its requested samples were skipped as singular, so passes can
+never be manufactured by skipping.
 """
 
 from __future__ import annotations
@@ -85,8 +86,10 @@ def _entry(equation: str, report: ResidualReport, tolerance: float,
         "equation": equation,
         "samples": report.samples,
         "skipped": report.skipped_singular,
-        "max_norm": report.max_norm,
-        "rms_norm": report.rms_norm,
+        # JSON has no inf or NaN: a non-finite norm (no sample, or an aborted
+        # run) is written as null, and such an entry never passes.
+        "max_norm": report.max_norm if math.isfinite(report.max_norm) else None,
+        "rms_norm": report.rms_norm if math.isfinite(report.rms_norm) else None,
         "tolerance": tolerance,
         "pass": bool(ok),
     }
@@ -108,6 +111,23 @@ def _object(d: dict, key: str, required: bool = True) -> dict:
     if not isinstance(block, dict) and (required or block is not None):
         raise ScenarioError(f"{key}: expected a JSON object, got {block!r}")
     return block or {}
+
+
+def _list(d: dict, key: str, default=None, of: str = "expression strings") -> list:
+    """List-valued field ``key`` of ``d``; required when there is no ``default``."""
+    value = _field_or(d, key, default, required=default is None)
+    if not isinstance(value, list):
+        raise ScenarioError(f"{key}: expected a JSON list of {of}, got {value!r}")
+    return value
+
+
+def _file_name(value, where: str) -> str:
+    """``value`` as one component of an output file name."""
+    if (not isinstance(value, str) or value in ("", ".", "..")
+            or any(c in value for c in "/\\\0")):
+        raise ScenarioError(f"{where}: expected a file-name string without a path "
+                            f"separator, got {value!r}")
+    return value
 
 
 def _number(value, where: str, kind=float):
@@ -147,7 +167,10 @@ def _halving(label: str, resolutions: list, measured: dict, min_ratio: float) ->
     entries = []
     for key, coarse in measured[resolutions[0]].items():
         fine = measured[resolutions[-1]][key]
-        value = 0.0 if coarse <= 1e-14 and fine <= 1e-14 else fine / max(coarse, 1e-300)
+        if coarse is None or fine is None:  # a null norm has no ratio
+            value = math.nan
+        else:
+            value = 0.0 if coarse <= 1e-14 and fine <= 1e-14 else fine / max(coarse, 1e-300)
         rep = ResidualReport("halving", 2, value, value, 0)
         entries.append(_entry(f"halving[{label}:{key}]", rep, 1.0 / min_ratio, 2))
     return entries
@@ -231,8 +254,8 @@ def _hodograph_case(block, label, case, rng) -> _Solved:
 def _leznov_case(block, label, case, rng) -> _Solved:
     sys_ = leznov.LeznovSystem(
         n=_number(_field_or(block, "n", required=True), "n", int),
-        Q=[_parse_expr(q, "Q") for q in _field_or(block, "Q", required=True)],
-        P=[_parse_expr(p, "P") for p in _field_or(block, "P", required=True)],
+        Q=[_parse_expr(q, "Q") for q in _list(block, "Q")],
+        P=[_parse_expr(p, "P") for p in _list(block, "P")],
         cfg=_solve_config(_object(block, "config", False)),
     )
     points, requested = _box_sampler(_object(case, "samples"), rng)
@@ -243,9 +266,9 @@ def _run_verify_case(case: dict, rng: np.random.Generator,
                      sink: dict | None = None) -> list[dict]:
     block = _object(case, "construct")
     op = _field_or(block, "op", required=True)
-    label = case.get("label", op)
-    checks = _field_or(case, "checks", required=True)
     build = _lookup(_CONSTRUCTORS, op, f"unknown constructor op {op!r}")
+    label = _file_name(case.get("label", op), "label")
+    checks = _list(case, "checks", of="JSON objects")
     runs = [_lookup(_CHECKS, (op, eq), f"check {eq!r} does not apply to {label!r}")
             for eq in map(_check_key, checks)]
     tolerances = [_number(_field_or(check, "tolerance", required=True), "tolerance")
@@ -286,7 +309,7 @@ def _per_point(residual):
 def _reparametrized(c: _Solved, check: dict, tol: float, name: str, residual) -> list[dict]:
     """One entry per map h of the check: ``residual(h, jets)`` at every point."""
     entries = []
-    for htxt in check.get("maps", ["s^3 + s"]):
+    for htxt in _list(check, "maps", ["s^3 + s"]):
         h = construct.reparametrization(_parse_expr(htxt, "map"))
         rep = residuals.sweep(name, lambda: c.jets, lambda j: residual(h, residuals.unwrap(j)))
         entries.append(_entry(f"{name}[{c.label}:{htxt}]", rep, tol, c.requested))
@@ -444,12 +467,12 @@ _CHECKS = {
 def _run_simulate_case(case: dict, rng: np.random.Generator, out_dir: Path,
                        scenario_name: str, dump: bool) -> list[dict]:
     system = case.get("system", "two_field")
-    label = case.get("label", system)
-    checks = _field_or(case, "checks", required=True)
+    integrate = _lookup(_SYSTEMS, system, f"unknown system {system!r}")
+    label = _file_name(case.get("label", system), "label")
+    checks = _list(case, "checks", of="JSON objects")
     resolutions = _numbers(_field_or(case, "resolutions", required=True), "resolutions", int)
     grid_block = _object(case, "grid")
     min_ratio = _number(case.get("halving_ratio", 0.0), "halving_ratio")
-    integrate = _lookup(_SYSTEMS, system, f"unknown system {system!r}")
     runs = [_lookup(_SIM_CHECKS, (system, eq), f"check {eq!r} does not apply to {system} runs")
             for eq in (_field_or(check, "equation", required=True) for check in checks)]
 
@@ -566,7 +589,7 @@ _SIM_CHECKS = {
 
 
 def _run_variational_case(case: dict, rng: np.random.Generator) -> list[dict]:
-    label = case.get("label", "variational")
+    label = _file_name(case.get("label", "variational"), "label")
     src = _object(case, "source")
     f = _parse_expr(_field_or(src, "f", required=True), "source.f")
     g = _parse_expr(_field_or(src, "g", required=True), "source.g")
@@ -579,11 +602,10 @@ def _run_variational_case(case: dict, rng: np.random.Generator) -> list[dict]:
     min_ratio = _number(case.get("halving_ratio", 0.0), "halving_ratio")
     resolutions = _numbers(_field_or(case, "resolutions", required=True), "resolutions", int)
 
-    psi_choices = case.get("psi", ["s"])
-    factors = case.get("factors", ["p/q"])
-    vary_list = case.get("vary", ["psi", "phibar", "phi"])
-    if not isinstance(vary_list, list) or any(
-            vary not in ("psi", "phibar", "phi") for vary in vary_list):
+    psi_choices = _list(case, "psi", ["s"])
+    factors = _list(case, "factors", ["p/q"])
+    vary_list = _list(case, "vary", ["psi", "phibar", "phi"], of="psi, phibar or phi")
+    if any(vary not in ("psi", "phibar", "phi") for vary in vary_list):
         raise ScenarioError(f"vary must name psi, phibar or phi, got {vary_list!r}")
 
     measured: dict[int, dict[str, float]] = {}
@@ -607,7 +629,7 @@ def _run_variational_case(case: dict, rng: np.random.Generator) -> list[dict]:
                     entries.append(_entry(
                         f"variational_{vary}[{label}:psi={w},H={factor}@{n}]",
                         rep, tol, rep.samples))
-                    measured[n][f"{vary}|psi={w}|H={factor}"] = rep.max_norm
+                    measured[n][f"{vary}|psi={w}|H={factor}"] = entries[-1]["max_norm"]
                 rep = ResidualReport("degeneracy_action", phi.size,
                                      deg.action_normalized, deg.action_normalized, 0)
                 entries.append(_entry(
@@ -718,14 +740,27 @@ def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
 
 def load_scenario(path) -> dict:
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as err:  # ValueError: not UTF-8, or not JSON
+        text = Path(path).read_text()
+    except (OSError, ValueError) as err:  # ValueError: not UTF-8
+        raise ScenarioError(f"cannot load scenario {path}: {err}") from None
+    return _scenario(text, path)
+
+
+def _scenario(text: str, path) -> dict:
+    """The scenario in JSON ``text``, validated at the top level."""
+    try:
+        data = json.loads(text)
+    except ValueError as err:
         raise ScenarioError(f"cannot load scenario {path}: {err}") from None
     if not isinstance(data, dict):
         raise ScenarioError(f"scenario {path}: expected a JSON object, got {data!r}")
     for key in ("name", "paper_anchor", "kind", "cases"):
         if key not in data:
             raise ScenarioError(f"scenario {path}: missing field {key!r}")
+    _file_name(data["name"], f"scenario {path}: name")
+    if not isinstance(data["paper_anchor"], str):
+        raise ScenarioError(f"scenario {path}: paper_anchor: expected a string, "
+                            f"got {data['paper_anchor']!r}")
     if data["kind"] not in ("verify", "simulate", "variational", "ad"):
         raise ScenarioError(f"scenario {path}: unknown kind {data['kind']!r}")
     if not (isinstance(data["cases"], list) and data["cases"]
@@ -776,7 +811,8 @@ def run_scenario(data: dict, out_dir: Path, seed: int, dump: bool = False) -> tu
                 for p in pts:
                     w.writerow([repr(float(v)) for v in p])
     report_path = out_dir / f"{data['name']}.report.json"
-    report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    report_path.write_text(json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+                           + "\n")
     if abort_code is not None:
         return report, abort_code
     ok = all(e["pass"] for e in entries)
@@ -789,14 +825,39 @@ def bundled_scenarios() -> list:
                   key=lambda p: p.name)
 
 
+# Exceptions that end a scenario run with an exit code from _failure_code.
+_FAILURES = (ScenarioError, EvaluationError, np.linalg.LinAlgError, ValueError)
+
+
+def _failure_code(err: Exception) -> int:
+    """Exit code of one of ``_FAILURES``, after printing its message."""
+    if isinstance(err, ScenarioError):
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
+    print(f"numerical failure: {err}", file=sys.stderr)
+    return EXIT_RUNTIME
+
+
 def _run_bundled(args_tuple):
+    """(scenario name, paper anchor, report or None, exit code) of one bundled file."""
     name, text, out, seed = args_tuple
-    data = json.loads(text)
-    report, code = run_scenario(data, Path(out), seed)
-    return name, data["paper_anchor"], report, code
+    scenario, anchor = name.removesuffix(".json"), ""
+    try:
+        data = _scenario(text, name)
+        scenario, anchor = data["name"], data["paper_anchor"]
+        report, code = run_scenario(data, Path(out), seed)
+    except _FAILURES as err:
+        return scenario, anchor, None, _failure_code(err)
+    return scenario, anchor, report, code
+
+
+def _cell(value) -> str:
+    return f"{'-':>12}" if value is None else f"{value:>12.3e}"
 
 
 def run_suite(out_dir: Path, seed: int, jobs: int = 1) -> int:
+    """Run every bundled scenario and print one row each; a scenario that
+    cannot run gets a row with its exit code and the others still run."""
     tasks = [(p.name, p.read_text(), str(out_dir), seed) for p in bundled_scenarios()]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -804,17 +865,19 @@ def run_suite(out_dir: Path, seed: int, jobs: int = 1) -> int:
     else:
         results = [_run_bundled(t) for t in tasks]
 
-    width = max(len(r[2]["scenario"]) for r in results) + 2
+    width = max(len(r[0]) for r in results) + 2
     print(f"{'claim':<{width}}{'anchor':<44}{'max_norm':>12}{'tolerance':>12}  status")
     worst_code = EXIT_PASS
-    for _, anchor, report, code in results:
-        entries = report["reports"]
+    for scenario, anchor, report, code in results:
+        entries = report["reports"] if report else []
         failing = [e for e in entries if not e["pass"]]
         shown = failing[0] if failing else max(
-            entries, key=lambda e: e["max_norm"] / max(e["tolerance"], 1e-300))
-        status = "PASS" if code == EXIT_PASS else "FAIL"
-        print(f"{report['scenario']:<{width}}{anchor[:42]:<44}"
-              f"{shown['max_norm']:>12.3e}{shown['tolerance']:>12.3e}  {status}")
+            entries, key=lambda e: e["max_norm"] / max(e["tolerance"], 1e-300),
+            default={"max_norm": None, "tolerance": None})
+        status = ("PASS" if code == EXIT_PASS else "FAIL" if report
+                  else f"ERROR (exit {code})")
+        print(f"{scenario:<{width}}{anchor[:42]:<44}"
+              f"{_cell(shown['max_norm'])}{_cell(shown['tolerance'])}  {status}")
         worst_code = max(worst_code, code)
     return worst_code
 
@@ -854,19 +917,10 @@ def main(argv=None) -> int:
             raise ScenarioError("simulate-kind scenario: use the simulate command")
         if args.command == "simulate" and data["kind"] != "simulate":
             raise ScenarioError("simulate needs a simulate-kind scenario")
-    except ScenarioError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
         _, code = run_scenario(data, out_dir, args.seed,
                                dump=getattr(args, "dump", False))
-    except ScenarioError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (EvaluationError, np.linalg.LinAlgError, ValueError) as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except _FAILURES as err:
+        return _failure_code(err)
     return code
 
 

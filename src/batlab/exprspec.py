@@ -220,8 +220,12 @@ def to_string(node: Node) -> str:
 
 # -- evaluation ----------------------------------------------------------------
 
-def _eval_node_jet(node: Node, args: Mapping[str, jets.Jet2]):
-    """Evaluate to a Jet2, or a plain float for constant subtrees."""
+def _eval_node_jet(node: Node, args: Mapping[str, jets.Jet2 | float]):
+    """Evaluate to a Jet2, or a plain float for subtrees over float leaves.
+
+    This one walker serves :func:`eval_jet` and :func:`eval_float`: where every
+    leaf is a float it takes only its float branches.
+    """
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -287,7 +291,9 @@ def eval_jet(spec: ExprSpec, args: Mapping[str, jets.Jet2], k: int | None = None
     if isinstance(result, float):
         if arity is None:
             raise ValueError("constant expression: pass k to fix the jet arity")
-        return jets.constant(result, arity)
+        result = jets.constant(result, arity)
+    # As in eval_float: a non-finite result is a singular sample.
+    jets._require_finite("eval", result.value, result.grad, result.hess)
     return result
 
 
@@ -327,36 +333,8 @@ def _float_pow(base: float, expo: float) -> float:
 
 def eval_float(spec: ExprSpec, args: Mapping[str, float]) -> float:
     """Plain float evaluation (used inside Newton loops)."""
-
-    def walk(node: Node) -> float:
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
-            try:
-                return float(args[node.name])
-            except KeyError:
-                raise ValueError(f"missing variable {node.name!r}") from None
-        if isinstance(node, Neg):
-            return -walk(node.operand)
-        if isinstance(node, Call):
-            return _apply_float(node.func, walk(node.arg))
-        if isinstance(node, Bin):
-            l = walk(node.left)
-            if node.op == "^":
-                return _float_pow(l, walk(node.right))
-            r = walk(node.right)
-            if node.op == "+":
-                return l + r
-            if node.op == "-":
-                return l - r
-            if node.op == "*":
-                return l * r
-            if r == 0.0:
-                raise JetDomainError("div", 0.0)
-            return l / r
-        raise TypeError(f"not an AST node: {node!r}")
-
-    out = walk(spec.ast)
+    floats = {name: float(args[name]) for name in spec.vars if name in args}
+    out = _eval_node_jet(spec.ast, floats)
     if not math.isfinite(out):
         raise JetDomainError("eval", out)
     return out

@@ -126,11 +126,9 @@ class MonotoneCubic1D:
     resolved data and therefore keeps the full interpolation order.
     """
 
-    def __init__(self, x_nodes: np.ndarray, values: np.ndarray, bc: str,
-                 x0: float, length: float):
+    def __init__(self, x_nodes: np.ndarray, values: np.ndarray, bc: str, x0: float):
         self.periodic = bc == "periodic"
         self.x0 = x0
-        self.length = length
         self.h = float(x_nodes[1] - x_nodes[0])
         self.y = np.asarray(values, dtype=float)
         n = len(self.y)
@@ -191,36 +189,12 @@ class MonotoneCubic1D:
                 + self.h * (self.d[k] * h10 + self.d[kp] * h11))
 
 
-def _interp1(x_nodes: np.ndarray, values: np.ndarray, bc: str, x0: float, length: float):
-    return MonotoneCubic1D(x_nodes, values, bc, x0, length)
-
-
-def _foot_points(x_nodes, speed_fn, dt, h, level, sweeps=10, tol_factor=1e-12):
-    """Solve x* = x_i - dt * speed(x*) by fixed point (<= ``sweeps`` sweeps)."""
-    foot = x_nodes - dt * speed_fn(x_nodes)
+def _foot_points(x_nodes, step, h, level, sweeps=10, tol_factor=1e-12):
+    """Solve x* = step(x*) by fixed point from step(x_nodes) (<= ``sweeps`` sweeps)."""
+    foot = step(x_nodes)
     tol = tol_factor * h
     for _ in range(sweeps):
-        new = x_nodes - dt * speed_fn(foot)
-        delta = np.abs(new - foot).max()
-        foot = new
-        if delta <= tol:
-            break
-    else:
-        raise CharacteristicCrossingError(
-            level, "foot-point fixed-point iteration did not converge")
-    if np.any(np.diff(foot) <= 0.0):
-        raise CharacteristicCrossingError(level)
-    return foot
-
-
-def _foot_points_corrector(x_nodes, speed_m_fn, speed_np1_nodal, dt, h, level,
-                           sweeps=10, tol_factor=1e-12):
-    """Trapezoidal foot points: x* = x_i - dt/2 (speed_m(x*) + speed_{m+1}(x_i))."""
-    half_new = 0.5 * dt * speed_np1_nodal
-    foot = x_nodes - half_new - 0.5 * dt * speed_m_fn(x_nodes)
-    tol = tol_factor * h
-    for _ in range(sweeps):
-        new = x_nodes - half_new - 0.5 * dt * speed_m_fn(foot)
+        new = step(foot)
         delta = np.abs(new - foot).max()
         foot = new
         if delta <= tol:
@@ -245,7 +219,6 @@ def integrate_characteristics(
     else:
         x_nodes = np.linspace(spec.x0, spec.x1, spec.nx)
     h = float(x_nodes[1] - x_nodes[0])
-    length = spec.x1 - spec.x0
 
     u0 = np.array([eval_float(init_u, {"x": float(x)}) for x in x_nodes])
     v0 = np.array([eval_float(init_v, {"x": float(x)}) for x in x_nodes])
@@ -271,7 +244,7 @@ def integrate_characteristics(
             raise err
         try:
             u[m + 1], v[m + 1] = _advance_level(
-                x_nodes, u[m], v[m], dt, h, spec.bc, spec.x0, length, m)
+                x_nodes, u[m], v[m], dt, h, spec.bc, spec.x0, m)
         except CharacteristicCrossingError as err:
             err.partial = _truncate(grid, m + 1)
             raise
@@ -283,21 +256,25 @@ def _truncate(grid: CharGrid, levels: int) -> CharGrid:
                     grid.v[:levels], grid.h, grid.dt, grid.cfl, grid.bc)
 
 
-def _advance_level(x_nodes, u_m, v_m, dt, h, bc, x0, length, level):
-    interp_u = _interp1(x_nodes, u_m, bc, x0, length)
-    interp_v = _interp1(x_nodes, v_m, bc, x0, length)
-    speed_u = lambda q: -interp_v(q)  # u carried along dx/dt = -v
-    speed_v = lambda q: -interp_u(q)
+def _advance_level(x_nodes, u_m, v_m, dt, h, bc, x0, level):
+    interp_u = MonotoneCubic1D(x_nodes, u_m, bc, x0)
+    interp_v = MonotoneCubic1D(x_nodes, v_m, bc, x0)
+    # u is carried along dx/dt = -v and v along dx/dt = -u, so a foot point
+    # of u solves x* = x_i + dt v(x*).
 
     # Predictor: frozen level-m speeds.
-    foot_u = _foot_points(x_nodes, speed_u, dt, h, level)
-    foot_v = _foot_points(x_nodes, speed_v, dt, h, level)
+    foot_u = _foot_points(x_nodes, lambda f: x_nodes + dt * interp_v(f), h, level)
+    foot_v = _foot_points(x_nodes, lambda f: x_nodes + dt * interp_u(f), h, level)
     u_star = interp_u(foot_u)
     v_star = interp_v(foot_v)
 
-    # Corrector: trapezoidal speed average using the predicted level.
-    foot_u = _foot_points_corrector(x_nodes, speed_u, -v_star, dt, h, level)
-    foot_v = _foot_points_corrector(x_nodes, speed_v, -u_star, dt, h, level)
+    # Corrector: x* = x_i + dt/2 (v_m(x*) + v_{m+1}(x_i)), with the predicted
+    # level standing in for m+1.
+    half = 0.5 * dt
+    foot_u = _foot_points(x_nodes, lambda f: x_nodes + half * v_star + half * interp_v(f),
+                          h, level)
+    foot_v = _foot_points(x_nodes, lambda f: x_nodes + half * u_star + half * interp_u(f),
+                          h, level)
     return interp_u(foot_u), interp_v(foot_v)
 
 
@@ -336,14 +313,11 @@ def riemann_invariant_drift(grid: CharGrid, which: str, x_start: float) -> float
     carried invariant's total variation per unit time."""
     carried = grid.u if which == "u" else grid.v
     other = grid.v if which == "u" else grid.u
-    length = (grid.x_nodes[-1] - grid.x_nodes[0]) + grid.h if grid.bc == "periodic" else None
     x = float(x_start)
     values = []
     for m in range(grid.nt):
-        interp_c = _interp1(grid.x_nodes, carried[m], grid.bc, grid.x_nodes[0],
-                            length or 1.0)
-        interp_o = _interp1(grid.x_nodes, other[m], grid.bc, grid.x_nodes[0],
-                            length or 1.0)
+        interp_c = MonotoneCubic1D(grid.x_nodes, carried[m], grid.bc, grid.x_nodes[0])
+        interp_o = MonotoneCubic1D(grid.x_nodes, other[m], grid.bc, grid.x_nodes[0])
         values.append(float(interp_c(np.array([x]))[0]))
         if m < grid.nt - 1:
             # dx/dt = -other; RK2 (midpoint) through this level.
@@ -516,26 +490,16 @@ def _truncate_multi(grid: MultiCharGrid, levels: int) -> MultiCharGrid:
 
 def _advance_multi(level, dt, h2, h3, idx2, idx3, m):
     splines = {n: _PeriodicSpline2(level[n]) for n in level}
-    speeds = {  # advecting speeds: u-fields ride (v1, v2), v-fields ride (u1, u2)
-        "u1": ("v1", "v2"), "u2": ("v1", "v2"),
-        "v1": ("u1", "u2"), "v2": ("u1", "u2"),
-    }
+    # advecting speed pair -> the fields it carries
+    carried = {("v1", "v2"): ("u1", "u2"), ("u1", "u2"): ("v1", "v2")}
 
-    def feet(c2_fn, c3_fn, c2_corr=None, c3_corr=None):
-        f2, f3 = idx2.copy(), idx3.copy()
-        tol = 1e-12
+    def feet(step):
+        f2, f3 = idx2, idx3
         for _ in range(10):
-            a2 = c2_fn(f2, f3)
-            a3 = c3_fn(f2, f3)
-            if c2_corr is None:
-                n2f = idx2 - (dt / h2) * a2
-                n3f = idx3 - (dt / h3) * a3
-            else:
-                n2f = idx2 - 0.5 * (dt / h2) * (a2 + c2_corr)
-                n3f = idx3 - 0.5 * (dt / h3) * (a3 + c3_corr)
+            n2f, n3f = step(f2, f3)
             delta = max(np.abs(n2f - f2).max(), np.abs(n3f - f3).max())
             f2, f3 = n2f, n3f
-            if delta <= tol:
+            if delta <= 1e-12:
                 break
         else:
             raise CharacteristicCrossingError(m, "2d foot-point iteration stalled")
@@ -543,28 +507,24 @@ def _advance_multi(level, dt, h2, h3, idx2, idx3, m):
             raise CharacteristicCrossingError(m)
         return f2, f3
 
-    # Predictor.
-    star = {}
-    feet_cache = {}
-    for pair in (("v1", "v2"), ("u1", "u2")):
-        c2 = lambda a, b, p=pair: splines[p[0]](a, b)
-        c3 = lambda a, b, p=pair: splines[p[1]](a, b)
-        feet_cache[pair] = feet(c2, c3)
-    for name, pair in speeds.items():
-        f2, f3 = feet_cache[pair]
-        star[name] = splines[name](f2, f3)
-
-    # Corrector with trapezoidal speeds.
-    out = {}
-    feet_cache = {}
-    for pair in (("v1", "v2"), ("u1", "u2")):
-        c2 = lambda a, b, p=pair: splines[p[0]](a, b)
-        c3 = lambda a, b, p=pair: splines[p[1]](a, b)
-        feet_cache[pair] = feet(c2, c3, star[pair[0]], star[pair[1]])
-    for name, pair in speeds.items():
-        f2, f3 = feet_cache[pair]
-        out[name] = splines[name](f2, f3)
-    return out
+    # Predictor with frozen speeds, then a corrector with trapezoidal speeds
+    # from the predicted level.
+    star = None
+    for _ in range(2):
+        new = {}
+        for (c2, c3), names in carried.items():
+            s2, s3 = splines[c2], splines[c3]
+            if star is None:
+                step = lambda a, b: (idx2 - (dt / h2) * s2(a, b), idx3 - (dt / h3) * s3(a, b))
+            else:
+                p2, p3 = star[c2], star[c3]
+                step = lambda a, b: (idx2 - 0.5 * (dt / h2) * (s2(a, b) + p2),
+                                     idx3 - 0.5 * (dt / h3) * (s3(a, b) + p3))
+            f2, f3 = feet(step)
+            for name in names:
+                new[name] = splines[name](f2, f3)
+        star = new
+    return star
 
 
 def fd_derivatives_multi(F: np.ndarray, dt: float, h2: float, h3: float):

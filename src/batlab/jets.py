@@ -196,13 +196,12 @@ def sqrt(a: Jet2) -> Jet2:
 
 
 def powc(a: Jet2, c) -> Jet2:
-    """a**c.  Integer c uses repeated multiplication (valid for any base);
-    non-integer c requires a positive base."""
+    """a**c.  Integer c up to 1000 in magnitude uses repeated multiplication;
+    a larger one the closed form.  Both are valid for any base; non-integer c
+    requires a positive base."""
     if isinstance(c, float) and c.is_integer():
         c = int(c)
-    if isinstance(c, int):
-        if abs(c) > 1000:
-            raise ValueError(f"integer exponent {c} out of supported range")
+    if isinstance(c, int) and abs(c) <= 1000:
         if c < 0:
             if a.value == 0.0:
                 raise JetDomainError("pow", 0.0)
@@ -214,12 +213,12 @@ def powc(a: Jet2, c) -> Jet2:
         # power is a singular sample, not an inf or NaN in a report.
         _require_finite("pow", result.value, result.grad, result.hess)
         return result
-    if a.value <= 0.0:
-        raise JetDomainError("pow", a.value)
     v = a.value
+    if v <= 0.0 and not isinstance(c, int):
+        raise JetDomainError("pow", v)
     try:
-        f0, f1, f2 = v**c, c * v ** (c - 1.0), c * (c - 1.0) * v ** (c - 2.0)
-    except OverflowError:
+        f0, f1, f2 = v**c, c * v ** (c - 1), c * (c - 1) * v ** (c - 2)
+    except (OverflowError, ZeroDivisionError):  # ZeroDivisionError: 0 ** -c
         raise JetDomainError("pow", v) from None
     return _univariate(a, "pow", f0, f1, f2)
 

@@ -46,9 +46,10 @@ from .exprspec import ExprSpec, eval_float, eval_jet, partial
 from .residuals import (
     ResidualReport,
     ResidualSample,
-    _from_terms,
+    TransportPattern,
     attempt,
     grid_report,
+    transport,
     unwrap,
 )
 
@@ -134,6 +135,16 @@ def _float_args(sys: LeznovSystem, spec_vars, phi, point, barred: bool) -> dict:
     return args
 
 
+def _gaps(sys: LeznovSystem, phi, point) -> np.ndarray:
+    """Q^i - P^i at field values ``phi`` and coordinates ``point``."""
+    out = np.empty(sys.nf)
+    for i in range(sys.nf):
+        qa = _float_args(sys, sys.Q[i].vars, phi, point, False)
+        pa = _float_args(sys, sys.P[i].vars, phi, point, True)
+        out[i] = eval_float(sys.Q[i], qa) - eval_float(sys.P[i], pa)
+    return out
+
+
 def solve_constraints(sys: LeznovSystem, point, seed=None) -> LeznovSolution:
     """Newton solve of Q - P = 0; jets by two implicit differentiation passes."""
     point = np.asarray(point, dtype=float)
@@ -144,14 +155,6 @@ def solve_constraints(sys: LeznovSystem, point, seed=None) -> LeznovSolution:
     phi = np.full(nf, float(s)) if np.isscalar(s) else np.asarray(s, dtype=float).copy()
     if phi.shape != (nf,):
         raise ValueError(f"seed must have {nf} components")
-
-    def residual(p):
-        out = np.empty(nf)
-        for i in range(nf):
-            qa = _float_args(sys, sys.Q[i].vars, p, point, False)
-            pa = _float_args(sys, sys.P[i].vars, p, point, True)
-            out[i] = eval_float(sys.Q[i], qa) - eval_float(sys.P[i], pa)
-        return out
 
     def jacobian(p):
         out = np.zeros((nf, nf))
@@ -166,7 +169,7 @@ def solve_constraints(sys: LeznovSystem, point, seed=None) -> LeznovSolution:
 
     best, best_r = phi.copy(), math.inf
     for _ in range(sys.cfg.max_iter):
-        r = residual(phi)
+        r = _gaps(sys, phi, point)
         rmax = np.abs(r).max()
         if rmax < best_r:
             best, best_r = phi.copy(), rmax
@@ -185,7 +188,7 @@ def solve_constraints(sys: LeznovSystem, point, seed=None) -> LeznovSolution:
             break
         phi = nxt
     else:
-        r = residual(phi)
+        r = _gaps(sys, phi, point)
         if np.abs(r).max() < best_r:
             best, best_r = phi.copy(), np.abs(r).max()
     if best_r > sys.cfg.newton_tol:
@@ -368,7 +371,6 @@ def apply_D(field_jet, u_vals, v_vals, n: int, which: str = "D",
         raise ValueError("which must be 'D' or 'Dbar'")
     if speeds_on_x not in ("u", "v"):
         raise ValueError("speeds_on_x must be 'u' or 'v'")
-    g = field_jet.grad
     if which == "D":
         time_idx = n - 1
         space = range(0, n - 1)
@@ -377,10 +379,7 @@ def apply_D(field_jet, u_vals, v_vals, n: int, which: str = "D",
         time_idx = 2 * n - 1
         space = range(n, 2 * n - 1)
         speeds = u_vals if speeds_on_x == "v" else v_vals
-    terms = [g[time_idx]]
-    terms.extend(s * g[a] for s, a in zip(speeds, space))
-    coef = 1.0 + sum(abs(s) for s in speeds)
-    return _from_terms(terms, floor=coef * np.abs(g).max())
+    return transport(field_jet, speeds, TransportPattern(time_idx, tuple(space)))
 
 
 def holomorphy_reports(sys: LeznovSystem, solved, speeds_on_x: str = "v"):
@@ -432,12 +431,7 @@ def verify_zero_curvature(sys: LeznovSystem, solved, speeds_on_x: str = "v") -> 
 
 def constraint_gap(sys: LeznovSystem, sol: LeznovSolution) -> float:
     """max_i |Q^i - P^i| at a solved root (should sit at solver precision)."""
-    worst = 0.0
-    for i in range(sys.nf):
-        qa = _float_args(sys, sys.Q[i].vars, sol.phi, sol.point, False)
-        pa = _float_args(sys, sys.P[i].vars, sol.phi, sol.point, True)
-        worst = max(worst, abs(eval_float(sys.Q[i], qa) - eval_float(sys.P[i], pa)))
-    return worst
+    return float(np.abs(_gaps(sys, sol.phi, sol.point)).max())
 
 
 def constraint_gap_report(sys: LeznovSystem, solved) -> ResidualReport:

@@ -250,6 +250,9 @@ _COMPLETE = {
         "cases": [{"source": {"f": "u^2", "g": "v^2", "config": {"seed": [1.5, 3.5]},
                               "t_window": [9.75, 10.25], "x_window": [-14.75, -14.25]},
                    "resolutions": [9], "psi": ["s"]}]},
+    "leznov": lambda: _verify_scenario(
+        {"op": "leznov", "n": 2, "Q": ["phi - x1 - x2"], "P": ["xb1 + xb2"]},
+        [-1] * 4, [1] * 4, "constraint_gap"),
 }
 
 
@@ -417,6 +420,8 @@ def test_sample_count_below_one_exits_2(tmp_path, capsys, count, dump):
     ("variational", ("source", "config"), "fast"),
     ("implicit_fg", ("checks", 0), "complex_bateman"),
     ("two_field", ("checks", 0), 5),
+    ("implicit_fg", ("checks",), 5),
+    ("two_field", ("checks",), {"equation": "conservation"}),
 ])
 def test_block_of_wrong_json_type_exits_2(tmp_path, monkeypatch, capsys, scenario, path,
                                           value):
@@ -433,6 +438,9 @@ def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
     path = _write(tmp_path, "five.json", 5)
     assert cli.main(["verify", path, "--out", str(tmp_path / "o")]) == cli.EXIT_VALIDATION
     assert "JSON object" in capsys.readouterr().err
+    data = {**_COMPLETE["two_field"](), "paper_anchor": 5}
+    assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
+    assert "paper_anchor: expected a string" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scenario,path,value", [
@@ -452,6 +460,13 @@ def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
     ("two_field", ("grid", "t_end"), "soon"),
     ("variational", ("resolutions",), 9),
     ("variational", ("source", "t_window"), [9.75]),
+    ("leznov", ("construct", "Q"), 5),
+    ("leznov", ("construct", "P"), "xb1 + xb2"),
+    ("variational", ("psi",), "s"),
+    ("variational", ("factors",), {"p/q": 1}),
+    ("implicit_fg", ("label",), 5),
+    ("two_field", ("label",), "../escaped"),
+    ("variational", ("label",), ["x"]),
 ])
 def test_scalar_of_wrong_type_exits_2_before_solving(tmp_path, monkeypatch, capsys, scenario,
                                                      path, value):
@@ -513,3 +528,95 @@ def test_one_density_jet_per_node(tmp_path, monkeypatch):
     assert len(report["reports"]) == 2 * 2 * 2 * 4
     # two factors times two psi choices per resolution
     assert sorted(calls.values()) == [4 * (11 - 2) ** 2, 4 * (9 - 2) ** 2][::-1]
+
+
+def _strict_json(text: str):
+    """``json.loads`` that rejects the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_reports_are_strict_json(tmp_path):
+    # Every sample skipped: the norms have no value and are written as null.
+    data = _verify_scenario({"op": "holo_sum", "f": "x1^400", "g": "xb1"},
+                            [9, -1, -1, -1], [11, 1, 1, 1])
+    assert _main_exit(tmp_path, data) == cli.EXIT_FAIL
+    entry = _strict_json((tmp_path / "o" / "m.report.json").read_text())["reports"][0]
+    assert (entry["max_norm"], entry["rms_norm"], entry["pass"]) == (None, None, False)
+    # An aborted integration.
+    data = _with(_COMPLETE["two_field"](), ("init",),
+                 {"u": "1.5 + 0.3*sin(x)", "v": "1.5 + 0.3*sin(x)"})
+    data = _with(data, ("grid",), {"t_end": 4.0})
+    assert _main_exit(tmp_path, data) == cli.EXIT_ABORT
+    entry = _strict_json((tmp_path / "o" / "m.report.json").read_text())["reports"][-1]
+    assert entry["equation"].startswith("aborted[level=")
+    assert (entry["max_norm"], entry["pass"]) == (None, False)
+
+
+def test_null_norm_fails_its_halving_entry():
+    measured = {16: {"s1": None, "s2": 1e-3}, 32: {"s1": 1e-4, "s2": 2.5e-4}}
+    entries = cli._halving("case", [16, 32], measured, 3.0)
+    assert [(e["max_norm"], e["pass"]) for e in entries] == [(None, False), (0.25, True)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("f,low,high,code,samples", [
+    ("exp(700)*exp(700)*x1 + x2", 0.5, 1.0, cli.EXIT_FAIL, 0),
+    ("x1^1001 + x2", 9.0, 11.0, cli.EXIT_FAIL, 0),
+    ("x1^1001 + x2", 0.5, 1.0, cli.EXIT_PASS, 4),
+])
+def test_jets_follow_the_float_error_contract(tmp_path, capsys, f, low, high, code, samples):
+    """A non-finite jet is a skipped sample, and a huge integer power is evaluated."""
+    data = _verify_scenario({"op": "holo_sum", "f": f, "g": "xb1"},
+                            [low, -1, -1, -1], [high, 1, 1, 1])
+    assert _main_exit(tmp_path, data) == code
+    assert capsys.readouterr().err == ""
+    entry = _strict_json((tmp_path / "o" / "m.report.json").read_text())["reports"][0]
+    assert (entry["samples"], entry["skipped"]) == (samples, 4 - samples)
+
+
+@pytest.mark.parametrize("name", [5, "../escaped", "a/b", "", ".."])
+def test_scenario_name_that_is_not_a_file_name_exits_2(tmp_path, capsys, name):
+    data = {**_tiny_verify_scenario(), "name": name}
+    (tmp_path / "in").mkdir()
+    path = _write(tmp_path / "in", "m.json", data)
+    assert cli.main(["verify", path, "--out", str(tmp_path / "in" / "o")]) == \
+        cli.EXIT_VALIDATION
+    assert "name: expected a file-name string" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["in", "m.json"]
+
+
+def test_reparametrization_maps_not_a_list_exits_2(tmp_path, capsys):
+    data = _with(_tiny_verify_scenario(), ("checks",), [
+        {"equation": "reparametrization", "tolerance": 1e-9, "maps": "s^3"}])
+    assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
+    assert "maps: expected a JSON list" in capsys.readouterr().err
+
+
+def test_suite_survives_a_bad_scenario(tmp_path, monkeypatch, capsys):
+    good = _COMPLETE["two_field"]()
+    good["name"] = "good"
+    invalid = _with(_COMPLETE["two_field"](), ("checks",), 5)
+    invalid["name"] = "invalid"
+    failing = {**good, "name": "failing"}
+    failing["cases"] = [{"source": {"f": "u^2", "g": "v^2",
+                                    "config": {"seed": [1.5, 3.5], "max_iter": 8},
+                                    "t_window": [500.0, 501.0], "x_window": [400.0, 401.0]},
+                         "resolutions": [9]}]
+    failing["kind"] = "variational"
+    files = [Path(_write(tmp_path, f"{d['name']}.json", d)) for d in (good, invalid, failing)]
+    monkeypatch.setattr(cli, "bundled_scenarios", lambda: files)
+    assert cli.main(["suite", "--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    rows = {line.split()[0]: line for line in captured.out.splitlines()[1:]}
+    assert sorted(rows) == ["failing", "good", "invalid"]
+    assert rows["good"].endswith("PASS")
+    assert rows["invalid"].endswith("ERROR (exit 2)")
+    assert rows["failing"].endswith("ERROR (exit 3)")
+    assert "error: checks: expected a JSON list" in captured.err
+    assert "numerical failure" in captured.err
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["good.report.json"]

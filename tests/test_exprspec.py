@@ -121,6 +121,18 @@ def test_power_overflow_is_a_domain_error():
         eval_jet(parse("20^400.5 * x"), {"x": jets.variable(0, 10.0, 1)})
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_jet_is_a_domain_error():
+    # The float constant overflows to inf; like eval_float, eval_jet refuses it.
+    x = {"x": jets.variable(0, 0.5, 1)}
+    for text in ("exp(700)*exp(700)*x", "exp(700)*exp(700) + 0*x", "x*1e300*1e300"):
+        with pytest.raises(JetDomainError):
+            eval_float(parse(text), {"x": 0.5})
+        with pytest.raises(JetDomainError):
+            eval_jet(parse(text), x)
+
+
 def test_eval_jet_missing_variable():
     with pytest.raises(ValueError):
         eval_jet(parse("u + v"), {"u": jets.constant(1.0, 1)})

@@ -124,6 +124,21 @@ def test_pow_overflow_is_a_domain_error(J):
             J.powc(x, exponent)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_huge_integer_pow_uses_the_closed_form(J):
+    # Beyond 1000 factors the power is the closed form, valid for any base.
+    x = J.variable(0, -1.01, 1)
+    for c in (1001, -1001, 1001.0):
+        y = J.powc(x, c)
+        assert y.value == (-1.01) ** int(c)
+        assert y.grad[0] == c * (-1.01) ** int(c - 1)
+        assert y.hess[0, 0] == c * (c - 1) * (-1.01) ** int(c - 2)
+    with pytest.raises(JetDomainError):
+        J.powc(J.variable(0, 0.0, 1), -1001)
+    with pytest.raises(JetDomainError):
+        J.powc(J.variable(0, 10.0, 1), 1001)
+
+
 def test_pow_float_equals_pow_int_for_integral_exponent(J):
     x = J.variable(0, 1.7, 1)
     a = J.powc(x, 4)
