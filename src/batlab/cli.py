@@ -75,6 +75,8 @@ def _parse_expr(text, where: str):
         return parse(text)
     except ExprSyntaxError as err:
         raise ScenarioError(f"{where}: {err}") from None
+    except RecursionError:
+        raise ScenarioError(f"{where}: expression nested too deeply") from None
 
 
 def _entry(equation: str, report: ResidualReport, tolerance: float,
@@ -122,11 +124,13 @@ def _list(d: dict, key: str, default=None, of: str = "expression strings") -> li
 
 
 def _file_name(value, where: str) -> str:
-    """``value`` as one component of an output file name."""
+    """``value`` as one component of an output file name (at most 100 bytes, so
+    that two of them fit in one 255-byte file name)."""
     if (not isinstance(value, str) or value in ("", ".", "..")
-            or any(c in value for c in "/\\\0")):
-        raise ScenarioError(f"{where}: expected a file-name string without a path "
-                            f"separator, got {value!r}")
+            or any(c in value for c in "/\\\0")
+            or len(value.encode("utf-8", "replace")) > 100):
+        raise ScenarioError(f"{where}: expected a file-name string of at most 100 bytes "
+                            f"without a path separator, got {value!r}")
     return value
 
 
@@ -271,16 +275,16 @@ def _run_verify_case(case: dict, rng: np.random.Generator,
     checks = _list(case, "checks", of="JSON objects")
     runs = [_lookup(_CHECKS, (op, eq), f"check {eq!r} does not apply to {label!r}")
             for eq in map(_check_key, checks)]
-    tolerances = [_number(_field_or(check, "tolerance", required=True), "tolerance")
-                  for check in checks]
+    runs = [run(check, _number(_field_or(check, "tolerance", required=True), "tolerance"))
+            for run, check in zip(runs, checks)]
 
     c = build(block, label, case, rng)
     if sink is not None:
         sink[label] = c.points if c.tx is None else [
             (*tx, *uv) for tx, uv in zip(c.tx, c.points)]
     entries = []
-    for run, check, tol in zip(runs, checks, tolerances):
-        entries += run(c, check, tol)
+    for run in runs:
+        entries += run(c)
     return entries
 
 
@@ -292,7 +296,8 @@ def _check_key(check: dict) -> str:
     return eq
 
 
-# -- the checks: (solved case, check block, tolerance) -> report entries ------------------
+# -- the checks: (check block, tolerance) -> (solved case -> report entries) -------------
+# A check reads its options before any solve; what it returns runs on the solved case.
 
 
 def _swept(c: _Solved, name: str, solved: list, residual, tol: float) -> dict:
@@ -303,26 +308,37 @@ def _swept(c: _Solved, name: str, solved: list, residual, tol: float) -> dict:
 
 def _per_point(residual):
     """Check applying ``residual`` to the constructor's jets at every point."""
-    return lambda c, check, tol: [_swept(c, check["equation"], c.jets, residual, tol)]
+    return lambda check, tol: lambda c: [_swept(c, check["equation"], c.jets, residual, tol)]
 
 
-def _reparametrized(c: _Solved, check: dict, tol: float, name: str, residual) -> list[dict]:
+def _reparametrized(check: dict, tol: float, name: str, residual):
     """One entry per map h of the check: ``residual(h, jets)`` at every point."""
-    entries = []
-    for htxt in _list(check, "maps", ["s^3 + s"]):
-        h = construct.reparametrization(_parse_expr(htxt, "map"))
-        rep = residuals.sweep(name, lambda: c.jets, lambda j: residual(h, residuals.unwrap(j)))
-        entries.append(_entry(f"{name}[{c.label}:{htxt}]", rep, tol, c.requested))
-    return entries
+    maps = [(htxt, construct.reparametrization(_parse_expr(htxt, "map")))
+            for htxt in _list(check, "maps", ["s^3 + s"])]
+
+    def run(c: _Solved) -> list[dict]:
+        entries = []
+        for htxt, h in maps:
+            rep = residuals.sweep(name, lambda: c.jets,
+                                  lambda j: residual(h, residuals.unwrap(j)))
+            entries.append(_entry(f"{name}[{c.label}:{htxt}]", rep, tol, c.requested))
+        return entries
+
+    return run
 
 
-def _hodograph_identities(c: _Solved, check: dict, tol: float) -> list[dict]:
+def _tolerance_only(run):
+    """Check ``run(solved case, tolerance)``, which has no other option."""
+    return lambda check, tol: lambda c: run(c, tol)
+
+
+def _hodograph_identities(c: _Solved, tol: float) -> list[dict]:
     rep = residuals.sweep("hodograph_identities", lambda: c.points,
                           lambda uv: c.model.identity_residuals(*uv))
     return [_entry(f"hodograph_identities[{c.label}]", rep, tol, c.requested)]
 
 
-def _roundtrip(c: _Solved, check: dict, tol: float) -> list[dict]:
+def _roundtrip(c: _Solved, tol: float) -> list[dict]:
     worst, skipped = 0.0, 0
     for (t, x), fields in zip(c.tx, c.jets):
         try:
@@ -337,72 +353,93 @@ def _roundtrip(c: _Solved, check: dict, tol: float) -> list[dict]:
     return [_entry(f"roundtrip[{c.label}]", rep, tol, c.requested)]
 
 
-def _born_infeld(c: _Solved, check: dict, tol: float) -> list[dict]:
+def _born_infeld(check: dict, tol: float):
     lam = _number(check.get("lambda", 1.0), "lambda")
     if lam <= 0:
-        raise ValueError("lambda must be positive")
-    # (u, v) = (phibar, phi).  The integrability check solves from the
-    # configured seed, not from the sample's.
-    cross = [residuals.attempt(c.model.fields, t, x) for t, x in c.tx]
-    return [
-        _swept(c, "born_infeld", c.jets, lambda f: residuals.born_infeld(
-            construct.born_infeld_jet(f[1], f[0], lam), lam), tol),
-        _swept(c, "born_infeld_cross", cross,
-               lambda f: construct.born_infeld_cross_residual(f[1], f[0], lam), tol),
-    ]
+        raise ScenarioError(f"lambda: expected a positive float, got {lam!r}")
+
+    def run(c: _Solved) -> list[dict]:
+        # (u, v) = (phibar, phi).  The integrability check solves from the
+        # configured seed, not from the sample's.
+        cross = [residuals.attempt(c.model.fields, t, x) for t, x in c.tx]
+        return [
+            _swept(c, "born_infeld", c.jets, lambda f: residuals.born_infeld(
+                construct.born_infeld_jet(f[1], f[0], lam), lam), tol),
+            _swept(c, "born_infeld_cross", cross,
+                   lambda f: construct.born_infeld_cross_residual(f[1], f[0], lam), tol),
+        ]
+    return run
 
 
-def _linear_covariance(c: _Solved, check: dict, tol: float) -> list[dict]:
+def _linear_covariance(check: dict, tol: float):
     speed_tol = _number(check.get("speed_tolerance", 1e-8), "speed_tolerance")
     n_maps = _number(check.get("maps", 10), "maps", int)
-    maps = []
-    while len(maps) < n_maps:
-        m = LinearMap2(*c.rng.uniform(-2.0, 2.0, size=4))
-        if abs(m.det) >= 0.3:
-            maps.append(m)
 
-    res_samples, speed_samples, skipped = [], [], 0
-    for m in maps:
-        mat, minv = m.matrix(), m.inverse()
-        for (t, x), uv, base in zip(c.tx, c.points, c.jets):
-            q = minv @ (mat @ np.array([t, x]))  # (t, x) only up to rounding
-            try:
-                jp, jb = (construct.pull_back(j, minv) for j in c.model.fields(*q, uv))
-                res_samples.append(residuals.two_field_bateman(jp, jb))
-                base_bar = residuals.unwrap(base)[1]
-                u_orig = base_bar.grad[0] / base_bar.grad[1]
-                expected_u, _ = construct.moebius_transform((u_orig, u_orig), m)
-                u_new = jb.grad[0] / jb.grad[1]
-                speed_samples.append(residuals.ResidualSample(
-                    u_new - expected_u, abs(u_new) + abs(expected_u)))
-            except EvaluationError:
-                skipped += 1
-                continue
-    requested = n_maps * len(c.points)
-    rep = residuals.grid_report("linear_covariance", res_samples, skipped)
-    rep2 = residuals.grid_report("moebius_speed_match", speed_samples, skipped)
-    return [_entry(f"linear_covariance[{c.label}]", rep, tol, requested),
-            _entry(f"moebius_speed_match[{c.label}]", rep2, speed_tol, requested)]
+    def run(c: _Solved) -> list[dict]:
+        maps = []
+        while len(maps) < n_maps:
+            m = LinearMap2(*c.rng.uniform(-2.0, 2.0, size=4))
+            if abs(m.det) >= 0.3:
+                maps.append(m)
+
+        res_samples, speed_samples, skipped = [], [], 0
+        for m in maps:
+            mat, minv = m.matrix(), m.inverse()
+            for (t, x), uv, base in zip(c.tx, c.points, c.jets):
+                q = minv @ (mat @ np.array([t, x]))  # (t, x) only up to rounding
+                try:
+                    jp, jb = (construct.pull_back(j, minv) for j in c.model.fields(*q, uv))
+                    res_samples.append(residuals.two_field_bateman(jp, jb))
+                    base_bar = residuals.unwrap(base)[1]
+                    u_orig = base_bar.grad[0] / base_bar.grad[1]
+                    expected_u, _ = construct.moebius_transform((u_orig, u_orig), m)
+                    u_new = jb.grad[0] / jb.grad[1]
+                    speed_samples.append(residuals.ResidualSample(
+                        u_new - expected_u, abs(u_new) + abs(expected_u)))
+                except EvaluationError:
+                    skipped += 1
+                    continue
+        requested = n_maps * len(c.points)
+        rep = residuals.grid_report("linear_covariance", res_samples, skipped)
+        rep2 = residuals.grid_report("moebius_speed_match", speed_samples, skipped)
+        return [_entry(f"linear_covariance[{c.label}]", rep, tol, requested),
+                _entry(f"moebius_speed_match[{c.label}]", rep2, speed_tol, requested)]
+    return run
 
 
-def _constraint_gap(c: _Solved, check: dict, tol: float) -> list[dict]:
+def _constraint_gap(c: _Solved, tol: float) -> list[dict]:
     rep = leznov.constraint_gap_report(c.model, c.jets)
     return [_entry(f"constraint_gap[{c.label}]", rep, tol, c.requested)]
 
 
-def _holomorphy(c: _Solved, check: dict, tol: float) -> list[dict]:
-    d_rep, dbar_rep = leznov.holomorphy_reports(
-        c.model, c.jets, check.get("speeds_on_x", "v"))
-    return [_entry(f"d_phi[{c.label}]", d_rep, tol, c.requested),
-            _entry(f"dbar_phi[{c.label}]", dbar_rep, tol, c.requested)]
+def _speeds_on_x(check: dict) -> str:
+    """The operator binding a Leznov check names: ``"v"`` (default) or ``"u"``."""
+    speeds_on_x = check.get("speeds_on_x", "v")
+    if speeds_on_x not in ("u", "v"):
+        raise ScenarioError(f"speeds_on_x: expected a 'u' or 'v', got {speeds_on_x!r}")
+    return speeds_on_x
 
 
-def _zero_curvature(c: _Solved, check: dict, tol: float) -> list[dict]:
-    rep = leznov.verify_zero_curvature(c.model, c.jets, check.get("speeds_on_x", "v"))
-    return [_entry(f"zero_curvature[{c.label}]", rep, tol, c.requested)]
+def _holomorphy(check: dict, tol: float):
+    speeds_on_x = _speeds_on_x(check)
+
+    def run(c: _Solved) -> list[dict]:
+        d_rep, dbar_rep = leznov.holomorphy_reports(c.model, c.jets, speeds_on_x)
+        return [_entry(f"d_phi[{c.label}]", d_rep, tol, c.requested),
+                _entry(f"dbar_phi[{c.label}]", dbar_rep, tol, c.requested)]
+    return run
 
 
-def _leznov_bateman(c: _Solved, check: dict, tol: float) -> list[dict]:
+def _zero_curvature(check: dict, tol: float):
+    speeds_on_x = _speeds_on_x(check)
+
+    def run(c: _Solved) -> list[dict]:
+        rep = leznov.verify_zero_curvature(c.model, c.jets, speeds_on_x)
+        return [_entry(f"zero_curvature[{c.label}]", rep, tol, c.requested)]
+    return run
+
+
+def _leznov_bateman(c: _Solved, tol: float) -> list[dict]:
     if c.model.n != 2:
         raise ScenarioError("complex_bateman check needs n = 2")
     return [_swept(c, "complex_bateman", c.jets, lambda pair: residuals.complex_bateman(
@@ -412,8 +449,8 @@ def _leznov_bateman(c: _Solved, check: dict, tol: float) -> list[dict]:
 def _scalar_checks(equation: str, residual, **others) -> dict:
     """Checks of a scalar field that solves ``equation``: the equation, its
     reparametrization (whose ``target`` can only be that equation) and ``others``."""
-    def reparametrized(c, check, tol):
-        return _reparametrized(c, check, tol, f"reparametrized_{equation}",
+    def reparametrized(check, tol):
+        return _reparametrized(check, tol, f"reparametrized_{equation}",
                                lambda h, jet: residual(h(jet)))
     return {equation: _per_point(residual), "reparametrization": reparametrized,
             f"reparametrization:{equation}": reparametrized, **others}
@@ -444,17 +481,17 @@ _CHECKS = {
        for eq, run in _ARITY_CHECKS[arity].items()},
     ("parametric_hodograph", "two_field_bateman"): _per_point(lambda f: (
         residuals.two_field_bateman(*f), residuals.two_field_bateman(*f, conjugate=True))),
-    ("parametric_hodograph", "hodograph_identities"): _hodograph_identities,
-    ("parametric_hodograph", "roundtrip"): _roundtrip,
+    ("parametric_hodograph", "hodograph_identities"): _tolerance_only(_hodograph_identities),
+    ("parametric_hodograph", "roundtrip"): _tolerance_only(_roundtrip),
     ("parametric_hodograph", "born_infeld"): _born_infeld,
     ("parametric_hodograph", "linear_covariance"): _linear_covariance,
-    ("parametric_hodograph", "reparametrized_two_field"): lambda c, check, tol: _reparametrized(
-        c, check, tol, "reparametrized_two_field",
+    ("parametric_hodograph", "reparametrized_two_field"): lambda check, tol: _reparametrized(
+        check, tol, "reparametrized_two_field",
         lambda h, fields: residuals.two_field_bateman(*map(h, fields))),
-    ("leznov", "constraint_gap"): _constraint_gap,
+    ("leznov", "constraint_gap"): _tolerance_only(_constraint_gap),
     ("leznov", "holomorphy"): _holomorphy,
     ("leznov", "zero_curvature"): _zero_curvature,
-    ("leznov", "complex_bateman"): _leznov_bateman,
+    ("leznov", "complex_bateman"): _tolerance_only(_leznov_bateman),
 }
 
 
@@ -473,8 +510,11 @@ def _run_simulate_case(case: dict, rng: np.random.Generator, out_dir: Path,
     resolutions = _numbers(_field_or(case, "resolutions", required=True), "resolutions", int)
     grid_block = _object(case, "grid")
     min_ratio = _number(case.get("halving_ratio", 0.0), "halving_ratio")
+    equations = [_field_or(check, "equation", required=True) for check in checks]
     runs = [_lookup(_SIM_CHECKS, (system, eq), f"check {eq!r} does not apply to {system} runs")
-            for eq in (_field_or(check, "equation", required=True) for check in checks)]
+            for eq in equations]
+    if "transport" in equations and grid_block.get("bc") == "open":
+        raise ScenarioError("transport checks need a periodic grid, not bc 'open'")
 
     measured: dict[int, dict[str, float]] = {}
     entries: list[dict] = []
@@ -537,8 +577,7 @@ def _transport(grid, check: dict, where: str) -> list[tuple[str, dict]]:
     for name, field, other in (("u", grid.u, grid.v), ("v", grid.v, grid.u)):
         samples = []
         for i in range(grid.nx):
-            jet = hydro.fd_jet_at(field, grid.dt, grid.h, m, i,
-                                  periodic=grid.bc == "periodic")
+            jet = hydro.fd_jet_at(field, grid.dt, grid.h, m, i)
             samples.append(residuals.transport(
                 jet, [-other[m, i]], TransportPattern(0, (1,))))
         rep = residuals.grid_report(f"transport_{name}", samples)
@@ -698,6 +737,8 @@ def _fd_probe(spec, names, point, h):
 def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
     count = _number(case.get("expressions", 500), "expressions", int)
     steps = _numbers(case.get("steps", [1e-3, 5e-4]), "steps", length=2)
+    if min(steps) <= 0:
+        raise ScenarioError(f"steps: expected two positive numbers, got {steps!r}")
     min_ratio = _number(case.get("min_ratio", 3.5), "min_ratio")
     names = ["a", "b", "c"]
     defects = []
@@ -826,7 +867,7 @@ def bundled_scenarios() -> list:
 
 
 # Exceptions that end a scenario run with an exit code from _failure_code.
-_FAILURES = (ScenarioError, EvaluationError, np.linalg.LinAlgError, ValueError)
+_FAILURES = (ScenarioError, EvaluationError, np.linalg.LinAlgError, ValueError, RecursionError)
 
 
 def _failure_code(err: Exception) -> int:

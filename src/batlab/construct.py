@@ -89,22 +89,13 @@ class LinearMap2:
 
 
 class FieldHandle:
-    """Contract: point -> Jet2 for a scalar field.
+    """Contract: point -> Jet2 for a scalar field."""
 
-    ``label`` records which constructor produced the handle (including the
-    chosen branch seed, for implicit constructions).
-    """
-
-    def __init__(self, eval_fn: Callable, k: int, label: str):
+    def __init__(self, eval_fn: Callable):
         self._eval = eval_fn
-        self.k = k
-        self.label = label
 
     def __call__(self, point: Sequence[float], seed=None) -> jets.Jet2:
         return self._eval(np.asarray(point, dtype=float), seed)
-
-    def __repr__(self) -> str:
-        return f"FieldHandle(k={self.k}, label={self.label!r})"
 
 
 # -- scalar Newton with optional bisection fallback --------------------------------
@@ -113,7 +104,10 @@ class FieldHandle:
 def _newton_scalar(fun, dfun, cfg: ImplicitSolveConfig, seed=None) -> float:
     """Newton iteration, polished past the configured tolerance toward machine
     precision so downstream finite-difference probes are not noise limited."""
-    x = float(cfg.seed if seed is None else seed)
+    try:
+        x = float(cfg.seed if seed is None else seed)
+    except TypeError:  # a seed pair
+        raise ValueError("scalar solves need a scalar seed") from None
     best_x, best_f = x, math.inf
     for _ in range(cfg.max_iter):
         f = fun(x)
@@ -213,8 +207,7 @@ def solve_implicit_fg(F: ExprSpec, G: ExprSpec, cfg: ImplicitSolveConfig) -> Fie
         }, k=3)
         return _implicit_jet_from_split(phi, fj, gj)
 
-    label = f"solve_implicit_fg(F={F}, G={G}, seed={cfg.seed})"
-    return FieldHandle(evaluate, 4, label)
+    return FieldHandle(evaluate)
 
 
 def _implicit_jet_from_split(phi: float, fj: jets.Jet2, gj: jets.Jet2) -> jets.Jet2:
@@ -254,7 +247,7 @@ def holo_sum(f: ExprSpec, g: ExprSpec) -> FieldHandle:
         }
         return eval_jet(f, args, k=4) + eval_jet(g, args, k=4)
 
-    return FieldHandle(evaluate, 4, f"holo_sum(f={f}, g={g})")
+    return FieldHandle(evaluate)
 
 
 # -- hodograph parametric solution --------------------------------------------------
@@ -314,8 +307,8 @@ class HodographSolver:
     def solve(self, t: float, x: float, seed=None) -> tuple[float, float]:
         s = self.cfg.seed if seed is None else seed
         try:
-            u, v = float(s[0]), float(s[1])
-        except TypeError:
+            u, v = map(float, s)
+        except (TypeError, ValueError):  # not a sequence, or not of two numbers
             raise ValueError("hodograph solves need a (u, v) seed pair") from None
         tol = self.cfg.newton_tol * max(1.0, abs(t), abs(x))
         best = (u, v)
@@ -440,12 +433,6 @@ def _born_infeld_uv_jets(u_val: float, v_val: float, lam: float):
     return phi_t, phi_x
 
 
-def born_infeld_point(u_val: float, v_val: float, lam: float) -> tuple[float, float]:
-    """(phi_t, phi_x) values for given (u, v)."""
-    phi_t, phi_x = _born_infeld_uv_jets(u_val, v_val, lam)
-    return phi_t.value, phi_x.value
-
-
 def born_infeld_jet(uj: jets.Jet2, vj: jets.Jet2, lam: float) -> jets.Jet2:
     """Gradient-level field from the (u, v) jets over (t, x): a jet with
     grad = (phi_t, phi_x) and the corresponding second derivatives; the scalar
@@ -510,34 +497,10 @@ def implicit_3d(
                  + w_pp * np.outer(grad, grad)) / w_p
         return jets.from_parts(phi, grad, hess)
 
-    label = f"implicit_3d(F={F}, G={G}, K={K}, c={const_c}, seed={cfg.seed})"
-    return FieldHandle(evaluate, 3, label)
+    return FieldHandle(evaluate)
 
 
 # -- grid sampling with seed continuation ---------------------------------------------
-
-
-def eval_grid(
-    handle: FieldHandle,
-    t_nodes: np.ndarray,
-    x_nodes: np.ndarray,
-    seed=None,
-) -> np.ndarray:
-    """Field values on the tensor grid, reusing each solved value to seed its
-    right neighbour (and each row start to seed the next row)."""
-    nt, nx = len(t_nodes), len(x_nodes)
-    out = np.empty((nt, nx))
-    row_seed = seed
-    for i, t in enumerate(t_nodes):
-        s = row_seed
-        for j, x in enumerate(x_nodes):
-            jet = handle(np.array([t, x]), seed=s)
-            out[i, j] = jet.value
-            if not isinstance(s, (tuple, list, np.ndarray)) and s is not None:
-                s = jet.value
-            if j == 0:
-                row_seed = s
-    return out
 
 
 def hodograph_grid(

@@ -448,35 +448,3 @@ def partial(spec: ExprSpec, var: str) -> ExprSpec:
         raise ValueError(f"unknown variable {var!r}")
     return ExprSpec(_diff(spec.ast, var), spec.vars)
 
-
-def compose(template: str, **subs: ExprSpec) -> ExprSpec:
-    """Substitute parsed expressions for variables of a template expression."""
-    outer = parse(template)
-
-    def walk(node: Node) -> Node:
-        if isinstance(node, Var) and node.name in subs:
-            return subs[node.name].ast
-        if isinstance(node, Neg):
-            return Neg(walk(node.operand))
-        if isinstance(node, Bin):
-            return Bin(node.op, walk(node.left), walk(node.right))
-        if isinstance(node, Call):
-            return Call(node.func, walk(node.arg))
-        return node
-
-    ast = walk(outer.ast)
-    seen: list[str] = []
-
-    def collect(node: Node) -> None:
-        if isinstance(node, Var) and node.name not in seen:
-            seen.append(node.name)
-        elif isinstance(node, Neg):
-            collect(node.operand)
-        elif isinstance(node, Bin):
-            collect(node.left)
-            collect(node.right)
-        elif isinstance(node, Call):
-            collect(node.arg)
-
-    collect(ast)
-    return ExprSpec(ast, tuple(seen))

@@ -45,21 +45,12 @@ from .exprspec import ExprSpec, eval_float
 TWO_PI = 2.0 * math.pi
 
 
-def sn_polynomial(u: float, v: float, n: int) -> float:
-    """Complete homogeneous symmetric polynomial S_n(u, v).
+def sn_polynomial_grid(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Complete homogeneous symmetric polynomial S_n(u, v), elementwise.
 
     S_0 = 1 (the recurrence base that keeps degree counting consistent);
     S_n = u^n + v S_{n-1}.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    s = 1.0
-    for m in range(1, n + 1):
-        s = u**m + v * s
-    return s
-
-
-def sn_polynomial_grid(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be >= 0")
     s = np.ones_like(u)
@@ -189,11 +180,11 @@ class MonotoneCubic1D:
                 + self.h * (self.d[k] * h10 + self.d[kp] * h11))
 
 
-def _foot_points(x_nodes, step, h, level, sweeps=10, tol_factor=1e-12):
-    """Solve x* = step(x*) by fixed point from step(x_nodes) (<= ``sweeps`` sweeps)."""
+def _foot_points(x_nodes, step, h, level):
+    """Solve x* = step(x*) by fixed point from step(x_nodes) (at most 10 sweeps)."""
     foot = step(x_nodes)
-    tol = tol_factor * h
-    for _ in range(sweeps):
+    tol = 1e-12 * h
+    for _ in range(10):
         new = step(foot)
         delta = np.abs(new - foot).max()
         foot = new
@@ -308,46 +299,14 @@ def conservation_drift(grid: CharGrid, n: int) -> float:
     return float(raw.max() / max(scale.max(), floor, 1e-300))
 
 
-def riemann_invariant_drift(grid: CharGrid, which: str, x_start: float) -> float:
-    """Trace one characteristic through the stored levels and report the
-    carried invariant's total variation per unit time."""
-    carried = grid.u if which == "u" else grid.v
-    other = grid.v if which == "u" else grid.u
-    x = float(x_start)
-    values = []
-    for m in range(grid.nt):
-        interp_c = MonotoneCubic1D(grid.x_nodes, carried[m], grid.bc, grid.x_nodes[0])
-        interp_o = MonotoneCubic1D(grid.x_nodes, other[m], grid.bc, grid.x_nodes[0])
-        values.append(float(interp_c(np.array([x]))[0]))
-        if m < grid.nt - 1:
-            # dx/dt = -other; RK2 (midpoint) through this level.
-            k1 = -interp_o(np.array([x]))[0]
-            k2 = -interp_o(np.array([x + 0.5 * grid.dt * k1]))[0]
-            x = x + grid.dt * k2
-    values = np.asarray(values)
-    total_time = grid.t_levels[-1] - grid.t_levels[0]
-    return float(np.abs(values - values[0]).max() / max(total_time, 1e-30))
-
-
 # -- finite-difference jets from grids ------------------------------------------------
 
 
-def fd_derivatives_time_space(F: np.ndarray, dt: float, h: float, periodic: bool = True):
-    """Centered second-order derivative arrays of F(level, node) at interior levels.
+def fd_derivatives_time_space(F: np.ndarray, dt: float, h: float):
+    """Centered second-order derivative arrays of F(level, node) at interior nodes.
 
-    Returns (value, Ft, Fx, Ftt, Ftx, Fxx), each shaped (nt-2, nx') where nx'
-    is nx for periodic grids and nx-2 otherwise.
+    Returns (value, Ft, Fx, Ftt, Ftx, Fxx), each shaped (nt-2, nx-2).
     """
-    if periodic:
-        xp = lambda a: np.roll(a, -1, axis=1)
-        xm = lambda a: np.roll(a, 1, axis=1)
-        mid = F[1:-1]
-        Ft = (F[2:] - F[:-2]) / (2 * dt)
-        Ftt = (F[2:] - 2 * mid + F[:-2]) / dt**2
-        Fx = (xp(mid) - xm(mid)) / (2 * h)
-        Fxx = (xp(mid) - 2 * mid + xm(mid)) / h**2
-        Ftx = (xp(F[2:]) - xm(F[2:]) - xp(F[:-2]) + xm(F[:-2])) / (4 * dt * h)
-        return mid, Ft, Fx, Ftt, Ftx, Fxx
     mid = F[1:-1, 1:-1]
     Ft = (F[2:, 1:-1] - F[:-2, 1:-1]) / (2 * dt)
     Ftt = (F[2:, 1:-1] - 2 * mid + F[:-2, 1:-1]) / dt**2
@@ -357,18 +316,12 @@ def fd_derivatives_time_space(F: np.ndarray, dt: float, h: float, periodic: bool
     return mid, Ft, Fx, Ftt, Ftx, Fxx
 
 
-def fd_jet_at(F: np.ndarray, dt: float, h: float, m: int, i: int,
-              periodic: bool = True) -> jets.Jet2:
-    """Arity-2 jet of a stored field at interior node (m, i)."""
+def fd_jet_at(F: np.ndarray, dt: float, h: float, m: int, i: int) -> jets.Jet2:
+    """Arity-2 jet of a stored periodic field at interior level m, node i."""
     nt, nx = F.shape
     if not 1 <= m <= nt - 2:
         raise ValueError("time level must be interior")
-    if periodic:
-        ip, im = (i + 1) % nx, (i - 1) % nx
-    else:
-        if not 1 <= i <= nx - 2:
-            raise ValueError("node must be interior")
-        ip, im = i + 1, i - 1
+    ip, im = (i + 1) % nx, (i - 1) % nx
     ft = (F[m + 1, i] - F[m - 1, i]) / (2 * dt)
     fx = (F[m, ip] - F[m, im]) / (2 * h)
     ftt = (F[m + 1, i] - 2 * F[m, i] + F[m - 1, i]) / dt**2
@@ -386,8 +339,6 @@ class MultiGridSpec:
     n3: int
     t_end: float
     cfl: float = 0.4
-    x0: float = 0.0
-    x1: float = TWO_PI
 
     def __post_init__(self):
         if min(self.n2, self.n3) < 8:
@@ -437,8 +388,8 @@ def integrate_multifield(
     names = ("u1", "u2", "v1", "v2")
     if set(init) != set(names):
         raise ValueError(f"init must define exactly {names}")
-    x2 = spec.x0 + (spec.x1 - spec.x0) * np.arange(spec.n2) / spec.n2
-    x3 = spec.x0 + (spec.x1 - spec.x0) * np.arange(spec.n3) / spec.n3
+    x2 = TWO_PI * np.arange(spec.n2) / spec.n2
+    x3 = TWO_PI * np.arange(spec.n3) / spec.n3
     h2 = float(x2[1] - x2[0])
     h3 = float(x3[1] - x3[0])
     X2, X3 = np.meshgrid(x2, x3, indexing="ij")
@@ -559,7 +510,7 @@ def fd_derivatives_multi(F: np.ndarray, dt: float, h2: float, h3: float):
 # -- persistence -----------------------------------------------------------------------
 
 
-def dump_char_grid(grid: CharGrid, csv_path, meta_path=None) -> None:
+def dump_char_grid(grid: CharGrid, csv_path) -> None:
     """CSV dump (one row per node) plus a JSON sidecar with the metadata."""
     csv_path = Path(csv_path)
     with csv_path.open("w", newline="") as fh:
@@ -575,33 +526,11 @@ def dump_char_grid(grid: CharGrid, csv_path, meta_path=None) -> None:
         "scheme": "semi-lagrangian-predictor-corrector",
         "levels": grid.nt, "nodes": grid.nx,
     }
-    meta_path = Path(meta_path) if meta_path else csv_path.with_suffix(".meta.json")
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    csv_path.with_suffix(".meta.json").write_text(
+        json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
-def load_char_grid(csv_path, meta_path=None) -> CharGrid:
-    csv_path = Path(csv_path)
-    meta_path = Path(meta_path) if meta_path else csv_path.with_suffix(".meta.json")
-    meta = json.loads(meta_path.read_text())
-    nt, nx = meta["levels"], meta["nodes"]
-    u = np.empty((nt, nx))
-    v = np.empty((nt, nx))
-    t_levels = np.empty(nt)
-    x_nodes = np.empty(nx)
-    with csv_path.open() as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for idx, row in enumerate(reader):
-            m, i = divmod(idx, nx)
-            t_levels[m] = float(row[1])
-            x_nodes[i] = float(row[2])
-            u[m, i] = float(row[3])
-            v[m, i] = float(row[4])
-    return CharGrid(t_levels, x_nodes, u, v, meta["h"], meta["dt"], meta["cfl"],
-                    meta["bc"])
-
-
-def dump_multi_grid(grid: MultiCharGrid, csv_path, meta_path=None) -> None:
+def dump_multi_grid(grid: MultiCharGrid, csv_path) -> None:
     csv_path = Path(csv_path)
     names = ("u1", "u2", "v1", "v2")
     with csv_path.open("w", newline="") as fh:
@@ -621,5 +550,5 @@ def dump_multi_grid(grid: MultiCharGrid, csv_path, meta_path=None) -> None:
         "scheme": "semi-lagrangian-predictor-corrector",
         "levels": grid.nt, "n2": len(grid.x2_nodes), "n3": len(grid.x3_nodes),
     }
-    meta_path = Path(meta_path) if meta_path else csv_path.with_suffix(".meta.json")
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    csv_path.with_suffix(".meta.json").write_text(
+        json.dumps(meta, sort_keys=True, indent=2) + "\n")

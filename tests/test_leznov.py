@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from batlab import residuals
+from scipy.optimize import brentq
+
+from batlab import leznov, residuals
 from batlab.construct import ImplicitSolveConfig
 from batlab.errors import NewtonConvergenceError, SingularMatrixError
-from batlab.exprspec import parse
+from batlab.exprspec import eval_jet, parse
 from batlab.leznov import (
     LeznovSystem,
-    antiholo_speed_spread,
     apply_D,
-    composite_handle,
     constraint_gap,
     holomorphy_reports,
     solve_constraints,
@@ -208,13 +208,19 @@ def test_binding_comparison_records_v_on_x():
     assert d_u.max_norm >= 1e-3
 
 
+def _composite(sys, expr, point):
+    """Jet of the field W(phi; coordinates) over the 2n coordinates at a point."""
+    sol = solve_constraints(sys, point)
+    return eval_jet(expr, leznov._jet_args(sys, sol), k=2 * sys.n)
+
+
 def test_functions_of_phi_and_xb_annihilated_by_D():
     sys = _sys_n2()
-    w = composite_handle(sys, parse("phi^3 + exp(0.5*phi) + xb1*phi + sin(xb2)"))
+    w = parse("phi^3 + exp(0.5*phi) + xb1*phi + sin(xb2)")
     rng = np.random.default_rng(4)
     samples = []
     for z in _points_n2(15, rng):
-        jet = w(z)
+        jet = _composite(sys, w, z)
         u, v = speed_jets(sys, solve_constraints(sys, z))
         samples.append(apply_D(jet, [u[0].value], [v[0].value], 2, "D", "v"))
     rep = residuals.grid_report("leznov_dw", samples)
@@ -225,14 +231,13 @@ def test_constraint_directional_identities():
     """DQ = 0 under the v binding and Dbar P = 0 under the u-on-xb binding,
     through the full composite chain."""
     sys = _sys_n2()
-    q_comp = composite_handle(sys, sys.Q[0])
-    p_comp = composite_handle(sys, sys.P[0])
     rng = np.random.default_rng(5)
     q_samples, p_samples = [], []
     for z in _points_n2(15, rng):
         u, v = speed_jets(sys, solve_constraints(sys, z))
-        q_samples.append(apply_D(q_comp(z), [u[0].value], [v[0].value], 2, "D", "v"))
-        p_samples.append(apply_D(p_comp(z), [u[0].value], [v[0].value], 2, "Dbar", "v"))
+        q_comp, p_comp = (_composite(sys, c[0], z) for c in (sys.Q, sys.P))
+        q_samples.append(apply_D(q_comp, [u[0].value], [v[0].value], 2, "D", "v"))
+        p_samples.append(apply_D(p_comp, [u[0].value], [v[0].value], 2, "Dbar", "v"))
     assert residuals.grid_report("dq", q_samples).max_norm <= 1e-8
     assert residuals.grid_report("dbarp", p_samples).max_norm <= 1e-8
 
@@ -258,8 +263,17 @@ def test_antiholo_speed_spread_small():
         cfg=ImplicitSolveConfig(seed=0.3),
     )
     xbar = (0.2, 0.4)
-    u, _ = speed_jets(sys, solve_constraints(sys, np.array([0.3, 0.2, *xbar])))
-    level = u[0].value
-    spread, scale = antiholo_speed_spread(
-        sys, xbar, level, x1_values=np.linspace(0.25, 0.45, 7), x2_bracket=(-1.2, 1.2))
-    assert spread <= 1e-6 * max(scale, 1.0)
+
+    def u_jet(x1, x2):
+        return speed_jets(sys, solve_constraints(sys, np.array([x1, x2, *xbar])))[0][0]
+
+    # Trace points (x1, x2) along the level curve u = level with xb held at
+    # xbar, and sample u_xb2 + u * u_xb1 there.
+    level = u_jet(0.3, 0.2).value
+    values = []
+    for x1 in np.linspace(0.25, 0.45, 7):
+        x2 = brentq(lambda x2: u_jet(x1, x2).value - level, -1.2, 1.2, xtol=1e-13)
+        uj = u_jet(x1, x2)
+        values.append(uj.grad[3] + uj.value * uj.grad[2])
+    spread = max(values) - min(values)
+    assert spread <= 1e-6 * max(np.abs(values).max(), 1e-12, 1.0)

@@ -1,0 +1,66 @@
+"""Every public function and class of the library is reached from the library.
+
+A public module-level function or class in ``src/batlab/`` must be referenced,
+as a name or an attribute, by library code outside its own definition.  The
+only other way in is from outside the package: a console-script entry point
+named in ``pyproject.toml``, or a hook the benchmark patches by name
+(``perfbench/tracing.py`` ``SPANS`` and ``COUNTED``, ``perfbench/workloads.py``
+``segments``).  Anything else only tests can reach, and no verdict depends
+on it.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+from test_bench_hooks import _load
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "batlab"
+
+
+def _entry_points() -> set[tuple[str, str]]:
+    """(module, function) of each ``[project.scripts]`` target."""
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return set(re.findall(r'"batlab\.(\w+):(\w+)"', scripts))
+
+
+def _benchmark_hooks() -> set[tuple[str, str]]:
+    tracing, workloads = _load("tracing"), _load("workloads")
+    hooks = [hook for bindings in tracing.SPANS.values() for hook in bindings]
+    hooks += tracing.COUNTED.values()
+    hooks += [tuple(segment.split(".", 1))
+              for workload in workloads.WORKLOADS.values() for segment in workload.segments]
+    return {(module, attr.split(".")[0]) for module, attr in hooks}
+
+
+def _references(tree: ast.Module) -> list[tuple[str | None, str]]:
+    """(enclosing top-level definition or None, referenced name) pairs."""
+    out = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.append((owner, node.id))
+            elif isinstance(node, ast.Attribute):
+                out.append((owner, node.attr))
+    return out
+
+
+def test_every_public_definition_is_reached_from_the_library():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    references = {(module, owner, name) for module, tree in trees.items()
+                  for owner, name in _references(tree)}
+    exempt = _entry_points() | _benchmark_hooks()
+    unreached = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or (module, node.name) in exempt:
+                continue
+            if not any(name == node.name and (where, owner) != (module, node.name)
+                       for where, owner, name in references):
+                unreached.append(f"{module}.{node.name}")
+    assert not unreached, f"public definitions no library code reaches: {unreached}"

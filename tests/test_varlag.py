@@ -5,8 +5,8 @@ import pytest
 
 from batlab import jets
 from batlab.construct import ImplicitSolveConfig, hodograph_grid
-from batlab.errors import JetDomainError
-from batlab.exprspec import parse
+from batlab.exprspec import eval_jet, parse
+from batlab.residuals import ResidualSample, grid_report
 from batlab.varlag import (
     DiscreteFunctional,
     degree0_test,
@@ -14,30 +14,15 @@ from batlab.varlag import (
     psi_from,
     variational_residual,
 )
-
-
-def _jet2(grad):
-    return jets.from_parts(0.0, grad, np.zeros((2, 2)))
-
-
-def test_density_zero_bracket():
-    f = DiscreteFunctional(ht=0.1, hx=0.1)
-    # psi constant: bracket vanishes, no phi_x guard needed.
-    assert f.density(_jet2([1.0, 0.0]), _jet2([0.3, -0.4]), _jet2([0.0, 0.0])) == 0.0
-
-
-def test_density_vanishing_phi_x_guard():
-    f = DiscreteFunctional(ht=0.1, hx=0.1)
-    # phi = t, phibar = x, psi = t: bracket = -1, phi_x = 0.
-    with pytest.raises(JetDomainError):
-        f.density(_jet2([1.0, 0.0]), _jet2([0.0, 1.0]), _jet2([1.0, 0.0]))
+from oracles import load_char_grid
 
 
 def test_density_hand_value():
     # phi = t + 2x, phibar = x, psi = t: bracket = -1, factor = 1/2.
     f = DiscreteFunctional(ht=0.1, hx=0.1)
-    val = f.density(_jet2([1.0, 2.0]), _jet2([0.0, 1.0]), _jet2([1.0, 0.0]))
-    assert val == pytest.approx(-0.5)
+    lj, h = f._density_jet([1.0, 2.0, 0.0, 1.0, 1.0, 0.0])
+    assert h == pytest.approx(0.5)
+    assert lj.value == pytest.approx(-0.5)
 
 
 def test_degree0_examples():
@@ -63,7 +48,7 @@ def test_linear_fields_exactly_stationary():
     psi = -0.7 * T + 0.4 * X
     f = DiscreteFunctional(ht=t[1] - t[0], hx=x[1] - x[0])
     for vary in ("psi", "phibar", "phi"):
-        grid = variational_residual(f, phi, phibar, psi)[vary]
+        grid = variational_residual(f, phi, phibar, psi).grids[vary]
         assert np.abs(grid.raw).max() <= 1e-12
 
 
@@ -96,7 +81,7 @@ def test_onshell_residuals_and_halving():
         psi = phibar.copy()
         maxima = {}
         for vary in ("psi", "phibar", "phi"):
-            rep = variational_residual(func, phi, phibar, psi)[vary].report(vary)
+            rep = variational_residual(func, phi, phibar, psi).grids[vary].report(vary)
             maxima[vary] = rep.max_norm
             assert rep.max_norm <= 5 * max(ht, hx) ** 2, (n, vary, rep.max_norm)
         results[n] = (maxima, max(ht, hx))
@@ -114,7 +99,7 @@ def test_psi_cubed_freedom():
     func = DiscreteFunctional(ht=ht, hx=hx)
     psi = psi_from(phibar, parse("s^3"))
     for vary in ("psi", "phibar", "phi"):
-        rep = variational_residual(func, phi, phibar, psi)[vary].report(vary)
+        rep = variational_residual(func, phi, phibar, psi).grids[vary].report(vary)
         assert rep.max_norm <= 5 * max(ht, hx) ** 2
 
 
@@ -122,7 +107,7 @@ def test_phibar_and_psi_residuals_coincide():
     phi, phibar, ht, hx = _onshell_grids(33)
     func = DiscreteFunctional(ht=ht, hx=hx)
     psi = phibar.copy()
-    grids = variational_residual(func, phi, phibar, psi)
+    grids = variational_residual(func, phi, phibar, psi).grids
     g1, g2 = grids["psi"], grids["phibar"]
     scale = np.abs(g1.raw).max()
     assert np.abs(g1.raw - g2.raw).max() <= 1e-10 * max(scale, 1e-30)
@@ -133,8 +118,34 @@ def test_factor_freedom_preserves_zero_set():
     psi = phibar.copy()
     for factor in ("p/q", "p^2/(p^2 + q^2)", "(p - q)/(p + q)"):
         func = DiscreteFunctional(ht=ht, hx=hx, factor=parse(factor))
-        rep = variational_residual(func, phi, phibar, psi)["psi"].report("psi")
+        rep = variational_residual(func, phi, phibar, psi).grids["psi"].report("psi")
         assert rep.max_norm <= 5 * max(ht, hx) ** 2, (factor, rep.max_norm)
+
+
+def test_density_pass_matches_its_pointwise_form():
+    """One pass gives the same reports as ``grid_report`` over per-node
+    samples, and the same action density as bracket * H with H evaluated
+    node by node."""
+    phi, phibar, ht, hx = _onshell_grids(9)
+    func = DiscreteFunctional(ht=ht, hx=hx, factor=parse("p^2/(p^2 + q^2)"))
+    psi = psi_from(phibar, parse("s^3"))
+    density_pass = variational_residual(func, phi, phibar, psi)
+    for vary, grid in density_pass.grids.items():
+        samples = [ResidualSample(float(r), float(s), float(f)) for r, s, f in
+                   zip(grid.raw.ravel(), grid.scale.ravel(), grid.floor.ravel())]
+        assert grid.report(vary) == grid_report(vary, samples)
+
+    def slots(F):
+        return ((F[2:, 1:-1] - F[:-2, 1:-1]) / (2 * ht),
+                (F[1:-1, 2:] - F[1:-1, :-2]) / (2 * hx))
+
+    (pt, px), (bt, bx), (st, sx) = map(slots, (phi, phibar, psi))
+    for a, b in np.ndindex(pt.shape):
+        h = eval_jet(func.factor, {"p": jets.constant(pt[a, b], 1),
+                                   "q": jets.constant(px[a, b], 1)}).value
+        assert density_pass.density[a, b] == (bt[a, b] * sx[a, b] - st[a, b] * bx[a, b]) * h
+        assert density_pass.density_scale[a, b] == \
+            (abs(bt[a, b] * sx[a, b]) + abs(st[a, b] * bx[a, b])) * abs(h)
 
 
 def test_onshell_degeneracy_report():
@@ -165,10 +176,11 @@ def test_onshell_degeneracy_linear_fields_exact():
 
 
 def test_fields_from_char_grid_are_onshell(tmp_path):
-    """A stored two-field integration feeds the variational machinery through
-    the CSV format and sits on-shell to the scheme's accuracy."""
-    from batlab.hydro import CharGridSpec, dump_char_grid, integrate_characteristics, load_char_grid
-    from batlab.varlag import dump_residual_csv, fields_from_char_grid
+    """A stored two-field integration, read back from its CSV dump, sits
+    on-shell for the variational residual to the scheme's accuracy: phibar is
+    the u field, phi the v field, psi = W(phibar), and the grid spacings
+    become (dt, h)."""
+    from batlab.hydro import CharGridSpec, dump_char_grid, integrate_characteristics
 
     grid = integrate_characteristics(
         parse("1.2 + 0.25*sin(x)"), parse("2.1 + 0.2*cos(x)"),
@@ -177,17 +189,12 @@ def test_fields_from_char_grid_are_onshell(tmp_path):
     dump_char_grid(grid, path)
     loaded = load_char_grid(path)
 
-    phi, phibar, psi, func = fields_from_char_grid(loaded, parse("s"))
-    res = variational_residual(func, phi, phibar, psi)["psi"]
-    rep = res.report("psi")
+    phibar, phi = loaded.u, loaded.v
+    psi = psi_from(phibar, parse("s"))
+    func = DiscreteFunctional(ht=float(loaded.dt), hx=float(loaded.h))
+    rep = variational_residual(func, phi, phibar, psi).grids["psi"].report("psi")
     tol = 5 * max(func.ht, func.hx) ** 2
     assert rep.max_norm <= tol, (rep.max_norm, tol)
-
-    out = tmp_path / "residual.csv"
-    dump_residual_csv(res, out, func.ht, func.hx)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,x,raw,scale,normalized"
-    assert len(lines) == 1 + res.raw.size
 
 
 def test_offshell_precondition_error():
