@@ -24,6 +24,7 @@ never be manufactured by skipping.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -66,6 +67,15 @@ class ScenarioError(ValueError):
 def _scenario_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(
         [seed & 0xFFFFFFFFFFFFFFFF, zlib.crc32(name.encode())]))
+
+
+@contextlib.contextmanager
+def _reading():
+    """A ValueError the library raises on scenario input read here is a ScenarioError."""
+    try:
+        yield
+    except ValueError as err:
+        raise ScenarioError(str(err)) from None
 
 
 def _parse_expr(text, where: str):
@@ -235,7 +245,8 @@ def _field_case(make):
     """Case builder for a constructor that returns a FieldHandle."""
 
     def build(block, label, case, rng) -> _Solved:
-        handle = make(block)
+        with _reading():
+            handle = make(block)
         points, requested = _box_sampler(_object(case, "samples"), rng)
         return _Solved(label, rng, requested, points,
                        [residuals.attempt(handle, p) for p in points])
@@ -244,8 +255,10 @@ def _field_case(make):
 
 
 def _hodograph_case(block, label, case, rng) -> _Solved:
-    solver = construct.HodographSolver(_expr(block, "f"), _expr(block, "g"),
-                                       _solve_config(_object(block, "config", False)))
+    with _reading():
+        solver = construct.HodographSolver(_expr(block, "f"), _expr(block, "g"),
+                                           _solve_config(_object(block, "config", False)))
+        construct.seed_pair(solver.cfg.seed)  # the born_infeld check solves from it
     samples = _object(case, "samples")
     if samples.get("mode", "uv_box") != "uv_box":
         raise ScenarioError("hodograph cases sample the (u, v) parameter box")
@@ -256,12 +269,13 @@ def _hodograph_case(block, label, case, rng) -> _Solved:
 
 
 def _leznov_case(block, label, case, rng) -> _Solved:
-    sys_ = leznov.LeznovSystem(
-        n=_number(_field_or(block, "n", required=True), "n", int),
-        Q=[_parse_expr(q, "Q") for q in _list(block, "Q")],
-        P=[_parse_expr(p, "P") for p in _list(block, "P")],
-        cfg=_solve_config(_object(block, "config", False)),
-    )
+    with _reading():
+        sys_ = leznov.LeznovSystem(
+            n=_number(_field_or(block, "n", required=True), "n", int),
+            Q=[_parse_expr(q, "Q") for q in _list(block, "Q")],
+            P=[_parse_expr(p, "P") for p in _list(block, "P")],
+            cfg=_solve_config(_object(block, "config", False)),
+        )
     points, requested = _box_sampler(_object(case, "samples"), rng)
     return _Solved(label, rng, requested, points, leznov.solve_points(sys_, points), sys_)
 
@@ -275,8 +289,9 @@ def _run_verify_case(case: dict, rng: np.random.Generator,
     checks = _list(case, "checks", of="JSON objects")
     runs = [_lookup(_CHECKS, (op, eq), f"check {eq!r} does not apply to {label!r}")
             for eq in map(_check_key, checks)]
-    runs = [run(check, _number(_field_or(check, "tolerance", required=True), "tolerance"))
-            for run, check in zip(runs, checks)]
+    with _reading():
+        runs = [run(check, _number(_field_or(check, "tolerance", required=True), "tolerance"))
+                for run, check in zip(runs, checks)]
 
     c = build(block, label, case, rng)
     if sink is not None:
@@ -497,14 +512,15 @@ _CHECKS = {
 
 # -- simulate-kind cases -----------------------------------------------------------------
 #
-# A case integrates its system once per resolution and runs every check from
-# ``_SIM_CHECKS`` on that grid; a check gives (halving key, report entry) pairs.
+# A case reads its checks and a grid spec per resolution, then integrates its
+# system once per resolution and runs every check from ``_SIM_CHECKS`` on that
+# grid; a check gives (halving key, report entry) pairs.
 
 
 def _run_simulate_case(case: dict, rng: np.random.Generator, out_dir: Path,
                        scenario_name: str, dump: bool) -> list[dict]:
     system = case.get("system", "two_field")
-    integrate = _lookup(_SYSTEMS, system, f"unknown system {system!r}")
+    read = _lookup(_SYSTEMS, system, f"unknown system {system!r}")
     label = _file_name(case.get("label", system), "label")
     checks = _list(case, "checks", of="JSON objects")
     resolutions = _numbers(_field_or(case, "resolutions", required=True), "resolutions", int)
@@ -515,16 +531,19 @@ def _run_simulate_case(case: dict, rng: np.random.Generator, out_dir: Path,
             for eq in equations]
     if "transport" in equations and grid_block.get("bc") == "open":
         raise ScenarioError("transport checks need a periodic grid, not bc 'open'")
+    with _reading():
+        runs = [run(check) for run, check in zip(runs, checks)]
+        specs, integrate = read(case, grid_block, resolutions)
 
     measured: dict[int, dict[str, float]] = {}
     entries: list[dict] = []
-    for res in resolutions:
-        grid = integrate(case, grid_block, res)
+    for res, spec in zip(resolutions, specs):
+        grid = integrate(spec)
         if dump:
             _dump_grid(grid, out_dir / f"{scenario_name}.{label}.{res}.csv")
         measured[res] = {}
-        for run, check in zip(runs, checks):
-            for key, entry in run(grid, check, f"{label}@{res}"):
+        for run in runs:
+            for key, entry in run(grid, f"{label}@{res}"):
                 entries.append(entry)
                 measured[res][key] = entry["max_norm"]
     return entries + _halving(label, resolutions, measured, min_ratio)
@@ -535,88 +554,100 @@ def _dump_grid(grid, csv_path: Path) -> None:
     dump(grid, csv_path)
 
 
-def _two_field(case: dict, grid_block: dict, res: int):
-    spec = hydro.CharGridSpec(
-        nx=res, t_end=_number(_field_or(grid_block, "t_end", required=True), "grid.t_end"),
-        x0=_number(grid_block.get("x0", 0.0), "grid.x0"),
-        x1=_number(grid_block.get("x1", hydro.TWO_PI), "grid.x1"),
-        cfl=_number(grid_block.get("cfl", 0.5), "grid.cfl"),
-        bc=grid_block.get("bc", "periodic"),
-    )
+def _two_field(case: dict, grid_block: dict, resolutions: list):
+    t_end = _number(_field_or(grid_block, "t_end", required=True), "grid.t_end")
+    x0 = _number(grid_block.get("x0", 0.0), "grid.x0")
+    x1 = _number(grid_block.get("x1", hydro.TWO_PI), "grid.x1")
+    cfl = _number(grid_block.get("cfl", 0.5), "grid.cfl")
+    specs = [hydro.CharGridSpec(nx=res, t_end=t_end, x0=x0, x1=x1, cfl=cfl,
+                                bc=grid_block.get("bc", "periodic")) for res in resolutions]
     init = _object(case, "init")
-    return hydro.integrate_characteristics(
-        _parse_expr(_field_or(init, "u", required=True), "init.u"),
-        _parse_expr(_field_or(init, "v", required=True), "init.v"), spec)
+    u = _parse_expr(_field_or(init, "u", required=True), "init.u")
+    v = _parse_expr(_field_or(init, "v", required=True), "init.v")
+    return specs, lambda spec: hydro.integrate_characteristics(u, v, spec)
 
 
-def _multifield(case: dict, grid_block: dict, res: int):
-    spec = hydro.MultiGridSpec(
-        n2=res, n3=res,
-        t_end=_number(_field_or(grid_block, "t_end", required=True), "grid.t_end"),
-        cfl=_number(grid_block.get("cfl", 0.4), "grid.cfl"),
-    )
+def _multifield(case: dict, grid_block: dict, resolutions: list):
+    t_end = _number(_field_or(grid_block, "t_end", required=True), "grid.t_end")
+    cfl = _number(grid_block.get("cfl", 0.4), "grid.cfl")
+    specs = [hydro.MultiGridSpec(n2=res, n3=res, t_end=t_end, cfl=cfl) for res in resolutions]
     init = {k: _parse_expr(v, f"init.{k}") for k, v in _object(case, "init").items()}
-    return hydro.integrate_multifield(init, spec)
+    return specs, lambda spec: hydro.integrate_multifield(init, spec)
 
 
-def _conservation(grid, check: dict, where: str) -> list[tuple[str, dict]]:
-    tol = _number(check.get("tolerance_h2_coeff", 5.0), "tolerance_h2_coeff") * grid.h**2
-    out = []
-    for n in _numbers(check.get("n_values", [1, 2, 3, 4, 5]), "n_values", int):
-        drift = hydro.conservation_drift(grid, n)
-        rep = ResidualReport(f"conservation_s{n}", grid.nt * grid.nx, drift, drift, 0)
-        out.append((f"s{n}", _entry(f"conservation_s{n}[{where}]", rep, tol,
-                                    grid.nt * grid.nx)))
-    return out
+def _conservation(check: dict):
+    coeff = _number(check.get("tolerance_h2_coeff", 5.0), "tolerance_h2_coeff")
+    n_values = _numbers(check.get("n_values", [1, 2, 3, 4, 5]), "n_values", int)
+    if min(n_values, default=1) < 1:
+        raise ScenarioError(f"n_values: expected integers of at least 1, got {n_values!r}")
+
+    def run(grid, where: str) -> list[tuple[str, dict]]:
+        tol = coeff * grid.h**2
+        out = []
+        for n in n_values:
+            drift = hydro.conservation_drift(grid, n)
+            rep = ResidualReport(f"conservation_s{n}", grid.nt * grid.nx, drift, drift, 0)
+            out.append((f"s{n}", _entry(f"conservation_s{n}[{where}]", rep, tol,
+                                        grid.nt * grid.nx)))
+        return out
+    return run
 
 
-def _transport(grid, check: dict, where: str) -> list[tuple[str, dict]]:
-    tol = _number(check.get("tolerance_h2_coeff", 5.0), "tolerance_h2_coeff") * grid.h**2
-    m = grid.nt // 2
-    out = []
-    for name, field, other in (("u", grid.u, grid.v), ("v", grid.v, grid.u)):
-        samples = []
-        for i in range(grid.nx):
-            jet = hydro.fd_jet_at(field, grid.dt, grid.h, m, i)
-            samples.append(residuals.transport(
-                jet, [-other[m, i]], TransportPattern(0, (1,))))
-        rep = residuals.grid_report(f"transport_{name}", samples)
-        out.append((f"transport_{name}",
-                    _entry(f"transport_{name}[{where}]", rep, tol, grid.nx)))
-    return out
+def _transport(check: dict):
+    coeff = _number(check.get("tolerance_h2_coeff", 5.0), "tolerance_h2_coeff")
+
+    def run(grid, where: str) -> list[tuple[str, dict]]:
+        tol = coeff * grid.h**2
+        m = grid.nt // 2
+        out = []
+        for name, field, other in (("u", grid.u, grid.v), ("v", grid.v, grid.u)):
+            samples = []
+            for i in range(grid.nx):
+                jet = hydro.fd_jet_at(field, grid.dt, grid.h, m, i)
+                samples.append(residuals.transport(
+                    jet, [-other[m, i]], TransportPattern(0, (1,))))
+            rep = residuals.grid_report(f"transport_{name}", samples)
+            out.append((f"transport_{name}",
+                        _entry(f"transport_{name}[{where}]", rep, tol, grid.nx)))
+        return out
+    return run
 
 
-def _multifield_det(grid, check: dict, where: str) -> list[tuple[str, dict]]:
-    tol = _number(check.get("tolerance_h2_coeff", 1.0), "tolerance_h2_coeff") * grid.h2**2
-    names = ("u1", "u2", "v1", "v2")
-    deriv = {n: hydro.fd_derivatives_multi(grid.fields[n], grid.dt, grid.h2, grid.h3)
-             for n in names}
-    m = deriv["u1"][0].shape[0] // 2
-    grads = [np.stack([deriv[n][1][d][m].ravel() for d in (1, 2, 3)], axis=-1)
-             for n in names]
-    # Fields constant to rounding satisfy the determinant identically;
-    # their difference quotients are pure float noise with no scale.
-    deriv_mag = max(np.abs(g).max() for g in grads)
-    field_mag = max(np.abs(grid.fields[n]).max() for n in names)
-    flat = deriv_mag <= 1e-10 * max(field_mag, 1.0) / min(grid.h2, grid.h3)
-    n_nodes = grads[0].shape[0]
-    out = []
-    for j, fname in ((1, "u1"), (2, "u2")):
-        hess = np.zeros((n_nodes, 3, 3))
-        for (a, b), arr in deriv[fname][2].items():
-            hess[:, a - 1, b - 1] = hess[:, b - 1, a - 1] = arr[m].ravel()
-        raw, scale = residuals.multifield_det_grid(grads, hess)
-        value = 0.0 if flat else float(np.abs(raw).max() / max(scale.max(), 1e-300))
-        rep = ResidualReport(f"multifield_det_j{j}", n_nodes, value, value, 0)
-        out.append((f"det_j{j}", _entry(f"multifield_det_j{j}[{where}]", rep, tol,
-                                        n_nodes)))
-    return out
+def _multifield_det(check: dict):
+    coeff = _number(check.get("tolerance_h2_coeff", 1.0), "tolerance_h2_coeff")
+
+    def run(grid, where: str) -> list[tuple[str, dict]]:
+        tol = coeff * grid.h2**2
+        names = ("u1", "u2", "v1", "v2")
+        deriv = {n: hydro.fd_derivatives_multi(grid.fields[n], grid.dt, grid.h2, grid.h3)
+                 for n in names}
+        m = deriv["u1"][0].shape[0] // 2
+        grads = [np.stack([deriv[n][1][d][m].ravel() for d in (1, 2, 3)], axis=-1)
+                 for n in names]
+        # Fields constant to rounding satisfy the determinant identically;
+        # their difference quotients are pure float noise with no scale.
+        deriv_mag = max(np.abs(g).max() for g in grads)
+        field_mag = max(np.abs(grid.fields[n]).max() for n in names)
+        flat = deriv_mag <= 1e-10 * max(field_mag, 1.0) / min(grid.h2, grid.h3)
+        n_nodes = grads[0].shape[0]
+        out = []
+        for j, fname in ((1, "u1"), (2, "u2")):
+            hess = np.zeros((n_nodes, 3, 3))
+            for (a, b), arr in deriv[fname][2].items():
+                hess[:, a - 1, b - 1] = hess[:, b - 1, a - 1] = arr[m].ravel()
+            raw, scale = residuals.multifield_det_grid(grads, hess)
+            value = 0.0 if flat else float(np.abs(raw).max() / max(scale.max(), 1e-300))
+            rep = ResidualReport(f"multifield_det_j{j}", n_nodes, value, value, 0)
+            out.append((f"det_j{j}", _entry(f"multifield_det_j{j}[{where}]", rep, tol,
+                                            n_nodes)))
+        return out
+    return run
 
 
-# system -> (case, grid block, resolution) -> integrated grid
+# system -> (case, grid block, resolutions) -> (grid spec per resolution, spec -> grid)
 _SYSTEMS = {"two_field": _two_field, "multifield": _multifield}
 
-# (system, check equation) -> check
+# (system, check equation) -> (check block -> (grid, where) -> [(halving key, entry)])
 _SIM_CHECKS = {
     ("two_field", "conservation"): _conservation,
     ("two_field", "transport"): _transport,
@@ -640,28 +671,36 @@ def _run_variational_case(case: dict, rng: np.random.Generator) -> list[dict]:
     coeff = _number(case.get("tolerance_h2_coeff", 5.0), "tolerance_h2_coeff")
     min_ratio = _number(case.get("halving_ratio", 0.0), "halving_ratio")
     resolutions = _numbers(_field_or(case, "resolutions", required=True), "resolutions", int)
-
-    psi_choices = _list(case, "psi", ["s"])
-    factors = _list(case, "factors", ["p/q"])
+    if min(resolutions, default=5) < 5:
+        raise ScenarioError(f"resolutions: expected at least 5 nodes per axis, "
+                            f"got {resolutions!r}")
+    psis = [(w, _parse_expr(w, "psi")) for w in _list(case, "psi", ["s"])]
+    if any(len(psi.vars) > 1 for _, psi in psis):
+        raise ScenarioError("psi: expected expressions of one variable")
+    factors = [(h, _parse_expr(h, "factor")) for h in _list(case, "factors", ["p/q"])]
     vary_list = _list(case, "vary", ["psi", "phibar", "phi"], of="psi, phibar or phi")
     if any(vary not in ("psi", "phibar", "phi") for vary in vary_list):
         raise ScenarioError(f"vary must name psi, phibar or phi, got {vary_list!r}")
+    grids = []  # per resolution: nodes, tolerance and one functional per factor
+    with _reading():
+        construct.seed_pair(cfg.seed)
+        for n in resolutions:
+            t_nodes = np.linspace(t_lo, t_hi, n)
+            x_nodes = np.linspace(x_lo, x_hi, n)
+            ht = t_nodes[1] - t_nodes[0]
+            hx = x_nodes[1] - x_nodes[0]
+            grids.append((n, t_nodes, x_nodes, coeff * max(ht, hx) ** 2, [
+                (h, varlag.DiscreteFunctional(ht=ht, hx=hx, factor=factor))
+                for h, factor in factors]))
 
     measured: dict[int, dict[str, float]] = {}
     entries: list[dict] = []
-    for n in resolutions:
-        t_nodes = np.linspace(t_lo, t_hi, n)
-        x_nodes = np.linspace(x_lo, x_hi, n)
+    for n, t_nodes, x_nodes, tol, functionals in grids:
         phi, phibar = construct.hodograph_grid(f, g, cfg, t_nodes, x_nodes)
-        ht = t_nodes[1] - t_nodes[0]
-        hx = x_nodes[1] - x_nodes[0]
-        tol = coeff * max(ht, hx) ** 2
         measured[n] = {}
-        for factor in factors:
-            func = varlag.DiscreteFunctional(ht=ht, hx=hx,
-                                             factor=_parse_expr(factor, "factor"))
-            for w in psi_choices:
-                psi = varlag.psi_from(phibar, _parse_expr(w, "psi"))
+        for factor, func in functionals:
+            for w, psi_expr in psis:
+                psi = varlag.psi_from(phibar, psi_expr)
                 deg = varlag.onshell_degeneracy(func, phi, phibar, psi, tolerance=tol)
                 for vary in vary_list:
                     rep = deg.per_vary[vary]

@@ -12,6 +12,11 @@ differences:
   :meth:`~HodographSolver.fields` returns both fields ``(phi, phibar)`` from
   one Newton solve.
 
+Every implicit solve, here and in :mod:`leznov`, iterates through one
+best-iterate Newton loop, :func:`_newton`; each solve supplies its residual,
+its step and its tolerance, and the scalar one falls back to bisection on a
+configured bracket.
+
 The covariance and Born-Infeld operations act on jets that are already
 solved (:func:`pull_back`, :func:`reparametrization`, :func:`born_infeld_jet`),
 so a check that reads several of them costs no further solve.  Evaluations
@@ -98,40 +103,65 @@ class FieldHandle:
         return self._eval(np.asarray(point, dtype=float), seed)
 
 
-# -- scalar Newton with optional bisection fallback --------------------------------
+# -- Newton: one best-iterate loop for every implicit solve --------------------------
+
+
+def _newton(residual, step, x, max_iter: int, tol: float):
+    """Best-iterate Newton from ``x``.  ``residual(x)`` returns ``(size, r)``;
+    ``step(x, r)`` returns the next iterate, or None to stop (non-finite
+    derivative, no progress), or raises SingularMatrixError to stop.  The loop
+    also stops on an exact zero, and after ``max_iter`` steps.  Returns the
+    iterate of least size if within ``tol``; else raises the stopping error, or
+    NewtonConvergenceError."""
+    best, best_size, stop = x, math.inf, None
+    for i in range(max_iter + 1):
+        size, r = residual(x)
+        if size < best_size:
+            best, best_size = x, size
+        if size == 0.0 or i == max_iter:
+            break
+        try:
+            x = step(x, r)
+        except SingularMatrixError as err:
+            stop = err
+            break
+        if x is None:
+            break
+    if best_size <= tol:
+        return best
+    raise stop or NewtonConvergenceError(
+        f"Newton did not converge (best residual {best_size!r})")
+
+
+def _scalar_seed(seed) -> float:
+    try:
+        return float(seed)
+    except TypeError:  # a seed pair
+        raise ValueError("scalar solves need a scalar seed") from None
 
 
 def _newton_scalar(fun, dfun, cfg: ImplicitSolveConfig, seed=None) -> float:
     """Newton iteration, polished past the configured tolerance toward machine
-    precision so downstream finite-difference probes are not noise limited."""
-    try:
-        x = float(cfg.seed if seed is None else seed)
-    except TypeError:  # a seed pair
-        raise ValueError("scalar solves need a scalar seed") from None
-    best_x, best_f = x, math.inf
-    for _ in range(cfg.max_iter):
+    precision so downstream finite-difference probes are not noise limited;
+    bisection on ``cfg.bracket`` when it does not converge."""
+    def residual(x):
         f = fun(x)
-        if abs(f) < best_f:
-            best_x, best_f = x, abs(f)
-        if f == 0.0:
-            return x
+        return abs(f), f
+
+    def step(x, f):
         d = dfun(x)
         if d == 0.0 or not math.isfinite(d):
-            break
+            return None
         nxt = x - f / d
-        if not math.isfinite(nxt):
-            break
-        if nxt == x:  # converged to a fixed point of the float iteration
-            break
-        x = nxt
-    f = fun(x)
-    if abs(f) < best_f:
-        best_x, best_f = x, abs(f)
-    if best_f <= cfg.newton_tol:
-        return best_x
-    if cfg.bracket is not None:
+        return nxt if math.isfinite(nxt) and nxt != x else None
+
+    x = _scalar_seed(cfg.seed if seed is None else seed)
+    try:
+        return _newton(residual, step, x, cfg.max_iter, cfg.newton_tol)
+    except NewtonConvergenceError:
+        if cfg.bracket is None:
+            raise
         return _bisect(fun, cfg.bracket, cfg.newton_tol)
-    raise NewtonConvergenceError(f"scalar Newton did not converge (last x={x!r})")
 
 
 def _bisect(fun, bracket, tol) -> float:
@@ -173,6 +203,7 @@ def solve_implicit_fg(F: ExprSpec, G: ExprSpec, cfg: ImplicitSolveConfig) -> Fie
     """
     _require_vars(F, {"phi", "x1", "x2"}, "F")
     _require_vars(G, {"phi", "xb1", "xb2"}, "G")
+    _scalar_seed(cfg.seed)
     dF = partial(F, "phi") if "phi" in F.vars else None
     dG = partial(G, "phi") if "phi" in G.vars else None
 
@@ -253,6 +284,24 @@ def holo_sum(f: ExprSpec, g: ExprSpec) -> FieldHandle:
 # -- hodograph parametric solution --------------------------------------------------
 
 
+def seed_pair(seed) -> tuple[float, float]:
+    """A hodograph seed as (u, v); ValueError if it is not a pair of numbers."""
+    try:
+        u, v = map(float, seed)
+    except (TypeError, ValueError):  # not a sequence, or not of two numbers
+        raise ValueError("hodograph solves need a (u, v) seed pair") from None
+    return u, v
+
+
+def _fold_det(f2: float, g2: float, u: float, v: float) -> float:
+    """det J = f''g''(u - v) of the hodograph map; SingularMatrixError at a fold."""
+    det = f2 * g2 * (u - v)
+    scale = abs(f2 * g2 * v) + abs(g2 * f2 * u)
+    if abs(det) <= _DEGENERATE_REL * max(scale, 1e-30):
+        raise SingularMatrixError("hodograph fold: J = f''g''(u - v) ~ 0")
+    return det
+
+
 class HodographSolver:
     """Inversion of the parametric solution
 
@@ -295,55 +344,37 @@ class HodographSolver:
         return tuple(_from_terms((eval_float(x_d, args), args[var] * eval_float(t_d, args)))
                      for x_d, t_d, var in self._identity_terms)
 
-    def _forward(self, u: float, v: float) -> tuple[float, float]:
-        # Newton's own form of the forward map: fewer evaluations than
-        # ``forward``, summed in a different order.
-        fu = eval_float(self.f, {"u": u})
-        f1 = eval_float(self.d1f, {"u": u})
-        gv = eval_float(self.g, {"v": v})
-        g1 = eval_float(self.d1g, {"v": v})
-        return f1 + g1, fu - u * f1 + gv - v * g1
-
     def solve(self, t: float, x: float, seed=None) -> tuple[float, float]:
-        s = self.cfg.seed if seed is None else seed
-        try:
-            u, v = map(float, s)
-        except (TypeError, ValueError):  # not a sequence, or not of two numbers
-            raise ValueError("hodograph solves need a (u, v) seed pair") from None
-        tol = self.cfg.newton_tol * max(1.0, abs(t), abs(x))
-        best = (u, v)
-        best_r = math.inf
-        for _ in range(self.cfg.max_iter):
-            tc, xc = self._forward(u, v)
-            r1, r2 = tc - t, xc - x
-            rmax = max(abs(r1), abs(r2))
-            if rmax < best_r:
-                best, best_r = (u, v), rmax
-            if rmax == 0.0:
-                return u, v
-            f2 = eval_float(self.d2f, {"u": u})
-            g2 = eval_float(self.d2g, {"v": v})
+        f, g, d1f, d1g, d2f, d2g = self.f, self.g, self.d1f, self.d1g, self.d2f, self.d2g
+
+        def residual(uv):
+            # Newton's own form of the forward map: fewer evaluations than
+            # ``forward``, summed in a different order.
+            u, v = uv
+            fu = eval_float(f, {"u": u})
+            f1 = eval_float(d1f, {"u": u})
+            gv = eval_float(g, {"v": v})
+            g1 = eval_float(d1g, {"v": v})
+            r1, r2 = f1 + g1 - t, fu - u * f1 + gv - v * g1 - x
+            return max(abs(r1), abs(r2)), (r1, r2)
+
+        def step(uv, r):
+            u, v = uv
+            r1, r2 = r
+            f2 = eval_float(d2f, {"u": u})
+            g2 = eval_float(d2g, {"v": v})
             # J = [[f'', g''], [-u f'', -v g'']]
-            det = f2 * g2 * (u - v)
-            scale = abs(f2 * g2 * v) + abs(g2 * f2 * u)
-            if abs(det) <= _DEGENERATE_REL * max(scale, 1e-30):
-                if best_r <= tol:
-                    return best
-                raise SingularMatrixError("hodograph fold: J = f''g''(u - v) ~ 0")
+            det = _fold_det(f2, g2, u, v)
             du = (-v * g2 * r1 - g2 * r2) / det
             dv = (u * f2 * r1 + f2 * r2) / det
             un, vn = u - du, v - dv
             if not (math.isfinite(un) and math.isfinite(vn)):
                 raise NewtonConvergenceError("hodograph Newton diverged")
-            if un == u and vn == v:
-                break
-            u, v = un, vn
-        tc, xc = self._forward(u, v)
-        if max(abs(tc - t), abs(xc - x)) < best_r:
-            best, best_r = (u, v), max(abs(tc - t), abs(xc - x))
-        if best_r <= tol:
-            return best
-        raise NewtonConvergenceError("hodograph Newton did not converge")
+            return None if un == u and vn == v else (un, vn)
+
+        uv = seed_pair(self.cfg.seed if seed is None else seed)
+        tol = self.cfg.newton_tol * max(1.0, abs(t), abs(x))
+        return _newton(residual, step, uv, self.cfg.max_iter, tol)
 
     def jets_uv(self, t: float, x: float, seed=None):
         """(u, v) and their first/second derivative arrays with respect to (t, x)."""
@@ -353,26 +384,19 @@ class HodographSolver:
         g2 = eval_float(self.d2g, {"v": v})
         g3 = eval_float(self.d3g, {"v": v})
         jac = np.array([[f2, g2], [-u * f2, -v * g2]])
-        det = f2 * g2 * (u - v)
-        scale = abs(f2 * g2 * v) + abs(g2 * f2 * u)
-        if abs(det) <= _DEGENERATE_REL * max(scale, 1e-30):
-            raise SingularMatrixError("hodograph fold: J = f''g''(u - v) ~ 0")
+        _fold_det(f2, g2, u, v)
         first = np.linalg.solve(jac, np.eye(2))  # rows: derivative eqn, cols (t, x)
         du = first[0]  # (u_t, u_x)
         dv = first[1]
-        # Second derivatives: J (u_ab, v_ab)^T = -(second-order forward terms)
-        t2 = {"uu": f3, "uv": 0.0, "vv": g3}
-        x2 = {"uu": -f2 - u * f3, "uv": 0.0, "vv": -g2 - v * g3}
+        # Second derivatives: J (u_ab, v_ab)^T = -(second-order forward terms);
+        # t and x have no mixed (u, v) term.
+        x_uu, x_vv = -f2 - u * f3, -g2 - v * g3
         hu = np.zeros((2, 2))
         hv = np.zeros((2, 2))
         for a in range(2):
             for b in range(a, 2):
-                quad_t = (t2["uu"] * du[a] * du[b]
-                          + t2["uv"] * (du[a] * dv[b] + dv[a] * du[b])
-                          + t2["vv"] * dv[a] * dv[b])
-                quad_x = (x2["uu"] * du[a] * du[b]
-                          + x2["uv"] * (du[a] * dv[b] + dv[a] * du[b])
-                          + x2["vv"] * dv[a] * dv[b])
+                quad_t = f3 * du[a] * du[b] + g3 * dv[a] * dv[b]
+                quad_x = x_uu * du[a] * du[b] + x_vv * dv[a] * dv[b]
                 sec = np.linalg.solve(jac, -np.array([quad_t, quad_x]))
                 hu[a, b] = hu[b, a] = sec[0]
                 hv[a, b] = hv[b, a] = sec[1]
@@ -466,6 +490,7 @@ def implicit_3d(
     """Field defined by t F(phi) + x G(phi) + y K(phi) = const_c."""
     for spec, name in ((F, "F"), (G, "G"), (K, "K")):
         _require_vars(spec, {"phi"}, name)
+    _scalar_seed(cfg.seed)
     d1 = [partial(s, "phi") if "phi" in s.vars else None for s in (F, G, K)]
     d2 = [partial(d, "phi") if d is not None else None for d in d1]
 

@@ -22,26 +22,27 @@ both bindings are exposed:
 The test suite records which binding yields vanishing residuals on
 constructed systems (it is ``v_on_x``).
 
-Everything at a point follows from one Newton solve: :func:`solve_constraints`
-returns the field jets, :func:`speed_jets` derives the speeds from that
-solution, and the residual functions read both.  :func:`solve_points` does
-this once per sample point, so every check of a case shares the same solves.
-The symbolic partials of Q and P are built once per :class:`LeznovSystem`.
+Everything at a point follows from one Newton solve (``construct._newton``):
+:func:`solve_constraints` returns the field jets, :func:`speed_jets` derives
+the speeds from that solution, and the residual functions read both.
+:func:`solve_points` does this once per sample point, so every check of a case
+shares the same solves.  A :class:`LeznovSystem` maps each variable name to
+its slot in (phi, point) once, and builds the symbolic partials of Q and P by
+slot once; every evaluation binds variables through that table.
 
 Coordinate order of all jets: (x_1..x_n, xb_1..xb_n).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import jets
-from .construct import ImplicitSolveConfig
-from .errors import EvaluationError, NewtonConvergenceError, SingularMatrixError
+from .construct import ImplicitSolveConfig, _newton
+from .errors import EvaluationError, SingularMatrixError
 from .exprspec import ExprSpec, eval_float, eval_jet, partial
 from .residuals import (
     ResidualReport,
@@ -56,15 +57,12 @@ from .residuals import (
 _COND_LIMIT = 1e10
 
 
-def _field_names(n: int) -> tuple[str, ...]:
-    return ("phi",) if n == 2 else tuple(f"phi{j + 1}" for j in range(n - 1))
-
-
 @dataclass
 class LeznovSystem:
     """(n-1) constraint pairs plus solver configuration.
 
     Q^i may use the field names and x1..xn; P^i the field names and xb1..xbn.
+    The fields are ``phi`` for n = 2 and ``phi1``, ``phi2`` for n = 3.
     """
 
     n: int
@@ -77,40 +75,37 @@ class LeznovSystem:
             raise ValueError("n must be 2 or 3")
         if len(self.Q) != self.n - 1 or len(self.P) != self.n - 1:
             raise ValueError(f"need exactly {self.n - 1} Q and P constraints")
-        fields = set(self.fields)
-        x_names = {f"x{k + 1}" for k in range(self.n)}
-        xb_names = {f"xb{k + 1}" for k in range(self.n)}
-        for i, q in enumerate(self.Q):
-            extra = set(q.vars) - fields - x_names
-            if extra:
-                raise ValueError(f"Q[{i}] uses unknown variables {sorted(extra)}")
-        for i, p in enumerate(self.P):
-            extra = set(p.vars) - fields - xb_names
-            if extra:
-                raise ValueError(f"P[{i}] uses unknown variables {sorted(extra)}")
-        self._dq_phi = [[partial(q, f) if f in q.vars else None for f in self.fields]
-                        for q in self.Q]
-        self._dp_phi = [[partial(p, f) if f in p.vars else None for f in self.fields]
-                        for p in self.P]
-        # Coordinate partials, for the speeds: Q^i_{x_k} and P^i_{xb_k}.
-        self._dq_x = [[partial(q, x) if x in q.vars else None
-                       for x in map(self.x_name, range(self.n))] for q in self.Q]
-        self._dp_xb = [[partial(p, xb) if xb in p.vars else None
-                        for xb in map(self.xb_name, range(self.n))] for p in self.P]
-
-    @property
-    def fields(self) -> tuple[str, ...]:
-        return _field_names(self.n)
+        fields = ("phi",) if self.n == 2 else ("phi1", "phi2")
+        x = tuple(f"x{k + 1}" for k in range(self.n))
+        xb = tuple(f"xb{k + 1}" for k in range(self.n))
+        # variable name -> its slot in (phi, point) = (fields, x_1..x_n, xb_1..xb_n)
+        self.slots = {name: s for s, name in enumerate(fields + x + xb)}
+        for what, specs, coords in (("Q", self.Q, x), ("P", self.P, xb)):
+            for i, spec in enumerate(specs):
+                extra = set(spec.vars) - set(fields) - set(coords)
+                if extra:
+                    raise ValueError(f"{what}[{i}] uses unknown variables {sorted(extra)}")
+        self.seed_fields(self.cfg.seed)
+        # Symbolic partials of Q^i and P^i by slot (None where a variable is absent).
+        self._dq = [[partial(q, v) if v in q.vars else None for v in self.slots] for q in self.Q]
+        self._dp = [[partial(p, v) if v in p.vars else None for v in self.slots] for p in self.P]
 
     @property
     def nf(self) -> int:
         return self.n - 1
 
-    def x_name(self, k: int) -> str:
-        return f"x{k + 1}"
+    def bind(self, spec: ExprSpec, values) -> dict:
+        """``spec``'s variables bound to their slots of ``values``, a sequence over
+        (phi, point)."""
+        return {name: values[self.slots[name]] for name in spec.vars}
 
-    def xb_name(self, k: int) -> str:
-        return f"xb{k + 1}"
+    def seed_fields(self, seed) -> np.ndarray:
+        """Initial field values from a scalar seed or one of ``nf`` components."""
+        phi = np.full(self.nf, float(seed)) if np.isscalar(seed) else np.asarray(
+            seed, dtype=float).copy()
+        if phi.shape != (self.nf,):
+            raise ValueError(f"seed must have {self.nf} components")
+        return phi
 
 
 @dataclass
@@ -122,27 +117,11 @@ class LeznovSolution:
     field_jets: list
 
 
-def _float_args(sys: LeznovSystem, spec_vars, phi, point) -> dict:
-    args = {}
-    for name in spec_vars:
-        if name.startswith("phi"):
-            idx = 0 if name == "phi" else int(name[3:]) - 1
-            args[name] = float(phi[idx])
-        elif name.startswith("xb"):
-            args[name] = float(point[sys.n + int(name[2:]) - 1])
-        else:
-            args[name] = float(point[int(name[1:]) - 1])
-    return args
-
-
 def _gaps(sys: LeznovSystem, phi, point) -> np.ndarray:
     """Q^i - P^i at field values ``phi`` and coordinates ``point``."""
-    out = np.empty(sys.nf)
-    for i in range(sys.nf):
-        qa = _float_args(sys, sys.Q[i].vars, phi, point)
-        pa = _float_args(sys, sys.P[i].vars, phi, point)
-        out[i] = eval_float(sys.Q[i], qa) - eval_float(sys.P[i], pa)
-    return out
+    z = np.concatenate((phi, point)).tolist()
+    return np.array([eval_float(q, sys.bind(q, z)) - eval_float(p, sys.bind(p, z))
+                     for q, p in zip(sys.Q, sys.P)])
 
 
 def solve_constraints(sys: LeznovSystem, point, seed=None) -> LeznovSolution:
@@ -150,102 +129,59 @@ def solve_constraints(sys: LeznovSystem, point, seed=None) -> LeznovSolution:
     point = np.asarray(point, dtype=float)
     if point.shape != (2 * sys.n,):
         raise ValueError(f"point must have {2 * sys.n} coordinates")
-    nf = sys.nf
-    s = sys.cfg.seed if seed is None else seed
-    phi = np.full(nf, float(s)) if np.isscalar(s) else np.asarray(s, dtype=float).copy()
-    if phi.shape != (nf,):
-        raise ValueError(f"seed must have {nf} components")
+    n, nf = sys.n, sys.nf
 
-    def jacobian(p):
-        out = np.zeros((nf, nf))
+    def residual(phi):
+        r = _gaps(sys, phi, point)
+        return np.abs(r).max(), r
+
+    def step(phi, r):
+        z = np.concatenate((phi, point)).tolist()
+        jac = np.zeros((nf, nf))
         for i in range(nf):
             for m in range(nf):
-                dq, dp = sys._dq_phi[i][m], sys._dp_phi[i][m]
+                dq, dp = sys._dq[i][m], sys._dp[i][m]
                 if dq is not None:
-                    out[i, m] += eval_float(dq, _float_args(sys, dq.vars, p, point))
+                    jac[i, m] += eval_float(dq, sys.bind(dq, z))
                 if dp is not None:
-                    out[i, m] -= eval_float(dp, _float_args(sys, dp.vars, p, point))
-        return out
-
-    best, best_r = phi.copy(), math.inf
-    for _ in range(sys.cfg.max_iter):
-        r = _gaps(sys, phi, point)
-        rmax = np.abs(r).max()
-        if rmax < best_r:
-            best, best_r = phi.copy(), rmax
-        if rmax == 0.0:
-            break
-        jac = jacobian(phi)
+                    jac[i, m] -= eval_float(dp, sys.bind(dp, z))
         if not np.isfinite(jac).all() or np.linalg.cond(jac) > _COND_LIMIT:
-            if best_r <= sys.cfg.newton_tol:
-                break
             raise SingularMatrixError("constraint jacobian (P_phi - Q_phi) is singular")
-        step = np.linalg.solve(jac, r)
-        nxt = phi - step
-        if not np.isfinite(nxt).all():
-            break
-        if np.array_equal(nxt, phi):
-            break
-        phi = nxt
-    else:
-        r = _gaps(sys, phi, point)
-        if np.abs(r).max() < best_r:
-            best, best_r = phi.copy(), np.abs(r).max()
-    if best_r > sys.cfg.newton_tol:
-        raise NewtonConvergenceError(
-            f"constraint Newton stalled at |Q - P| = {best_r!r}")
-    phi = best
+        nxt = phi - np.linalg.solve(jac, r)
+        return nxt if np.isfinite(nxt).all() and not np.array_equal(nxt, phi) else None
 
-    # Second-order data of each constraint in its own variables.
-    kq = nf + sys.n
-    q_jets, p_jets = [], []
-    for i in range(nf):
-        qargs = {}
-        for m, name in enumerate(sys.fields):
-            qargs[name] = jets.variable(m, phi[m], kq)
-        for k in range(sys.n):
-            qargs[sys.x_name(k)] = jets.variable(nf + k, point[k], kq)
-        q_jets.append(eval_jet(sys.Q[i], qargs, k=kq))
-        pargs = {}
-        for m, name in enumerate(sys.fields):
-            pargs[name] = jets.variable(m, phi[m], kq)
-        for k in range(sys.n):
-            pargs[sys.xb_name(k)] = jets.variable(nf + k, point[sys.n + k], kq)
-        p_jets.append(eval_jet(sys.P[i], pargs, k=kq))
+    phi = _newton(residual, step, sys.seed_fields(sys.cfg.seed if seed is None else seed),
+                  sys.cfg.max_iter, sys.cfg.newton_tol)
 
-    # First derivatives: (P_phi - Q_phi) phi_a = Q_a (x block), -P_a (xb block).
-    m_mat = np.empty((nf, nf))
-    for i in range(nf):
-        for m in range(nf):
-            m_mat[i, m] = p_jets[i].grad[m] - q_jets[i].grad[m]
+    # Second-order data of each constraint in its own variables: Q^i over
+    # (phi, x) and P^i over (phi, xb), so the x and xb blocks share jet slots.
+    kq = nf + n
+    local = [jets.variable(s if s < kq else s - n, value, kq)
+             for s, value in enumerate(np.concatenate((phi, point)))]
+    q_jets = [eval_jet(q, sys.bind(q, local), k=kq) for q in sys.Q]
+    p_jets = [eval_jet(p, sys.bind(p, local), k=kq) for p in sys.P]
+    qg, pg = np.array([j.grad for j in q_jets]), np.array([j.grad for j in p_jets])
+    qh, ph = np.array([j.hess for j in q_jets]), np.array([j.hess for j in p_jets])
+
+    # Derivatives of C = Q - P by block, over (phi, z) with z = (x, xb).
+    nz = 2 * n
+    c_z = np.hstack((qg[:, nf:], -pg[:, nf:]))
+    c_pp = qh[:, :nf, :nf] - ph[:, :nf, :nf]
+    c_pz = np.concatenate((qh[:, :nf, nf:], -ph[:, :nf, nf:]), axis=2)
+    c_zz = np.zeros((nf, nz, nz))
+    c_zz[:, :n, :n] = qh[:, nf:, nf:]
+    c_zz[:, n:, n:] = -ph[:, nf:, nf:]
+
+    # First derivatives: (P_phi - Q_phi) phi_a = C_a.
+    m_mat = pg[:, :nf] - qg[:, :nf]
     if np.linalg.cond(m_mat) > _COND_LIMIT:
         raise SingularMatrixError("(P_phi - Q_phi) is singular at the root")
-
-    nz = 2 * sys.n
     grads = np.zeros((nf, nz))  # grads[m][a] = phi^m_a
     for a in range(nz):
-        rhs = np.empty(nf)
-        for i in range(nf):
-            if a < sys.n:
-                rhs[i] = q_jets[i].grad[nf + a]
-            else:
-                rhs[i] = -p_jets[i].grad[nf + (a - sys.n)]
-        grads[:, a] = np.linalg.solve(m_mat, rhs)
+        grads[:, a] = np.linalg.solve(m_mat, c_z[:, a])
 
     # Second derivatives: M phi_ab = C_phiphi:phi_a phi_b + C_phia phi_b
-    #                              + C_phib phi_a + C_ab, with C = Q - P.
-    def c_coord_coord(i, a, b):
-        if a < sys.n and b < sys.n:
-            return q_jets[i].hess[nf + a, nf + b]
-        if a >= sys.n and b >= sys.n:
-            return -p_jets[i].hess[nf + a - sys.n, nf + b - sys.n]
-        return 0.0
-
-    def c_phi_coord(i, m, a):
-        if a < sys.n:
-            return q_jets[i].hess[m, nf + a]
-        return -p_jets[i].hess[m, nf + a - sys.n]
-
+    #                              + C_phib phi_a + C_ab.
     hesses = np.zeros((nf, nz, nz))
     for a in range(nz):
         for b in range(a, nz):
@@ -254,11 +190,10 @@ def solve_constraints(sys: LeznovSystem, point, seed=None) -> LeznovSolution:
                 quad = 0.0
                 for m in range(nf):
                     for r in range(nf):
-                        quad += ((q_jets[i].hess[m, r] - p_jets[i].hess[m, r])
-                                 * grads[m, a] * grads[r, b])
-                    quad += c_phi_coord(i, m, a) * grads[m, b]
-                    quad += c_phi_coord(i, m, b) * grads[m, a]
-                quad += c_coord_coord(i, a, b)
+                        quad += c_pp[i, m, r] * grads[m, a] * grads[r, b]
+                    quad += c_pz[i, m, a] * grads[m, b]
+                    quad += c_pz[i, m, b] * grads[m, a]
+                quad += c_zz[i, a, b]
                 rhs[i] = quad
             sol = np.linalg.solve(m_mat, rhs)
             hesses[:, a, b] = sol
@@ -271,11 +206,8 @@ def solve_constraints(sys: LeznovSystem, point, seed=None) -> LeznovSolution:
 def _jet_args(sys: LeznovSystem, sol: LeznovSolution) -> dict:
     """Field jets and coordinate variables at a solved point, by name."""
     nz = 2 * sys.n
-    args = {name: sol.field_jets[m] for m, name in enumerate(sys.fields)}
-    for k in range(sys.n):
-        args[sys.x_name(k)] = jets.variable(k, sol.point[k], nz)
-        args[sys.xb_name(k)] = jets.variable(sys.n + k, sol.point[sys.n + k], nz)
-    return args
+    values = sol.field_jets + [jets.variable(a, c, nz) for a, c in enumerate(sol.point)]
+    return {name: values[s] for name, s in sys.slots.items()}
 
 
 # -- speeds -------------------------------------------------------------------------
@@ -311,14 +243,13 @@ def speed_jets(sys: LeznovSystem, sol: LeznovSolution):
     args = _jet_args(sys, sol)
 
     def partial_jet(d):
-        if d is None:
-            return jets.constant(0.0, nz)
-        return eval_jet(d, {k: v for k, v in args.items() if k in d.vars}, k=nz)
+        return jets.constant(0.0, nz) if d is None else eval_jet(d, args, k=nz)
 
-    q_x = [[partial_jet(sys._dq_x[i][k]) for k in range(nf)] for i in range(nf)]
-    q_xn = [partial_jet(sys._dq_x[i][sys.n - 1]) for i in range(nf)]
-    p_xb = [[partial_jet(sys._dp_xb[i][k]) for k in range(nf)] for i in range(nf)]
-    p_xbn = [partial_jet(sys._dp_xb[i][sys.n - 1]) for i in range(nf)]
+    x, xb = sys.slots["x1"], sys.slots["xb1"]
+    q_x = [[partial_jet(sys._dq[i][x + k]) for k in range(nf)] for i in range(nf)]
+    q_xn = [partial_jet(sys._dq[i][x + sys.n - 1]) for i in range(nf)]
+    p_xb = [[partial_jet(sys._dp[i][xb + k]) for k in range(nf)] for i in range(nf)]
+    p_xbn = [partial_jet(sys._dp[i][xb + sys.n - 1]) for i in range(nf)]
 
     v = [-w for w in _matrix_solve_jets(q_x, q_xn)]
     u = [-w for w in _matrix_solve_jets(p_xb, p_xbn)]

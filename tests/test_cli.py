@@ -287,10 +287,11 @@ def test_missing_required_field_exits_2(tmp_path, capsys, scenario, path):
     assert f"missing required field {path[-1]!r}" in capsys.readouterr().err
 
 
-def test_pointwise_reports_match_recorded_digests(tmp_path):
+@pytest.mark.parametrize("seed", [20240801, 7])
+def test_pointwise_reports_match_recorded_digests(tmp_path, seed):
     """Reports of every sampled and grid scenario, and the grid dumps of the
     simulate ones, match the digests the benchmark recorded."""
-    recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text())["20240801"]
+    recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text())[str(seed)]
     digests = recorded["pointwise_verify"]
     assert sorted(digests) == [p.name[:-5] for p in cli.bundled_scenarios()
                                if p.name[:3] in ("c01", "c02", "c03", "c04", "c06",
@@ -303,7 +304,7 @@ def test_pointwise_reports_match_recorded_digests(tmp_path):
         name = path.name[:-5]
         if name not in digests:
             continue
-        cli.run_scenario(json.loads(path.read_text()), tmp_path / name, seed=20240801,
+        cli.run_scenario(json.loads(path.read_text()), tmp_path / name, seed=seed,
                          dump=name in dumped)
         assert sorted(p.name for p in (tmp_path / name).iterdir()) == sorted(digests[name])
         for fname, digest in digests[name].items():
@@ -374,6 +375,7 @@ def _forbid_work(monkeypatch):
     monkeypatch.setattr(construct, "hodograph_grid", forbidden)
     monkeypatch.setattr(hydro, "integrate_characteristics", forbidden)
     monkeypatch.setattr(hydro, "integrate_multifield", forbidden)
+    monkeypatch.setattr(leznov, "solve_constraints", forbidden)
 
 
 def _main_exit(tmp_path, data, *extra):
@@ -523,6 +525,37 @@ def test_unknown_variation_system_or_check_exits_2_before_solving(
     data = _with(_COMPLETE[scenario](), path, value)
     _forbid_work(monkeypatch)
     assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("scenario,path,value", [
+    ("implicit_fg", ("construct", "F"), "phi - x"),
+    ("hodograph", ("construct", "f"), "v^2"),
+    ("implicit_fg", ("construct", "config", "seed"), [0.0, 1.0]),
+    ("implicit_3d", ("construct", "config", "seed"), [0.0]),
+    ("implicit_fg", ("construct", "config", "max_iter"), 0),
+    ("implicit_fg", ("construct", "config", "newton_tol"), -1),
+    ("implicit_fg", ("checks",), [{"equation": "reparametrization", "tolerance": 1e-9,
+                                   "maps": ["s*t"]}]),
+    ("two_field", ("resolutions",), [16, 4]),
+    ("multifield", ("resolutions",), [4]),
+    ("two_field", ("grid", "t_end"), -1),
+    ("two_field", ("grid", "cfl"), 2),
+    ("two_field", ("checks", 0, "n_values"), [0]),
+    ("variational", ("resolutions",), [9, 4]),
+    ("variational", ("factors",), ["p"]),
+    ("variational", ("psi",), ["s*t"]),
+    ("variational", ("source", "config", "seed"), 1.5),
+    ("leznov", ("construct", "n"), 4),
+    ("leznov", ("construct", "config"), {"seed": [0.0, 1.0]}),
+    ("hodograph", ("construct", "config", "seed"), 1.5),
+    ("born_infeld", ("construct", "config", "seed"), 1.5),
+])
+def test_input_error_caught_by_the_library_exits_2_before_solving(
+        tmp_path, monkeypatch, capsys, scenario, path, value):
+    data = _with(_COMPLETE[scenario](), path, value)
+    _forbid_work(monkeypatch)
+    assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_one_density_jet_per_node(tmp_path, monkeypatch):

@@ -52,6 +52,22 @@ def test_implicit_fg_degenerate_root():
         h([0.5, 0.5, 0.0, 0.2])
 
 
+@pytest.mark.parametrize("bracket,root", [
+    ((-3.0, 0.0), -1.769292354238587),
+    ((0.0, 3.0), None),  # the bracket does not straddle the root
+    (None, None),
+])
+def test_bisection_fallback_when_newton_cycles(bracket, root):
+    # From phi = 0, Newton on phi^3 - 2 phi + 2 cycles between 0 and 1.
+    cfg = ImplicitSolveConfig(seed=0.0, bracket=bracket)
+    h = solve_implicit_fg(parse("phi^3 - 2*phi + 2"), parse("0"), cfg)
+    if root is None:
+        with pytest.raises(NewtonConvergenceError):
+            h([0.0, 0.0, 0.0, 0.0])
+    else:
+        assert h([0.0, 0.0, 0.0, 0.0]).value == root
+
+
 def test_implicit_fg_residual_at_regular_points():
     pairs = [
         ("phi - x1*x2", "xb1 + xb2"),

@@ -1,9 +1,9 @@
-"""Every public function and class of the library is reached from the library.
+"""Every function and class of the library is reached from the library.
 
-A public module-level function or class in ``src/batlab/`` must be referenced,
-as a name or an attribute, by library code outside its own definition.  The
-only other way in is from outside the package: a console-script entry point
-named in ``pyproject.toml``, or a hook the benchmark patches by name
+A module-level function or class in ``src/batlab/``, public or private, must be
+referenced, as a name or an attribute, by library code outside its own
+definition.  The only other way in is from outside the package: a console-script
+entry point named in ``pyproject.toml``, or a hook the benchmark patches by name
 (``perfbench/tracing.py`` ``SPANS`` and ``COUNTED``, ``perfbench/workloads.py``
 ``segments``).  Anything else only tests can reach, and no verdict depends
 on it.
@@ -48,7 +48,9 @@ def _references(tree: ast.Module) -> list[tuple[str | None, str]]:
     return out
 
 
-def test_every_public_definition_is_reached_from_the_library():
+def _unreached(private: bool) -> list[str]:
+    """Module-level functions and classes, public or private, that no library
+    code outside their own definition references and that are not exempt."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     references = {(module, owner, name) for module, tree in trees.items()
                   for owner, name in _references(tree)}
@@ -58,9 +60,20 @@ def test_every_public_definition_is_reached_from_the_library():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name.startswith("_") or (module, node.name) in exempt:
+            if node.name.startswith("_") != private or (module, node.name) in exempt:
                 continue
             if not any(name == node.name and (where, owner) != (module, node.name)
                        for where, owner, name in references):
                 unreached.append(f"{module}.{node.name}")
+    return unreached
+
+
+def test_every_public_definition_is_reached_from_the_library():
+    unreached = _unreached(private=False)
     assert not unreached, f"public definitions no library code reaches: {unreached}"
+
+
+def test_every_private_helper_is_reached_from_the_library():
+    """A private helper left behind by a refactor is dead code."""
+    unreached = _unreached(private=True)
+    assert not unreached, f"private definitions no library code reaches: {unreached}"
