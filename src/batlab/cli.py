@@ -205,7 +205,8 @@ def _solve_config(block: dict) -> ImplicitSolveConfig:
     )
 
 
-def _box_sampler(samples: dict, rng: np.random.Generator):
+def _box_sampler(samples: dict, rng: np.random.Generator, dim: int):
+    """``count`` uniform points of a box of ``dim`` coordinates."""
     low = np.asarray(_numbers(_field_or(samples, "low", required=True), "samples.low"))
     high = np.asarray(_numbers(_field_or(samples, "high", required=True), "samples.high"))
     count = _number(_field_or(samples, "count", required=True), "samples.count", int)
@@ -213,6 +214,8 @@ def _box_sampler(samples: dict, rng: np.random.Generator):
         raise ScenarioError(f"samples count must be at least 1, got {count}")
     if low.shape != high.shape or np.any(low >= high):
         raise ScenarioError("samples box must satisfy low < high componentwise")
+    if low.shape != (dim,):
+        raise ScenarioError(f"samples box must have {dim} coordinates, got {low.size}")
     return [rng.uniform(low, high) for _ in range(count)], count
 
 
@@ -241,13 +244,14 @@ def _expr(block: dict, key: str):
     return _parse_expr(_field_or(block, key, required=True), key)
 
 
-def _field_case(make):
-    """Case builder for a constructor that returns a FieldHandle."""
+def _field_case(make, dim: int):
+    """Case builder for a constructor that returns a FieldHandle of ``dim``
+    coordinates."""
 
     def build(block, label, case, rng) -> _Solved:
         with _reading():
             handle = make(block)
-        points, requested = _box_sampler(_object(case, "samples"), rng)
+        points, requested = _box_sampler(_object(case, "samples"), rng, dim)
         return _Solved(label, rng, requested, points,
                        [residuals.attempt(handle, p) for p in points])
 
@@ -262,7 +266,7 @@ def _hodograph_case(block, label, case, rng) -> _Solved:
     samples = _object(case, "samples")
     if samples.get("mode", "uv_box") != "uv_box":
         raise ScenarioError("hodograph cases sample the (u, v) parameter box")
-    uv, requested = _box_sampler(samples, rng)
+    uv, requested = _box_sampler(samples, rng, 2)
     tx = [solver.forward(u0, v0) for u0, v0 in uv]
     fields = [residuals.attempt(solver.fields, t, x, s) for (t, x), s in zip(tx, uv)]
     return _Solved(label, rng, requested, uv, fields, solver, tx)
@@ -276,7 +280,7 @@ def _leznov_case(block, label, case, rng) -> _Solved:
             P=[_parse_expr(p, "P") for p in _list(block, "P")],
             cfg=_solve_config(_object(block, "config", False)),
         )
-    points, requested = _box_sampler(_object(case, "samples"), rng)
+    points, requested = _box_sampler(_object(case, "samples"), rng, 2 * sys_.n)
     return _Solved(label, rng, requested, points, leznov.solve_points(sys_, points), sys_)
 
 
@@ -473,11 +477,11 @@ def _scalar_checks(equation: str, residual, **others) -> dict:
 
 _CONSTRUCTORS = {
     "solve_implicit_fg": _field_case(lambda b: construct.solve_implicit_fg(
-        _expr(b, "F"), _expr(b, "G"), _solve_config(_object(b, "config", False)))),
-    "holo_sum": _field_case(lambda b: construct.holo_sum(_expr(b, "f"), _expr(b, "g"))),
+        _expr(b, "F"), _expr(b, "G"), _solve_config(_object(b, "config", False))), 4),
+    "holo_sum": _field_case(lambda b: construct.holo_sum(_expr(b, "f"), _expr(b, "g")), 4),
     "implicit_3d": _field_case(lambda b: construct.implicit_3d(
         _expr(b, "F"), _expr(b, "G"), _expr(b, "K"), _number(b.get("const_c", 0.0), "const_c"),
-        _solve_config(_object(b, "config", False)))),
+        _solve_config(_object(b, "config", False))), 3),
     "parametric_hodograph": _hodograph_case,
     "leznov": _leznov_case,
 }
@@ -564,6 +568,7 @@ def _two_field(case: dict, grid_block: dict, resolutions: list):
     init = _object(case, "init")
     u = _parse_expr(_field_or(init, "u", required=True), "init.u")
     v = _parse_expr(_field_or(init, "v", required=True), "init.v")
+    hydro.check_initial_data({"u": u, "v": v}, ("u", "v"), ("x",))
     return specs, lambda spec: hydro.integrate_characteristics(u, v, spec)
 
 
@@ -572,6 +577,7 @@ def _multifield(case: dict, grid_block: dict, resolutions: list):
     cfl = _number(grid_block.get("cfl", 0.4), "grid.cfl")
     specs = [hydro.MultiGridSpec(n2=res, n3=res, t_end=t_end, cfl=cfl) for res in resolutions]
     init = {k: _parse_expr(v, f"init.{k}") for k, v in _object(case, "init").items()}
+    hydro.check_initial_data(init, hydro.MULTI_FIELDS, ("x2", "x3"))
     return specs, lambda spec: hydro.integrate_multifield(init, spec)
 
 
@@ -683,6 +689,7 @@ def _run_variational_case(case: dict, rng: np.random.Generator) -> list[dict]:
         raise ScenarioError(f"vary must name psi, phibar or phi, got {vary_list!r}")
     grids = []  # per resolution: nodes, tolerance and one functional per factor
     with _reading():
+        solver = construct.HodographSolver(f, g, cfg)
         construct.seed_pair(cfg.seed)
         for n in resolutions:
             t_nodes = np.linspace(t_lo, t_hi, n)
@@ -696,7 +703,7 @@ def _run_variational_case(case: dict, rng: np.random.Generator) -> list[dict]:
     measured: dict[int, dict[str, float]] = {}
     entries: list[dict] = []
     for n, t_nodes, x_nodes, tol, functionals in grids:
-        phi, phibar = construct.hodograph_grid(f, g, cfg, t_nodes, x_nodes)
+        phi, phibar = construct.hodograph_grid(solver, t_nodes, x_nodes)
         measured[n] = {}
         for factor, func in functionals:
             for w, psi_expr in psis:

@@ -43,7 +43,7 @@ from .errors import (
     PoleError,
     SingularMatrixError,
 )
-from .exprspec import Bin, ExprSpec, Var, eval_float, eval_jet, partial
+from .exprspec import Bin, ExprSpec, Var, eval_float, eval_jet, float_fn, partial
 from .residuals import ResidualSample, _from_terms
 
 _DEGENERATE_REL = 1e-10
@@ -308,30 +308,33 @@ class HodographSolver:
         t = f'(u) + g'(v),   x = f(u) - u f'(u) + g(v) - v g'(v)
 
     for (u, v) at a point (t, x).  Every symbolic partial it needs is built
-    once, here.
+    once, here, and so are the positional evaluators
+    (:func:`~batlab.exprspec.float_fn`) its Newton loop calls.
     """
 
     def __init__(self, f: ExprSpec, g: ExprSpec, cfg: ImplicitSolveConfig):
         _require_vars(f, {"u"}, "f")
         _require_vars(g, {"v"}, "g")
         self.cfg = cfg
-        self.d1f = partial(f, "u")
-        self.d2f = partial(self.d1f, "u")
-        self.d3f = partial(self.d2f, "u")
-        self.d1g = partial(g, "v")
-        self.d2g = partial(self.d1g, "v")
-        self.d3g = partial(self.d2g, "v")
-        self.f, self.g = f, g
-        t_ast = Bin("+", self.d1f.ast, self.d1g.ast)
+        d1f = partial(f, "u")
+        d2f = partial(d1f, "u")
+        d3f = partial(d2f, "u")
+        d1g = partial(g, "v")
+        d2g = partial(d1g, "v")
+        d3g = partial(d2g, "v")
+        t_ast = Bin("+", d1f.ast, d1g.ast)
         x_ast = Bin(
             "+",
-            Bin("-", f.ast, Bin("*", Var("u"), self.d1f.ast)),
-            Bin("-", g.ast, Bin("*", Var("v"), self.d1g.ast)),
+            Bin("-", f.ast, Bin("*", Var("u"), d1f.ast)),
+            Bin("-", g.ast, Bin("*", Var("v"), d1g.ast)),
         )
         self.t_expr = ExprSpec(t_ast, ("u", "v"))
         self.x_expr = ExprSpec(x_ast, ("u", "v"))
         self._identity_terms = [(partial(self.x_expr, var), partial(self.t_expr, var), var)
                                 for var in ("v", "u")]
+        # f and its first three derivatives at u; g and its at v
+        self._fu = [float_fn(s) for s in (f, d1f, d2f, d3f)]
+        self._gv = [float_fn(s) for s in (g, d1g, d2g, d3g)]
 
     def forward(self, u: float, v: float) -> tuple[float, float]:
         """(t, x) at (u, v), evaluated from the parametric formulas as written."""
@@ -345,24 +348,21 @@ class HodographSolver:
                      for x_d, t_d, var in self._identity_terms)
 
     def solve(self, t: float, x: float, seed=None) -> tuple[float, float]:
-        f, g, d1f, d1g, d2f, d2g = self.f, self.g, self.d1f, self.d1g, self.d2f, self.d2g
+        (f, d1f, d2f, _), (g, d1g, d2g, _) = self._fu, self._gv
 
         def residual(uv):
             # Newton's own form of the forward map: fewer evaluations than
             # ``forward``, summed in a different order.
             u, v = uv
-            fu = eval_float(f, {"u": u})
-            f1 = eval_float(d1f, {"u": u})
-            gv = eval_float(g, {"v": v})
-            g1 = eval_float(d1g, {"v": v})
+            fu, f1 = f(u), d1f(u)
+            gv, g1 = g(v), d1g(v)
             r1, r2 = f1 + g1 - t, fu - u * f1 + gv - v * g1 - x
             return max(abs(r1), abs(r2)), (r1, r2)
 
         def step(uv, r):
             u, v = uv
             r1, r2 = r
-            f2 = eval_float(d2f, {"u": u})
-            g2 = eval_float(d2g, {"v": v})
+            f2, g2 = d2f(u), d2g(v)
             # J = [[f'', g''], [-u f'', -v g'']]
             det = _fold_det(f2, g2, u, v)
             du = (-v * g2 * r1 - g2 * r2) / det
@@ -379,10 +379,9 @@ class HodographSolver:
     def jets_uv(self, t: float, x: float, seed=None):
         """(u, v) and their first/second derivative arrays with respect to (t, x)."""
         u, v = self.solve(t, x, seed)
-        f2 = eval_float(self.d2f, {"u": u})
-        f3 = eval_float(self.d3f, {"u": u})
-        g2 = eval_float(self.d2g, {"v": v})
-        g3 = eval_float(self.d3g, {"v": v})
+        (_, _, d2f, d3f), (_, _, d2g, d3g) = self._fu, self._gv
+        f2, f3 = d2f(u), d3f(u)
+        g2, g3 = d2g(v), d3g(v)
         jac = np.array([[f2, g2], [-u * f2, -v * g2]])
         _fold_det(f2, g2, u, v)
         first = np.linalg.solve(jac, np.eye(2))  # rows: derivative eqn, cols (t, x)
@@ -529,19 +528,15 @@ def implicit_3d(
 
 
 def hodograph_grid(
-    f: ExprSpec,
-    g: ExprSpec,
-    cfg: ImplicitSolveConfig,
-    t_nodes: np.ndarray,
-    x_nodes: np.ndarray,
+    solver: HodographSolver, t_nodes: np.ndarray, x_nodes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(phi, phibar) = (v, u) values on a tensor grid, with (u, v) seed
-    continuation along each row and down the first column."""
-    solver = HodographSolver(f, g, cfg)
+    continuation along each row and down the first column from the solver's
+    configured seed."""
     nt, nx = len(t_nodes), len(x_nodes)
     phi = np.empty((nt, nx))
     phibar = np.empty((nt, nx))
-    row_seed = cfg.seed
+    row_seed = solver.cfg.seed
     for i, t in enumerate(t_nodes):
         s = row_seed
         for j, x in enumerate(x_nodes):

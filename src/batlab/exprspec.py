@@ -15,14 +15,22 @@ Grammar (whitespace insensitive)::
 
 Binary operators are left-associative; ``^`` binds tighter than unary minus,
 so ``-x^2`` is ``-(x^2)``.  Numbers are decimal with optional exponent.
+
+Evaluation never walks the tree: each spec is compiled once, on its first
+evaluation, into nested closures cached on the spec (:func:`_compile`).
+:func:`eval_float` and :func:`eval_jet` take their arguments by name;
+:func:`float_fn` binds a positional float evaluator once, for Newton loops.  The
+tree walker these closures replaced is kept in ``tests/oracles.py`` as the
+reference they are tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from . import jets
 from .errors import ExprSyntaxError, JetDomainError
@@ -72,6 +80,11 @@ class ExprSpec:
 
     def __str__(self) -> str:
         return to_string(self.ast)
+
+    @functools.cached_property
+    def _compiled(self):
+        """The expression compiled by :func:`_compile`, on first use."""
+        return _compile(self)
 
 
 # -- tokenizer / parser --------------------------------------------------------
@@ -219,57 +232,141 @@ def to_string(node: Node) -> str:
 
 
 # -- evaluation ----------------------------------------------------------------
+#
+# A spec is compiled once, on its first evaluation, into nested closures, one per
+# AST node, over a sequence of values in the order of ``spec.vars`` (None for a
+# variable not given).  A subtree over float leaves evaluates to a float and one
+# with a jet leaf to a Jet2, so the same closures serve eval_float, float_fn and
+# eval_jet.  The closures are cached on the spec and live as long as it does.
 
-def _eval_node_jet(node: Node, args: Mapping[str, jets.Jet2 | float]):
-    """Evaluate to a Jet2, or a plain float for subtrees over float leaves.
 
-    This one walker serves :func:`eval_jet` and :func:`eval_float`: where every
-    leaf is a float it takes only its float branches.
-    """
+def _compile(spec: ExprSpec):
+    """The closure evaluating ``spec`` at a sequence of values by slot in ``spec.vars``."""
+    return _closure(spec.ast, {name: i for i, name in enumerate(spec.vars)})
+
+
+def _closure(node: Node, slots: Mapping[str, int]):
+    """The closure of the subtree at ``node``, built from its children's."""
     if isinstance(node, Num):
-        return node.value
+        value = node.value
+        return lambda env: value
     if isinstance(node, Var):
-        try:
-            return args[node.name]
-        except KeyError:
-            raise ValueError(f"missing variable {node.name!r}") from None
+        name, i = node.name, slots.get(node.name)
+
+        def missing(env):
+            raise ValueError(f"missing variable {name!r}")
+
+        def var(env):
+            value = env[i]
+            return missing(env) if value is None else value
+        return missing if i is None else var
     if isinstance(node, Neg):
-        return -_eval_node_jet(node.operand, args)
+        operand = _closure(node.operand, slots)
+        return lambda env: -operand(env)
     if isinstance(node, Call):
-        a = _eval_node_jet(node.arg, args)
-        if isinstance(a, float):
-            return _apply_float(node.func, a)
-        return jets.FUNCTIONS[node.func](a)
+        arg = _closure(node.arg, slots)
+        float_fun, jet_fun = _FLOAT_FUNCTIONS[node.func], jets.FUNCTIONS[node.func]
+
+        def call(env):
+            a = arg(env)
+            return float_fun(a) if isinstance(a, float) else jet_fun(a)
+        return call
     if isinstance(node, Bin):
-        left = _eval_node_jet(node.left, args)
-        if node.op == "^":
-            # Literal exponents keep the integer fast path (valid for any
-            # base); expression exponents go through exp(e*log(b)).
-            if isinstance(node.right, Num):
-                if isinstance(left, float):
-                    return _float_pow(left, node.right.value)
-                return jets.powc(left, node.right.value)
-            right = _eval_node_jet(node.right, args)
-            if isinstance(right, float) and isinstance(left, float):
-                return _float_pow(left, right)
-            if isinstance(right, float):
-                return jets.powc(left, right)
-            if isinstance(left, float):
-                if left <= 0.0:
-                    raise JetDomainError("pow", left)
-                return jets.exp(right * math.log(left))
-            return jets.exp(right * jets.log(left))
-        right = _eval_node_jet(node.right, args)
+        left = _closure(node.left, slots)
+        if node.op == "^" and isinstance(node.right, Num):
+            return _literal_power(left, node.right.value)
+        right = _closure(node.right, slots)
         if node.op == "+":
-            return left + right
+            return lambda env: left(env) + right(env)
         if node.op == "-":
-            return left - right
+            return lambda env: left(env) - right(env)
         if node.op == "*":
-            return left * right
-        if isinstance(right, float) and right == 0.0:
-            raise JetDomainError("div", 0.0)
-        return left / right
+            return lambda env: left(env) * right(env)
+        if node.op == "/":
+            def divide(env):
+                a, b = left(env), right(env)
+                if isinstance(b, float) and b == 0.0:
+                    raise JetDomainError("div", 0.0)
+                return a / b
+            return divide
+        if node.op == "^":
+            return _power(left, right)
+        raise ValueError(f"unknown operator {node.op!r}")
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def _literal_power(base, c):
+    """``base ^ c`` for a literal exponent ``c``.  The integer fast path (valid
+    for any base) is chosen here, once, by the rule of :func:`_float_pow`."""
+    if not (isinstance(c, float) and c.is_integer()):
+        def power(env):
+            b = base(env)
+            return _float_pow(b, c) if isinstance(b, float) else jets.powc(b, c)
+        return power
+    e = int(c)
+
+    def integer_power(env):
+        b = base(env)
+        if not isinstance(b, float):
+            return jets.powc(b, c)
+        if e < 0 and b == 0.0:
+            raise JetDomainError("pow", 0.0)
+        try:
+            return float(b**e)
+        except OverflowError:
+            raise JetDomainError("pow", b) from None
+    return integer_power
+
+
+def _power(base, expo):
+    """``base ^ expo`` for an expression exponent: a jet exponent goes through
+    exp(e*log(b))."""
+    def power(env):
+        b, e = base(env), expo(env)
+        if isinstance(e, float):
+            return _float_pow(b, e) if isinstance(b, float) else jets.powc(b, e)
+        if isinstance(b, float):
+            if b <= 0.0:
+                raise JetDomainError("pow", b)
+            return jets.exp(e * math.log(b))
+        return jets.exp(e * jets.log(b))
+    return power
+
+
+def _exp(v: float) -> float:
+    if v >= 709.0:
+        raise JetDomainError("exp", v)
+    return math.exp(v)
+
+
+def _log(v: float) -> float:
+    if v <= 0.0:
+        raise JetDomainError("log", v)
+    return math.log(v)
+
+
+def _sqrt(v: float) -> float:
+    if v <= 0.0:
+        raise JetDomainError("sqrt", v)
+    return math.sqrt(v)
+
+
+_FLOAT_FUNCTIONS = {"exp": _exp, "log": _log, "sin": math.sin, "cos": math.cos,
+                    "sqrt": _sqrt}
+
+
+def _float_pow(base: float, expo: float) -> float:
+    if isinstance(expo, float) and expo.is_integer():
+        expo = int(expo)
+    if isinstance(expo, int):
+        if base == 0.0 and expo < 0:
+            raise JetDomainError("pow", 0.0)
+    elif base <= 0.0:
+        raise JetDomainError("pow", base)
+    try:
+        return float(base**expo)
+    except OverflowError:
+        raise JetDomainError("pow", base) from None
 
 
 def eval_jet(spec: ExprSpec, args: Mapping[str, jets.Jet2], k: int | None = None) -> jets.Jet2:
@@ -287,7 +384,7 @@ def eval_jet(spec: ExprSpec, args: Mapping[str, jets.Jet2], k: int | None = None
             arity = ka
         elif ka != arity:
             raise ValueError(f"arity mismatch: {name!r} has k={ka}, expected {arity}")
-    result = _eval_node_jet(spec.ast, args)
+    result = spec._compiled([args[name] for name in spec.vars])
     if isinstance(result, float):
         if arity is None:
             raise ValueError("constant expression: pass k to fix the jet arity")
@@ -297,47 +394,28 @@ def eval_jet(spec: ExprSpec, args: Mapping[str, jets.Jet2], k: int | None = None
     return result
 
 
-def _apply_float(func: str, v: float) -> float:
-    if func == "exp":
-        if v >= 709.0:
-            raise JetDomainError("exp", v)
-        return math.exp(v)
-    if func == "log":
-        if v <= 0.0:
-            raise JetDomainError("log", v)
-        return math.log(v)
-    if func == "sin":
-        return math.sin(v)
-    if func == "cos":
-        return math.cos(v)
-    if func == "sqrt":
-        if v <= 0.0:
-            raise JetDomainError("sqrt", v)
-        return math.sqrt(v)
-    raise ValueError(f"unknown function {func!r}")
-
-
-def _float_pow(base: float, expo: float) -> float:
-    if isinstance(expo, float) and expo.is_integer():
-        expo = int(expo)
-    if isinstance(expo, int):
-        if base == 0.0 and expo < 0:
-            raise JetDomainError("pow", 0.0)
-    elif base <= 0.0:
-        raise JetDomainError("pow", base)
-    try:
-        return float(base**expo)
-    except OverflowError:
-        raise JetDomainError("pow", base) from None
-
-
 def eval_float(spec: ExprSpec, args: Mapping[str, float]) -> float:
-    """Plain float evaluation (used inside Newton loops)."""
-    floats = {name: float(args[name]) for name in spec.vars if name in args}
-    out = _eval_node_jet(spec.ast, floats)
+    """Plain float evaluation; a variable missing from ``args`` raises a
+    ValueError when the evaluation reaches it."""
+    out = spec._compiled([float(args[name]) if name in args else None
+                          for name in spec.vars])
     if not math.isfinite(out):
         raise JetDomainError("eval", out)
     return out
+
+
+def float_fn(spec: ExprSpec) -> Callable[[float], float]:
+    """:func:`eval_float` of a spec of one variable as a function of that
+    variable's value, to bind once outside a Newton loop."""
+    if len(spec.vars) != 1:
+        raise ValueError(f"float_fn needs a spec of one variable, got {spec.vars}")
+
+    def evaluate(value) -> float:
+        out = spec._compiled((float(value),))
+        if not math.isfinite(out):
+            raise JetDomainError("eval", out)
+        return out
+    return evaluate
 
 
 # -- symbolic first derivative ---------------------------------------------------

@@ -43,6 +43,18 @@ from .errors import (
 from .exprspec import ExprSpec, eval_float
 
 TWO_PI = 2.0 * math.pi
+MULTI_FIELDS = ("u1", "u2", "v1", "v2")
+
+
+def check_initial_data(init: dict, names: tuple, coords: tuple) -> None:
+    """ValueError unless ``init`` maps exactly ``names`` to ExprSpecs over ``coords``."""
+    if set(init) != set(names):
+        raise ValueError(f"init must define exactly {names}")
+    for name in names:
+        extra = set(init[name].vars) - set(coords)
+        if extra:
+            raise ValueError(f"initial data {name} may only use {list(coords)}, "
+                             f"got {sorted(extra)}")
 
 
 def sn_polynomial_grid(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -202,9 +214,7 @@ def integrate_characteristics(
     init_u: ExprSpec, init_v: ExprSpec, spec: CharGridSpec
 ) -> CharGrid:
     """Fill a CharGrid from smooth initial data given as expressions of x."""
-    for s, name in ((init_u, "init_u"), (init_v, "init_v")):
-        if set(s.vars) - {"x"}:
-            raise ValueError(f"{name} must be an expression of x only")
+    check_initial_data({"u": init_u, "v": init_v}, ("u", "v"), ("x",))
     if spec.bc == "periodic":
         x_nodes = spec.x0 + (spec.x1 - spec.x0) * np.arange(spec.nx) / spec.nx
     else:
@@ -385,9 +395,8 @@ def integrate_multifield(
     ``freeze`` lists fields whose values stay at their initial data (used by
     the frozen-speed transport oracle in the tests).
     """
-    names = ("u1", "u2", "v1", "v2")
-    if set(init) != set(names):
-        raise ValueError(f"init must define exactly {names}")
+    names = MULTI_FIELDS
+    check_initial_data(init, names, ("x2", "x3"))
     x2 = TWO_PI * np.arange(spec.n2) / spec.n2
     x3 = TWO_PI * np.arange(spec.n3) / spec.n3
     h2 = float(x2[1] - x2[0])
@@ -397,8 +406,6 @@ def integrate_multifield(
     f0 = {}
     for name in names:
         s = init[name]
-        if set(s.vars) - {"x2", "x3"}:
-            raise ValueError(f"{name} initial data must use only (x2, x3)")
         f0[name] = np.array([
             [eval_float(s, {"x2": float(a), "x3": float(b)}) for a, b in zip(r2, r3)]
             for r2, r3 in zip(X2, X3)
@@ -532,7 +539,7 @@ def dump_char_grid(grid: CharGrid, csv_path) -> None:
 
 def dump_multi_grid(grid: MultiCharGrid, csv_path) -> None:
     csv_path = Path(csv_path)
-    names = ("u1", "u2", "v1", "v2")
+    names = MULTI_FIELDS
     with csv_path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["level", "x1", "x2", "x3", *names])

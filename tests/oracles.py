@@ -1,19 +1,147 @@
-"""Pointwise and file-format references that the tests compare batlab against.
+"""Pointwise, expression and file-format references that the tests compare
+batlab against.
 
-Each one is the plain, unvectorized form of something batlab computes in
-bulk: the tests assert that both give the same numbers.
+Each one is the plain, unvectorized or uncompiled form of something batlab
+computes in bulk or from compiled closures: the tests assert that both give the
+same numbers and raise the same errors.
 """
 
 import csv
 import itertools
 import json
+import math
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
+from batlab import jets
+from batlab.errors import JetDomainError
+from batlab.exprspec import Bin, Call, ExprSpec, Neg, Node, Num, Var
 from batlab.hydro import CharGrid
 from batlab.jets import Jet2
 from batlab.residuals import ResidualSample
+
+
+# -- expression evaluation by walking the tree ---------------------------------------
+
+
+def _eval_node_jet(node: Node, args: Mapping[str, Jet2 | float]):
+    """Evaluate to a Jet2, or a plain float for subtrees over float leaves.
+
+    This one walker serves :func:`eval_jet` and :func:`eval_float`: where every
+    leaf is a float it takes only its float branches.
+    """
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        try:
+            return args[node.name]
+        except KeyError:
+            raise ValueError(f"missing variable {node.name!r}") from None
+    if isinstance(node, Neg):
+        return -_eval_node_jet(node.operand, args)
+    if isinstance(node, Call):
+        a = _eval_node_jet(node.arg, args)
+        if isinstance(a, float):
+            return _apply_float(node.func, a)
+        return jets.FUNCTIONS[node.func](a)
+    if isinstance(node, Bin):
+        left = _eval_node_jet(node.left, args)
+        if node.op == "^":
+            # Literal exponents keep the integer fast path (valid for any
+            # base); expression exponents go through exp(e*log(b)).
+            if isinstance(node.right, Num):
+                if isinstance(left, float):
+                    return _float_pow(left, node.right.value)
+                return jets.powc(left, node.right.value)
+            right = _eval_node_jet(node.right, args)
+            if isinstance(right, float) and isinstance(left, float):
+                return _float_pow(left, right)
+            if isinstance(right, float):
+                return jets.powc(left, right)
+            if isinstance(left, float):
+                if left <= 0.0:
+                    raise JetDomainError("pow", left)
+                return jets.exp(right * math.log(left))
+            return jets.exp(right * jets.log(left))
+        right = _eval_node_jet(node.right, args)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if isinstance(right, float) and right == 0.0:
+            raise JetDomainError("div", 0.0)
+        return left / right
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def _apply_float(func: str, v: float) -> float:
+    if func == "exp":
+        if v >= 709.0:
+            raise JetDomainError("exp", v)
+        return math.exp(v)
+    if func == "log":
+        if v <= 0.0:
+            raise JetDomainError("log", v)
+        return math.log(v)
+    if func == "sin":
+        return math.sin(v)
+    if func == "cos":
+        return math.cos(v)
+    if func == "sqrt":
+        if v <= 0.0:
+            raise JetDomainError("sqrt", v)
+        return math.sqrt(v)
+    raise ValueError(f"unknown function {func!r}")
+
+
+def _float_pow(base: float, expo: float) -> float:
+    if isinstance(expo, float) and expo.is_integer():
+        expo = int(expo)
+    if isinstance(expo, int):
+        if base == 0.0 and expo < 0:
+            raise JetDomainError("pow", 0.0)
+    elif base <= 0.0:
+        raise JetDomainError("pow", base)
+    try:
+        return float(base**expo)
+    except OverflowError:
+        raise JetDomainError("pow", base) from None
+
+
+def eval_jet(spec: ExprSpec, args: Mapping[str, Jet2], k: int | None = None) -> Jet2:
+    """``exprspec.eval_jet`` by walking the tree."""
+    arity = k
+    for name in spec.vars:
+        if name not in args:
+            raise ValueError(f"missing variable {name!r}")
+        ka = args[name].k
+        if arity is None:
+            arity = ka
+        elif ka != arity:
+            raise ValueError(f"arity mismatch: {name!r} has k={ka}, expected {arity}")
+    result = _eval_node_jet(spec.ast, args)
+    if isinstance(result, float):
+        if arity is None:
+            raise ValueError("constant expression: pass k to fix the jet arity")
+        result = jets.constant(result, arity)
+    jets._require_finite("eval", result.value, result.grad, result.hess)
+    return result
+
+
+def eval_float(spec: ExprSpec, args: Mapping[str, float]) -> float:
+    """``exprspec.eval_float`` by walking the tree."""
+    floats = {name: float(args[name]) for name in spec.vars if name in args}
+    out = _eval_node_jet(spec.ast, floats)
+    if not math.isfinite(out):
+        raise JetDomainError("eval", out)
+    return out
+
+
+# -- pointwise residuals ---------------------------------------------------------------
 
 
 def sn_polynomial(u: float, v: float, n: int) -> float:
@@ -63,6 +191,9 @@ def multifield_det(phi1: Jet2, phi2: Jet2, phibar1: Jet2, phibar2: Jet2,
         m[2 + r, 1] = phi2.grad[r]
         m[2 + r, 2:] = hj[r, :]
     return ResidualSample(float(np.linalg.det(m)), _abs_permanent(np.abs(m)))
+
+
+# -- file formats ------------------------------------------------------------------------
 
 
 def load_char_grid(csv_path) -> CharGrid:

@@ -549,6 +549,16 @@ def test_unknown_variation_system_or_check_exits_2_before_solving(
     ("leznov", ("construct", "config"), {"seed": [0.0, 1.0]}),
     ("hodograph", ("construct", "config", "seed"), 1.5),
     ("born_infeld", ("construct", "config", "seed"), 1.5),
+    ("implicit_fg", ("samples",), {"count": 4, "low": [-1] * 3, "high": [1] * 3}),
+    ("holo_sum", ("samples",), {"count": 4, "low": [-1] * 5, "high": [1] * 5}),
+    ("implicit_3d", ("samples",), {"count": 4, "low": [0.5, -1, -1, -1], "high": [1.5, 1, 1, 1]}),
+    ("hodograph", ("samples",), {"count": 4, "low": [1.0, 3.0, 0.0], "high": [2.0, 4.0, 1.0]}),
+    ("leznov", ("samples",), {"count": 4, "low": [-1] * 3, "high": [1] * 3}),
+    ("two_field", ("init", "u"), "1.0 + 0.1*sin(y)"),
+    ("multifield", ("init", "u1"), "0.4 + 0.1*sin(x1)"),
+    ("multifield", ("init",), {"u1": "0.4", "u2": "-0.3", "v1": "0.9"}),
+    ("variational", ("source", "f"), "v^2"),
+    ("variational", ("source", "g"), "v^2 + u"),
 ])
 def test_input_error_caught_by_the_library_exits_2_before_solving(
         tmp_path, monkeypatch, capsys, scenario, path, value):

@@ -508,8 +508,8 @@ def test_hodograph_grid_matches_handles():
     cfg = ImplicitSolveConfig(seed=(1.5, 3.5))
     t_nodes = np.linspace(9.9, 10.1, 4)
     x_nodes = np.linspace(-14.6, -14.4, 5)
-    phi_vals, phibar_vals = construct.hodograph_grid(f, g, cfg, t_nodes, x_nodes)
     solver = HodographSolver(f, g, cfg)
+    phi_vals, phibar_vals = construct.hodograph_grid(solver, t_nodes, x_nodes)
     for i in (0, 3):
         for j in (0, 4):
             phi, phibar = solver.fields(t_nodes[i], x_nodes[j])

@@ -1,13 +1,19 @@
 """Parser, jet evaluation and symbolic differentiation of expression specs."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batlab import exprspec, jets
+from batlab import cli, exprspec, jets
 from batlab.errors import ExprSyntaxError, JetDomainError
-from batlab.exprspec import Bin, Call, Num, Var, eval_float, eval_jet, parse, partial, to_string
+from batlab.exprspec import (Bin, Call, ExprSpec, Num, Var, eval_float, eval_jet, float_fn,
+                             parse, partial, to_string)
+
+import oracles
 
 
 def test_parse_power_node():
@@ -215,3 +221,121 @@ def test_partial_of_general_power():
     assert eval_float(du, {"u": 2.0, "v": 3.0}) == pytest.approx(12.0, rel=1e-13)
     assert eval_float(dv, {"u": 2.0, "v": 3.0}) == pytest.approx(8 * np.log(2), rel=1e-13)
 
+
+
+# -- compiled closures against the tree walker ------------------------------------------
+
+_NAMES = ("a", "b", "c")
+
+# Each guard and error path of the evaluator, and inputs that reach them.
+_HOSTILE = [parse(text) for text in (
+    "1e400", "1e400 * a", "a * 1e300 * 1e300", "exp(800 * a)", "exp(709)", "exp(708.9)",
+    "a^400", "a^-1", "(a - a)^-2", "(a - a)^0", "a^0.5", "(0 - a)^0.5", "(0 - 2)^a", "a^b",
+    "(a - b)^(c - 1.5)", "2^(a*b)", "0^a", "log(a)", "log(a - a)", "log(0 - a)",
+    "sqrt(b)", "sqrt(b - b)", "sqrt(0 - b)", "sin(1e400 * a)", "a / 0", "a / (b - b)",
+    "1 / (a - a)", "(a - a) / a", "2 / 0", "log(0 - a) / sqrt(0 - b)", "d", "a + d",
+    "d + log(0)", "log(0) + d", "d / log(0)", "a^d", "d^2", "-a^2", "a^2^0.5",
+    " + ".join(["a"] * 300))] + [
+    # Trees the parser does not build: negative literal exponents, and a
+    # variable missing from the spec's variable list.
+    ExprSpec(Bin("^", Var("a"), Num(-1.0)), ("a",)),
+    ExprSpec(Bin("^", Bin("-", Var("a"), Var("a")), Num(-2.0)), ("a",)),
+    ExprSpec(Bin("^", Var("a"), Num(-0.5)), ("a",)),
+    ExprSpec(Bin("+", Var("a"), Var("d")), ("a",)),
+]
+
+
+def _bits(value) -> bytes:
+    if isinstance(value, jets.Jet2):
+        return np.float64(value.value).tobytes() + value.grad.tobytes() + value.hess.tobytes()
+    return np.float64(value).tobytes()
+
+
+def _outcome(evaluate, *args):
+    """The bits of what ``evaluate(*args)`` returned, or the class and args of
+    what it raised."""
+    try:
+        return _bits(evaluate(*args))
+    except Exception as err:  # every outcome is compared, errors included
+        return type(err), err.args
+
+
+def _assert_matches_tree_walker(spec, point, numpy_args):
+    floats = {n: np.float64(x) if numpy_args else x for n, x in zip(_NAMES, point)}
+    assert _outcome(eval_float, spec, floats) == _outcome(oracles.eval_float, spec, floats)
+    if len(spec.vars) == 1:
+        x = floats.get(spec.vars[0], 0.0)
+        assert _outcome(float_fn(spec), x) == _outcome(
+            oracles.eval_float, spec, {spec.vars[0]: x})
+    jet_args = {n: jets.variable(i, x, 3) for i, (n, x) in enumerate(zip(_NAMES, point))}
+    assert _outcome(eval_jet, spec, jet_args, 3) == _outcome(
+        oracles.eval_jet, spec, jet_args, 3)
+
+
+_value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e-300, 700.0]),
+                   st.floats(-4.0, 4.0))
+_point = st.tuples(_value, _value, _value)
+_quiet = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                    "ignore:invalid value encountered:RuntimeWarning")
+
+
+@_quiet
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 4), point=_point,
+       numpy_args=st.booleans())
+@settings(derandomize=True, max_examples=500, deadline=None)
+def test_compiled_evaluation_matches_the_tree_walker(seed, depth, point, numpy_args):
+    """On the ad scenario's random expressions: bit for bit on values,
+    gradients and Hessians, and on the class and arguments of every error, in
+    float and arity-3 jet mode; float arguments may be numpy scalars."""
+    text = cli._random_expression(np.random.default_rng(seed), list(_NAMES), depth)
+    _assert_matches_tree_walker(parse(text), point, numpy_args)
+
+
+@_quiet
+@pytest.mark.parametrize("spec", _HOSTILE)
+@given(point=_point, numpy_args=st.booleans())
+@settings(derandomize=True, max_examples=30, deadline=None)
+def test_compiled_evaluation_matches_the_tree_walker_on_hostile_specs(spec, point,
+                                                                     numpy_args):
+    _assert_matches_tree_walker(spec, point, numpy_args)
+
+
+def test_float_fn_takes_one_variable():
+    with pytest.raises(ValueError):
+        float_fn(parse("u*v"))
+    with pytest.raises(ValueError):
+        float_fn(parse("2"))
+
+
+def test_each_spec_is_compiled_once_whatever_the_newton_steps(tmp_path, monkeypatch):
+    """A one-resolution variational case compiles each spec it evaluates once:
+    f, g and their first two partials in the hodograph solves, each psi and the
+    factor; more grid nodes mean more Newton steps and no more compiling."""
+    compiled = []
+    compile_spec = exprspec._compile
+
+    def counting(spec):
+        compiled.append(spec)
+        return compile_spec(spec)
+
+    monkeypatch.setattr(exprspec, "_compile", counting)
+    for n in (9, 17):
+        compiled.clear()
+        case = {"source": {"f": "u^2", "g": "v^2", "config": {"seed": [1.5, 3.5]},
+                           "t_window": [9.75, 10.25], "x_window": [-14.75, -14.25]},
+                "resolutions": [n], "psi": ["s", "s^3"], "factors": ["p/q"]}
+        data = {"name": "m", "paper_anchor": "t", "kind": "variational", "cases": [case]}
+        assert cli.run_scenario(data, tmp_path, seed=1)[1] == cli.EXIT_PASS
+        assert sorted(map(str, compiled)) == [
+            "(2.0 * (u ^ 0.0))", "(2.0 * (u ^ 1.0))", "(2.0 * (v ^ 0.0))",
+            "(2.0 * (v ^ 1.0))", "(p / q)", "(s ^ 3.0)", "(u ^ 2.0)", "(v ^ 2.0)", "s"]
+
+
+def test_compiled_closure_lives_and_dies_with_its_spec():
+    spec = parse("exp(u)*u^3 - sin(u)/(2 + u^2) + sqrt(u + 4)")
+    assert eval_float(spec, {"u": 0.5}) == oracles.eval_float(spec, {"u": 0.5})
+    closure, owner = weakref.ref(spec._compiled), weakref.ref(spec)
+    assert spec._compiled is closure()
+    del spec
+    gc.collect()
+    assert owner() is None and closure() is None

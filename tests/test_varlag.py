@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from batlab import jets
-from batlab.construct import ImplicitSolveConfig, hodograph_grid
+from batlab.construct import HodographSolver, ImplicitSolveConfig, hodograph_grid
 from batlab.exprspec import eval_jet, parse
 from batlab.residuals import ResidualSample, grid_report
 from batlab.varlag import (
@@ -67,7 +67,7 @@ def _onshell_grids(n):
     cfg = ImplicitSolveConfig(seed=(1.5, 3.5))
     t_nodes = np.linspace(9.75, 10.25, n)
     x_nodes = np.linspace(-14.75, -14.25, n)
-    phi, phibar = hodograph_grid(f, g, cfg, t_nodes, x_nodes)
+    phi, phibar = hodograph_grid(HodographSolver(f, g, cfg), t_nodes, x_nodes)
     ht = t_nodes[1] - t_nodes[0]
     hx = x_nodes[1] - x_nodes[0]
     return phi, phibar, ht, hx
