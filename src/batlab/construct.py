@@ -110,27 +110,41 @@ def _newton(residual, step, x, max_iter: int, tol: float):
     """Best-iterate Newton from ``x``.  ``residual(x)`` returns ``(size, r)``;
     ``step(x, r)`` returns the next iterate, or None to stop (non-finite
     derivative, no progress), or raises SingularMatrixError to stop.  The loop
-    also stops on an exact zero, and after ``max_iter`` steps.  Returns the
-    iterate of least size if within ``tol``; else raises the stopping error, or
-    NewtonConvergenceError."""
+    also stops on an exact zero, after ``max_iter`` steps, and when ``step``
+    returns an iterate it has already visited.  Returns the iterate of least
+    size if within ``tol``; else raises the stopping error, or
+    NewtonConvergenceError.
+
+    ``residual`` and ``step`` must be pure functions of the iterate.  A
+    repeated iterate then starts a cycle that would run to ``max_iter``
+    without changing the best iterate (its test is strict), so stopping there
+    returns, or raises, the same as running on."""
     best, best_size, stop = x, math.inf, None
+    visited = set()
     for i in range(max_iter + 1):
         size, r = residual(x)
         if size < best_size:
             best, best_size = x, size
         if size == 0.0 or i == max_iter:
             break
+        visited.add(_iterate_key(x))
         try:
             x = step(x, r)
         except SingularMatrixError as err:
             stop = err
             break
-        if x is None:
+        if x is None or _iterate_key(x) in visited:
             break
     if best_size <= tol:
         return best
     raise stop or NewtonConvergenceError(
         f"Newton did not converge (best residual {best_size!r})")
+
+
+def _iterate_key(x) -> bytes:
+    """The exact bits of an iterate (a float, a tuple of floats or an array),
+    so that -0.0 and 0.0 are different iterates."""
+    return np.asarray(x, dtype=float).tobytes()
 
 
 def _scalar_seed(seed) -> float:

@@ -236,8 +236,9 @@ def to_string(node: Node) -> str:
 # A spec is compiled once, on its first evaluation, into nested closures, one per
 # AST node, over a sequence of values in the order of ``spec.vars`` (None for a
 # variable not given).  A subtree over float leaves evaluates to a float and one
-# with a jet leaf to a Jet2, so the same closures serve eval_float, float_fn and
-# eval_jet.  The closures are cached on the spec and live as long as it does.
+# with a jet leaf to a jet (a Jet2, or a JetBatch of jets at many points), so
+# the same closures serve eval_float, float_fn and eval_jet.  The closures are
+# cached on the spec and live as long as it does.
 
 
 def _compile(spec: ExprSpec):
@@ -373,7 +374,9 @@ def eval_jet(spec: ExprSpec, args: Mapping[str, jets.Jet2], k: int | None = None
     """Second-order jet of the expression at the given jet arguments.
 
     ``args`` must cover ``spec.vars`` (extra entries are allowed) and all jets
-    must share one arity.  ``k`` is only needed for variable-free expressions.
+    must share one arity; batched arguments (``jets.JetBatch``) of one length
+    give a batched jet.  ``k`` is only needed for variable-free expressions,
+    whose jet is a ``Jet2`` constant.
     """
     arity = k
     for name in spec.vars:

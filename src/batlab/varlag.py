@@ -10,10 +10,13 @@ by centered differences.  Variational residuals are the *exact* derivatives of
 that discrete sum with respect to nodal values: because the density depends on
 a nodal value only through the centered stencils, the derivative is the
 centered divergence of the momentum grids dL/d(field_t), dL/d(field_x).
-All three residuals come from one pass over the nodes: the density jet at a
-node is an arity-6 jet in every field's slots, so its gradient and Hessian
-hold the momenta and the expanded-equation terms of each field at once, and
-the factor H evaluated there gives the action density at that node.
+All three residuals come from one pass over the interior grid rows: the
+density at the nodes of a row is one batched arity-6 jet (``jets.JetBatch``)
+in every field's slots, so its gradients and Hessians hold the momenta and
+the expanded-equation terms of each field at once, and the factor H evaluated
+there gives the action density at those nodes.  Each node's data is bit for
+bit that of a scalar ``Jet2`` density at the node; a row at a time keeps the
+batch's temporaries small.
 Convergence of these residuals to zero on sampled exact solutions is then the
 tested property.
 
@@ -75,13 +78,15 @@ class DiscreteFunctional:
         if not degree0_test(self.factor):
             raise ValueError(f"factor {self.factor} is not homogeneous of weight zero")
 
-    def _density_jet(self, slots: Sequence[float]) -> tuple[jets.Jet2, float]:
-        """L as an arity-6 jet in the first-derivative slots, whose gradient is
-        the full set of momenta, and the value of the factor H."""
-        sv = {name: jets.variable(i, slots[i], 6) for i, name in enumerate(_SLOTS)}
+    def _density_jet(self, slots: Sequence[np.ndarray]) -> tuple[jets.JetBatch, np.ndarray]:
+        """L at the nodes of one grid row, given each of the six ``_SLOTS``
+        there, as a batched arity-6 jet in the slots, whose gradients are the
+        full sets of momenta; and the values of the factor H."""
+        sv = dict(zip(_SLOTS, jets.batch_variables(slots)))
         bracket = sv["phibar_t"] * sv["psi_x"] - sv["psi_t"] * sv["phibar_x"]
+        # A constant factor evaluates to a Jet2, the same at every node.
         hj = eval_jet(self.factor, {"p": sv["phi_t"], "q": sv["phi_x"]}, k=6)
-        return bracket * hj, hj.value
+        return bracket * hj, np.broadcast_to(hj.value, bracket.value.shape)
 
 
 @dataclass
@@ -141,16 +146,15 @@ def variational_residual(
     slot_grids = [grid for _, ft, fx, _, _, _ in fd for grid in (ft, fx)]
     second = [pair for _, _, _, ftt, ftx, fxx in fd for pair in ((ftt, ftx), (ftx, fxx))]
 
-    # One density jet per node; its gradient holds every field's momenta.
+    # One batched density jet per row; its gradients hold every field's momenta.
     it, ix = slot_grids[0].shape
     mom = np.empty((it, ix, 6))
     hess = np.empty((it, ix, 6, 6))
     factor = np.empty((it, ix))
     for a in range(it):
-        for b in range(ix):
-            lj, factor[a, b] = functional._density_jet([g[a, b] for g in slot_grids])
-            mom[a, b] = lj.grad
-            hess[a, b] = lj.hess
+        lj, factor[a] = functional._density_jet([g[a] for g in slot_grids])
+        mom[a] = lj.grad
+        hess[a] = lj.hess
     np.abs(hess, out=hess)
 
     grids = {}

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from batlab import jets
+from batlab import exprspec, jets
 from batlab.errors import JetDomainError
 from batlab.exprspec import Bin, Call, ExprSpec, Neg, Node, Num, Var
 from batlab.hydro import CharGrid
@@ -139,6 +139,56 @@ def eval_float(spec: ExprSpec, args: Mapping[str, float]) -> float:
     if not math.isfinite(out):
         raise JetDomainError("eval", out)
     return out
+
+
+# -- batched jets against one Jet2 per point -------------------------------------------
+
+
+def density_jet(factor: ExprSpec, slots) -> tuple[Jet2, float]:
+    """The discrete density at one node from one arity-6 ``Jet2`` per slot
+    (``varlag.DiscreteFunctional._density_jet`` on a grid row)."""
+    names = ("phi_t", "phi_x", "phibar_t", "phibar_x", "psi_t", "psi_x")
+    sv = {name: jets.variable(i, slots[i], 6) for i, name in enumerate(names)}
+    bracket = sv["phibar_t"] * sv["psi_x"] - sv["psi_t"] * sv["phibar_x"]
+    hj = exprspec.eval_jet(factor, {"p": sv["phi_t"], "q": sv["phi_x"]}, k=6)
+    return bracket * hj, hj.value
+
+
+def _point_bits(result, i: int) -> bytes:
+    """The bits of point ``i`` of a batched result, or of a pointwise one
+    (``i`` is then ignored): jets, floats and tuples of them."""
+    if isinstance(result, tuple):
+        return b"".join(_point_bits(item, i) for item in result)
+    if isinstance(result, jets.JetBatch):
+        return (np.float64(result.value[i]).tobytes() + result.grad[i].tobytes()
+                + result.hess[i].tobytes())
+    if isinstance(result, Jet2):  # the same jet at every point
+        return np.float64(result.value).tobytes() + result.grad.tobytes() + result.hess.tobytes()
+    return np.float64(result if np.ndim(result) == 0 else result[i]).tobytes()
+
+
+def assert_batch_matches_points(batched, pointwise, n: int) -> None:
+    """``batched()`` over n points against ``pointwise(i)`` at each point i:
+    the same bits, sign bits included, at every point; or, where a point
+    raises, the error of one of the failing points (the class and arguments),
+    which is that point's when only one fails."""
+    outcomes = []
+    for i in range(n):
+        try:
+            outcomes.append(pointwise(i))
+        except Exception as err:  # every outcome is compared, errors included
+            outcomes.append(err)
+    errors = [(type(err), repr(err.args)) for err in outcomes if isinstance(err, Exception)]
+    try:
+        result = batched()
+    except Exception as err:  # every outcome is compared, errors included
+        raised = (type(err), repr(err.args))
+        assert raised in errors, (raised, errors)
+        assert len(errors) != 1 or raised == errors[0]
+        return
+    assert not errors, errors
+    assert [_point_bits(result, i) for i in range(n)] == [_point_bits(out, i)
+                                                        for i, out in enumerate(outcomes)]
 
 
 # -- pointwise residuals ---------------------------------------------------------------

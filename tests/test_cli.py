@@ -569,13 +569,15 @@ def test_input_error_caught_by_the_library_exits_2_before_solving(
 
 
 def test_one_density_jet_per_node(tmp_path, monkeypatch):
-    """A variational case builds one density jet per interior node and
-    (resolution, factor, psi), shared by all three variations."""
-    calls = Counter()
+    """A variational case evaluates the density once per interior node and
+    (resolution, factor, psi), shared by all three variations, in one batched
+    jet per interior row."""
+    calls, nodes = Counter(), Counter()
     density_jet = varlag.DiscreteFunctional._density_jet
 
     def counting(self, slots):
         calls[self.ht] += 1
+        nodes[self.ht] += len(slots[0])
         return density_jet(self, slots)
 
     monkeypatch.setattr(varlag.DiscreteFunctional, "_density_jet", counting)
@@ -586,7 +588,8 @@ def test_one_density_jet_per_node(tmp_path, monkeypatch):
     assert code == cli.EXIT_PASS
     assert len(report["reports"]) == 2 * 2 * 2 * 4
     # two factors times two psi choices per resolution
-    assert sorted(calls.values()) == [4 * (11 - 2) ** 2, 4 * (9 - 2) ** 2][::-1]
+    assert sorted(nodes.values()) == [4 * (11 - 2) ** 2, 4 * (9 - 2) ** 2][::-1]
+    assert sorted(calls.values()) == [4 * (11 - 2), 4 * (9 - 2)][::-1]
 
 
 def _strict_json(text: str):

@@ -1,5 +1,7 @@
 """Solution constructors: closed forms, implicit jets, covariance, round trips."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,75 @@ def test_bisection_fallback_when_newton_cycles(bracket, root):
             h([0.0, 0.0, 0.0, 0.0])
     else:
         assert h([0.0, 0.0, 0.0, 0.0]).value == root
+
+
+def _cycle(sizes):
+    """A residual/step pair whose iterates cycle through ``sizes``' keys, in
+    order, with those residual sizes; keys are (magnitude, sign) so that -0.0
+    and 0.0 can be different iterates.  ``evaluated`` records each residual
+    call."""
+    keys = list(sizes)
+    evaluated = []
+
+    def key(x):
+        return (abs(x), math.copysign(1.0, x))
+
+    def residual(x):
+        evaluated.append(x)
+        return sizes[key(x)], None
+
+    def step(x, r):
+        return math.copysign(*keys[(keys.index(key(x)) + 1) % len(keys)])
+    return residual, step, evaluated
+
+
+def _uncapped(residual, step):
+    """The same iteration with a step counter in each iterate, so that no
+    iterate repeats and ``_newton`` runs to ``max_iter``."""
+    return (lambda xi: residual(xi[0]),
+            lambda xi, r: (step(xi[0], r), xi[1] + 1))
+
+
+@pytest.mark.parametrize("sizes,best", [
+    ({(1.0, 1.0): 0.5, (2.0, 1.0): 0.25}, 2.0),
+    ({(1.0, 1.0): 3.0, (0.0, -1.0): 1.0, (0.0, 1.0): 2.0}, -0.0),
+])
+def test_newton_stops_at_its_first_repeated_iterate(sizes, best):
+    residual, step, evaluated = _cycle(sizes)
+    x0 = math.copysign(*next(iter(sizes)))
+    found = construct._newton(residual, step, x0, max_iter=50, tol=1.0)
+    assert math.copysign(1.0, found) == math.copysign(1.0, best) and found == best
+    assert len(evaluated) == len(sizes)
+    u_residual, u_step = _uncapped(residual, step)
+    uncapped, steps = construct._newton(u_residual, u_step, (x0, 0), max_iter=50, tol=1.0)
+    assert len(evaluated) == len(sizes) + 51 and steps < len(sizes)
+    assert math.copysign(1.0, uncapped) == math.copysign(1.0, found) and uncapped == found
+    # Not converged: the same error as the uncapped run.
+    with pytest.raises(NewtonConvergenceError) as capped_err:
+        construct._newton(residual, step, x0, max_iter=50, tol=0.1)
+    with pytest.raises(NewtonConvergenceError) as uncapped_err:
+        construct._newton(u_residual, u_step, (x0, 0), max_iter=50, tol=0.1)
+    assert str(capped_err.value) == str(uncapped_err.value)
+
+
+def test_cycling_scalar_newton_still_bisects(monkeypatch):
+    # From 0, Newton on x^3 - 2x + 2 cycles between 0 and 1.
+    evaluated, bisected = [], []
+    bisect = construct._bisect
+
+    def fun(x):
+        evaluated.append(x)
+        return x**3 - 2 * x + 2
+
+    def counting_bisect(*args):
+        bisected.append(len(evaluated))
+        return bisect(*args)
+
+    monkeypatch.setattr(construct, "_bisect", counting_bisect)
+    cfg = ImplicitSolveConfig(seed=0.0, bracket=(-3.0, 0.0))
+    root = construct._newton_scalar(fun, lambda x: 3 * x**2 - 2, cfg)
+    assert bisected == [2] and evaluated[:2] == [0.0, 1.0]
+    assert root == -1.769292354238587
 
 
 def test_implicit_fg_residual_at_regular_points():

@@ -300,6 +300,21 @@ def test_compiled_evaluation_matches_the_tree_walker_on_hostile_specs(spec, poin
     _assert_matches_tree_walker(spec, point, numpy_args)
 
 
+@_quiet
+@pytest.mark.parametrize("spec", _HOSTILE)
+@given(points=st.lists(_point, min_size=1, max_size=4))
+@settings(derandomize=True, max_examples=20, deadline=None)
+def test_batched_jets_match_one_jet2_per_point_on_hostile_specs(spec, points):
+    """A row of points evaluated as one ``jets.JetBatch`` gives, point by
+    point, the arity-3 Jet2 bits, or the error of a failing point."""
+    batch = dict(zip(_NAMES, jets.batch_variables(list(zip(*points)))))
+    oracles.assert_batch_matches_points(
+        lambda: eval_jet(spec, batch, 3),
+        lambda i: eval_jet(spec, {n: jets.variable(j, x, 3)
+                                  for j, (n, x) in enumerate(zip(_NAMES, points[i]))}, 3),
+        len(points))
+
+
 def test_float_fn_takes_one_variable():
     with pytest.raises(ValueError):
         float_fn(parse("u*v"))

@@ -294,3 +294,42 @@ def test_value_associativity_tolerance(J):
         scale = max(abs(left.value), 1.0)
         assert abs(left.value - right.value) <= 1e-14 * scale
 
+
+
+# -- batched jets ---------------------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("f,values", [
+    (lambda x: jets.exp(10.0 * x), (70.8, 71.0)),           # gradient overflow; guard
+    (lambda x: 1e308 / (x - 71.0), (70.8, 71.0)),           # quotient overflow; zero divisor
+    (lambda x: jets.powc(1e200 * (x - 71.0), -2), (70.8, 71.0)),  # square overflow; zero base
+    (lambda x: jets.log(x), (1e-160, -1.0)),                # Hessian overflow; guard
+    (lambda x: jets.exp(10.0 * x), (70.8, 70.85)),          # gradient overflow at both
+], ids=["exp", "div", "pow", "log", "exp-both"])
+def test_batch_error_is_the_first_failing_points(f, values):
+    """Both points fail, point 0 at the finiteness check that follows point
+    1's domain guard or at the same check: the batch raises point 0's error."""
+    (x,) = jets.batch_variables([values])
+    errors = []
+    for value in values:
+        with pytest.raises(Exception) as err:
+            f(jets.variable(0, value, 1))
+        errors.append((type(err.value), repr(err.value.args)))
+    assert errors[0] != errors[1]
+    with pytest.raises(Exception) as err:
+        f(x)
+    assert (type(err.value), repr(err.value.args)) == errors[0]
+
+
+def test_batch_operands_must_share_a_shape():
+    a, b = jets.batch_variables([[1.0, 2.0], [3.0, 4.0]])
+    (c,) = jets.batch_variables([[1.0, 2.0, 3.0]])
+    with pytest.raises(ValueError):
+        a + c
+    with pytest.raises(ValueError):
+        a * jets.variable(0, 1.0, 3)
+    with pytest.raises(ValueError):
+        jets.batch_variables([[1.0, 2.0], [3.0]])
+    assert (a * jets.constant(2.0, 2)).value.tolist() == [2.0, 4.0]

@@ -1,9 +1,10 @@
 """Verdicts that can fail: hand-written defects make bundled scenarios FAIL.
 
-Each mutant wraps a library function from outside and perturbs one entry of
-what it returns by a relative 1e-3, symmetrically, so that the result is still
-a valid jet.  The scenarios run with fewer samples per case; unmutated, the
-same reduced runs pass, so each failure is the mutant's doing.
+Each mutant replaces a library function from outside: it perturbs one entry
+of what the function returns by a relative 1e-3, symmetrically, so that the
+result is still a valid jet, or drops one term of a jet product.  Sampled
+scenarios run with fewer samples per case, the others whole; unmutated, the
+same runs pass, so each failure is the mutant's doing.
 """
 
 import json
@@ -17,11 +18,13 @@ SAMPLES = 20
 
 
 def _reduced(prefix: str) -> dict:
-    """The bundled scenario named ``prefix...``, with SAMPLES samples per case."""
+    """The bundled scenario named ``prefix...``, with SAMPLES samples per
+    sampled case."""
     path = next(p for p in cli.bundled_scenarios() if p.name.startswith(prefix))
     data = json.loads(path.read_text())
     for case in data["cases"]:
-        case["samples"]["count"] = SAMPLES
+        if "samples" in case:
+            case["samples"]["count"] = SAMPLES
     return data
 
 
@@ -55,10 +58,40 @@ def hodograph_second_derivative(monkeypatch):
     monkeypatch.setattr(construct.HodographSolver, "jets_uv", mutant)
 
 
+def jet_product_cross_term(monkeypatch):
+    """``Jet2`` products without the Hessian term grad_a grad_b^T + grad_b grad_a^T."""
+    def mutant(self, other):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return jets.Jet2(self.value * o.value, self.grad * o.value + self.value * o.grad,
+                         self.hess * o.value + self.value * o.hess)
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(jets.Jet2, name, mutant)
+
+
+def batched_product_cross_term(monkeypatch):
+    """``JetBatch`` products without the same term at every point."""
+    def mutant(self, other):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return jets.JetBatch(
+            self.value * o.value,
+            self.grad * o.value[:, None] + self.value[:, None] * o.grad,
+            self.hess * o.value[:, None, None] + self.value[:, None, None] * o.hess)
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(jets.JetBatch, name, mutant)
+
+
 # mutant -> the bundled scenarios it must make FAIL
 MUTANTS = {
     leznov_field_hessian: ("c07",),
     hodograph_second_derivative: ("c03", "c06"),
+    jet_product_cross_term: ("c11",),
+    batched_product_cross_term: ("c09",),
 }
 
 

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from batlab import jets
+from batlab import cli, jets
 from batlab.construct import HodographSolver, ImplicitSolveConfig, hodograph_grid
 from batlab.exprspec import eval_jet, parse
 from batlab.residuals import ResidualSample, grid_report
@@ -14,15 +16,40 @@ from batlab.varlag import (
     psi_from,
     variational_residual,
 )
-from oracles import load_char_grid
+from oracles import assert_batch_matches_points, density_jet, load_char_grid
 
 
 def test_density_hand_value():
     # phi = t + 2x, phibar = x, psi = t: bracket = -1, factor = 1/2.
     f = DiscreteFunctional(ht=0.1, hx=0.1)
-    lj, h = f._density_jet([1.0, 2.0, 0.0, 1.0, 1.0, 0.0])
-    assert h == pytest.approx(0.5)
-    assert lj.value == pytest.approx(-0.5)
+    lj, h = f._density_jet([[1.0], [2.0], [0.0], [1.0], [1.0], [0.0]])
+    assert h[0] == pytest.approx(0.5)
+    assert lj.value[0] == pytest.approx(-0.5)
+
+
+_slot_value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-170, -1e170]),
+                        st.floats(-4.0, 4.0))
+# Outer forms that leave the domain at zero or negative slot values.
+_UNGUARDED = ("{}", "({}) / q", "log({})", "sqrt(p * ({}))", "({})^0.5", "({})^-2",
+              "exp(({}) / p)")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 4),
+       outer=st.sampled_from(_UNGUARDED),
+       row=st.integers(1, 5).flatmap(lambda n: st.lists(
+           st.lists(_slot_value, min_size=n, max_size=n), min_size=6, max_size=6)))
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_row_density_matches_one_jet2_per_node(seed, depth, outer, row):
+    """The batched density of a row is, node by node, the scalar Jet2 density
+    bit for bit; an error is one that a node raises."""
+    text = outer.format(cli._random_expression(np.random.default_rng(seed), ["p", "q"], depth))
+    f = DiscreteFunctional(ht=0.1, hx=0.1)
+    f.factor = parse(text)  # parity needs no weight-zero factor
+    assert_batch_matches_points(
+        lambda: f._density_jet(row),
+        lambda i: density_jet(f.factor, [slot[i] for slot in row]), len(row[0]))
 
 
 def test_degree0_examples():
