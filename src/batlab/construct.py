@@ -220,21 +220,23 @@ def solve_implicit_fg(F: ExprSpec, G: ExprSpec, cfg: ImplicitSolveConfig) -> Fie
     _scalar_seed(cfg.seed)
     dF = partial(F, "phi") if "phi" in F.vars else None
     dG = partial(G, "phi") if "phi" in G.vars else None
+    f_names, g_names = ("phi", "x1", "x2"), ("phi", "xb1", "xb2")
+    f, g = float_fn(F, f_names), float_fn(G, g_names)
+    df = float_fn(dF, f_names) if dF is not None else None
+    dg = float_fn(dG, g_names) if dG is not None else None
 
     def evaluate(point: np.ndarray, seed=None) -> jets.Jet2:
         x1, x2, xb1, xb2 = point
-        fa = {"x1": x1, "x2": x2}
-        ga = {"xb1": xb1, "xb2": xb2}
 
         def w(p):
-            return eval_float(F, {**fa, "phi": p}) - eval_float(G, {**ga, "phi": p})
+            return f(p, x1, x2) - g(p, xb1, xb2)
 
         def dw(p):
             out = 0.0
-            if dF is not None:
-                out += eval_float(dF, {**fa, "phi": p})
-            if dG is not None:
-                out -= eval_float(dG, {**ga, "phi": p})
+            if df is not None:
+                out += df(p, x1, x2)
+            if dg is not None:
+                out -= dg(p, xb1, xb2)
             return out
 
         phi = _newton_scalar(w, dw, cfg, seed)
@@ -506,24 +508,28 @@ def implicit_3d(
     _scalar_seed(cfg.seed)
     d1 = [partial(s, "phi") if "phi" in s.vars else None for s in (F, G, K)]
     d2 = [partial(d, "phi") if d is not None else None for d in d1]
+    # Positional evaluators of (F, G, K) and of their first and second
+    # phi-derivatives; binding them to ("phi",) admits a constant spec too.
+    f0s, f1s, f2s = ([float_fn(s, ("phi",)) if s is not None else None for s in specs]
+                     for specs in ((F, G, K), d1, d2))
+
+    def vals(fns, p):
+        return [fn(p) if fn is not None else 0.0 for fn in fns]
 
     def evaluate(point: np.ndarray, seed=None) -> jets.Jet2:
         coeffs = point  # (t, x, y)
 
-        def vals(specs, p):
-            return [eval_float(s, {"phi": p}) if s is not None else 0.0 for s in specs]
-
         def w(p):
-            return float(np.dot(coeffs, vals((F, G, K), p))) - const_c
+            return float(np.dot(coeffs, vals(f0s, p))) - const_c
 
         def dw(p):
-            return float(np.dot(coeffs, vals(d1, p)))
+            return float(np.dot(coeffs, vals(f1s, p)))
 
         phi = _newton_scalar(w, dw, cfg, seed)
 
-        f0 = np.array(vals((F, G, K), phi))
-        f1 = np.array(vals(d1, phi))
-        f2 = np.array(vals(d2, phi))
+        f0 = np.array(vals(f0s, phi))
+        f1 = np.array(vals(f1s, phi))
+        f2 = np.array(vals(f2s, phi))
         w_p = float(np.dot(coeffs, f1))
         scale = max(1.0, float(np.abs(coeffs * f1).sum()))
         if abs(w_p) <= _DEGENERATE_REL * scale:

@@ -18,10 +18,12 @@ so ``-x^2`` is ``-(x^2)``.  Numbers are decimal with optional exponent.
 
 Evaluation never walks the tree: each spec is compiled once, on its first
 evaluation, into nested closures cached on the spec (:func:`_compile`).
-:func:`eval_float` and :func:`eval_jet` take their arguments by name;
-:func:`float_fn` binds a positional float evaluator once, for Newton loops.  The
-tree walker these closures replaced is kept in ``tests/oracles.py`` as the
-reference they are tested against.
+:func:`eval_float` and :func:`eval_jet` take their arguments by name.
+:func:`float_fn` is the positional float entry: it maps a tuple of variable
+names onto the spec's slots once, and the evaluator it returns takes bare
+values, for Newton loops and finite-difference stencils that call one spec
+many times.  The tree walker these closures replaced is kept in
+``tests/oracles.py`` as the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from . import jets
 from .errors import ExprSyntaxError, JetDomainError
@@ -407,18 +409,37 @@ def eval_float(spec: ExprSpec, args: Mapping[str, float]) -> float:
     return out
 
 
-def float_fn(spec: ExprSpec) -> Callable[[float], float]:
-    """:func:`eval_float` of a spec of one variable as a function of that
-    variable's value, to bind once outside a Newton loop."""
-    if len(spec.vars) != 1:
-        raise ValueError(f"float_fn needs a spec of one variable, got {spec.vars}")
+def float_fn(spec: ExprSpec, names: Sequence[str] | None = None) -> Callable[..., float]:
+    """:func:`eval_float` of ``spec`` as a positional function, to bind once
+    outside a Newton loop or a finite-difference stencil.
 
-    def evaluate(value) -> float:
-        out = spec._compiled((float(value),))
+    ``float_fn(spec, names)`` takes the values of ``names``, in that order:
+    ``float_fn(spec, ("phi", "x1"))(p, x)`` is ``eval_float(spec, {"phi": p,
+    "x1": x})``.  Names the spec does not use are ignored, and a variable of
+    the spec missing from ``names`` raises eval_float's ValueError when the
+    evaluation reaches it.  Without ``names`` the spec must have exactly one
+    variable, and the function takes its value.
+    """
+    if names is None:
+        if len(spec.vars) != 1:
+            raise ValueError(f"float_fn needs a spec of one variable, got {spec.vars}")
+
+        def evaluate(value) -> float:
+            out = spec._compiled((float(value),))
+            if not math.isfinite(out):
+                raise JetDomainError("eval", out)
+            return out
+        return evaluate
+
+    position = {name: i for i, name in enumerate(names)}
+    slots = [position.get(name) for name in spec.vars]
+
+    def evaluate_at(*values) -> float:
+        out = spec._compiled([None if i is None else float(values[i]) for i in slots])
         if not math.isfinite(out):
             raise JetDomainError("eval", out)
         return out
-    return evaluate
+    return evaluate_at
 
 
 # -- symbolic first derivative ---------------------------------------------------

@@ -2,8 +2,8 @@
 batlab against.
 
 Each one is the plain, unvectorized or uncompiled form of something batlab
-computes in bulk or from compiled closures: the tests assert that both give the
-same numbers and raise the same errors.
+computes in bulk, from compiled closures or with fewer steps: the tests assert
+that both give the same numbers (or draws) and raise the same errors.
 """
 
 import csv
@@ -139,6 +139,66 @@ def eval_float(spec: ExprSpec, args: Mapping[str, float]) -> float:
     if not math.isfinite(out):
         raise JetDomainError("eval", out)
     return out
+
+
+# -- the ad scenario's random expressions and finite-difference probe --------------------
+
+
+def random_expression(rng: np.random.Generator, names: list[str], depth: int):
+    """``cli._random_expression`` drawing each item with ``rng.choice``."""
+    if depth == 0 or rng.uniform() < 0.3:
+        if rng.uniform() < 0.6:
+            return rng.choice(names)
+        return f"{rng.uniform(0.2, 2.0):.3f}"
+    kind = rng.choice(["add", "sub", "mul", "div", "func", "pow"])
+    a = random_expression(rng, names, depth - 1)
+    b = random_expression(rng, names, depth - 1)
+    if kind == "add":
+        return f"({a} + {b})"
+    if kind == "sub":
+        return f"({a} - {b})"
+    if kind == "mul":
+        return f"({a} * {b})"
+    if kind == "div":
+        return f"({a} / (2.5 + sin({b})))"
+    if kind == "pow":
+        return f"({a})^{int(rng.integers(2, 4))}"
+    fn = rng.choice(["exp", "log", "sin", "cos", "sqrt"])
+    if fn == "exp":
+        return f"exp(0.3*({a}))"
+    if fn in ("log", "sqrt"):
+        return f"{fn}(3.5 + sin({a}))"
+    return f"{fn}({a})"
+
+
+def fd_probe(spec, names, point, h):
+    """``cli._fd_probe`` with every stencil point a numpy copy of ``point``,
+    evaluated by name, f(x ± h e_i) twice."""
+    def value(p):
+        return exprspec.eval_float(spec, dict(zip(names, p)))
+
+    k = len(point)
+    grad = np.zeros(k)
+    hess = np.zeros((k, k))
+    f0 = value(point)
+    for i in range(k):
+        pp, pm = point.copy(), point.copy()
+        pp[i] += h
+        pm[i] -= h
+        grad[i] = (value(pp) - value(pm)) / (2 * h)
+        hess[i, i] = (value(pp) - 2 * f0 + value(pm)) / h**2
+    for i in range(k):
+        for j in range(i + 1, k):
+            pa, pb, pc, pd = (point.copy() for _ in range(4))
+            pa[[i, j]] += h
+            pd[[i, j]] -= h
+            pb[i] += h
+            pb[j] -= h
+            pc[i] -= h
+            pc[j] += h
+            hess[i, j] = hess[j, i] = (value(pa) - value(pb) - value(pc)
+                                       + value(pd)) / (4 * h**2)
+    return grad, hess
 
 
 # -- batched jets against one Jet2 per point -------------------------------------------

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -190,6 +193,26 @@ def test_runtime_failure_exits_3(tmp_path, capsys):
     path = _write(tmp_path, "b.json", data)
     assert cli.main(["verify", path, "--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_numerical_failure_is_the_only_line_on_stderr(tmp_path):
+    """A factor whose jet overflows ends in exit 3 with one line on stderr:
+    numpy's floating-point warnings from the jet arithmetic stay silent."""
+    data = {
+        "name": "overflow", "paper_anchor": "t", "kind": "variational",
+        "cases": [{
+            "source": {"f": "u^2", "g": "v^2", "config": {"seed": [1.5, 3.5]},
+                       "t_window": [9.75, 10.25], "x_window": [-14.75, -14.25]},
+            "resolutions": [9], "psi": ["s"], "factors": ["exp(800*p/q)"],
+        }],
+    }
+    path = _write(tmp_path, "o.json", data)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-m", "batlab.cli", "verify", path,
+                          "--out", str(tmp_path / "o")],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == cli.EXIT_RUNTIME
+    assert run.stderr == "numerical failure: exp: offending value 1042.2384233266514\n"
 
 
 def test_skip_fraction_gate(tmp_path):

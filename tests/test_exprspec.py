@@ -354,3 +354,74 @@ def test_compiled_closure_lives_and_dies_with_its_spec():
     del spec
     gc.collect()
     assert owner() is None and closure() is None
+
+
+def test_float_fn_takes_values_in_the_order_of_names():
+    """Positional evaluation matches eval_float bit for bit, whatever the
+    order of ``names`` and whatever names the spec does not use; binding does
+    not compile the spec."""
+    spec = parse("a - 2*b^3 + sin(c)/a")
+    f = float_fn(spec, ("c", "z", "a", "b"))
+    assert "_compiled" not in spec.__dict__
+    for a, b, c in [(0.5, -1.25, 3.0), (-0.0, 2.0, 1e-300), (np.float64(1.5), 2, -7.5)]:
+        assert _outcome(f, c, 99.0, a, b) == _outcome(
+            eval_float, spec, {"a": a, "b": b, "c": c})
+
+
+def test_float_fn_raises_what_eval_float_raises():
+    """A variable missing from ``names`` raises eval_float's ValueError when
+    the evaluation reaches it, and not before; a non-finite result is a
+    JetDomainError("eval", ...)."""
+    spec = parse("log(a) + d")
+    f = float_fn(spec, ("a", "b"))
+    assert _outcome(f, -1.0, 0.0) == _outcome(eval_float, spec, {"a": -1.0}) == (
+        JetDomainError, JetDomainError("log", -1.0).args)
+    assert _outcome(f, 1.0, 0.0) == _outcome(eval_float, spec, {"a": 1.0}) == (
+        ValueError, ("missing variable 'd'",))
+    huge = parse("a * 1e300 * 1e300")
+    assert _outcome(float_fn(huge, ("a",)), 1.0) == _outcome(eval_float, huge, {"a": 1.0}) == (
+        JetDomainError, JetDomainError("eval", float("inf")).args)
+    assert _outcome(float_fn(parse("2"), ())) == _bits(2.0)
+
+
+def test_random_expressions_draw_what_rng_choice_draws():
+    """Each integer-index draw picks the item rng.choice would and leaves the
+    generator in the same state."""
+    for seed in range(200):
+        for depth in (1, 2, 3):
+            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert cli._random_expression(ours, list(_NAMES), depth) == (
+                oracles.random_expression(reference, list(_NAMES), depth))
+            assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def _probe_outcome(probe, spec, point, h):
+    """The bits of the probe's gradient and Hessian, or the class and args of
+    what it raised."""
+    try:
+        grad, hess = probe(spec, list(_NAMES), np.array(point), h)
+    except Exception as err:  # every outcome is compared, errors included
+        return type(err), err.args
+    return grad.tobytes(), hess.tobytes()
+
+
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 3),
+       point=st.tuples(*[st.floats(0.4, 1.6)] * 3), h=st.sampled_from([1e-3, 5e-4]))
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_fd_probe_matches_the_name_keyed_probe(seed, depth, point, h):
+    """On the ad scenario's random expressions at its default steps, the
+    probe's gradient and Hessian are those of evaluating every stencil point
+    by name, bit for bit and sign bits included."""
+    spec = parse(cli._random_expression(np.random.default_rng(seed), list(_NAMES), depth))
+    assert _probe_outcome(cli._fd_probe, spec, point, h) == _probe_outcome(
+        oracles.fd_probe, spec, point, h)
+
+
+@_quiet
+@pytest.mark.parametrize("spec", _HOSTILE)
+@given(point=_point, h=st.sampled_from([1e-3, 5e-4]))
+@settings(derandomize=True, max_examples=20, deadline=None)
+def test_fd_probe_matches_the_name_keyed_probe_on_hostile_specs(spec, point, h):
+    """The first failing stencil point raises the same error."""
+    assert _probe_outcome(cli._fd_probe, spec, point, h) == _probe_outcome(
+        oracles.fd_probe, spec, point, h)
