@@ -323,7 +323,7 @@ def _check_key(check: dict) -> str:
 
 def _swept(c: _Solved, name: str, solved: list, residual, tol: float) -> dict:
     """Entry for ``residual`` of every solved point's jets, normalized per sample."""
-    rep = residuals.sweep(name, lambda: solved, lambda j: residual(residuals.unwrap(j)))
+    rep = residuals.sweep(name, solved, lambda j: residual(residuals.unwrap(j)))
     return _entry(f"{name}[{c.label}]", rep, tol, c.requested)
 
 
@@ -340,8 +340,7 @@ def _reparametrized(check: dict, tol: float, name: str, residual):
     def run(c: _Solved) -> list[dict]:
         entries = []
         for htxt, h in maps:
-            rep = residuals.sweep(name, lambda: c.jets,
-                                  lambda j: residual(h, residuals.unwrap(j)))
+            rep = residuals.sweep(name, c.jets, lambda j: residual(h, residuals.unwrap(j)))
             entries.append(_entry(f"{name}[{c.label}:{htxt}]", rep, tol, c.requested))
         return entries
 
@@ -354,7 +353,7 @@ def _tolerance_only(run):
 
 
 def _hodograph_identities(c: _Solved, tol: float) -> list[dict]:
-    rep = residuals.sweep("hodograph_identities", lambda: c.points,
+    rep = residuals.sweep("hodograph_identities", c.points,
                           lambda uv: c.model.identity_residuals(*uv))
     return [_entry(f"hodograph_identities[{c.label}]", rep, tol, c.requested)]
 

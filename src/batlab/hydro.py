@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from . import jets
 from .errors import (
@@ -379,9 +378,13 @@ class _PeriodicSpline2:
     """Periodic bicubic interpolation on the unit-index grid."""
 
     def __init__(self, values: np.ndarray):
+        # Imported here, not at module load: only the multifield integrator
+        # needs scipy, and loading it is most of ``batlab.cli``'s import time.
+        from scipy import ndimage
         self.coeffs = ndimage.spline_filter(values, order=3, mode="grid-wrap")
 
     def __call__(self, idx2: np.ndarray, idx3: np.ndarray) -> np.ndarray:
+        from scipy import ndimage
         return ndimage.map_coordinates(
             self.coeffs, [idx2, idx3], order=3, mode="grid-wrap", prefilter=False)
 

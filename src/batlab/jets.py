@@ -5,14 +5,15 @@ scalar quantity with respect to ``k`` independent variables.  All arithmetic
 propagates that data exactly, so PDE residuals evaluated on jets have no
 finite-difference error.
 
-A ``JetBatch`` holds the same data for a batch of ``N`` points as arrays
-(value ``(N,)``, gradient ``(N, k)``, Hessian ``(N, k, k)``): Taylor-mode AD
-over a batch axis.  Its arithmetic repeats ``Jet2``'s operation for operation,
-and the values of ``exp``, ``log``, ``sin``, ``cos``, ``sqrt`` and non-integer
-powers come point by point from ``math`` through the scalar guards, so every
-point of a batch is bit for bit the ``Jet2`` of that point.  A batch operation
-that fails raises what ``Jet2`` raises at the first failing point.  The
-functions below (:func:`exp` ... :func:`powc`) take either kind of jet.
+A ``Jet2`` holds that data at one point (value a float, gradient ``(k,)``,
+Hessian ``(k, k)``) or at each of a batch of ``N`` points (value ``(N,)``,
+gradient ``(N, k)``, Hessian ``(N, k, k)``): Taylor-mode AD over a leading
+batch axis.  Each operation is written once for both, and the values of
+``exp``, ``log``, ``sin``, ``cos``, ``sqrt`` and non-integer powers come point
+by point from ``math`` through the scalar guards, so every point of a batch is
+bit for bit the single-point jet of that point.  A single jet combined with a
+batch is the same jet at every point.  A batch operation that fails raises
+what the single-point operation raises at the first failing point.
 """
 
 from __future__ import annotations
@@ -32,29 +33,49 @@ def _check_arity(k: int) -> None:
         raise ValueError(f"jet arity must be in 1..{MAX_ARITY}, got {k}")
 
 
+def _columns(value):
+    """``value`` shaped to scale a gradient and a Hessian: the float itself
+    twice, or a batch's values as ``(N, 1)`` and ``(N, 1, 1)`` columns."""
+    if isinstance(value, float):
+        return value, value
+    return value[:, None], value[:, None, None]
+
+
 class Jet2:
-    """Value, gradient and symmetric Hessian over k variables."""
+    """Value, gradient and symmetric Hessian over k variables, at one point
+    or at each point of a batch."""
 
     __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value: float, grad: np.ndarray, hess: np.ndarray):
-        self.value = float(value)
+    def __init__(self, value, grad: np.ndarray, hess: np.ndarray):
+        self.value = value if type(value) is np.ndarray else float(value)
         self.grad = grad
         self.hess = hess
 
     @property
     def k(self) -> int:
-        return self.grad.shape[0]
+        return self.grad.shape[-1]
 
     def __repr__(self) -> str:
         return f"Jet2(value={self.value!r}, grad={self.grad.tolist()}, hess={self.hess.tolist()})"
+
+    def _head(self, n: int) -> "Jet2":
+        """The first n points of a batch; a single jet is its own head."""
+        if isinstance(self.value, float):
+            return self
+        return Jet2(self.value[:n], self.grad[:n], self.hess[:n])
 
     # -- arithmetic --------------------------------------------------------
 
     def _coerced(self, other):
         if isinstance(other, Jet2):
-            if other.k != self.k:
-                raise ValueError(f"arity mismatch: {self.k} vs {other.k}")
+            # A single jet broadcasts against a batch; two batches must match.
+            mine, theirs = self.grad.shape, other.grad.shape
+            if theirs != mine:
+                if theirs[-1] != mine[-1]:
+                    raise ValueError(f"arity mismatch: {self.k} vs {other.k}")
+                if len(theirs) == len(mine):
+                    raise ValueError(f"batch shape mismatch: {mine} vs {theirs}")
             return other
         if isinstance(other, (int, float)):
             return constant(float(other), self.k)
@@ -84,14 +105,16 @@ class Jet2:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        cross = np.outer(self.grad, o.grad)
+        cross = self.grad[..., :, None] * o.grad[..., None, :]
         # Summing only exactly-symmetric arrays keeps the Hessian symmetric
         # to the last bit (cross alone would break associativity symmetry).
-        sym = cross + cross.T
+        sym = cross + cross.swapaxes(-1, -2)
+        vg, vh = _columns(self.value)
+        wg, wh = _columns(o.value)
         return Jet2(
             self.value * o.value,
-            self.grad * o.value + self.value * o.grad,
-            self.hess * o.value + self.value * o.hess + sym,
+            self.grad * wg + vg * o.grad,
+            self.hess * wh + vh * o.hess + sym,
         )
 
     __rmul__ = __mul__
@@ -100,13 +123,22 @@ class Jet2:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        if o.value == 0.0:
-            raise JetDomainError("div", 0.0)
+        if isinstance(o.value, float):
+            if o.value == 0.0:
+                raise JetDomainError("div", 0.0)
+        else:
+            zero = o.value == 0.0
+            if zero.any():
+                first = int(zero.argmax())
+                self._head(first) / o._head(first)  # raises if an earlier point fails
+                raise JetDomainError("div", 0.0)
         q = self.value / o.value
-        g = (self.grad - q * o.grad) / o.value
-        cross = np.outer(g, o.grad)
-        sym = cross + cross.T
-        h = (self.hess - q * o.hess - sym) / o.value
+        qg, qh = _columns(q)
+        wg, wh = _columns(o.value)
+        g = (self.grad - qg * o.grad) / wg
+        cross = g[..., :, None] * o.grad[..., None, :]
+        sym = cross + cross.swapaxes(-1, -2)
+        h = (self.hess - qh * o.hess - sym) / wh
         _require_finite("div", q, g, h)
         return Jet2(q, g, h)
 
@@ -124,141 +156,33 @@ class Jet2:
             return NotImplemented
         return powc(self, exponent)
 
-    def _constant(self, value: float) -> "Jet2":
-        return constant(value, self.k)
-
     def _univariate(self, op: str, parts) -> "Jet2":
-        """f(self) from ``parts(value) = (f, f', f'')``."""
-        f0, f1, f2 = parts(self.value)
-        outer = np.outer(self.grad, self.grad)
-        g = f1 * self.grad
-        h = f2 * outer + f1 * self.hess
-        _require_finite(op, f0, g, h)
-        return Jet2(f0, g, h)
-
-
-class JetBatch:
-    """Value ``(N,)``, gradient ``(N, k)`` and Hessian ``(N, k, k)`` of N
-    jets over the same k variables."""
-
-    __slots__ = ("value", "grad", "hess")
-
-    def __init__(self, value: np.ndarray, grad: np.ndarray, hess: np.ndarray):
-        self.value = value
-        self.grad = grad
-        self.hess = hess
-
-    @property
-    def k(self) -> int:
-        return self.grad.shape[1]
-
-    def __repr__(self) -> str:
-        return f"JetBatch(value={self.value.tolist()}, k={self.k})"
-
-    def _head(self, n: int) -> "JetBatch":
-        """The first n points."""
-        return JetBatch(self.value[:n], self.grad[:n], self.hess[:n])
-
-    def _constant(self, value: float) -> "JetBatch":
-        n, k = self.grad.shape
-        return JetBatch(np.full(n, float(value)), np.zeros((n, k)), np.zeros((n, k, k)))
-
-    # -- arithmetic, as in Jet2 with a leading batch axis ---------------------
-
-    def _coerced(self, other):
-        if isinstance(other, JetBatch):
-            if other.grad.shape != self.grad.shape:
-                raise ValueError(f"batch shape mismatch: {self.grad.shape} vs {other.grad.shape}")
-            return other
-        if isinstance(other, Jet2):  # the same jet at every point
-            if other.k != self.k:
-                raise ValueError(f"arity mismatch: {self.k} vs {other.k}")
-            n, k = self.grad.shape
-            return JetBatch(np.full(n, other.value), np.broadcast_to(other.grad, (n, k)),
-                            np.broadcast_to(other.hess, (n, k, k)))
-        if isinstance(other, (int, float)):
-            return self._constant(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return JetBatch(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return JetBatch(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
-
-    def __rsub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o.__sub__(self)
-
-    def __mul__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        cross = self.grad[:, :, None] * o.grad[:, None, :]
-        sym = cross + cross.transpose(0, 2, 1)
-        return JetBatch(
-            self.value * o.value,
-            self.grad * o.value[:, None] + self.value[:, None] * o.grad,
-            self.hess * o.value[:, None, None] + self.value[:, None, None] * o.hess + sym,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        zero = o.value == 0.0
-        if zero.any():
-            first = int(zero.argmax())
-            self._head(first) / o._head(first)  # raises if an earlier point fails
-            raise JetDomainError("div", 0.0)
-        q = self.value / o.value
-        g = (self.grad - q[:, None] * o.grad) / o.value[:, None]
-        cross = g[:, :, None] * o.grad[:, None, :]
-        sym = cross + cross.transpose(0, 2, 1)
-        h = (self.hess - q[:, None, None] * o.hess - sym) / o.value[:, None, None]
-        _require_finite("div", q, g, h)
-        return JetBatch(q, g, h)
-
-    def __rtruediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
-
-    def __neg__(self):
-        return JetBatch(-self.value, -self.grad, -self.hess)
-
-    def _univariate(self, op: str, parts) -> "JetBatch":
         """f(self) from ``parts(value) = (f, f', f'')``, called point by point."""
+        if isinstance(self.value, float):
+            return self._apply(op, *parts(self.value))
         rows = []
         try:
             for v in self.value.tolist():
                 rows.append(parts(v))
         except Exception:
-            self._head(len(rows))._apply(op, rows)  # raises if an earlier point fails
+            self._head(len(rows))._apply(op, *_stacked(rows))  # raises if an earlier point fails
             raise
-        return self._apply(op, rows)
+        return self._apply(op, *_stacked(rows))
 
-    def _apply(self, op: str, rows) -> "JetBatch":
-        """f(self) from the parts ``rows`` at each point."""
-        f0, f1, f2 = np.array(rows, dtype=float).reshape(-1, 3).T
-        outer = self.grad[:, :, None] * self.grad[:, None, :]
-        g = f1[:, None] * self.grad
-        h = f2[:, None, None] * outer + f1[:, None, None] * self.hess
+    def _apply(self, op: str, f0, f1, f2) -> "Jet2":
+        """f(self) from f, f' and f'' at its value or values."""
+        outer = self.grad[..., :, None] * self.grad[..., None, :]
+        f1g, f1h = _columns(f1)
+        _, f2h = _columns(f2)
+        g = f1g * self.grad
+        h = f2h * outer + f1h * self.hess
         _require_finite(op, f0, g, h)
-        return JetBatch(f0, g, h)
+        return Jet2(f0, g, h)
+
+
+def _stacked(rows):
+    """The columns f, f', f'' of the per-point ``rows`` of parts."""
+    return np.array(rows, dtype=float).reshape(-1, 3).T
 
 
 def _require_finite(op: str, value, grad, hess) -> None:
@@ -289,7 +213,7 @@ def constant(value: float, k: int) -> Jet2:
     return Jet2(float(value), np.zeros(k), np.zeros((k, k)))
 
 
-def batch_variables(values) -> list[JetBatch]:
+def batch_variables(values) -> list[Jet2]:
     """Seed jets of the k = len(values) independent variables, variable i
     taking the values ``values[i]`` at the N points of a batch."""
     v = np.array(values, dtype=float)
@@ -301,7 +225,7 @@ def batch_variables(values) -> list[JetBatch]:
     for i in range(k):
         g = np.zeros((n, k))
         g[:, i] = 1.0
-        seeds.append(JetBatch(v[i], g, np.zeros((n, k, k))))
+        seeds.append(Jet2(v[i], g, np.zeros((n, k, k))))
     return seeds
 
 
@@ -388,11 +312,11 @@ def powc(a, c):
         if c < 0:
             zero = a.value == 0.0
             if np.any(zero):
-                if isinstance(a, JetBatch):
+                if not isinstance(a.value, float):
                     powc(a._head(int(zero.argmax())), c)  # raises if an earlier point fails
                 raise JetDomainError("pow", 0.0)
-            return a._constant(1.0) / powc(a, -c)
-        result = a._constant(1.0)
+            return constant(1.0, a.k) / powc(a, -c)
+        result = constant(1.0, a.k)
         for _ in range(c):
             result = result * a
         # Checked once here rather than in every product: an overflowing

@@ -105,17 +105,17 @@ def unwrap(value):
 
 def sweep(
     equation: str,
-    sampler: Callable[[], Iterable],
+    points: Iterable,
     evaluate: Callable[[object], ResidualSample | Sequence[ResidualSample]],
 ) -> ResidualReport:
     """Evaluate a residual over sample points, skipping singular ones.
 
-    ``sampler`` yields points; ``evaluate`` maps a point to one sample or a
-    sequence of samples.  ``EvaluationError`` marks the point as skipped.
+    ``evaluate`` maps a point to one sample or a sequence of samples.
+    ``EvaluationError`` marks the point as skipped.
     """
     norms: list[float] = []
     skipped = 0
-    for point in sampler():
+    for point in points:
         try:
             out = evaluate(point)
         except EvaluationError:

@@ -11,12 +11,12 @@ that discrete sum with respect to nodal values: because the density depends on
 a nodal value only through the centered stencils, the derivative is the
 centered divergence of the momentum grids dL/d(field_t), dL/d(field_x).
 All three residuals come from one pass over the interior grid rows: the
-density at the nodes of a row is one batched arity-6 jet (``jets.JetBatch``)
-in every field's slots, so its gradients and Hessians hold the momenta and
-the expanded-equation terms of each field at once, and the factor H evaluated
-there gives the action density at those nodes.  Each node's data is bit for
-bit that of a scalar ``Jet2`` density at the node; a row at a time keeps the
-batch's temporaries small.
+density at the nodes of a row is one arity-6 ``jets.Jet2`` over the row's
+nodes in every field's slots, so its gradients and Hessians hold the momenta
+and the expanded-equation terms of each field at once, and the factor H
+evaluated there gives the action density at those nodes.  Each node's data is
+bit for bit that of a single-point ``Jet2`` density at the node; a row at a
+time keeps the batch's temporaries small.
 Convergence of these residuals to zero on sampled exact solutions is then the
 tested property.
 
@@ -78,7 +78,7 @@ class DiscreteFunctional:
         if not degree0_test(self.factor):
             raise ValueError(f"factor {self.factor} is not homogeneous of weight zero")
 
-    def _density_jet(self, slots: Sequence[np.ndarray]) -> tuple[jets.JetBatch, np.ndarray]:
+    def _density_jet(self, slots: Sequence[np.ndarray]) -> tuple[jets.Jet2, np.ndarray]:
         """L at the nodes of one grid row, given each of the six ``_SLOTS``
         there, as a batched arity-6 jet in the slots, whose gradients are the
         full sets of momenta; and the values of the factor H."""

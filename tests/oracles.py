@@ -219,10 +219,9 @@ def _point_bits(result, i: int) -> bytes:
     (``i`` is then ignored): jets, floats and tuples of them."""
     if isinstance(result, tuple):
         return b"".join(_point_bits(item, i) for item in result)
-    if isinstance(result, jets.JetBatch):
-        return (np.float64(result.value[i]).tobytes() + result.grad[i].tobytes()
-                + result.hess[i].tobytes())
-    if isinstance(result, Jet2):  # the same jet at every point
+    if isinstance(result, Jet2):
+        if not isinstance(result.value, float):  # a batch; a single jet is the same everywhere
+            result = Jet2(result.value[i], result.grad[i], result.hess[i])
         return np.float64(result.value).tobytes() + result.grad.tobytes() + result.hess.tobytes()
     return np.float64(result if np.ndim(result) == 0 else result[i]).tobytes()
 

@@ -215,6 +215,17 @@ def test_numerical_failure_is_the_only_line_on_stderr(tmp_path):
     assert run.stderr == "numerical failure: exp: offending value 1042.2384233266514\n"
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    """Only the multifield integrator loads scipy, so a fresh interpreter
+    that imports the CLI does not pay for it."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c",
+                          "import sys, batlab.cli; print('scipy' in sys.modules)"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
 def test_skip_fraction_gate(tmp_path):
     # Half the u box violates the positivity domain of the gradient
     # substitution, so far more than 20% of samples are skipped: the check

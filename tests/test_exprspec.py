@@ -305,7 +305,7 @@ def test_compiled_evaluation_matches_the_tree_walker_on_hostile_specs(spec, poin
 @given(points=st.lists(_point, min_size=1, max_size=4))
 @settings(derandomize=True, max_examples=20, deadline=None)
 def test_batched_jets_match_one_jet2_per_point_on_hostile_specs(spec, points):
-    """A row of points evaluated as one ``jets.JetBatch`` gives, point by
+    """A row of points evaluated as one batched ``jets.Jet2`` gives, point by
     point, the arity-3 Jet2 bits, or the error of a failing point."""
     batch = dict(zip(_NAMES, jets.batch_variables(list(zip(*points)))))
     oracles.assert_batch_matches_points(

@@ -1,6 +1,7 @@
 """Jet arithmetic: seed semantics, chain rules, domain errors, FD convergence."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from batlab import jets
 from batlab.errors import JetDomainError
+
+import oracles
 
 
 @pytest.fixture(params=[jets], ids=[jets.JET_BACKEND])
@@ -304,10 +307,11 @@ def test_value_associativity_tolerance(J):
 @pytest.mark.parametrize("f,values", [
     (lambda x: jets.exp(10.0 * x), (70.8, 71.0)),           # gradient overflow; guard
     (lambda x: 1e308 / (x - 71.0), (70.8, 71.0)),           # quotient overflow; zero divisor
+    (lambda x: jets.variable(0, 1e308, 1) / (x - 71.0), (70.8, 71.0)),  # the same, single / batch
     (lambda x: jets.powc(1e200 * (x - 71.0), -2), (70.8, 71.0)),  # square overflow; zero base
     (lambda x: jets.log(x), (1e-160, -1.0)),                # Hessian overflow; guard
     (lambda x: jets.exp(10.0 * x), (70.8, 70.85)),          # gradient overflow at both
-], ids=["exp", "div", "pow", "log", "exp-both"])
+], ids=["exp", "div", "div-single", "pow", "log", "exp-both"])
 def test_batch_error_is_the_first_failing_points(f, values):
     """Both points fail, point 0 at the finiteness check that follows point
     1's domain guard or at the same check: the batch raises point 0's error."""
@@ -333,3 +337,32 @@ def test_batch_operands_must_share_a_shape():
     with pytest.raises(ValueError):
         jets.batch_variables([[1.0, 2.0], [3.0]])
     assert (a * jets.constant(2.0, 2)).value.tolist() == [2.0, 4.0]
+
+
+_XS, _YS = (0.7, -1.3, 0.0, 2.5), (0.4, 0.0, 0.0, -1.1)
+
+
+def _nonlinear(x, y):
+    """x y + x: a jet with a full gradient and Hessian, zero at point 2."""
+    return x * y + x
+
+
+@pytest.mark.parametrize("single", [0.3, 0.0], ids=["nonzero", "zero"])
+@pytest.mark.parametrize("single_first", [True, False], ids=["single-batch", "batch-single"])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv],
+                         ids=lambda op: op.__name__)
+def test_single_and_batch_operands_match_points(op, single_first, single):
+    """A single jet combined with a batch, in either order, gives at each point
+    the bits of the single-point operation there; a batch divisor that is zero
+    at an inner point raises that point's error, a zero single divisor the
+    first point's."""
+    s = jets.sin(jets.variable(0, single, 2)) * jets.variable(1, -0.8, 2)
+    b = _nonlinear(*jets.batch_variables([_XS, _YS]))
+
+    def at(i):
+        return _nonlinear(jets.variable(0, _XS[i], 2), jets.variable(1, _YS[i], 2))
+
+    def pair(single, other):
+        return op(single, other) if single_first else op(other, single)
+
+    oracles.assert_batch_matches_points(lambda: pair(s, b), lambda i: pair(s, at(i)), len(_XS))

@@ -2,16 +2,19 @@
 
 Each mutant replaces a library function from outside: it perturbs one entry
 of what the function returns by a relative 1e-3, symmetrically, so that the
-result is still a valid jet, or drops one term of a jet product.  Sampled
+result is still a valid jet, drops one term of a jet product or quotient, or
+scales the second derivative of every univariate jet function.  Sampled
 scenarios run with fewer samples per case, the others whole; unmutated, the
 same runs pass, so each failure is the mutant's doing.
 """
 
 import json
 
+import numpy as np
 import pytest
 
 from batlab import cli, construct, jets, leznov
+from batlab.errors import JetDomainError
 
 SEED = 20240801
 SAMPLES = 20
@@ -59,39 +62,59 @@ def hodograph_second_derivative(monkeypatch):
 
 
 def jet_product_cross_term(monkeypatch):
-    """``Jet2`` products without the Hessian term grad_a grad_b^T + grad_b grad_a^T."""
+    """``Jet2`` products, at one point or over a batch, without the Hessian
+    term grad_a grad_b^T + grad_b grad_a^T."""
     def mutant(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return jets.Jet2(self.value * o.value, self.grad * o.value + self.value * o.grad,
-                         self.hess * o.value + self.value * o.hess)
+        vg, vh = jets._columns(self.value)
+        wg, wh = jets._columns(o.value)
+        return jets.Jet2(self.value * o.value, self.grad * wg + vg * o.grad,
+                         self.hess * wh + vh * o.hess)
 
     for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(jets.Jet2, name, mutant)
 
 
-def batched_product_cross_term(monkeypatch):
-    """``JetBatch`` products without the same term at every point."""
+def jet_quotient_cross_term(monkeypatch):
+    """``Jet2`` quotients a / b without the Hessian term
+    (g grad_b^T + grad_b g^T) / b, g the quotient's gradient."""
     def mutant(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return jets.JetBatch(
-            self.value * o.value,
-            self.grad * o.value[:, None] + self.value[:, None] * o.grad,
-            self.hess * o.value[:, None, None] + self.value[:, None, None] * o.hess)
+        if np.any(o.value == 0.0):
+            raise JetDomainError("div", 0.0)
+        q = self.value / o.value
+        qg, qh = jets._columns(q)
+        wg, wh = jets._columns(o.value)
+        g = (self.grad - qg * o.grad) / wg
+        h = (self.hess - qh * o.hess) / wh
+        jets._require_finite("div", q, g, h)
+        return jets.Jet2(q, g, h)
 
-    for name in ("__mul__", "__rmul__"):
-        monkeypatch.setattr(jets.JetBatch, name, mutant)
+    monkeypatch.setattr(jets.Jet2, "__truediv__", mutant)
+
+
+def univariate_second_derivative(monkeypatch):
+    """f'' of every exp, log, sin, cos, sqrt and non-integer power of a jet
+    scaled by 1.001."""
+    apply = jets.Jet2._apply
+
+    def mutant(self, op, f0, f1, f2):
+        return apply(self, op, f0, f1, 1.001 * f2)
+
+    monkeypatch.setattr(jets.Jet2, "_apply", mutant)
 
 
 # mutant -> the bundled scenarios it must make FAIL
 MUTANTS = {
     leznov_field_hessian: ("c07",),
     hodograph_second_derivative: ("c03", "c06"),
-    jet_product_cross_term: ("c11",),
-    batched_product_cross_term: ("c09",),
+    jet_product_cross_term: ("c09", "c11"),
+    jet_quotient_cross_term: ("c11",),
+    univariate_second_derivative: ("c11",),
 }
 
 

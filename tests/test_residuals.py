@@ -274,15 +274,12 @@ def test_normalized_bounded_by_one():
 def test_sweep_skips_singular():
     from batlab.errors import EvaluationError
 
-    def sampler():
-        return range(10)
-
     def evaluate(i):
         if i % 3 == 0:
             raise EvaluationError("skip")
         return residuals.ResidualSample(raw=0.0, scale=1.0)
 
-    rep = residuals.sweep("test_eq", sampler, evaluate)
+    rep = residuals.sweep("test_eq", range(10), evaluate)
     assert rep.samples == 6
     assert rep.skipped_singular == 4
     assert rep.max_norm == 0.0
