@@ -30,7 +30,6 @@ import json
 import math
 import sys
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -208,7 +207,9 @@ def _solve_config(block: dict) -> ImplicitSolveConfig:
 
 
 def _box_sampler(samples: dict, rng: np.random.Generator, dim: int):
-    """``count`` uniform points of a box of ``dim`` coordinates."""
+    """``count`` uniform points of a box of ``dim`` coordinates, as a
+    ``(count, dim)`` array (the bits and generator state of ``count`` draws of
+    one point each)."""
     low = np.asarray(_numbers(_field_or(samples, "low", required=True), "samples.low"))
     high = np.asarray(_numbers(_field_or(samples, "high", required=True), "samples.high"))
     count = _number(_field_or(samples, "count", required=True), "samples.count", int)
@@ -218,15 +219,15 @@ def _box_sampler(samples: dict, rng: np.random.Generator, dim: int):
         raise ScenarioError("samples box must satisfy low < high componentwise")
     if low.shape != (dim,):
         raise ScenarioError(f"samples box must have {dim} coordinates, got {low.size}")
-    return [rng.uniform(low, high) for _ in range(count)], count
+    return rng.uniform(low, high, size=(count, dim)), count
 
 
 # -- verify-kind cases -------------------------------------------------------------------
 #
-# A case samples its points, evaluates the constructor once per point (one solve
-# per point and seed) and runs every check on those jets from ``_CHECKS``.  A
-# point whose evaluation failed holds its EvaluationError (``residuals.attempt``)
-# and is skipped by each check that reads it.
+# A case samples its points, solves the constructor once per point (one solve
+# per point and seed), differentiates at the solved points as one batch and
+# runs every check from ``_CHECKS`` on that batch.  A point whose solve or jets
+# failed holds its EvaluationError and is skipped by each check.
 
 
 @dataclass
@@ -236,10 +237,34 @@ class _Solved:
     label: str
     rng: np.random.Generator
     requested: int
-    points: list  # sample points; (u, v) for hodograph cases
-    jets: list  # per point: the constructor's jets, or its EvaluationError
+    points: np.ndarray  # (count, dim) sample points; (u, v) for hodograph cases
+    errors: list  # per point: the EvaluationError of its solve or jets, or None
+    # The constructor's jets at the points without an error, as one batch: the
+    # field, (phi, phibar) for hodograph cases, the first field for Leznov
+    # cases; None if no point solved.
+    batch: object
     model: object = None  # HodographSolver or LeznovSystem
     tx: list | None = None  # hodograph cases: the (t, x) image of each (u, v)
+    solutions: list | None = None  # Leznov cases: per point, leznov.solve_points' pair
+
+    @property
+    def skipped(self) -> int:
+        return sum(err is not None for err in self.errors)
+
+
+def _at_solved(fn, inputs: list):
+    """``(errors, batch)``: ``fn`` over the points whose input is not an
+    EvaluationError, as one batch.  An input is the tuple of ``fn``'s
+    arguments at one point; ``errors`` holds per point the input's error, the
+    error ``fn`` raised there (``residuals.batched``), or None."""
+    ok = [i for i, a in enumerate(inputs) if not isinstance(a, EvaluationError)]
+    errors = [a if isinstance(a, EvaluationError) else None for a in inputs]
+    if not ok:
+        return errors, None
+    failed, batch = residuals.batched(fn, *residuals.stack([inputs[i] for i in ok]))
+    for i, err in zip(ok, failed):
+        errors[i] = err
+    return errors, batch
 
 
 def _expr(block: dict, key: str):
@@ -254,8 +279,10 @@ def _field_case(make, dim: int):
         with _reading():
             handle = make(block)
         points, requested = _box_sampler(_object(case, "samples"), rng, dim)
-        return _Solved(label, rng, requested, points,
-                       [residuals.attempt(handle, p) for p in points])
+        roots = [residuals.attempt(handle.solve, p) for p in points]
+        errors, batch = _at_solved(handle.jets, [
+            r if isinstance(r, EvaluationError) else (p, r) for p, r in zip(points, roots)])
+        return _Solved(label, rng, requested, points, errors, batch)
 
     return build
 
@@ -270,8 +297,9 @@ def _hodograph_case(block, label, case, rng) -> _Solved:
         raise ScenarioError("hodograph cases sample the (u, v) parameter box")
     uv, requested = _box_sampler(samples, rng, 2)
     tx = [solver.forward(u0, v0) for u0, v0 in uv]
-    fields = [residuals.attempt(solver.fields, t, x, s) for (t, x), s in zip(tx, uv)]
-    return _Solved(label, rng, requested, uv, fields, solver, tx)
+    errors, batch = _at_solved(solver.fields, [
+        residuals.attempt(solver.solve, t, x, s) for (t, x), s in zip(tx, uv)])
+    return _Solved(label, rng, requested, uv, errors, batch, solver, tx)
 
 
 def _leznov_case(block, label, case, rng) -> _Solved:
@@ -283,7 +311,11 @@ def _leznov_case(block, label, case, rng) -> _Solved:
             cfg=_solve_config(_object(block, "config", False)),
         )
     points, requested = _box_sampler(_object(case, "samples"), rng, 2 * sys_.n)
-    return _Solved(label, rng, requested, points, leznov.solve_points(sys_, points), sys_)
+    solutions = leznov.solve_points(sys_, points)
+    errors, batch = _at_solved(lambda phi: phi, [
+        sol if isinstance(sol, EvaluationError) else (sol.field_jets[0],)
+        for sol, _ in solutions])
+    return _Solved(label, rng, requested, points, errors, batch, sys_, solutions=solutions)
 
 
 def _run_verify_case(case: dict, rng: np.random.Generator,
@@ -321,15 +353,15 @@ def _check_key(check: dict) -> str:
 # A check reads its options before any solve; what it returns runs on the solved case.
 
 
-def _swept(c: _Solved, name: str, solved: list, residual, tol: float) -> dict:
-    """Entry for ``residual`` of every solved point's jets, normalized per sample."""
-    rep = residuals.sweep(name, solved, lambda j: residual(residuals.unwrap(j)))
+def _swept(c: _Solved, name: str, residual, tol: float) -> dict:
+    """Entry for ``residual`` of the case's batch of jets, normalized per sample."""
+    rep = residuals.sweep(name, c.batch, residual, c.skipped)
     return _entry(f"{name}[{c.label}]", rep, tol, c.requested)
 
 
 def _per_point(residual):
     """Check applying ``residual`` to the constructor's jets at every point."""
-    return lambda check, tol: lambda c: [_swept(c, check["equation"], c.jets, residual, tol)]
+    return lambda check, tol: lambda c: [_swept(c, check["equation"], residual, tol)]
 
 
 def _reparametrized(check: dict, tol: float, name: str, residual):
@@ -340,7 +372,7 @@ def _reparametrized(check: dict, tol: float, name: str, residual):
     def run(c: _Solved) -> list[dict]:
         entries = []
         for htxt, h in maps:
-            rep = residuals.sweep(name, c.jets, lambda j: residual(h, residuals.unwrap(j)))
+            rep = residuals.sweep(name, c.batch, lambda j: residual(h, j), c.skipped)
             entries.append(_entry(f"{name}[{c.label}:{htxt}]", rep, tol, c.requested))
         return entries
 
@@ -354,16 +386,17 @@ def _tolerance_only(run):
 
 def _hodograph_identities(c: _Solved, tol: float) -> list[dict]:
     rep = residuals.sweep("hodograph_identities", c.points,
-                          lambda uv: c.model.identity_residuals(*uv))
+                          lambda uv: c.model.identity_residuals(uv[..., 0], uv[..., 1]))
     return [_entry(f"hodograph_identities[{c.label}]", rep, tol, c.requested)]
 
 
 def _roundtrip(c: _Solved, tol: float) -> list[dict]:
-    worst, skipped = 0.0, 0
-    for (t, x), fields in zip(c.tx, c.jets):
+    worst, skipped = 0.0, c.skipped
+    solved = [tx for tx, err in zip(c.tx, c.errors) if err is None]
+    uv = zip(c.batch[1].value.tolist(), c.batch[0].value.tolist()) if c.batch else ()
+    for (t, x), (u, v) in zip(solved, uv):
         try:
-            phi, phibar = residuals.unwrap(fields)
-            t2, x2 = c.model.forward(phibar.value, phi.value)
+            t2, x2 = c.model.forward(u, v)
         except EvaluationError:
             skipped += 1
             continue
@@ -381,12 +414,15 @@ def _born_infeld(check: dict, tol: float):
     def run(c: _Solved) -> list[dict]:
         # (u, v) = (phibar, phi).  The integrability check solves from the
         # configured seed, not from the sample's.
-        cross = [residuals.attempt(c.model.fields, t, x) for t, x in c.tx]
+        errors, cross = _at_solved(c.model.fields, [
+            residuals.attempt(c.model.solve, t, x) for t, x in c.tx])
+        rep = residuals.sweep("born_infeld_cross", cross, lambda f: (
+            construct.born_infeld_cross_residual(f[1], f[0], lam)),
+            sum(err is not None for err in errors))
         return [
-            _swept(c, "born_infeld", c.jets, lambda f: residuals.born_infeld(
+            _swept(c, "born_infeld", lambda f: residuals.born_infeld(
                 construct.born_infeld_jet(f[1], f[0], lam), lam), tol),
-            _swept(c, "born_infeld_cross", cross,
-                   lambda f: construct.born_infeld_cross_residual(f[1], f[0], lam), tol),
+            _entry(f"born_infeld_cross[{c.label}]", rep, tol, c.requested),
         ]
     return run
 
@@ -402,33 +438,49 @@ def _linear_covariance(check: dict, tol: float):
             if abs(m.det) >= 0.3:
                 maps.append(m)
 
-        res_samples, speed_samples, skipped = [], [], 0
+        # Each entry counts its own skips: a point whose pulled-back jets exist
+        # is a covariance sample even if its speed cannot be matched.
+        res_samples, speed_samples, res_skipped, speed_skipped = [], [], 0, 0
+        has_base = np.array([err is None for err in c.errors])
         for m in maps:
             mat, minv = m.matrix(), m.inverse()
-            for (t, x), uv, base in zip(c.tx, c.points, c.jets):
-                q = minv @ (mat @ np.array([t, x]))  # (t, x) only up to rounding
-                try:
-                    jp, jb = (construct.pull_back(j, minv) for j in c.model.fields(*q, uv))
-                    res_samples.append(residuals.two_field_bateman(jp, jb))
-                    base_bar = residuals.unwrap(base)[1]
-                    u_orig = base_bar.grad[0] / base_bar.grad[1]
-                    expected_u, _ = construct.moebius_transform((u_orig, u_orig), m)
-                    u_new = jb.grad[0] / jb.grad[1]
-                    speed_samples.append(residuals.ResidualSample(
-                        u_new - expected_u, abs(u_new) + abs(expected_u)))
-                except EvaluationError:
-                    skipped += 1
-                    continue
+            solved = [residuals.attempt(c.model.solve, *(minv @ (mat @ np.array([t, x]))), uv)
+                      for (t, x), uv in zip(c.tx, c.points)]  # (t, x) only up to rounding
+            errors, pulled = _at_solved(lambda u, v: tuple(
+                construct.pull_back(j, minv) for j in c.model.fields(u, v)), solved)
+            has_pulled = np.array([err is None for err in errors])
+            res_skipped += len(errors) - int(has_pulled.sum())
+            if pulled is not None:
+                res_samples.append(residuals.two_field_bateman(*pulled))
+            # The speed match also reads the point's base jets.
+            both, matched = has_pulled & has_base, []
+            if both.any():
+                matched, speeds = residuals.batched(
+                    lambda jb, base_bar: _speed_match(jb, base_bar, m),
+                    residuals.take(pulled[1], both[has_pulled]),
+                    residuals.take(c.batch[1], both[has_base]))
+                if speeds is not None:
+                    speed_samples.append(speeds)
+            speed_skipped += len(errors) - matched.count(None)
         requested = n_maps * len(c.points)
-        rep = residuals.grid_report("linear_covariance", res_samples, skipped)
-        rep2 = residuals.grid_report("moebius_speed_match", speed_samples, skipped)
+        rep = residuals.grid_report("linear_covariance", res_samples, res_skipped)
+        rep2 = residuals.grid_report("moebius_speed_match", speed_samples, speed_skipped)
         return [_entry(f"linear_covariance[{c.label}]", rep, tol, requested),
                 _entry(f"moebius_speed_match[{c.label}]", rep2, speed_tol, requested)]
     return run
 
 
+def _speed_match(jb, base_bar, m: LinearMap2) -> residuals.ResidualSample:
+    """The pulled-back phibar's speed against the Moebius image of the base
+    phibar's speed, at one point or over a batch."""
+    u_orig = base_bar.grad[..., 0] / base_bar.grad[..., 1]
+    expected_u, _ = construct.moebius_transform((u_orig, u_orig), m)
+    u_new = jb.grad[..., 0] / jb.grad[..., 1]
+    return residuals.ResidualSample(u_new - expected_u, abs(u_new) + abs(expected_u))
+
+
 def _constraint_gap(c: _Solved, tol: float) -> list[dict]:
-    rep = leznov.constraint_gap_report(c.model, c.jets)
+    rep = leznov.constraint_gap_report(c.model, c.solutions)
     return [_entry(f"constraint_gap[{c.label}]", rep, tol, c.requested)]
 
 
@@ -444,7 +496,7 @@ def _holomorphy(check: dict, tol: float):
     speeds_on_x = _speeds_on_x(check)
 
     def run(c: _Solved) -> list[dict]:
-        d_rep, dbar_rep = leznov.holomorphy_reports(c.model, c.jets, speeds_on_x)
+        d_rep, dbar_rep = leznov.holomorphy_reports(c.model, c.solutions, speeds_on_x)
         return [_entry(f"d_phi[{c.label}]", d_rep, tol, c.requested),
                 _entry(f"dbar_phi[{c.label}]", dbar_rep, tol, c.requested)]
     return run
@@ -454,7 +506,7 @@ def _zero_curvature(check: dict, tol: float):
     speeds_on_x = _speeds_on_x(check)
 
     def run(c: _Solved) -> list[dict]:
-        rep = leznov.verify_zero_curvature(c.model, c.jets, speeds_on_x)
+        rep = leznov.verify_zero_curvature(c.model, c.solutions, speeds_on_x)
         return [_entry(f"zero_curvature[{c.label}]", rep, tol, c.requested)]
     return run
 
@@ -462,8 +514,7 @@ def _zero_curvature(check: dict, tol: float):
 def _leznov_bateman(c: _Solved, tol: float) -> list[dict]:
     if c.model.n != 2:
         raise ScenarioError("complex_bateman check needs n = 2")
-    return [_swept(c, "complex_bateman", c.jets, lambda pair: residuals.complex_bateman(
-        residuals.unwrap(pair[0]).field_jets[0]), tol)]
+    return [_swept(c, "complex_bateman", residuals.complex_bateman, tol)]
 
 
 def _scalar_checks(equation: str, residual, **others) -> dict:
@@ -963,6 +1014,9 @@ def run_suite(out_dir: Path, seed: int, jobs: int = 1) -> int:
     cannot run gets a row with its exit code and the others still run."""
     tasks = [(p.name, p.read_text(), str(out_dir), seed) for p in bundled_scenarios()]
     if jobs > 1:
+        # imported here: a serial run does not need it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_bundled, tasks))
     else:

@@ -1,16 +1,19 @@
 """Constructors for the exact solution families.
 
-Every constructor evaluates its solution at one point with one solve, and
+Every constructor solves its defining relation once per point, and then
 returns jets (``Jet2``) whose gradients and Hessians come from implicit /
-inverse-function differentiation of the defining relations, never from finite
-differences:
+inverse-function differentiation of that relation, never from finite
+differences.  The solve runs point by point, since each point iterates
+differently; the jets are computed at one solved point or, with the same
+code, over a batch of solved points (a ``Jet2`` with a leading axis), each
+point of the batch the bits of its own one-point jet:
 
 * the scalar families (:func:`solve_implicit_fg`, :func:`holo_sum`,
-  :func:`implicit_3d`) return a :class:`FieldHandle`, an immutable
-  ``point -> Jet2`` evaluator;
+  :func:`implicit_3d`) return a :class:`FieldHandle`, whose ``solve`` finds a
+  point's root and whose ``jets`` differentiate at solved points;
 * the hodograph pair is solved by :class:`HodographSolver`, whose
-  :meth:`~HodographSolver.fields` returns both fields ``(phi, phibar)`` from
-  one Newton solve.
+  :meth:`~HodographSolver.fields` returns both fields ``(phi, phibar)`` at
+  solved parameters ``(u, v)``.
 
 Every implicit solve, here and in :mod:`leznov`, iterates through one
 best-iterate Newton loop, :func:`_newton`; each solve supplies its residual,
@@ -44,7 +47,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .exprspec import Bin, ExprSpec, Var, eval_float, eval_jet, float_fn, partial
-from .residuals import ResidualSample, _from_terms
+from .residuals import ResidualSample, _any, _dot, _from_terms
 
 _DEGENERATE_REL = 1e-10
 
@@ -94,13 +97,40 @@ class LinearMap2:
 
 
 class FieldHandle:
-    """Contract: point -> Jet2 for a scalar field."""
+    """A scalar field given by a relation: :meth:`solve` finds its root at
+    one point (None for an explicit field), :meth:`jets` differentiates at
+    solved points, one or a batch, and calling the handle does both at one
+    point."""
 
-    def __init__(self, eval_fn: Callable):
-        self._eval = eval_fn
+    def __init__(self, solve_fn: Callable, jets_fn: Callable):
+        self._solve = solve_fn
+        self._jets = jets_fn
+
+    def solve(self, point: Sequence[float], seed=None):
+        """The root at one point, from ``seed`` (else the configured seed)."""
+        return self._solve(np.asarray(point, dtype=float), seed)
+
+    def jets(self, points, roots) -> jets.Jet2:
+        """The jet at ``points`` (one point, or an ``(N, dim)`` batch) from
+        their ``roots`` (a float, or N of them)."""
+        return self._jets(np.asarray(points, dtype=float), roots)
 
     def __call__(self, point: Sequence[float], seed=None) -> jets.Jet2:
-        return self._eval(np.asarray(point, dtype=float), seed)
+        point = np.asarray(point, dtype=float)
+        return self.jets(point, self.solve(point, seed))
+
+
+def _pointwise(fn: Callable, *coords):
+    """Positional float function ``fn`` at one point (floats) or at each point
+    of a batch (arrays)."""
+    if np.ndim(coords[0]) == 0:
+        return fn(*coords)
+    return np.array([fn(*c) for c in zip(*(np.asarray(x).tolist() for x in coords))])
+
+
+def _outer(a, b):
+    """``np.outer(a, b)`` of the last axes, at one point or at each of a batch."""
+    return a[..., :, None] * b[..., None, :]
 
 
 # -- Newton: one best-iterate loop for every implicit solve --------------------------
@@ -225,7 +255,7 @@ def solve_implicit_fg(F: ExprSpec, G: ExprSpec, cfg: ImplicitSolveConfig) -> Fie
     df = float_fn(dF, f_names) if dF is not None else None
     dg = float_fn(dG, g_names) if dG is not None else None
 
-    def evaluate(point: np.ndarray, seed=None) -> jets.Jet2:
+    def solve(point: np.ndarray, seed=None) -> float:
         x1, x2, xb1, xb2 = point
 
         def w(p):
@@ -239,44 +269,40 @@ def solve_implicit_fg(F: ExprSpec, G: ExprSpec, cfg: ImplicitSolveConfig) -> Fie
                 out -= dg(p, xb1, xb2)
             return out
 
-        phi = _newton_scalar(w, dw, cfg, seed)
+        return _newton_scalar(w, dw, cfg, seed)
 
+    def field_jets(points: np.ndarray, phi) -> jets.Jet2:
         # Full second-order data of F in (phi, x1, x2) and G in (phi, xb1, xb2).
-        fj = eval_jet(F, {
-            "phi": jets.variable(0, phi, 3),
-            "x1": jets.variable(1, x1, 3),
-            "x2": jets.variable(2, x2, 3),
-        }, k=3)
-        gj = eval_jet(G, {
-            "phi": jets.variable(0, phi, 3),
-            "xb1": jets.variable(1, xb1, 3),
-            "xb2": jets.variable(2, xb2, 3),
-        }, k=3)
+        fj = eval_jet(F, dict(zip(f_names, jets.variables(
+            [phi, points[..., 0], points[..., 1]]))), k=3)
+        gj = eval_jet(G, dict(zip(g_names, jets.variables(
+            [phi, points[..., 2], points[..., 3]]))), k=3)
         return _implicit_jet_from_split(phi, fj, gj)
 
-    return FieldHandle(evaluate)
+    return FieldHandle(solve, field_jets)
 
 
-def _implicit_jet_from_split(phi: float, fj: jets.Jet2, gj: jets.Jet2) -> jets.Jet2:
-    """Assemble the arity-4 jet of phi from second-order data of F and G.
+def _implicit_jet_from_split(phi, fj: jets.Jet2, gj: jets.Jet2) -> jets.Jet2:
+    """Assemble the arity-4 jet of phi from second-order data of F and G, at
+    one point or over a batch.
 
     ``fj`` is F over (phi, x1, x2); ``gj`` is G over (phi, xb1, xb2).
     """
-    d = fj.grad[0] - gj.grad[0]  # dW/dphi
-    scale = max(1.0, abs(fj.grad[0]), abs(gj.grad[0]))
-    if abs(d) <= _DEGENERATE_REL * scale:
+    d = fj.grad[..., 0] - gj.grad[..., 0]  # dW/dphi
+    scale = np.maximum(np.maximum(1.0, abs(fj.grad[..., 0])), abs(gj.grad[..., 0]))
+    if _any(abs(d) <= _DEGENERATE_REL * scale):
         raise DegenerateRootError(f"dW/dphi = {d!r} below threshold")
 
-    w_a = np.array([fj.grad[1], fj.grad[2], -gj.grad[1], -gj.grad[2]])
-    w_pa = np.array([fj.hess[0, 1], fj.hess[0, 2], -gj.hess[0, 1], -gj.hess[0, 2]])
-    w_pp = fj.hess[0, 0] - gj.hess[0, 0]
-    w_ab = np.zeros((4, 4))
-    w_ab[:2, :2] = fj.hess[1:, 1:]
-    w_ab[2:, 2:] = -gj.hess[1:, 1:]
+    w_a = np.concatenate([fj.grad[..., 1:], -gj.grad[..., 1:]], axis=-1)
+    w_pa = np.concatenate([fj.hess[..., 0, 1:], -gj.hess[..., 0, 1:]], axis=-1)
+    w_pp = fj.hess[..., 0, 0] - gj.hess[..., 0, 0]
+    w_ab = np.zeros(w_a.shape + (4,))
+    w_ab[..., :2, :2] = fj.hess[..., 1:, 1:]
+    w_ab[..., 2:, 2:] = -gj.hess[..., 1:, 1:]
 
-    grad = -w_a / d
-    hess = -(w_ab + np.outer(w_pa, grad) + np.outer(grad, w_pa)
-             + w_pp * np.outer(grad, grad)) / d
+    grad = -w_a / d[..., None]
+    hess = -(w_ab + _outer(w_pa, grad) + _outer(grad, w_pa)
+             + w_pp[..., None, None] * _outer(grad, grad)) / d[..., None, None]
     return jets.from_parts(phi, grad, hess)
 
 
@@ -285,16 +311,12 @@ def holo_sum(f: ExprSpec, g: ExprSpec) -> FieldHandle:
     _require_vars(f, {"x1", "x2"}, "f")
     _require_vars(g, {"xb1", "xb2"}, "g")
 
-    def evaluate(point: np.ndarray, seed=None) -> jets.Jet2:
-        args = {
-            "x1": jets.variable(0, point[0], 4),
-            "x2": jets.variable(1, point[1], 4),
-            "xb1": jets.variable(2, point[2], 4),
-            "xb2": jets.variable(3, point[3], 4),
-        }
+    def field_jets(points: np.ndarray, roots=None) -> jets.Jet2:
+        args = dict(zip(("x1", "x2", "xb1", "xb2"),
+                        jets.variables([points[..., i] for i in range(4)])))
         return eval_jet(f, args, k=4) + eval_jet(g, args, k=4)
 
-    return FieldHandle(evaluate)
+    return FieldHandle(lambda point, seed=None: None, field_jets)
 
 
 # -- hodograph parametric solution --------------------------------------------------
@@ -309,11 +331,13 @@ def seed_pair(seed) -> tuple[float, float]:
     return u, v
 
 
-def _fold_det(f2: float, g2: float, u: float, v: float) -> float:
-    """det J = f''g''(u - v) of the hodograph map; SingularMatrixError at a fold."""
+def _fold_det(f2, g2, u, v):
+    """det J = f''g''(u - v) of the hodograph map, at one point or at each of
+    a batch; SingularMatrixError at a fold."""
     det = f2 * g2 * (u - v)
     scale = abs(f2 * g2 * v) + abs(g2 * f2 * u)
-    if abs(det) <= _DEGENERATE_REL * max(scale, 1e-30):
+    # |det| <= REL * max(scale, 1e-30), without Python's max for a batch
+    if _any((abs(det) <= _DEGENERATE_REL * scale) | (abs(det) <= _DEGENERATE_REL * 1e-30)):
         raise SingularMatrixError("hodograph fold: J = f''g''(u - v) ~ 0")
     return det
 
@@ -357,10 +381,14 @@ class HodographSolver:
         args = {"u": u, "v": v}
         return eval_float(self.t_expr, args), eval_float(self.x_expr, args)
 
-    def identity_residuals(self, u: float, v: float) -> tuple[ResidualSample, ResidualSample]:
-        """x_v + v t_v and x_u + u t_u evaluated through symbolic partials."""
+    def identity_residuals(self, u, v) -> tuple[ResidualSample, ResidualSample]:
+        """x_v + v t_v and x_u + u t_u evaluated through symbolic partials, at
+        one point (u, v) or at each point of a batch."""
         args = {"u": u, "v": v}
-        return tuple(_from_terms((eval_float(x_d, args), args[var] * eval_float(t_d, args)))
+
+        def at(spec):
+            return _pointwise(lambda a, b: eval_float(spec, {"u": a, "v": b}), u, v)
+        return tuple(_from_terms((at(x_d), args[var] * at(t_d)))
                      for x_d, t_d, var in self._identity_terms)
 
     def solve(self, t: float, x: float, seed=None) -> tuple[float, float]:
@@ -392,49 +420,56 @@ class HodographSolver:
         tol = self.cfg.newton_tol * max(1.0, abs(t), abs(x))
         return _newton(residual, step, uv, self.cfg.max_iter, tol)
 
-    def jets_uv(self, t: float, x: float, seed=None):
-        """(u, v) and their first/second derivative arrays with respect to (t, x)."""
-        u, v = self.solve(t, x, seed)
+    def jets_uv(self, u, v):
+        """First and second derivatives of u and v with respect to (t, x) at
+        solved parameters (u, v), one point (floats) or a batch (arrays):
+        ``(du, dv, hu, hv)``, with du = (u_t, u_x) and hu its Hessian."""
         (_, _, d2f, d3f), (_, _, d2g, d3g) = self._fu, self._gv
-        f2, f3 = d2f(u), d3f(u)
-        g2, g3 = d2g(v), d3g(v)
-        jac = np.array([[f2, g2], [-u * f2, -v * g2]])
+        f2, f3 = _pointwise(d2f, u), _pointwise(d3f, u)
+        g2, g3 = _pointwise(d2g, v), _pointwise(d3g, v)
+        jac = np.stack([np.stack([f2, g2], axis=-1),
+                        np.stack([-u * f2, -v * g2], axis=-1)], axis=-2)
         _fold_det(f2, g2, u, v)
+        # Each system is solved on its own: a right-hand side of several
+        # columns gives other bits than these vector solves.
         first = np.linalg.solve(jac, np.eye(2))  # rows: derivative eqn, cols (t, x)
-        du = first[0]  # (u_t, u_x)
-        dv = first[1]
+        du = first[..., 0, :]  # (u_t, u_x)
+        dv = first[..., 1, :]
         # Second derivatives: J (u_ab, v_ab)^T = -(second-order forward terms);
         # t and x have no mixed (u, v) term.
         x_uu, x_vv = -f2 - u * f3, -g2 - v * g3
-        hu = np.zeros((2, 2))
-        hv = np.zeros((2, 2))
+        hu = np.zeros(jac.shape)
+        hv = np.zeros(jac.shape)
         for a in range(2):
             for b in range(a, 2):
-                quad_t = f3 * du[a] * du[b] + g3 * dv[a] * dv[b]
-                quad_x = x_uu * du[a] * du[b] + x_vv * dv[a] * dv[b]
-                sec = np.linalg.solve(jac, -np.array([quad_t, quad_x]))
-                hu[a, b] = hu[b, a] = sec[0]
-                hv[a, b] = hv[b, a] = sec[1]
-        return u, v, du, dv, hu, hv
+                quad_t = f3 * du[..., a] * du[..., b] + g3 * dv[..., a] * dv[..., b]
+                quad_x = x_uu * du[..., a] * du[..., b] + x_vv * dv[..., a] * dv[..., b]
+                rhs = -np.stack([quad_t, quad_x], axis=-1)
+                sec = np.linalg.solve(jac, rhs[..., None])[..., 0]
+                hu[..., a, b] = hu[..., b, a] = sec[..., 0]
+                hv[..., a, b] = hv[..., b, a] = sec[..., 1]
+        return du, dv, hu, hv
 
-    def fields(self, t: float, x: float, seed=None) -> tuple[jets.Jet2, jets.Jet2]:
-        """(phi, phibar) = (v, u) as jets over (t, x), from one solve."""
-        u, v, du, dv, hu, hv = self.jets_uv(t, x, seed)
+    def fields(self, u, v) -> tuple[jets.Jet2, jets.Jet2]:
+        """(phi, phibar) = (v, u) as jets over (t, x), at solved parameters
+        (u, v): one point (floats) or a batch (arrays)."""
+        du, dv, hu, hv = self.jets_uv(u, v)
         return jets.from_parts(v, dv, hv), jets.from_parts(u, du, hu)
 
 
 # -- covariance machinery -----------------------------------------------------------
 
 
-def moebius_transform(uv: tuple[float, float], m: LinearMap2) -> tuple[float, float]:
+def moebius_transform(uv, m: LinearMap2):
     """Speed transform induced by (t, x) -> (a t + b x, c t + d x):
 
-    u' = (d u - c) / (a - b u), likewise for v.
+    u' = (d u - c) / (a - b u), likewise for v; at one point or at each point
+    of a batch.
     """
     out = []
     for s in uv:
         den = m.a - m.b * s
-        if abs(den) <= 1e-13 * max(1.0, abs(m.a), abs(m.b * s)):
+        if _any(abs(den) <= 1e-13 * np.maximum(max(1.0, abs(m.a)), abs(m.b * s))):
             raise PoleError(f"moebius pole: a - b*u = {den!r}")
         out.append((m.d * s - m.c) / den)
     return out[0], out[1]
@@ -442,8 +477,10 @@ def moebius_transform(uv: tuple[float, float], m: LinearMap2) -> tuple[float, fl
 
 def pull_back(jet: jets.Jet2, minv: np.ndarray) -> jets.Jet2:
     """A field's jet at ``minv @ q``, re-expressed as a jet over ``q`` (chain
-    rule through the linear map ``minv``, e.g. :meth:`LinearMap2.inverse`)."""
-    return jets.from_parts(jet.value, minv.T @ jet.grad, minv.T @ jet.hess @ minv)
+    rule through the linear map ``minv``, e.g. :meth:`LinearMap2.inverse`),
+    at one point or over a batch."""
+    return jets.from_parts(jet.value, (minv.T @ jet.grad[..., None])[..., 0],
+                           minv.T @ jet.hess @ minv)
 
 
 def reparametrization(h: ExprSpec) -> Callable[[jets.Jet2], jets.Jet2]:
@@ -457,15 +494,14 @@ def reparametrization(h: ExprSpec) -> Callable[[jets.Jet2], jets.Jet2]:
 # -- Born-Infeld gradient field -------------------------------------------------------
 
 
-def _born_infeld_uv_jets(u_val: float, v_val: float, lam: float):
-    """(phi_t, phi_x) as arity-2 jets over (u, v)."""
-    if u_val <= 0.0 or v_val <= 0.0:
+def _born_infeld_uv_jets(u_val, v_val, lam: float):
+    """(phi_t, phi_x) as arity-2 jets over (u, v), at one point or over a batch."""
+    if _any((u_val <= 0.0) | (v_val <= 0.0)):
         raise DegenerateRootError(f"born-infeld needs u, v > 0, got {u_val, v_val}")
-    su, sv = math.sqrt(u_val), math.sqrt(v_val)
-    if abs(su - sv) <= 1e-12 * max(su, sv):
+    su, sv = np.sqrt(u_val), np.sqrt(v_val)
+    if _any(abs(su - sv) <= 1e-12 * np.maximum(su, sv)):
         raise SingularMatrixError("born-infeld: sqrt(u) = sqrt(v)")
-    uj = jets.variable(0, u_val, 2)
-    vj = jets.variable(1, v_val, 2)
+    uj, vj = jets.variables([u_val, v_val])
     denom = jets.sqrt(uj) - jets.sqrt(vj)
     phi_x = math.sqrt(lam) / denom
     phi_t = jets.sqrt(uj * vj * lam) / denom
@@ -481,18 +517,19 @@ def born_infeld_jet(uj: jets.Jet2, vj: jets.Jet2, lam: float) -> jets.Jet2:
     pt, px = _born_infeld_uv_jets(uj.value, vj.value, lam)
     # Chain through (u, v)(t, x); cross derivative symmetrized, the two
     # estimates agree when (u, v) solve the hydrodynamic pair.
-    d_pt = pt.grad[0] * uj.grad + pt.grad[1] * vj.grad  # (d_t phi_t, d_x phi_t)
-    d_px = px.grad[0] * uj.grad + px.grad[1] * vj.grad
-    cross = 0.5 * (d_pt[1] + d_px[0])
-    hess = np.array([[d_pt[0], cross], [cross, d_px[1]]])
-    return jets.from_parts(0.0, np.array([pt.value, px.value]), hess)
+    d_pt = pt.grad[..., :1] * uj.grad + pt.grad[..., 1:] * vj.grad  # (d_t phi_t, d_x phi_t)
+    d_px = px.grad[..., :1] * uj.grad + px.grad[..., 1:] * vj.grad
+    cross = 0.5 * (d_pt[..., 1] + d_px[..., 0])
+    hess = np.stack([np.stack([d_pt[..., 0], cross], axis=-1),
+                     np.stack([cross, d_px[..., 1]], axis=-1)], axis=-2)
+    return jets.from_parts(0.0, np.stack([pt.value, px.value], axis=-1), hess)
 
 
 def born_infeld_cross_residual(uj: jets.Jet2, vj: jets.Jet2, lam: float) -> ResidualSample:
     """Integrability check d_t(phi_x) - d_x(phi_t) for the substitution."""
     pt, px = _born_infeld_uv_jets(uj.value, vj.value, lam)
-    d_t_phix = px.grad[0] * uj.grad[0] + px.grad[1] * vj.grad[0]
-    d_x_phit = pt.grad[0] * uj.grad[1] + pt.grad[1] * vj.grad[1]
+    d_t_phix = px.grad[..., 0] * uj.grad[..., 0] + px.grad[..., 1] * vj.grad[..., 0]
+    d_x_phit = pt.grad[..., 0] * uj.grad[..., 1] + pt.grad[..., 1] * vj.grad[..., 1]
     return _from_terms((d_t_phix, -d_x_phit))
 
 
@@ -516,7 +553,7 @@ def implicit_3d(
     def vals(fns, p):
         return [fn(p) if fn is not None else 0.0 for fn in fns]
 
-    def evaluate(point: np.ndarray, seed=None) -> jets.Jet2:
+    def solve(point: np.ndarray, seed=None) -> float:
         coeffs = point  # (t, x, y)
 
         def w(p):
@@ -525,23 +562,24 @@ def implicit_3d(
         def dw(p):
             return float(np.dot(coeffs, vals(f1s, p)))
 
-        phi = _newton_scalar(w, dw, cfg, seed)
+        return _newton_scalar(w, dw, cfg, seed)
 
-        f0 = np.array(vals(f0s, phi))
-        f1 = np.array(vals(f1s, phi))
-        f2 = np.array(vals(f2s, phi))
-        w_p = float(np.dot(coeffs, f1))
-        scale = max(1.0, float(np.abs(coeffs * f1).sum()))
-        if abs(w_p) <= _DEGENERATE_REL * scale:
+    def field_jets(points: np.ndarray, phi) -> jets.Jet2:
+        coeffs = points  # (t, x, y)
+        f0, f1, f2 = (np.asarray(_pointwise(lambda p, fns=fns: vals(fns, p), phi))
+                      for fns in (f0s, f1s, f2s))
+        w_p = _dot(coeffs, f1)
+        scale = np.maximum(1.0, np.abs(coeffs * f1).sum(axis=-1))
+        if _any(abs(w_p) <= _DEGENERATE_REL * scale):
             raise DegenerateRootError(f"dW/dphi = {w_p!r} below threshold")
-        grad = -f0 / w_p  # W_a = F_a(phi) per coordinate a
+        grad = -f0 / w_p[..., None]  # W_a = F_a(phi) per coordinate a
         w_pa = f1
-        w_pp = float(np.dot(coeffs, f2))
-        hess = -(np.outer(w_pa, grad) + np.outer(grad, w_pa)
-                 + w_pp * np.outer(grad, grad)) / w_p
+        w_pp = _dot(coeffs, f2)
+        hess = -(_outer(w_pa, grad) + _outer(grad, w_pa)
+                 + w_pp[..., None, None] * _outer(grad, grad)) / w_p[..., None, None]
         return jets.from_parts(phi, grad, hess)
 
-    return FieldHandle(evaluate)
+    return FieldHandle(solve, field_jets)
 
 
 # -- grid sampling with seed continuation ---------------------------------------------

@@ -393,7 +393,9 @@ def eval_jet(spec: ExprSpec, args: Mapping[str, jets.Jet2], k: int | None = None
     if isinstance(result, float):
         if arity is None:
             raise ValueError("constant expression: pass k to fix the jet arity")
-        result = jets.constant(result, arity)
+        # over batched arguments, the same constant at each of their points
+        n = next((len(a.value) for a in args.values() if not isinstance(a.value, float)), None)
+        result = jets.constant(result, arity, n)
     # As in eval_float: a non-finite result is a singular sample.
     jets._require_finite("eval", result.value, result.grad, result.hess)
     return result

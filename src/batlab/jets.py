@@ -208,15 +208,22 @@ def variable(index: int, value: float, k: int) -> Jet2:
     return Jet2(float(value), g, np.zeros((k, k)))
 
 
-def constant(value: float, k: int) -> Jet2:
+def constant(value: float, k: int, n: int | None = None) -> Jet2:
+    """The constant ``value`` over k variables, at one point or, given ``n``,
+    at each of a batch of n points."""
     _check_arity(k)
-    return Jet2(float(value), np.zeros(k), np.zeros((k, k)))
+    if n is None:
+        return Jet2(float(value), np.zeros(k), np.zeros((k, k)))
+    return Jet2(np.full(n, float(value)), np.zeros((n, k)), np.zeros((n, k, k)))
 
 
-def batch_variables(values) -> list[Jet2]:
+def variables(values) -> list[Jet2]:
     """Seed jets of the k = len(values) independent variables, variable i
-    taking the values ``values[i]`` at the N points of a batch."""
+    taking the value ``values[i]`` at one point, or the values ``values[i]``
+    at the N points of a batch."""
     v = np.array(values, dtype=float)
+    if v.ndim == 1:
+        return [variable(i, value, len(v)) for i, value in enumerate(v)]
     if v.ndim != 2:
         raise ValueError("batch values must be k equally long sequences")
     k, n = v.shape
@@ -229,24 +236,31 @@ def batch_variables(values) -> list[Jet2]:
     return seeds
 
 
-def from_parts(value: float, grad, hess) -> Jet2:
-    """Assemble a jet from raw arrays (e.g. finite-difference data).
+def from_parts(value, grad, hess) -> Jet2:
+    """Assemble a jet from raw arrays (e.g. finite-difference data): at one
+    point from a value, a ``(k,)`` gradient and a ``(k, k)`` Hessian, or over
+    a batch from ``(N, k)`` gradients and ``(N, k, k)`` Hessians, with one
+    value per point or one for all.
 
-    The Hessian is symmetrized; a clearly asymmetric input is rejected.
+    Each Hessian is symmetrized; a clearly asymmetric one is rejected.
     """
-    g = np.asarray(grad, dtype=float).copy()
-    h = np.asarray(hess, dtype=float).copy()
-    k = g.shape[0]
+    g = np.array(grad, dtype=float)
+    h = np.array(hess, dtype=float)
+    k = g.shape[-1]
     _check_arity(k)
-    if h.shape != (k, k):
+    if h.shape != g.shape + (k,):
         raise ValueError(f"hessian shape {h.shape} does not match arity {k}")
-    scale = np.abs(h).max() if h.size else 0.0
-    if scale > 0.0 and np.abs(h - h.T).max() > 1e-8 * scale:
+    ht = h.swapaxes(-1, -2)
+    scale = np.abs(h).max(axis=(-2, -1))
+    if (np.abs(h - ht).max(axis=(-2, -1)) > 1e-8 * scale).any():
         raise ValueError("hessian is not symmetric")
-    h = 0.5 * (h + h.T)
-    j = Jet2(float(value), g, h)
-    _require_finite("from_parts", j.value, g, h)
-    return j
+    h = 0.5 * (h + ht)
+    if g.ndim == 1:
+        value = float(value)
+    else:
+        value = np.broadcast_to(np.asarray(value, dtype=float), g.shape[:-1]).copy()
+    _require_finite("from_parts", value, g, h)
+    return Jet2(value, g, h)
 
 
 # Each function's value and first two derivatives at a float, with its domain

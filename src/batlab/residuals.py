@@ -7,6 +7,14 @@ additive terms.  ``normalized`` is therefore dimensionless and bounded by 1
 (triangle inequality) whenever the scale is positive, which makes "small
 residual" meaningful even in large-gradient regions.
 
+Each operator is written once for jets at one point and for jets over a batch
+of N points (``Jet2`` with a leading axis, indexed ``g[..., i]``); over a
+batch its sample holds one raw residual, scale and floor per point, each the
+bits of that point's own sample.  Terms are summed with ``math.fsum`` point by
+point.  :func:`sweep` evaluates an operator on a whole batch at once; if that
+raises an ``EvaluationError`` it evaluates point by point, and skips the
+points that raise.
+
 Coordinate conventions (index order of the incoming jets):
 
 * four-variable first complexification: ``(x1, x2, xb1, xb2)``
@@ -17,10 +25,11 @@ Coordinate conventions (index order of the incoming jets):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,9 +39,35 @@ from .jets import Jet2
 _SCALE_FLOOR = 1e-300
 
 
+def _larger(a, b):
+    """Python's ``max(a, b)`` elementwise: ``b`` where it is greater, else
+    ``a`` (so a NaN ``b`` never wins)."""
+    return np.where(b > a, b, a)
+
+
+def _any(condition) -> bool:
+    """Whether ``condition`` holds at one point (a bool) or at any point of a
+    batch (an array of them)."""
+    return condition.any() if isinstance(condition, np.ndarray) else bool(condition)
+
+
+def _square(x):
+    """``x ** 2`` of a float, computed by ``pow`` at each point of a batch as
+    well: the ``** 2`` of an array is ``x * x``, which differs from ``pow``
+    in the last bit for about one value in a thousand."""
+    return np.float_power(x, 2)
+
+
+def _dot(a, b):
+    """``a @ b`` of the last axes: for one pair of vectors, or for each pair
+    of a batch through the same BLAS dot product."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0][()]  # [()]: a float for one pair
+
+
 @dataclass(frozen=True)
 class ResidualSample:
-    """Signed residual plus its normalization.
+    """Signed residual plus its normalization, at one point (floats) or at
+    each point of a batch (arrays).
 
     ``scale`` is the sum of absolute values of the equation's additive terms.
     ``floor`` is the operator's no-cancellation magnitude (the term sum with
@@ -46,8 +81,8 @@ class ResidualSample:
     floor: float = 0.0
 
     @property
-    def normalized(self) -> float:
-        return abs(self.raw) / max(self.scale, self.floor, _SCALE_FLOOR)
+    def normalized(self):
+        return abs(self.raw) / _larger(_larger(self.scale, self.floor), _SCALE_FLOOR)
 
 
 @dataclass
@@ -61,17 +96,30 @@ class ResidualReport:
     skipped_singular: int
 
 
-def _from_terms(terms: Sequence[float], floor: float = 0.0) -> ResidualSample:
-    raw = math.fsum(terms)
-    scale = math.fsum(abs(t) for t in terms)
-    return ResidualSample(raw, scale, floor)
+def _from_terms(terms: Sequence, floor=0.0) -> ResidualSample:
+    """The sample of an equation's additive ``terms``, each a float or, over a
+    batch, an array of one value per point; summed point by point."""
+    if np.ndim(terms[0]) == 0:
+        return ResidualSample(math.fsum(terms), math.fsum(abs(t) for t in terms), floor)
+    rows = np.stack(terms, axis=-1).tolist()
+    return ResidualSample(np.array([math.fsum(row) for row in rows]),
+                          np.array([math.fsum(map(abs, row)) for row in rows]), floor)
+
+
+def _report(equation: str, norms, skipped: int) -> ResidualReport:
+    """Max and RMS of ``norms``, reduced in their order."""
+    if norms is None or not norms.size:
+        return ResidualReport(equation, 0, math.inf, math.inf, skipped)
+    arr = norms.ravel()
+    return ResidualReport(equation, len(arr), float(arr.max()),
+                          float(np.sqrt(np.mean(arr**2))), skipped)
 
 
 def grid_report(
     equation: str, samples: Sequence[ResidualSample], skipped: int = 0
 ) -> ResidualReport:
     """Aggregate samples from one discretized field against the global term
-    magnitude.
+    magnitude: one sample per point, or samples of batches of points.
 
     Pointwise normalization is the right measure for exactly-constructed
     fields, but on finite-difference grids both raw and local scale vanish
@@ -79,12 +127,14 @@ def grid_report(
     relative to the largest term magnitude on the grid.
     """
     if not samples:
-        return ResidualReport(equation, 0, math.inf, math.inf, skipped)
-    global_scale = max(max(s.scale, s.floor) for s in samples)
-    raws = np.array([abs(s.raw) for s in samples])
-    norms = raws / max(global_scale, _SCALE_FLOOR)
-    return ResidualReport(equation, len(samples), float(norms.max()),
-                          float(np.sqrt(np.mean(norms**2))), skipped)
+        return _report(equation, None, skipped)
+    if np.ndim(samples[0].raw) == 0:
+        samples = [stack(samples)]
+    # a batch's one floor (a float) holds at each of its points
+    raw, scale, floor = (np.concatenate([np.broadcast_to(getattr(s, f), s.raw.shape)
+                                         for s in samples]) for f in ("raw", "scale", "floor"))
+    global_scale = np.max(_larger(scale, floor))
+    return _report(equation, np.abs(raw) / max(global_scale, _SCALE_FLOOR), skipped)
 
 
 def attempt(fn: Callable, *args):
@@ -103,33 +153,95 @@ def unwrap(value):
     return value
 
 
+# -- batches: jets, samples or arrays over N points, or tuples of them -------------
+
+
+def _size(batch) -> int:
+    if isinstance(batch, tuple):
+        return _size(batch[0])
+    return len(batch.value if isinstance(batch, Jet2) else batch)
+
+
+def take(batch, index):
+    """Point ``index`` (an int) of a batch, or the batch of its points
+    ``index`` (an index or mask array)."""
+    if isinstance(batch, tuple):
+        return tuple(take(b, index) for b in batch)
+    if isinstance(batch, Jet2):
+        return Jet2(batch.value[index], batch.grad[index], batch.hess[index])
+    return batch[index]
+
+
+def stack(items: Sequence):
+    """The batch of the one-point ``items``: jets, samples, floats, arrays or
+    tuples of them."""
+    first = items[0]
+    if isinstance(first, tuple):
+        return tuple(stack(column) for column in zip(*items))
+    if isinstance(first, Jet2):
+        return Jet2(np.array([j.value for j in items]), np.stack([j.grad for j in items]),
+                    np.stack([j.hess for j in items]))
+    if isinstance(first, ResidualSample):
+        return ResidualSample(*(np.array([getattr(s, f) for s in items])
+                                for f in ("raw", "scale", "floor")))
+    return np.array(items)
+
+
+def batched(fn: Callable, *batches):
+    """``fn`` over batches of the same N points, as ``(errors, out)``.
+
+    A batch is a jet or an array with a leading axis of N points, or a tuple
+    of them; ``out`` is ``fn(*batches)``, and ``errors`` holds None
+    per point.  If that raises an EvaluationError, or the first argument is
+    another sequence (of N points), ``fn`` runs point by point instead:
+    ``errors[i]`` is the error it raised at point i or None, and ``out`` is
+    the batch of its results at the other points (None if there are none).
+    """
+    n = _size(batches[0])
+    if not n:
+        return [], None
+    if isinstance(batches[0], (tuple, Jet2, np.ndarray)):
+        try:
+            return [None] * n, fn(*batches)
+        except EvaluationError:
+            pass
+    errors, outs = [], []
+    for i in range(n):
+        try:
+            outs.append(fn(*(take(b, i) for b in batches)))
+            errors.append(None)
+        except EvaluationError as err:
+            errors.append(err)
+    return errors, stack(outs) if outs else None
+
+
+def _norms(out):
+    """Normalized residuals of one point's sample(s), or ``(N, samples)`` of a
+    batch's."""
+    samples = (out,) if isinstance(out, ResidualSample) else out
+    return np.stack([np.asarray(s.normalized) for s in samples], axis=-1)
+
+
 def sweep(
     equation: str,
-    points: Iterable,
+    batch,
     evaluate: Callable[[object], ResidualSample | Sequence[ResidualSample]],
+    skipped: int = 0,
 ) -> ResidualReport:
-    """Evaluate a residual over sample points, skipping singular ones.
+    """Evaluate a residual over the points of ``batch`` (None for no point;
+    any sequence of points is evaluated point by point), whose ``skipped``
+    other points were already singular.
 
-    ``evaluate`` maps a point to one sample or a sequence of samples.
-    ``EvaluationError`` marks the point as skipped.
+    ``evaluate`` maps a batch, or one point of it, to one sample or a sequence
+    of samples.  A point where it raises ``EvaluationError`` is skipped too
+    (:func:`batched`).  Norms are reduced point by point, and within a point
+    sample by sample.
     """
-    norms: list[float] = []
-    skipped = 0
-    for point in points:
-        try:
-            out = evaluate(point)
-        except EvaluationError:
-            skipped += 1
-            continue
-        if isinstance(out, ResidualSample):
-            norms.append(out.normalized)
-        else:
-            norms.extend(s.normalized for s in out)
-    if norms:
-        arr = np.asarray(norms)
-        return ResidualReport(equation, len(norms), float(arr.max()),
-                              float(np.sqrt(np.mean(arr**2))), skipped)
-    return ResidualReport(equation, 0, math.inf, math.inf, skipped)
+    norms = None
+    if batch is not None:
+        errors, norms = batched(lambda b: _norms(evaluate(b)), batch)
+        skipped += sum(err is not None for err in errors)
+    return _report(equation, norms, skipped)
 
 
 # -- the equations ---------------------------------------------------------------
@@ -145,13 +257,14 @@ def complex_bateman(phi: Jet2) -> ResidualSample:
     g = phi.grad
     H = phi.hess
     terms = (
-        g[0] * g[2] * H[1, 3],
-        g[1] * g[3] * H[0, 2],
-        -g[0] * g[3] * H[2, 1],
-        -g[1] * g[2] * H[0, 3],
+        g[..., 0] * g[..., 2] * H[..., 1, 3],
+        g[..., 1] * g[..., 3] * H[..., 0, 2],
+        -g[..., 0] * g[..., 3] * H[..., 2, 1],
+        -g[..., 1] * g[..., 2] * H[..., 0, 3],
     )
-    coef = abs(g[0] * g[2]) + abs(g[1] * g[3]) + abs(g[0] * g[3]) + abs(g[1] * g[2])
-    return _from_terms(terms, floor=coef * np.abs(H).max())
+    coef = (abs(g[..., 0] * g[..., 2]) + abs(g[..., 1] * g[..., 3])
+            + abs(g[..., 0] * g[..., 3]) + abs(g[..., 1] * g[..., 2]))
+    return _from_terms(terms, floor=coef * np.abs(H).max(axis=(-2, -1)))
 
 
 def two_field_bateman(phi: Jet2, phibar: Jet2, conjugate: bool = False) -> ResidualSample:
@@ -167,14 +280,14 @@ def two_field_bateman(phi: Jet2, phibar: Jet2, conjugate: bool = False) -> Resid
     g, H = phi.grad, phi.hess
     gb = phibar.grad
     terms = (
-        gb[1] * g[1] * H[0, 0],
-        -gb[1] * g[0] * H[0, 1],
-        -gb[0] * g[1] * H[0, 1],
-        gb[0] * g[0] * H[1, 1],
+        gb[..., 1] * g[..., 1] * H[..., 0, 0],
+        -gb[..., 1] * g[..., 0] * H[..., 0, 1],
+        -gb[..., 0] * g[..., 1] * H[..., 0, 1],
+        gb[..., 0] * g[..., 0] * H[..., 1, 1],
     )
-    coef = (abs(gb[1] * g[1]) + abs(gb[1] * g[0])
-            + abs(gb[0] * g[1]) + abs(gb[0] * g[0]))
-    return _from_terms(terms, floor=coef * np.abs(H).max())
+    coef = (abs(gb[..., 1] * g[..., 1]) + abs(gb[..., 1] * g[..., 0])
+            + abs(gb[..., 0] * g[..., 1]) + abs(gb[..., 0] * g[..., 0]))
+    return _from_terms(terms, floor=coef * np.abs(H).max(axis=(-2, -1)))
 
 
 def born_infeld(phi: Jet2, lam: float) -> ResidualSample:
@@ -191,12 +304,12 @@ def born_infeld(phi: Jet2, lam: float) -> ResidualSample:
         raise ValueError("lambda must be positive")
     g, H = phi.grad, phi.hess
     terms = (
-        g[1] ** 2 * H[0, 0],
-        g[0] ** 2 * H[1, 1],
-        -(lam + 2.0 * g[1] * g[0]) * H[0, 1],
+        _square(g[..., 1]) * H[..., 0, 0],
+        _square(g[..., 0]) * H[..., 1, 1],
+        -(lam + 2.0 * g[..., 1] * g[..., 0]) * H[..., 0, 1],
     )
-    coef = g[1] ** 2 + g[0] ** 2 + abs(lam + 2.0 * g[1] * g[0])
-    return _from_terms(terms, floor=coef * np.abs(H).max())
+    coef = _square(g[..., 1]) + _square(g[..., 0]) + abs(lam + 2.0 * g[..., 1] * g[..., 0])
+    return _from_terms(terms, floor=coef * np.abs(H).max(axis=(-2, -1)))
 
 
 def euclidean_3d(phi: Jet2) -> ResidualSample:
@@ -205,15 +318,16 @@ def euclidean_3d(phi: Jet2) -> ResidualSample:
         raise ValueError(f"expected arity 3, got {phi.k}")
     g, H = phi.grad, phi.hess
     terms = (
-        H[0, 0] * (g[1] ** 2 + g[2] ** 2),
-        H[1, 1] * (g[2] ** 2 + g[0] ** 2),
-        H[2, 2] * (g[0] ** 2 + g[1] ** 2),
-        -2.0 * H[0, 1] * g[0] * g[1],
-        -2.0 * H[2, 0] * g[2] * g[0],
-        -2.0 * H[1, 2] * g[1] * g[2],
+        H[..., 0, 0] * (_square(g[..., 1]) + _square(g[..., 2])),
+        H[..., 1, 1] * (_square(g[..., 2]) + _square(g[..., 0])),
+        H[..., 2, 2] * (_square(g[..., 0]) + _square(g[..., 1])),
+        -2.0 * H[..., 0, 1] * g[..., 0] * g[..., 1],
+        -2.0 * H[..., 2, 0] * g[..., 2] * g[..., 0],
+        -2.0 * H[..., 1, 2] * g[..., 1] * g[..., 2],
     )
-    coef = 4.0 * float(g @ g) + 2.0 * (abs(g[0] * g[1]) + abs(g[2] * g[0]) + abs(g[1] * g[2]))
-    return _from_terms(terms, floor=coef * np.abs(H).max())
+    coef = 4.0 * _dot(g, g) + 2.0 * (abs(g[..., 0] * g[..., 1]) + abs(g[..., 2] * g[..., 0])
+                                     + abs(g[..., 1] * g[..., 2]))
+    return _from_terms(terms, floor=coef * np.abs(H).max(axis=(-2, -1)))
 
 
 def euclidean_first_order(phi: Jet2) -> tuple[ResidualSample, ResidualSample]:
@@ -226,29 +340,30 @@ def euclidean_first_order(phi: Jet2) -> tuple[ResidualSample, ResidualSample]:
     if phi.k != 3:
         raise ValueError(f"expected arity 3, got {phi.k}")
     g, H = phi.grad, phi.hess
-    px = g[1]
-    if px == 0.0:
+    px = g[..., 1]
+    if _any(px == 0.0):
         raise EvaluationError("phi_x vanishes; speeds undefined")
-    u = g[0] / px
-    v = g[2] / px
+    u = g[..., 0] / px
+    v = g[..., 2] / px
 
-    def d(num_idx: int, wrt: int) -> float:
+    def d(num_idx: int, wrt: int):
         # d/dx_wrt of (phi_{num_idx} / phi_x)
-        return (H[num_idx, wrt] * px - g[num_idx] * H[1, wrt]) / (px * px)
+        return (H[..., num_idx, wrt] * px - g[..., num_idx] * H[..., 1, wrt]) / (px * px)
 
     u_t, u_x, u_y = d(0, 0), d(0, 1), d(0, 2)
     v_t, v_x, v_y = d(2, 0), d(2, 1), d(2, 2)
 
-    dmax = max(abs(u_t), abs(u_x), abs(u_y), abs(v_t), abs(v_x), abs(v_y))
-    coef1 = abs(u) + abs(v) + 2.0 + v**2 + 2.0 * abs(u * v) + u**2
+    dmax = functools.reduce(_larger, (abs(u_t), abs(u_x), abs(u_y),
+                                      abs(v_t), abs(v_x), abs(v_y)))
+    coef1 = abs(u) + abs(v) + 2.0 + _square(v) + 2.0 * abs(u * v) + _square(u)
     first = _from_terms((
         u * u_x,
         v * v_x,
         -u_t,
         -v_y,
-        -(v**2) * u_t,
+        -_square(v) * u_t,
         u * v * (u_y + v_t),
-        -(u**2) * v_y,
+        -_square(u) * v_y,
     ), floor=coef1 * dmax)
     second = _from_terms((u * v_x, -v * u_x, -v_t, u_y),
                          floor=(abs(u) + abs(v) + 2.0) * dmax)
@@ -302,7 +417,7 @@ def transport(field: Jet2, speeds: Sequence[float], pattern: TransportPattern) -
     if any(a < 0 or a >= field.k for a in axes):
         raise ValueError(f"pattern axes {axes} out of range for arity {field.k}")
     g = field.grad
-    terms = [g[pattern.time_axis]]
-    terms.extend(s * g[a] for s, a in zip(speeds, pattern.space_axes))
+    terms = [g[..., pattern.time_axis]]
+    terms.extend(s * g[..., a] for s, a in zip(speeds, pattern.space_axes))
     coef = 1.0 + sum(abs(s) for s in speeds)
-    return _from_terms(terms, floor=coef * np.abs(g).max())
+    return _from_terms(terms, floor=coef * np.abs(g).max(axis=-1))

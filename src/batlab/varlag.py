@@ -82,11 +82,10 @@ class DiscreteFunctional:
         """L at the nodes of one grid row, given each of the six ``_SLOTS``
         there, as a batched arity-6 jet in the slots, whose gradients are the
         full sets of momenta; and the values of the factor H."""
-        sv = dict(zip(_SLOTS, jets.batch_variables(slots)))
+        sv = dict(zip(_SLOTS, jets.variables(slots)))
         bracket = sv["phibar_t"] * sv["psi_x"] - sv["psi_t"] * sv["phibar_x"]
-        # A constant factor evaluates to a Jet2, the same at every node.
         hj = eval_jet(self.factor, {"p": sv["phi_t"], "q": sv["phi_x"]}, k=6)
-        return bracket * hj, np.broadcast_to(hj.value, bracket.value.shape)
+        return bracket * hj, hj.value
 
 
 @dataclass

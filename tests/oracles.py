@@ -250,6 +250,60 @@ def assert_batch_matches_points(batched, pointwise, n: int) -> None:
                                                         for i, out in enumerate(outcomes)]
 
 
+# -- one point at a time, as batlab computed before its sweeps were batched --------------
+#
+# These keep the three one-point forms a batch can silently depart from: three
+# vector solves (not one of three columns), a BLAS dot product ``g @ g`` (not a
+# sum of products) and ``x ** 2`` of a numpy float, which is ``pow(x, 2)``
+# (not ``x * x``).
+
+
+def hodograph_jets_uv(solver, u: float, v: float):
+    """(du, dv, hu, hv) of ``HodographSolver.jets_uv`` at one solved (u, v)."""
+    (_, _, d2f, d3f), (_, _, d2g, d3g) = solver._fu, solver._gv
+    f2, f3, g2, g3 = d2f(u), d3f(u), d2g(v), d3g(v)
+    jac = np.array([[f2, g2], [-u * f2, -v * g2]])
+    first = np.linalg.solve(jac, np.eye(2))
+    du, dv = first[0], first[1]
+    x_uu, x_vv = -f2 - u * f3, -g2 - v * g3
+    hu, hv = np.zeros((2, 2)), np.zeros((2, 2))
+    for a in range(2):
+        for b in range(a, 2):
+            quad_t = f3 * du[a] * du[b] + g3 * dv[a] * dv[b]
+            quad_x = x_uu * du[a] * du[b] + x_vv * dv[a] * dv[b]
+            sec = np.linalg.solve(jac, -np.array([quad_t, quad_x]))
+            hu[a, b] = hu[b, a] = sec[0]
+            hv[a, b] = hv[b, a] = sec[1]
+    return du, dv, hu, hv
+
+
+def _from_terms(terms, floor) -> ResidualSample:
+    return ResidualSample(math.fsum(terms), math.fsum(abs(t) for t in terms), floor)
+
+
+def born_infeld(phi: Jet2, lam: float) -> ResidualSample:
+    """``residuals.born_infeld`` at one point."""
+    g, H = phi.grad, phi.hess
+    terms = (g[1] ** 2 * H[0, 0], g[0] ** 2 * H[1, 1], -(lam + 2.0 * g[1] * g[0]) * H[0, 1])
+    coef = g[1] ** 2 + g[0] ** 2 + abs(lam + 2.0 * g[1] * g[0])
+    return _from_terms(terms, coef * np.abs(H).max())
+
+
+def euclidean_3d(phi: Jet2) -> ResidualSample:
+    """``residuals.euclidean_3d`` at one point."""
+    g, H = phi.grad, phi.hess
+    terms = (
+        H[0, 0] * (g[1] ** 2 + g[2] ** 2),
+        H[1, 1] * (g[2] ** 2 + g[0] ** 2),
+        H[2, 2] * (g[0] ** 2 + g[1] ** 2),
+        -2.0 * H[0, 1] * g[0] * g[1],
+        -2.0 * H[2, 0] * g[2] * g[0],
+        -2.0 * H[1, 2] * g[1] * g[2],
+    )
+    coef = 4.0 * float(g @ g) + 2.0 * (abs(g[0] * g[1]) + abs(g[2] * g[0]) + abs(g[1] * g[2]))
+    return _from_terms(terms, coef * np.abs(H).max())
+
+
 # -- pointwise residuals ---------------------------------------------------------------
 
 

@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from batlab import cli, construct, hydro, leznov, varlag
+from batlab import cli, construct, hydro, leznov, residuals, varlag
+from batlab.errors import EvaluationError, NewtonConvergenceError
+from batlab.exprspec import parse
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -226,6 +228,16 @@ def test_cli_import_leaves_scipy_unloaded():
     assert run.stdout == "False\n"
 
 
+def test_cli_import_leaves_process_pools_unloaded():
+    """Only ``suite --jobs N`` with N > 1 imports concurrent.futures."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c",
+                          "import sys, batlab.cli; print('concurrent.futures' in sys.modules)"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
 def test_skip_fraction_gate(tmp_path):
     # Half the u box violates the positivity domain of the gradient
     # substitution, so far more than 20% of samples are skipped: the check
@@ -249,6 +261,59 @@ def test_skip_fraction_gate(tmp_path):
     entry = report["reports"][0]
     assert entry["skipped"] > 0.2 * 40
     assert not entry["pass"]
+
+
+def _pointwise_entry(norms: list, skipped: int) -> tuple:
+    """(samples, skipped, max_norm, rms_norm) of one-point samples, reduced as
+    a sweep reduces them."""
+    arr = np.asarray(norms)
+    return len(norms), skipped, float(arr.max()), float(np.sqrt(np.mean(arr**2)))
+
+
+@pytest.mark.parametrize("f,passes", [("log(x1) + x2^2", False),
+                                      ("log(x1 + 0.9) + x2^2", True)])
+def test_points_failing_after_their_solve_skip_as_point_by_point(tmp_path, f, passes):
+    """holo_sum's jets fail where x1 (+ 0.9) <= 0, after its solve: the
+    batch falls back to single points, and the entry is the one-point sweep's,
+    a FAIL when more than 20% of the points are skipped."""
+    data = _with(_verify_scenario({"op": "holo_sum", "f": f, "g": "exp(xb1)*xb2"},
+                                  [-1] * 4, [1] * 4), ("samples", "count"), 120)
+    report, code = cli.run_scenario(data, tmp_path, seed=5)
+    points, _ = cli._box_sampler(data["cases"][0]["samples"], cli._scenario_rng(5, "m"), 4)
+    handle = construct.holo_sum(parse(f), parse("exp(xb1)*xb2"))
+    norms, skipped = [], 0
+    for p in points:
+        try:
+            norms.append(residuals.complex_bateman(handle(p)).normalized)
+        except EvaluationError:
+            skipped += 1
+    entry = report["reports"][0]
+    assert (entry["samples"], entry["skipped"], entry["max_norm"], entry["rms_norm"]) == \
+        _pointwise_entry(norms, skipped)
+    assert 0 < entry["skipped"] and (entry["skipped"] > 0.2 * 120) == (not passes)
+    assert entry["pass"] == passes and (code == cli.EXIT_PASS) == passes
+
+
+def test_born_infeld_points_with_u_at_most_zero_skip_as_point_by_point(tmp_path):
+    data = _with(_verify_scenario({"op": "parametric_hodograph", "f": "u^2", "g": "v^2",
+                                   "config": {"seed": [0.0, 2.5]}}, [-0.5, 2.0], [0.5, 3.0],
+                                  "born_infeld"), ("samples", "count"), 60)
+    report, code = cli.run_scenario(data, tmp_path, seed=5)
+    uv, _ = cli._box_sampler(data["cases"][0]["samples"], cli._scenario_rng(5, "m"), 2)
+    solver = construct.HodographSolver(parse("u^2"), parse("v^2"),
+                                       construct.ImplicitSolveConfig(seed=(0.0, 2.5)))
+    norms, skipped = [], 0
+    for u0, v0 in uv:
+        try:
+            phi, phibar = solver.fields(*solver.solve(*solver.forward(u0, v0), (u0, v0)))
+            norms.append(residuals.born_infeld(
+                construct.born_infeld_jet(phibar, phi, 1.0), 1.0).normalized)
+        except EvaluationError:
+            skipped += 1
+    entry = report["reports"][0]
+    assert (entry["samples"], entry["skipped"], entry["max_norm"], entry["rms_norm"]) == \
+        _pointwise_entry(norms, skipped)
+    assert entry["skipped"] > 0.2 * 60 and not entry["pass"] and code == cli.EXIT_FAIL
 
 
 def _verify_scenario(block, low, high, equation="complex_bateman"):
@@ -391,6 +456,26 @@ def test_one_solve_per_point_and_seed(tmp_path, monkeypatch):
     assert max(solves.values()) == 1
 
 
+def test_covariance_entries_count_their_own_skips(tmp_path, monkeypatch):
+    """A point whose sample-seeded solve fails but whose mapped solves succeed
+    is a linear_covariance sample under every map, and a skipped sample of
+    moebius_speed_match only: no point is both a sample and skipped."""
+    solve, calls = construct.HodographSolver.solve, []
+
+    def first_solve_fails(self, t, x, seed=None):
+        calls.append((t, x))
+        if len(calls) == 1:
+            raise NewtonConvergenceError("forced")
+        return solve(self, t, x, seed)
+
+    monkeypatch.setattr(construct.HodographSolver, "solve", first_solve_fails)
+    data = _with(_COMPLETE["covariance"](), ("checks", 0, "maps"), 3)
+    report, _ = cli.run_scenario(data, tmp_path, seed=1)
+    covariance, speeds = report["reports"]
+    assert (covariance["samples"], covariance["skipped"]) == (12, 0)
+    assert (speeds["samples"], speeds["skipped"]) == (9, 3)
+
+
 def _with(data, path, value):
     node = data["cases"][0]
     for key in path[:-1]:
@@ -404,12 +489,22 @@ def _forbid_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("solved or integrated before validation")
 
-    monkeypatch.setattr(construct.FieldHandle, "__call__", forbidden)
+    monkeypatch.setattr(construct.FieldHandle, "solve", forbidden)
     monkeypatch.setattr(construct.HodographSolver, "solve", forbidden)
     monkeypatch.setattr(construct, "hodograph_grid", forbidden)
     monkeypatch.setattr(hydro, "integrate_characteristics", forbidden)
     monkeypatch.setattr(hydro, "integrate_multifield", forbidden)
     monkeypatch.setattr(leznov, "solve_constraints", forbidden)
+
+
+@pytest.mark.parametrize("scenario", ["implicit_fg", "holo_sum", "implicit_3d", "hodograph",
+                                      "leznov", "two_field", "multifield", "variational"])
+def test_forbid_work_bites(tmp_path, monkeypatch, scenario):
+    """Each kind of case reaches one of the entry points ``_forbid_work``
+    forbids, so the tests that use it would see a solve before validation."""
+    _forbid_work(monkeypatch)
+    with pytest.raises(AssertionError, match="before validation"):
+        cli.run_scenario(_COMPLETE[scenario](), tmp_path, seed=1)
 
 
 def _main_exit(tmp_path, data, *extra):

@@ -225,6 +225,11 @@ def test_holo_sum_zero_fields():
 # -- hodograph ---------------------------------------------------------------------------
 
 
+def _fields(solver, t, x, seed=None):
+    """(phi, phibar) at (t, x), solved from ``seed``."""
+    return solver.fields(*solver.solve(t, x, seed))
+
+
 def test_hodograph_forward_map_hand_case():
     # f = u^2, g = v^2: t = 2u + 2v, x = -u^2 - v^2; (u,v) = (1,2) -> (6,-5).
     t, x = HodographSolver(parse("u^2"), parse("v^2"), ImplicitSolveConfig()).forward(1.0, 2.0)
@@ -234,7 +239,7 @@ def test_hodograph_forward_map_hand_case():
 
 def test_hodograph_inversion_recovers_parameters():
     cfg = ImplicitSolveConfig(seed=(1.1, 1.9))
-    jv, ju = HodographSolver(parse("u^2"), parse("v^2"), cfg).fields(6.0, -5.0)
+    jv, ju = _fields(HodographSolver(parse("u^2"), parse("v^2"), cfg), 6.0, -5.0)
     assert ju.value == pytest.approx(1.0, abs=1e-10)
     assert jv.value == pytest.approx(2.0, abs=1e-10)
 
@@ -248,7 +253,7 @@ def test_hodograph_roundtrip():
         u0 = rng.uniform(1.0, 2.0)
         v0 = rng.uniform(3.0, 4.0)
         t, x = solver.forward(u0, v0)
-        phi, phibar = solver.fields(t, x, seed=(u0 + 0.05, v0 - 0.05))
+        phi, phibar = _fields(solver, t, x, seed=(u0 + 0.05, v0 - 0.05))
         u1 = phibar.value
         v1 = phi.value
         t2, x2 = solver.forward(u1, v1)
@@ -278,7 +283,7 @@ def test_hodograph_pair_solves_two_field_equation():
         u0 = rng.uniform(1.0, 2.0)
         v0 = rng.uniform(3.0, 4.0)
         t, x = solver.forward(u0, v0)
-        jp, jb = solver.fields(t, x, seed=(u0, v0))
+        jp, jb = _fields(solver, t, x, seed=(u0, v0))
         worst = max(worst, residuals.two_field_bateman(jp, jb).normalized)
         worst = max(worst, residuals.two_field_bateman(jp, jb, conjugate=True).normalized)
     assert worst <= 1e-9
@@ -289,7 +294,7 @@ def test_hodograph_fold_raises():
     cfg = ImplicitSolveConfig(seed=(2.0, 2.0), max_iter=5)
     solver = HodographSolver(parse("u^2"), parse("v^2"), cfg)
     with pytest.raises((SingularMatrixError, NewtonConvergenceError)):
-        solver.fields(8.0, -8.0)
+        _fields(solver, 8.0, -8.0)
 
 
 def test_hodograph_jets_match_finite_differences():
@@ -300,10 +305,10 @@ def test_hodograph_jets_match_finite_differences():
     t0, x0 = solver.forward(u0, v0)
     p0 = np.array([t0, x0])
     for which in (0, 1):  # phi, phibar
-        j0 = solver.fields(*p0, seed=(u0, v0))[which]
+        j0 = _fields(solver, *p0, seed=(u0, v0))[which]
 
         def value(p):
-            return solver.fields(*p, seed=(u0, v0))[which].value
+            return _fields(solver, *p, seed=(u0, v0))[which].value
 
         errs = []
         for hstep in (4e-3, 2e-3):
@@ -353,8 +358,8 @@ def test_transform_identity_bitwise():
     solver = HodographSolver(parse("u^2"), parse("v^2"), cfg)
     minv = LinearMap2(1, 0, 0, 1).inverse()
     p = np.array([10.0, -14.5])
-    a = solver.fields(*p)[0]
-    b = pull_back(solver.fields(*(minv @ p))[0], minv)
+    a = _fields(solver, *p)[0]
+    b = pull_back(_fields(solver, *(minv @ p))[0], minv)
     assert a.value == b.value
     assert np.array_equal(a.grad, b.grad)
 
@@ -381,10 +386,10 @@ def test_transformed_solution_still_solves_and_speeds_follow_moebius():
             v0 = rng.uniform(3.0, 4.0)
             t, x = solver.forward(u0, v0)
             q = m.matrix() @ np.array([t, x])
-            jp, jb = (pull_back(j, minv) for j in solver.fields(*(minv @ q), seed=(u0, v0)))
+            jp, jb = (pull_back(j, minv) for j in _fields(solver, *(minv @ q), seed=(u0, v0)))
             assert residuals.two_field_bateman(jp, jb).normalized <= 1e-9
             # Speeds transform by the Moebius rule.
-            _, u_speed = solver.fields(t, x, seed=(u0, v0))
+            _, u_speed = _fields(solver, t, x, seed=(u0, v0))
             u_orig = u_speed.grad[0] / u_speed.grad[1]
             try:
                 expected_u, _ = moebius_transform((u_orig, u_orig), m)
@@ -407,7 +412,7 @@ def test_two_field_covariance_with_distinct_maps():
         u0 = rng.uniform(1.0, 2.0)
         v0 = rng.uniform(3.0, 4.0)
         t, x = solver.forward(u0, v0)
-        phi, phibar = solver.fields(t, x, seed=(u0, v0))
+        phi, phibar = _fields(solver, t, x, seed=(u0, v0))
         jp = cphi(phi)
         jb = cbar(phibar)
         assert residuals.two_field_bateman(jp, jb).normalized <= 1e-9
@@ -472,10 +477,10 @@ def test_born_infeld_from_hodograph_solves_equation():
         u0 = rng.uniform(1.0, 2.0)
         v0 = rng.uniform(3.0, 4.0)
         t, x = solver.forward(u0, v0)
-        phi, phibar = solver.fields(t, x, seed=(u0, v0))
+        phi, phibar = _fields(solver, t, x, seed=(u0, v0))
         j = born_infeld_jet(phibar, phi, lam)
         assert residuals.born_infeld(j, lam).normalized <= 1e-9
-        phi, phibar = solver.fields(t, x)
+        phi, phibar = _fields(solver, t, x)
         cross = born_infeld_cross_residual(phibar, phi, lam)
         assert cross.normalized <= 1e-9
 
@@ -583,6 +588,6 @@ def test_hodograph_grid_matches_handles():
     phi_vals, phibar_vals = construct.hodograph_grid(solver, t_nodes, x_nodes)
     for i in (0, 3):
         for j in (0, 4):
-            phi, phibar = solver.fields(t_nodes[i], x_nodes[j])
+            phi, phibar = _fields(solver, t_nodes[i], x_nodes[j])
             assert phi_vals[i, j] == pytest.approx(phi.value, abs=1e-9)
             assert phibar_vals[i, j] == pytest.approx(phibar.value, abs=1e-9)

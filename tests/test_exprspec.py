@@ -307,12 +307,23 @@ def test_compiled_evaluation_matches_the_tree_walker_on_hostile_specs(spec, poin
 def test_batched_jets_match_one_jet2_per_point_on_hostile_specs(spec, points):
     """A row of points evaluated as one batched ``jets.Jet2`` gives, point by
     point, the arity-3 Jet2 bits, or the error of a failing point."""
-    batch = dict(zip(_NAMES, jets.batch_variables(list(zip(*points)))))
+    batch = dict(zip(_NAMES, jets.variables(list(zip(*points)))))
     oracles.assert_batch_matches_points(
         lambda: eval_jet(spec, batch, 3),
         lambda i: eval_jet(spec, {n: jets.variable(j, x, 3)
                                   for j, (n, x) in enumerate(zip(_NAMES, points[i]))}, 3),
         len(points))
+
+
+def test_constant_spec_over_batched_arguments_is_a_batch():
+    """A constant expression over a batch is the constant at each point, so
+    every jet a batch evaluation returns has the batch's points."""
+    batch = dict(zip(_NAMES, jets.variables([[0.5, 1.5], [1.0, 2.0], [0.0, 3.0]])))
+    for text in ("2", "2 - 3"):
+        jet = eval_jet(parse(text), batch, 3)
+        assert jet.value.tolist() == [eval_float(parse(text), {})] * 2
+        assert jet.grad.shape == (2, 3) and jet.hess.shape == (2, 3, 3)
+        assert not jet.grad.any() and not jet.hess.any()
 
 
 def test_float_fn_takes_one_variable():

@@ -315,7 +315,7 @@ def test_value_associativity_tolerance(J):
 def test_batch_error_is_the_first_failing_points(f, values):
     """Both points fail, point 0 at the finiteness check that follows point
     1's domain guard or at the same check: the batch raises point 0's error."""
-    (x,) = jets.batch_variables([values])
+    (x,) = jets.variables([values])
     errors = []
     for value in values:
         with pytest.raises(Exception) as err:
@@ -328,14 +328,14 @@ def test_batch_error_is_the_first_failing_points(f, values):
 
 
 def test_batch_operands_must_share_a_shape():
-    a, b = jets.batch_variables([[1.0, 2.0], [3.0, 4.0]])
-    (c,) = jets.batch_variables([[1.0, 2.0, 3.0]])
+    a, b = jets.variables([[1.0, 2.0], [3.0, 4.0]])
+    (c,) = jets.variables([[1.0, 2.0, 3.0]])
     with pytest.raises(ValueError):
         a + c
     with pytest.raises(ValueError):
         a * jets.variable(0, 1.0, 3)
     with pytest.raises(ValueError):
-        jets.batch_variables([[1.0, 2.0], [3.0]])
+        jets.variables([[1.0, 2.0], [3.0]])
     assert (a * jets.constant(2.0, 2)).value.tolist() == [2.0, 4.0]
 
 
@@ -357,7 +357,7 @@ def test_single_and_batch_operands_match_points(op, single_first, single):
     at an inner point raises that point's error, a zero single divisor the
     first point's."""
     s = jets.sin(jets.variable(0, single, 2)) * jets.variable(1, -0.8, 2)
-    b = _nonlinear(*jets.batch_variables([_XS, _YS]))
+    b = _nonlinear(*jets.variables([_XS, _YS]))
 
     def at(i):
         return _nonlinear(jets.variable(0, _XS[i], 2), jets.variable(1, _YS[i], 2))

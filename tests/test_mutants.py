@@ -1,8 +1,8 @@
 """Verdicts that can fail: hand-written defects make bundled scenarios FAIL.
 
 Each mutant replaces a library function from outside: it perturbs one entry
-of what the function returns by a relative 1e-3, symmetrically, so that the
-result is still a valid jet, drops one term of a jet product or quotient, or
+of what the function returns (at each point of a batch) by a relative 1e-3,
+symmetrically, so that the result is still a valid jet, drops one term of a jet product or quotient, or
 scales the second derivative of every univariate jet function.  Sampled
 scenarios run with fewer samples per case, the others whole; unmutated, the
 same runs pass, so each failure is the mutant's doing.
@@ -32,8 +32,10 @@ def _reduced(prefix: str) -> dict:
 
 
 def _scaled(hess, a: int, b: int):
+    """Entry (a, b) of one Hessian, or of each Hessian of a batch, scaled by
+    1.001 symmetrically."""
     out = hess.copy()
-    out[a, b] = out[b, a] = 1.001 * hess[a, b]
+    out[..., a, b] = out[..., b, a] = 1.001 * hess[..., a, b]
     return out
 
 
@@ -51,14 +53,27 @@ def leznov_field_hessian(monkeypatch):
 
 
 def hodograph_second_derivative(monkeypatch):
-    """hu[0, 1] of ``HodographSolver.jets_uv`` scaled by 1.001."""
+    """hu[0, 1] of ``HodographSolver.jets_uv``, at one point or over a batch,
+    scaled by 1.001."""
     jets_uv = construct.HodographSolver.jets_uv
 
-    def mutant(self, t, x, seed=None):
-        u, v, du, dv, hu, hv = jets_uv(self, t, x, seed)
-        return u, v, du, dv, _scaled(hu, 0, 1), hv
+    def mutant(self, u, v):
+        du, dv, hu, hv = jets_uv(self, u, v)
+        return du, dv, _scaled(hu, 0, 1), hv
 
     monkeypatch.setattr(construct.HodographSolver, "jets_uv", mutant)
+
+
+def implicit_split_cross_block(monkeypatch):
+    """The (x1, xb1) entry of the Hessian from ``_implicit_jet_from_split``,
+    a cross-block entry of implicit differentiation, scaled by 1.001."""
+    split = construct._implicit_jet_from_split
+
+    def mutant(phi, fj, gj):
+        j = split(phi, fj, gj)
+        return jets.from_parts(j.value, j.grad, _scaled(j.hess, 0, 2))
+
+    monkeypatch.setattr(construct, "_implicit_jet_from_split", mutant)
 
 
 def jet_product_cross_term(monkeypatch):
@@ -112,6 +127,7 @@ def univariate_second_derivative(monkeypatch):
 MUTANTS = {
     leznov_field_hessian: ("c07",),
     hodograph_second_derivative: ("c03", "c06"),
+    implicit_split_cross_block: ("c01", "c04"),
     jet_product_cross_term: ("c09", "c11"),
     jet_quotient_cross_term: ("c11",),
     univariate_second_derivative: ("c11",),
