@@ -227,7 +227,9 @@ def _box_sampler(samples: dict, rng: np.random.Generator, dim: int):
 # A case samples its points, solves the constructor once per point (one solve
 # per point and seed), differentiates at the solved points as one batch and
 # runs every check from ``_CHECKS`` on that batch.  A point whose solve or jets
-# failed holds its EvaluationError and is skipped by each check.
+# failed holds its EvaluationError and is skipped by each check.  A Leznov case
+# also derives its speeds from the field jets, as a second batch; a point whose
+# speeds failed is skipped by the checks that read them.
 
 
 @dataclass
@@ -240,12 +242,15 @@ class _Solved:
     points: np.ndarray  # (count, dim) sample points; (u, v) for hodograph cases
     errors: list  # per point: the EvaluationError of its solve or jets, or None
     # The constructor's jets at the points without an error, as one batch: the
-    # field, (phi, phibar) for hodograph cases, the first field for Leznov
+    # field, (phi, phibar) for hodograph cases, the tuple of fields for Leznov
     # cases; None if no point solved.
     batch: object
     model: object = None  # HodographSolver or LeznovSystem
     tx: list | None = None  # hodograph cases: the (t, x) image of each (u, v)
-    solutions: list | None = None  # Leznov cases: per point, leznov.solve_points' pair
+    # Leznov cases: per point, the error of its solve, field jets or speeds, or
+    # None; and at the points without one, the batch of (fields, (u, v)).
+    speed_errors: list | None = None
+    speeds: tuple | None = None
 
     @property
     def skipped(self) -> int:
@@ -257,11 +262,20 @@ def _at_solved(fn, inputs: list):
     EvaluationError, as one batch.  An input is the tuple of ``fn``'s
     arguments at one point; ``errors`` holds per point the input's error, the
     error ``fn`` raised there (``residuals.batched``), or None."""
-    ok = [i for i, a in enumerate(inputs) if not isinstance(a, EvaluationError)]
+    ok = [a for a in inputs if not isinstance(a, EvaluationError)]
     errors = [a if isinstance(a, EvaluationError) else None for a in inputs]
+    return _at_solved_batch(fn, errors, *residuals.stack(ok)) if ok else (errors, None)
+
+
+def _at_solved_batch(fn, errors: list, *batches):
+    """``(errors, batch)`` as from :func:`_at_solved`, with ``fn``'s inputs
+    already stacked: ``batches`` hold them at the points without an error in
+    ``errors``, in order."""
+    ok = [i for i, err in enumerate(errors) if err is None]
+    errors = list(errors)
     if not ok:
         return errors, None
-    failed, batch = residuals.batched(fn, *residuals.stack([inputs[i] for i in ok]))
+    failed, batch = residuals.batched(fn, *batches)
     for i, err in zip(ok, failed):
         errors[i] = err
     return errors, batch
@@ -310,12 +324,17 @@ def _leznov_case(block, label, case, rng) -> _Solved:
             P=[_parse_expr(p, "P") for p in _list(block, "P")],
             cfg=_solve_config(_object(block, "config", False)),
         )
+    if sys_.n != 2 and "complex_bateman" in map(_check_key, case["checks"]):
+        raise ScenarioError("complex_bateman check needs n = 2")
     points, requested = _box_sampler(_object(case, "samples"), rng, 2 * sys_.n)
-    solutions = leznov.solve_points(sys_, points)
-    errors, batch = _at_solved(lambda phi: phi, [
-        sol if isinstance(sol, EvaluationError) else (sol.field_jets[0],)
-        for sol, _ in solutions])
-    return _Solved(label, rng, requested, points, errors, batch, sys_, solutions=solutions)
+    roots = [residuals.attempt(leznov.solve_constraints, sys_, p) for p in points]
+    errors, fields = _at_solved(lambda p, phi: leznov.field_jets(sys_, p, phi), [
+        r if isinstance(r, EvaluationError) else (p, r) for p, r in zip(points, roots)])
+    solved = np.array([err is None for err in errors])
+    speed_errors, speeds = _at_solved_batch(
+        lambda p, f: (f, leznov.speed_jets(sys_, p, f)), errors, points[solved], fields)
+    return _Solved(label, rng, requested, points, errors, fields, sys_,
+                   speed_errors=speed_errors, speeds=speeds)
 
 
 def _run_verify_case(case: dict, rng: np.random.Generator,
@@ -480,7 +499,12 @@ def _speed_match(jb, base_bar, m: LinearMap2) -> residuals.ResidualSample:
 
 
 def _constraint_gap(c: _Solved, tol: float) -> list[dict]:
-    rep = leznov.constraint_gap_report(c.model, c.solutions)
+    """The worst |Q - P| over the solved points, phi read from the field jets."""
+    solved = c.points[[err is None for err in c.errors]]
+    phi = np.stack([f.value for f in c.batch], axis=-1) if c.batch else ()
+    gaps = [leznov.constraint_gap(c.model, p, q) for p, q in zip(solved, phi)]
+    worst = max(gaps, default=0.0)
+    rep = ResidualReport("constraint_gap", len(gaps), worst, worst, c.skipped)
     return [_entry(f"constraint_gap[{c.label}]", rep, tol, c.requested)]
 
 
@@ -492,13 +516,22 @@ def _speeds_on_x(check: dict) -> str:
     return speeds_on_x
 
 
+def _speed_entry(c: _Solved, name: str, samples, tol: float) -> dict:
+    """Entry for the Leznov ``samples`` (a tuple of batches over the points
+    with speeds; None if there are none), against the global term magnitude
+    and reduced point by point."""
+    rep = residuals.grid_report(name, [] if samples is None else [residuals.by_point(samples)],
+                                sum(err is not None for err in c.speed_errors))
+    return _entry(f"{name}[{c.label}]", rep, tol, c.requested)
+
+
 def _holomorphy(check: dict, tol: float):
     speeds_on_x = _speeds_on_x(check)
 
     def run(c: _Solved) -> list[dict]:
-        d_rep, dbar_rep = leznov.holomorphy_reports(c.model, c.solutions, speeds_on_x)
-        return [_entry(f"d_phi[{c.label}]", d_rep, tol, c.requested),
-                _entry(f"dbar_phi[{c.label}]", dbar_rep, tol, c.requested)]
+        d, dbar = (None, None) if c.speeds is None else leznov.holomorphy_samples(
+            c.model, *c.speeds, speeds_on_x)
+        return [_speed_entry(c, "d_phi", d, tol), _speed_entry(c, "dbar_phi", dbar, tol)]
     return run
 
 
@@ -506,15 +539,10 @@ def _zero_curvature(check: dict, tol: float):
     speeds_on_x = _speeds_on_x(check)
 
     def run(c: _Solved) -> list[dict]:
-        rep = leznov.verify_zero_curvature(c.model, c.solutions, speeds_on_x)
-        return [_entry(f"zero_curvature[{c.label}]", rep, tol, c.requested)]
+        samples = None if c.speeds is None else leznov.zero_curvature_samples(
+            c.model, c.speeds[1], speeds_on_x)
+        return [_speed_entry(c, "zero_curvature", samples, tol)]
     return run
-
-
-def _leznov_bateman(c: _Solved, tol: float) -> list[dict]:
-    if c.model.n != 2:
-        raise ScenarioError("complex_bateman check needs n = 2")
-    return [_swept(c, "complex_bateman", residuals.complex_bateman, tol)]
 
 
 def _scalar_checks(equation: str, residual, **others) -> dict:
@@ -562,7 +590,8 @@ _CHECKS = {
     ("leznov", "constraint_gap"): _tolerance_only(_constraint_gap),
     ("leznov", "holomorphy"): _holomorphy,
     ("leznov", "zero_curvature"): _zero_curvature,
-    ("leznov", "complex_bateman"): _tolerance_only(_leznov_bateman),
+    # n = 2 only: a Leznov case rejects it on a larger system before solving
+    ("leznov", "complex_bateman"): _per_point(lambda f: residuals.complex_bateman(f[0])),
 }
 
 
@@ -657,14 +686,12 @@ def _transport(check: dict):
     def run(grid, where: str) -> list[tuple[str, dict]]:
         tol = coeff * grid.h**2
         m = grid.nt // 2
+        nodes = np.arange(grid.nx)
         out = []
         for name, field, other in (("u", grid.u, grid.v), ("v", grid.v, grid.u)):
-            samples = []
-            for i in range(grid.nx):
-                jet = hydro.fd_jet_at(field, grid.dt, grid.h, m, i)
-                samples.append(residuals.transport(
-                    jet, [-other[m, i]], TransportPattern(0, (1,))))
-            rep = residuals.grid_report(f"transport_{name}", samples)
+            jet = hydro.fd_jet_at(field, grid.dt, grid.h, m, nodes)
+            sample = residuals.transport(jet, [-other[m]], TransportPattern(0, (1,)))
+            rep = residuals.grid_report(f"transport_{name}", [sample])
             out.append((f"transport_{name}",
                         _entry(f"transport_{name}[{where}]", rep, tol, grid.nx)))
         return out

@@ -325,8 +325,9 @@ def fd_derivatives_time_space(F: np.ndarray, dt: float, h: float):
     return mid, Ft, Fx, Ftt, Ftx, Fxx
 
 
-def fd_jet_at(F: np.ndarray, dt: float, h: float, m: int, i: int) -> jets.Jet2:
-    """Arity-2 jet of a stored periodic field at interior level m, node i."""
+def fd_jet_at(F: np.ndarray, dt: float, h: float, m: int, i) -> jets.Jet2:
+    """Arity-2 jet of a stored periodic field at interior level m: at node i
+    (an int), or over the batch of the nodes of an index array i."""
     nt, nx = F.shape
     if not 1 <= m <= nt - 2:
         raise ValueError("time level must be interior")
@@ -336,7 +337,9 @@ def fd_jet_at(F: np.ndarray, dt: float, h: float, m: int, i: int) -> jets.Jet2:
     ftt = (F[m + 1, i] - 2 * F[m, i] + F[m - 1, i]) / dt**2
     fxx = (F[m, ip] - 2 * F[m, i] + F[m, im]) / h**2
     ftx = (F[m + 1, ip] - F[m + 1, im] - F[m - 1, ip] + F[m - 1, im]) / (4 * dt * h)
-    return jets.from_parts(F[m, i], [ft, fx], [[ftt, ftx], [ftx, fxx]])
+    return jets.from_parts(F[m, i], np.stack([ft, fx], axis=-1),
+                           np.stack([np.stack([ftt, ftx], axis=-1),
+                                     np.stack([ftx, fxx], axis=-1)], axis=-2))
 
 
 # -- multi-field system ----------------------------------------------------------------

@@ -22,13 +22,16 @@ both bindings are exposed:
 The test suite records which binding yields vanishing residuals on
 constructed systems (it is ``v_on_x``).
 
-Everything at a point follows from one Newton solve (``construct._newton``):
-:func:`solve_constraints` returns the field jets, :func:`speed_jets` derives
-the speeds from that solution, and the residual functions read both.
-:func:`solve_points` does this once per sample point, so every check of a case
-shares the same solves.  A :class:`LeznovSystem` maps each variable name to
-its slot in (phi, point) once, and builds the symbolic partials of Q and P by
-slot once; every evaluation binds variables through that table.
+A case solves each sample point once (:func:`solve_constraints`, one Newton
+solve through ``construct._newton``) for the field values.  Everything else
+is written once for one point and for a batch of solved points (a ``Jet2``
+with a leading axis), each point of a batch the bits of its one-point result:
+:func:`field_jets` differentiates the constraints implicitly,
+:func:`speed_jets` derives the speeds from the field jets, and
+:func:`holomorphy_samples` and :func:`zero_curvature_samples` apply the
+operators.  A :class:`LeznovSystem` maps each variable name to its slot in
+(phi, point) once, and builds the symbolic partials of Q and P by slot once;
+every evaluation binds variables through that table.
 
 Coordinate order of all jets: (x_1..x_n, xb_1..xb_n).
 """
@@ -42,17 +45,9 @@ import numpy as np
 
 from . import jets
 from .construct import ImplicitSolveConfig, _newton
-from .errors import EvaluationError, SingularMatrixError
+from .errors import SingularMatrixError
 from .exprspec import ExprSpec, eval_float, eval_jet, partial
-from .residuals import (
-    ResidualReport,
-    ResidualSample,
-    TransportPattern,
-    attempt,
-    grid_report,
-    transport,
-    unwrap,
-)
+from .residuals import ResidualSample, TransportPattern, _any, _larger, _square, transport
 
 _COND_LIMIT = 1e10
 
@@ -108,15 +103,6 @@ class LeznovSystem:
         return phi
 
 
-@dataclass
-class LeznovSolution:
-    """Per-point solve result: field values and their arity-2n jets."""
-
-    point: np.ndarray
-    phi: np.ndarray
-    field_jets: list
-
-
 def _gaps(sys: LeznovSystem, phi, point) -> np.ndarray:
     """Q^i - P^i at field values ``phi`` and coordinates ``point``."""
     z = np.concatenate((phi, point)).tolist()
@@ -124,12 +110,13 @@ def _gaps(sys: LeznovSystem, phi, point) -> np.ndarray:
                      for q, p in zip(sys.Q, sys.P)])
 
 
-def solve_constraints(sys: LeznovSystem, point, seed=None) -> LeznovSolution:
-    """Newton solve of Q - P = 0; jets by two implicit differentiation passes."""
+def solve_constraints(sys: LeznovSystem, point, seed=None) -> np.ndarray:
+    """The field values phi at one point: the Newton solve of Q - P = 0 from
+    ``seed`` (else the configured seed)."""
     point = np.asarray(point, dtype=float)
     if point.shape != (2 * sys.n,):
         raise ValueError(f"point must have {2 * sys.n} coordinates")
-    n, nf = sys.n, sys.nf
+    nf = sys.nf
 
     def residual(phi):
         r = _gaps(sys, phi, point)
@@ -150,89 +137,100 @@ def solve_constraints(sys: LeznovSystem, point, seed=None) -> LeznovSolution:
         nxt = phi - np.linalg.solve(jac, r)
         return nxt if np.isfinite(nxt).all() and not np.array_equal(nxt, phi) else None
 
-    phi = _newton(residual, step, sys.seed_fields(sys.cfg.seed if seed is None else seed),
-                  sys.cfg.max_iter, sys.cfg.newton_tol)
+    return _newton(residual, step, sys.seed_fields(sys.cfg.seed if seed is None else seed),
+                   sys.cfg.max_iter, sys.cfg.newton_tol)
+
+
+def _solve(m_mat, rhs):
+    """M^{-1} rhs for one right-hand-side vector, at one point or at each of a
+    batch: one vector solve per point, since a right-hand side of several
+    columns gives other bits."""
+    return np.linalg.solve(m_mat, rhs[..., None])[..., 0]
+
+
+def field_jets(sys: LeznovSystem, points, phi) -> tuple:
+    """The jets of phi^1..phi^{n-1} at solved points, by two implicit
+    differentiation passes: at one point (``(2n,)`` coordinates, ``(n-1,)``
+    field values from :func:`solve_constraints`) or over a batch (``(N, 2n)``
+    and ``(N, n-1)``)."""
+    n, nf, nz = sys.n, sys.nf, 2 * sys.n
+    phis = [phi[..., m] for m in range(nf)]
+    coords = [points[..., a] for a in range(nz)]
 
     # Second-order data of each constraint in its own variables: Q^i over
     # (phi, x) and P^i over (phi, xb), so the x and xb blocks share jet slots.
     kq = nf + n
-    local = [jets.variable(s if s < kq else s - n, value, kq)
-             for s, value in enumerate(np.concatenate((phi, point)))]
+    local = jets.variables(phis + coords[:n]) + jets.variables(phis + coords[n:])[nf:]
     q_jets = [eval_jet(q, sys.bind(q, local), k=kq) for q in sys.Q]
     p_jets = [eval_jet(p, sys.bind(p, local), k=kq) for p in sys.P]
-    qg, pg = np.array([j.grad for j in q_jets]), np.array([j.grad for j in p_jets])
-    qh, ph = np.array([j.hess for j in q_jets]), np.array([j.hess for j in p_jets])
+    qg, pg = (np.stack([j.grad for j in js], axis=-2) for js in (q_jets, p_jets))
+    qh, ph = (np.stack([j.hess for j in js], axis=-3) for js in (q_jets, p_jets))
 
-    # Derivatives of C = Q - P by block, over (phi, z) with z = (x, xb).
-    nz = 2 * n
-    c_z = np.hstack((qg[:, nf:], -pg[:, nf:]))
-    c_pp = qh[:, :nf, :nf] - ph[:, :nf, :nf]
-    c_pz = np.concatenate((qh[:, :nf, nf:], -ph[:, :nf, nf:]), axis=2)
-    c_zz = np.zeros((nf, nz, nz))
-    c_zz[:, :n, :n] = qh[:, nf:, nf:]
-    c_zz[:, n:, n:] = -ph[:, nf:, nf:]
+    # Derivatives of C^i = Q^i - P^i by block, over (phi, z) with z = (x, xb);
+    # the constraint index i is the first axis after the batch's.
+    c_z = np.concatenate((qg[..., nf:], -pg[..., nf:]), axis=-1)
+    c_pp = qh[..., :nf, :nf] - ph[..., :nf, :nf]
+    c_pz = np.concatenate((qh[..., :nf, nf:], -ph[..., :nf, nf:]), axis=-1)
+    c_zz = np.zeros(qh.shape[:-2] + (nz, nz))
+    c_zz[..., :n, :n] = qh[..., nf:, nf:]
+    c_zz[..., n:, n:] = -ph[..., nf:, nf:]
 
     # First derivatives: (P_phi - Q_phi) phi_a = C_a.
-    m_mat = pg[:, :nf] - qg[:, :nf]
-    if np.linalg.cond(m_mat) > _COND_LIMIT:
+    m_mat = pg[..., :nf] - qg[..., :nf]
+    if _any(np.linalg.cond(m_mat) > _COND_LIMIT):
         raise SingularMatrixError("(P_phi - Q_phi) is singular at the root")
-    grads = np.zeros((nf, nz))  # grads[m][a] = phi^m_a
-    for a in range(nz):
-        grads[:, a] = np.linalg.solve(m_mat, c_z[:, a])
+    grads = np.stack([_solve(m_mat, c_z[..., a]) for a in range(nz)], axis=-1)
 
     # Second derivatives: M phi_ab = C_phiphi:phi_a phi_b + C_phia phi_b
     #                              + C_phib phi_a + C_ab.
-    hesses = np.zeros((nf, nz, nz))
+    hesses = np.zeros(grads.shape + (nz,))
     for a in range(nz):
         for b in range(a, nz):
-            rhs = np.empty(nf)
+            rhs = []
             for i in range(nf):
                 quad = 0.0
                 for m in range(nf):
                     for r in range(nf):
-                        quad += c_pp[i, m, r] * grads[m, a] * grads[r, b]
-                    quad += c_pz[i, m, a] * grads[m, b]
-                    quad += c_pz[i, m, b] * grads[m, a]
-                quad += c_zz[i, a, b]
-                rhs[i] = quad
-            sol = np.linalg.solve(m_mat, rhs)
-            hesses[:, a, b] = sol
-            hesses[:, b, a] = sol
+                        quad += c_pp[..., i, m, r] * grads[..., m, a] * grads[..., r, b]
+                    quad += c_pz[..., i, m, a] * grads[..., m, b]
+                    quad += c_pz[..., i, m, b] * grads[..., m, a]
+                quad += c_zz[..., i, a, b]
+                rhs.append(quad)
+            sol = _solve(m_mat, np.stack(rhs, axis=-1))
+            hesses[..., a, b] = sol
+            hesses[..., b, a] = sol
 
-    field_jets = [jets.from_parts(phi[m], grads[m], hesses[m]) for m in range(nf)]
-    return LeznovSolution(point, phi.copy(), field_jets)
-
-
-def _jet_args(sys: LeznovSystem, sol: LeznovSolution) -> dict:
-    """Field jets and coordinate variables at a solved point, by name."""
-    nz = 2 * sys.n
-    values = sol.field_jets + [jets.variable(a, c, nz) for a, c in enumerate(sol.point)]
-    return {name: values[s] for name, s in sys.slots.items()}
+    return tuple(jets.from_parts(phis[m], grads[..., m, :], hesses[..., m, :, :])
+                 for m in range(nf))
 
 
 # -- speeds -------------------------------------------------------------------------
 
 
 def _matrix_solve_jets(a_rows, b_vec):
-    """x = A^{-1} b for a (1x1 or 2x2) matrix of jets; raises on singularity."""
+    """x = A^{-1} b for a (1x1 or 2x2) matrix of jets, at one point or over a
+    batch; raises if the matrix is singular (at any point of a batch)."""
     if len(b_vec) == 1:
         a = a_rows[0][0]
-        if abs(a.value) <= 1e-10 * (1.0 + abs(b_vec[0].value)):
+        if _any(abs(a.value) <= 1e-10 * (1.0 + abs(b_vec[0].value))):
             raise SingularMatrixError("speed matrix is singular")
         return [b_vec[0] / a]
     (a11, a12), (a21, a22) = a_rows
     det = a11 * a22 - a12 * a21
-    vals = np.array([[a11.value, a12.value], [a21.value, a22.value]])
-    scale = np.abs(vals).max() ** 2
-    if abs(det.value) <= 1e-10 * max(scale, 1e-30) or np.linalg.cond(vals) > _COND_LIMIT:
+    vals = np.stack([np.stack([a11.value, a12.value], axis=-1),
+                     np.stack([a21.value, a22.value], axis=-1)], axis=-2)
+    scale = _square(np.abs(vals).max(axis=(-2, -1)))
+    if _any((abs(det.value) <= 1e-10 * _larger(scale, 1e-30))
+            | (np.linalg.cond(vals) > _COND_LIMIT)):
         raise SingularMatrixError("speed matrix is singular")
     x1 = (a22 * b_vec[0] - a12 * b_vec[1]) / det
     x2 = (a11 * b_vec[1] - a21 * b_vec[0]) / det
     return [x1, x2]
 
 
-def speed_jets(sys: LeznovSystem, sol: LeznovSolution):
-    """(u_jets, v_jets) at a solved point, each a list of arity-2n jets.
+def speed_jets(sys: LeznovSystem, points, fields):
+    """(u, v) at solved points, one or a batch, each a tuple of n-1 jets over
+    the 2n coordinates, from the :func:`field_jets` ``fields`` there.
 
     v = -(Q_x)^{-1} Q_{x_n} and u = -(P_xb)^{-1} P_{xb_n}, differentiated
     through the constraint solution by evaluating the symbolic coordinate
@@ -240,10 +238,12 @@ def speed_jets(sys: LeznovSystem, sol: LeznovSolution):
     """
     nz = 2 * sys.n
     nf = sys.nf
-    args = _jet_args(sys, sol)
+    values = list(fields) + jets.variables(np.moveaxis(points, -1, 0))
+    args = {name: values[s] for name, s in sys.slots.items()}
+    count = None if points.ndim == 1 else len(points)
 
     def partial_jet(d):
-        return jets.constant(0.0, nz) if d is None else eval_jet(d, args, k=nz)
+        return jets.constant(0.0, nz, count) if d is None else eval_jet(d, args, k=nz)
 
     x, xb = sys.slots["x1"], sys.slots["xb1"]
     q_x = [[partial_jet(sys._dq[i][x + k]) for k in range(nf)] for i in range(nf)]
@@ -251,24 +251,9 @@ def speed_jets(sys: LeznovSystem, sol: LeznovSolution):
     p_xb = [[partial_jet(sys._dp[i][xb + k]) for k in range(nf)] for i in range(nf)]
     p_xbn = [partial_jet(sys._dp[i][xb + sys.n - 1]) for i in range(nf)]
 
-    v = [-w for w in _matrix_solve_jets(q_x, q_xn)]
-    u = [-w for w in _matrix_solve_jets(p_xb, p_xbn)]
+    v = tuple(-w for w in _matrix_solve_jets(q_x, q_xn))
+    u = tuple(-w for w in _matrix_solve_jets(p_xb, p_xbn))
     return u, v
-
-
-def solve_points(sys: LeznovSystem, points) -> list:
-    """One constraint solve per point, with the speeds derived from it.
-
-    Each entry is a ``(solution, (u, v))`` pair of :func:`residuals.attempt`
-    results: a failed solve leaves its EvaluationError in both places, a
-    failed speed derivation only in the second.
-    """
-    out = []
-    for point in points:
-        sol = attempt(solve_constraints, sys, point)
-        speeds = sol if isinstance(sol, EvaluationError) else attempt(speed_jets, sys, sol)
-        out.append((sol, speeds))
-    return out
 
 
 # -- directional operators -------------------------------------------------------------
@@ -297,66 +282,30 @@ def apply_D(field_jet, u_vals, v_vals, n: int, which: str = "D",
     return transport(field_jet, speeds, TransportPattern(time_idx, tuple(space)))
 
 
-def holomorphy_reports(sys: LeznovSystem, solved, speeds_on_x: str = "v"):
-    """D phi^j and Dbar phi^j residual reports over points from :func:`solve_points`."""
-    d_samples, dbar_samples = [], []
-    skipped = 0
-    for sol, speeds in solved:
-        try:
-            sol, (u, v) = unwrap(sol), unwrap(speeds)
-        except EvaluationError:
-            skipped += 1
-            continue
-        u_vals = [j.value for j in u]
-        v_vals = [j.value for j in v]
-        for fj in sol.field_jets:
-            d_samples.append(apply_D(fj, u_vals, v_vals, sys.n, "D", speeds_on_x))
-            dbar_samples.append(apply_D(fj, u_vals, v_vals, sys.n, "Dbar", speeds_on_x))
-    return (grid_report("leznov_d_phi", d_samples, skipped),
-            grid_report("leznov_dbar_phi", dbar_samples, skipped))
+def holomorphy_samples(sys: LeznovSystem, fields, speeds, speeds_on_x: str = "v"):
+    """(D phi^j, Dbar phi^j), each a tuple of one sample per field, at a solved
+    point or over a batch, from its :func:`field_jets` and :func:`speed_jets`."""
+    u_vals, v_vals = ([j.value for j in s] for s in speeds)
+    return tuple(tuple(apply_D(f, u_vals, v_vals, sys.n, which, speeds_on_x) for f in fields)
+                 for which in ("D", "Dbar"))
 
 
-def verify_zero_curvature(sys: LeznovSystem, solved, speeds_on_x: str = "v") -> ResidualReport:
-    """Commutator residuals of the operator pair on the derived speeds, over
-    points from :func:`solve_points`.
+def zero_curvature_samples(sys: LeznovSystem, speeds, speeds_on_x: str = "v") -> tuple:
+    """Commutator residuals of the operator pair on the derived speeds, at a
+    solved point or over a batch: the samples of D on the first speed family,
+    then of Dbar on the second.
 
     Under the ``v_on_x`` binding the pair commutes iff D u^j = 0 and
     Dbar v^j = 0; under ``u_on_x`` iff D v^j = 0 and Dbar u^j = 0.
     """
-    samples = []
-    skipped = 0
-    for _, speeds in solved:
-        try:
-            u, v = unwrap(speeds)
-        except EvaluationError:
-            skipped += 1
-            continue
-        u_vals = [j.value for j in u]
-        v_vals = [j.value for j in v]
-        if speeds_on_x == "v":
-            first, second = u, v
-        else:
-            first, second = v, u
-        for fj in first:
-            samples.append(apply_D(fj, u_vals, v_vals, sys.n, "D", speeds_on_x))
-        for fj in second:
-            samples.append(apply_D(fj, u_vals, v_vals, sys.n, "Dbar", speeds_on_x))
-    return grid_report(f"zero_curvature[{speeds_on_x}_on_x]", samples, skipped)
+    u, v = speeds
+    u_vals, v_vals = ([j.value for j in s] for s in speeds)
+    first, second = (u, v) if speeds_on_x == "v" else (v, u)
+    return (tuple(apply_D(s, u_vals, v_vals, sys.n, "D", speeds_on_x) for s in first)
+            + tuple(apply_D(s, u_vals, v_vals, sys.n, "Dbar", speeds_on_x) for s in second))
 
 
-def constraint_gap(sys: LeznovSystem, sol: LeznovSolution) -> float:
-    """max_i |Q^i - P^i| at a solved root (should sit at solver precision)."""
-    return float(np.abs(_gaps(sys, sol.phi, sol.point)).max())
-
-
-def constraint_gap_report(sys: LeznovSystem, solved) -> ResidualReport:
-    """Worst :func:`constraint_gap` over points from :func:`solve_points`."""
-    worst, used, skipped = 0.0, 0, 0
-    for sol, _ in solved:
-        try:
-            worst = max(worst, constraint_gap(sys, unwrap(sol)))
-            used += 1
-        except EvaluationError:
-            skipped += 1
-    return ResidualReport("constraint_gap", used, worst, worst, skipped)
-
+def constraint_gap(sys: LeznovSystem, point, phi) -> float:
+    """max_i |Q^i - P^i| at a solved root ``phi`` of ``point`` (should sit at
+    solver precision)."""
+    return float(np.abs(_gaps(sys, phi, point)).max())

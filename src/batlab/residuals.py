@@ -138,19 +138,12 @@ def grid_report(
 
 
 def attempt(fn: Callable, *args):
-    """``fn(*args)``, or the EvaluationError it raised: a singular sample, which
-    every check that reads it (through :func:`unwrap`) counts as skipped."""
+    """``fn(*args)``, or the EvaluationError it raised: a singular sample,
+    which the checks that read it count as skipped."""
     try:
         return fn(*args)
     except EvaluationError as err:
         return err
-
-
-def unwrap(value):
-    """The result of an :func:`attempt`; re-raises a singular sample's error."""
-    if isinstance(value, EvaluationError):
-        raise value.with_traceback(None)
-    return value
 
 
 # -- batches: jets, samples or arrays over N points, or tuples of them -------------
@@ -213,6 +206,14 @@ def batched(fn: Callable, *batches):
         except EvaluationError as err:
             errors.append(err)
     return errors, stack(outs) if outs else None
+
+
+def by_point(samples: Sequence[ResidualSample]) -> ResidualSample:
+    """The ``samples`` of one batch as one sample, point by point: each
+    sample's value at point 0 in turn, then at point 1, and so on."""
+    return ResidualSample(*(
+        np.stack([np.broadcast_to(getattr(s, f), s.raw.shape) for s in samples], axis=-1).ravel()
+        for f in ("raw", "scale", "floor")))
 
 
 def _norms(out):

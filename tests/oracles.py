@@ -277,6 +277,42 @@ def hodograph_jets_uv(solver, u: float, v: float):
     return du, dv, hu, hv
 
 
+def leznov_field_jets(sys, point, phi) -> list[Jet2]:
+    """``leznov.field_jets`` at one solved point: one vector solve per
+    right-hand side, every sum and product written out."""
+    n, nf, nz, kq = sys.n, sys.nf, 2 * sys.n, sys.nf + sys.n
+    local = [jets.variable(s if s < kq else s - n, value, kq)
+             for s, value in enumerate(np.concatenate((phi, point)))]
+    q_jets = [exprspec.eval_jet(q, sys.bind(q, local), k=kq) for q in sys.Q]
+    p_jets = [exprspec.eval_jet(p, sys.bind(p, local), k=kq) for p in sys.P]
+    qg, pg = np.array([j.grad for j in q_jets]), np.array([j.grad for j in p_jets])
+    qh, ph = np.array([j.hess for j in q_jets]), np.array([j.hess for j in p_jets])
+    c_z = np.hstack((qg[:, nf:], -pg[:, nf:]))
+    c_pp = qh[:, :nf, :nf] - ph[:, :nf, :nf]
+    c_pz = np.concatenate((qh[:, :nf, nf:], -ph[:, :nf, nf:]), axis=2)
+    c_zz = np.zeros((nf, nz, nz))
+    c_zz[:, :n, :n] = qh[:, nf:, nf:]
+    c_zz[:, n:, n:] = -ph[:, nf:, nf:]
+    m_mat = pg[:, :nf] - qg[:, :nf]
+    grads = np.zeros((nf, nz))
+    for a in range(nz):
+        grads[:, a] = np.linalg.solve(m_mat, c_z[:, a])
+    hesses = np.zeros((nf, nz, nz))
+    for a in range(nz):
+        for b in range(a, nz):
+            rhs = np.empty(nf)
+            for i in range(nf):
+                quad = 0.0
+                for m in range(nf):
+                    for r in range(nf):
+                        quad += c_pp[i, m, r] * grads[m, a] * grads[r, b]
+                    quad += c_pz[i, m, a] * grads[m, b]
+                    quad += c_pz[i, m, b] * grads[m, a]
+                rhs[i] = quad + c_zz[i, a, b]
+            hesses[:, a, b] = hesses[:, b, a] = np.linalg.solve(m_mat, rhs)
+    return [jets.from_parts(phi[m], grads[m], hesses[m]) for m in range(nf)]
+
+
 def _from_terms(terms, floor) -> ResidualSample:
     return ResidualSample(math.fsum(terms), math.fsum(abs(t) for t in terms), floor)
 

@@ -1,9 +1,10 @@
 """Batched evaluation gives each point the bits of its one-point evaluation.
 
 Derandomized: every constructor's jets, ``pull_back``, ``born_infeld_jet``,
-``reparametrization`` and every residual operator are evaluated once over a
-batch of points and once per point, and compared with ``np.array_equal``.
-The point sets include points that fail (a solve, a jet or a domain guard):
+``reparametrization``, the Leznov speeds and operator samples, the
+finite-difference jets of a stored grid and every residual operator are
+evaluated once over a batch of points and once per point, and compared with ``np.array_equal``.  The point sets include points
+that fail (a solve, a jet, a speed matrix or a domain guard):
 ``residuals.batched`` must skip exactly those, and the batch of the others
 must repeat their one-point bits.  The known ways of changing bits -- a
 right-hand side of several columns in ``np.linalg.solve``, ``(g * g).sum()`` or
@@ -16,7 +17,7 @@ formulas that risk them are also compared with the one-point forms of
 import numpy as np
 import pytest
 
-from batlab import construct, residuals
+from batlab import construct, hydro, leznov, residuals
 from batlab.construct import HodographSolver, ImplicitSolveConfig, LinearMap2
 from batlab.errors import EvaluationError
 from batlab.exprspec import parse
@@ -165,3 +166,41 @@ def test_hodograph_fields_covariance_and_two_field_residuals(f, g, low, high):
                     for a, b in ((0, 0), (0, 1), (1, 1))], -1)
     columns = np.stack([np.linalg.solve(jac, rhs[..., i:i + 1])[..., 0] for i in range(3)], -1)
     assert not np.array_equal(np.linalg.solve(jac, rhs), columns)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_leznov_fields_speeds_and_operator_samples(n):
+    rng = np.random.default_rng(_RNG_SEED)
+    if n == 2:
+        sys = leznov.LeznovSystem(n=2, Q=[parse("phi + 0.3*phi^3 - x1 - 0.5*x1*x2")],
+                                  P=[parse("xb1 + xb2^2 + 0.2*sin(xb2)")], cfg=_CFG(seed=0.3))
+        points = _box(rng, [-0.5] * 4, [0.5] * 4, 300)
+        singular = [0.3, -2.0, 0.1, 0.2]  # Q_x1 = -1 - 0.5 x2 vanishes
+    else:
+        sys = leznov.LeznovSystem(
+            n=3, Q=[parse("phi1 - x1 - 0.3*x2*x3 - 0.1*phi2^2"), parse("phi2 - x2 - 0.2*x1*x3")],
+            P=[parse("xb1 + 0.5*xb3 + 0.1*phi2"), parse("xb2*xb3 + 0.1*sin(xb1)")],
+            cfg=_CFG(seed=(0.2, 0.2), max_iter=80))
+        points = _box(rng, [-0.4, -0.4, 0.6, -0.4, -0.4, 0.6], [0.4, 0.4, 1.4, 0.4, 0.4, 1.4], 300)
+        singular = [0.1, -0.2, 0.06 ** -0.5, 0.2, 0.1, 0.9]  # det Q_x = 1 - 0.06 x3^2 vanishes
+    points[57] = singular
+    roots = [leznov.solve_constraints(sys, p) for p in points]
+    fields, failed = _compare(lambda p, phi: leznov.field_jets(sys, p, phi),
+                              points, residuals.stack(roots))
+    assert not failed.any()
+    # The one-point jets repeat the bits of one vector solve per right-hand side.
+    _same(fields, [tuple(oracles.leznov_field_jets(sys, p, phi)) for p, phi in zip(points, roots)])
+    speeds, failed = _compare(lambda p, f: leznov.speed_jets(sys, p, f), points, fields)
+    assert np.flatnonzero(failed).tolist() == [57]
+    fields = residuals.take(fields, ~failed)
+    for speeds_on_x in ("u", "v"):
+        _compare(lambda f, s: leznov.holomorphy_samples(sys, f, s, speeds_on_x), fields, speeds)
+        _compare(lambda s: leznov.zero_curvature_samples(sys, s, speeds_on_x), speeds)
+
+
+def test_grid_jets_and_transport_samples():
+    grid = hydro.integrate_characteristics(
+        parse("1.2 + 0.25*sin(x)"), parse("2.1 + 0.2*cos(x)"), hydro.CharGridSpec(nx=64, t_end=0.2))
+    m = grid.nt // 2
+    jet, _ = _compare(lambda i: hydro.fd_jet_at(grid.u, grid.dt, grid.h, m, i), np.arange(grid.nx))
+    _compare(lambda j, s: residuals.transport(j, [s], TransportPattern(0, (1,))), jet, -grid.v[m])

@@ -530,6 +530,18 @@ def test_check_of_another_arity_exits_2_before_solving(tmp_path, monkeypatch, ca
     assert "does not apply to" in capsys.readouterr().err
 
 
+def test_complex_bateman_on_a_larger_leznov_system_exits_2_before_solving(
+        tmp_path, monkeypatch, capsys):
+    data = _verify_scenario(
+        {"op": "leznov", "n": 3, "Q": ["phi1 - x1", "phi2 - x2"], "P": ["xb1", "xb2"],
+         "config": {"seed": [0.0, 0.0]}},
+        [-1] * 6, [1] * 6, "constraint_gap")
+    data["cases"][0]["checks"].append({"equation": "complex_bateman", "tolerance": 1e-9})
+    _forbid_work(monkeypatch)
+    assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
+    assert "complex_bateman check needs n = 2" in capsys.readouterr().err
+
+
 def test_reparametrization_target_defaults_to_the_fields_equation(tmp_path):
     data = _with(_COMPLETE["implicit_3d"](), ("checks",),
                  [{"equation": "reparametrization", "tolerance": 1e-9}])

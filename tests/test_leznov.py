@@ -5,19 +5,19 @@ import pytest
 
 from scipy.optimize import brentq
 
-from batlab import leznov, residuals
+from batlab import jets, residuals
 from batlab.construct import ImplicitSolveConfig
-from batlab.errors import NewtonConvergenceError, SingularMatrixError
+from batlab.errors import EvaluationError, NewtonConvergenceError, SingularMatrixError
 from batlab.exprspec import eval_jet, parse
 from batlab.leznov import (
     LeznovSystem,
     apply_D,
     constraint_gap,
-    holomorphy_reports,
+    field_jets,
+    holomorphy_samples,
     solve_constraints,
-    solve_points,
     speed_jets,
-    verify_zero_curvature,
+    zero_curvature_samples,
 )
 
 
@@ -52,13 +52,49 @@ def _points_n3(count, rng):
     return [rng.uniform(lo, hi) for _ in range(count)]
 
 
+def _fields(sys, point):
+    """The field jets at one point, from its solve."""
+    point = np.asarray(point, dtype=float)
+    return field_jets(sys, point, solve_constraints(sys, point))
+
+
+def _speeds(sys, point):
+    """The speeds (u, v) at one point, from its field jets."""
+    point = np.asarray(point, dtype=float)
+    return speed_jets(sys, point, _fields(sys, point))
+
+
+def _solved_batch(sys, points):
+    """(fields, speeds) over the points whose solve, field jets and speeds
+    succeed, as one batch, and how many points failed."""
+    points = np.asarray(points, dtype=float)
+    roots = [residuals.attempt(solve_constraints, sys, p) for p in points]
+    ok = [i for i, r in enumerate(roots) if not isinstance(r, EvaluationError)]
+
+    def jets_and_speeds(p, phi):
+        fields = field_jets(sys, p, phi)
+        return fields, speed_jets(sys, p, fields)
+
+    errors, batch = residuals.batched(jets_and_speeds, points[ok],
+                                      np.array([roots[i] for i in ok]))
+    return batch, len(points) - len(ok) + sum(err is not None for err in errors)
+
+
+def _holomorphy_reports(sys, points, speeds_on_x):
+    (fields, speeds), skipped = _solved_batch(sys, points)
+    d, dbar = holomorphy_samples(sys, fields, speeds, speeds_on_x)
+    return (residuals.grid_report("d_phi", [residuals.by_point(d)], skipped),
+            residuals.grid_report("dbar_phi", [residuals.by_point(dbar)], skipped))
+
+
 def test_linear_constraint_closed_form():
     # Q = phi - x1, P = xb1: phi = x1 + xb1 with unit first derivatives.
     sys = LeznovSystem(n=2, Q=[parse("phi - x1")], P=[parse("xb1")],
                        cfg=ImplicitSolveConfig(seed=0.0))
-    sol = solve_constraints(sys, [0.7, 0.2, -0.4, 0.9])
-    assert sol.phi[0] == pytest.approx(0.3, abs=1e-12)
-    j = sol.field_jets[0]
+    point = np.array([0.7, 0.2, -0.4, 0.9])
+    phi = solve_constraints(sys, point)
+    assert phi[0] == pytest.approx(0.3, abs=1e-12)
+    (j,) = field_jets(sys, point, phi)
     assert j.grad[0] == pytest.approx(1.0, abs=1e-12)  # phi_x1
     assert j.grad[2] == pytest.approx(1.0, abs=1e-12)  # phi_xb1
     assert j.grad[1] == pytest.approx(0.0, abs=1e-12)
@@ -90,7 +126,7 @@ def test_n3_newton_matches_decoupled_scalar_oracle():
     rng = np.random.default_rng(0)
     for _ in range(10):
         z = rng.uniform(-0.5, 0.5, size=6)
-        sol = solve_constraints(sys, z)
+        phi = solve_constraints(sys, z)
 
         # Component 1: phi1 + 0.2 phi1^3 = x1 + x2 + xb1 + 0.3 xb2.
         target = z[0] + z[1] + z[3] + 0.3 * z[4]
@@ -98,11 +134,11 @@ def test_n3_newton_matches_decoupled_scalar_oracle():
         for _ in range(60):
             f = w + 0.2 * w**3 - target
             w -= f / (1 + 0.6 * w**2)
-        assert sol.phi[0] == pytest.approx(w, abs=1e-11)
+        assert phi[0] == pytest.approx(w, abs=1e-11)
         # Component 2: phi2 = 0.5 x3 + xb3^2.
-        assert sol.phi[1] == pytest.approx(0.5 * z[2] + z[5] ** 2, abs=1e-11)
+        assert phi[1] == pytest.approx(0.5 * z[2] + z[5] ** 2, abs=1e-11)
 
-        gap = constraint_gap(sys, sol)
+        gap = constraint_gap(sys, z, phi)
         assert gap <= 1e-12
 
 
@@ -110,14 +146,14 @@ def test_n2_constraint_gap_and_derivative_formula():
     sys = _sys_n2()
     rng = np.random.default_rng(1)
     for z in _points_n2(10, rng):
-        sol = solve_constraints(sys, z)
-        assert constraint_gap(sys, sol) <= 1e-12
+        root = solve_constraints(sys, z)
+        assert constraint_gap(sys, z, root) <= 1e-12
         # First derivatives match the implicit formula directly.
-        phi = sol.phi[0]
+        phi = root[0]
         x1, x2 = z[0], z[1]
         d = -(1 + 0.9 * phi**2)  # P_phi - Q_phi
         q_x1 = -1 - 0.5 * x2
-        j = sol.field_jets[0]
+        (j,) = field_jets(sys, z, root)
         assert j.grad[0] == pytest.approx(q_x1 / d, rel=1e-10)
 
 
@@ -125,7 +161,7 @@ def test_speed_hand_value():
     # Q = phi - 2 x1 - x2 gives v = -(Q_x1)^{-1} Q_x2 = -1/2.
     sys = LeznovSystem(n=2, Q=[parse("phi - 2*x1 - x2")], P=[parse("xb1 + xb2")],
                        cfg=ImplicitSolveConfig(seed=0.0))
-    u, v = speed_jets(sys, solve_constraints(sys, [0.3, -0.2, 0.5, 0.1]))
+    u, v = _speeds(sys, [0.3, -0.2, 0.5, 0.1])
     assert v[0].value == pytest.approx(-0.5, abs=1e-12)
     assert u[0].value == pytest.approx(-1.0, abs=1e-12)
 
@@ -134,14 +170,14 @@ def test_speed_singular_when_constraint_ignores_x_block():
     sys = LeznovSystem(n=2, Q=[parse("phi - x2")], P=[parse("xb1 + xb2")],
                        cfg=ImplicitSolveConfig(seed=0.0))
     with pytest.raises(SingularMatrixError):
-        speed_jets(sys, solve_constraints(sys, [0.1, 0.2, 0.3, 0.4]))
+        _speeds(sys, [0.1, 0.2, 0.3, 0.4])
 
 
 def test_fields_jets_match_finite_differences_n2():
     sys = _sys_n2()
 
     def h(p):
-        return solve_constraints(sys, p).field_jets[0]
+        return _fields(sys, p)[0]
 
     p0 = np.array([0.2, -0.1, 0.3, 0.15])
     j0 = h(p0)
@@ -162,7 +198,7 @@ def test_fields_jets_match_finite_differences_n3():
     p0 = np.array([0.1, -0.2, 1.0, 0.2, 0.1, 0.9])
     for j in (0, 1):
         def h(p):
-            return solve_constraints(sys, p).field_jets[j]
+            return _fields(sys, p)[j]
 
         j0 = h(p0)
         errs = []
@@ -185,13 +221,14 @@ def test_holomorphy_and_zero_curvature(make_sys, points):
     sys = make_sys()
     rng = np.random.default_rng(2)
     pts = points(25, rng)
-    solved = solve_points(sys, pts)
-    d_rep, dbar_rep = holomorphy_reports(sys, solved, speeds_on_x="v")
+    d_rep, dbar_rep = _holomorphy_reports(sys, pts, speeds_on_x="v")
     assert d_rep.skipped_singular <= 5
     assert d_rep.max_norm <= 1e-8
     assert dbar_rep.max_norm <= 1e-8
 
-    zc = verify_zero_curvature(sys, solved, speeds_on_x="v")
+    (_, speeds), skipped = _solved_batch(sys, pts)
+    zc = residuals.grid_report("zero_curvature", [residuals.by_point(
+        zero_curvature_samples(sys, speeds, speeds_on_x="v"))], skipped)
     assert zc.max_norm <= 1e-8
 
 
@@ -201,17 +238,16 @@ def test_binding_comparison_records_v_on_x():
     sys = _sys_n2()
     rng = np.random.default_rng(3)
     pts = _points_n2(15, rng)
-    solved = solve_points(sys, pts)
-    d_v, _ = holomorphy_reports(sys, solved, speeds_on_x="v")
-    d_u, _ = holomorphy_reports(sys, solved, speeds_on_x="u")
+    d_v, _ = _holomorphy_reports(sys, pts, speeds_on_x="v")
+    d_u, _ = _holomorphy_reports(sys, pts, speeds_on_x="u")
     assert d_v.max_norm <= 1e-8
     assert d_u.max_norm >= 1e-3
 
 
 def _composite(sys, expr, point):
     """Jet of the field W(phi; coordinates) over the 2n coordinates at a point."""
-    sol = solve_constraints(sys, point)
-    return eval_jet(expr, leznov._jet_args(sys, sol), k=2 * sys.n)
+    values = list(_fields(sys, point)) + jets.variables(point)
+    return eval_jet(expr, {name: values[s] for name, s in sys.slots.items()}, k=2 * sys.n)
 
 
 def test_functions_of_phi_and_xb_annihilated_by_D():
@@ -221,7 +257,7 @@ def test_functions_of_phi_and_xb_annihilated_by_D():
     samples = []
     for z in _points_n2(15, rng):
         jet = _composite(sys, w, z)
-        u, v = speed_jets(sys, solve_constraints(sys, z))
+        u, v = _speeds(sys, z)
         samples.append(apply_D(jet, [u[0].value], [v[0].value], 2, "D", "v"))
     rep = residuals.grid_report("leznov_dw", samples)
     assert rep.max_norm <= 1e-8
@@ -234,7 +270,7 @@ def test_constraint_directional_identities():
     rng = np.random.default_rng(5)
     q_samples, p_samples = [], []
     for z in _points_n2(15, rng):
-        u, v = speed_jets(sys, solve_constraints(sys, z))
+        u, v = _speeds(sys, z)
         q_comp, p_comp = (_composite(sys, c[0], z) for c in (sys.Q, sys.P))
         q_samples.append(apply_D(q_comp, [u[0].value], [v[0].value], 2, "D", "v"))
         p_samples.append(apply_D(p_comp, [u[0].value], [v[0].value], 2, "Dbar", "v"))
@@ -247,7 +283,7 @@ def test_n2_field_solves_complex_bateman():
     rng = np.random.default_rng(6)
     worst = 0.0
     for z in _points_n2(25, rng):
-        jet = solve_constraints(sys, z).field_jets[0]
+        (jet,) = _fields(sys, z)
         worst = max(worst, residuals.complex_bateman(jet).normalized)
     assert worst <= 1e-8
 
@@ -265,7 +301,7 @@ def test_antiholo_speed_spread_small():
     xbar = (0.2, 0.4)
 
     def u_jet(x1, x2):
-        return speed_jets(sys, solve_constraints(sys, np.array([x1, x2, *xbar])))[0][0]
+        return _speeds(sys, [x1, x2, *xbar])[0][0]
 
     # Trace points (x1, x2) along the level curve u = level with xb held at
     # xbar, and sample u_xb2 + u * u_xb1 there.

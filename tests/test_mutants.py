@@ -40,16 +40,15 @@ def _scaled(hess, a: int, b: int):
 
 
 def leznov_field_hessian(monkeypatch):
-    """Entry (0, 2) of every Leznov field Hessian scaled by 1.001."""
-    solve = leznov.solve_constraints
+    """Entry (0, 2) of every Leznov field Hessian from ``leznov.field_jets``,
+    at one point or over a batch, scaled by 1.001."""
+    field_jets = leznov.field_jets
 
-    def mutant(sys, point, seed=None):
-        sol = solve(sys, point, seed)
-        sol.field_jets = [jets.from_parts(j.value, j.grad, _scaled(j.hess, 0, 2))
-                          for j in sol.field_jets]
-        return sol
+    def mutant(sys, points, phi):
+        return tuple(jets.from_parts(j.value, j.grad, _scaled(j.hess, 0, 2))
+                     for j in field_jets(sys, points, phi))
 
-    monkeypatch.setattr(leznov, "solve_constraints", mutant)
+    monkeypatch.setattr(leznov, "field_jets", mutant)
 
 
 def hodograph_second_derivative(monkeypatch):
