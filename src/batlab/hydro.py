@@ -1,27 +1,25 @@
 """Characteristic integration of the first-order hydrodynamic systems.
 
-The two-field system
-
-    u_t = v u_x,   v_t = u v_x
-
-is integrated semi-Lagrangially: u is constant along dx/dt = -v and v along
-dx/dt = -u, so each level update locates foot points by a fixed-point
-iteration on the interpolated speed and pulls values back with monotone cubic
-(PCHIP) interpolation.  A predictor pass with frozen level-m speeds feeds a
-trapezoidal corrector, which keeps the scheme second order in time.
-
-The four-field system in two space dimensions
+The two-field system u_t = v u_x, v_t = u v_x carries u along dx/dt = -v and
+v along dx/dt = -u; its levels are interpolated by a monotone cubic.  The
+four-field system in two space dimensions
 
     w_{x1} + c1 w_{x2} + c2 w_{x3} = 0
 
 (with (c1, c2) = (v1, v2) for the u-fields and (u1, u2) for the v-fields;
 the speed attached to x2 is the first one, matching the derivation-order
-convention validated by the determinant tests) uses the same predictor-
-corrector with periodic bicubic spline interpolation.
+convention validated by the determinant tests) takes x1 as the level axis and
+periodic bicubic spline interpolation.
 
-Integration halts before characteristic crossing: non-monotone foot-point
-ordering or a CFL violation aborts with the partial grid attached to the
-exception.
+Both march through one semi-Lagrangian loop (``_march``): a time step with
+15% headroom under the initial CFL bound, a CFL recheck at every level, and a
+level update that locates foot points by one fixed-point solve
+(``_foot_points``) and pulls values back along them.  A predictor pass with
+frozen level-m speeds feeds a trapezoidal corrector, which keeps the scheme
+second order in time.  Each system supplies only its nodes, initial data,
+interpolant and step formulas.  Non-monotone foot points (a characteristic
+crossing) or a CFL violation abort with the levels computed so far attached
+to the exception as ``partial``; ``_write_grid`` dumps either grid as CSV.
 """
 
 from __future__ import annotations
@@ -29,16 +27,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import jets
-from .errors import (
-    CFLViolationError,
-    CharacteristicCrossingError,
-)
+from .errors import CFLViolationError, CharacteristicCrossingError
 from .exprspec import ExprSpec, eval_float
 
 TWO_PI = 2.0 * math.pi
@@ -91,6 +87,8 @@ class CharGridSpec:
             raise ValueError("t_end must be positive")
         if not 0 < self.cfl <= 0.9:
             raise ValueError("cfl must be in (0, 0.9]")
+        if not self.x1 > self.x0:
+            raise ValueError("x1 must be greater than x0")
         if self.bc not in ("periodic", "open"):
             raise ValueError("bc must be 'periodic' or 'open'")
 
@@ -191,22 +189,62 @@ class MonotoneCubic1D:
                 + self.h * (self.d[k] * h10 + self.d[kp] * h11))
 
 
-def _foot_points(x_nodes, step, h, level):
-    """Solve x* = step(x*) by fixed point from step(x_nodes) (at most 10 sweeps)."""
-    foot = step(x_nodes)
-    tol = 1e-12 * h
+def _foot_points(step, start, tol, level):
+    """Solve foot = step(foot) by fixed point from ``start`` (at most 10 sweeps).
+
+    A foot is a tuple of coordinate arrays, one per space axis, each shaped
+    like the nodes.  Feet that fail to increase strictly along their own axis
+    mean that characteristics crossed.
+    """
+    foot = start
     for _ in range(10):
         new = step(foot)
-        delta = np.abs(new - foot).max()
+        delta = max(np.abs(a - b).max() for a, b in zip(new, foot))
         foot = new
         if delta <= tol:
             break
     else:
         raise CharacteristicCrossingError(
             level, "foot-point fixed-point iteration did not converge")
-    if np.any(np.diff(foot) <= 0.0):
+    if any(np.any(np.diff(f, axis=k) <= 0.0) for k, f in enumerate(foot)):
         raise CharacteristicCrossingError(level)
     return foot
+
+
+def _march(init: dict, h: float, spec, advance, build):
+    """The level loop both systems share.
+
+    ``init`` maps each field to its level-0 array and ``h`` is the smallest
+    node spacing.  ``advance(level, dt, m)`` maps the fields at level m to
+    those at m + 1, and ``build(t_levels, dt, fields)`` wraps arrays into a
+    grid.  Every level rechecks the CFL bound; an abort attaches the grid of
+    the levels 0..m computed so far to the exception as ``partial``.
+    """
+    vmax = max(*(np.abs(f).max() for f in init.values()), 1e-12)
+    # 15% headroom so mild speed growth during the window does not trip the
+    # per-level CFL recheck; at least two steps so drift stencils fit.
+    dt0 = spec.cfl * h / (1.15 * vmax)
+    n_steps = max(2, math.ceil(spec.t_end / dt0))
+    dt = spec.t_end / n_steps
+    t_levels = dt * np.arange(n_steps + 1)
+    data = {}
+    for name, f in init.items():
+        data[name] = np.empty((n_steps + 1, *f.shape))
+        data[name][0] = f
+
+    for m in range(n_steps):
+        level = {n: a[m] for n, a in data.items()}
+        allowed = spec.cfl * h / max(*(np.abs(f).max() for f in level.values()), 1e-12)
+        try:
+            if dt > allowed * (1 + 1e-12):
+                raise CFLViolationError(m, dt, allowed)
+            for name, f in advance(level, dt, m).items():
+                data[name][m + 1] = f
+        except (CFLViolationError, CharacteristicCrossingError) as err:
+            err.partial = build(t_levels[:m + 1], dt,
+                                {n: a[:m + 1] for n, a in data.items()})
+            raise
+    return build(t_levels, dt, data)
 
 
 def integrate_characteristics(
@@ -219,63 +257,30 @@ def integrate_characteristics(
     else:
         x_nodes = np.linspace(spec.x0, spec.x1, spec.nx)
     h = float(x_nodes[1] - x_nodes[0])
+    init = {name: np.array([eval_float(s, {"x": float(x)}) for x in x_nodes])
+            for name, s in (("u", init_u), ("v", init_v))}
 
-    u0 = np.array([eval_float(init_u, {"x": float(x)}) for x in x_nodes])
-    v0 = np.array([eval_float(init_v, {"x": float(x)}) for x in x_nodes])
+    def advance(level, dt, m):
+        interp_u = MonotoneCubic1D(x_nodes, level["u"], spec.bc, spec.x0)
+        interp_v = MonotoneCubic1D(x_nodes, level["v"], spec.bc, spec.x0)
 
-    vmax = max(np.abs(u0).max(), np.abs(v0).max(), 1e-12)
-    # 15% headroom so mild speed growth during the window does not trip the
-    # per-level CFL recheck; at least two steps so drift stencils fit.
-    dt0 = spec.cfl * h / (1.15 * vmax)
-    n_steps = max(2, math.ceil(spec.t_end / dt0))
-    dt = spec.t_end / n_steps
+        def at_feet(interp, step):
+            return interp(*_foot_points(step, step((x_nodes,)), 1e-12 * h, m))
 
-    u = np.empty((n_steps + 1, spec.nx))
-    v = np.empty((n_steps + 1, spec.nx))
-    u[0], v[0] = u0, v0
-    t_levels = dt * np.arange(n_steps + 1)
-    grid = CharGrid(t_levels, x_nodes, u, v, h, dt, spec.cfl, spec.bc)
+        # u is carried along dx/dt = -v and v along dx/dt = -u, so a foot point
+        # of u solves x* = x_i + dt v(x*).  Predictor: frozen level-m speeds.
+        u_star = at_feet(interp_u, lambda f: (x_nodes + dt * interp_v(*f),))
+        v_star = at_feet(interp_v, lambda f: (x_nodes + dt * interp_u(*f),))
+        # Corrector: x* = x_i + dt/2 (v_m(x*) + v_{m+1}(x_i)), with the
+        # predicted level standing in for m+1.
+        half = 0.5 * dt
+        return {
+            "u": at_feet(interp_u, lambda f: (x_nodes + half * v_star + half * interp_v(*f),)),
+            "v": at_feet(interp_v, lambda f: (x_nodes + half * u_star + half * interp_u(*f),)),
+        }
 
-    for m in range(n_steps):
-        vmax_m = max(np.abs(u[m]).max(), np.abs(v[m]).max(), 1e-12)
-        if dt > spec.cfl * h / vmax_m * (1 + 1e-12):
-            err = CFLViolationError(m, dt, spec.cfl * h / vmax_m)
-            err.partial = _truncate(grid, m + 1)
-            raise err
-        try:
-            u[m + 1], v[m + 1] = _advance_level(
-                x_nodes, u[m], v[m], dt, h, spec.bc, spec.x0, m)
-        except CharacteristicCrossingError as err:
-            err.partial = _truncate(grid, m + 1)
-            raise
-    return grid
-
-
-def _truncate(grid: CharGrid, levels: int) -> CharGrid:
-    return CharGrid(grid.t_levels[:levels], grid.x_nodes, grid.u[:levels],
-                    grid.v[:levels], grid.h, grid.dt, grid.cfl, grid.bc)
-
-
-def _advance_level(x_nodes, u_m, v_m, dt, h, bc, x0, level):
-    interp_u = MonotoneCubic1D(x_nodes, u_m, bc, x0)
-    interp_v = MonotoneCubic1D(x_nodes, v_m, bc, x0)
-    # u is carried along dx/dt = -v and v along dx/dt = -u, so a foot point
-    # of u solves x* = x_i + dt v(x*).
-
-    # Predictor: frozen level-m speeds.
-    foot_u = _foot_points(x_nodes, lambda f: x_nodes + dt * interp_v(f), h, level)
-    foot_v = _foot_points(x_nodes, lambda f: x_nodes + dt * interp_u(f), h, level)
-    u_star = interp_u(foot_u)
-    v_star = interp_v(foot_v)
-
-    # Corrector: x* = x_i + dt/2 (v_m(x*) + v_{m+1}(x_i)), with the predicted
-    # level standing in for m+1.
-    half = 0.5 * dt
-    foot_u = _foot_points(x_nodes, lambda f: x_nodes + half * v_star + half * interp_v(f),
-                          h, level)
-    foot_v = _foot_points(x_nodes, lambda f: x_nodes + half * u_star + half * interp_u(f),
-                          h, level)
-    return interp_u(foot_u), interp_v(foot_v)
+    return _march(init, h, spec, advance, lambda t, dt, f: CharGrid(
+        t, x_nodes, f["u"], f["v"], h, dt, spec.cfl, spec.bc))
 
 
 # -- conservation hierarchy ---------------------------------------------------------
@@ -357,6 +362,8 @@ class MultiGridSpec:
             raise ValueError("need at least 8 nodes per axis")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
+        if not 0 < self.cfl <= 0.9:
+            raise ValueError("cfl must be in (0, 0.9]")
 
 
 @dataclass
@@ -401,94 +408,44 @@ def integrate_multifield(
     ``freeze`` lists fields whose values stay at their initial data (used by
     the frozen-speed transport oracle in the tests).
     """
-    names = MULTI_FIELDS
-    check_initial_data(init, names, ("x2", "x3"))
+    check_initial_data(init, MULTI_FIELDS, ("x2", "x3"))
     x2 = TWO_PI * np.arange(spec.n2) / spec.n2
     x3 = TWO_PI * np.arange(spec.n3) / spec.n3
     h2 = float(x2[1] - x2[0])
     h3 = float(x3[1] - x3[0])
     X2, X3 = np.meshgrid(x2, x3, indexing="ij")
-
-    f0 = {}
-    for name in names:
-        s = init[name]
-        f0[name] = np.array([
-            [eval_float(s, {"x2": float(a), "x3": float(b)}) for a, b in zip(r2, r3)]
-            for r2, r3 in zip(X2, X3)
-        ])
-
-    vmax = max(np.abs(f0[n]).max() for n in names)
-    dt0 = spec.cfl * min(h2, h3) / (1.15 * max(vmax, 1e-12))
-    n_steps = max(2, math.ceil(spec.t_end / dt0))
-    dt = spec.t_end / n_steps
-
-    data = {n: np.empty((n_steps + 1, spec.n2, spec.n3)) for n in names}
-    for n in names:
-        data[n][0] = f0[n]
-    grid = MultiCharGrid(dt * np.arange(n_steps + 1), x2, x3, data, h2, h3, dt, spec.cfl)
-
+    f0 = {name: np.array([
+        [eval_float(init[name], {"x2": float(a), "x3": float(b)}) for a, b in zip(r2, r3)]
+        for r2, r3 in zip(X2, X3)]) for name in MULTI_FIELDS}
+    # Feet are in index units: node (i, k) sits at (i, k).
     idx2, idx3 = np.meshgrid(np.arange(spec.n2, dtype=float),
                              np.arange(spec.n3, dtype=float), indexing="ij")
-
-    for m in range(n_steps):
-        level = {n: data[n][m] for n in names}
-        vmax_m = max(np.abs(level[n]).max() for n in names)
-        if dt > spec.cfl * min(h2, h3) / max(vmax_m, 1e-12) * (1 + 1e-12):
-            err = CFLViolationError(m, dt, spec.cfl * min(h2, h3) / vmax_m)
-            err.partial = _truncate_multi(grid, m + 1)
-            raise err
-        try:
-            nxt = _advance_multi(level, dt, h2, h3, idx2, idx3, m)
-        except CharacteristicCrossingError as err:
-            err.partial = _truncate_multi(grid, m + 1)
-            raise
-        for n in names:
-            data[n][m + 1] = level[n] if n in freeze else nxt[n]
-    return grid
-
-
-def _truncate_multi(grid: MultiCharGrid, levels: int) -> MultiCharGrid:
-    return replace(grid, x1_levels=grid.x1_levels[:levels],
-                   fields={n: f[:levels] for n, f in grid.fields.items()})
-
-
-def _advance_multi(level, dt, h2, h3, idx2, idx3, m):
-    splines = {n: _PeriodicSpline2(level[n]) for n in level}
     # advecting speed pair -> the fields it carries
     carried = {("v1", "v2"): ("u1", "u2"), ("u1", "u2"): ("v1", "v2")}
 
-    def feet(step):
-        f2, f3 = idx2, idx3
-        for _ in range(10):
-            n2f, n3f = step(f2, f3)
-            delta = max(np.abs(n2f - f2).max(), np.abs(n3f - f3).max())
-            f2, f3 = n2f, n3f
-            if delta <= 1e-12:
-                break
-        else:
-            raise CharacteristicCrossingError(m, "2d foot-point iteration stalled")
-        if np.any(np.diff(f2, axis=0) <= 0.0) or np.any(np.diff(f3, axis=1) <= 0.0):
-            raise CharacteristicCrossingError(m)
-        return f2, f3
+    def advance(level, dt, m):
+        splines = {n: _PeriodicSpline2(f) for n, f in level.items()}
+        # Predictor with frozen speeds, then a corrector with trapezoidal
+        # speeds from the predicted level.
+        star = None
+        for _ in range(2):
+            new = {}
+            for (c2, c3), names in carried.items():
+                s2, s3 = splines[c2], splines[c3]
+                if star is None:
+                    step = lambda f: (idx2 - (dt / h2) * s2(*f), idx3 - (dt / h3) * s3(*f))
+                else:
+                    p2, p3 = star[c2], star[c3]
+                    step = lambda f: (idx2 - 0.5 * (dt / h2) * (s2(*f) + p2),
+                                      idx3 - 0.5 * (dt / h3) * (s3(*f) + p3))
+                foot = _foot_points(step, (idx2, idx3), 1e-12, m)
+                for name in names:
+                    new[name] = splines[name](*foot)
+            star = new
+        return {n: level[n] if n in freeze else star[n] for n in MULTI_FIELDS}
 
-    # Predictor with frozen speeds, then a corrector with trapezoidal speeds
-    # from the predicted level.
-    star = None
-    for _ in range(2):
-        new = {}
-        for (c2, c3), names in carried.items():
-            s2, s3 = splines[c2], splines[c3]
-            if star is None:
-                step = lambda a, b: (idx2 - (dt / h2) * s2(a, b), idx3 - (dt / h3) * s3(a, b))
-            else:
-                p2, p3 = star[c2], star[c3]
-                step = lambda a, b: (idx2 - 0.5 * (dt / h2) * (s2(a, b) + p2),
-                                     idx3 - 0.5 * (dt / h3) * (s3(a, b) + p3))
-            f2, f3 = feet(step)
-            for name in names:
-                new[name] = splines[name](f2, f3)
-        star = new
-    return star
+    return _march(f0, min(h2, h3), spec, advance, lambda t, dt, f: MultiCharGrid(
+        t, x2, x3, f, h2, h3, dt, spec.cfl))
 
 
 def fd_derivatives_multi(F: np.ndarray, dt: float, h2: float, h3: float):
@@ -523,45 +480,39 @@ def fd_derivatives_multi(F: np.ndarray, dt: float, h2: float, h3: float):
 # -- persistence -----------------------------------------------------------------------
 
 
-def dump_char_grid(grid: CharGrid, csv_path) -> None:
-    """CSV dump (one row per node) plus a JSON sidecar with the metadata."""
+def _write_grid(csv_path, axes: tuple, levels: np.ndarray, nodes: list, fields: dict,
+                meta: dict) -> None:
+    """Write a grid as CSV, one row per level and node, plus a JSON sidecar.
+
+    ``nodes`` holds one coordinate array per space axis, shaped like each
+    level of the ``fields`` arrays.  Rows stream from the arrays one at a
+    time, so no level is copied into Python objects at once.
+    """
     csv_path = Path(csv_path)
     with csv_path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["level", "t", "x", "u", "v"])
-        for m in range(grid.nt):
-            t = grid.t_levels[m]
-            for i in range(grid.nx):
-                w.writerow([m, repr(float(t)), repr(float(grid.x_nodes[i])),
-                            repr(float(grid.u[m, i])), repr(float(grid.v[m, i]))])
-    meta = {
-        "h": grid.h, "dt": grid.dt, "cfl": grid.cfl, "bc": grid.bc,
-        "scheme": "semi-lagrangian-predictor-corrector",
-        "levels": grid.nt, "nodes": grid.nx,
-    }
+        w.writerow(["level", *axes, *fields])
+        for m, t in enumerate(levels.tolist()):
+            w.writerows(zip(repeat(m), repeat(repr(t)),
+                            *(map(repr, map(float, a.flat)) for a in nodes),
+                            *(map(repr, map(float, f[m].flat)) for f in fields.values())))
+    meta = {**meta, "scheme": "semi-lagrangian-predictor-corrector", "levels": len(levels)}
     csv_path.with_suffix(".meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n")
+
+
+def dump_char_grid(grid: CharGrid, csv_path) -> None:
+    """CSV dump (one row per node) plus a JSON sidecar with the metadata."""
+    _write_grid(csv_path, ("t", "x"), grid.t_levels, [grid.x_nodes],
+                {"u": grid.u, "v": grid.v},
+                {"h": grid.h, "dt": grid.dt, "cfl": grid.cfl, "bc": grid.bc,
+                 "nodes": grid.nx})
 
 
 def dump_multi_grid(grid: MultiCharGrid, csv_path) -> None:
-    csv_path = Path(csv_path)
-    names = MULTI_FIELDS
-    with csv_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["level", "x1", "x2", "x3", *names])
-        for m in range(grid.nt):
-            x1 = float(grid.x1_levels[m])
-            for i in range(len(grid.x2_nodes)):
-                for k in range(len(grid.x3_nodes)):
-                    w.writerow([
-                        m, repr(x1), repr(float(grid.x2_nodes[i])),
-                        repr(float(grid.x3_nodes[k])),
-                        *(repr(float(grid.fields[n][m, i, k])) for n in names),
-                    ])
-    meta = {
-        "h2": grid.h2, "h3": grid.h3, "dt": grid.dt, "cfl": grid.cfl,
-        "scheme": "semi-lagrangian-predictor-corrector",
-        "levels": grid.nt, "n2": len(grid.x2_nodes), "n3": len(grid.x3_nodes),
-    }
-    csv_path.with_suffix(".meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    """CSV dump (one row per (x2, x3) node) plus a JSON sidecar with the metadata."""
+    _write_grid(csv_path, ("x1", "x2", "x3"), grid.x1_levels,
+                np.meshgrid(grid.x2_nodes, grid.x3_nodes, indexing="ij"),
+                {n: grid.fields[n] for n in MULTI_FIELDS},
+                {"h2": grid.h2, "h3": grid.h3, "dt": grid.dt, "cfl": grid.cfl,
+                 "n2": len(grid.x2_nodes), "n3": len(grid.x3_nodes)})

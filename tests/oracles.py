@@ -18,7 +18,7 @@ import numpy as np
 from batlab import exprspec, jets
 from batlab.errors import JetDomainError
 from batlab.exprspec import Bin, Call, ExprSpec, Neg, Node, Num, Var
-from batlab.hydro import CharGrid
+from batlab.hydro import MULTI_FIELDS, CharGrid, MultiCharGrid
 from batlab.jets import Jet2
 from batlab.residuals import ResidualSample
 
@@ -416,3 +416,30 @@ def load_char_grid(csv_path) -> CharGrid:
             v[m, i] = float(row[4])
     return CharGrid(t_levels, x_nodes, u, v, meta["h"], meta["dt"], meta["cfl"],
                     meta["bc"])
+
+
+def load_multi_grid(csv_path) -> MultiCharGrid:
+    """Read back a grid written by ``hydro.dump_multi_grid`` (CSV plus its
+    ``.meta.json`` sidecar)."""
+    csv_path = Path(csv_path)
+    meta = json.loads(csv_path.with_suffix(".meta.json").read_text())
+    nt, n2, n3 = meta["levels"], meta["n2"], meta["n3"]
+    fields = {name: np.empty((nt, n2, n3)) for name in MULTI_FIELDS}
+    x1_levels = np.empty(nt)
+    x2_nodes = np.empty(n2)
+    x3_nodes = np.empty(n3)
+    with csv_path.open() as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["level", "x1", "x2", "x3", *MULTI_FIELDS]
+        for idx, row in enumerate(reader):
+            m, rest = divmod(idx, n2 * n3)
+            i, k = divmod(rest, n3)
+            assert int(row[0]) == m
+            x1_levels[m] = float(row[1])
+            x2_nodes[i] = float(row[2])
+            x3_nodes[k] = float(row[3])
+            for name, value in zip(MULTI_FIELDS, row[4:]):
+                fields[name][m, i, k] = float(value)
+    assert idx == nt * n2 * n3 - 1
+    return MultiCharGrid(x1_levels, x2_nodes, x3_nodes, fields, meta["h2"], meta["h3"],
+                         meta["dt"], meta["cfl"])

@@ -126,6 +126,22 @@ def test_simulate_crossing_exits_4_with_partial_dump(tmp_path):
     assert (tmp_path / "o" / "steep.partial.csv").exists()
 
 
+def test_simulate_cfl_violation_exits_4_with_the_computed_levels(tmp_path):
+    """Speeds that grow past the CFL bound abort at level 11; the partial dump
+    holds exactly the levels 0..11."""
+    data = _with(_COMPLETE["two_field"](), ("init",), {"u": "x", "v": "x"})
+    data = _with(data, ("grid",), {"t_end": 1.0, "x0": 0.0, "x1": 1.0, "bc": "open"})
+    data = _with(data, ("resolutions",), [32])
+    assert _main_exit(tmp_path, data) == cli.EXIT_ABORT
+    report = json.loads((tmp_path / "o" / "m.report.json").read_text())
+    assert report["reports"][-1]["equation"] == "aborted[level=11]"
+    lines = (tmp_path / "o" / "m.partial.csv").read_text().splitlines()
+    assert len(lines) == 1 + 12 * 32
+    assert lines[-1].startswith("11,")
+    meta = json.loads((tmp_path / "o" / "m.partial.meta.json").read_text())
+    assert (meta["levels"], meta["nodes"]) == (12, 32)
+
+
 def test_verify_determinism(tmp_path):
     path = _write(tmp_path, "s.json", _tiny_verify_scenario())
     cli.main(["verify", path, "--out", str(tmp_path / "a"), "--seed", "99"])
@@ -700,6 +716,12 @@ def test_unknown_variation_system_or_check_exits_2_before_solving(
     ("multifield", ("init",), {"u1": "0.4", "u2": "-0.3", "v1": "0.9"}),
     ("variational", ("source", "f"), "v^2"),
     ("variational", ("source", "g"), "v^2 + u"),
+    # Grids the marcher cannot step: no cell width, or a CFL number outside (0, 0.9].
+    ("two_field", ("grid", "x1"), 0.0),
+    ("two_field", ("grid", "x1"), -1.0),
+    ("multifield", ("grid", "cfl"), 0),
+    ("multifield", ("grid", "cfl"), -0.5),
+    ("multifield", ("grid", "cfl"), 5),
 ])
 def test_input_error_caught_by_the_library_exits_2_before_solving(
         tmp_path, monkeypatch, capsys, scenario, path, value):

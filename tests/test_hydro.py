@@ -7,18 +7,19 @@ import pytest
 
 from batlab import construct, hydro, residuals
 from batlab.construct import ImplicitSolveConfig
-from batlab.errors import CharacteristicCrossingError
+from batlab.errors import CFLViolationError, CharacteristicCrossingError
 from batlab.exprspec import parse
 from batlab.hydro import (
     CharGridSpec,
     MultiGridSpec,
     conservation_drift,
     dump_char_grid,
+    dump_multi_grid,
     integrate_characteristics,
     integrate_multifield,
 )
 from batlab.residuals import TransportPattern
-from oracles import load_char_grid, sn_polynomial
+from oracles import load_char_grid, load_multi_grid, sn_polynomial
 
 
 def test_sn_base_and_recurrence():
@@ -199,16 +200,6 @@ def test_hodograph_regression():
     assert w2 <= 5 * h2**2
 
 
-def test_crossing_detection_with_partial_grid():
-    with pytest.raises(CharacteristicCrossingError) as err:
-        integrate_characteristics(parse("1.5 + 0.3*sin(x)"), parse("1.5 + 0.3*sin(x)"),
-                                  CharGridSpec(nx=96, t_end=4.0))
-    assert err.value.level > 10
-    partial = err.value.partial
-    assert partial.nt >= err.value.level
-    assert np.isfinite(partial.u).all()
-
-
 def test_csv_roundtrip(tmp_path):
     grid = _general_grid(64, t_end=0.05)
     path = tmp_path / "grid.csv"
@@ -307,13 +298,49 @@ def test_multifield_determinant_second_order():
     assert w2 <= k1 * 2.0 * h2**2
 
 
-def test_multifield_abort_keeps_only_computed_levels():
+def test_multi_csv_roundtrip(tmp_path):
+    grid = integrate_multifield(_multi_init(), MultiGridSpec(n2=12, n3=10, t_end=0.05))
+    path = tmp_path / "grid.csv"
+    dump_multi_grid(grid, path)
+    loaded = load_multi_grid(path)
+    assert list(loaded.fields) == list(hydro.MULTI_FIELDS)
+    for name, field in grid.fields.items():
+        np.testing.assert_array_equal(loaded.fields[name], field)
+    np.testing.assert_array_equal(loaded.x1_levels, grid.x1_levels)
+    np.testing.assert_array_equal(loaded.x2_nodes, grid.x2_nodes)
+    np.testing.assert_array_equal(loaded.x3_nodes, grid.x3_nodes)
+    assert (loaded.h2, loaded.h3, loaded.dt, loaded.cfl) == (grid.h2, grid.h3, grid.dt, grid.cfl)
+
+
+# -- aborts ----------------------------------------------------------------------------
+
+
+def _two_field_run(u, v, **grid):
+    return lambda: integrate_characteristics(parse(u), parse(v), CharGridSpec(**grid))
+
+
+def _multifield_crossing():
     init = {"u1": parse("3*sin(x2)"), "v1": parse("-3*sin(x2)"),
             "u2": parse("0.2"), "v2": parse("0.1")}
-    with pytest.raises(CharacteristicCrossingError) as err:
-        integrate_multifield(init, MultiGridSpec(n2=16, n3=16, t_end=20.0))
+    return integrate_multifield(init, MultiGridSpec(n2=16, n3=16, t_end=20.0))
+
+
+@pytest.mark.parametrize("run,error,level", [
+    (_two_field_run("1.5 + 0.3*sin(x)", "1.5 + 0.3*sin(x)", nx=96, t_end=4.0),
+     CharacteristicCrossingError, 226),
+    (_two_field_run("x", "x", nx=32, t_end=1.0, x0=0.0, x1=1.0, bc="open"),
+     CFLViolationError, 11),
+    (_multifield_crossing, CharacteristicCrossingError, 0),
+], ids=["two_field_crossing", "two_field_cfl", "multifield_crossing"])
+def test_abort_keeps_only_computed_levels(run, error, level):
+    """An abort at level m carries the grid of levels 0..m, all finite."""
+    with pytest.raises(error) as err:
+        run()
+    assert err.value.level == level
     partial = err.value.partial
     assert partial.nt == err.value.level + 1
-    for field in partial.fields.values():
+    fields = (partial.fields.values() if isinstance(partial, hydro.MultiCharGrid)
+              else (partial.u, partial.v))
+    for field in fields:
         assert field.shape[0] == partial.nt
         assert np.isfinite(field).all()
