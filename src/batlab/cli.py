@@ -127,10 +127,13 @@ def _object(d: dict, key: str, required: bool = True) -> dict:
 
 
 def _list(d: dict, key: str, default=None, of: str = "expression strings") -> list:
-    """List-valued field ``key`` of ``d``; required when there is no ``default``."""
+    """Non-empty list-valued field ``key`` of ``d``; required when there is no
+    ``default``."""
     value = _field_or(d, key, default, required=default is None)
     if not isinstance(value, list):
         raise ScenarioError(f"{key}: expected a JSON list of {of}, got {value!r}")
+    if not value:
+        raise ScenarioError(f"{key}: expected a non-empty JSON list of {of}, got []")
     return value
 
 
@@ -608,7 +611,7 @@ def _run_simulate_case(case: dict, rng: np.random.Generator, out_dir: Path,
     read = _lookup(_SYSTEMS, system, f"unknown system {system!r}")
     label = _file_name(case.get("label", system), "label")
     checks = _list(case, "checks", of="JSON objects")
-    resolutions = _numbers(_field_or(case, "resolutions", required=True), "resolutions", int)
+    resolutions = _resolutions(case, 1)
     grid_block = _object(case, "grid")
     min_ratio = _number(case.get("halving_ratio", 0.0), "halving_ratio")
     equations = [_field_or(check, "equation", required=True) for check in checks]
@@ -632,6 +635,15 @@ def _run_simulate_case(case: dict, rng: np.random.Generator, out_dir: Path,
                 entries.append(entry)
                 measured[res][key] = entry["max_norm"]
     return entries + _halving(label, resolutions, measured, min_ratio)
+
+
+def _resolutions(case: dict, least: int) -> list[int]:
+    """A grid case's non-empty list of resolutions, each at least ``least``."""
+    resolutions = _numbers(_field_or(case, "resolutions", required=True), "resolutions", int)
+    if min(resolutions, default=0) < least:
+        raise ScenarioError(f"resolutions: expected a non-empty list of integers of at least "
+                            f"{least}, got {resolutions!r}")
+    return resolutions
 
 
 def _dump_grid(grid, csv_path: Path) -> None:
@@ -665,8 +677,9 @@ def _multifield(case: dict, grid_block: dict, resolutions: list):
 def _conservation(check: dict):
     coeff = _number(check.get("tolerance_h2_coeff", 5.0), "tolerance_h2_coeff")
     n_values = _numbers(check.get("n_values", [1, 2, 3, 4, 5]), "n_values", int)
-    if min(n_values, default=1) < 1:
-        raise ScenarioError(f"n_values: expected integers of at least 1, got {n_values!r}")
+    if min(n_values, default=0) < 1:
+        raise ScenarioError(f"n_values: expected a non-empty list of integers of at least 1, "
+                            f"got {n_values!r}")
 
     def run(grid, where: str) -> list[tuple[str, dict]]:
         tol = coeff * grid.h**2
@@ -755,10 +768,7 @@ def _run_variational_case(case: dict, rng: np.random.Generator) -> list[dict]:
                           length=2)
     coeff = _number(case.get("tolerance_h2_coeff", 5.0), "tolerance_h2_coeff")
     min_ratio = _number(case.get("halving_ratio", 0.0), "halving_ratio")
-    resolutions = _numbers(_field_or(case, "resolutions", required=True), "resolutions", int)
-    if min(resolutions, default=5) < 5:
-        raise ScenarioError(f"resolutions: expected at least 5 nodes per axis, "
-                            f"got {resolutions!r}")
+    resolutions = _resolutions(case, 5)
     psis = [(w, _parse_expr(w, "psi")) for w in _list(case, "psi", ["s"])]
     if any(len(psi.vars) > 1 for _, psi in psis):
         raise ScenarioError("psi: expected expressions of one variable")
@@ -872,6 +882,8 @@ def _fd_probe(spec, names, point, h):
 
 def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
     count = _number(case.get("expressions", 500), "expressions", int)
+    if count < 1:
+        raise ScenarioError(f"expressions: expected an integer of at least 1, got {count!r}")
     steps = _numbers(case.get("steps", [1e-3, 5e-4]), "steps", length=2)
     if min(steps) <= 0:
         raise ScenarioError(f"steps: expected two positive numbers, got {steps!r}")
@@ -1040,11 +1052,12 @@ def run_suite(out_dir: Path, seed: int, jobs: int = 1) -> int:
     """Run every bundled scenario and print one row each; a scenario that
     cannot run gets a row with its exit code and the others still run."""
     tasks = [(p.name, p.read_text(), str(out_dir), seed) for p in bundled_scenarios()]
-    if jobs > 1:
+    workers = min(jobs, len(tasks))  # the pool starts all its workers at once
+    if workers > 1:
         # imported here: a serial run does not need it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_bundled, tasks))
     else:
         results = [_run_bundled(t) for t in tasks]
@@ -1090,6 +1103,8 @@ def main(argv=None) -> int:
     sub.add_parser("suite", parents=[common], help="run all bundled scenarios")
 
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs: expected an integer of at least 1, got {args.jobs}")
     out_dir = Path(args.out)
 
     if args.command == "suite":

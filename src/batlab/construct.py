@@ -10,7 +10,8 @@ point of the batch the bits of its own one-point jet:
 
 * the scalar families (:func:`solve_implicit_fg`, :func:`holo_sum`,
   :func:`implicit_3d`) return a :class:`FieldHandle`, whose ``solve`` finds a
-  point's root and whose ``jets`` differentiate at solved points;
+  point's root and whose ``jets`` differentiate at solved points, the
+  implicit ones through one implicit-function jet, :func:`_implicit_jet`;
 * the hodograph pair is solved by :class:`HodographSolver`, whose
   :meth:`~HodographSolver.fields` returns both fields ``(phi, phibar)`` at
   solved parameters ``(u, v)``.
@@ -47,7 +48,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .exprspec import Bin, ExprSpec, Var, eval_float, eval_jet, float_fn, partial
-from .residuals import ResidualSample, _any, _dot, _from_terms
+from .residuals import ResidualSample, _any, _dot, _from_terms, _solve
 
 _DEGENERATE_REL = 1e-10
 
@@ -235,6 +236,21 @@ def _require_vars(spec: ExprSpec, allowed: set[str], what: str) -> None:
         raise ValueError(f"{what} may only use variables {sorted(allowed)}, got {sorted(extra)}")
 
 
+def _implicit_jet(phi, w_p, scale, w_a, w_pa, w_pp, w_ab=None) -> jets.Jet2:
+    """The jet of phi defined by W(phi; z) = 0, at one root or over a batch,
+    by the implicit-function theorem: from dW/dphi, dW/dz_a, d2W/dphi dz_a,
+    d2W/dphi2 and d2W/dz_a dz_b at the root (``w_ab`` None where it vanishes:
+    adding zeros can turn a -0.0 into 0.0).  A root where |dW/dphi| <= 1e-10
+    ``scale`` raises :class:`DegenerateRootError`."""
+    if _any(abs(w_p) <= _DEGENERATE_REL * scale):
+        raise DegenerateRootError(f"dW/dphi = {w_p!r} below threshold")
+    grad = -w_a / w_p[..., None]
+    hess = _outer(w_pa, grad) if w_ab is None else w_ab + _outer(w_pa, grad)
+    hess = -(hess + _outer(grad, w_pa)
+             + w_pp[..., None, None] * _outer(grad, grad)) / w_p[..., None, None]
+    return jets.from_parts(phi, grad, hess)
+
+
 # -- implicit solution of the four-variable equation -------------------------------
 
 
@@ -272,38 +288,23 @@ def solve_implicit_fg(F: ExprSpec, G: ExprSpec, cfg: ImplicitSolveConfig) -> Fie
         return _newton_scalar(w, dw, cfg, seed)
 
     def field_jets(points: np.ndarray, phi) -> jets.Jet2:
-        # Full second-order data of F in (phi, x1, x2) and G in (phi, xb1, xb2).
+        # Full second-order data of F in (phi, x1, x2) and G in (phi, xb1, xb2),
+        # the two blocks of W = F - G over (phi, x1, x2, xb1, xb2).
         fj = eval_jet(F, dict(zip(f_names, jets.variables(
             [phi, points[..., 0], points[..., 1]]))), k=3)
         gj = eval_jet(G, dict(zip(g_names, jets.variables(
             [phi, points[..., 2], points[..., 3]]))), k=3)
-        return _implicit_jet_from_split(phi, fj, gj)
+        w_ab = np.zeros(points.shape[:-1] + (4, 4))
+        w_ab[..., :2, :2] = fj.hess[..., 1:, 1:]
+        w_ab[..., 2:, 2:] = -gj.hess[..., 1:, 1:]
+        return _implicit_jet(
+            phi, fj.grad[..., 0] - gj.grad[..., 0],
+            np.maximum(np.maximum(1.0, abs(fj.grad[..., 0])), abs(gj.grad[..., 0])),
+            np.concatenate([fj.grad[..., 1:], -gj.grad[..., 1:]], axis=-1),
+            np.concatenate([fj.hess[..., 0, 1:], -gj.hess[..., 0, 1:]], axis=-1),
+            fj.hess[..., 0, 0] - gj.hess[..., 0, 0], w_ab)
 
     return FieldHandle(solve, field_jets)
-
-
-def _implicit_jet_from_split(phi, fj: jets.Jet2, gj: jets.Jet2) -> jets.Jet2:
-    """Assemble the arity-4 jet of phi from second-order data of F and G, at
-    one point or over a batch.
-
-    ``fj`` is F over (phi, x1, x2); ``gj`` is G over (phi, xb1, xb2).
-    """
-    d = fj.grad[..., 0] - gj.grad[..., 0]  # dW/dphi
-    scale = np.maximum(np.maximum(1.0, abs(fj.grad[..., 0])), abs(gj.grad[..., 0]))
-    if _any(abs(d) <= _DEGENERATE_REL * scale):
-        raise DegenerateRootError(f"dW/dphi = {d!r} below threshold")
-
-    w_a = np.concatenate([fj.grad[..., 1:], -gj.grad[..., 1:]], axis=-1)
-    w_pa = np.concatenate([fj.hess[..., 0, 1:], -gj.hess[..., 0, 1:]], axis=-1)
-    w_pp = fj.hess[..., 0, 0] - gj.hess[..., 0, 0]
-    w_ab = np.zeros(w_a.shape + (4,))
-    w_ab[..., :2, :2] = fj.hess[..., 1:, 1:]
-    w_ab[..., 2:, 2:] = -gj.hess[..., 1:, 1:]
-
-    grad = -w_a / d[..., None]
-    hess = -(w_ab + _outer(w_pa, grad) + _outer(grad, w_pa)
-             + w_pp[..., None, None] * _outer(grad, grad)) / d[..., None, None]
-    return jets.from_parts(phi, grad, hess)
 
 
 def holo_sum(f: ExprSpec, g: ExprSpec) -> FieldHandle:
@@ -430,8 +431,6 @@ class HodographSolver:
         jac = np.stack([np.stack([f2, g2], axis=-1),
                         np.stack([-u * f2, -v * g2], axis=-1)], axis=-2)
         _fold_det(f2, g2, u, v)
-        # Each system is solved on its own: a right-hand side of several
-        # columns gives other bits than these vector solves.
         first = np.linalg.solve(jac, np.eye(2))  # rows: derivative eqn, cols (t, x)
         du = first[..., 0, :]  # (u_t, u_x)
         dv = first[..., 1, :]
@@ -445,7 +444,7 @@ class HodographSolver:
                 quad_t = f3 * du[..., a] * du[..., b] + g3 * dv[..., a] * dv[..., b]
                 quad_x = x_uu * du[..., a] * du[..., b] + x_vv * dv[..., a] * dv[..., b]
                 rhs = -np.stack([quad_t, quad_x], axis=-1)
-                sec = np.linalg.solve(jac, rhs[..., None])[..., 0]
+                sec = _solve(jac, rhs)
                 hu[..., a, b] = hu[..., b, a] = sec[..., 0]
                 hv[..., a, b] = hv[..., b, a] = sec[..., 1]
         return du, dv, hu, hv
@@ -568,16 +567,11 @@ def implicit_3d(
         coeffs = points  # (t, x, y)
         f0, f1, f2 = (np.asarray(_pointwise(lambda p, fns=fns: vals(fns, p), phi))
                       for fns in (f0s, f1s, f2s))
-        w_p = _dot(coeffs, f1)
-        scale = np.maximum(1.0, np.abs(coeffs * f1).sum(axis=-1))
-        if _any(abs(w_p) <= _DEGENERATE_REL * scale):
-            raise DegenerateRootError(f"dW/dphi = {w_p!r} below threshold")
-        grad = -f0 / w_p[..., None]  # W_a = F_a(phi) per coordinate a
-        w_pa = f1
-        w_pp = _dot(coeffs, f2)
-        hess = -(_outer(w_pa, grad) + _outer(grad, w_pa)
-                 + w_pp[..., None, None] * _outer(grad, grad)) / w_p[..., None, None]
-        return jets.from_parts(phi, grad, hess)
+        # W = t F + x G + y K - c: W_a = (F, G, K)(phi), W_pa their phi-derivatives
+        # and W_ab = 0.
+        return _implicit_jet(phi, _dot(coeffs, f1),
+                             np.maximum(1.0, np.abs(coeffs * f1).sum(axis=-1)),
+                             f0, f1, _dot(coeffs, f2))
 
     return FieldHandle(solve, field_jets)
 

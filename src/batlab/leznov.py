@@ -31,7 +31,8 @@ with a leading axis), each point of a batch the bits of its one-point result:
 :func:`holomorphy_samples` and :func:`zero_curvature_samples` apply the
 operators.  A :class:`LeznovSystem` maps each variable name to its slot in
 (phi, point) once, and builds the symbolic partials of Q and P by slot once;
-every evaluation binds variables through that table.
+each evaluation pass binds every slot's value to its name in one mapping, which
+every spec and partial evaluated in that pass reads.
 
 Coordinate order of all jets: (x_1..x_n, xb_1..xb_n).
 """
@@ -47,7 +48,7 @@ from . import jets
 from .construct import ImplicitSolveConfig, _newton
 from .errors import SingularMatrixError
 from .exprspec import ExprSpec, eval_float, eval_jet, partial
-from .residuals import ResidualSample, TransportPattern, _any, _larger, _square, transport
+from .residuals import ResidualSample, TransportPattern, _any, _larger, _solve, _square, transport
 
 _COND_LIMIT = 1e10
 
@@ -89,11 +90,6 @@ class LeznovSystem:
     def nf(self) -> int:
         return self.n - 1
 
-    def bind(self, spec: ExprSpec, values) -> dict:
-        """``spec``'s variables bound to their slots of ``values``, a sequence over
-        (phi, point)."""
-        return {name: values[self.slots[name]] for name in spec.vars}
-
     def seed_fields(self, seed) -> np.ndarray:
         """Initial field values from a scalar seed or one of ``nf`` components."""
         phi = np.full(self.nf, float(seed)) if np.isscalar(seed) else np.asarray(
@@ -105,9 +101,8 @@ class LeznovSystem:
 
 def _gaps(sys: LeznovSystem, phi, point) -> np.ndarray:
     """Q^i - P^i at field values ``phi`` and coordinates ``point``."""
-    z = np.concatenate((phi, point)).tolist()
-    return np.array([eval_float(q, sys.bind(q, z)) - eval_float(p, sys.bind(p, z))
-                     for q, p in zip(sys.Q, sys.P)])
+    args = dict(zip(sys.slots, np.concatenate((phi, point)).tolist()))
+    return np.array([eval_float(q, args) - eval_float(p, args) for q, p in zip(sys.Q, sys.P)])
 
 
 def solve_constraints(sys: LeznovSystem, point, seed=None) -> np.ndarray:
@@ -123,15 +118,15 @@ def solve_constraints(sys: LeznovSystem, point, seed=None) -> np.ndarray:
         return np.abs(r).max(), r
 
     def step(phi, r):
-        z = np.concatenate((phi, point)).tolist()
+        args = dict(zip(sys.slots, np.concatenate((phi, point)).tolist()))
         jac = np.zeros((nf, nf))
         for i in range(nf):
             for m in range(nf):
                 dq, dp = sys._dq[i][m], sys._dp[i][m]
                 if dq is not None:
-                    jac[i, m] += eval_float(dq, sys.bind(dq, z))
+                    jac[i, m] += eval_float(dq, args)
                 if dp is not None:
-                    jac[i, m] -= eval_float(dp, sys.bind(dp, z))
+                    jac[i, m] -= eval_float(dp, args)
         if not np.isfinite(jac).all() or np.linalg.cond(jac) > _COND_LIMIT:
             raise SingularMatrixError("constraint jacobian (P_phi - Q_phi) is singular")
         nxt = phi - np.linalg.solve(jac, r)
@@ -139,13 +134,6 @@ def solve_constraints(sys: LeznovSystem, point, seed=None) -> np.ndarray:
 
     return _newton(residual, step, sys.seed_fields(sys.cfg.seed if seed is None else seed),
                    sys.cfg.max_iter, sys.cfg.newton_tol)
-
-
-def _solve(m_mat, rhs):
-    """M^{-1} rhs for one right-hand-side vector, at one point or at each of a
-    batch: one vector solve per point, since a right-hand side of several
-    columns gives other bits."""
-    return np.linalg.solve(m_mat, rhs[..., None])[..., 0]
 
 
 def field_jets(sys: LeznovSystem, points, phi) -> tuple:
@@ -160,9 +148,10 @@ def field_jets(sys: LeznovSystem, points, phi) -> tuple:
     # Second-order data of each constraint in its own variables: Q^i over
     # (phi, x) and P^i over (phi, xb), so the x and xb blocks share jet slots.
     kq = nf + n
-    local = jets.variables(phis + coords[:n]) + jets.variables(phis + coords[n:])[nf:]
-    q_jets = [eval_jet(q, sys.bind(q, local), k=kq) for q in sys.Q]
-    p_jets = [eval_jet(p, sys.bind(p, local), k=kq) for p in sys.P]
+    args = dict(zip(sys.slots, jets.variables(phis + coords[:n])
+                    + jets.variables(phis + coords[n:])[nf:]))
+    q_jets = [eval_jet(q, args, k=kq) for q in sys.Q]
+    p_jets = [eval_jet(p, args, k=kq) for p in sys.P]
     qg, pg = (np.stack([j.grad for j in js], axis=-2) for js in (q_jets, p_jets))
     qh, ph = (np.stack([j.hess for j in js], axis=-3) for js in (q_jets, p_jets))
 
@@ -239,7 +228,7 @@ def speed_jets(sys: LeznovSystem, points, fields):
     nz = 2 * sys.n
     nf = sys.nf
     values = list(fields) + jets.variables(np.moveaxis(points, -1, 0))
-    args = {name: values[s] for name, s in sys.slots.items()}
+    args = dict(zip(sys.slots, values))
     count = None if points.ndim == 1 else len(points)
 
     def partial_jet(d):

@@ -64,6 +64,13 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0][()]  # [()]: a float for one pair
 
 
+def _solve(m, rhs):
+    """``m^{-1} rhs`` for one right-hand-side vector, at one point or at each
+    of a batch: one vector solve per point, since a right-hand side of several
+    columns gives other bits."""
+    return np.linalg.solve(m, rhs[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class ResidualSample:
     """Signed residual plus its normalization, at one point (floats) or at
@@ -124,7 +131,8 @@ def grid_report(
     Pointwise normalization is the right measure for exactly-constructed
     fields, but on finite-difference grids both raw and local scale vanish
     together wherever the terms cross zero, so convergence statements are made
-    relative to the largest term magnitude on the grid.
+    relative to the largest term magnitude on the grid.  A NaN scale or floor
+    propagates into that magnitude, so the report has no finite norm.
     """
     if not samples:
         return _report(equation, None, skipped)
@@ -133,7 +141,7 @@ def grid_report(
     # a batch's one floor (a float) holds at each of its points
     raw, scale, floor = (np.concatenate([np.broadcast_to(getattr(s, f), s.raw.shape)
                                          for s in samples]) for f in ("raw", "scale", "floor"))
-    global_scale = np.max(_larger(scale, floor))
+    global_scale = np.maximum(scale, floor).max()
     return _report(equation, np.abs(raw) / max(global_scale, _SCALE_FLOOR), skipped)
 
 

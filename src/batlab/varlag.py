@@ -37,7 +37,7 @@ import numpy as np
 from . import hydro, jets
 from .errors import JetDomainError
 from .exprspec import ExprSpec, eval_jet, parse
-from .residuals import _SCALE_FLOOR, ResidualReport
+from .residuals import ResidualSample, grid_report
 
 _SLOTS = ("phi_t", "phi_x", "phibar_t", "phibar_x", "psi_t", "psi_x")
 
@@ -89,33 +89,12 @@ class DiscreteFunctional:
 
 
 @dataclass
-class VariationalGrid:
-    """Raw residual, its local term scale and a momentum-magnitude floor on
-    double-interior nodes.
-
-    The floor (1e-6 of the no-cancellation difference-quotient magnitude)
-    keeps the normalization meaningful when the momenta are constant to
-    rounding, where raw and scale are both pure float noise.
-    """
-
-    raw: np.ndarray
-    scale: np.ndarray
-    floor: np.ndarray
-
-    def report(self, equation: str) -> ResidualReport:
-        """Norms as :func:`residuals.grid_report` computes them from samples."""
-        global_scale = float(np.maximum(self.scale, self.floor).max())
-        norms = np.abs(self.raw.ravel()) / max(global_scale, _SCALE_FLOOR)
-        return ResidualReport(equation, norms.size, float(norms.max()),
-                              float(np.sqrt(np.mean(norms**2))), 0)
-
-
-@dataclass
 class DensityPass:
-    """Residual grids keyed ``psi``, ``phibar``, ``phi``; L and its magnitude
-    (|phibar_t psi_x| + |psi_t phibar_x|) |H| at interior nodes."""
+    """Residual grids keyed ``psi``, ``phibar``, ``phi``, each a sample of the
+    double-interior nodes for :func:`residuals.grid_report`; L and its
+    magnitude (|phibar_t psi_x| + |psi_t phibar_x|) |H| at interior nodes."""
 
-    grids: dict[str, VariationalGrid]
+    grids: dict[str, ResidualSample]
     density: np.ndarray
     density_scale: np.ndarray
 
@@ -171,10 +150,12 @@ def variational_residual(
         sign = 1.0 if vary == "psi" else -1.0
         raw = sign * (-(div_t + div_x))
         scale = np.abs(div_t) + np.abs(div_x)
+        # 1e-6 of the no-cancellation difference quotient keeps the floor
+        # meaningful where the momenta are constant to rounding.
         abs_div = ((np.abs(mom_t[2:, 1:-1]) + np.abs(mom_t[:-2, 1:-1])) / (2 * functional.ht)
                    + (np.abs(mom_x[1:-1, 2:]) + np.abs(mom_x[1:-1, :-2])) / (2 * functional.hx))
         floor = expanded[1:-1, 1:-1] + 1e-6 * abs_div
-        grids[vary] = VariationalGrid(raw, scale, floor)
+        grids[vary] = ResidualSample(raw, scale, floor)
 
     _, _, bt, bx, st, sx = slot_grids
     return DensityPass(grids, (bt * sx - st * bx) * factor,
@@ -206,7 +187,7 @@ def onshell_degeneracy(
     ten times the requested tolerance.
     """
     density_pass = variational_residual(functional, phi, phibar, psi)
-    per = {vary: grid.report(vary) for vary, grid in density_pass.grids.items()}
+    per = {vary: grid_report(vary, [grid]) for vary, grid in density_pass.grids.items()}
     if not math.isfinite(per["psi"].max_norm) or per["psi"].max_norm > 10 * tolerance:
         raise ValueError(
             f"fields are not on-shell: psi residual {per['psi'].max_norm!r} "

@@ -283,8 +283,9 @@ def leznov_field_jets(sys, point, phi) -> list[Jet2]:
     n, nf, nz, kq = sys.n, sys.nf, 2 * sys.n, sys.nf + sys.n
     local = [jets.variable(s if s < kq else s - n, value, kq)
              for s, value in enumerate(np.concatenate((phi, point)))]
-    q_jets = [exprspec.eval_jet(q, sys.bind(q, local), k=kq) for q in sys.Q]
-    p_jets = [exprspec.eval_jet(p, sys.bind(p, local), k=kq) for p in sys.P]
+    args = dict(zip(sys.slots, local))
+    q_jets = [exprspec.eval_jet(q, args, k=kq) for q in sys.Q]
+    p_jets = [exprspec.eval_jet(p, args, k=kq) for p in sys.P]
     qg, pg = np.array([j.grad for j in q_jets]), np.array([j.grad for j in p_jets])
     qh, ph = np.array([j.hess for j in q_jets]), np.array([j.hess for j in p_jets])
     c_z = np.hstack((qg[:, nf:], -pg[:, nf:]))

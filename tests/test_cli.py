@@ -377,6 +377,10 @@ _COMPLETE = {
     "binding": lambda: _with(_COMPLETE["leznov"](), ("checks",), [
         {"equation": "holomorphy", "tolerance": 1e-8},
         {"equation": "zero_curvature", "tolerance": 1e-8}]),
+    "reparametrization": lambda: _with(_COMPLETE["implicit_fg"](), ("checks", 0, "equation"),
+                                       "reparametrization"),
+    "ad": lambda: {"name": "m", "paper_anchor": "t", "kind": "ad",
+                   "cases": [{"expressions": 5}]},
 }
 
 
@@ -404,8 +408,8 @@ def test_missing_required_field_exits_2(tmp_path, capsys, scenario, path):
 
 @pytest.mark.parametrize("seed", [20240801, 7])
 def test_pointwise_reports_match_recorded_digests(tmp_path, seed):
-    """Reports of every sampled and grid scenario, and the grid dumps of the
-    simulate ones, match the digests the benchmark recorded."""
+    """Reports of every bundled scenario, and the grid dumps of the simulate
+    ones, match the digests the benchmark recorded for its four workloads."""
     recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text())[str(seed)]
     digests = recorded["pointwise_verify"]
     assert sorted(digests) == [p.name[:-5] for p in cli.bundled_scenarios()
@@ -413,14 +417,17 @@ def test_pointwise_reports_match_recorded_digests(tmp_path, seed):
                                                  "c07", "c10")]
     dumped = recorded["characteristic_dump"]
     assert sorted(dumped) == ["c05_conservation_hierarchy", "c08_multifield_determinant"]
-    digests = {**digests, **dumped, **recorded["variational_grid"]}
-    assert "c09_degenerate_lagrangian" in digests
+    digests = {**digests, **dumped, **recorded["variational_grid"],
+               **recorded["fresh_expressions"]}
+    assert sorted(digests) == [p.name[:-5] for p in cli.bundled_scenarios()]
+    # the fresh_expressions workload runs c11 with its cases repeated 10 times
+    # (``repeat_cases`` in perfbench/workloads.py)
+    repeat = {"c11_jet_convergence": 10}
     for path in cli.bundled_scenarios():
         name = path.name[:-5]
-        if name not in digests:
-            continue
-        cli.run_scenario(json.loads(path.read_text()), tmp_path / name, seed=seed,
-                         dump=name in dumped)
+        data = json.loads(path.read_text())
+        data["cases"] *= repeat.get(name, 1)
+        cli.run_scenario(data, tmp_path / name, seed=seed, dump=name in dumped)
         assert sorted(p.name for p in (tmp_path / name).iterdir()) == sorted(digests[name])
         for fname, digest in digests[name].items():
             written = (tmp_path / name / fname).read_bytes()
@@ -641,6 +648,18 @@ def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
     ("covariance", ("checks", 0, "speed_tolerance"), "tight"),
     ("binding", ("checks", 0, "speeds_on_x"), "w"),
     ("binding", ("checks", 1, "speeds_on_x"), "w"),
+    # inputs that would give no report entry for a check, grid, map or variation
+    ("implicit_fg", ("checks",), []),
+    ("two_field", ("checks",), []),
+    ("two_field", ("resolutions",), []),
+    ("two_field", ("checks", 0, "n_values"), []),
+    ("reparametrization", ("checks", 0, "maps"), []),
+    ("variational", ("resolutions",), []),
+    ("variational", ("psi",), []),
+    ("variational", ("factors",), []),
+    ("variational", ("vary",), []),
+    ("ad", ("expressions",), 0),
+    ("ad", ("expressions",), -3),
 ])
 def test_scalar_of_wrong_type_exits_2_before_solving(tmp_path, monkeypatch, capsys, scenario,
                                                      path, value):
@@ -821,6 +840,52 @@ def test_reparametrization_maps_not_a_list_exits_2(tmp_path, monkeypatch, capsys
     _forbid_work(monkeypatch)
     assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
     assert "maps: expected a JSON list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs,sizes", [(64, [2]), (2, [2]), (1, [])])
+def test_suite_pool_has_at_most_one_worker_per_scenario(tmp_path, monkeypatch, capsys,
+                                                         jobs, sizes):
+    """``suite --jobs N`` starts min(N, scenarios) workers, and none for N = 1.
+    A stand-in pool records its size and runs the tasks in this process."""
+    import concurrent.futures
+
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    files = []
+    for name in ("a", "b"):
+        data = _COMPLETE["two_field"]()
+        data["name"] = name
+        files.append(Path(_write(tmp_path, f"{name}.json", data)))
+    monkeypatch.setattr(cli, "bundled_scenarios", lambda: files)
+    assert cli.main(["suite", "--jobs", str(jobs), "--out", str(tmp_path / "o")]) == \
+        cli.EXIT_PASS
+    assert started == sizes
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["a.report.json",
+                                                                   "b.report.json"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_suite_jobs_below_one_exits_2(tmp_path, monkeypatch, capsys, jobs):
+    monkeypatch.setattr(cli, "bundled_scenarios", lambda: pytest.fail("the suite ran"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["suite", "--jobs", jobs, "--out", str(tmp_path / "o")])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert "--jobs: expected an integer of at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_suite_survives_a_bad_scenario(tmp_path, monkeypatch, capsys):

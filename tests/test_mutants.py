@@ -1,11 +1,12 @@
 """Verdicts that can fail: hand-written defects make bundled scenarios FAIL.
 
-Each mutant replaces a library function from outside: it perturbs one entry
-of what the function returns (at each point of a batch) by a relative 1e-3,
-symmetrically, so that the result is still a valid jet, drops one term of a jet product or quotient, or
-scales the second derivative of every univariate jet function.  Sampled
-scenarios run with fewer samples per case, the others whole; unmutated, the
-same runs pass, so each failure is the mutant's doing.
+Each mutant replaces a library function from outside: it perturbs what the
+function returns (at each point of a batch) by a relative 1e-3 (one Hessian
+entry symmetrically, so that the result is still a valid jet, or a value),
+drops one term of a jet product or quotient, or scales the second derivative
+of every univariate jet function.  Sampled scenarios run with fewer samples
+per case, the others whole; unmutated, the same runs pass, so each failure is
+the mutant's doing.
 """
 
 import json
@@ -64,15 +65,48 @@ def hodograph_second_derivative(monkeypatch):
 
 
 def implicit_split_cross_block(monkeypatch):
-    """The (x1, xb1) entry of the Hessian from ``_implicit_jet_from_split``,
-    a cross-block entry of implicit differentiation, scaled by 1.001."""
-    split = construct._implicit_jet_from_split
+    """Entry (0, 2) of the Hessian from ``_implicit_jet``, the implicit-function
+    jet of every scalar constructor, scaled by 1.001: the cross-block
+    (x1, xb1) entry of F = G, the (t, y) entry of tF + xG + yK = c."""
+    implicit_jet = construct._implicit_jet
 
-    def mutant(phi, fj, gj):
-        j = split(phi, fj, gj)
+    def mutant(*args):
+        j = implicit_jet(*args)
         return jets.from_parts(j.value, j.grad, _scaled(j.hess, 0, 2))
 
-    monkeypatch.setattr(construct, "_implicit_jet_from_split", mutant)
+    monkeypatch.setattr(construct, "_implicit_jet", mutant)
+
+
+def moebius_speed(monkeypatch):
+    """Both speeds from ``moebius_transform`` scaled by 1.001."""
+    moebius_transform = construct.moebius_transform
+
+    def mutant(uv, m):
+        return tuple(1.001 * s for s in moebius_transform(uv, m))
+
+    monkeypatch.setattr(construct, "moebius_transform", mutant)
+
+
+def pull_back_hessian(monkeypatch):
+    """Entry (0, 1) of every Hessian from ``pull_back`` scaled by 1.001."""
+    pull_back = construct.pull_back
+
+    def mutant(jet, minv):
+        j = pull_back(jet, minv)
+        return jets.from_parts(j.value, j.grad, _scaled(j.hess, 0, 1))
+
+    monkeypatch.setattr(construct, "pull_back", mutant)
+
+
+def leznov_v_speed(monkeypatch):
+    """The values of the v speeds from ``leznov.speed_jets`` scaled by 1.001."""
+    speed_jets = leznov.speed_jets
+
+    def mutant(sys, points, fields):
+        u, v = speed_jets(sys, points, fields)
+        return u, tuple(jets.from_parts(1.001 * w.value, w.grad, w.hess) for w in v)
+
+    monkeypatch.setattr(leznov, "speed_jets", mutant)
 
 
 def jet_product_cross_term(monkeypatch):
@@ -126,7 +160,10 @@ def univariate_second_derivative(monkeypatch):
 MUTANTS = {
     leznov_field_hessian: ("c07",),
     hodograph_second_derivative: ("c03", "c06"),
-    implicit_split_cross_block: ("c01", "c04"),
+    implicit_split_cross_block: ("c01", "c04", "c10"),
+    moebius_speed: ("c04",),
+    pull_back_hessian: ("c04",),
+    leznov_v_speed: ("c07",),
     jet_product_cross_term: ("c09", "c11"),
     jet_quotient_cross_term: ("c11",),
     univariate_second_derivative: ("c11",),

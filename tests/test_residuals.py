@@ -284,3 +284,16 @@ def test_sweep_skips_singular():
     assert rep.skipped_singular == 4
     assert rep.max_norm == 0.0
     assert rep.rms_norm <= rep.max_norm
+
+
+@pytest.mark.parametrize("nan_in", ["scale", "floor"])
+def test_grid_report_with_a_nan_scale_or_floor_fails(nan_in):
+    """A NaN term magnitude anywhere on the grid leaves the report without a
+    finite norm, and its entry is null and fails."""
+    from batlab import cli
+
+    parts = {"raw": np.array([1e-12, 2e-12]), "scale": np.ones(2), "floor": np.zeros(2)}
+    parts[nan_in] = np.array([np.nan, 1.0])
+    rep = residuals.grid_report("r", [residuals.ResidualSample(**parts)])
+    entry = cli._entry("r", rep, 1e-9, 2)
+    assert (entry["max_norm"], entry["rms_norm"], entry["pass"]) == (None, None, False)
