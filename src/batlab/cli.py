@@ -227,12 +227,13 @@ def _box_sampler(samples: dict, rng: np.random.Generator, dim: int):
 
 # -- verify-kind cases -------------------------------------------------------------------
 #
-# A case samples its points, solves the constructor once per point (one solve
-# per point and seed), differentiates at the solved points as one batch and
-# runs every check from ``_CHECKS`` on that batch.  A point whose solve or jets
-# failed holds its EvaluationError and is skipped by each check.  A Leznov case
-# also derives its speeds from the field jets, as a second batch; a point whose
-# speeds failed is skipped by the checks that read them.
+# A case samples its points, solves the constructor at all of them in one
+# batched solve (each point solved once, from its seed), differentiates at the
+# solved points as one batch and runs every check from ``_CHECKS`` on that
+# batch.  A point whose solve or jets failed holds its EvaluationError and is
+# skipped by each check.  A Leznov case also derives its speeds from the field
+# jets, as a second batch; a point whose speeds failed is skipped by the checks
+# that read them.
 
 
 @dataclass
@@ -260,20 +261,11 @@ class _Solved:
         return sum(err is not None for err in self.errors)
 
 
-def _at_solved(fn, inputs: list):
-    """``(errors, batch)``: ``fn`` over the points whose input is not an
-    EvaluationError, as one batch.  An input is the tuple of ``fn``'s
-    arguments at one point; ``errors`` holds per point the input's error, the
-    error ``fn`` raised there (``residuals.batched``), or None."""
-    ok = [a for a in inputs if not isinstance(a, EvaluationError)]
-    errors = [a if isinstance(a, EvaluationError) else None for a in inputs]
-    return _at_solved_batch(fn, errors, *residuals.stack(ok)) if ok else (errors, None)
-
-
-def _at_solved_batch(fn, errors: list, *batches):
-    """``(errors, batch)`` as from :func:`_at_solved`, with ``fn``'s inputs
-    already stacked: ``batches`` hold them at the points without an error in
-    ``errors``, in order."""
+def _at_solved(fn, errors: list, *batches):
+    """``(errors, batch)``: ``fn`` over the points without an error in
+    ``errors``, as one batch.  ``batches`` hold ``fn``'s inputs at those
+    points, in order; the returned ``errors`` hold per point the input's
+    error, the error ``fn`` raised there (``residuals.batched``), or None."""
     ok = [i for i, err in enumerate(errors) if err is None]
     errors = list(errors)
     if not ok:
@@ -282,6 +274,11 @@ def _at_solved_batch(fn, errors: list, *batches):
     for i, err in zip(ok, failed):
         errors[i] = err
     return errors, batch
+
+
+def _ok(errors: list) -> np.ndarray:
+    """The mask of the points without an error."""
+    return np.array([err is None for err in errors], dtype=bool)
 
 
 def _expr(block: dict, key: str):
@@ -296,9 +293,8 @@ def _field_case(make, dim: int):
         with _reading():
             handle = make(block)
         points, requested = _box_sampler(_object(case, "samples"), rng, dim)
-        roots = [residuals.attempt(handle.solve, p) for p in points]
-        errors, batch = _at_solved(handle.jets, [
-            r if isinstance(r, EvaluationError) else (p, r) for p, r in zip(points, roots)])
+        errors, roots = handle.solve_many(points)
+        errors, batch = _at_solved(handle.jets, errors, points[_ok(errors)], roots)
         return _Solved(label, rng, requested, points, errors, batch)
 
     return build
@@ -314,9 +310,13 @@ def _hodograph_case(block, label, case, rng) -> _Solved:
         raise ScenarioError("hodograph cases sample the (u, v) parameter box")
     uv, requested = _box_sampler(samples, rng, 2)
     tx = [solver.forward(u0, v0) for u0, v0 in uv]
-    errors, batch = _at_solved(solver.fields, [
-        residuals.attempt(solver.solve, t, x, s) for (t, x), s in zip(tx, uv)])
+    errors, batch = _at_solved(solver.fields, *_uv_at(*solver.solve_many(*zip(*tx), uv)))
     return _Solved(label, rng, requested, uv, errors, batch, solver, tx)
+
+
+def _uv_at(errors: list, uv: np.ndarray):
+    """``(errors, u, v)`` of a hodograph batch solve."""
+    return errors, uv[:, 0], uv[:, 1]
 
 
 def _leznov_case(block, label, case, rng) -> _Solved:
@@ -330,12 +330,11 @@ def _leznov_case(block, label, case, rng) -> _Solved:
     if sys_.n != 2 and "complex_bateman" in map(_check_key, case["checks"]):
         raise ScenarioError("complex_bateman check needs n = 2")
     points, requested = _box_sampler(_object(case, "samples"), rng, 2 * sys_.n)
-    roots = [residuals.attempt(leznov.solve_constraints, sys_, p) for p in points]
-    errors, fields = _at_solved(lambda p, phi: leznov.field_jets(sys_, p, phi), [
-        r if isinstance(r, EvaluationError) else (p, r) for p, r in zip(points, roots)])
-    solved = np.array([err is None for err in errors])
-    speed_errors, speeds = _at_solved_batch(
-        lambda p, f: (f, leznov.speed_jets(sys_, p, f)), errors, points[solved], fields)
+    errors, roots = leznov.solve_many(sys_, points)
+    errors, fields = _at_solved(lambda p, phi: leznov.field_jets(sys_, p, phi),
+                                errors, points[_ok(errors)], roots)
+    speed_errors, speeds = _at_solved(
+        lambda p, f: (f, leznov.speed_jets(sys_, p, f)), errors, points[_ok(errors)], fields)
     return _Solved(label, rng, requested, points, errors, fields, sys_,
                    speed_errors=speed_errors, speeds=speeds)
 
@@ -436,8 +435,7 @@ def _born_infeld(check: dict, tol: float):
     def run(c: _Solved) -> list[dict]:
         # (u, v) = (phibar, phi).  The integrability check solves from the
         # configured seed, not from the sample's.
-        errors, cross = _at_solved(c.model.fields, [
-            residuals.attempt(c.model.solve, t, x) for t, x in c.tx])
+        errors, cross = _at_solved(c.model.fields, *_uv_at(*c.model.solve_many(*zip(*c.tx))))
         rep = residuals.sweep("born_infeld_cross", cross, lambda f: (
             construct.born_infeld_cross_residual(f[1], f[0], lam)),
             sum(err is not None for err in errors))
@@ -452,6 +450,8 @@ def _born_infeld(check: dict, tol: float):
 def _linear_covariance(check: dict, tol: float):
     speed_tol = _number(check.get("speed_tolerance", 1e-8), "speed_tolerance")
     n_maps = _number(check.get("maps", 10), "maps", int)
+    if n_maps < 1:
+        raise ScenarioError(f"maps: expected an integer of at least 1, got {n_maps!r}")
 
     def run(c: _Solved) -> list[dict]:
         maps = []
@@ -463,14 +463,14 @@ def _linear_covariance(check: dict, tol: float):
         # Each entry counts its own skips: a point whose pulled-back jets exist
         # is a covariance sample even if its speed cannot be matched.
         res_samples, speed_samples, res_skipped, speed_skipped = [], [], 0, 0
-        has_base = np.array([err is None for err in c.errors])
+        has_base = _ok(c.errors)
         for m in maps:
             mat, minv = m.matrix(), m.inverse()
-            solved = [residuals.attempt(c.model.solve, *(minv @ (mat @ np.array([t, x]))), uv)
-                      for (t, x), uv in zip(c.tx, c.points)]  # (t, x) only up to rounding
+            tx = [minv @ (mat @ np.array(p)) for p in c.tx]  # (t, x) only up to rounding
             errors, pulled = _at_solved(lambda u, v: tuple(
-                construct.pull_back(j, minv) for j in c.model.fields(u, v)), solved)
-            has_pulled = np.array([err is None for err in errors])
+                construct.pull_back(j, minv) for j in c.model.fields(u, v)),
+                *_uv_at(*c.model.solve_many(*zip(*tx), c.points)))
+            has_pulled = _ok(errors)
             res_skipped += len(errors) - int(has_pulled.sum())
             if pulled is not None:
                 res_samples.append(residuals.two_field_bateman(*pulled))
@@ -503,9 +503,8 @@ def _speed_match(jb, base_bar, m: LinearMap2) -> residuals.ResidualSample:
 
 def _constraint_gap(c: _Solved, tol: float) -> list[dict]:
     """The worst |Q - P| over the solved points, phi read from the field jets."""
-    solved = c.points[[err is None for err in c.errors]]
-    phi = np.stack([f.value for f in c.batch], axis=-1) if c.batch else ()
-    gaps = [leznov.constraint_gap(c.model, p, q) for p, q in zip(solved, phi)]
+    gaps = leznov.constraint_gap(c.model, c.points[_ok(c.errors)], np.stack(
+        [f.value for f in c.batch], axis=-1)).tolist() if c.batch else []
     worst = max(gaps, default=0.0)
     rep = ResidualReport("constraint_gap", len(gaps), worst, worst, c.skipped)
     return [_entry(f"constraint_gap[{c.label}]", rep, tol, c.requested)]

@@ -3,23 +3,29 @@
 Every constructor solves its defining relation once per point, and then
 returns jets (``Jet2``) whose gradients and Hessians come from implicit /
 inverse-function differentiation of that relation, never from finite
-differences.  The solve runs point by point, since each point iterates
-differently; the jets are computed at one solved point or, with the same
-code, over a batch of solved points (a ``Jet2`` with a leading axis), each
-point of the batch the bits of its own one-point jet:
+differences.  The points of a case are solved as one batch (``solve_many``):
+each point iterates on its own, from its own seed, and a point that has
+stopped leaves the batch, so each ends at the bits (or the error) of its
+one-point solve, which is the same solve of a batch of one row (``solve``).
+The jets are computed at one solved point or, with the same code, over a batch
+of solved points (a ``Jet2`` with a leading axis), each point of the batch the
+bits of its own one-point jet:
 
 * the scalar families (:func:`solve_implicit_fg`, :func:`holo_sum`,
-  :func:`implicit_3d`) return a :class:`FieldHandle`, whose ``solve`` finds a
-  point's root and whose ``jets`` differentiate at solved points, the
-  implicit ones through one implicit-function jet, :func:`_implicit_jet`;
+  :func:`implicit_3d`) return a :class:`FieldHandle`, whose ``solve_many``
+  finds the points' roots and whose ``jets`` differentiate at solved points,
+  the implicit ones through one implicit-function jet, :func:`_implicit_jet`;
 * the hodograph pair is solved by :class:`HodographSolver`, whose
   :meth:`~HodographSolver.fields` returns both fields ``(phi, phibar)`` at
-  solved parameters ``(u, v)``.
+  solved parameters ``(u, v)``; :func:`hodograph_grid` solves a tensor grid by
+  seed continuation, its first column node by node and each further column
+  as one batch over the rows.
 
 Every implicit solve, here and in :mod:`leznov`, iterates through one
-best-iterate Newton loop, :func:`_newton`; each solve supplies its residual,
-its step and its tolerance, and the scalar one falls back to bisection on a
-configured bracket.
+best-iterate Newton loop over a batch of points, :func:`_newton`; each solve
+supplies its batched residual, its batched step and its tolerance, and the
+scalar one falls back to bisection on a configured bracket at the points
+Newton does not solve.
 
 The covariance and Born-Infeld operations act on jets that are already
 solved (:func:`pull_back`, :func:`reparametrization`, :func:`born_infeld_jet`),
@@ -43,12 +49,13 @@ import numpy as np
 from . import jets
 from .errors import (
     DegenerateRootError,
+    EvaluationError,
     NewtonConvergenceError,
     PoleError,
     SingularMatrixError,
 )
 from .exprspec import Bin, ExprSpec, Var, eval_float, eval_jet, float_fn, partial
-from .residuals import ResidualSample, _any, _dot, _from_terms, _solve
+from .residuals import ResidualSample, _any, _dot, _from_terms, _larger, _solve, attempt
 
 _DEGENERATE_REL = 1e-10
 
@@ -98,18 +105,28 @@ class LinearMap2:
 
 
 class FieldHandle:
-    """A scalar field given by a relation: :meth:`solve` finds its root at
-    one point (None for an explicit field), :meth:`jets` differentiates at
-    solved points, one or a batch, and calling the handle does both at one
-    point."""
+    """A scalar field given by a relation: :meth:`solve_many` finds its roots
+    at a batch of points (None for an explicit field), :meth:`jets`
+    differentiates at solved points, one or a batch, and calling the handle
+    solves and differentiates at one point."""
 
     def __init__(self, solve_fn: Callable, jets_fn: Callable):
         self._solve = solve_fn
         self._jets = jets_fn
 
+    def solve_many(self, points, seeds=None) -> tuple[list, np.ndarray]:
+        """``(errors, roots)`` at the ``(N, dim)`` ``points``, each solved from
+        its seed in ``seeds`` (else the configured seed): per point the
+        EvaluationError of its solve or None, and the roots of the points
+        without one, in order."""
+        return self._solve(np.asarray(points, dtype=float), seeds)
+
     def solve(self, point: Sequence[float], seed=None):
         """The root at one point, from ``seed`` (else the configured seed)."""
-        return self._solve(np.asarray(point, dtype=float), seed)
+        errors, roots = self.solve_many([point], None if seed is None else [seed])
+        if errors[0] is not None:
+            raise errors[0]
+        return roots.tolist()[0]
 
     def jets(self, points, roots) -> jets.Jet2:
         """The jet at ``points`` (one point, or an ``(N, dim)`` batch) from
@@ -121,14 +138,6 @@ class FieldHandle:
         return self.jets(point, self.solve(point, seed))
 
 
-def _pointwise(fn: Callable, *coords):
-    """Positional float function ``fn`` at one point (floats) or at each point
-    of a batch (arrays)."""
-    if np.ndim(coords[0]) == 0:
-        return fn(*coords)
-    return np.array([fn(*c) for c in zip(*(np.asarray(x).tolist() for x in coords))])
-
-
 def _outer(a, b):
     """``np.outer(a, b)`` of the last axes, at one point or at each of a batch."""
     return a[..., :, None] * b[..., None, :]
@@ -137,45 +146,119 @@ def _outer(a, b):
 # -- Newton: one best-iterate loop for every implicit solve --------------------------
 
 
-def _newton(residual, step, x, max_iter: int, tol: float):
-    """Best-iterate Newton from ``x``.  ``residual(x)`` returns ``(size, r)``;
-    ``step(x, r)`` returns the next iterate, or None to stop (non-finite
-    derivative, no progress), or raises SingularMatrixError to stop.  The loop
-    also stops on an exact zero, after ``max_iter`` steps, and when ``step``
-    returns an iterate it has already visited.  Returns the iterate of least
-    size if within ``tol``; else raises the stopping error, or
-    NewtonConvergenceError.
+def _newton(residual, step, x, max_iter: int, tol):
+    """Best-iterate Newton over a batch of points, from their iterates ``x``
+    (a leading axis of N points; ``(N,)`` for scalar solves, ``(N, d)``
+    otherwise).  Returns ``(errors, best)``: per point None or the error its
+    solve raises, and per point its iterate of least residual size (only
+    meaningful where its error is None).
 
-    ``residual`` and ``step`` must be pure functions of the iterate.  A
-    repeated iterate then starts a cycle that would run to ``max_iter``
-    without changing the best iterate (its test is strict), so stopping there
-    returns, or raises, the same as running on."""
-    best, best_size, stop = x, math.inf, None
-    visited = set()
-    for i in range(max_iter + 1):
-        size, r = residual(x)
-        if size < best_size:
-            best, best_size = x, size
-        if size == 0.0 or i == max_iter:
-            break
-        visited.add(_iterate_key(x))
+    ``residual(idx, x)`` returns ``(size, r)`` at the points ``idx`` (indices
+    into the batch) and their iterates ``x``; ``step(idx, x, r)`` returns
+    ``(nxt, halt)``, the next iterates and where to stop (non-finite
+    derivative, no progress).  A point also stops on an exact zero, after
+    ``max_iter`` steps, and when its step returns an iterate it has already
+    visited.  A stopped point's root is its best iterate if that is within
+    its ``tol`` (a float, or one per point); else its error is the
+    SingularMatrixError its step raised, or NewtonConvergenceError.  Another
+    EvaluationError from ``residual`` or ``step`` is the point's error.
+
+    Each point sees exactly the iterates, and ends in exactly the root or
+    error, of its own one-point solve (a batch of one row):
+
+    * the best iterate changes on a strictly smaller size (a NaN never wins);
+    * a point stops at an exact zero size and after ``max_iter`` steps;
+    * iterates are compared by the bits of their int64 views, so -0.0 and
+      0.0 differ, against the point's own history of visited iterates;
+    * a halt and a SingularMatrixError from ``step`` are stops, judged by the
+      best iterate; any other EvaluationError (such as the hodograph's
+      "diverged" NewtonConvergenceError) is the point's error whatever its
+      best iterate;
+    * when ``residual`` or ``step`` raises an EvaluationError over the batch,
+      that call is rerun one point at a time (one-row batches): the points
+      that raise retire with their own error, and the others go on.
+
+    ``residual`` and ``step`` must be pure functions of the iterate, and each
+    row of their results must be the bits of the float arithmetic at that
+    row's inputs alone: numpy's elementwise operations and the array forms of
+    :func:`~batlab.exprspec.float_fn` are, while, for instance, Python's
+    ``max(a, b)`` is ``np.where(b > a, b, a)`` (``residuals._larger``) and not
+    ``np.maximum``, which propagates a NaN.  A repeated iterate then starts a
+    cycle that would run to ``max_iter`` without changing the best iterate
+    (its test is strict), so stopping there returns, or raises, the same as
+    running on."""
+    x = np.array(x, dtype=float)
+    n = len(x)
+    best, best_size = x.copy(), np.full(n, math.inf)
+    errors: list = [None] * n  # raised by residual, or by step other than as a stop
+    stops: list = [None] * n  # raised by step
+    visited = np.empty((max_iter + 1,) + x.shape, dtype=np.int64)  # iterate bits
+    idx = np.arange(n)  # the points still iterating
+    with np.errstate(all="ignore"):
+        for i in range(max_iter + 1):
+            if not len(idx):
+                break
+            idx, x, out = _rows(residual, errors, idx, x)
+            if out is None:
+                break
+            size, r = out
+            better = size < best_size[idx]
+            best[idx[better]] = x[better]
+            best_size[idx[better]] = size[better]
+            if i == max_iter:
+                break
+            go = size != 0.0
+            if not go.all():
+                idx, x, r = idx[go], x[go], r[go]
+                if not len(idx):
+                    break
+            visited[i, idx] = x.view(np.int64)
+            idx, x, out = _rows(step, stops, idx, x, r)
+            if out is None:
+                break
+            x, halt = out
+            seen = visited[:i + 1, idx] == x.view(np.int64)
+            if seen.any():  # some component repeats: is a whole iterate seen?
+                halt = halt | seen.reshape(i + 1, len(idx), -1).all(axis=-1).any(axis=0)
+            if halt.any():
+                idx, x = idx[~halt], x[~halt]
+    within = (best_size <= tol).tolist()
+    for k, stop in enumerate(stops):
+        if errors[k] is not None or within[k] and stop is None:
+            continue
+        if stop is not None and not isinstance(stop, SingularMatrixError):
+            errors[k] = stop
+        elif not within[k]:
+            errors[k] = stop or NewtonConvergenceError(
+                f"Newton did not converge (best residual {float(best_size[k])!r})")
+    return errors, best
+
+
+def _rows(fn, errors: list, idx, x, *rest):
+    """``(idx, x, out)``: ``fn(idx, x, *rest)`` over the batch of points
+    ``idx``, or, where that raises an EvaluationError, one point at a time.
+    A point where it raises leaves the batch (``idx`` and ``x`` keep the
+    others), its error recorded in ``errors``; ``out`` is a tuple of arrays
+    over the points kept, or None if there are none."""
+    try:
+        return idx, x, fn(idx, x, *rest)
+    except EvaluationError:
+        pass
+    keep, outs = [], []
+    for k in range(len(idx)):
         try:
-            x = step(x, r)
-        except SingularMatrixError as err:
-            stop = err
-            break
-        if x is None or _iterate_key(x) in visited:
-            break
-    if best_size <= tol:
-        return best
-    raise stop or NewtonConvergenceError(
-        f"Newton did not converge (best residual {best_size!r})")
+            outs.append(fn(idx[k:k + 1], x[k:k + 1], *(a[k:k + 1] for a in rest)))
+            keep.append(k)
+        except EvaluationError as err:
+            errors[idx[k]] = err
+    out = tuple(np.concatenate(column) for column in zip(*outs)) if outs else None
+    return idx[keep], x[keep], out
 
 
-def _iterate_key(x) -> bytes:
-    """The exact bits of an iterate (a float, a tuple of floats or an array),
-    so that -0.0 and 0.0 are different iterates."""
-    return np.asarray(x, dtype=float).tobytes()
+def _solved(errors: list, roots: np.ndarray):
+    """``(errors, roots)`` of a batch solve, the roots kept at the points
+    without an error."""
+    return errors, roots[[err is None for err in errors]]
 
 
 def _scalar_seed(seed) -> float:
@@ -185,28 +268,39 @@ def _scalar_seed(seed) -> float:
         raise ValueError("scalar solves need a scalar seed") from None
 
 
-def _newton_scalar(fun, dfun, cfg: ImplicitSolveConfig, seed=None) -> float:
-    """Newton iteration, polished past the configured tolerance toward machine
-    precision so downstream finite-difference probes are not noise limited;
-    bisection on ``cfg.bracket`` when it does not converge."""
-    def residual(x):
-        f = fun(x)
+def _scalar_seeds(cfg: ImplicitSolveConfig, n: int, seeds=None) -> np.ndarray:
+    """The seeds of ``n`` scalar solves: ``seeds``, else the configured one."""
+    if seeds is None:
+        return np.full(n, _scalar_seed(cfg.seed))
+    return np.array([_scalar_seed(s) for s in seeds])
+
+
+def _newton_scalar(fun, dfun, cfg: ImplicitSolveConfig, seeds) -> tuple[list, np.ndarray]:
+    """Newton iteration over a batch of points, polished past the configured
+    tolerance toward machine precision so downstream finite-difference probes
+    are not noise limited; bisection on ``cfg.bracket`` at each point where
+    it does not converge.  ``fun(idx, p)`` and ``dfun(idx, p)`` evaluate at
+    the points ``idx`` (an index array with an array ``p``, or one index with
+    a float ``p``); returns ``(errors, roots)`` as :func:`_newton`."""
+    def residual(idx, x):
+        f = fun(idx, x)
         return abs(f), f
 
-    def step(x, f):
-        d = dfun(x)
-        if d == 0.0 or not math.isfinite(d):
-            return None
+    def step(idx, x, f):
+        d = dfun(idx, x)
         nxt = x - f / d
-        return nxt if math.isfinite(nxt) and nxt != x else None
+        return nxt, (d == 0.0) | ~np.isfinite(d) | ~np.isfinite(nxt) | (nxt == x)
 
-    x = _scalar_seed(cfg.seed if seed is None else seed)
-    try:
-        return _newton(residual, step, x, cfg.max_iter, cfg.newton_tol)
-    except NewtonConvergenceError:
-        if cfg.bracket is None:
-            raise
-        return _bisect(fun, cfg.bracket, cfg.newton_tol)
+    errors, roots = _newton(residual, step, seeds, cfg.max_iter, cfg.newton_tol)
+    if cfg.bracket is not None:
+        for k, err in enumerate(errors):
+            if isinstance(err, NewtonConvergenceError):
+                root = attempt(_bisect, lambda p: fun(k, p), cfg.bracket, cfg.newton_tol)
+                if isinstance(root, EvaluationError):
+                    errors[k] = root
+                else:
+                    errors[k], roots[k] = None, root
+    return errors, roots
 
 
 def _bisect(fun, bracket, tol) -> float:
@@ -271,21 +365,21 @@ def solve_implicit_fg(F: ExprSpec, G: ExprSpec, cfg: ImplicitSolveConfig) -> Fie
     df = float_fn(dF, f_names) if dF is not None else None
     dg = float_fn(dG, g_names) if dG is not None else None
 
-    def solve(point: np.ndarray, seed=None) -> float:
-        x1, x2, xb1, xb2 = point
+    def solve(points: np.ndarray, seeds=None):
+        x1, x2, xb1, xb2 = points.T
 
-        def w(p):
-            return f(p, x1, x2) - g(p, xb1, xb2)
+        def w(i, p):
+            return f(p, x1[i], x2[i]) - g(p, xb1[i], xb2[i])
 
-        def dw(p):
+        def dw(i, p):
             out = 0.0
             if df is not None:
-                out += df(p, x1, x2)
+                out += df(p, x1[i], x2[i])
             if dg is not None:
-                out -= dg(p, xb1, xb2)
+                out -= dg(p, xb1[i], xb2[i])
             return out
 
-        return _newton_scalar(w, dw, cfg, seed)
+        return _solved(*_newton_scalar(w, dw, cfg, _scalar_seeds(cfg, len(points), seeds)))
 
     def field_jets(points: np.ndarray, phi) -> jets.Jet2:
         # Full second-order data of F in (phi, x1, x2) and G in (phi, xb1, xb2),
@@ -317,7 +411,10 @@ def holo_sum(f: ExprSpec, g: ExprSpec) -> FieldHandle:
                         jets.variables([points[..., i] for i in range(4)])))
         return eval_jet(f, args, k=4) + eval_jet(g, args, k=4)
 
-    return FieldHandle(lambda point, seed=None: None, field_jets)
+    def solve(points: np.ndarray, seeds=None):
+        return [None] * len(points), np.full(len(points), None)
+
+    return FieldHandle(solve, field_jets)
 
 
 # -- hodograph parametric solution --------------------------------------------------
@@ -335,10 +432,12 @@ def seed_pair(seed) -> tuple[float, float]:
 def _fold_det(f2, g2, u, v):
     """det J = f''g''(u - v) of the hodograph map, at one point or at each of
     a batch; SingularMatrixError at a fold."""
-    det = f2 * g2 * (u - v)
-    scale = abs(f2 * g2 * v) + abs(g2 * f2 * u)
+    fg = f2 * g2  # also g2 * f2: the product commutes exactly
+    det = fg * (u - v)
+    scale = abs(fg * v) + abs(fg * u)
     # |det| <= REL * max(scale, 1e-30), without Python's max for a batch
-    if _any((abs(det) <= _DEGENERATE_REL * scale) | (abs(det) <= _DEGENERATE_REL * 1e-30)):
+    size = abs(det)
+    if _any((size <= _DEGENERATE_REL * scale) | (size <= _DEGENERATE_REL * 1e-30)):
         raise SingularMatrixError("hodograph fold: J = f''g''(u - v) ~ 0")
     return det
 
@@ -371,8 +470,10 @@ class HodographSolver:
         )
         self.t_expr = ExprSpec(t_ast, ("u", "v"))
         self.x_expr = ExprSpec(x_ast, ("u", "v"))
-        self._identity_terms = [(partial(self.x_expr, var), partial(self.t_expr, var), var)
-                                for var in ("v", "u")]
+        # x_w and t_w, w = v then u, as positional evaluators over (u, v)
+        self._identity_terms = [
+            (float_fn(partial(self.x_expr, var), ("u", "v")),
+             float_fn(partial(self.t_expr, var), ("u", "v")), var) for var in ("v", "u")]
         # f and its first three derivatives at u; g and its at v
         self._fu = [float_fn(s) for s in (f, d1f, d2f, d3f)]
         self._gv = [float_fn(s) for s in (g, d1g, d2g, d3g)]
@@ -386,48 +487,64 @@ class HodographSolver:
         """x_v + v t_v and x_u + u t_u evaluated through symbolic partials, at
         one point (u, v) or at each point of a batch."""
         args = {"u": u, "v": v}
-
-        def at(spec):
-            return _pointwise(lambda a, b: eval_float(spec, {"u": a, "v": b}), u, v)
-        return tuple(_from_terms((at(x_d), args[var] * at(t_d)))
+        return tuple(_from_terms((x_d(u, v), args[var] * t_d(u, v)))
                      for x_d, t_d, var in self._identity_terms)
 
     def solve(self, t: float, x: float, seed=None) -> tuple[float, float]:
-        (f, d1f, d2f, _), (g, d1g, d2g, _) = self._fu, self._gv
+        """(u, v) at one point (t, x), from ``seed`` (else the configured
+        seed): :meth:`solve_many` of that one point."""
+        errors, uv = self.solve_many([t], [x], None if seed is None else [seed])
+        if errors[0] is not None:
+            raise errors[0]
+        return tuple(uv[0].tolist())
 
-        def residual(uv):
+    def solve_many(self, t, x, seeds=None) -> tuple[list, np.ndarray]:
+        """``(errors, uv)`` at the points ``(t[i], x[i])``, each solved from its
+        seed in ``seeds`` (else the configured seed): per point the
+        EvaluationError of its solve or None, and the ``(M, 2)`` solutions
+        (u, v) of the M points without one, in order."""
+        (f, d1f, d2f, _), (g, d1g, d2g, _) = self._fu, self._gv
+        t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+
+        def residual(i, uv):
             # Newton's own form of the forward map: fewer evaluations than
             # ``forward``, summed in a different order.
-            u, v = uv
+            u, v = uv[:, 0], uv[:, 1]
             fu, f1 = f(u), d1f(u)
             gv, g1 = g(v), d1g(v)
-            r1, r2 = f1 + g1 - t, fu - u * f1 + gv - v * g1 - x
-            return max(abs(r1), abs(r2)), (r1, r2)
+            r = np.empty_like(uv)
+            r1 = np.subtract(f1 + g1, t[i], out=r[:, 0])
+            r2 = np.subtract(fu - u * f1 + gv - v * g1, x[i], out=r[:, 1])
+            return _larger(abs(r1), abs(r2)), r
 
-        def step(uv, r):
-            u, v = uv
-            r1, r2 = r
+        def step(i, uv, r):
+            u, v = uv[:, 0], uv[:, 1]
+            r1, r2 = r[:, 0], r[:, 1]
             f2, g2 = d2f(u), d2g(v)
             # J = [[f'', g''], [-u f'', -v g'']]
             det = _fold_det(f2, g2, u, v)
-            du = (-v * g2 * r1 - g2 * r2) / det
-            dv = (u * f2 * r1 + f2 * r2) / det
-            un, vn = u - du, v - dv
-            if not (math.isfinite(un) and math.isfinite(vn)):
+            nxt = np.empty_like(uv)
+            un = np.subtract(u, (-v * g2 * r1 - g2 * r2) / det, out=nxt[:, 0])
+            vn = np.subtract(v, (u * f2 * r1 + f2 * r2) / det, out=nxt[:, 1])
+            if not np.isfinite(nxt).all():
                 raise NewtonConvergenceError("hodograph Newton diverged")
-            return None if un == u and vn == v else (un, vn)
+            return nxt, (un == u) & (vn == v)
 
-        uv = seed_pair(self.cfg.seed if seed is None else seed)
-        tol = self.cfg.newton_tol * max(1.0, abs(t), abs(x))
-        return _newton(residual, step, uv, self.cfg.max_iter, tol)
+        if seeds is None:
+            uv = np.tile(seed_pair(self.cfg.seed), (len(t), 1))
+        elif isinstance(seeds, np.ndarray) and seeds.shape == (len(t), 2):
+            uv = seeds.astype(float)  # a pair of numbers per point already
+        else:
+            uv = np.array([seed_pair(s) for s in seeds]).reshape(len(t), 2)
+        tol = self.cfg.newton_tol * _larger(_larger(1.0, abs(t)), abs(x))
+        return _solved(*_newton(residual, step, uv, self.cfg.max_iter, tol))
 
     def jets_uv(self, u, v):
         """First and second derivatives of u and v with respect to (t, x) at
         solved parameters (u, v), one point (floats) or a batch (arrays):
         ``(du, dv, hu, hv)``, with du = (u_t, u_x) and hu its Hessian."""
         (_, _, d2f, d3f), (_, _, d2g, d3g) = self._fu, self._gv
-        f2, f3 = _pointwise(d2f, u), _pointwise(d3f, u)
-        g2, g3 = _pointwise(d2g, v), _pointwise(d3g, v)
+        f2, f3, g2, g3 = d2f(u), d3f(u), d2g(v), d3g(v)
         jac = np.stack([np.stack([f2, g2], axis=-1),
                         np.stack([-u * f2, -v * g2], axis=-1)], axis=-2)
         _fold_det(f2, g2, u, v)
@@ -550,23 +667,23 @@ def implicit_3d(
                      for specs in ((F, G, K), d1, d2))
 
     def vals(fns, p):
-        return [fn(p) if fn is not None else 0.0 for fn in fns]
+        # the three functions, or 0.0 for None, at p: (3,) at a float, (N, 3)
+        # at N values
+        return np.stack(np.broadcast_arrays(*(fn(p) if fn is not None else 0.0
+                                              for fn in fns)), axis=-1)
 
-    def solve(point: np.ndarray, seed=None) -> float:
-        coeffs = point  # (t, x, y)
+    def solve(points: np.ndarray, seeds=None):
+        def w(i, p):
+            return _dot(points[i], vals(f0s, p)) - const_c
 
-        def w(p):
-            return float(np.dot(coeffs, vals(f0s, p))) - const_c
+        def dw(i, p):
+            return _dot(points[i], vals(f1s, p))
 
-        def dw(p):
-            return float(np.dot(coeffs, vals(f1s, p)))
-
-        return _newton_scalar(w, dw, cfg, seed)
+        return _solved(*_newton_scalar(w, dw, cfg, _scalar_seeds(cfg, len(points), seeds)))
 
     def field_jets(points: np.ndarray, phi) -> jets.Jet2:
         coeffs = points  # (t, x, y)
-        f0, f1, f2 = (np.asarray(_pointwise(lambda p, fns=fns: vals(fns, p), phi))
-                      for fns in (f0s, f1s, f2s))
+        f0, f1, f2 = (vals(fns, phi) for fns in (f0s, f1s, f2s))
         # W = t F + x G + y K - c: W_a = (F, G, K)(phi), W_pa their phi-derivatives
         # and W_ab = 0.
         return _implicit_jet(phi, _dot(coeffs, f1),
@@ -584,18 +701,34 @@ def hodograph_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(phi, phibar) = (v, u) values on a tensor grid, with (u, v) seed
     continuation along each row and down the first column from the solver's
-    configured seed."""
+    configured seed.
+
+    The first column is solved node by node, each row's first node from the
+    node above.  The rows are then independent: each further column is one
+    :meth:`~HodographSolver.solve_many` over the rows, each node from its left
+    neighbour.  A node that fails ends its row; the grid then raises the
+    error of its first failing node in row-major order, the node a row by row
+    march would have stopped at."""
     nt, nx = len(t_nodes), len(x_nodes)
     phi = np.empty((nt, nx))
     phibar = np.empty((nt, nx))
-    row_seed = solver.cfg.seed
+    failed = {}  # row -> the error of its failing node
+    seed = solver.cfg.seed
     for i, t in enumerate(t_nodes):
-        s = row_seed
-        for j, x in enumerate(x_nodes):
-            u, v = solver.solve(t, x, seed=s)
-            phibar[i, j] = u
-            phi[i, j] = v
-            s = (u, v)
-            if j == 0:
-                row_seed = s
+        try:
+            seed = solver.solve(t, x_nodes[0], seed=seed)
+        except EvaluationError as err:
+            failed[i] = err  # the rows below have no seed, and come later
+            break
+        phibar[i, 0], phi[i, 0] = seed
+    rows = np.arange(min(failed, default=nt))
+    for j in range(1, nx):
+        seeds = np.stack([phibar[rows, j - 1], phi[rows, j - 1]], axis=-1)
+        errors, uv = solver.solve_many(t_nodes[rows], np.full(len(rows), x_nodes[j]), seeds)
+        ok = np.array([err is None for err in errors], dtype=bool)
+        failed.update((i, err) for i, err in zip(rows.tolist(), errors) if err is not None)
+        rows = rows[ok]
+        phibar[rows, j], phi[rows, j] = uv[:, 0], uv[:, 1]
+    if failed:
+        raise failed[min(failed)]
     return phi, phibar

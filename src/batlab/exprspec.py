@@ -22,7 +22,9 @@ evaluation, into nested closures cached on the spec (:func:`_compile`).
 :func:`float_fn` is the positional float entry: it maps a tuple of variable
 names onto the spec's slots once, and the evaluator it returns takes bare
 values, for Newton loops and finite-difference stencils that call one spec
-many times.  The tree walker these closures replaced is kept in
+many times.  Its values may also be arrays, one element per point, and each
+element of the result is the bits of the float evaluation at that point (see
+the array rules below).  The tree walker these closures replaced is kept in
 ``tests/oracles.py`` as the reference they are tested against.
 """
 
@@ -33,6 +35,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
+
+import numpy as np
 
 from . import jets
 from .errors import ExprSyntaxError, JetDomainError
@@ -237,10 +241,22 @@ def to_string(node: Node) -> str:
 #
 # A spec is compiled once, on its first evaluation, into nested closures, one per
 # AST node, over a sequence of values in the order of ``spec.vars`` (None for a
-# variable not given).  A subtree over float leaves evaluates to a float and one
-# with a jet leaf to a jet (a Jet2, at one point or at a batch of points), so
-# the same closures serve eval_float, float_fn and eval_jet.  The closures are
-# cached on the spec and live as long as it does.
+# variable not given).  A subtree over float leaves evaluates to a float, one
+# with an array leaf to an array (a float per point) and one with a jet leaf to
+# a jet (a Jet2, at one point or at a batch of points), so the same closures
+# serve eval_float, float_fn and eval_jet.  The closures are cached on the spec
+# and live as long as it does.
+#
+# On arrays, + - * / and sin, cos and sqrt are numpy ufuncs, which round as the
+# float operations do.  A literal power is ``np.float_power``, which calls the C
+# ``pow`` that Python's ``**`` calls, element by element (``b ^ 1`` is b and
+# ``b ^ 0`` the float 1.0 without a call, as pow gives them).  exp, log and a power
+# with an expression exponent go element by element through the float
+# functions (``math`` and Python's ``**``): numpy's exp, log and power differ
+# from them in the last bit for some arguments, and so does ``x * x`` from
+# ``x ** 2``.  An operation that fails at some element raises what the float
+# operation raises at the first failing element, or, for a division by zero,
+# the same JetDomainError.
 
 
 def _compile(spec: ExprSpec):
@@ -268,11 +284,14 @@ def _closure(node: Node, slots: Mapping[str, int]):
         return lambda env: -operand(env)
     if isinstance(node, Call):
         arg = _closure(node.arg, slots)
-        float_fun, jet_fun = _FLOAT_FUNCTIONS[node.func], jets.FUNCTIONS[node.func]
+        float_fun, array_fun = _FLOAT_FUNCTIONS[node.func], _ARRAY_FUNCTIONS[node.func]
+        jet_fun = jets.FUNCTIONS[node.func]
 
         def call(env):
             a = arg(env)
-            return float_fun(a) if isinstance(a, float) else jet_fun(a)
+            if isinstance(a, float):
+                return float_fun(a)
+            return array_fun(a) if isinstance(a, np.ndarray) else jet_fun(a)
         return call
     if isinstance(node, Bin):
         left = _closure(node.left, slots)
@@ -288,7 +307,10 @@ def _closure(node: Node, slots: Mapping[str, int]):
         if node.op == "/":
             def divide(env):
                 a, b = left(env), right(env)
-                if isinstance(b, float) and b == 0.0:
+                if isinstance(b, float):
+                    if b == 0.0:
+                        raise JetDomainError("div", 0.0)
+                elif isinstance(b, np.ndarray) and (b == 0.0).any():
                     raise JetDomainError("div", 0.0)
                 return a / b
             return divide
@@ -304,21 +326,38 @@ def _literal_power(base, c):
     if not (isinstance(c, float) and c.is_integer()):
         def power(env):
             b = base(env)
-            return _float_pow(b, c) if isinstance(b, float) else jets.powc(b, c)
+            if isinstance(b, float):
+                return _float_pow(b, c)
+            return _array_power(b, c) if isinstance(b, np.ndarray) else jets.powc(b, c)
         return power
     e = int(c)
 
     def integer_power(env):
         b = base(env)
-        if not isinstance(b, float):
-            return jets.powc(b, c)
-        if e < 0 and b == 0.0:
-            raise JetDomainError("pow", 0.0)
-        try:
-            return float(b**e)
-        except OverflowError:
-            raise JetDomainError("pow", b) from None
+        if isinstance(b, float):
+            if e < 0 and b == 0.0:
+                raise JetDomainError("pow", 0.0)
+            try:
+                return float(b**e)
+            except OverflowError:
+                raise JetDomainError("pow", b) from None
+        return _array_power(b, c) if isinstance(b, np.ndarray) else jets.powc(b, c)
     return integer_power
+
+
+def _array_power(b: np.ndarray, c: float):
+    """``b ^ c`` for a literal ``c`` at each element of ``b``, as
+    :func:`_float_pow` gives it."""
+    if c == 1.0:  # b ** 1 is b and b ** 0 is 1.0, whatever b, as pow gives them
+        return b
+    if c == 0.0:
+        return 1.0
+    # Where _float_pow's guards hold, or pow overflows, it raises (or returns a
+    # NaN) element by element.
+    if (b <= 0.0).any() if not c.is_integer() else c < 0.0 and (b == 0.0).any():
+        return _elementwise(lambda v: _float_pow(v, c), b)
+    out = np.float_power(b, c)
+    return out if _finite(out) else _elementwise(lambda v: _float_pow(v, c), b)
 
 
 def _power(base, expo):
@@ -326,14 +365,30 @@ def _power(base, expo):
     exp(e*log(b))."""
     def power(env):
         b, e = base(env), expo(env)
+        if isinstance(e, float) and isinstance(b, float):
+            return _float_pow(b, e)
+        if isinstance(e, np.ndarray) or isinstance(b, np.ndarray):
+            return _elementwise(_float_pow, *np.broadcast_arrays(b, e))
         if isinstance(e, float):
-            return _float_pow(b, e) if isinstance(b, float) else jets.powc(b, e)
+            return jets.powc(b, e)
         if isinstance(b, float):
             if b <= 0.0:
                 raise JetDomainError("pow", b)
             return jets.exp(e * math.log(b))
         return jets.exp(e * jets.log(b))
     return power
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every element of ``a`` is finite."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def _elementwise(fn, *arrays) -> np.ndarray:
+    """The float function ``fn`` at each element of ``arrays`` (of one shape),
+    in order: the first element where it raises raises."""
+    values = [a.ravel().tolist() for a in arrays]
+    return np.array([fn(*v) for v in zip(*values)], dtype=float).reshape(arrays[0].shape)
 
 
 def _exp(v: float) -> float:
@@ -356,6 +411,26 @@ def _sqrt(v: float) -> float:
 
 _FLOAT_FUNCTIONS = {"exp": _exp, "log": _log, "sin": math.sin, "cos": math.cos,
                     "sqrt": _sqrt}
+
+
+def _by_ufunc(ufunc, name: str):
+    """The array form of float function ``name`` through ``ufunc``, which rounds
+    as it does; where the float function raises at some element (math.sin at
+    an infinity, _sqrt at a value <= 0), element by element instead."""
+    float_fun = _FLOAT_FUNCTIONS[name]
+    domain = np.isinf if name != "sqrt" else lambda a: a <= 0.0
+
+    def apply(a: np.ndarray) -> np.ndarray:
+        if domain(a).any():
+            return _elementwise(float_fun, a)
+        return ufunc(a)
+    return apply
+
+
+_ARRAY_FUNCTIONS = {"exp": functools.partial(_elementwise, _exp),
+                    "log": functools.partial(_elementwise, _log),
+                    "sin": _by_ufunc(np.sin, "sin"), "cos": _by_ufunc(np.cos, "cos"),
+                    "sqrt": _by_ufunc(np.sqrt, "sqrt")}
 
 
 def _float_pow(base: float, expo: float) -> float:
@@ -421,26 +496,48 @@ def float_fn(spec: ExprSpec, names: Sequence[str] | None = None) -> Callable[...
     the spec missing from ``names`` raises eval_float's ValueError when the
     evaluation reaches it.  Without ``names`` the spec must have exactly one
     variable, and the function takes its value.
+
+    The values may also be arrays of one shape, one element per point (the
+    first value decides; a float among them holds at every point): the result
+    is then a new array of that shape, each element the bits of the float
+    evaluation at its point, and a non-finite element raises eval_float's
+    JetDomainError.  An evaluation failing at one point raises the float
+    evaluation's error there; failing at several, the error of the first
+    operation that fails, so a caller that needs each point's own error
+    evaluates the points one at a time after a failure.
     """
     if names is None:
         if len(spec.vars) != 1:
             raise ValueError(f"float_fn needs a spec of one variable, got {spec.vars}")
+        slots = [0]
+    else:
+        position = {name: i for i, name in enumerate(names)}
+        slots = [position.get(name) for name in spec.vars]
+    top = spec.ast
+    while isinstance(top, Bin) and top.op == "^" and top.right == Num(1.0):
+        top = top.left  # b ^ 1 is b itself
+    returns_argument = isinstance(top, Var)
+    array = np.ndarray
 
-        def evaluate(value) -> float:
-            out = spec._compiled((float(value),))
-            if not math.isfinite(out):
-                raise JetDomainError("eval", out)
-            return out
-        return evaluate
-
-    position = {name: i for i, name in enumerate(names)}
-    slots = [position.get(name) for name in spec.vars]
-
-    def evaluate_at(*values) -> float:
+    def evaluate_at(*values):
+        if values and type(values[0]) is array:
+            return evaluate_arrays(values)
         out = spec._compiled([None if i is None else float(values[i]) for i in slots])
         if not math.isfinite(out):
             raise JetDomainError("eval", out)
         return out
+
+    def evaluate_arrays(values) -> np.ndarray:
+        out = spec._compiled([None if i is None else np.asarray(values[i], dtype=float)
+                              for i in slots])
+        if type(out) is not np.ndarray:  # a constant: its value at each point
+            if not math.isfinite(out):
+                raise JetDomainError("eval", out)
+            return np.full(values[0].shape, out)
+        if not _finite(out):
+            raise JetDomainError("eval", float(out[~np.isfinite(out)][0]))
+        # a new array, also where the spec returns an argument as it is
+        return out.copy() if returns_argument else out
     return evaluate_at
 
 

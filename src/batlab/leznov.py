@@ -22,17 +22,21 @@ both bindings are exposed:
 The test suite records which binding yields vanishing residuals on
 constructed systems (it is ``v_on_x``).
 
-A case solves each sample point once (:func:`solve_constraints`, one Newton
-solve through ``construct._newton``) for the field values.  Everything else
-is written once for one point and for a batch of solved points (a ``Jet2``
-with a leading axis), each point of a batch the bits of its one-point result:
+A case solves all its sample points as one batch (:func:`solve_many`, one
+batched Newton solve through ``construct._newton``) for the field values;
+:func:`solve_constraints` is the same solve at one point.  Everything else is
+written once for one point and for a batch of solved points (a ``Jet2`` with a
+leading axis), each point of a batch the bits of its one-point result:
 :func:`field_jets` differentiates the constraints implicitly,
 :func:`speed_jets` derives the speeds from the field jets, and
 :func:`holomorphy_samples` and :func:`zero_curvature_samples` apply the
 operators.  A :class:`LeznovSystem` maps each variable name to its slot in
-(phi, point) once, and builds the symbolic partials of Q and P by slot once;
-each evaluation pass binds every slot's value to its name in one mapping, which
-every spec and partial evaluated in that pass reads.
+(phi, point) once, and builds the symbolic partials of Q and P by slot once.
+The Newton solve evaluates the constraints and their field partials through
+positional evaluators over the slots (:func:`~batlab.exprspec.float_fn`,
+built once), at one point or a batch; the jet passes bind every slot's value
+to its name in one mapping, which every spec and partial evaluated in that
+pass reads.
 
 Coordinate order of all jets: (x_1..x_n, xb_1..xb_n).
 """
@@ -45,9 +49,11 @@ from typing import Sequence
 import numpy as np
 
 from . import jets
-from .construct import ImplicitSolveConfig, _newton
+from .construct import ImplicitSolveConfig, _newton, _solved
 from .errors import SingularMatrixError
-from .exprspec import ExprSpec, eval_float, eval_jet, partial
+# eval_float is not called here; the benchmark's tracer (perfbench/tracing.py)
+# patches this binding by name.
+from .exprspec import ExprSpec, eval_float, eval_jet, float_fn, partial  # noqa: F401
 from .residuals import ResidualSample, TransportPattern, _any, _larger, _solve, _square, transport
 
 _COND_LIMIT = 1e10
@@ -85,6 +91,12 @@ class LeznovSystem:
         # Symbolic partials of Q^i and P^i by slot (None where a variable is absent).
         self._dq = [[partial(q, v) if v in q.vars else None for v in self.slots] for q in self.Q]
         self._dp = [[partial(p, v) if v in p.vars else None for v in self.slots] for p in self.P]
+        # Positional evaluators over the slots: Q^i and P^i, and their field
+        # partials (None where a field is absent).
+        names = tuple(self.slots)
+        self._gap_fns = [(float_fn(q, names), float_fn(p, names)) for q, p in zip(self.Q, self.P)]
+        self._jac_fns = [[tuple(None if d is None else float_fn(d, names) for d in (dq[m], dp[m]))
+                          for m in range(self.nf)] for dq, dp in zip(self._dq, self._dp)]
 
     @property
     def nf(self) -> int:
@@ -99,48 +111,74 @@ class LeznovSystem:
         return phi
 
 
+def _slot_values(phi, point) -> list:
+    """The value of each slot of (phi, point): floats at one point, arrays of
+    one value per point over a batch."""
+    return [phi[..., m] for m in range(phi.shape[-1])] + [
+        point[..., a] for a in range(point.shape[-1])]
+
+
 def _gaps(sys: LeznovSystem, phi, point) -> np.ndarray:
-    """Q^i - P^i at field values ``phi`` and coordinates ``point``."""
-    args = dict(zip(sys.slots, np.concatenate((phi, point)).tolist()))
-    return np.array([eval_float(q, args) - eval_float(p, args) for q, p in zip(sys.Q, sys.P)])
+    """Q^i - P^i at field values ``phi`` and coordinates ``point``: ``(n-1,)``
+    at one point, ``(N, n-1)`` over a batch."""
+    values = _slot_values(phi, point)
+    return np.stack([q(*values) - p(*values) for q, p in sys._gap_fns], axis=-1)
+
+
+def _jacobian(sys: LeznovSystem, phi, point) -> np.ndarray:
+    """d(Q - P)/dphi at field values ``phi`` and coordinates ``point``, one
+    point or a batch."""
+    values = _slot_values(phi, point)
+    jac = np.zeros(phi.shape + (sys.nf,))
+    for i, row in enumerate(sys._jac_fns):
+        for m, (dq, dp) in enumerate(row):
+            if dq is not None:
+                jac[..., i, m] += dq(*values)
+            if dp is not None:
+                jac[..., i, m] -= dp(*values)
+    return jac
 
 
 def solve_constraints(sys: LeznovSystem, point, seed=None) -> np.ndarray:
-    """The field values phi at one point: the Newton solve of Q - P = 0 from
-    ``seed`` (else the configured seed)."""
-    point = np.asarray(point, dtype=float)
-    if point.shape != (2 * sys.n,):
+    """The field values phi at one point, from ``seed`` (else the configured
+    seed): :func:`solve_many` of that one point."""
+    errors, phi = solve_many(sys, [point], None if seed is None else [seed])
+    if errors[0] is not None:
+        raise errors[0]
+    return phi[0]
+
+
+def solve_many(sys: LeznovSystem, points, seeds=None) -> tuple[list, np.ndarray]:
+    """``(errors, phi)`` at the ``(N, 2n)`` ``points``: the Newton solves of
+    Q - P = 0, each from its seed in ``seeds`` (else the configured seed).
+    Per point the EvaluationError of its solve or None, and the ``(M, n-1)``
+    field values of the M points without one, in order."""
+    points = np.asarray(points, dtype=float)
+    if points.shape[1:] != (2 * sys.n,):
         raise ValueError(f"point must have {2 * sys.n} coordinates")
-    nf = sys.nf
 
-    def residual(phi):
-        r = _gaps(sys, phi, point)
-        return np.abs(r).max(), r
+    def residual(i, phi):
+        r = _gaps(sys, phi, points[i])
+        return np.abs(r).max(axis=-1), r
 
-    def step(phi, r):
-        args = dict(zip(sys.slots, np.concatenate((phi, point)).tolist()))
-        jac = np.zeros((nf, nf))
-        for i in range(nf):
-            for m in range(nf):
-                dq, dp = sys._dq[i][m], sys._dp[i][m]
-                if dq is not None:
-                    jac[i, m] += eval_float(dq, args)
-                if dp is not None:
-                    jac[i, m] -= eval_float(dp, args)
-        if not np.isfinite(jac).all() or np.linalg.cond(jac) > _COND_LIMIT:
+    def step(i, phi, r):
+        jac = _jacobian(sys, phi, points[i])
+        # as at one point: condition numbers only once every entry is finite
+        if not np.isfinite(jac).all() or (np.linalg.cond(jac) > _COND_LIMIT).any():
             raise SingularMatrixError("constraint jacobian (P_phi - Q_phi) is singular")
-        nxt = phi - np.linalg.solve(jac, r)
-        return nxt if np.isfinite(nxt).all() and not np.array_equal(nxt, phi) else None
+        nxt = phi - _solve(jac, r)
+        return nxt, ~np.isfinite(nxt).all(axis=-1) | (nxt == phi).all(axis=-1)
 
-    return _newton(residual, step, sys.seed_fields(sys.cfg.seed if seed is None else seed),
-                   sys.cfg.max_iter, sys.cfg.newton_tol)
+    seeds = [sys.cfg.seed] * len(points) if seeds is None else seeds
+    phi = np.array([sys.seed_fields(s) for s in seeds]).reshape(len(points), sys.nf)
+    return _solved(*_newton(residual, step, phi, sys.cfg.max_iter, sys.cfg.newton_tol))
 
 
 def field_jets(sys: LeznovSystem, points, phi) -> tuple:
     """The jets of phi^1..phi^{n-1} at solved points, by two implicit
     differentiation passes: at one point (``(2n,)`` coordinates, ``(n-1,)``
     field values from :func:`solve_constraints`) or over a batch (``(N, 2n)``
-    and ``(N, n-1)``)."""
+    and ``(N, n-1)``, from :func:`solve_many`)."""
     n, nf, nz = sys.n, sys.nf, 2 * sys.n
     phis = [phi[..., m] for m in range(nf)]
     coords = [points[..., a] for a in range(nz)]
@@ -294,7 +332,7 @@ def zero_curvature_samples(sys: LeznovSystem, speeds, speeds_on_x: str = "v") ->
             + tuple(apply_D(s, u_vals, v_vals, sys.n, "Dbar", speeds_on_x) for s in second))
 
 
-def constraint_gap(sys: LeznovSystem, point, phi) -> float:
+def constraint_gap(sys: LeznovSystem, point, phi):
     """max_i |Q^i - P^i| at a solved root ``phi`` of ``point`` (should sit at
-    solver precision)."""
-    return float(np.abs(_gaps(sys, phi, point)).max())
+    solver precision): a float at one point, one per point over a batch."""
+    return np.abs(_gaps(sys, phi, point)).max(axis=-1)[()]

@@ -35,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from . import hydro, jets
-from .errors import JetDomainError
-from .exprspec import ExprSpec, eval_jet, parse
+from .errors import EvaluationError, JetDomainError
+from .exprspec import ExprSpec, eval_jet, float_fn, parse
 from .residuals import ResidualSample, grid_report
 
 _SLOTS = ("phi_t", "phi_x", "phibar_t", "phibar_x", "psi_t", "psi_x")
@@ -201,14 +201,17 @@ def onshell_degeneracy(
 
 
 def psi_from(phibar: np.ndarray, w_expr: ExprSpec) -> np.ndarray:
-    """Nodal psi = W(phibar)."""
+    """Nodal psi = W(phibar), evaluated over the grid at once; each node the
+    bits of W at that node.  Where W fails, the error is that of the first
+    failing node in row-major order."""
     if len(w_expr.vars) > 1:
         raise ValueError("W must be a single-variable expression")
-    var = w_expr.vars[0] if w_expr.vars else "s"
-    out = np.empty_like(phibar)
-    from .exprspec import eval_float
-
-    for idx, value in np.ndenumerate(phibar):
-        out[idx] = eval_float(w_expr, {var: float(value)})
-    return out
+    w = float_fn(w_expr, w_expr.vars or ("s",))
+    phibar = np.asarray(phibar, dtype=float)
+    try:
+        return w(phibar)
+    except EvaluationError:
+        for value in phibar.ravel().tolist():
+            w(value)  # raises at the first failing node
+        raise
 

@@ -314,6 +314,26 @@ def leznov_field_jets(sys, point, phi) -> list[Jet2]:
     return [jets.from_parts(phi[m], grads[m], hesses[m]) for m in range(nf)]
 
 
+def hodograph_grid(solver, t_nodes, x_nodes):
+    """``construct.hodograph_grid`` node by node, in row-major order: each
+    node solved from its left neighbour, each row's first node from the node
+    above; the first failing node raises."""
+    nt, nx = len(t_nodes), len(x_nodes)
+    phi = np.empty((nt, nx))
+    phibar = np.empty((nt, nx))
+    row_seed = solver.cfg.seed
+    for i, t in enumerate(t_nodes):
+        s = row_seed
+        for j, x in enumerate(x_nodes):
+            u, v = solver.solve(t, x, seed=s)
+            phibar[i, j] = u
+            phi[i, j] = v
+            s = (u, v)
+            if j == 0:
+                row_seed = s
+    return phi, phibar
+
+
 def _from_terms(terms, floor) -> ResidualSample:
     return ResidualSample(math.fsum(terms), math.fsum(abs(t) for t in terms), floor)
 

@@ -12,7 +12,16 @@ right-hand side of several columns in ``np.linalg.solve``, ``(g * g).sum()`` or
 batch and its one-point evaluation alike, so the one-point results of the
 formulas that risk them are also compared with the one-point forms of
 ``tests/oracles.py``, on data that tell those ways apart.
+
+The batched Newton solves rest on two more such facts, checked element by
+element on data that hit the arguments where numpy's own functions differ
+(a digest would miss a change of the machine's SIMD level): an array
+evaluation of a spec (``float_fn``) holds the bits of its float evaluation at
+each point, and a stack of 1x1 or 2x2 systems is solved, and its condition
+numbers found, as each system on its own.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +29,7 @@ import pytest
 from batlab import construct, hydro, leznov, residuals
 from batlab.construct import HodographSolver, ImplicitSolveConfig, LinearMap2
 from batlab.errors import EvaluationError
-from batlab.exprspec import parse
+from batlab.exprspec import float_fn, parse
 from batlab.jets import Jet2
 from batlab.residuals import TransportPattern
 
@@ -204,3 +213,106 @@ def test_grid_jets_and_transport_samples():
     m = grid.nt // 2
     jet, _ = _compare(lambda i: hydro.fd_jet_at(grid.u, grid.dt, grid.h, m, i), np.arange(grid.nx))
     _compare(lambda j, s: residuals.transport(j, [s], TransportPattern(0, (1,))), jet, -grid.v[m])
+
+
+def _args(rng, n):
+    """Arguments x, y that hit the differing cases: x in narrow and wide
+    ranges around 0, y > 0 spanning many binades."""
+    x = np.concatenate([rng.uniform(-3.0, 3.0, n), rng.uniform(-100.0, 100.0, n),
+                        rng.uniform(-600.0, 600.0, n)])
+    return x, np.exp(rng.uniform(-30.0, 30.0, 3 * n))
+
+
+@pytest.mark.parametrize("text,n", [
+    ("exp(x / 30)", 70_000), ("log(y)", 70_000), ("y^2.5", 70_000), ("x^2", 70_000),
+    ("x^3", 70_000), ("exp(x / 50) * x^2 - log(y)^3 + y^(x / 100) + 2 * x^1 * y^0", 70_000),
+    ("x^4", 10_000), ("x^6", 10_000), ("x^-2", 10_000), ("y^0.5", 10_000), ("x^1", 10_000),
+    ("x^0", 10_000), ("sin(x) * cos(y) + sqrt(y) - x / y", 10_000),
+])
+def test_array_closures_repeat_the_float_closures(text, n):
+    """Each element of an array evaluation is the float evaluation at that
+    point, bit for bit, on 3n points (210,000 for exp, log, x^2.5, x^2, x^3
+    and a mix of them); and the numpy functions the array closures avoid do
+    differ from the float ones on these points."""
+    rng = np.random.default_rng(_RNG_SEED)
+    x, y = _args(rng, n)
+    f = float_fn(parse(text), ("x", "y"))
+    with np.errstate(all="ignore"):
+        batch = f(x, y)
+    singles = np.array([f(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    assert batch.shape == x.shape and np.array_equal(batch.view(np.int64), singles.view(np.int64))
+    # numpy's exp and power, and x * x, are not the float functions here.
+    assert not np.array_equal(np.exp(x / 30), [math.exp(a / 30) for a in x.tolist()])
+    assert not np.array_equal(np.log(y), [math.log(b) for b in y.tolist()])
+    assert not np.array_equal(np.power(x, 3), [a**3 for a in x.tolist()])
+    assert not np.array_equal(x * x, [a**2 for a in x.tolist()])
+
+
+def test_array_closures_raise_what_the_float_closures_raise():
+    """An array evaluation that fails at one point fails as the float
+    evaluation there does; one that fails at several raises the error of the
+    first operation failing at some point.  A constant spec gives one value
+    per point, and the result is never an argument itself."""
+    f = float_fn(parse("log(x) + 1 / (x - 2) + x^-1"), ("x",))
+    for bad in (-1.0, 2.0, 0.0):
+        values = [3.0, bad, 5.0]
+        with pytest.raises(EvaluationError) as batch:
+            f(np.array(values))
+        with pytest.raises(EvaluationError) as single:
+            f(bad)
+        assert (type(batch.value), str(batch.value)) == (type(single.value), str(single.value))
+    with pytest.raises(EvaluationError, match="log"):
+        f(np.array([2.0, -1.0]))  # the float evaluation at 2.0 fails in the division
+    overflow = float_fn(parse("1 / x^400"), ("x",))
+    with pytest.raises(EvaluationError, match="pow"), np.errstate(over="ignore"):
+        overflow(np.array([1.0, 10.0]))
+    assert float_fn(parse("2"), ("x",))(np.zeros(3)).tolist() == [2.0] * 3
+    same = np.array([1.5, 2.5])
+    assert float_fn(parse("x"), ("x",))(same) is not same
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_stacked_solve_and_cond_repeat_each_system(size):
+    """``residuals._solve`` and ``np.linalg.cond`` over a stack of systems
+    give each system's own bits, as the batched Leznov step needs."""
+    rng = np.random.default_rng(_RNG_SEED)
+    mats = rng.standard_normal((5000, size, size)) * np.exp(rng.uniform(-3, 3, (5000, 1, 1)))
+    rhs = rng.standard_normal((5000, size))
+    solved = residuals._solve(mats, rhs)
+    assert np.array_equal(solved, [np.linalg.solve(m, r) for m, r in zip(mats, rhs)])
+    assert np.array_equal(np.linalg.cond(mats), [np.linalg.cond(m) for m in mats])
+
+
+def test_batched_newton_solves_repeat_their_one_point_solves():
+    """Every constructor's batched solve gives each point the root, or the
+    error class, of its one-point solve, including points that fail."""
+    rng = np.random.default_rng(_RNG_SEED)
+    handles = [
+        (construct.solve_implicit_fg(parse("log(phi) + phi - x1 - x2"), parse("0.3*xb1^2 + xb2"),
+                                     _CFG(seed=1.0, bracket=(1e-6, 60.0))), [-1] * 4, [1] * 4),
+        (construct.solve_implicit_fg(parse("phi^3 - 2*phi + 2 + x1"), parse("xb1*phi"),
+                                     _CFG(seed=0.0)), [-1] * 4, [1] * 4),
+        (construct.implicit_3d(parse("phi^2"), parse("phi"), parse("1"), 0.5, _CFG(seed=0.3)),
+         [-1] * 3, [1] * 3),
+    ]
+    for handle, low, high in handles:
+        points = _box(rng, low, high, 200)
+        errors, roots = handle.solve_many(points)
+        singles = [residuals.attempt(handle.solve, p) for p in points]
+        assert [type(e) for e in errors] == [
+            type(s) if isinstance(s, EvaluationError) else type(None) for s in singles]
+        assert roots.tolist() == [s for s in singles if not isinstance(s, EvaluationError)]
+        assert 0 < len(roots) < len(points) or handle is handles[0][0]
+
+    solver = HodographSolver(parse("u^3"), parse("exp(v)"), _CFG(seed=(1.5, 3.4)))
+    uv = _box(rng, [-1.0, 2.0], [2.0, 3.8], 300)  # folds where u = v or u = 0
+    tx = np.array([solver.forward(u, v) for u, v in uv])
+    for seeds in (None, uv[::-1]):
+        errors, roots = solver.solve_many(tx[:, 0], tx[:, 1], seeds)
+        singles = [residuals.attempt(solver.solve, t, x, None if seeds is None else s)
+                   for (t, x), s in zip(tx, uv[::-1])]
+        assert [type(e) for e in errors] == [
+            type(s) if isinstance(s, EvaluationError) else type(None) for s in singles]
+        assert list(map(tuple, roots.tolist())) == [
+            s for s in singles if not isinstance(s, EvaluationError)]
+        assert any(e is not None for e in errors)

@@ -437,21 +437,25 @@ def test_pointwise_reports_match_recorded_digests(tmp_path, seed):
 def test_one_solve_per_point_and_seed(tmp_path, monkeypatch):
     """Every check of a case reads the case's one solve per point and seed."""
     solves = Counter()
-    hodograph_solve, leznov_solve = construct.HodographSolver.solve, leznov.solve_constraints
+    hodograph_solve, leznov_solve = construct.HodographSolver.solve_many, leznov.solve_many
 
-    def seed_key(seed):
-        return None if seed is None else tuple(np.ravel(seed).tolist())
+    def keys(points, seeds):
+        seeds = [None] * len(points) if seeds is None else seeds
+        return [(*np.ravel(p).tolist(), None if s is None else tuple(np.ravel(s).tolist()))
+                for p, s in zip(points, seeds)]
 
-    def count_hodograph(self, t, x, seed=None):
-        solves["hodograph", float(t), float(x), seed_key(seed)] += 1
-        return hodograph_solve(self, t, x, seed)
+    def count_hodograph(self, t, x, seeds=None):
+        for key in keys(np.stack([t, x], axis=-1), seeds):
+            solves["hodograph", *key] += 1
+        return hodograph_solve(self, t, x, seeds)
 
-    def count_leznov(sys, point, seed=None):
-        solves["leznov", *np.asarray(point, dtype=float).tolist(), seed_key(seed)] += 1
-        return leznov_solve(sys, point, seed)
+    def count_leznov(sys, points, seeds=None):
+        for key in keys(points, seeds):
+            solves["leznov", *key] += 1
+        return leznov_solve(sys, points, seeds)
 
-    monkeypatch.setattr(construct.HodographSolver, "solve", count_hodograph)
-    monkeypatch.setattr(leznov, "solve_constraints", count_leznov)
+    monkeypatch.setattr(construct.HodographSolver, "solve_many", count_hodograph)
+    monkeypatch.setattr(leznov, "solve_many", count_leznov)
     data = {"name": "solves", "paper_anchor": "t", "kind": "verify", "cases": [
         {"label": "hodograph",
          "construct": {"op": "parametric_hodograph", "f": "u^2", "g": "v^2",
@@ -479,19 +483,68 @@ def test_one_solve_per_point_and_seed(tmp_path, monkeypatch):
     assert max(solves.values()) == 1
 
 
+def _small(name: str, **changes) -> dict:
+    """Bundled scenario ``name`` with each case's ``changes`` applied."""
+    data = json.loads((ROOT / "src" / "batlab" / "scenarios" / f"{name}.json").read_text())
+    for case, change in zip(data["cases"], changes.get("cases", [changes] * len(data["cases"]))):
+        for key, value in change.items():
+            if key == "count":
+                case["samples"]["count"] = value
+            else:
+                case[key] = value
+    return data
+
+
+def test_verify_cases_solve_as_batches_and_grids_by_columns(tmp_path, monkeypatch):
+    """A verify case makes no one-point solve: its points are solved by
+    batched solves.  A grid makes one one-point solve per row of its first
+    column, and one batched solve per further column."""
+    calls, rows = Counter(), Counter()  # calls per entry point; batched solves by size
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "solve_many":
+                rows[len(args[1])] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner in (construct.HodographSolver, construct.FieldHandle, leznov):
+        for attr in ("solve_constraints" if owner is leznov else "solve", "solve_many"):
+            monkeypatch.setattr(owner, attr, counting(attr, getattr(owner, attr)))
+    for name in ("c03_hodograph_parametric", "c04_covariance", "c07_zero_curvature"):
+        cli.run_scenario(_small(name, count=5), tmp_path / name, seed=1)
+    assert calls["solve"] == calls["solve_constraints"] == 0
+    # c03: 5 cases; c04: 3 cases, the last with one more solve per linear map
+    # (10 maps); c07: 2 cases.
+    assert calls["solve_many"] == 5 + 3 + 10 + 2
+
+    calls.clear()
+    rows.clear()
+    grids = [[9, 11], [7]]
+    cli.run_scenario(_small("c09_degenerate_lagrangian",
+                            cases=[{"resolutions": r} for r in grids]), tmp_path / "c09", seed=1)
+    # each one-point solve is a one-row batch
+    assert calls["solve"] == rows[1] == 9 + 11 + 7
+    assert rows == {1: 27, 9: 8, 11: 10, 7: 6}
+    assert calls["solve_constraints"] == 0
+
+
 def test_covariance_entries_count_their_own_skips(tmp_path, monkeypatch):
     """A point whose sample-seeded solve fails but whose mapped solves succeed
     is a linear_covariance sample under every map, and a skipped sample of
     moebius_speed_match only: no point is both a sample and skipped."""
-    solve, calls = construct.HodographSolver.solve, []
+    solve_many, calls = construct.HodographSolver.solve_many, []
 
-    def first_solve_fails(self, t, x, seed=None):
+    def first_solve_fails(self, t, x, seeds=None):
         calls.append((t, x))
-        if len(calls) == 1:
-            raise NewtonConvergenceError("forced")
-        return solve(self, t, x, seed)
+        errors, uv = solve_many(self, t, x, seeds)
+        if len(calls) == 1:  # the case's sample-seeded solve: its first point fails
+            assert errors[0] is None
+            errors, uv = [NewtonConvergenceError("forced")] + errors[1:], uv[1:]
+        return errors, uv
 
-    monkeypatch.setattr(construct.HodographSolver, "solve", first_solve_fails)
+    monkeypatch.setattr(construct.HodographSolver, "solve_many", first_solve_fails)
     data = _with(_COMPLETE["covariance"](), ("checks", 0, "maps"), 3)
     report, _ = cli.run_scenario(data, tmp_path, seed=1)
     covariance, speeds = report["reports"]
@@ -513,11 +566,14 @@ def _forbid_work(monkeypatch):
         raise AssertionError("solved or integrated before validation")
 
     monkeypatch.setattr(construct.FieldHandle, "solve", forbidden)
+    monkeypatch.setattr(construct.FieldHandle, "solve_many", forbidden)
     monkeypatch.setattr(construct.HodographSolver, "solve", forbidden)
+    monkeypatch.setattr(construct.HodographSolver, "solve_many", forbidden)
     monkeypatch.setattr(construct, "hodograph_grid", forbidden)
     monkeypatch.setattr(hydro, "integrate_characteristics", forbidden)
     monkeypatch.setattr(hydro, "integrate_multifield", forbidden)
     monkeypatch.setattr(leznov, "solve_constraints", forbidden)
+    monkeypatch.setattr(leznov, "solve_many", forbidden)
 
 
 @pytest.mark.parametrize("scenario", ["implicit_fg", "holo_sum", "implicit_3d", "hodograph",
@@ -660,6 +716,8 @@ def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
     ("variational", ("vary",), []),
     ("ad", ("expressions",), 0),
     ("ad", ("expressions",), -3),
+    ("covariance", ("checks", 0, "maps"), 0),
+    ("covariance", ("checks", 0, "maps"), -2),
 ])
 def test_scalar_of_wrong_type_exits_2_before_solving(tmp_path, monkeypatch, capsys, scenario,
                                                      path, value):

@@ -22,11 +22,14 @@ from batlab.construct import (
 from batlab.errors import (
     DegenerateRootError,
     EvaluationError,
+    JetDomainError,
     NewtonConvergenceError,
     PoleError,
     SingularMatrixError,
 )
 from batlab.exprspec import parse
+
+import oracles
 
 CFG = ImplicitSolveConfig(seed=0.5)
 
@@ -54,6 +57,35 @@ def test_implicit_fg_degenerate_root():
         h([0.5, 0.5, 0.0, 0.2])
 
 
+def _outcome(fn, *args):
+    """The bits of ``fn(*args)``, or the class and message of the
+    EvaluationError it raises."""
+    try:
+        return np.asarray(fn(*args), dtype=float).tobytes()
+    except EvaluationError as err:
+        return type(err), str(err)
+
+
+def _batch_outcomes(errors, roots) -> list:
+    """Per point of a batch solve, its root's bits or its error's class and
+    message, as :func:`_outcome` gives them for its one-point solve."""
+    roots = iter(roots)
+    return [np.asarray(next(roots), dtype=float).tobytes() if err is None
+            else (type(err), str(err)) for err in errors]
+
+
+# W = phi^3 - xb1 phi + x2 - xb2, and a log that fails where phi <= -x1.
+_MIXED_F, _MIXED_G = parse("phi^3 + 0*log(phi + x1) + x2"), parse("xb1*phi + xb2")
+_MIXED = [  # (x1, x2, xb1, xb2), seed
+    ((5.0, 2.0, 2.0, 0.0), 0.0),  # W = phi^3 - 2 phi + 2 cycles between 0 and 1
+    ((5.0, 2.0, 2.0, 0.0), -2.0),  # converges
+    ((-2.0, 2.0, 2.0, 0.0), 3.0),  # reaches phi <= 2: a domain error mid-iteration
+    ((5.0, 1.0, 0.0, 0.0), 0.0),  # W = phi^3 + 1: dW/dphi = 0 at the seed
+    ((5.0, 2.0, 2.0, 0.0), 1e12),  # needs more than max_iter steps
+    ((5.0, 2.0, 0.5, 1.0), 0.7),  # converges
+]
+
+
 @pytest.mark.parametrize("bracket,root", [
     ((-3.0, 0.0), -1.769292354238587),
     ((0.0, 3.0), None),  # the bracket does not straddle the root
@@ -68,6 +100,18 @@ def test_bisection_fallback_when_newton_cycles(bracket, root):
             h([0.0, 0.0, 0.0, 0.0])
     else:
         assert h([0.0, 0.0, 0.0, 0.0]).value == root
+    # In a batch, each point ends in the root or error of its one-point solve:
+    # the points Newton does not solve bisect where the bracket allows.
+    mixed = solve_implicit_fg(_MIXED_F, _MIXED_G, cfg)
+    points, seeds = np.array([p for p, _ in _MIXED]), [s for _, s in _MIXED]
+    batch = _batch_outcomes(*mixed.solve_many(points, seeds))
+    assert batch == [_outcome(mixed.solve, p, s) for p, s in zip(points, seeds)]
+    kinds = [out[0] if isinstance(out, tuple) else float for out in batch]
+    if bracket == (-3.0, 0.0):
+        assert kinds == [float, float, JetDomainError, float, float, float]
+    else:
+        assert kinds == [NewtonConvergenceError, float, JetDomainError,
+                         NewtonConvergenceError, NewtonConvergenceError, float]
 
 
 def _cycle(sizes):
@@ -83,9 +127,9 @@ def _cycle(sizes):
 
     def residual(x):
         evaluated.append(x)
-        return sizes[key(x)], None
+        return sizes[key(x)]
 
-    def step(x, r):
+    def step(x):
         return math.copysign(*keys[(keys.index(key(x)) + 1) % len(keys)])
     return residual, step, evaluated
 
@@ -93,8 +137,32 @@ def _cycle(sizes):
 def _uncapped(residual, step):
     """The same iteration with a step counter in each iterate, so that no
     iterate repeats and ``_newton`` runs to ``max_iter``."""
-    return (lambda xi: residual(xi[0]),
-            lambda xi, r: (step(xi[0], r), xi[1] + 1))
+    return (lambda xi: residual(xi[0]), lambda xi: (step(xi[0]), xi[1] + 1))
+
+
+def _batched(*points):
+    """The batched residual/step pair of per-point ``(residual, step)`` pairs
+    on one float or tuple iterate: the row of point k iterates by
+    ``points[k]``.  Either raises for the batch where it raises at a row."""
+    def residual(idx, x):
+        return np.array([points[k][0](_iterate(v)) for k, v in zip(idx.tolist(), x.tolist())]), x
+
+    def step(idx, x, r):
+        nxt = np.array([points[k][1](_iterate(v)) for k, v in zip(idx.tolist(), x.tolist())])
+        return nxt, np.zeros(len(idx), dtype=bool)
+    return residual, step
+
+
+def _iterate(row):
+    return tuple(row) if isinstance(row, list) else row
+
+
+def _newton_one(pair, x0, tol):
+    """``_newton`` of one point, as its one-row batch."""
+    errors, best = construct._newton(*_batched(pair), np.array([x0]), 50, tol)
+    if errors[0] is not None:
+        raise errors[0]
+    return _iterate(best[0].tolist())
 
 
 @pytest.mark.parametrize("sizes,best", [
@@ -104,19 +172,46 @@ def _uncapped(residual, step):
 def test_newton_stops_at_its_first_repeated_iterate(sizes, best):
     residual, step, evaluated = _cycle(sizes)
     x0 = math.copysign(*next(iter(sizes)))
-    found = construct._newton(residual, step, x0, max_iter=50, tol=1.0)
+    found = _newton_one((residual, step), x0, tol=1.0)
     assert math.copysign(1.0, found) == math.copysign(1.0, best) and found == best
     assert len(evaluated) == len(sizes)
-    u_residual, u_step = _uncapped(residual, step)
-    uncapped, steps = construct._newton(u_residual, u_step, (x0, 0), max_iter=50, tol=1.0)
+    uncapped, steps = _newton_one(_uncapped(residual, step), (x0, 0), tol=1.0)
     assert len(evaluated) == len(sizes) + 51 and steps < len(sizes)
     assert math.copysign(1.0, uncapped) == math.copysign(1.0, found) and uncapped == found
     # Not converged: the same error as the uncapped run.
     with pytest.raises(NewtonConvergenceError) as capped_err:
-        construct._newton(residual, step, x0, max_iter=50, tol=0.1)
+        _newton_one((residual, step), x0, tol=0.1)
     with pytest.raises(NewtonConvergenceError) as uncapped_err:
-        construct._newton(u_residual, u_step, (x0, 0), max_iter=50, tol=0.1)
+        _newton_one(_uncapped(residual, step), (x0, 0), tol=0.1)
     assert str(capped_err.value) == str(uncapped_err.value)
+
+    # In a batch with points that converge, run to max_iter, stop at a
+    # singular step or fail mid-iteration, each point ends as its one-point
+    # solve does, and the cycle still stops at its first repeated iterate.
+    def halving(x):
+        return x / 2
+
+    def singular_at_half(x):
+        if x == 0.5:
+            raise SingularMatrixError("singular")
+        return x / 2
+
+    def fails_at_half(x):
+        if x == 0.5:
+            raise JetDomainError("log", x)
+        return x
+
+    pairs = [(residual, step), (abs, halving), (lambda x: 1.0, lambda x: x + 1.0),
+             (abs, singular_at_half), (fails_at_half, halving), (residual, step)]
+    seeds = [x0, 4.0, 0.0, 4.0, 4.0, x0]
+    for tol in (1.0, 0.6, 0.1):
+        solved = construct._solved(*construct._newton(*_batched(*pairs), np.array(seeds), 50, tol))
+        assert _batch_outcomes(*solved) == [
+            _outcome(_newton_one, p, s, tol) for p, s in zip(pairs, seeds)]
+    evaluated.clear()
+    construct._newton(*_batched(*(pairs[:3] + pairs[5:])), np.array(seeds[:3] + seeds[5:]),
+                      50, 1.0)
+    assert len(evaluated) == 2 * len(sizes)
 
 
 def test_cycling_scalar_newton_still_bisects(monkeypatch):
@@ -124,8 +219,8 @@ def test_cycling_scalar_newton_still_bisects(monkeypatch):
     evaluated, bisected = [], []
     bisect = construct._bisect
 
-    def fun(x):
-        evaluated.append(x)
+    def fun(idx, x):
+        evaluated.extend(np.atleast_1d(x).tolist())
         return x**3 - 2 * x + 2
 
     def counting_bisect(*args):
@@ -134,9 +229,10 @@ def test_cycling_scalar_newton_still_bisects(monkeypatch):
 
     monkeypatch.setattr(construct, "_bisect", counting_bisect)
     cfg = ImplicitSolveConfig(seed=0.0, bracket=(-3.0, 0.0))
-    root = construct._newton_scalar(fun, lambda x: 3 * x**2 - 2, cfg)
+    errors, roots = construct._newton_scalar(fun, lambda idx, x: 3 * x**2 - 2, cfg,
+                                             np.array([0.0]))
     assert bisected == [2] and evaluated[:2] == [0.0, 1.0]
-    assert root == -1.769292354238587
+    assert errors == [None] and roots.tolist() == [-1.769292354238587]
 
 
 def test_implicit_fg_residual_at_regular_points():
@@ -577,6 +673,50 @@ def test_implicit_3d_reparametrization_covariance():
 
 
 # -- grid sampling -------------------------------------------------------------------------
+
+
+def test_hodograph_grid_repeats_the_node_by_node_march():
+    """The column-batched grid holds the bits of the row-major march of
+    ``tests/oracles.py`` on c09's three grids."""
+    solver = HodographSolver(parse("u^2"), parse("v^2"), ImplicitSolveConfig(seed=(1.5, 3.5)))
+    for n in (33, 41, 65):
+        t_nodes, x_nodes = np.linspace(9.75, 10.25, n), np.linspace(-14.75, -14.25, n)
+        batched = construct.hodograph_grid(solver, t_nodes, x_nodes)
+        marched = oracles.hodograph_grid(solver, t_nodes, x_nodes)
+        for a, b in zip(batched, marched):
+            assert a.tobytes() == b.tobytes()
+
+
+_C09_WINDOW = ((9.75, 10.25), (-14.75, -14.25), 9)
+
+
+@pytest.mark.parametrize("f,g,seed,window,where", [
+    ("u^2", "v^2", (1.5, 1.5), _C09_WINDOW, (0, 0)),  # the seed sits on the fold u = v
+    ("u^2 + 0*log(1.75 - u)", "v^2", (1.5, 3.5), _C09_WINDOW, (8, 5)),
+    # u fails from row 7, column 6, and v from row 6, column 7: the row comes first
+    ("u^2 + 0*log(1.7 - u)", "v^2 + 0*log(v - 3.4)", (1.5, 3.5), _C09_WINDOW, (6, 7)),
+    # no (u, v) where x > -t^2/8, beyond the fold
+    ("u^2", "v^2", (1.5, 3.5), ((7.5, 8.5), (-9.0, -8.0), 5), (3, 2)),
+])
+def test_hodograph_grid_raises_at_its_first_failing_node(f, g, seed, window, where):
+    """A grid that fails raises the error of the node where the row-major
+    march stops, whichever column it is in."""
+    solver = HodographSolver(parse(f), parse(g), ImplicitSolveConfig(seed=seed))
+    (t_lo, t_hi), (x_lo, x_hi), n = window
+    t_nodes, x_nodes = np.linspace(t_lo, t_hi, n), np.linspace(x_lo, x_hi, n)
+    batched = residuals.attempt(construct.hodograph_grid, solver, t_nodes, x_nodes)
+    reached = []  # the nodes the march solves, the failing one last
+
+    class Recording(HodographSolver):
+        def solve(self, t, x, seed=None):
+            reached.append((float(t), float(x)))
+            return super().solve(t, x, seed)
+
+    recording = Recording(parse(f), parse(g), solver.cfg)
+    marched = residuals.attempt(oracles.hodograph_grid, recording, t_nodes, x_nodes)
+    assert isinstance(batched, EvaluationError)
+    assert (type(batched), str(batched)) == (type(marched), str(marched))
+    assert reached[-1] == (t_nodes[where[0]], x_nodes[where[1]])
 
 
 def test_hodograph_grid_matches_handles():
