@@ -46,7 +46,7 @@ from .errors import (
 )
 # eval_float is not called here; the benchmark's tracer (perfbench/tracing.py)
 # patches this binding by name.
-from .exprspec import eval_float, eval_jet, float_fn, parse  # noqa: F401
+from .exprspec import at_points, eval_float, eval_jet, float_fn, parse  # noqa: F401
 from .residuals import ResidualReport, TransportPattern
 
 EXIT_PASS = 0
@@ -309,9 +309,10 @@ def _hodograph_case(block, label, case, rng) -> _Solved:
     if samples.get("mode", "uv_box") != "uv_box":
         raise ScenarioError("hodograph cases sample the (u, v) parameter box")
     uv, requested = _box_sampler(samples, rng, 2)
-    tx = [solver.forward(u0, v0) for u0, v0 in uv]
-    errors, batch = _at_solved(solver.fields, *_uv_at(*solver.solve_many(*zip(*tx), uv)))
-    return _Solved(label, rng, requested, uv, errors, batch, solver, tx)
+    t, x = at_points(solver.forward, uv[:, 0], uv[:, 1])
+    errors, batch = _at_solved(solver.fields, *_uv_at(*solver.solve_many(t, x, uv)))
+    return _Solved(label, rng, requested, uv, errors, batch, solver,
+                   list(zip(t.tolist(), x.tolist())))
 
 
 def _uv_at(errors: list, uv: np.ndarray):
@@ -413,16 +414,16 @@ def _hodograph_identities(c: _Solved, tol: float) -> list[dict]:
 
 def _roundtrip(c: _Solved, tol: float) -> list[dict]:
     worst, skipped = 0.0, c.skipped
-    solved = [tx for tx, err in zip(c.tx, c.errors) if err is None]
-    uv = zip(c.batch[1].value.tolist(), c.batch[0].value.tolist()) if c.batch else ()
-    for (t, x), (u, v) in zip(solved, uv):
-        try:
-            t2, x2 = c.model.forward(u, v)
-        except EvaluationError:
-            skipped += 1
-            continue
-        scale = max(1.0, abs(t), abs(x))
-        worst = max(worst, abs(t2 - t) / scale, abs(x2 - x) / scale)
+    if c.batch:
+        # (u, v) = (phibar, phi) at the solved points, mapped forward again
+        errors, tx2 = residuals.batched(c.model.forward, c.batch[1].value, c.batch[0].value)
+        skipped += len(errors) - errors.count(None)
+        if tx2 is not None:
+            t, x = np.array(c.tx)[_ok(c.errors)][_ok(errors)].T
+            scale = residuals._larger(residuals._larger(1.0, abs(t)), abs(x))
+            # as Python's max from 0.0: a NaN never wins (residuals._larger)
+            worst = max([0.0, *(abs(tx2[0] - t) / scale).tolist(),
+                         *(abs(tx2[1] - x) / scale).tolist()])
     rep = ResidualReport("roundtrip", c.requested - skipped, worst, worst, skipped)
     return [_entry(f"roundtrip[{c.label}]", rep, tol, c.requested)]
 
@@ -846,37 +847,39 @@ def _random_expression(rng: np.random.Generator, names: list[str], depth: int):
     return f"{fn}({a})"
 
 
-def _fd_probe(spec, names, point, h):
+# The 18 stencil points of a central-difference probe in three variables, as
+# offsets in units of the step: x ± e_i for each i, then the corners ++, +-,
+# -+ and -- of each pair i < j.  A coordinate left in place is offset by
+# -0.0, since x + -0.0 is x for every x, -0.0 included.
+_STENCIL = np.array([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+                     (1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0),
+                     (1, 0, 1), (1, 0, -1), (-1, 0, 1), (-1, 0, -1),
+                     (0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1)], dtype=float)
+_STENCIL[_STENCIL == 0.0] = -0.0
+
+
+def _fd_probe(spec, names, point, steps):
     """Central-difference gradient and Hessian of ``spec`` at ``point`` (the
-    values of ``names``) with step ``h``.  Each stencil point is evaluated
-    once, f(x ± h e_i) for both the gradient and the Hessian diagonal."""
-    f = float_fn(spec, names)
-    x = point.tolist()
-    k = len(x)
-    up = [c + h for c in x]
-    down = [c - h for c in x]
-    grad = [0.0] * k
-    hess = [[0.0] * k for _ in range(k)]
-    f0 = f(*x)
-    for i in range(k):
-        p = x.copy()
-        p[i] = up[i]
-        fp = f(*p)
-        p[i] = down[i]
-        fm = f(*p)
-        grad[i] = (fp - fm) / (2 * h)
-        hess[i][i] = (fp - 2 * f0 + fm) / h**2
-    for i in range(k):
-        for j in range(i + 1, k):
-            p = x.copy()
-            corners = []
-            for xi, xj in ((up[i], up[j]), (up[i], down[j]),
-                           (down[i], up[j]), (down[i], down[j])):
-                p[i], p[j] = xi, xj
-                corners.append(f(*p))
-            fa, fb, fc, fd = corners
-            hess[i][j] = hess[j][i] = (fa - fb - fc + fd) / (4 * h**2)
-    return np.array(grad), np.array(hess)
+    values of the three ``names``), one ``(grad, hess)`` pair of lists per
+    step in ``steps``.  The centre and every step's stencil are evaluated in
+    one array call, in that order; where it raises, the first failing point
+    in that order raises its error (``exprspec.at_points``).  Each stencil
+    point serves both the gradient and the Hessian diagonal."""
+    offsets = (_STENCIL * np.array(steps)[:, None, None]).reshape(-1, 3)
+    stencil = np.concatenate((point[None], point + offsets))
+    values = at_points(float_fn(spec, names), *stencil.T).tolist()
+    f0 = values[0]
+    probes = []
+    for n, h in enumerate(steps):
+        fs = values[1 + 18 * n:19 + 18 * n]
+        grad = [(fs[2 * i] - fs[2 * i + 1]) / (2 * h) for i in range(3)]
+        hess = [[0.0] * 3 for _ in range(3)]
+        for i in range(3):
+            hess[i][i] = (fs[2 * i] - 2 * f0 + fs[2 * i + 1]) / h**2
+        for c, (i, j) in zip((6, 10, 14), ((0, 1), (0, 2), (1, 2))):
+            hess[i][j] = hess[j][i] = (fs[c] - fs[c + 1] - fs[c + 2] + fs[c + 3]) / (4 * h**2)
+        probes.append((grad, hess))
+    return probes
 
 
 def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
@@ -899,16 +902,14 @@ def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
             spec = parse(text)
             args = {n: jets.variable(i, point[i], 3) for i, n in enumerate(names)}
             jet = eval_jet(spec, args, k=3)
-            errs = []
-            for h in steps:
-                g_fd, h_fd = _fd_probe(spec, names, point, h)
-                errs.append(max(np.abs(g_fd - jet.grad).max(),
-                                np.abs(h_fd - jet.hess).max()))
+            probes = _fd_probe(spec, names, point, steps)
         except EvaluationError:
             continue
         produced += 1
-        scale = max(1.0, abs(jet.value), np.abs(jet.grad).max(),
-                    np.abs(jet.hess).max())
+        exact = jet.grad.tolist() + jet.hess.ravel().tolist()
+        errs = [max(abs(a - b) for a, b in zip(grad + [v for row in hess for v in row], exact))
+                for grad, hess in probes]
+        scale = max(1.0, abs(jet.value), *map(abs, exact))
         # Converged second order, or already at rounding level at the coarse
         # step (near-linear compositions have ~zero truncation error, so the
         # quotients are pure noise ~ eps * |f| / h^2 there).

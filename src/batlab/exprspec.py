@@ -24,8 +24,10 @@ names onto the spec's slots once, and the evaluator it returns takes bare
 values, for Newton loops and finite-difference stencils that call one spec
 many times.  Its values may also be arrays, one element per point, and each
 element of the result is the bits of the float evaluation at that point (see
-the array rules below).  The tree walker these closures replaced is kept in
-``tests/oracles.py`` as the reference they are tested against.
+the array rules below); :func:`at_points` makes such a call and, where it
+raises, finds the first failing point.  The tree walker these closures
+replaced is kept in ``tests/oracles.py`` as the reference they are tested
+against.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from . import jets
-from .errors import ExprSyntaxError, JetDomainError
+from .errors import EvaluationError, ExprSyntaxError, JetDomainError
 
 FUNCTION_NAMES = ("exp", "log", "sin", "cos", "sqrt")
 
@@ -539,6 +541,20 @@ def float_fn(spec: ExprSpec, names: Sequence[str] | None = None) -> Callable[...
         # a new array, also where the spec returns an argument as it is
         return out.copy() if returns_argument else out
     return evaluate_at
+
+
+def at_points(fn: Callable, *columns: np.ndarray):
+    """``fn(*columns)``: a positional evaluator (:func:`float_fn`), or a
+    function calling several, over arrays of one shape, one element per
+    point, in one array call.  Where that raises, the points are evaluated
+    one at a time, in C order, so that the first failing point raises its
+    own error, not that of the first operation failing at any point."""
+    try:
+        return fn(*columns)
+    except (EvaluationError, ValueError):  # what a float evaluation raises
+        for point in zip(*(c.ravel().tolist() for c in columns)):
+            fn(*point)
+        raise
 
 
 # -- symbolic first derivative ---------------------------------------------------

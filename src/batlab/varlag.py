@@ -35,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from . import hydro, jets
-from .errors import EvaluationError, JetDomainError
-from .exprspec import ExprSpec, eval_jet, float_fn, parse
+from .errors import JetDomainError
+from .exprspec import ExprSpec, at_points, eval_jet, float_fn, parse
 from .residuals import ResidualSample, grid_report
 
 _SLOTS = ("phi_t", "phi_x", "phibar_t", "phibar_x", "psi_t", "psi_x")
@@ -206,12 +206,5 @@ def psi_from(phibar: np.ndarray, w_expr: ExprSpec) -> np.ndarray:
     failing node in row-major order."""
     if len(w_expr.vars) > 1:
         raise ValueError("W must be a single-variable expression")
-    w = float_fn(w_expr, w_expr.vars or ("s",))
-    phibar = np.asarray(phibar, dtype=float)
-    try:
-        return w(phibar)
-    except EvaluationError:
-        for value in phibar.ravel().tolist():
-            w(value)  # raises at the first failing node
-        raise
+    return at_points(float_fn(w_expr, w_expr.vars or ("s",)), np.asarray(phibar, dtype=float))
 

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from batlab import exprspec, jets
-from batlab.errors import JetDomainError
+from batlab.errors import EvaluationError, JetDomainError
 from batlab.exprspec import Bin, Call, ExprSpec, Neg, Node, Num, Var
 from batlab.hydro import MULTI_FIELDS, CharGrid, MultiCharGrid
 from batlab.jets import Jet2
@@ -172,8 +172,8 @@ def random_expression(rng: np.random.Generator, names: list[str], depth: int):
 
 
 def fd_probe(spec, names, point, h):
-    """``cli._fd_probe`` with every stencil point a numpy copy of ``point``,
-    evaluated by name, f(x ± h e_i) twice."""
+    """``cli._fd_probe`` at the one step ``h``, with every stencil point a
+    numpy copy of ``point``, evaluated by name, f(x ± h e_i) twice."""
     def value(p):
         return exprspec.eval_float(spec, dict(zip(names, p)))
 
@@ -199,6 +199,34 @@ def fd_probe(spec, names, point, h):
             hess[i, j] = hess[j, i] = (value(pa) - value(pb) - value(pc)
                                        + value(pd)) / (4 * h**2)
     return grad, hess
+
+
+def node_values(spec: ExprSpec, coords: Mapping[str, np.ndarray]) -> np.ndarray:
+    """``spec`` at each node of the coordinate grids ``coords`` (name to
+    array, all of one shape), by name, one node at a time in row-major order,
+    as ``hydro``'s initial grids were built: the first failing node raises."""
+    names = list(coords)
+    columns = [coords[n].ravel().tolist() for n in names]
+    values = [exprspec.eval_float(spec, dict(zip(names, p))) for p in zip(*columns)]
+    return np.array(values).reshape(coords[names[0]].shape)
+
+
+def roundtrip(c) -> tuple[float, int]:
+    """``cli._roundtrip`` of a solved hodograph case point by point: the worst
+    normalized (t, x) mismatch and the skip count, a point skipped where its
+    forward map raises an EvaluationError."""
+    worst, skipped = 0.0, c.skipped
+    solved = [tx for tx, err in zip(c.tx, c.errors) if err is None]
+    uv = zip(c.batch[1].value.tolist(), c.batch[0].value.tolist()) if c.batch else ()
+    for (t, x), (u, v) in zip(solved, uv):
+        try:
+            t2, x2 = c.model.forward(u, v)
+        except EvaluationError:
+            skipped += 1
+            continue
+        scale = max(1.0, abs(t), abs(x))
+        worst = max(worst, abs(t2 - t) / scale, abs(x2 - x) / scale)
+    return worst, skipped
 
 
 # -- batched jets against one Jet2 per point -------------------------------------------

@@ -1,5 +1,6 @@
 """Scenario driver: exit codes, report schema, determinism, bundled files."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from batlab import cli, construct, hydro, leznov, residuals, varlag
-from batlab.errors import EvaluationError, NewtonConvergenceError
+from batlab import cli, construct, hydro, jets, leznov, residuals, varlag
+from batlab.errors import EvaluationError, JetDomainError, NewtonConvergenceError
 from batlab.exprspec import parse
+
+import oracles
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -330,6 +333,50 @@ def test_born_infeld_points_with_u_at_most_zero_skip_as_point_by_point(tmp_path)
     assert (entry["samples"], entry["skipped"], entry["max_norm"], entry["rms_norm"]) == \
         _pointwise_entry(norms, skipped)
     assert entry["skipped"] > 0.2 * 60 and not entry["pass"] and code == cli.EXIT_FAIL
+
+
+def test_hodograph_case_raises_the_first_failing_samples_error():
+    """A sample whose (t, x) image fails raises, the first such sample's
+    error, not that of the first operation failing over the case."""
+    block = {"op": "parametric_hodograph", "f": "log(u - 1) + u^2", "g": "v*sqrt(v)",
+             "config": {"seed": [0.5, 1.0]}}
+    case = {"samples": {"count": 100, "low": [0.5, -0.5], "high": [1.0, 3.0]}}
+    uv, _ = cli._box_sampler(case["samples"], np.random.default_rng(3), 2)
+    solver = construct.HodographSolver(parse(block["f"]), parse(block["g"]),
+                                       construct.ImplicitSolveConfig())
+    with pytest.raises(JetDomainError) as expected:
+        for u0, v0 in uv.tolist():
+            solver.forward(u0, v0)
+    with pytest.raises(JetDomainError) as array_call:
+        solver.forward(uv[:, 0], uv[:, 1])
+    assert array_call.value.args != expected.value.args
+    with pytest.raises(JetDomainError) as err:
+        cli._hodograph_case(block, "case", case, np.random.default_rng(3))
+    assert err.value.args == expected.value.args
+
+
+def test_roundtrip_skips_the_points_whose_forward_map_fails():
+    """The roundtrip entry counts as skipped the points whose solve failed
+    and those whose forward map raises, and its worst mismatch is the
+    point-by-point one."""
+    block = {"op": "parametric_hodograph", "f": "log(u)", "g": "v^3",
+             "config": {"seed": [1.0, 2.5]}}
+    case = {"samples": {"count": 40, "low": [0.5, 2.0], "high": [1.5, 3.0]}}
+    c = cli._hodograph_case(block, "log_cubic", case, np.random.default_rng(8))
+    assert c.skipped == 0
+    errors = list(c.errors)
+    errors[3] = errors[7] = EvaluationError("a failed solve")
+    keep = np.array([err is None for err in errors])
+    phi, phibar = residuals.take(c.batch, keep)
+    u = phibar.value.copy()
+    u[[1, 5, 9]] *= -1.0  # log(u) fails there
+    u[12] *= 1.01  # maps to another (t, x)
+    c = dataclasses.replace(c, errors=errors, batch=(phi, jets.Jet2(u, phibar.grad, phibar.hess)))
+    entry = cli._roundtrip(c, 1e-10)[0]
+    worst, skipped = oracles.roundtrip(c)
+    assert skipped == 5 and worst > 1e-4
+    assert (entry["samples"], entry["skipped"], entry["max_norm"]) == (40 - skipped, skipped,
+                                                                        worst)
 
 
 def _verify_scenario(block, low, high, equation="complex_bateman"):

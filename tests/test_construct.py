@@ -27,7 +27,7 @@ from batlab.errors import (
     PoleError,
     SingularMatrixError,
 )
-from batlab.exprspec import parse
+from batlab.exprspec import at_points, parse
 
 import oracles
 
@@ -331,6 +331,31 @@ def test_hodograph_forward_map_hand_case():
     t, x = HodographSolver(parse("u^2"), parse("v^2"), ImplicitSolveConfig()).forward(1.0, 2.0)
     assert t == pytest.approx(6.0)
     assert x == pytest.approx(-5.0)
+
+
+@pytest.mark.parametrize("f,g", [("u^3 + exp(0.3*u)", "log(v)*v^2 + v^2.5"),
+                                 ("log(u)", "v^3"), ("u^2", "v^2")])
+def test_hodograph_forward_over_arrays_is_the_name_keyed_forward(f, g):
+    """Each point of the array forward map holds the bits of t and x
+    evaluated by name at that point."""
+    solver = HodographSolver(parse(f), parse(g), ImplicitSolveConfig())
+    u, v = np.random.default_rng(4).uniform(0.2, 3.0, size=(2, 2000))
+    t, x = solver.forward(u, v)
+    assert t.tobytes() == oracles.node_values(solver.t_expr, {"u": u, "v": v}).tobytes()
+    assert x.tobytes() == oracles.node_values(solver.x_expr, {"u": u, "v": v}).tobytes()
+
+
+def test_hodograph_forward_failing_at_some_points_raises_the_first_points_error():
+    """Over points where the forward map fails, the first failing point
+    raises its own error: point 0 fails in x, at log(u - 1), while the array
+    call fails first in t, at point 2's sqrt(v)."""
+    solver = HodographSolver(parse("log(u - 1) + u^2"), parse("v*sqrt(v)"),
+                             ImplicitSolveConfig())
+    u, v = np.array([0.5, 2.0, 2.0]), np.array([1.0, 1.0, -1.0])
+    expected = _outcome(lambda: [solver.forward(a, b) for a, b in zip(u.tolist(), v.tolist())])
+    assert expected[0] is JetDomainError and expected[1].startswith("log")
+    assert _outcome(solver.forward, u, v) != expected
+    assert _outcome(at_points, solver.forward, u, v) == expected
 
 
 def test_hodograph_inversion_recovers_parameters():

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from batlab import cli, exprspec, jets
@@ -406,33 +406,50 @@ def test_random_expressions_draw_what_rng_choice_draws():
             assert ours.bit_generator.state == reference.bit_generator.state
 
 
-def _probe_outcome(probe, spec, point, h):
-    """The bits of the probe's gradient and Hessian, or the class and args of
-    what it raised."""
+def _probe_outcome(spec, point, steps):
+    """The bits of the probe's gradient and Hessian at each step, or the
+    class and args of what it raised."""
     try:
-        grad, hess = probe(spec, list(_NAMES), np.array(point), h)
+        probes = cli._fd_probe(spec, list(_NAMES), np.array(point), steps)
     except Exception as err:  # every outcome is compared, errors included
         return type(err), err.args
-    return grad.tobytes(), hess.tobytes()
+    return [(np.array(grad).tobytes(), np.array(hess).tobytes()) for grad, hess in probes]
+
+
+def _name_keyed_outcome(spec, point, steps):
+    """The name-keyed probe at each step in turn: the bits of its gradients
+    and Hessians, or the first error, at step 1's 19 points, then step 2's."""
+    outcomes = []
+    for h in steps:
+        try:
+            grad, hess = oracles.fd_probe(spec, list(_NAMES), np.array(point), h)
+        except Exception as err:  # every outcome is compared, errors included
+            return type(err), err.args
+        outcomes.append((grad.tobytes(), hess.tobytes()))
+    return outcomes
+
+
+_steps = st.sampled_from([(1e-3, 5e-4), (5e-4, 1e-3), (0.25, 1e-6)])
 
 
 @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 3),
-       point=st.tuples(*[st.floats(0.4, 1.6)] * 3), h=st.sampled_from([1e-3, 5e-4]))
+       point=st.tuples(*[st.floats(0.4, 1.6)] * 3), steps=_steps)
 @settings(derandomize=True, max_examples=400, deadline=None)
-def test_fd_probe_matches_the_name_keyed_probe(seed, depth, point, h):
-    """On the ad scenario's random expressions at its default steps, the
-    probe's gradient and Hessian are those of evaluating every stencil point
-    by name, bit for bit and sign bits included."""
+def test_fd_probe_matches_the_name_keyed_probe(seed, depth, point, steps):
+    """On the ad scenario's random expressions, at its default steps and
+    others, the probe's gradient and Hessian at each step are those of
+    evaluating every stencil point by name, bit for bit and sign bits
+    included."""
     spec = parse(cli._random_expression(np.random.default_rng(seed), list(_NAMES), depth))
-    assert _probe_outcome(cli._fd_probe, spec, point, h) == _probe_outcome(
-        oracles.fd_probe, spec, point, h)
+    assert _probe_outcome(spec, point, steps) == _name_keyed_outcome(spec, point, steps)
 
 
 @_quiet
 @pytest.mark.parametrize("spec", _HOSTILE)
-@given(point=_point, h=st.sampled_from([1e-3, 5e-4]))
+@given(point=_point, steps=_steps)
+@example(point=(-0.0, 1.0, -0.0), steps=(1e-3, 5e-4))
 @settings(derandomize=True, max_examples=20, deadline=None)
-def test_fd_probe_matches_the_name_keyed_probe_on_hostile_specs(spec, point, h):
-    """The first failing stencil point raises the same error."""
-    assert _probe_outcome(cli._fd_probe, spec, point, h) == _probe_outcome(
-        oracles.fd_probe, spec, point, h)
+def test_fd_probe_matches_the_name_keyed_probe_on_hostile_specs(spec, point, steps):
+    """The first failing stencil point, in the order of step 1's 19 points,
+    then step 2's, raises the same error; -0.0 coordinates keep their sign."""
+    assert _probe_outcome(spec, point, steps) == _name_keyed_outcome(spec, point, steps)

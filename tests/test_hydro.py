@@ -7,9 +7,11 @@ import pytest
 
 from batlab import construct, hydro, residuals
 from batlab.construct import ImplicitSolveConfig
-from batlab.errors import CFLViolationError, CharacteristicCrossingError
-from batlab.exprspec import parse
+from batlab.errors import CFLViolationError, CharacteristicCrossingError, JetDomainError
+from batlab.exprspec import float_fn, parse
 from batlab.hydro import (
+    MULTI_FIELDS,
+    TWO_PI,
     CharGridSpec,
     MultiGridSpec,
     conservation_drift,
@@ -19,6 +21,7 @@ from batlab.hydro import (
     integrate_multifield,
 )
 from batlab.residuals import TransportPattern
+import oracles
 from oracles import load_char_grid, load_multi_grid, sn_polynomial
 
 
@@ -310,6 +313,64 @@ def test_multi_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.x2_nodes, grid.x2_nodes)
     np.testing.assert_array_equal(loaded.x3_nodes, grid.x3_nodes)
     assert (loaded.h2, loaded.h3, loaded.dt, loaded.cfl) == (grid.h2, grid.h3, grid.dt, grid.cfl)
+
+
+# -- initial grids ---------------------------------------------------------------------
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returned, or the class and args of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as err:  # errors are compared too
+        return type(err), err.args
+
+
+@pytest.mark.parametrize("text", [
+    "1.5 + 0.3*sin({x})", "1.2 + 0.1*exp(0.3*cos({x})) + 0.01*(2 + sin({x}))^2.5",
+    "2 + 0.05*log(2 + cos({x}))^2 - 0.01*sin({x})^3 + 0.01*(2 + sin({x}))^(0.5 + 0.1*cos({x}))",
+    "1.7"])
+@pytest.mark.parametrize("grid", [dict(nx=64), dict(nx=41, x0=0.5, x1=2.0, bc="open")],
+                         ids=["periodic", "open"])
+def test_initial_grids_are_the_per_node_evaluations(text, grid):
+    """Level 0 of both systems holds, bit for bit, the initial data evaluated
+    by name at each node."""
+    spec = parse(text.format(x="x"))
+    two = integrate_characteristics(spec, spec, CharGridSpec(t_end=0.02, **grid))
+    expected = oracles.node_values(spec, {"x": two.x_nodes})
+    assert two.u[0].tobytes() == two.v[0].tobytes() == expected.tobytes()
+
+    init = {"u1": parse(text.format(x="x2")), "u2": parse(text.format(x="x3")),
+            "v1": parse("1.1 + 0.01*exp(0.2*sin(x2 + x3))"), "v2": parse("0.9 + 0.1*cos(x2)")}
+    multi = integrate_multifield(init, MultiGridSpec(n2=16, n3=12, t_end=0.02))
+    X2, X3 = np.meshgrid(multi.x2_nodes, multi.x3_nodes, indexing="ij")
+    for name in MULTI_FIELDS:
+        expected = oracles.node_values(init[name], {"x2": X2, "x3": X3})
+        assert multi.fields[name][0].tobytes() == expected.tobytes()
+
+
+def test_initial_data_failing_at_a_node_raises_the_per_node_error():
+    """Where the initial data fails, the first failing node in the order of
+    the per-node evaluation raises its own error, not the error of the first
+    operation that fails at any node of the array call."""
+    # x = 0 is the first node and fails in log(x); 1 / (x - 2) fails first
+    # over the array, at x = 2.
+    u, v = parse("1.5"), parse("1 / (x - 2) + log(x)")
+    x_nodes = np.linspace(0.0, 4.0, 9)
+    expected = _outcome(oracles.node_values, v, {"x": x_nodes})
+    assert expected[0] is JetDomainError
+    assert _outcome(float_fn(v, ("x",)), x_nodes) != expected
+    assert _outcome(integrate_characteristics, u, v, CharGridSpec(
+        nx=9, t_end=0.1, x0=0.0, x1=4.0, bc="open")) == expected
+
+    # Node (0, 0) fails in log(x2); sqrt(3 - x3) fails first over the array.
+    init = {**_multi_init(), "v1": parse("sqrt(3 - x3) + log(x2)")}
+    spec = MultiGridSpec(n2=8, n3=8, t_end=0.1)
+    X2, X3 = np.meshgrid(*(TWO_PI * np.arange(8) / 8,) * 2, indexing="ij")
+    expected = _outcome(oracles.node_values, init["v1"], {"x2": X2, "x3": X3})
+    assert expected[0] is JetDomainError
+    assert _outcome(float_fn(init["v1"], ("x2", "x3")), X2, X3) != expected
+    assert _outcome(integrate_multifield, init, spec) == expected
 
 
 # -- aborts ----------------------------------------------------------------------------
