@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import sys
@@ -999,10 +998,8 @@ def run_scenario(data: dict, out_dir: Path, seed: int, dump: bool = False) -> tu
         for label, pts in sample_sink.items():
             with (out_dir / f"{data['name']}.{label}.samples.csv").open(
                     "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow([f"c{i}" for i in range(len(pts[0]))])
-                for p in pts:
-                    w.writerow([repr(float(v)) for v in p])
+                fh.write(",".join(f"c{i}" for i in range(len(pts[0]))) + "\r\n")
+                fh.write("".join(",".join(repr(float(v)) for v in p) + "\r\n" for p in pts))
     report_path = out_dir / f"{data['name']}.report.json"
     report_path.write_text(json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
                            + "\n")

@@ -24,7 +24,6 @@ to the exception as ``partial``; ``_write_grid`` dumps either grid as CSV.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -486,17 +485,19 @@ def _write_grid(csv_path, axes: tuple, levels: np.ndarray, nodes: list, fields: 
 
     ``nodes`` holds one coordinate array per space axis, shaped like each
     level of the ``fields`` arrays.  The node coordinates are formatted once
-    per grid; the field values are read one level at a time, so no more than
-    one level is held as Python objects.
+    per grid; each level is joined into one string and written in one call,
+    so no more than one level is held as Python objects.  Every cell is an
+    int, a float's ``repr`` or a fixed name, so none needs quoting, and lines
+    end in CR LF: the bytes are those ``csv.writer`` gives.
     """
     csv_path = Path(csv_path)
     with csv_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["level", *axes, *fields])
-        node_reprs = [list(map(repr, a.ravel().tolist())) for a in nodes]
+        fh.write(",".join(["level", *axes, *fields]) + "\r\n")
+        node_cols = list(map(",".join, zip(*(map(repr, a.ravel().tolist()) for a in nodes))))
         for m, t in enumerate(levels.tolist()):
-            w.writerows(zip(repeat(m), repeat(repr(t)), *node_reprs,
-                            *(map(repr, f[m].ravel().tolist()) for f in fields.values())))
+            fh.write("\r\n".join(map(",".join, zip(
+                repeat(f"{m},{t!r}"), node_cols,
+                *(map(repr, f[m].ravel().tolist()) for f in fields.values())))) + "\r\n")
     meta = {**meta, "scheme": "semi-lagrangian-predictor-corrector", "levels": len(levels)}
     csv_path.with_suffix(".meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n")

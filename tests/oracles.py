@@ -10,6 +10,7 @@ import csv
 import itertools
 import json
 import math
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping
 
@@ -442,6 +443,39 @@ def multifield_det(phi1: Jet2, phi2: Jet2, phibar1: Jet2, phibar2: Jet2,
 
 
 # -- file formats ------------------------------------------------------------------------
+
+
+def write_grid_csv(csv_path, axes: tuple, levels: np.ndarray, nodes: list, fields: dict,
+                   meta: dict) -> None:
+    """Write a grid as CSV, one row per level and node, plus a JSON sidecar.
+
+    This is ``hydro._write_grid`` as it was written with ``csv.writer``; the
+    dumps must repeat its bytes.  ``nodes`` holds one coordinate array per
+    space axis, shaped like each level of the ``fields`` arrays.  The node
+    coordinates are formatted once per grid; the field values are read one
+    level at a time, so no more than one level is held as Python objects.
+    """
+    csv_path = Path(csv_path)
+    with csv_path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["level", *axes, *fields])
+        node_reprs = [list(map(repr, a.ravel().tolist())) for a in nodes]
+        for m, t in enumerate(levels.tolist()):
+            w.writerows(zip(repeat(m), repeat(repr(t)), *node_reprs,
+                            *(map(repr, f[m].ravel().tolist()) for f in fields.values())))
+    meta = {**meta, "scheme": "semi-lagrangian-predictor-corrector", "levels": len(levels)}
+    csv_path.with_suffix(".meta.json").write_text(
+        json.dumps(meta, sort_keys=True, indent=2) + "\n")
+
+
+def write_samples_csv(csv_path, pts) -> None:
+    """Write sample points as ``verify --dump`` does: a ``c0, c1, ...`` header,
+    then one row of ``repr(float(v))`` cells per point."""
+    with Path(csv_path).open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow([f"c{i}" for i in range(len(pts[0]))])
+        for p in pts:
+            w.writerow([repr(float(v)) for v in p])
 
 
 def load_char_grid(csv_path) -> CharGrid:

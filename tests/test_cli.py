@@ -188,13 +188,34 @@ def test_simulate_multifield_dump(tmp_path):
     assert (tmp_path / "o" / "mf.flat.8.meta.json").exists()
 
 
-def test_verify_dump_writes_sample_csv(tmp_path):
-    path = _write(tmp_path, "s.json", _tiny_verify_scenario())
+def _assert_samples_dump(tmp_path, monkeypatch, data, name, count, width):
+    """``verify --dump`` writes the case's sample points, byte for byte as
+    ``csv.writer`` writes the same rows."""
+    sinks = []
+    run_case = cli._run_verify_case
+
+    def keep_sink(case, rng, sink=None):
+        sinks.append(sink)
+        return run_case(case, rng, sink)
+
+    monkeypatch.setattr(cli, "_run_verify_case", keep_sink)
+    path = _write(tmp_path, "s.json", data)
     assert cli.main(["verify", path, "--out", str(tmp_path / "o"), "--dump"]) == cli.EXIT_PASS
-    dump = tmp_path / "o" / "tiny.case.samples.csv"
-    assert dump.exists()
-    lines = dump.read_text().splitlines()
-    assert len(lines) == 21  # header + 20 sampled points
+    (pts,) = sinks[0].values()
+    assert len(pts) == count and {len(p) for p in pts} == {width}
+    oracles.write_samples_csv(tmp_path / "oracle.csv", pts)
+    dump = (tmp_path / "o" / f"{name}.samples.csv").read_bytes()
+    assert dump == (tmp_path / "oracle.csv").read_bytes()
+    assert dump.count(b"\r\n") == count + 1  # header + one row per sampled point
+
+
+def test_verify_dump_writes_sample_csv(tmp_path, monkeypatch):
+    _assert_samples_dump(tmp_path, monkeypatch, _tiny_verify_scenario(), "tiny.case", 20, 4)
+
+
+def test_verify_dump_writes_hodograph_sample_csv(tmp_path, monkeypatch):
+    _assert_samples_dump(tmp_path, monkeypatch, _COMPLETE["hodograph"](),
+                         "m.parametric_hodograph", 4, 4)
 
 
 def test_runtime_failure_exits_3(tmp_path, capsys):
@@ -242,6 +263,17 @@ def test_cli_import_leaves_scipy_unloaded():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run([sys.executable, "-c",
                           "import sys, batlab.cli; print('scipy' in sys.modules)"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
+def test_cli_import_leaves_csv_unloaded():
+    """The grid and sample dumps join their rows as strings; the csv module,
+    which numpy does not load either, stays out of a fresh CLI import."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c",
+                          "import sys, batlab.cli; print('csv' in sys.modules)"],
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "False\n"

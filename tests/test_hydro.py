@@ -315,6 +315,44 @@ def test_multi_csv_roundtrip(tmp_path):
     assert (loaded.h2, loaded.h3, loaded.dt, loaded.cfl) == (grid.h2, grid.h3, grid.dt, grid.cfl)
 
 
+_SPECIAL = [-0.0, 5e-324, 1e16, 1.5e-7, 0.1 + 0.2, math.inf, -math.inf, math.nan]
+
+
+def _special_grid():
+    """A hand-made grid over the floats whose repr is easiest to get wrong."""
+    u = np.array([np.roll(_SPECIAL, k) for k in range(3)])
+    return hydro.CharGrid(np.array([0.0, 1.5e-7, 0.1 + 0.2]), np.array(_SPECIAL), u,
+                          -u[::-1], 0.1 + 0.2, 5e-324, 0.5, "open")
+
+
+def _partial_grid():
+    with pytest.raises(CharacteristicCrossingError) as err:
+        _multifield_crossing()
+    assert err.value.partial.nt == 1
+    return err.value.partial
+
+
+@pytest.mark.parametrize("make", [
+    lambda: integrate_characteristics(
+        parse("1.5 + 0.1*x"), parse("1.2 - 0.05*x^2"),
+        CharGridSpec(nx=24, t_end=0.05, x0=-1.0, x1=1.0, bc="open")),
+    _partial_grid,
+    lambda: integrate_multifield(_multi_init(), MultiGridSpec(n2=9, n3=14, t_end=0.05)),
+    _special_grid,
+], ids=["open_bc", "one_level_partial", "multi_n2_ne_n3", "special_floats"])
+def test_dump_bytes_match_csv_writer(make, tmp_path, monkeypatch):
+    """The dump is the bytes ``csv.writer`` gives for the same rows, sidecar
+    included."""
+    grid = make()
+    dump = dump_multi_grid if isinstance(grid, hydro.MultiCharGrid) else dump_char_grid
+    dump(grid, tmp_path / "grid.csv")
+    monkeypatch.setattr(hydro, "_write_grid", oracles.write_grid_csv)
+    dump(grid, tmp_path / "oracle.csv")
+    for suffix in (".csv", ".meta.json"):
+        assert ((tmp_path / "grid").with_suffix(suffix).read_bytes()
+                == (tmp_path / "oracle").with_suffix(suffix).read_bytes())
+
+
 # -- initial grids ---------------------------------------------------------------------
 
 
