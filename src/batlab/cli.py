@@ -46,7 +46,7 @@ from .errors import (
 # eval_float is not called here; the benchmark's tracer (perfbench/tracing.py)
 # patches this binding by name.
 from .exprspec import at_points, eval_float, eval_jet, float_fn, parse  # noqa: F401
-from .residuals import ResidualReport, TransportPattern
+from .residuals import ResidualReport, TransportPattern, _ok
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -257,7 +257,7 @@ class _Solved:
 
     @property
     def skipped(self) -> int:
-        return sum(err is not None for err in self.errors)
+        return len(self.errors) - self.errors.count(None)
 
 
 def _at_solved(fn, errors: list, *batches):
@@ -273,11 +273,6 @@ def _at_solved(fn, errors: list, *batches):
     for i, err in zip(ok, failed):
         errors[i] = err
     return errors, batch
-
-
-def _ok(errors: list) -> np.ndarray:
-    """The mask of the points without an error."""
-    return np.array([err is None for err in errors], dtype=bool)
 
 
 def _expr(block: dict, key: str):
@@ -438,7 +433,7 @@ def _born_infeld(check: dict, tol: float):
         errors, cross = _at_solved(c.model.fields, *_uv_at(*c.model.solve_many(*zip(*c.tx))))
         rep = residuals.sweep("born_infeld_cross", cross, lambda f: (
             construct.born_infeld_cross_residual(f[1], f[0], lam)),
-            sum(err is not None for err in errors))
+            len(errors) - errors.count(None))
         return [
             _swept(c, "born_infeld", lambda f: residuals.born_infeld(
                 construct.born_infeld_jet(f[1], f[0], lam), lam), tol),
@@ -471,7 +466,7 @@ def _linear_covariance(check: dict, tol: float):
                 construct.pull_back(j, minv) for j in c.model.fields(u, v)),
                 *_uv_at(*c.model.solve_many(*zip(*tx), c.points)))
             has_pulled = _ok(errors)
-            res_skipped += len(errors) - int(has_pulled.sum())
+            res_skipped += len(errors) - errors.count(None)
             if pulled is not None:
                 res_samples.append(residuals.two_field_bateman(*pulled))
             # The speed match also reads the point's base jets.
@@ -523,7 +518,7 @@ def _speed_entry(c: _Solved, name: str, samples, tol: float) -> dict:
     with speeds; None if there are none), against the global term magnitude
     and reduced point by point."""
     rep = residuals.grid_report(name, [] if samples is None else [residuals.by_point(samples)],
-                                sum(err is not None for err in c.speed_errors))
+                                len(c.speed_errors) - c.speed_errors.count(None))
     return _entry(f"{name}[{c.label}]", rep, tol, c.requested)
 
 
@@ -760,7 +755,8 @@ def _run_variational_case(case: dict, rng: np.random.Generator) -> list[dict]:
     src = _object(case, "source")
     f = _parse_expr(_field_or(src, "f", required=True), "source.f")
     g = _parse_expr(_field_or(src, "g", required=True), "source.g")
-    cfg = _solve_config(_object(src, "config", False))
+    with _reading():
+        cfg = _solve_config(_object(src, "config", False))
     t_lo, t_hi = _numbers(_field_or(src, "t_window", required=True), "source.t_window",
                           length=2)
     x_lo, x_hi = _numbers(_field_or(src, "x_window", required=True), "source.x_window",

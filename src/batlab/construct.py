@@ -57,9 +57,11 @@ from .errors import (
 # eval_float is not called here; the benchmark's tracer (perfbench/tracing.py)
 # patches this binding by name.
 from .exprspec import Bin, ExprSpec, Var, eval_float, eval_jet, float_fn, partial  # noqa: F401
-from .residuals import ResidualSample, _any, _dot, _from_terms, _larger, _solve, attempt
+from .residuals import (ResidualSample, _any, _dot, _from_terms, _larger, _ok, _solve,
+                        attempt, batched)
 
 _DEGENERATE_REL = 1e-10
+_MAX_ITER = 1000  # Newton keeps every iterate of a solve: (max_iter + 1) x N x d
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,7 @@ class ImplicitSolveConfig:
 
     ``seed`` is the initial guess (a pair for two-dimensional solves);
     ``bracket`` enables bisection fallback for scalar constraints.
+    ``max_iter`` is at most 1000.
     """
 
     newton_tol: float = 1e-12
@@ -77,9 +80,10 @@ class ImplicitSolveConfig:
 
     def __post_init__(self):
         if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise ValueError(f"newton_tol: expected a positive float, got {self.newton_tol!r}")
+        if not 1 <= self.max_iter <= _MAX_ITER:
+            raise ValueError(f"max_iter: expected an integer from 1 to {_MAX_ITER}, "
+                             f"got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -177,8 +181,9 @@ def _newton(residual, step, x, max_iter: int, tol):
       "diverged" NewtonConvergenceError) is the point's error whatever its
       best iterate;
     * when ``residual`` or ``step`` raises an EvaluationError over the batch,
-      that call is rerun one point at a time (one-row batches): the points
-      that raise retire with their own error, and the others go on.
+      that call is rerun one point at a time as one-row batches
+      (:func:`~batlab.residuals.batched`): the points that raise retire with
+      their own error, and the others go on.
 
     ``residual`` and ``step`` must be pure functions of the iterate, and each
     row of their results must be the bits of the float arithmetic at that
@@ -200,7 +205,8 @@ def _newton(residual, step, x, max_iter: int, tol):
         for i in range(max_iter + 1):
             if not len(idx):
                 break
-            idx, x, out = _rows(residual, errors, idx, x)
+            failed, out = batched(residual, idx, x)
+            idx, x = _retire(errors, failed, idx, x)
             if out is None:
                 break
             size, r = out
@@ -215,7 +221,8 @@ def _newton(residual, step, x, max_iter: int, tol):
                 if not len(idx):
                     break
             visited[i, idx] = x.view(np.int64)
-            idx, x, out = _rows(step, stops, idx, x, r)
+            failed, out = batched(step, idx, x, r)
+            idx, x = _retire(stops, failed, idx, x)
             if out is None:
                 break
             x, halt = out
@@ -236,31 +243,22 @@ def _newton(residual, step, x, max_iter: int, tol):
     return errors, best
 
 
-def _rows(fn, errors: list, idx, x, *rest):
-    """``(idx, x, out)``: ``fn(idx, x, *rest)`` over the batch of points
-    ``idx``, or, where that raises an EvaluationError, one point at a time.
-    A point where it raises leaves the batch (``idx`` and ``x`` keep the
-    others), its error recorded in ``errors``; ``out`` is a tuple of arrays
-    over the points kept, or None if there are none."""
-    try:
-        return idx, x, fn(idx, x, *rest)
-    except EvaluationError:
-        pass
-    keep, outs = [], []
-    for k in range(len(idx)):
-        try:
-            outs.append(fn(idx[k:k + 1], x[k:k + 1], *(a[k:k + 1] for a in rest)))
-            keep.append(k)
-        except EvaluationError as err:
-            errors[idx[k]] = err
-    out = tuple(np.concatenate(column) for column in zip(*outs)) if outs else None
-    return idx[keep], x[keep], out
+def _retire(errors: list, failed: list, idx, x):
+    """``(idx, x)`` without the points where ``failed`` (one entry per point
+    of ``idx``) holds an error, each such error recorded in ``errors``."""
+    if failed.count(None) == len(failed):
+        return idx, x
+    for k, err in zip(idx.tolist(), failed):
+        if err is not None:
+            errors[k] = err
+    keep = _ok(failed)
+    return idx[keep], x[keep]
 
 
 def _solved(errors: list, roots: np.ndarray):
     """``(errors, roots)`` of a batch solve, the roots kept at the points
     without an error."""
-    return errors, roots[[err is None for err in errors]]
+    return errors, roots[_ok(errors)]
 
 
 def _scalar_seed(seed) -> float:
@@ -729,9 +727,8 @@ def hodograph_grid(
     for j in range(1, nx):
         seeds = np.stack([phibar[rows, j - 1], phi[rows, j - 1]], axis=-1)
         errors, uv = solver.solve_many(t_nodes[rows], np.full(len(rows), x_nodes[j]), seeds)
-        ok = np.array([err is None for err in errors], dtype=bool)
         failed.update((i, err) for i, err in zip(rows.tolist(), errors) if err is not None)
-        rows = rows[ok]
+        rows = rows[_ok(errors)]
         phibar[rows, j], phi[rows, j] = uv[:, 0], uv[:, 1]
     if failed:
         raise failed[min(failed)]

@@ -286,7 +286,7 @@ def _closure(node: Node, slots: Mapping[str, int]):
         return lambda env: -operand(env)
     if isinstance(node, Call):
         arg = _closure(node.arg, slots)
-        float_fun, array_fun = _FLOAT_FUNCTIONS[node.func], _ARRAY_FUNCTIONS[node.func]
+        float_fun, array_fun = jets.FLOAT_FUNCTIONS[node.func], _ARRAY_FUNCTIONS[node.func]
         jet_fun = jets.FUNCTIONS[node.func]
 
         def call(env):
@@ -393,33 +393,11 @@ def _elementwise(fn, *arrays) -> np.ndarray:
     return np.array([fn(*v) for v in zip(*values)], dtype=float).reshape(arrays[0].shape)
 
 
-def _exp(v: float) -> float:
-    if v >= 709.0:
-        raise JetDomainError("exp", v)
-    return math.exp(v)
-
-
-def _log(v: float) -> float:
-    if v <= 0.0:
-        raise JetDomainError("log", v)
-    return math.log(v)
-
-
-def _sqrt(v: float) -> float:
-    if v <= 0.0:
-        raise JetDomainError("sqrt", v)
-    return math.sqrt(v)
-
-
-_FLOAT_FUNCTIONS = {"exp": _exp, "log": _log, "sin": math.sin, "cos": math.cos,
-                    "sqrt": _sqrt}
-
-
 def _by_ufunc(ufunc, name: str):
     """The array form of float function ``name`` through ``ufunc``, which rounds
     as it does; where the float function raises at some element (math.sin at
-    an infinity, _sqrt at a value <= 0), element by element instead."""
-    float_fun = _FLOAT_FUNCTIONS[name]
+    an infinity, sqrt at a value <= 0), element by element instead."""
+    float_fun = jets.FLOAT_FUNCTIONS[name]
     domain = np.isinf if name != "sqrt" else lambda a: a <= 0.0
 
     def apply(a: np.ndarray) -> np.ndarray:
@@ -429,8 +407,8 @@ def _by_ufunc(ufunc, name: str):
     return apply
 
 
-_ARRAY_FUNCTIONS = {"exp": functools.partial(_elementwise, _exp),
-                    "log": functools.partial(_elementwise, _log),
+_ARRAY_FUNCTIONS = {"exp": functools.partial(_elementwise, jets.exp_float),
+                    "log": functools.partial(_elementwise, jets.log_float),
                     "sin": _by_ufunc(np.sin, "sin"), "cos": _by_ufunc(np.cos, "cos"),
                     "sqrt": _by_ufunc(np.sqrt, "sqrt")}
 

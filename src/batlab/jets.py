@@ -263,20 +263,45 @@ def from_parts(value, grad, hess) -> Jet2:
     return Jet2(value, g, h)
 
 
-# Each function's value and first two derivatives at a float, with its domain
-# guards; a jet applies them point by point (``_univariate``).
+# Each function at a float, with its domain guard: the float and array
+# evaluations of an expression (``exprspec``) and a jet's value all call these.
 
-def _exp(v: float):
+def exp_float(v: float) -> float:
     if v >= 709.0:
         raise JetDomainError("exp", v)
-    e = math.exp(v)
+    return math.exp(v)
+
+
+def log_float(v: float) -> float:
+    if v <= 0.0:
+        raise JetDomainError("log", v)
+    return math.log(v)
+
+
+def sqrt_float(v: float) -> float:
+    if v <= 0.0:
+        raise JetDomainError("sqrt", v)
+    return math.sqrt(v)
+
+
+FLOAT_FUNCTIONS = {"exp": exp_float, "log": log_float, "sin": math.sin, "cos": math.cos,
+                   "sqrt": sqrt_float}
+
+
+# Each function's value and first two derivatives at a float; a jet applies
+# them point by point (``_univariate``).  A second derivative whose
+# denominator underflows to 0 overflows: the jet there is a JetDomainError.
+
+def _exp(v: float):
+    e = exp_float(v)
     return e, e, e
 
 
 def _log(v: float):
-    if v <= 0.0:
+    f = log_float(v)
+    if v * v == 0.0:
         raise JetDomainError("log", v)
-    return math.log(v), 1.0 / v, -1.0 / (v * v)
+    return f, 1.0 / v, -1.0 / (v * v)
 
 
 def _sin(v: float):
@@ -290,9 +315,9 @@ def _cos(v: float):
 
 
 def _sqrt(v: float):
-    if v <= 0.0:
+    r = sqrt_float(v)
+    if r * v == 0.0:
         raise JetDomainError("sqrt", v)
-    r = math.sqrt(v)
     return r, 0.5 / r, -0.25 / (r * v)
 
 

@@ -12,8 +12,9 @@ of N points (``Jet2`` with a leading axis, indexed ``g[..., i]``); over a
 batch its sample holds one raw residual, scale and floor per point, each the
 bits of that point's own sample.  Terms are summed with ``math.fsum`` point by
 point.  :func:`sweep` evaluates an operator on a whole batch at once; if that
-raises an ``EvaluationError`` it evaluates point by point, and skips the
-points that raise.
+raises an ``EvaluationError`` it evaluates each point as a batch of one row,
+and skips the points that raise (:func:`batched`, the one place that splits a
+failing batch, for the sweeps, the verify cases and the Newton loop alike).
 
 Coordinate conventions (index order of the incoming jets):
 
@@ -136,13 +137,9 @@ def grid_report(
     """
     if not samples:
         return _report(equation, None, skipped)
-    if np.ndim(samples[0].raw) == 0:
-        samples = [stack(samples)]
-    # a batch's one floor (a float) holds at each of its points
-    raw, scale, floor = (np.concatenate([np.broadcast_to(getattr(s, f), s.raw.shape)
-                                         for s in samples]) for f in ("raw", "scale", "floor"))
-    global_scale = np.maximum(scale, floor).max()
-    return _report(equation, np.abs(raw) / max(global_scale, _SCALE_FLOOR), skipped)
+    s = _join(samples)
+    global_scale = np.maximum(s.scale, s.floor).max()
+    return _report(equation, np.abs(s.raw) / max(global_scale, _SCALE_FLOOR), skipped)
 
 
 def attempt(fn: Callable, *args):
@@ -165,7 +162,7 @@ def _size(batch) -> int:
 
 def take(batch, index):
     """Point ``index`` (an int) of a batch, or the batch of its points
-    ``index`` (an index or mask array)."""
+    ``index`` (an index or mask array, or a slice)."""
     if isinstance(batch, tuple):
         return tuple(take(b, index) for b in batch)
     if isinstance(batch, Jet2):
@@ -173,47 +170,54 @@ def take(batch, index):
     return batch[index]
 
 
-def stack(items: Sequence):
-    """The batch of the one-point ``items``: jets, samples, floats, arrays or
-    tuples of them."""
-    first = items[0]
+def _ok(errors: list) -> np.ndarray:
+    """The mask of the points without an error."""
+    return np.array([err is None for err in errors], dtype=bool)
+
+
+def _join(parts: Sequence):
+    """The batch of the points of the batches ``parts``, in order: jets,
+    arrays, tuples of them, or samples (at one point, over a batch or over a
+    grid, flattened)."""
+    first = parts[0]
     if isinstance(first, tuple):
-        return tuple(stack(column) for column in zip(*items))
+        return tuple(_join(column) for column in zip(*parts))
     if isinstance(first, Jet2):
-        return Jet2(np.array([j.value for j in items]), np.stack([j.grad for j in items]),
-                    np.stack([j.hess for j in items]))
+        return Jet2(*(np.concatenate([getattr(j, f) for j in parts])
+                      for f in ("value", "grad", "hess")))
     if isinstance(first, ResidualSample):
-        return ResidualSample(*(np.array([getattr(s, f) for s in items])
-                                for f in ("raw", "scale", "floor")))
-    return np.array(items)
+        # a batch's one floor (a float) holds at each of its points
+        return ResidualSample(*(np.concatenate([
+            np.broadcast_to(getattr(s, f), np.shape(s.raw)).ravel() for s in parts])
+            for f in ("raw", "scale", "floor")))
+    return np.concatenate(parts)
 
 
 def batched(fn: Callable, *batches):
     """``fn`` over batches of the same N points, as ``(errors, out)``.
 
     A batch is a jet or an array with a leading axis of N points, or a tuple
-    of them; ``out`` is ``fn(*batches)``, and ``errors`` holds None
-    per point.  If that raises an EvaluationError, or the first argument is
-    another sequence (of N points), ``fn`` runs point by point instead:
-    ``errors[i]`` is the error it raised at point i or None, and ``out`` is
-    the batch of its results at the other points (None if there are none).
+    of them; ``out`` is ``fn(*batches)``, and ``errors`` holds None per point.
+    If that raises an EvaluationError, ``fn`` runs on each point as a batch of
+    one row instead: ``errors[i]`` is the error it raised at point i or None,
+    and ``out`` joins its results at the other points (None if there are
+    none).  ``fn`` only ever sees batches.
     """
     n = _size(batches[0])
     if not n:
         return [], None
-    if isinstance(batches[0], (tuple, Jet2, np.ndarray)):
-        try:
-            return [None] * n, fn(*batches)
-        except EvaluationError:
-            pass
+    try:
+        return [None] * n, fn(*batches)
+    except EvaluationError:
+        pass
     errors, outs = [], []
     for i in range(n):
         try:
-            outs.append(fn(*(take(b, i) for b in batches)))
+            outs.append(fn(*(take(b, slice(i, i + 1)) for b in batches)))
             errors.append(None)
         except EvaluationError as err:
             errors.append(err)
-    return errors, stack(outs) if outs else None
+    return errors, _join(outs) if outs else None
 
 
 def by_point(samples: Sequence[ResidualSample]) -> ResidualSample:
@@ -225,8 +229,7 @@ def by_point(samples: Sequence[ResidualSample]) -> ResidualSample:
 
 
 def _norms(out):
-    """Normalized residuals of one point's sample(s), or ``(N, samples)`` of a
-    batch's."""
+    """The ``(N, samples)`` normalized residuals of a batch's sample(s)."""
     samples = (out,) if isinstance(out, ResidualSample) else out
     return np.stack([np.asarray(s.normalized) for s in samples], axis=-1)
 
@@ -237,19 +240,19 @@ def sweep(
     evaluate: Callable[[object], ResidualSample | Sequence[ResidualSample]],
     skipped: int = 0,
 ) -> ResidualReport:
-    """Evaluate a residual over the points of ``batch`` (None for no point;
-    any sequence of points is evaluated point by point), whose ``skipped``
-    other points were already singular.
+    """Evaluate a residual over the points of ``batch`` (None for no point),
+    whose ``skipped`` other points were already singular.
 
-    ``evaluate`` maps a batch, or one point of it, to one sample or a sequence
-    of samples.  A point where it raises ``EvaluationError`` is skipped too
+    ``evaluate`` maps a batch to one sample or a sequence of samples.  Where
+    it raises ``EvaluationError`` over the batch, each point is evaluated as
+    a batch of one row, and a point where it raises is skipped too
     (:func:`batched`).  Norms are reduced point by point, and within a point
     sample by sample.
     """
     norms = None
     if batch is not None:
         errors, norms = batched(lambda b: _norms(evaluate(b)), batch)
-        skipped += sum(err is not None for err in errors)
+        skipped += len(errors) - errors.count(None)
     return _report(equation, norms, skipped)
 
 

@@ -26,9 +26,9 @@ import math
 import numpy as np
 import pytest
 
-from batlab import construct, hydro, leznov, residuals
+from batlab import construct, hydro, jets, leznov, residuals
 from batlab.construct import HodographSolver, ImplicitSolveConfig, LinearMap2
-from batlab.errors import EvaluationError
+from batlab.errors import EvaluationError, NewtonConvergenceError
 from batlab.exprspec import float_fn, parse
 from batlab.jets import Jet2
 from batlab.residuals import TransportPattern
@@ -75,7 +75,7 @@ def _field_batch(handle, points):
     one-point jets."""
     roots = [residuals.attempt(handle.solve, p) for p in points]
     solved = [i for i, r in enumerate(roots) if not isinstance(r, EvaluationError)]
-    batch, failed = _compare(handle.jets, points[solved], residuals.stack(
+    batch, failed = _compare(handle.jets, points[solved], np.array(
         [roots[i] for i in solved]))
     return batch, len(points) - len(solved) + int(failed.sum())
 
@@ -195,7 +195,7 @@ def test_leznov_fields_speeds_and_operator_samples(n):
     points[57] = singular
     roots = [leznov.solve_constraints(sys, p) for p in points]
     fields, failed = _compare(lambda p, phi: leznov.field_jets(sys, p, phi),
-                              points, residuals.stack(roots))
+                              points, np.array(roots))
     assert not failed.any()
     # The one-point jets repeat the bits of one vector solve per right-hand side.
     _same(fields, [tuple(oracles.leznov_field_jets(sys, p, phi)) for p, phi in zip(points, roots)])
@@ -316,3 +316,76 @@ def test_batched_newton_solves_repeat_their_one_point_solves():
         assert list(map(tuple, roots.tolist())) == [
             s for s in singles if not isinstance(s, EvaluationError)]
         assert any(e is not None for e in errors)
+
+
+def test_fallback_reruns_one_row_batches_and_joins_them():
+    """Where ``fn`` fails over a batch, ``batched`` reruns it on each point as
+    a batch of one row, so ``fn`` only ever sees batches with a leading axis,
+    and joins the results at the points that survive into the bits of the
+    direct batch over those points: a jet, a sample with a float floor, an
+    array and a tuple of them."""
+    x = np.array([0.5, -1.0, 2.0, 0.0, 3.0, 1e-3, -2.0])
+    jet = jets.variables([x, 2.0 * x])[0]
+    shapes = []
+
+    def fn(j, v):
+        shapes.append((j.value.shape, j.grad.shape, v.shape))
+        return (jets.log(j), residuals.ResidualSample(np.log(v), v * v, 0.5),
+                np.stack([v, -v], axis=-1))
+
+    errors, out = residuals.batched(fn, jet, x)
+    failed = x <= 0.0
+    assert [err is not None for err in errors] == failed.tolist()
+    assert all(isinstance(err, EvaluationError) for err in errors if err is not None)
+    assert shapes == [((7,), (7, 2), (7,))] + [((1,), (1, 2), (1,))] * 7
+    direct = fn(residuals.take(jet, ~failed), x[~failed])
+    assert isinstance(out, tuple) and len(out) == 3
+    for field in ("value", "grad", "hess"):
+        assert np.array_equal(getattr(out[0], field), getattr(direct[0], field))
+    for field in ("raw", "scale", "floor"):
+        assert np.array_equal(getattr(out[1], field), np.broadcast_to(
+            getattr(direct[1], field), direct[1].raw.shape))
+    assert np.array_equal(out[2], direct[2]) and out[2].shape == (4, 2)
+
+    shapes.clear()
+    assert residuals.batched(fn, residuals.take(jet, ~failed), x[~failed])[0] == [None] * 4
+    assert shapes == [((4,), (4, 2), (4,))]
+    none_left, out = residuals.batched(fn, residuals.take(jet, failed), x[failed])
+    assert out is None and all(isinstance(err, EvaluationError) for err in none_left)
+
+
+def test_newton_retires_each_failing_point_with_its_own_error():
+    """In one ``_newton`` batch, ``residual`` raises at some rows and ``step``
+    at others, each once its point's iterate crosses a threshold: each of those
+    points retires with its own error, and every point ends in the root or
+    error of its own one-row solve."""
+    target = np.arange(2.0, 11.0)  # Newton on x^2 = target[k], from above
+
+    def residual(idx, x):
+        bad = (idx % 3 == 1) & (x < np.sqrt(target[idx]) + 0.5)
+        if bad.any():
+            raise EvaluationError(f"residual fails at point {idx[bad][0]}")
+        f = x * x - target[idx]
+        return abs(f), f
+
+    def step(idx, x, f):
+        bad = (idx % 3 == 2) & (x < np.sqrt(target[idx]) + 0.1)
+        if bad.any():
+            raise NewtonConvergenceError(f"step diverges at point {idx[bad][0]}")
+        nxt = x - f / (2.0 * x)
+        return nxt, nxt == x
+
+    seeds = 3.0 + np.arange(9.0)
+    errors, best = construct._newton(residual, step, seeds, 50, 1e-12)
+    assert [type(err) for err in errors] == [type(None), EvaluationError,
+                                             NewtonConvergenceError] * 3
+    for k, err in enumerate(errors):
+        one, one_best = construct._newton(lambda i, x: residual(i + k, x),
+                                          lambda i, x, f: step(i + k, x, f),
+                                          seeds[k:k + 1], 50, 1e-12)
+        if err is None:
+            assert one == [None] and best[k] == one_best[0]
+            assert abs(best[k] ** 2 - target[k]) <= 1e-12
+        else:
+            assert str(err).endswith(f"at point {k}")
+            assert (type(one[0]), str(one[0])) == (type(err), str(err))

@@ -797,6 +797,13 @@ def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
     ("ad", ("expressions",), -3),
     ("covariance", ("checks", 0, "maps"), 0),
     ("covariance", ("checks", 0, "maps"), -2),
+    # a solve config out of range, also in a variational source; Newton keeps
+    # (max_iter + 1) iterates per point, so a huge max_iter is refused before
+    # any solve, not left to fail an allocation
+    ("variational", ("source", "config", "max_iter"), 0),
+    ("variational", ("source", "config", "newton_tol"), -1),
+    ("implicit_fg", ("construct", "config", "max_iter"), 10**13),
+    ("variational", ("source", "config", "max_iter"), 10**13),
 ])
 def test_scalar_of_wrong_type_exits_2_before_solving(tmp_path, monkeypatch, capsys, scenario,
                                                      path, value):

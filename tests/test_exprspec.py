@@ -315,6 +315,27 @@ def test_batched_jets_match_one_jet2_per_point_on_hostile_specs(spec, points):
         len(points))
 
 
+@_quiet
+@pytest.mark.parametrize("name,x", [("exp", 709.0), ("log", 0.0), ("log", -0.0),
+                                    ("log", 1e-200), ("sqrt", 5e-324), ("sqrt", 0.0)])
+def test_domain_guards_agree_on_the_float_array_and_jet_paths(name, x):
+    """At the edge of each guard, the float evaluation, the array evaluation
+    and the jet all go through the one guarded function of ``jets``: the same
+    value bits or the same JetDomainError.  A jet whose second derivative
+    overflows (log at 1e-200, sqrt at 5e-324) is a JetDomainError at that
+    argument, not a ZeroDivisionError."""
+    spec = parse(f"{name}(a)")
+    f = float_fn(spec, ("a",))
+    expected = _outcome(jets.FLOAT_FUNCTIONS[name], x)
+    assert _outcome(eval_float, spec, {"a": x}) == expected
+    assert _outcome(f, x) == expected
+    assert _outcome(lambda: f(np.array([1.0, x]))[1]) == expected
+    if not isinstance(expected, tuple):
+        expected = JetDomainError, JetDomainError(name, x).args
+    assert _outcome(eval_jet, spec, {"a": jets.variable(0, x, 1)}) == expected
+    assert _outcome(eval_jet, spec, {"a": jets.variables([[1.0, x]])[0]}) == expected
+
+
 def test_constant_spec_over_batched_arguments_is_a_batch():
     """A constant expression over a batch is the constant at each point, so
     every jet a batch evaluation returns has the batch's points."""

@@ -275,11 +275,11 @@ def test_sweep_skips_singular():
     from batlab.errors import EvaluationError
 
     def evaluate(i):
-        if i % 3 == 0:
+        if (i % 3 == 0).any():
             raise EvaluationError("skip")
-        return residuals.ResidualSample(raw=0.0, scale=1.0)
+        return residuals.ResidualSample(raw=np.zeros(len(i)), scale=np.ones(len(i)))
 
-    rep = residuals.sweep("test_eq", range(10), evaluate)
+    rep = residuals.sweep("test_eq", np.arange(10), evaluate)
     assert rep.samples == 6
     assert rep.skipped_singular == 4
     assert rep.max_norm == 0.0

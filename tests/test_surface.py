@@ -7,6 +7,10 @@ entry point named in ``pyproject.toml``, or a hook the benchmark patches by name
 (``perfbench/tracing.py`` ``SPANS`` and ``COUNTED``, ``perfbench/workloads.py``
 ``segments``).  Anything else only tests can reach, and no verdict depends
 on it.
+
+Likewise every name a library module imports is read by that module, except
+the bindings the benchmark's tracer patches by name and the names in
+``__all__``.
 """
 
 import ast
@@ -77,3 +81,35 @@ def test_every_private_helper_is_reached_from_the_library():
     """A private helper left behind by a refactor is dead code."""
     unreached = _unreached(private=True)
     assert not unreached, f"private definitions no library code reaches: {unreached}"
+
+
+def _unused_imports() -> list[str]:
+    """``module.name`` of each name a library module imports and never reads,
+    except the bindings the benchmark's tracer patches by name
+    (``perfbench/tracing.py`` ``SPANS``) and the names a module exports in
+    ``__all__``."""
+    patched = {hook for bindings in _load("tracing").SPANS.values() for hook in bindings}
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read | exported and (path.stem, name) not in patched:
+                        unused.append(f"{path.stem}.{name}")
+    return unused
+
+
+def test_every_import_is_used():
+    """An import a refactor left behind is dead code too."""
+    unused = _unused_imports()
+    assert not unused, f"imported names the importing module never reads: {unused}"
