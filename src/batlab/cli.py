@@ -10,7 +10,8 @@ Common options: ``--out DIR`` (report directory), ``--seed N`` (64-bit RNG
 seed recorded in every report), ``--jobs N`` (parallel scenarios in suite).
 
 Exit codes: 0 all checks passed; 1 a tolerance failed (or too many skipped
-samples); 2 scenario parse/validation error; 3 runtime numerical failure;
+samples); 2 scenario parse/validation error, or an ``--out`` that cannot be
+created; 3 runtime numerical failure, or an array too large for memory;
 4 integration aborted (CFL violation or characteristic crossing), with partial
 grid dumps retained.
 
@@ -710,23 +711,19 @@ def _multifield_det(check: dict):
 
     def run(grid, where: str) -> list[tuple[str, dict]]:
         tol = coeff * grid.h2**2
-        names = ("u1", "u2", "v1", "v2")
-        deriv = {n: hydro.fd_derivatives_multi(grid.fields[n], grid.dt, grid.h2, grid.h3)
-                 for n in names}
-        m = deriv["u1"][0].shape[0] // 2
-        grads = [np.stack([deriv[n][1][d][m].ravel() for d in (1, 2, 3)], axis=-1)
-                 for n in names]
+        m = grid.nt // 2  # the one level read: differentiate only its neighbourhood
+        deriv = {n: hydro.fd_derivatives_multi(grid.fields[n][m - 1:m + 2], grid.dt,
+                                               grid.h2, grid.h3) for n in hydro.MULTI_FIELDS}
+        grads = [g[0].reshape(-1, 3) for _, g, _ in deriv.values()]
         # Fields constant to rounding satisfy the determinant identically;
         # their difference quotients are pure float noise with no scale.
         deriv_mag = max(np.abs(g).max() for g in grads)
-        field_mag = max(np.abs(grid.fields[n]).max() for n in names)
+        field_mag = max(np.abs(grid.fields[n]).max() for n in deriv)
         flat = deriv_mag <= 1e-10 * max(field_mag, 1.0) / min(grid.h2, grid.h3)
         n_nodes = grads[0].shape[0]
         out = []
         for j, fname in ((1, "u1"), (2, "u2")):
-            hess = np.zeros((n_nodes, 3, 3))
-            for (a, b), arr in deriv[fname][2].items():
-                hess[:, a - 1, b - 1] = hess[:, b - 1, a - 1] = arr[m].ravel()
+            hess = deriv[fname][2][0].reshape(-1, 3, 3)
             raw, scale = residuals.multifield_det_grid(grads, hess)
             value = 0.0 if flat else float(np.abs(raw).max() / max(scale.max(), 1e-300))
             rep = ResidualReport(f"multifield_det_j{j}", n_nodes, value, value, 0)
@@ -882,8 +879,10 @@ def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
     if count < 1:
         raise ScenarioError(f"expressions: expected an integer of at least 1, got {count!r}")
     steps = _numbers(case.get("steps", [1e-3, 5e-4]), "steps", length=2)
-    if min(steps) <= 0:
-        raise ScenarioError(f"steps: expected two positive numbers, got {steps!r}")
+    # The probe divides by h^2, which must neither underflow nor overflow.
+    if not all(0 < h and 0 < h * h < math.inf for h in steps):
+        raise ScenarioError(f"steps: expected a pair of positive numbers with nonzero, "
+                            f"finite squares, got {steps!r}")
     min_ratio = _number(case.get("min_ratio", 3.5), "min_ratio")
     names = ["a", "b", "c"]
     defects = []
@@ -1012,7 +1011,8 @@ def bundled_scenarios() -> list:
 
 
 # Exceptions that end a scenario run with an exit code from _failure_code.
-_FAILURES = (ScenarioError, EvaluationError, np.linalg.LinAlgError, ValueError, RecursionError)
+_FAILURES = (ScenarioError, EvaluationError, np.linalg.LinAlgError, ValueError, RecursionError,
+             MemoryError)
 
 
 def _failure_code(err: Exception) -> int:
@@ -1075,6 +1075,16 @@ def run_suite(out_dir: Path, seed: int, jobs: int = 1) -> int:
 # -- entry point --------------------------------------------------------------------------
 
 
+def _out_dir(path: str) -> Path:
+    """The ``--out`` directory, created if missing; ScenarioError where it cannot be."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ScenarioError(f"--out: cannot create directory {out_dir}: {err}") from None
+    return out_dir
+
+
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="reports", help="report output directory")
@@ -1098,10 +1108,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs: expected an integer of at least 1, got {args.jobs}")
-    out_dir = Path(args.out)
 
     if args.command == "suite":
-        return run_suite(out_dir, args.seed, args.jobs)
+        try:
+            return run_suite(_out_dir(args.out), args.seed, args.jobs)
+        except ScenarioError as err:  # only from _out_dir: each scenario's are caught
+            return _failure_code(err)
 
     try:
         data = load_scenario(args.scenario)
@@ -1109,7 +1121,7 @@ def main(argv=None) -> int:
             raise ScenarioError("simulate-kind scenario: use the simulate command")
         if args.command == "simulate" and data["kind"] != "simulate":
             raise ScenarioError("simulate needs a simulate-kind scenario")
-        _, code = run_scenario(data, out_dir, args.seed,
+        _, code = run_scenario(data, _out_dir(args.out), args.seed,
                                dump=getattr(args, "dump", False))
     except _FAILURES as err:
         return _failure_code(err)

@@ -20,6 +20,10 @@ second order in time.  Each system supplies only its nodes, initial data,
 interpolant and step formulas.  Non-monotone foot points (a characteristic
 crossing) or a CFL violation abort with the levels computed so far attached
 to the exception as ``partial``; ``_write_grid`` dumps either grid as CSV.
+
+Every derivative of a stored grid, for the conservation drift, ``fd_jet_at``
+and ``fd_derivatives_multi``, comes from one second-order centered stencil,
+``fd_derivatives_time_space``, with each space axis wrapped or cut.
 """
 
 from __future__ import annotations
@@ -295,13 +299,9 @@ def conservation_drift(grid: CharGrid, n: int) -> float:
         raise ValueError("need at least 3 time levels")
     sn = sn_polynomial_grid(grid.u, grid.v, n)
     flux = grid.u * grid.v * sn_polynomial_grid(grid.u, grid.v, n - 1)
-
-    dt_term = (sn[2:, :] - sn[:-2, :]) / (2 * grid.dt)
-    if grid.bc == "periodic":
-        dx_term = (np.roll(flux, -1, axis=1) - np.roll(flux, 1, axis=1))[1:-1] / (2 * grid.h)
-    else:
-        dx_term = (flux[1:-1, 2:] - flux[1:-1, :-2]) / (2 * grid.h)
-        dt_term = dt_term[:, 1:-1]
+    wrap = grid.bc == "periodic"
+    dt_term = fd_derivatives_time_space(sn, grid.dt, grid.h, wrap=wrap)[1][..., 0]
+    dx_term = fd_derivatives_time_space(flux, grid.dt, grid.h, wrap=wrap)[1][..., 1]
     raw = np.abs(dt_term - dx_term)
     scale = np.abs(dt_term) + np.abs(dx_term)
     if raw.max() == 0.0:
@@ -317,35 +317,45 @@ def conservation_drift(grid: CharGrid, n: int) -> float:
 # -- finite-difference jets from grids ------------------------------------------------
 
 
-def fd_derivatives_time_space(F: np.ndarray, dt: float, h: float):
-    """Centered second-order derivative arrays of F(level, node) at interior nodes.
+def fd_derivatives_time_space(F: np.ndarray, dt: float, *h: float, wrap: bool):
+    """Centered second-order derivatives of F(level, space...) at its interior levels.
 
-    Returns (value, Ft, Fx, Ftt, Ftx, Fxx), each shaped (nt-2, nx-2).
+    ``dt`` is the level spacing and ``h`` holds one spacing per space axis.
+    Each space axis either wraps (``wrap``, a periodic grid) or is cut to its
+    interior nodes.  Returns (value, grad, hess) over the nodes kept: grad is
+    shaped (..., k) and hess (..., k, k), k = F.ndim, with the level first.
     """
-    mid = F[1:-1, 1:-1]
-    Ft = (F[2:, 1:-1] - F[:-2, 1:-1]) / (2 * dt)
-    Ftt = (F[2:, 1:-1] - 2 * mid + F[:-2, 1:-1]) / dt**2
-    Fx = (F[1:-1, 2:] - F[1:-1, :-2]) / (2 * h)
-    Fxx = (F[1:-1, 2:] - 2 * mid + F[1:-1, :-2]) / h**2
-    Ftx = (F[2:, 2:] - F[2:, :-2] - F[:-2, 2:] + F[:-2, :-2]) / (4 * dt * h)
-    return mid, Ft, Fx, Ftt, Ftx, Fxx
+    steps = (dt, *h)
+    k = len(steps)
+    if wrap:
+        F = np.pad(F, [(0, 0)] + [(1, 1)] * (k - 1), mode="wrap")
+    e = np.eye(k, dtype=int)
+
+    def at(shift):
+        """F at every kept node moved by ``shift`` nodes along the axes."""
+        return F[tuple(slice(1 + s, n - 1 + s) for s, n in zip(shift, F.shape))]
+
+    mid = at([0] * k)
+    grad = np.empty(mid.shape + (k,))
+    hess = np.empty(mid.shape + (k, k))
+    for a in range(k):
+        up, down = at(e[a]), at(-e[a])
+        grad[..., a] = (up - down) / (2 * steps[a])
+        hess[..., a, a] = (up - 2 * mid + down) / steps[a]**2
+        for b in range(a + 1, k):
+            hess[..., a, b] = hess[..., b, a] = (
+                at(e[a] + e[b]) - at(e[a] - e[b]) - at(e[b] - e[a]) + at(-e[a] - e[b])
+            ) / (4 * steps[a] * steps[b])
+    return mid, grad, hess
 
 
 def fd_jet_at(F: np.ndarray, dt: float, h: float, m: int, i) -> jets.Jet2:
     """Arity-2 jet of a stored periodic field at interior level m: at node i
     (an int), or over the batch of the nodes of an index array i."""
-    nt, nx = F.shape
-    if not 1 <= m <= nt - 2:
+    if not 1 <= m <= F.shape[0] - 2:
         raise ValueError("time level must be interior")
-    ip, im = (i + 1) % nx, (i - 1) % nx
-    ft = (F[m + 1, i] - F[m - 1, i]) / (2 * dt)
-    fx = (F[m, ip] - F[m, im]) / (2 * h)
-    ftt = (F[m + 1, i] - 2 * F[m, i] + F[m - 1, i]) / dt**2
-    fxx = (F[m, ip] - 2 * F[m, i] + F[m, im]) / h**2
-    ftx = (F[m + 1, ip] - F[m + 1, im] - F[m - 1, ip] + F[m - 1, im]) / (4 * dt * h)
-    return jets.from_parts(F[m, i], np.stack([ft, fx], axis=-1),
-                           np.stack([np.stack([ftt, ftx], axis=-1),
-                                     np.stack([ftx, fxx], axis=-1)], axis=-2))
+    value, grad, hess = fd_derivatives_time_space(F[m - 1:m + 2], dt, h, wrap=True)
+    return jets.from_parts(value[0, i], grad[0, i], hess[0, i])
 
 
 # -- multi-field system ----------------------------------------------------------------
@@ -448,32 +458,10 @@ def integrate_multifield(
 
 
 def fd_derivatives_multi(F: np.ndarray, dt: float, h2: float, h3: float):
-    """Centered derivative arrays of F(level, i2, i3) at interior levels.
-
-    Returns (value, grads, hessians): grads is a dict over axes {1, 2, 3},
-    hessians over ordered pairs, all shaped (nt-2, n2, n3).
-    """
-    mid = F[1:-1]
-    r2p = lambda a: np.roll(a, -1, axis=1)
-    r2m = lambda a: np.roll(a, 1, axis=1)
-    r3p = lambda a: np.roll(a, -1, axis=2)
-    r3m = lambda a: np.roll(a, 1, axis=2)
-
-    g = {
-        1: (F[2:] - F[:-2]) / (2 * dt),
-        2: (r2p(mid) - r2m(mid)) / (2 * h2),
-        3: (r3p(mid) - r3m(mid)) / (2 * h3),
-    }
-    hess = {
-        (1, 1): (F[2:] - 2 * mid + F[:-2]) / dt**2,
-        (2, 2): (r2p(mid) - 2 * mid + r2m(mid)) / h2**2,
-        (3, 3): (r3p(mid) - 2 * mid + r3m(mid)) / h3**2,
-        (1, 2): (r2p(F[2:]) - r2m(F[2:]) - r2p(F[:-2]) + r2m(F[:-2])) / (4 * dt * h2),
-        (1, 3): (r3p(F[2:]) - r3m(F[2:]) - r3p(F[:-2]) + r3m(F[:-2])) / (4 * dt * h3),
-        (2, 3): (r3p(r2p(mid)) - r3m(r2p(mid)) - r3p(r2m(mid)) + r3m(r2m(mid)))
-                / (4 * h2 * h3),
-    }
-    return mid, g, hess
+    """Centered derivatives of a periodic F(level, i2, i3) at its interior
+    levels: (value, grad, hess) of :func:`fd_derivatives_time_space` over the
+    axes (x1, x2, x3)."""
+    return fd_derivatives_time_space(F, dt, h2, h3, wrap=True)
 
 
 # -- persistence -----------------------------------------------------------------------

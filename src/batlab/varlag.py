@@ -117,20 +117,19 @@ def variational_residual(
     if phibar.shape != (nt, nx) or psi.shape != (nt, nx):
         raise ValueError("field grids must share one shape")
 
-    # (F_t, F_x) of (phi, phibar, psi) are the six _SLOTS; slot (F, t) has
-    # derivatives (F_tt, F_tx) and slot (F, x) has (F_tx, F_xx).
-    fd = [hydro.fd_derivatives_time_space(F, functional.ht, functional.hx)
+    # (F_t, F_x) of (phi, phibar, psi) are the six _SLOTS; slot s has the
+    # derivatives second[..., s, :], that is (F_tt, F_tx) or (F_tx, F_xx).
+    fd = [hydro.fd_derivatives_time_space(F, functional.ht, functional.hx, wrap=False)
           for F in (phi, phibar, psi)]
-    slot_grids = [grid for _, ft, fx, _, _, _ in fd for grid in (ft, fx)]
-    second = [pair for _, _, _, ftt, ftx, fxx in fd for pair in ((ftt, ftx), (ftx, fxx))]
+    slots = np.concatenate([grad for _, grad, _ in fd], axis=-1)
+    second = np.concatenate([hess for _, _, hess in fd], axis=-2)
 
     # One batched density jet per row; its gradients hold every field's momenta.
-    it, ix = slot_grids[0].shape
-    mom = np.empty((it, ix, 6))
-    hess = np.empty((it, ix, 6, 6))
-    factor = np.empty((it, ix))
-    for a in range(it):
-        lj, factor[a] = functional._density_jet([g[a] for g in slot_grids])
+    mom = np.empty(slots.shape)
+    hess = np.empty(slots.shape + (6,))
+    factor = np.empty(slots.shape[:2])
+    for a in range(len(slots)):
+        lj, factor[a] = functional._density_jet(slots[a].T)
         mom[a] = lj.grad
         hess[a] = lj.hess
     np.abs(hess, out=hess)
@@ -142,8 +141,8 @@ def variational_residual(
         # sum_b |d2L/dw_a dslot_b| * |d_a slot_b| over both directions.
         expanded = 0.0
         for s in range(6):
-            expanded = expanded + hess[:, :, offset, s] * np.abs(second[s][0])
-            expanded = expanded + hess[:, :, offset + 1, s] * np.abs(second[s][1])
+            expanded = expanded + hess[:, :, offset, s] * np.abs(second[:, :, s, 0])
+            expanded = expanded + hess[:, :, offset + 1, s] * np.abs(second[:, :, s, 1])
 
         div_t = (mom_t[2:, 1:-1] - mom_t[:-2, 1:-1]) / (2 * functional.ht)
         div_x = (mom_x[1:-1, 2:] - mom_x[1:-1, :-2]) / (2 * functional.hx)
@@ -157,7 +156,7 @@ def variational_residual(
         floor = expanded[1:-1, 1:-1] + 1e-6 * abs_div
         grids[vary] = ResidualSample(raw, scale, floor)
 
-    _, _, bt, bx, st, sx = slot_grids
+    bt, bx, st, sx = np.moveaxis(slots[..., 2:], -1, 0)
     return DensityPass(grids, (bt * sx - st * bx) * factor,
                        (np.abs(bt * sx) + np.abs(st * bx)) * np.abs(factor))
 

@@ -2,7 +2,8 @@
 batlab against.
 
 Each one is the plain, unvectorized or uncompiled form of something batlab
-computes in bulk, from compiled closures or with fewer steps: the tests assert
+computes in bulk, from compiled closures, from one general formula or with
+fewer steps: the tests assert
 that both give the same numbers (or draws) and raise the same errors.
 """
 
@@ -16,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from batlab import exprspec, jets
+from batlab import exprspec, hydro, jets
 from batlab.errors import EvaluationError, JetDomainError
 from batlab.exprspec import Bin, Call, ExprSpec, Neg, Node, Num, Var
 from batlab.hydro import MULTI_FIELDS, CharGrid, MultiCharGrid
@@ -440,6 +441,84 @@ def multifield_det(phi1: Jet2, phi2: Jet2, phibar1: Jet2, phibar2: Jet2,
         m[2 + r, 1] = phi2.grad[r]
         m[2 + r, 2:] = hj[r, :]
     return ResidualSample(float(np.linalg.det(m)), _abs_permanent(np.abs(m)))
+
+
+# -- finite differences of stored grids, one formula per derivative --------------------
+
+
+def fd_derivatives_time_space(F: np.ndarray, dt: float, h: float):
+    """Centered second-order derivative arrays of F(level, node) at interior
+    nodes, each written out (``hydro.fd_derivatives_time_space`` on an open
+    2-d grid).  Returns (value, Ft, Fx, Ftt, Ftx, Fxx), each (nt-2, nx-2)."""
+    mid = F[1:-1, 1:-1]
+    Ft = (F[2:, 1:-1] - F[:-2, 1:-1]) / (2 * dt)
+    Ftt = (F[2:, 1:-1] - 2 * mid + F[:-2, 1:-1]) / dt**2
+    Fx = (F[1:-1, 2:] - F[1:-1, :-2]) / (2 * h)
+    Fxx = (F[1:-1, 2:] - 2 * mid + F[1:-1, :-2]) / h**2
+    Ftx = (F[2:, 2:] - F[2:, :-2] - F[:-2, 2:] + F[:-2, :-2]) / (4 * dt * h)
+    return mid, Ft, Fx, Ftt, Ftx, Fxx
+
+
+def fd_jet_at(F: np.ndarray, dt: float, h: float, m: int, i) -> Jet2:
+    """Arity-2 jet of a periodic F(level, node) at interior level m, node i (an
+    int or an index array), from neighbours indexed by hand."""
+    nt, nx = F.shape
+    if not 1 <= m <= nt - 2:
+        raise ValueError("time level must be interior")
+    ip, im = (i + 1) % nx, (i - 1) % nx
+    ft = (F[m + 1, i] - F[m - 1, i]) / (2 * dt)
+    fx = (F[m, ip] - F[m, im]) / (2 * h)
+    ftt = (F[m + 1, i] - 2 * F[m, i] + F[m - 1, i]) / dt**2
+    fxx = (F[m, ip] - 2 * F[m, i] + F[m, im]) / h**2
+    ftx = (F[m + 1, ip] - F[m + 1, im] - F[m - 1, ip] + F[m - 1, im]) / (4 * dt * h)
+    return jets.from_parts(F[m, i], np.stack([ft, fx], axis=-1),
+                           np.stack([np.stack([ftt, ftx], axis=-1),
+                                     np.stack([ftx, fxx], axis=-1)], axis=-2))
+
+
+def fd_derivatives_multi(F: np.ndarray, dt: float, h2: float, h3: float):
+    """Centered derivative arrays of a periodic F(level, i2, i3) at interior
+    levels, each written out.  Returns (value, grads, hessians): grads is a
+    dict over axes {1, 2, 3}, hessians over pairs a <= b, each (nt-2, n2, n3)."""
+    mid = F[1:-1]
+    r2p = lambda a: np.roll(a, -1, axis=1)
+    r2m = lambda a: np.roll(a, 1, axis=1)
+    r3p = lambda a: np.roll(a, -1, axis=2)
+    r3m = lambda a: np.roll(a, 1, axis=2)
+    g = {
+        1: (F[2:] - F[:-2]) / (2 * dt),
+        2: (r2p(mid) - r2m(mid)) / (2 * h2),
+        3: (r3p(mid) - r3m(mid)) / (2 * h3),
+    }
+    hess = {
+        (1, 1): (F[2:] - 2 * mid + F[:-2]) / dt**2,
+        (2, 2): (r2p(mid) - 2 * mid + r2m(mid)) / h2**2,
+        (3, 3): (r3p(mid) - 2 * mid + r3m(mid)) / h3**2,
+        (1, 2): (r2p(F[2:]) - r2m(F[2:]) - r2p(F[:-2]) + r2m(F[:-2])) / (4 * dt * h2),
+        (1, 3): (r3p(F[2:]) - r3m(F[2:]) - r3p(F[:-2]) + r3m(F[:-2])) / (4 * dt * h3),
+        (2, 3): (r3p(r2p(mid)) - r3m(r2p(mid)) - r3p(r2m(mid)) + r3m(r2m(mid)))
+                / (4 * h2 * h3),
+    }
+    return mid, g, hess
+
+
+def conservation_drift(grid: CharGrid, n: int) -> float:
+    """``hydro.conservation_drift`` with its differences written out for each
+    boundary condition."""
+    sn = hydro.sn_polynomial_grid(grid.u, grid.v, n)
+    flux = grid.u * grid.v * hydro.sn_polynomial_grid(grid.u, grid.v, n - 1)
+    dt_term = (sn[2:, :] - sn[:-2, :]) / (2 * grid.dt)
+    if grid.bc == "periodic":
+        dx_term = (np.roll(flux, -1, axis=1) - np.roll(flux, 1, axis=1))[1:-1] / (2 * grid.h)
+    else:
+        dx_term = (flux[1:-1, 2:] - flux[1:-1, :-2]) / (2 * grid.h)
+        dt_term = dt_term[:, 1:-1]
+    raw = np.abs(dt_term - dx_term)
+    scale = np.abs(dt_term) + np.abs(dx_term)
+    if raw.max() == 0.0:
+        return 0.0
+    floor = 1e-6 * (np.abs(sn).max() / grid.dt + np.abs(flux).max() / grid.h)
+    return float(raw.max() / max(scale.max(), floor, 1e-300))
 
 
 # -- file formats ------------------------------------------------------------------------

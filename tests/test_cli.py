@@ -804,6 +804,9 @@ def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
     ("variational", ("source", "config", "newton_tol"), -1),
     ("implicit_fg", ("construct", "config", "max_iter"), 10**13),
     ("variational", ("source", "config", "max_iter"), 10**13),
+    # finite-difference steps whose squares underflow or overflow
+    ("ad", ("steps",), [1e-200, 1e-200]),
+    ("ad", ("steps",), [1e300, 1e300]),
 ])
 def test_scalar_of_wrong_type_exits_2_before_solving(tmp_path, monkeypatch, capsys, scenario,
                                                      path, value):
@@ -1055,3 +1058,27 @@ def test_suite_survives_a_bad_scenario(tmp_path, monkeypatch, capsys):
     assert "error: checks: expected a JSON list" in captured.err
     assert "numerical failure" in captured.err
     assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["good.report.json"]
+
+
+def test_size_beyond_memory_exits_3(tmp_path, monkeypatch, capsys):
+    """A sample count whose points no allocator grants (3.2 PB) is a runtime
+    failure, not a traceback, and a suite row shows its exit code."""
+    data = _with(_COMPLETE["implicit_fg"](), ("samples", "count"), 10**14)
+    assert _main_exit(tmp_path, data) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    monkeypatch.setattr(cli, "bundled_scenarios", lambda: [Path(_write(tmp_path, "m.json", data))])
+    assert cli.main(["suite", "--out", str(tmp_path / "s")]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().out.splitlines()[1].endswith("ERROR (exit 3)")
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "suite"])
+def test_out_naming_a_file_exits_2(tmp_path, monkeypatch, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("kept")
+    monkeypatch.setattr(cli, "bundled_scenarios", lambda: pytest.fail("the suite ran"))
+    scenario = _write(tmp_path, "m.json", _COMPLETE[
+        "two_field" if command == "simulate" else "implicit_fg"]())
+    args = [command] if command == "suite" else [command, scenario]
+    assert cli.main([*args, "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert "error: --out: cannot create directory" in capsys.readouterr().err
+    assert out.read_text() == "kept"

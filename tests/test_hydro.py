@@ -264,27 +264,13 @@ def test_multifield_frozen_speed_translation_oracle():
 
 def _multifield_det_constant(n):
     grid = integrate_multifield(_multi_init(), MultiGridSpec(n2=n, n3=n, t_end=0.12))
-    vals = {}
-    hesss = {}
-    for name in ("u1", "u2", "v1", "v2"):
-        mid, g, hs = hydro.fd_derivatives_multi(grid.fields[name], grid.dt,
-                                                grid.h2, grid.h3)
-        vals[name] = (mid, g)
-        hesss[name] = hs
-    m = mid.shape[0] // 2
+    deriv = {name: hydro.fd_derivatives_multi(grid.fields[name], grid.dt, grid.h2, grid.h3)
+             for name in ("u1", "u2", "v1", "v2")}
+    m = deriv["u1"][0].shape[0] // 2
+    grads = [g[m].reshape(-1, 3) for _, g, _ in deriv.values()]
     worst = 0.0
-    for j, fname in ((1, "u1"), (2, "u2")):
-        grads = []
-        for name in ("u1", "u2", "v1", "v2"):
-            _, g = vals[name]
-            grads.append(np.stack([g[1][m].ravel(), g[2][m].ravel(), g[3][m].ravel()],
-                                  axis=-1))
-        hs = hesss[fname]
-        n_nodes = grads[0].shape[0]
-        hess = np.zeros((n_nodes, 3, 3))
-        for (a, b), arr in hs.items():
-            hess[:, a - 1, b - 1] = arr[m].ravel()
-            hess[:, b - 1, a - 1] = arr[m].ravel()
+    for fname in ("u1", "u2"):
+        hess = deriv[fname][2][m].reshape(-1, 3, 3)
         raw, scale = residuals.multifield_det_grid(grads, hess)
         worst = max(worst, float(np.abs(raw).max() / max(scale.max(), 1e-300)))
     return worst, grid.h2
@@ -299,6 +285,68 @@ def test_multifield_determinant_second_order():
     k2 = w2 / h2**2
     assert k2 <= 2.0 * k1  # K stable (no blow-up under refinement)
     assert w2 <= k1 * 2.0 * h2**2
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_stencil_repeats_the_written_out_formulas():
+    """The one stencil gives bit for bit the derivative arrays written out per
+    formula: on an open 2-d grid, on a periodic 3-d grid, and on either grid
+    with the other boundary, whose interior nodes the two boundaries share."""
+    rng = np.random.default_rng(11)
+    dt, h2, h3 = rng.uniform(0.01, 0.1, 3).tolist()
+    flat = rng.normal(size=(7, 9))
+    value, grad, hess = hydro.fd_derivatives_time_space(flat, dt, h2, wrap=False)
+    mid, ft, fx, ftt, ftx, fxx = oracles.fd_derivatives_time_space(flat, dt, h2)
+    for new, old in ((value, mid), (grad[..., 0], ft), (grad[..., 1], fx),
+                     (hess[..., 0, 0], ftt), (hess[..., 0, 1], ftx),
+                     (hess[..., 1, 0], ftx), (hess[..., 1, 1], fxx)):
+        _same_bits(new, old)
+    solid = rng.normal(size=(6, 8, 5))
+    value, grad, hess = hydro.fd_derivatives_multi(solid, dt, h2, h3)
+    mid, g, hs = oracles.fd_derivatives_multi(solid, dt, h2, h3)
+    _same_bits(value, mid)
+    for a in range(3):
+        _same_bits(grad[..., a], g[a + 1])
+    for (a, b), arr in hs.items():
+        _same_bits(hess[..., a - 1, b - 1], arr)
+        _same_bits(hess[..., b - 1, a - 1], arr)
+    for F, steps in ((flat, (dt, h2)), (solid, (dt, h2, h3))):
+        inner = (slice(None),) + (slice(1, -1),) * (F.ndim - 1)
+        wrapped = hydro.fd_derivatives_time_space(F, *steps, wrap=True)
+        cut = hydro.fd_derivatives_time_space(F, *steps, wrap=False)
+        assert wrapped[1].shape == (F.shape[0] - 2, *F.shape[1:], F.ndim)
+        for w, c in zip(wrapped, cut):
+            _same_bits(w[inner], c)
+
+
+def test_fd_jet_at_repeats_the_hand_indexed_jet():
+    rng = np.random.default_rng(12)
+    F = rng.normal(size=(5, 11))
+    dt, h = rng.uniform(0.01, 0.1, 2).tolist()
+    for m in (1, 2, 3):
+        for i in (0, 4, 10, np.arange(11)):
+            new, old = hydro.fd_jet_at(F, dt, h, m, i), oracles.fd_jet_at(F, dt, h, m, i)
+            assert type(new.value) is type(old.value)
+            for a, b in ((new.value, old.value), (new.grad, old.grad), (new.hess, old.hess)):
+                _same_bits(a, b)
+    for m in (0, 4):
+        with pytest.raises(ValueError, match="interior"):
+            hydro.fd_jet_at(F, dt, h, m, 3)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "open"])
+def test_conservation_drift_repeats_the_written_out_differences(bc):
+    rng = np.random.default_rng(13)
+    nt, nx = 6, 10
+    grid = hydro.CharGrid(0.01 * np.arange(nt), np.linspace(0.0, 1.0, nx),
+                          rng.uniform(0.5, 1.5, (nt, nx)), rng.uniform(0.5, 1.5, (nt, nx)),
+                          0.1, 0.01, 0.5, bc)
+    for n in range(1, 6):
+        assert conservation_drift(grid, n) == oracles.conservation_drift(grid, n)
 
 
 def test_multi_csv_roundtrip(tmp_path):

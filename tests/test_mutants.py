@@ -2,11 +2,12 @@
 
 Each mutant replaces a library function from outside: it perturbs what the
 function returns (at each point of a batch) by a relative 1e-3 (one Hessian
-entry symmetrically, so that the result is still a valid jet, or a value),
-drops one term of a jet product or quotient, or scales the second derivative
-of every univariate jet function.  Sampled scenarios run with fewer samples
-per case, the others whole; unmutated, the same runs pass, so each failure is
-the mutant's doing.
+entry symmetrically, so that the result is still a valid jet, a value, or one
+derivative of a grid stencil; an entry that vanishes moves by 1e-3 of its
+Hessian's largest entry), drops one term of a jet product or quotient, or
+scales the second derivative of every univariate jet function.  Sampled
+scenarios run with fewer samples per case, the others whole; unmutated, the
+same runs pass, so each failure is the mutant's doing.
 """
 
 import json
@@ -14,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from batlab import cli, construct, jets, leznov
+from batlab import cli, construct, hydro, jets, leznov
 from batlab.errors import JetDomainError
 
 SEED = 20240801
@@ -75,6 +76,41 @@ def implicit_split_cross_block(monkeypatch):
         return jets.from_parts(j.value, j.grad, _scaled(j.hess, 0, 2))
 
     monkeypatch.setattr(construct, "_implicit_jet", mutant)
+
+
+def holo_sum_cross_block(monkeypatch):
+    """Entry (0, 2) of every ``holo_sum`` field Hessian, the cross-block
+    (x1, xb1) entry that vanishes for a sum, moved by 1e-3 of the Hessian's
+    largest entry."""
+    holo_sum = construct.holo_sum
+
+    def mutant(f, g):
+        handle = holo_sum(f, g)
+
+        def field_jets(points, roots):
+            j = handle.jets(points, roots)
+            hess = j.hess.copy()
+            hess[..., 0, 2] = hess[..., 2, 0] = (hess[..., 0, 2]
+                                                 + 1e-3 * np.abs(j.hess).max(axis=(-2, -1)))
+            return jets.from_parts(j.value, j.grad, hess)
+
+        return construct.FieldHandle(handle.solve_many, field_jets)
+
+    monkeypatch.setattr(construct, "holo_sum", mutant)
+
+
+def stencil_space_derivative(monkeypatch):
+    """The first derivative along the first space axis (x, or x2) from
+    ``hydro.fd_derivatives_time_space``, the one grid stencil, scaled by 1.001."""
+    stencil = hydro.fd_derivatives_time_space
+
+    def mutant(F, dt, *h, wrap):
+        value, grad, hess = stencil(F, dt, *h, wrap=wrap)
+        grad = grad.copy()
+        grad[..., 1] *= 1.001
+        return value, grad, hess
+
+    monkeypatch.setattr(hydro, "fd_derivatives_time_space", mutant)
 
 
 def moebius_speed(monkeypatch):
@@ -161,6 +197,8 @@ MUTANTS = {
     leznov_field_hessian: ("c07",),
     hodograph_second_derivative: ("c03", "c06"),
     implicit_split_cross_block: ("c01", "c04", "c10"),
+    holo_sum_cross_block: ("c02",),
+    stencil_space_derivative: ("c05", "c08", "c09"),
     moebius_speed: ("c04",),
     pull_back_hessian: ("c04",),
     leznov_v_speed: ("c07",),
