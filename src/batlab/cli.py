@@ -747,11 +747,30 @@ _SIM_CHECKS = {
 # -- variational-kind cases ----------------------------------------------------------------
 
 
-def _run_variational_case(case: dict, rng: np.random.Generator) -> list[dict]:
+@dataclass
+class _Variational:
+    """A variational case as read, before any solve: its label, the source
+    ``(f, g, config)`` as written (the cases of one source march their grids
+    together), its solver and, per resolution, the grid nodes, the
+    tolerance and one functional per factor."""
+
+    label: str
+    source: tuple
+    solver: construct.HodographSolver
+    grids: list  # (n, t_nodes, x_nodes, tolerance, [(factor, functional)])
+    psis: list
+    vary: list
+    resolutions: list
+    min_ratio: float
+
+
+def _read_variational_case(case: dict) -> _Variational:
     label = _file_name(case.get("label", "variational"), "label")
     src = _object(case, "source")
-    f = _parse_expr(_field_or(src, "f", required=True), "source.f")
-    g = _parse_expr(_field_or(src, "g", required=True), "source.g")
+    f_text = _field_or(src, "f", required=True)
+    f = _parse_expr(f_text, "source.f")
+    g_text = _field_or(src, "g", required=True)
+    g = _parse_expr(g_text, "source.g")
     with _reading():
         cfg = _solve_config(_object(src, "config", False))
     t_lo, t_hi = _numbers(_field_or(src, "t_window", required=True), "source.t_window",
@@ -759,6 +778,8 @@ def _run_variational_case(case: dict, rng: np.random.Generator) -> list[dict]:
     x_lo, x_hi = _numbers(_field_or(src, "x_window", required=True), "source.x_window",
                           length=2)
     coeff = _number(case.get("tolerance_h2_coeff", 5.0), "tolerance_h2_coeff")
+    if coeff <= 0:
+        raise ScenarioError(f"tolerance_h2_coeff: expected a positive number, got {coeff!r}")
     min_ratio = _number(case.get("halving_ratio", 0.0), "halving_ratio")
     resolutions = _resolutions(case, 5)
     psis = [(w, _parse_expr(w, "psi")) for w in _list(case, "psi", ["s"])]
@@ -768,7 +789,7 @@ def _run_variational_case(case: dict, rng: np.random.Generator) -> list[dict]:
     vary_list = _list(case, "vary", ["psi", "phibar", "phi"], of="psi, phibar or phi")
     if any(vary not in ("psi", "phibar", "phi") for vary in vary_list):
         raise ScenarioError(f"vary must name psi, phibar or phi, got {vary_list!r}")
-    grids = []  # per resolution: nodes, tolerance and one functional per factor
+    grids = []
     with _reading():
         solver = construct.HodographSolver(f, g, cfg)
         construct.seed_pair(cfg.seed)
@@ -777,31 +798,72 @@ def _run_variational_case(case: dict, rng: np.random.Generator) -> list[dict]:
             x_nodes = np.linspace(x_lo, x_hi, n)
             ht = t_nodes[1] - t_nodes[0]
             hx = x_nodes[1] - x_nodes[0]
-            grids.append((n, t_nodes, x_nodes, coeff * max(ht, hx) ** 2, [
+            grids.append((n, t_nodes, x_nodes, float(coeff * max(ht, hx) ** 2), [
                 (h, varlag.DiscreteFunctional(ht=ht, hx=hx, factor=factor))
                 for h, factor in factors]))
+    # repr tells a seed of -0.0 from one of 0.0, which == does not
+    return _Variational(label, (f_text, g_text, repr(cfg)), solver, grids, psis, vary_list,
+                        resolutions, min_ratio)
 
+
+def _check_variational_case(c: _Variational, fields: list) -> list[dict]:
+    """The entries of a read case from its grids' ``fields``, each ``(phi,
+    phibar)`` or the exception the grid raised, which is raised here before
+    that grid's checks."""
     measured: dict[int, dict[str, float]] = {}
     entries: list[dict] = []
-    for n, t_nodes, x_nodes, tol, functionals in grids:
-        phi, phibar = construct.hodograph_grid(solver, t_nodes, x_nodes)
+    for (n, _, _, tol, functionals), grid in zip(c.grids, fields):
+        if isinstance(grid, Exception):
+            raise grid
+        phi, phibar = grid
         measured[n] = {}
         for factor, func in functionals:
-            for w, psi_expr in psis:
+            for w, psi_expr in c.psis:
                 psi = varlag.psi_from(phibar, psi_expr)
                 deg = varlag.onshell_degeneracy(func, phi, phibar, psi, tolerance=tol)
-                for vary in vary_list:
+                for vary in c.vary:
                     rep = deg.per_vary[vary]
                     entries.append(_entry(
-                        f"variational_{vary}[{label}:psi={w},H={factor}@{n}]",
+                        f"variational_{vary}[{c.label}:psi={w},H={factor}@{n}]",
                         rep, tol, rep.samples))
                     measured[n][f"{vary}|psi={w}|H={factor}"] = entries[-1]["max_norm"]
                 rep = ResidualReport("degeneracy_action", phi.size,
                                      deg.action_normalized, deg.action_normalized, 0)
                 entries.append(_entry(
-                    f"degeneracy_action[{label}:psi={w},H={factor}@{n}]",
+                    f"degeneracy_action[{c.label}:psi={w},H={factor}@{n}]",
                     rep, tol, phi.size))
-    return entries + _halving(label, resolutions, measured, min_ratio)
+    return entries + _halving(c.label, c.resolutions, measured, c.min_ratio)
+
+
+def _run_variational_cases(cases: list) -> list[dict]:
+    """The entries of a variational scenario's cases, the same as running them
+    one by one, with the grids of each source marched in one
+    ``construct.hodograph_grid`` call.
+
+    The cases are read in order up to the first that fails to read; then each
+    source's grids are marched, and the cases checked in order.  Each error
+    is raised where the case-by-case run raises it: a grid's before that
+    grid's checks, a read error after the checks of the cases before it.
+    Variational cases draw nothing from the scenario RNG, so reading them
+    early moves no draw."""
+    read, unread = [], None
+    for case in cases:
+        try:
+            read.append(_read_variational_case(case))
+        except Exception as err:  # raised after the cases before it are checked
+            unread = err
+            break
+    sources: dict[tuple, tuple] = {}  # source -> its solver and its grids' nodes
+    for c in read:
+        sources.setdefault(c.source, (c.solver, []))[1].extend(grid[1:3] for grid in c.grids)
+    marched = {source: iter(construct.hodograph_grid(solver, nodes))
+               for source, (solver, nodes) in sources.items()}
+    entries = []
+    for c in read:  # the cases of a source take its grids' fields in order
+        entries += _check_variational_case(c, [next(marched[c.source]) for _ in c.grids])
+    if unread is not None:
+        raise unread
+    return entries
 
 
 # -- ad-kind cases ----------------------------------------------------------------------
@@ -814,8 +876,8 @@ def _draw(rng: np.random.Generator, seq):
 
 
 def _random_expression(rng: np.random.Generator, names: list[str], depth: int):
-    if depth == 0 or rng.uniform() < 0.3:
-        if rng.uniform() < 0.6:
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.6:
             return _draw(rng, names)
         return f"{rng.uniform(0.2, 2.0):.3f}"
     kind = _draw(rng, ("add", "sub", "mul", "div", "func", "pow"))
@@ -964,16 +1026,18 @@ def run_scenario(data: dict, out_dir: Path, seed: int, dump: bool = False) -> tu
         # non-finite norm fails its entry (_entry), so numpy's floating-point
         # warnings would only repeat on stderr what the exit code reports.
         with np.errstate(all="ignore"):
-            for case in data["cases"]:
-                if data["kind"] == "verify":
-                    entries += _run_verify_case(case, rng,
-                                                sample_sink if dump else None)
-                elif data["kind"] == "simulate":
-                    entries += _run_simulate_case(case, rng, out_dir, data["name"], dump)
-                elif data["kind"] == "variational":
-                    entries += _run_variational_case(case, rng)
-                else:
-                    entries += _run_ad_case(case, rng)
+            if data["kind"] == "variational":
+                entries = _run_variational_cases(data["cases"])
+            else:
+                for case in data["cases"]:
+                    if data["kind"] == "verify":
+                        entries += _run_verify_case(case, rng,
+                                                    sample_sink if dump else None)
+                    elif data["kind"] == "simulate":
+                        entries += _run_simulate_case(case, rng, out_dir, data["name"],
+                                                      dump)
+                    else:
+                        entries += _run_ad_case(case, rng)
     except (CharacteristicCrossingError, CFLViolationError) as err:
         partial = getattr(err, "partial", None)
         if partial is not None:

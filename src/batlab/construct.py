@@ -17,9 +17,10 @@ bits of its own one-point jet:
   the implicit ones through one implicit-function jet, :func:`_implicit_jet`;
 * the hodograph pair is solved by :class:`HodographSolver`, whose
   :meth:`~HodographSolver.fields` returns both fields ``(phi, phibar)`` at
-  solved parameters ``(u, v)``; :func:`hodograph_grid` solves a tensor grid by
-  seed continuation, its first column node by node and each further column
-  as one batch over the rows.
+  solved parameters ``(u, v)``; :func:`hodograph_grid` solves tensor grids
+  of one solver by seed continuation, marching them together: one batch per
+  first-column row over every grid, then one batch per further column over
+  every grid's rows.
 
 Every implicit solve, here and in :mod:`leznov`, iterates through one
 best-iterate Newton loop over a batch of points, :func:`_newton`; each solve
@@ -698,38 +699,69 @@ def implicit_3d(
 # -- grid sampling with seed continuation ---------------------------------------------
 
 
-def hodograph_grid(
-    solver: HodographSolver, t_nodes: np.ndarray, x_nodes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, phibar) = (v, u) values on a tensor grid, with (u, v) seed
-    continuation along each row and down the first column from the solver's
+def hodograph_grid(solver: HodographSolver, grids: Sequence) -> list:
+    """(phi, phibar) = (v, u) values on each tensor grid ``(t_nodes,
+    x_nodes)`` of ``grids``, all solved by ``solver``, with (u, v) seed
+    continuation along each row and down each first column from the solver's
     configured seed.
 
-    The first column is solved node by node, each row's first node from the
-    node above.  The rows are then independent: each further column is one
-    :meth:`~HodographSolver.solve_many` over the rows, each node from its left
-    neighbour.  A node that fails ends its row; the grid then raises the
-    error of its first failing node in row-major order, the node a row by row
-    march would have stopped at."""
-    nt, nx = len(t_nodes), len(x_nodes)
-    phi = np.empty((nt, nx))
-    phibar = np.empty((nt, nx))
-    failed = {}  # row -> the error of its failing node
-    seed = solver.cfg.seed
-    for i, t in enumerate(t_nodes):
+    The grids march together, each step one :meth:`~HodographSolver.solve_many`
+    over every grid that takes it.  Round i of the first column solves node
+    (i, 0) of each grid with more than i rows, from the node above it (the
+    configured seed at i = 0).  The rows are then independent: round j solves
+    column j of each grid wider than j over its rows, each node from its left
+    neighbour.  A node that fails ends its row, and in the first column the
+    rows below it too.  Each point of a batch solve sees the iterates of its
+    own one-point solve, so each grid holds the bits of its own row-major
+    march whatever marches beside it.
+
+    Returns one item per grid: ``(phi, phibar)``, or the exception the grid
+    raises on its own: the error of its first failing node in row-major
+    order, the node a row by row march would have stopped at, or the
+    MemoryError of allocating its arrays."""
+    fields, failed = [], []  # per grid: (phi, phibar) or a MemoryError; row -> error
+    for t_nodes, x_nodes in grids:
         try:
-            seed = solver.solve(t, x_nodes[0], seed=seed)
-        except EvaluationError as err:
-            failed[i] = err  # the rows below have no seed, and come later
+            fields.append((np.empty((len(t_nodes), len(x_nodes))),
+                           np.empty((len(t_nodes), len(x_nodes)))))
+        except MemoryError as err:
+            fields.append(err)
+        failed.append({})
+    marching = [k for k, out in enumerate(fields) if not isinstance(out, MemoryError)]
+
+    def solve(nodes, seeds) -> list:
+        """Solve the nodes ``(grid, rows, column)`` of ``nodes`` as one batch
+        from ``seeds`` (one pair per node, or None for the configured seed);
+        returns the rows of each entry that are solved."""
+        t = np.concatenate([grids[k][0][rows] for k, rows, _ in nodes])
+        x = np.concatenate([np.full(len(rows), grids[k][1][j]) for k, rows, j in nodes])
+        errors, uv = solver.solve_many(t, x, seeds)
+        solved, at, done = [], 0, 0  # into errors, into uv
+        for k, rows, j in nodes:
+            errs = errors[at:at + len(rows)]
+            at += len(rows)
+            failed[k].update((i, err) for i, err in zip(rows.tolist(), errs) if err is not None)
+            rows = rows[_ok(errs)]
+            phi, phibar = fields[k]
+            phibar[rows, j], phi[rows, j] = uv[done:done + len(rows)].T
+            done += len(rows)
+            solved.append(rows)
+        return solved
+
+    for i in range(max((len(grids[k][0]) for k in marching), default=0)):
+        down = [k for k in marching if len(grids[k][0]) > i and not failed[k]]
+        if not down:
             break
-        phibar[i, 0], phi[i, 0] = seed
-    rows = np.arange(min(failed, default=nt))
-    for j in range(1, nx):
-        seeds = np.stack([phibar[rows, j - 1], phi[rows, j - 1]], axis=-1)
-        errors, uv = solver.solve_many(t_nodes[rows], np.full(len(rows), x_nodes[j]), seeds)
-        failed.update((i, err) for i, err in zip(rows.tolist(), errors) if err is not None)
-        rows = rows[_ok(errors)]
-        phibar[rows, j], phi[rows, j] = uv[:, 0], uv[:, 1]
-    if failed:
-        raise failed[min(failed)]
-    return phi, phibar
+        seeds = None if i == 0 else np.array(
+            [(fields[k][1][i - 1, 0], fields[k][0][i - 1, 0]) for k in down])
+        solve([(k, np.array([i]), 0) for k in down], seeds)
+    rows = {k: np.arange(min(failed[k], default=len(grids[k][0]))) for k in marching}
+    for j in range(1, max((len(grids[k][1]) for k in marching), default=0)):
+        across = [k for k in marching if len(grids[k][1]) > j and len(rows[k])]
+        if not across:
+            break
+        seeds = np.concatenate([np.stack([fields[k][1][rows[k], j - 1],
+                                          fields[k][0][rows[k], j - 1]], axis=-1)
+                                for k in across])
+        rows.update(zip(across, solve([(k, rows[k], j) for k in across], seeds)))
+    return [errs[min(errs)] if errs else out for out, errs in zip(fields, failed)]

@@ -576,8 +576,9 @@ def _small(name: str, **changes) -> dict:
 
 def test_verify_cases_solve_as_batches_and_grids_by_columns(tmp_path, monkeypatch):
     """A verify case makes no one-point solve: its points are solved by
-    batched solves.  A grid makes one one-point solve per row of its first
-    column, and one batched solve per further column."""
+    batched solves.  The grids of a variational scenario's source march
+    together: one batched solve per first-column row over every grid that
+    has the row, then one per further column over every grid that has it."""
     calls, rows = Counter(), Counter()  # calls per entry point; batched solves by size
 
     def counting(name, fn):
@@ -603,10 +604,11 @@ def test_verify_cases_solve_as_batches_and_grids_by_columns(tmp_path, monkeypatc
     grids = [[9, 11], [7]]
     cli.run_scenario(_small("c09_degenerate_lagrangian",
                             cases=[{"resolutions": r} for r in grids]), tmp_path / "c09", seed=1)
-    # each one-point solve is a one-row batch
-    assert calls["solve"] == rows[1] == 9 + 11 + 7
-    assert rows == {1: 27, 9: 8, 11: 10, 7: 6}
-    assert calls["solve_constraints"] == 0
+    assert calls["solve"] == calls["solve_constraints"] == 0
+    # rows 0-6 of the first column over three grids, 7-8 over two, 9-10 over
+    # one; then columns 1-6 over 9 + 11 + 7 rows, 7-8 over 9 + 11, 9-10 over 11
+    assert calls["solve_many"] == 11 + 10
+    assert rows == {3: 7, 2: 2, 1: 2, 27: 6, 20: 2, 11: 2}
 
 
 def test_covariance_entries_count_their_own_skips(tmp_path, monkeypatch):
@@ -807,6 +809,9 @@ def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
     # finite-difference steps whose squares underflow or overflow
     ("ad", ("steps",), [1e-200, 1e-200]),
     ("ad", ("steps",), [1e300, 1e300]),
+    # a tolerance that no grid can meet
+    ("variational", ("tolerance_h2_coeff",), -1),
+    ("variational", ("tolerance_h2_coeff",), 0),
 ])
 def test_scalar_of_wrong_type_exits_2_before_solving(tmp_path, monkeypatch, capsys, scenario,
                                                      path, value):
@@ -895,6 +900,34 @@ def test_input_error_caught_by_the_library_exits_2_before_solving(
     _forbid_work(monkeypatch)
     assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _variational_case(**changes) -> dict:
+    """The case of ``_COMPLETE["variational"]`` with ``changes``; a ``source``
+    change updates the source."""
+    case = _COMPLETE["variational"]()["cases"][0]
+    case["source"].update(changes.pop("source", {}))
+    return {**case, **changes}
+
+
+# f has no value where u >= 1.75, which the grid reaches at node (8, 5)
+_FAILING_GRID = {"source": {"f": "u^2 + 0*log(1.75 - u)"}}
+
+
+@pytest.mark.parametrize("first,second", [
+    (_variational_case(**_FAILING_GRID), _variational_case(resolutions=9)),
+    (_variational_case(tolerance_h2_coeff=1e-12), _variational_case(**_FAILING_GRID)),
+], ids=["grid_then_malformed", "off_shell_then_grid"])
+def test_variational_scenario_raises_its_first_cases_error(tmp_path, capsys, first, second):
+    """A two-case variational scenario fails with the error of its first
+    case, whatever its second case would raise: a failing grid before a
+    malformed case, an on-shell guard before a failing grid."""
+    data = {**_COMPLETE["variational"](), "cases": [first]}
+    assert _main_exit(tmp_path, data) == cli.EXIT_RUNTIME
+    alone = capsys.readouterr().err
+    assert alone.startswith("numerical failure: ")
+    assert _main_exit(tmp_path, {**data, "cases": [first, second]}) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == alone
 
 
 def test_one_density_jet_per_node(tmp_path, monkeypatch):

@@ -700,36 +700,51 @@ def test_implicit_3d_reparametrization_covariance():
 # -- grid sampling -------------------------------------------------------------------------
 
 
+def _c09_grid(n):
+    return np.linspace(9.75, 10.25, n), np.linspace(-14.75, -14.25, n)
+
+
+def _same_bytes(fields, expected):
+    return [a.tobytes() for a in fields] == [b.tobytes() for b in expected]
+
+
 def test_hodograph_grid_repeats_the_node_by_node_march():
-    """The column-batched grid holds the bits of the row-major march of
-    ``tests/oracles.py`` on c09's three grids."""
+    """c09's three grids marched in one call hold the bits of the row-major
+    march of ``tests/oracles.py`` of each grid, in any order and with a grid
+    listed twice."""
     solver = HodographSolver(parse("u^2"), parse("v^2"), ImplicitSolveConfig(seed=(1.5, 3.5)))
-    for n in (33, 41, 65):
-        t_nodes, x_nodes = np.linspace(9.75, 10.25, n), np.linspace(-14.75, -14.25, n)
-        batched = construct.hodograph_grid(solver, t_nodes, x_nodes)
-        marched = oracles.hodograph_grid(solver, t_nodes, x_nodes)
-        for a, b in zip(batched, marched):
-            assert a.tobytes() == b.tobytes()
+    grids = [_c09_grid(n) for n in (33, 65, 41)]
+    expected = {id(grid): oracles.hodograph_grid(solver, *grid) for grid in grids}
+    for order in (grids, grids[::-1], grids + grids[1:2]):
+        marched = construct.hodograph_grid(solver, order)
+        assert len(marched) == len(order)
+        for fields, grid in zip(marched, order):
+            assert _same_bytes(fields, expected[id(grid)])
 
 
 _C09_WINDOW = ((9.75, 10.25), (-14.75, -14.25), 9)
+_SEED_IMAGE = ((6.0, 6.0), (-4.5, -4.5), 1)  # the one node (t, x)(1.5, 1.5)
+_LOWER_C09 = ((9.75, 10.0), (-14.75, -14.25), 33)
 
 
-@pytest.mark.parametrize("f,g,seed,window,where", [
-    ("u^2", "v^2", (1.5, 1.5), _C09_WINDOW, (0, 0)),  # the seed sits on the fold u = v
-    ("u^2 + 0*log(1.75 - u)", "v^2", (1.5, 3.5), _C09_WINDOW, (8, 5)),
+@pytest.mark.parametrize("f,g,seed,window,where,healthy", [
+    # the seed sits on the fold u = v: only the node where it is exact solves
+    ("u^2", "v^2", (1.5, 1.5), _C09_WINDOW, (0, 0), _SEED_IMAGE),
+    ("u^2 + 0*log(1.75 - u)", "v^2", (1.5, 3.5), _C09_WINDOW, (8, 5), _LOWER_C09),
     # u fails from row 7, column 6, and v from row 6, column 7: the row comes first
-    ("u^2 + 0*log(1.7 - u)", "v^2 + 0*log(v - 3.4)", (1.5, 3.5), _C09_WINDOW, (6, 7)),
+    ("u^2 + 0*log(1.7 - u)", "v^2 + 0*log(v - 3.4)", (1.5, 3.5), _C09_WINDOW, (6, 7),
+     _LOWER_C09),
     # no (u, v) where x > -t^2/8, beyond the fold
-    ("u^2", "v^2", (1.5, 3.5), ((7.5, 8.5), (-9.0, -8.0), 5), (3, 2)),
+    ("u^2", "v^2", (1.5, 3.5), ((7.5, 8.5), (-9.0, -8.0), 5), (3, 2), _C09_WINDOW),
 ])
-def test_hodograph_grid_raises_at_its_first_failing_node(f, g, seed, window, where):
-    """A grid that fails raises the error of the node where the row-major
-    march stops, whichever column it is in."""
+def test_hodograph_grid_raises_at_its_first_failing_node(f, g, seed, window, where, healthy):
+    """A grid that fails gives the error of the node where the row-major
+    march stops, whichever column it is in, also when it marches beside a
+    grid that does not fail, whose bits it leaves alone."""
     solver = HodographSolver(parse(f), parse(g), ImplicitSolveConfig(seed=seed))
     (t_lo, t_hi), (x_lo, x_hi), n = window
     t_nodes, x_nodes = np.linspace(t_lo, t_hi, n), np.linspace(x_lo, x_hi, n)
-    batched = residuals.attempt(construct.hodograph_grid, solver, t_nodes, x_nodes)
+    [alone] = construct.hodograph_grid(solver, [(t_nodes, x_nodes)])
     reached = []  # the nodes the march solves, the failing one last
 
     class Recording(HodographSolver):
@@ -739,9 +754,17 @@ def test_hodograph_grid_raises_at_its_first_failing_node(f, g, seed, window, whe
 
     recording = Recording(parse(f), parse(g), solver.cfg)
     marched = residuals.attempt(oracles.hodograph_grid, recording, t_nodes, x_nodes)
-    assert isinstance(batched, EvaluationError)
-    assert (type(batched), str(batched)) == (type(marched), str(marched))
+    assert isinstance(alone, EvaluationError)
+    assert (type(alone), str(alone)) == (type(marched), str(marched))
     assert reached[-1] == (t_nodes[where[0]], x_nodes[where[1]])
+
+    (t_lo, t_hi), (x_lo, x_hi), n = healthy
+    other = np.linspace(t_lo, t_hi, n), np.linspace(x_lo, x_hi, n)
+    before, fields, after = construct.hodograph_grid(
+        solver, [(t_nodes, x_nodes), other, (t_nodes, x_nodes)])
+    for failing in (before, after):
+        assert (type(failing), str(failing)) == (type(alone), str(alone))
+    assert _same_bytes(fields, oracles.hodograph_grid(solver, *other))
 
 
 def test_hodograph_grid_matches_handles():
@@ -750,7 +773,7 @@ def test_hodograph_grid_matches_handles():
     t_nodes = np.linspace(9.9, 10.1, 4)
     x_nodes = np.linspace(-14.6, -14.4, 5)
     solver = HodographSolver(f, g, cfg)
-    phi_vals, phibar_vals = construct.hodograph_grid(solver, t_nodes, x_nodes)
+    [(phi_vals, phibar_vals)] = construct.hodograph_grid(solver, [(t_nodes, x_nodes)])
     for i in (0, 3):
         for j in (0, 4):
             phi, phibar = _fields(solver, t_nodes[i], x_nodes[j])

@@ -427,6 +427,23 @@ def test_random_expressions_draw_what_rng_choice_draws():
             assert ours.bit_generator.state == reference.bit_generator.state
 
 
+@pytest.mark.parametrize("seed", [*range(30), 110, 7, 20240801])
+def test_c11_draws_the_expressions_of_rng_uniform_and_rng_choice(seed):
+    """c11's attempts, replayed from its scenario RNG, draw the same
+    expression text and points through ``rng.random()`` and integer-index
+    draws as through ``rng.uniform()`` and ``rng.choice``, and leave the
+    generator in the same state."""
+    def attempt(rng, draw):  # one attempt of cli._run_ad_case: text and point
+        depth = int(rng.integers(1, 4))
+        return draw(rng, ["a", "b", "c"], depth), rng.uniform(0.4, 1.6, size=3).tobytes()
+
+    ours, reference = (cli._scenario_rng(seed, "c11_jet_convergence") for _ in range(2))
+    for _ in range(600):  # more attempts than c11 makes for its 500 expressions
+        assert (attempt(ours, cli._random_expression)
+                == attempt(reference, oracles.random_expression))
+    assert ours.bit_generator.state == reference.bit_generator.state
+
+
 def _probe_outcome(spec, point, steps):
     """The bits of the probe's gradient and Hessian at each step, or the
     class and args of what it raised."""

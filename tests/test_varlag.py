@@ -94,7 +94,7 @@ def _onshell_grids(n):
     cfg = ImplicitSolveConfig(seed=(1.5, 3.5))
     t_nodes = np.linspace(9.75, 10.25, n)
     x_nodes = np.linspace(-14.75, -14.25, n)
-    phi, phibar = hodograph_grid(HodographSolver(f, g, cfg), t_nodes, x_nodes)
+    [(phi, phibar)] = hodograph_grid(HodographSolver(f, g, cfg), [(t_nodes, x_nodes)])
     ht = t_nodes[1] - t_nodes[0]
     hx = x_nodes[1] - x_nodes[0]
     return phi, phibar, ht, hx
