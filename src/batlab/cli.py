@@ -30,6 +30,7 @@ import json
 import math
 import sys
 import zlib
+from collections import namedtuple
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -79,17 +80,6 @@ def _reading():
         raise ScenarioError(str(err)) from None
 
 
-def _parse_expr(text, where: str):
-    if not isinstance(text, str):
-        raise ScenarioError(f"{where}: expected an expression string, got {text!r}")
-    try:
-        return parse(text)
-    except ExprSyntaxError as err:
-        raise ScenarioError(f"{where}: {err}") from None
-    except RecursionError:
-        raise ScenarioError(f"{where}: expression nested too deeply") from None
-
-
 def _entry(equation: str, report: ResidualReport, tolerance: float,
            requested: int) -> dict:
     too_many_skipped = report.skipped_singular > MAX_SKIP_FRACTION * max(requested, 1)
@@ -108,72 +98,230 @@ def _entry(equation: str, report: ResidualReport, tolerance: float,
     }
 
 
-def _field_or(d: dict, key: str, default=None, required: bool = False):
-    if not isinstance(d, dict):
-        raise ScenarioError(f"expected a JSON object with field {key!r}, got {d!r}")
-    if key not in d:
-        if required:
-            raise ScenarioError(f"missing required field {key!r}")
-        return default
-    return d[key]
+# -- the scenario format ----------------------------------------------------------------
+#
+# Every key a scenario file may hold, by place.  A case is read against this
+# table before its first solve, and the README's format table is checked
+# against it.  Ranges that the library enforces are left to the library.
+
+_REQUIRED = object()  # the default of a key that must be given
+_CAP = int(np.iinfo(np.intp).max) // 8  # the longest float64 array numpy can describe
+_POSITIVE = math.ulp(0.0)  # a float range from here holds the positive floats
 
 
-def _object(d: dict, key: str, required: bool = True) -> dict:
-    """Object-valued field ``key`` of ``d``; an absent or null optional one is ``{}``."""
-    block = _field_or(d, key, required=required)
-    if not isinstance(block, dict) and (required or block is not None):
-        raise ScenarioError(f"{key}: expected a JSON object, got {block!r}")
-    return block or {}
+@dataclass(frozen=True)
+class _Key:
+    """One key: its kind, default (none if required) and range (``low`` and ``high``
+    bound a number, or the variables of an expression).  ``many`` makes the value
+    a non-empty JSON ``"list"`` of such values (of ``length`` if set), a JSON
+    ``"object"`` of them, or either (``"or list"``).  ``error`` replaces the
+    message for a value out of range."""
+
+    kind: str  # integer, float, string, file-name string, expression, choice, JSON object
+    default: object = _REQUIRED
+    low: float = -math.inf
+    high: float = math.inf
+    choices: tuple = ()
+    many: str = ""
+    length: int | None = None
+    error: str = ""
 
 
-def _list(d: dict, key: str, default=None, of: str = "expression strings") -> list:
-    """Non-empty list-valued field ``key`` of ``d``; required when there is no
-    ``default``."""
-    value = _field_or(d, key, default, required=default is None)
-    if not isinstance(value, list):
-        raise ScenarioError(f"{key}: expected a JSON list of {of}, got {value!r}")
-    if not value:
-        raise ScenarioError(f"{key}: expected a non-empty JSON list of {of}, got []")
-    return value
+def _variants(tag: str, family: str, **places) -> dict:
+    """The places ``f"{family} {name}"``, each of a block whose ``tag`` is ``name``."""
+    return {f"{family} {name}": {tag: _Key("choice", choices=(name,)), **keys}
+            for name, keys in places.items()}
 
 
-def _file_name(value, where: str) -> str:
-    """``value`` as one component of an output file name (at most 100 bytes, so
-    that two of them fit in one 255-byte file name)."""
-    if (not isinstance(value, str) or value in ("", ".", "..")
-            or any(c in value for c in "/\\\0")
-            or len(value.encode("utf-8", "replace")) > 100):
-        raise ScenarioError(f"{where}: expected a file-name string of at most 100 bytes "
-                            f"without a path separator, got {value!r}")
-    return value
+_EXPRESSION = _Key("expression")
+_CONFIG = _Key("JSON object", {})
+_WINDOW = _Key("float", many="list", length=2)
+_COUNT = {"low": 1, "high": _CAP}
+_TOLERANCE = {"tolerance": _Key("float")}
+_MAPS = {"maps": _Key("expression", ["s^3 + s"], 1, 1, many="list")}
+_SPEEDS = {**_TOLERANCE, "speeds_on_x": _Key("choice", "v", choices=("u", "v"))}
+
+# place -> key -> _Key
+_FORMAT = {
+    "scenario": {
+        "name": _Key("file-name string"), "paper_anchor": _Key("string"),
+        "kind": _Key("choice", choices=("verify", "simulate", "variational", "ad")),
+        "cases": _Key("JSON object", many="list")},
+    "verify case": {
+        "label": _Key("file-name string", None), "construct": _Key("JSON object"),
+        "samples": _Key("JSON object"), "checks": _Key("JSON object", many="list")},
+    "simulate case": {
+        "system": _Key("choice", "two_field", choices=("two_field", "multifield")),
+        "label": _Key("file-name string", None), "init": _Key("expression", many="object"),
+        "grid": _Key("JSON object"), "resolutions": _Key("integer", high=_CAP, many="list"),
+        "checks": _Key("JSON object", many="list"), "halving_ratio": _Key("float", 0.0)},
+    "variational case": {
+        "label": _Key("file-name string", "variational"), "source": _Key("JSON object"),
+        "resolutions": _Key("integer", low=5, high=_CAP, many="list"),
+        "psi": _Key("expression", ["s"], 0, 1, many="list"),
+        "factors": _Key("expression", ["p/q"], many="list"),
+        "vary": _Key("choice", ["psi", "phibar", "phi"], choices=("psi", "phibar", "phi"),
+                     many="list"),
+        "tolerance_h2_coeff": _Key("float", 5.0, low=_POSITIVE),
+        "halving_ratio": _Key("float", 0.0)},
+    "ad case": {
+        "label": _Key("file-name string", None), "expressions": _Key("integer", 500, **_COUNT),
+        # the probe divides by h^2, which must neither underflow nor overflow
+        "steps": _Key("float", [1e-3, 5e-4], 2 ** -537.5, math.sqrt(sys.float_info.max),
+                      many="list", length=2),
+        "min_ratio": _Key("float", 3.5)},
+    "source": {"f": _EXPRESSION, "g": _EXPRESSION, "config": _CONFIG,
+               "t_window": _WINDOW, "x_window": _WINDOW},
+    "config": {
+        "newton_tol": _Key("float", 1e-12), "max_iter": _Key("integer", 50),
+        "seed": _Key("float", 1.0, many="or list"),
+        "bracket": _Key("float", None, many="list", length=2)},
+    "samples": {
+        "count": _Key("integer", **_COUNT,
+                      error=f"samples count must be at least 1 and at most {_CAP}"),
+        "low": _Key("float", many="list"), "high": _Key("float", many="list"),
+        "mode": _Key("choice", "uv_box", choices=("uv_box",))},
+    **_variants(
+        "op", "construct",
+        solve_implicit_fg={"F": _EXPRESSION, "G": _EXPRESSION, "config": _CONFIG},
+        holo_sum={"f": _EXPRESSION, "g": _EXPRESSION},
+        implicit_3d={"F": _EXPRESSION, "G": _EXPRESSION, "K": _EXPRESSION,
+                     "const_c": _Key("float", 0.0), "config": _CONFIG},
+        parametric_hodograph={"f": _EXPRESSION, "g": _EXPRESSION, "config": _CONFIG},
+        leznov={"n": _Key("integer"), "Q": _Key("expression", many="list"),
+                "P": _Key("expression", many="list"), "config": _CONFIG}),
+    **_variants(
+        "equation", "check",
+        **dict.fromkeys(("complex_bateman", "euclidean_3d", "euclid_first_order",
+                         "two_field_bateman", "hodograph_identities", "roundtrip",
+                         "constraint_gap"), _TOLERANCE),
+        reparametrization={**_TOLERANCE, "target": _Key("string", None), **_MAPS},
+        reparametrized_two_field={**_TOLERANCE, **_MAPS},
+        born_infeld={**_TOLERANCE, "lambda": _Key("float", 1.0, low=_POSITIVE)},
+        linear_covariance={**_TOLERANCE, "maps": _Key("integer", 10, **_COUNT),
+                           "speed_tolerance": _Key("float", 1e-8)},
+        holomorphy=_SPEEDS, zero_curvature=_SPEEDS,
+        conservation={"tolerance_h2_coeff": _Key("float", 5.0),
+                      "n_values": _Key("integer", [1, 2, 3, 4, 5], **_COUNT, many="list")},
+        transport={"tolerance_h2_coeff": _Key("float", 5.0)},
+        multifield_det={"tolerance_h2_coeff": _Key("float", 1.0)}),
+    "grid two_field": {
+        "t_end": _Key("float"), "x0": _Key("float", 0.0), "x1": _Key("float", hydro.TWO_PI),
+        "cfl": _Key("float", 0.5),
+        "bc": _Key("choice", "periodic", choices=("periodic", "open"))},
+    "grid multifield": {"t_end": _Key("float"), "cfl": _Key("float", 0.4)},
+}
 
 
-def _number(value, where: str, kind=float):
-    """Scenario scalar ``value`` as ``kind``: a finite JSON number, a whole one for
-    ``int``.  A string, a boolean, null, 1e400 or a fractional count is a
-    ScenarioError."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+def _range(key: _Key) -> str:
+    """The range of ``key``'s values, as error messages and the README state it."""
+    if key.kind == "choice":
+        return " or ".join(map(repr, key.choices))
+    if key.kind == "file-name string":
+        return "of at most 100 bytes without a path separator"
+    if (key.low, key.high) == (-math.inf, math.inf):
+        return ""
+    bounds = f"[{key.low!r}, {key.high!r}]"
+    return f"of {bounds} variables" if key.kind == "expression" else f"in {bounds}"
+
+
+def _expected(key: _Key) -> str:
+    """What ``key`` takes, as its error messages state it."""
+    def what(plural: str) -> str:  # the kind, singular or plural, and its range
+        return f"{key.kind}{plural} {'of ' * (key.kind == 'choice')}{_range(key)}".strip()
+    one = f"{'an' if key.kind[0] in 'aeiou' else 'a'} {what('')}"
+    some = f"a JSON list of {key.length or 'one or more'} {what('s')}"
+    return {"": one, "list": some, "or list": f"{one} or {some}",
+            "object": f"a JSON object of {what('s')}"}[key.many]
+
+
+_Expr = namedtuple("_Expr", "text spec")  # an expression as written, and parsed
+
+
+class _Refused(Exception):
+    """A value not of its key's kind; with an argument, of it but out of range."""
+
+
+def _one(key: _Key, value, where: str):
+    """One value of ``key``'s kind: a number, an ``_Expr``, a string or an object."""
+    if key.kind in ("integer", "float"):
+        cast = int if key.kind == "integer" else float
+        try:  # a boolean, null, 1e400 or a fractional count is refused
+            if isinstance(value, bool) or not (math.isfinite(value) and cast(value) == value):
+                raise _Refused
+        except (TypeError, OverflowError):  # not a number, or an integer beyond the float range
+            raise _Refused from None
+        if not key.low <= cast(value) <= key.high:
+            raise _Refused("range")
+        return cast(value)
+    if not isinstance(value, dict if key.kind == "JSON object" else str):
+        raise _Refused
+    if key.kind == "expression":
         try:
-            if math.isfinite(value) and kind(value) == value:
-                return kind(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise ScenarioError(f"{where}: expected a finite {kind.__name__}, got {value!r}")
+            spec = parse(value)
+        except ExprSyntaxError as err:
+            raise ScenarioError(f"{where}: {err}") from None
+        except RecursionError:
+            raise ScenarioError(f"{where}: expression nested too deeply") from None
+        if not key.low <= len(spec.vars) <= key.high:
+            raise _Refused("range")
+        return _Expr(value, spec)
+    if key.kind == "choice" and value not in key.choices or key.kind == "file-name string" and (
+            value in ("", ".", "..") or any(c in value for c in "/\\\0")
+            or len(value.encode("utf-8", "replace")) > 100):  # two fit in a 255-byte name
+        raise _Refused("range")
+    return value
 
 
-def _numbers(values, where: str, kind=float, length: int | None = None) -> list:
-    """A JSON list of scenario scalars, each read by ``_number``."""
-    if not isinstance(values, list) or length not in (None, len(values)):
-        raise ScenarioError(f"{where}: expected a list of {length or 'finite'} numbers, "
-                            f"got {values!r}")
-    return [_number(v, where, kind) for v in values]
-
-
-def _lookup(table: dict, key, message: str):
+def _value(key: _Key, value, where: str):
+    """``value``, at path ``where``, read as ``key`` takes it."""
     try:
-        return table[key]
-    except (KeyError, TypeError):  # TypeError: an unhashable key from the file
-        raise ScenarioError(message) from None
+        if not key.many or key.many == "or list" and not isinstance(value, list):
+            return _one(key, value, where)
+        if not (isinstance(value, dict if key.many == "object" else list) and value
+                and key.length in (None, len(value))):
+            raise _Refused
+        if key.many == "object":
+            return {name: _one(key, v, where) for name, v in value.items()}
+        return [_one(key, v, where) for v in value]
+    except _Refused as err:
+        expected = key.error if err.args and key.error else f"{where}: expected {_expected(key)}"
+        raise ScenarioError(f"{expected}, got {value!r}") from None
+
+
+def _read(block, place: str, where: str = "") -> dict:
+    """The values of ``block``, at path ``where``, as the keys of ``place`` take
+    them, with the defaults filled in (a JSON object value as written)."""
+    keys, at = _FORMAT[place], where or place
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{at}: expected a JSON object, got {block!r}")
+    for name in block:
+        if name not in keys:
+            raise ScenarioError(f"{at}: unknown key {name!r}")
+    values = {}
+    for name, key in keys.items():
+        path = f"{where}.{name}" if where else name
+        if name in block:
+            values[name] = _value(key, block[name], path)
+        elif key.default is _REQUIRED:
+            raise ScenarioError(f"{at}: missing required field {name!r}")
+        else:
+            values[name] = None if key.default is None else _value(key, key.default, path)
+    return values
+
+
+def _read_checks(case: dict, owner: str, runs: dict, label: str) -> list:
+    """``(run, check)`` per check of ``case``, read: ``runs[owner, key]`` is
+    its run (owner: an op or a system)."""
+    out = []
+    for i, check in enumerate(case["checks"]):
+        eq = check.get("equation")
+        key = f"{eq}:{check['target']}" if "target" in check else f"{eq}"
+        if (owner, key) not in runs:
+            raise ScenarioError(f"checks[{i}]: missing required field 'equation'" if eq is None
+                                else f"check {key!r} does not apply to {label!r}")
+        out.append((runs[owner, key], _read(check, f"check {eq}", f"checks[{i}]")))
+    return out
 
 
 def _halving(label: str, resolutions: list, measured: dict, min_ratio: float) -> list[dict]:
@@ -194,35 +342,28 @@ def _halving(label: str, resolutions: list, measured: dict, min_ratio: float) ->
     return entries
 
 
-def _solve_config(block: dict) -> ImplicitSolveConfig:
-    seed = block.get("seed", 1.0)
-    seed = (tuple(_numbers(seed, "config.seed")) if isinstance(seed, list)
-            else _number(seed, "config.seed"))
-    bracket = block.get("bracket")
-    if bracket is not None:
-        bracket = tuple(_numbers(bracket, "config.bracket", length=2))
-    return ImplicitSolveConfig(
-        newton_tol=_number(block.get("newton_tol", 1e-12), "config.newton_tol"),
-        max_iter=_number(block.get("max_iter", 50), "config.max_iter", int),
-        seed=seed,
-        bracket=bracket,
-    )
+def _solve_config(block: dict, where: str) -> ImplicitSolveConfig:
+    """The Newton config of the ``config`` block at ``where``."""
+    return ImplicitSolveConfig(**{key: tuple(value) if isinstance(value, list) else value
+                                  for key, value in _read(block, "config", where).items()})
+
+
+def _samples(case: dict, dim: int) -> dict:
+    """A verify case's ``samples``, read: a box of ``dim`` coordinates and of
+    finite widths, as ``rng.uniform`` draws from."""
+    samples = _read(case["samples"], "samples", "samples")
+    low, high = samples["low"], samples["high"]
+    if not (len(low) == len(high) == dim and all(0 < b - a < math.inf for a, b in zip(low, high))):
+        raise ScenarioError(f"samples: expected a box of {dim} coordinates with low < high, "
+                            f"got low {low!r} and high {high!r}")
+    return samples
 
 
 def _box_sampler(samples: dict, rng: np.random.Generator, dim: int):
-    """``count`` uniform points of a box of ``dim`` coordinates, as a
-    ``(count, dim)`` array (the bits and generator state of ``count`` draws of
-    one point each)."""
-    low = np.asarray(_numbers(_field_or(samples, "low", required=True), "samples.low"))
-    high = np.asarray(_numbers(_field_or(samples, "high", required=True), "samples.high"))
-    count = _number(_field_or(samples, "count", required=True), "samples.count", int)
-    if count < 1:
-        raise ScenarioError(f"samples count must be at least 1, got {count}")
-    if low.shape != high.shape or np.any(low >= high):
-        raise ScenarioError("samples box must satisfy low < high componentwise")
-    if low.shape != (dim,):
-        raise ScenarioError(f"samples box must have {dim} coordinates, got {low.size}")
-    return rng.uniform(low, high, size=(count, dim)), count
+    """``count`` uniform points of the read ``samples`` box of ``dim`` coordinates,
+    as a ``(count, dim)`` array (the bits and state of ``count`` one-point draws)."""
+    count = samples["count"]
+    return rng.uniform(samples["low"], samples["high"], size=(count, dim)), count
 
 
 # -- verify-kind cases -------------------------------------------------------------------
@@ -276,18 +417,15 @@ def _at_solved(fn, errors: list, *batches):
     return errors, batch
 
 
-def _expr(block: dict, key: str):
-    return _parse_expr(_field_or(block, key, required=True), key)
-
-
 def _field_case(make, dim: int):
     """Case builder for a constructor that returns a FieldHandle of ``dim``
-    coordinates."""
+    coordinates from its read construct block."""
 
     def build(block, label, case, rng) -> _Solved:
+        block = _read(block, f"construct {block['op']}", "construct")
         with _reading():
             handle = make(block)
-        points, requested = _box_sampler(_object(case, "samples"), rng, dim)
+        points, requested = _box_sampler(_samples(case, dim), rng, dim)
         errors, roots = handle.solve_many(points)
         errors, batch = _at_solved(handle.jets, errors, points[_ok(errors)], roots)
         return _Solved(label, rng, requested, points, errors, batch)
@@ -296,14 +434,12 @@ def _field_case(make, dim: int):
 
 
 def _hodograph_case(block, label, case, rng) -> _Solved:
+    block = _read(block, "construct parametric_hodograph", "construct")
     with _reading():
-        solver = construct.HodographSolver(_expr(block, "f"), _expr(block, "g"),
-                                           _solve_config(_object(block, "config", False)))
+        solver = construct.HodographSolver(block["f"].spec, block["g"].spec,
+                                           _solve_config(block["config"], "construct.config"))
         construct.seed_pair(solver.cfg.seed)  # the born_infeld check solves from it
-    samples = _object(case, "samples")
-    if samples.get("mode", "uv_box") != "uv_box":
-        raise ScenarioError("hodograph cases sample the (u, v) parameter box")
-    uv, requested = _box_sampler(samples, rng, 2)
+    uv, requested = _box_sampler(_samples(case, 2), rng, 2)
     t, x = at_points(solver.forward, uv[:, 0], uv[:, 1])
     errors, batch = _at_solved(solver.fields, *_uv_at(*solver.solve_many(t, x, uv)))
     return _Solved(label, rng, requested, uv, errors, batch, solver,
@@ -316,16 +452,14 @@ def _uv_at(errors: list, uv: np.ndarray):
 
 
 def _leznov_case(block, label, case, rng) -> _Solved:
+    block = _read(block, "construct leznov", "construct")
     with _reading():
-        sys_ = leznov.LeznovSystem(
-            n=_number(_field_or(block, "n", required=True), "n", int),
-            Q=[_parse_expr(q, "Q") for q in _list(block, "Q")],
-            P=[_parse_expr(p, "P") for p in _list(block, "P")],
-            cfg=_solve_config(_object(block, "config", False)),
-        )
-    if sys_.n != 2 and "complex_bateman" in map(_check_key, case["checks"]):
+        sys_ = leznov.LeznovSystem(n=block["n"], Q=[q.spec for q in block["Q"]],
+                                   P=[p.spec for p in block["P"]],
+                                   cfg=_solve_config(block["config"], "construct.config"))
+    if sys_.n != 2 and any(c.get("equation") == "complex_bateman" for c in case["checks"]):
         raise ScenarioError("complex_bateman check needs n = 2")
-    points, requested = _box_sampler(_object(case, "samples"), rng, 2 * sys_.n)
+    points, requested = _box_sampler(_samples(case, 2 * sys_.n), rng, 2 * sys_.n)
     errors, roots = leznov.solve_many(sys_, points)
     errors, fields = _at_solved(lambda p, phi: leznov.field_jets(sys_, p, phi),
                                 errors, points[_ok(errors)], roots)
@@ -337,37 +471,24 @@ def _leznov_case(block, label, case, rng) -> _Solved:
 
 def _run_verify_case(case: dict, rng: np.random.Generator,
                      sink: dict | None = None) -> list[dict]:
-    block = _object(case, "construct")
-    op = _field_or(block, "op", required=True)
-    build = _lookup(_CONSTRUCTORS, op, f"unknown constructor op {op!r}")
-    label = _file_name(case.get("label", op), "label")
-    checks = _list(case, "checks", of="JSON objects")
-    runs = [_lookup(_CHECKS, (op, eq), f"check {eq!r} does not apply to {label!r}")
-            for eq in map(_check_key, checks)]
-    with _reading():
-        runs = [run(check, _number(_field_or(check, "tolerance", required=True), "tolerance"))
-                for run, check in zip(runs, checks)]
+    case = _read(case, "verify case")
+    op = case["construct"].get("op")
+    if f"construct {op}" not in _FORMAT:
+        raise ScenarioError(f"unknown constructor op {op!r}")
+    label = case["label"] or op
+    checks = _read_checks(case, op, _CHECKS, label)
 
-    c = build(block, label, case, rng)
+    c = _CONSTRUCTORS[op](case["construct"], label, case, rng)
     if sink is not None:
         sink[label] = c.points if c.tx is None else [
             (*tx, *uv) for tx, uv in zip(c.tx, c.points)]
     entries = []
-    for run in runs:
-        entries += run(c)
+    for run, check in checks:
+        entries += run(c, check)
     return entries
 
 
-def _check_key(check: dict) -> str:
-    """A verify check's ``_CHECKS`` key: its equation, and a reparametrization's target."""
-    eq = _field_or(check, "equation", required=True)
-    if eq == "reparametrization" and "target" in check:
-        return f"{eq}:{check['target']}"
-    return eq
-
-
-# -- the checks: (check block, tolerance) -> (solved case -> report entries) -------------
-# A check reads its options before any solve; what it returns runs on the solved case.
+# -- the checks: (solved case, read check) -> report entries --------------------------------
 
 
 def _swept(c: _Solved, name: str, residual, tol: float) -> dict:
@@ -378,33 +499,23 @@ def _swept(c: _Solved, name: str, residual, tol: float) -> dict:
 
 def _per_point(residual):
     """Check applying ``residual`` to the constructor's jets at every point."""
-    return lambda check, tol: lambda c: [_swept(c, check["equation"], residual, tol)]
+    return lambda c, check: [_swept(c, check["equation"], residual, check["tolerance"])]
 
 
-def _reparametrized(check: dict, tol: float, name: str, residual):
+def _reparametrized(c: _Solved, check: dict, name: str, residual) -> list[dict]:
     """One entry per map h of the check: ``residual(h, jets)`` at every point."""
-    maps = [(htxt, construct.reparametrization(_parse_expr(htxt, "map")))
-            for htxt in _list(check, "maps", ["s^3 + s"])]
-
-    def run(c: _Solved) -> list[dict]:
-        entries = []
-        for htxt, h in maps:
-            rep = residuals.sweep(name, c.batch, lambda j: residual(h, j), c.skipped)
-            entries.append(_entry(f"{name}[{c.label}:{htxt}]", rep, tol, c.requested))
-        return entries
-
-    return run
+    entries = []
+    for text, spec in check["maps"]:
+        h = construct.reparametrization(spec)
+        rep = residuals.sweep(name, c.batch, lambda j: residual(h, j), c.skipped)
+        entries.append(_entry(f"{name}[{c.label}:{text}]", rep, check["tolerance"], c.requested))
+    return entries
 
 
-def _tolerance_only(run):
-    """Check ``run(solved case, tolerance)``, which has no other option."""
-    return lambda check, tol: lambda c: run(c, tol)
-
-
-def _hodograph_identities(c: _Solved, tol: float) -> list[dict]:
+def _hodograph_identities(c: _Solved, check: dict) -> list[dict]:
     rep = residuals.sweep("hodograph_identities", c.points,
                           lambda uv: c.model.identity_residuals(uv[..., 0], uv[..., 1]))
-    return [_entry(f"hodograph_identities[{c.label}]", rep, tol, c.requested)]
+    return [_entry(f"hodograph_identities[{c.label}]", rep, check["tolerance"], c.requested)]
 
 
 def _roundtrip(c: _Solved, tol: float) -> list[dict]:
@@ -423,69 +534,58 @@ def _roundtrip(c: _Solved, tol: float) -> list[dict]:
     return [_entry(f"roundtrip[{c.label}]", rep, tol, c.requested)]
 
 
-def _born_infeld(check: dict, tol: float):
-    lam = _number(check.get("lambda", 1.0), "lambda")
-    if lam <= 0:
-        raise ScenarioError(f"lambda: expected a positive float, got {lam!r}")
-
-    def run(c: _Solved) -> list[dict]:
-        # (u, v) = (phibar, phi).  The integrability check solves from the
-        # configured seed, not from the sample's.
-        errors, cross = _at_solved(c.model.fields, *_uv_at(*c.model.solve_many(*zip(*c.tx))))
-        rep = residuals.sweep("born_infeld_cross", cross, lambda f: (
-            construct.born_infeld_cross_residual(f[1], f[0], lam)),
-            len(errors) - errors.count(None))
-        return [
-            _swept(c, "born_infeld", lambda f: residuals.born_infeld(
-                construct.born_infeld_jet(f[1], f[0], lam), lam), tol),
-            _entry(f"born_infeld_cross[{c.label}]", rep, tol, c.requested),
-        ]
-    return run
+def _born_infeld(c: _Solved, check: dict) -> list[dict]:
+    lam, tol = check["lambda"], check["tolerance"]
+    # (u, v) = (phibar, phi).  The integrability check solves from the
+    # configured seed, not from the sample's.
+    errors, cross = _at_solved(c.model.fields, *_uv_at(*c.model.solve_many(*zip(*c.tx))))
+    rep = residuals.sweep("born_infeld_cross", cross, lambda f: (
+        construct.born_infeld_cross_residual(f[1], f[0], lam)),
+        len(errors) - errors.count(None))
+    return [
+        _swept(c, "born_infeld", lambda f: residuals.born_infeld(
+            construct.born_infeld_jet(f[1], f[0], lam), lam), tol),
+        _entry(f"born_infeld_cross[{c.label}]", rep, tol, c.requested),
+    ]
 
 
-def _linear_covariance(check: dict, tol: float):
-    speed_tol = _number(check.get("speed_tolerance", 1e-8), "speed_tolerance")
-    n_maps = _number(check.get("maps", 10), "maps", int)
-    if n_maps < 1:
-        raise ScenarioError(f"maps: expected an integer of at least 1, got {n_maps!r}")
+def _linear_covariance(c: _Solved, check: dict) -> list[dict]:
+    n_maps, tol, speed_tol = check["maps"], check["tolerance"], check["speed_tolerance"]
+    maps = []
+    while len(maps) < n_maps:
+        m = LinearMap2(*c.rng.uniform(-2.0, 2.0, size=4))
+        if abs(m.det) >= 0.3:
+            maps.append(m)
 
-    def run(c: _Solved) -> list[dict]:
-        maps = []
-        while len(maps) < n_maps:
-            m = LinearMap2(*c.rng.uniform(-2.0, 2.0, size=4))
-            if abs(m.det) >= 0.3:
-                maps.append(m)
-
-        # Each entry counts its own skips: a point whose pulled-back jets exist
-        # is a covariance sample even if its speed cannot be matched.
-        res_samples, speed_samples, res_skipped, speed_skipped = [], [], 0, 0
-        has_base = _ok(c.errors)
-        for m in maps:
-            mat, minv = m.matrix(), m.inverse()
-            tx = [minv @ (mat @ np.array(p)) for p in c.tx]  # (t, x) only up to rounding
-            errors, pulled = _at_solved(lambda u, v: tuple(
-                construct.pull_back(j, minv) for j in c.model.fields(u, v)),
-                *_uv_at(*c.model.solve_many(*zip(*tx), c.points)))
-            has_pulled = _ok(errors)
-            res_skipped += len(errors) - errors.count(None)
-            if pulled is not None:
-                res_samples.append(residuals.two_field_bateman(*pulled))
-            # The speed match also reads the point's base jets.
-            both, matched = has_pulled & has_base, []
-            if both.any():
-                matched, speeds = residuals.batched(
-                    lambda jb, base_bar: _speed_match(jb, base_bar, m),
-                    residuals.take(pulled[1], both[has_pulled]),
-                    residuals.take(c.batch[1], both[has_base]))
-                if speeds is not None:
-                    speed_samples.append(speeds)
-            speed_skipped += len(errors) - matched.count(None)
-        requested = n_maps * len(c.points)
-        rep = residuals.grid_report("linear_covariance", res_samples, res_skipped)
-        rep2 = residuals.grid_report("moebius_speed_match", speed_samples, speed_skipped)
-        return [_entry(f"linear_covariance[{c.label}]", rep, tol, requested),
-                _entry(f"moebius_speed_match[{c.label}]", rep2, speed_tol, requested)]
-    return run
+    # Each entry counts its own skips: a point whose pulled-back jets exist
+    # is a covariance sample even if its speed cannot be matched.
+    res_samples, speed_samples, res_skipped, speed_skipped = [], [], 0, 0
+    has_base = _ok(c.errors)
+    for m in maps:
+        mat, minv = m.matrix(), m.inverse()
+        tx = [minv @ (mat @ np.array(p)) for p in c.tx]  # (t, x) only up to rounding
+        errors, pulled = _at_solved(lambda u, v: tuple(
+            construct.pull_back(j, minv) for j in c.model.fields(u, v)),
+            *_uv_at(*c.model.solve_many(*zip(*tx), c.points)))
+        has_pulled = _ok(errors)
+        res_skipped += len(errors) - errors.count(None)
+        if pulled is not None:
+            res_samples.append(residuals.two_field_bateman(*pulled))
+        # The speed match also reads the point's base jets.
+        both, matched = has_pulled & has_base, []
+        if both.any():
+            matched, speeds = residuals.batched(
+                lambda jb, base_bar: _speed_match(jb, base_bar, m),
+                residuals.take(pulled[1], both[has_pulled]),
+                residuals.take(c.batch[1], both[has_base]))
+            if speeds is not None:
+                speed_samples.append(speeds)
+        speed_skipped += len(errors) - matched.count(None)
+    requested = n_maps * len(c.points)
+    rep = residuals.grid_report("linear_covariance", res_samples, res_skipped)
+    rep2 = residuals.grid_report("moebius_speed_match", speed_samples, speed_skipped)
+    return [_entry(f"linear_covariance[{c.label}]", rep, tol, requested),
+            _entry(f"moebius_speed_match[{c.label}]", rep2, speed_tol, requested)]
 
 
 def _speed_match(jb, base_bar, m: LinearMap2) -> residuals.ResidualSample:
@@ -497,57 +597,35 @@ def _speed_match(jb, base_bar, m: LinearMap2) -> residuals.ResidualSample:
     return residuals.ResidualSample(u_new - expected_u, abs(u_new) + abs(expected_u))
 
 
-def _constraint_gap(c: _Solved, tol: float) -> list[dict]:
+def _constraint_gap(c: _Solved, check: dict) -> list[dict]:
     """The worst |Q - P| over the solved points, phi read from the field jets."""
     gaps = leznov.constraint_gap(c.model, c.points[_ok(c.errors)], np.stack(
         [f.value for f in c.batch], axis=-1)).tolist() if c.batch else []
     worst = max(gaps, default=0.0)
     rep = ResidualReport("constraint_gap", len(gaps), worst, worst, c.skipped)
-    return [_entry(f"constraint_gap[{c.label}]", rep, tol, c.requested)]
+    return [_entry(f"constraint_gap[{c.label}]", rep, check["tolerance"], c.requested)]
 
 
-def _speeds_on_x(check: dict) -> str:
-    """The operator binding a Leznov check names: ``"v"`` (default) or ``"u"``."""
-    speeds_on_x = check.get("speeds_on_x", "v")
-    if speeds_on_x not in ("u", "v"):
-        raise ScenarioError(f"speeds_on_x: expected a 'u' or 'v', got {speeds_on_x!r}")
-    return speeds_on_x
-
-
-def _speed_entry(c: _Solved, name: str, samples, tol: float) -> dict:
-    """Entry for the Leznov ``samples`` (a tuple of batches over the points
-    with speeds; None if there are none), against the global term magnitude
+def _speed_check(samples, *names):
+    """Check with one entry per name, from the Leznov samples in the order
+    ``samples(system, speeds, speeds_on_x)`` gives them (each a tuple of
+    batches over the points with speeds), against the global term magnitude
     and reduced point by point."""
-    rep = residuals.grid_report(name, [] if samples is None else [residuals.by_point(samples)],
-                                len(c.speed_errors) - c.speed_errors.count(None))
-    return _entry(f"{name}[{c.label}]", rep, tol, c.requested)
-
-
-def _holomorphy(check: dict, tol: float):
-    speeds_on_x = _speeds_on_x(check)
-
-    def run(c: _Solved) -> list[dict]:
-        d, dbar = (None, None) if c.speeds is None else leznov.holomorphy_samples(
-            c.model, *c.speeds, speeds_on_x)
-        return [_speed_entry(c, "d_phi", d, tol), _speed_entry(c, "dbar_phi", dbar, tol)]
-    return run
-
-
-def _zero_curvature(check: dict, tol: float):
-    speeds_on_x = _speeds_on_x(check)
-
-    def run(c: _Solved) -> list[dict]:
-        samples = None if c.speeds is None else leznov.zero_curvature_samples(
-            c.model, c.speeds[1], speeds_on_x)
-        return [_speed_entry(c, "zero_curvature", samples, tol)]
+    def run(c: _Solved, check: dict) -> list[dict]:
+        skipped = len(c.speed_errors) - c.speed_errors.count(None)
+        batches = [None] * len(names) if c.speeds is None else samples(
+            c.model, c.speeds, check["speeds_on_x"])
+        return [_entry(f"{name}[{c.label}]", residuals.grid_report(
+            name, [] if batch is None else [residuals.by_point(batch)], skipped),
+            check["tolerance"], c.requested) for name, batch in zip(names, batches)]
     return run
 
 
 def _scalar_checks(equation: str, residual, **others) -> dict:
     """Checks of a scalar field that solves ``equation``: the equation, its
     reparametrization (whose ``target`` can only be that equation) and ``others``."""
-    def reparametrized(check, tol):
-        return _reparametrized(check, tol, f"reparametrized_{equation}",
+    def reparametrized(c, check):
+        return _reparametrized(c, check, f"reparametrized_{equation}",
                                lambda h, jet: residual(h(jet)))
     return {equation: _per_point(residual), "reparametrization": reparametrized,
             f"reparametrization:{equation}": reparametrized, **others}
@@ -555,11 +633,11 @@ def _scalar_checks(equation: str, residual, **others) -> dict:
 
 _CONSTRUCTORS = {
     "solve_implicit_fg": _field_case(lambda b: construct.solve_implicit_fg(
-        _expr(b, "F"), _expr(b, "G"), _solve_config(_object(b, "config", False))), 4),
-    "holo_sum": _field_case(lambda b: construct.holo_sum(_expr(b, "f"), _expr(b, "g")), 4),
+        b["F"].spec, b["G"].spec, _solve_config(b["config"], "construct.config")), 4),
+    "holo_sum": _field_case(lambda b: construct.holo_sum(b["f"].spec, b["g"].spec), 4),
     "implicit_3d": _field_case(lambda b: construct.implicit_3d(
-        _expr(b, "F"), _expr(b, "G"), _expr(b, "K"), _number(b.get("const_c", 0.0), "const_c"),
-        _solve_config(_object(b, "config", False))), 3),
+        b["F"].spec, b["G"].spec, b["K"].spec, b["const_c"],
+        _solve_config(b["config"], "construct.config")), 3),
     "parametric_hodograph": _hodograph_case,
     "leznov": _leznov_case,
 }
@@ -571,23 +649,27 @@ _ARITY_CHECKS = {
                       euclid_first_order=_per_point(residuals.euclidean_first_order)),
 }
 
-# (constructor op, check key) -> check
+# (constructor op, check key) -> (solved case, read check) -> report entries
 _CHECKS = {
     **{(op, eq): run for op, arity in (("solve_implicit_fg", 4), ("holo_sum", 4),
                                         ("implicit_3d", 3))
        for eq, run in _ARITY_CHECKS[arity].items()},
     ("parametric_hodograph", "two_field_bateman"): _per_point(lambda f: (
         residuals.two_field_bateman(*f), residuals.two_field_bateman(*f, conjugate=True))),
-    ("parametric_hodograph", "hodograph_identities"): _tolerance_only(_hodograph_identities),
-    ("parametric_hodograph", "roundtrip"): _tolerance_only(_roundtrip),
+    ("parametric_hodograph", "hodograph_identities"): _hodograph_identities,
+    ("parametric_hodograph", "roundtrip"): lambda c, check: _roundtrip(c, check["tolerance"]),
     ("parametric_hodograph", "born_infeld"): _born_infeld,
     ("parametric_hodograph", "linear_covariance"): _linear_covariance,
-    ("parametric_hodograph", "reparametrized_two_field"): lambda check, tol: _reparametrized(
-        check, tol, "reparametrized_two_field",
+    ("parametric_hodograph", "reparametrized_two_field"): lambda c, check: _reparametrized(
+        c, check, "reparametrized_two_field",
         lambda h, fields: residuals.two_field_bateman(*map(h, fields))),
-    ("leznov", "constraint_gap"): _tolerance_only(_constraint_gap),
-    ("leznov", "holomorphy"): _holomorphy,
-    ("leznov", "zero_curvature"): _zero_curvature,
+    ("leznov", "constraint_gap"): _constraint_gap,
+    ("leznov", "holomorphy"): _speed_check(
+        lambda sys_, speeds, on_x: leznov.holomorphy_samples(sys_, *speeds, on_x),
+        "d_phi", "dbar_phi"),
+    ("leznov", "zero_curvature"): _speed_check(
+        lambda sys_, speeds, on_x: [leznov.zero_curvature_samples(sys_, speeds[1], on_x)],
+        "zero_curvature"),
     # n = 2 only: a Leznov case rejects it on a larger system before solving
     ("leznov", "complex_bateman"): _per_point(lambda f: residuals.complex_bateman(f[0])),
 }
@@ -602,43 +684,30 @@ _CHECKS = {
 
 def _run_simulate_case(case: dict, rng: np.random.Generator, out_dir: Path,
                        scenario_name: str, dump: bool) -> list[dict]:
-    system = case.get("system", "two_field")
-    read = _lookup(_SYSTEMS, system, f"unknown system {system!r}")
-    label = _file_name(case.get("label", system), "label")
-    checks = _list(case, "checks", of="JSON objects")
-    resolutions = _resolutions(case, 1)
-    grid_block = _object(case, "grid")
-    min_ratio = _number(case.get("halving_ratio", 0.0), "halving_ratio")
-    equations = [_field_or(check, "equation", required=True) for check in checks]
-    runs = [_lookup(_SIM_CHECKS, (system, eq), f"check {eq!r} does not apply to {system} runs")
-            for eq in equations]
-    if "transport" in equations and grid_block.get("bc") == "open":
+    case = _read(case, "simulate case")
+    system, resolutions = case["system"], case["resolutions"]
+    label = case["label"] or system
+    block = _read(case["grid"], f"grid {system}", "grid")
+    checks = _read_checks(case, system, _SIM_CHECKS, label)
+    if block.get("bc") == "open" and any(c["equation"] == "transport" for c in case["checks"]):
         raise ScenarioError("transport checks need a periodic grid, not bc 'open'")
+    init = {name: expr.spec for name, expr in case["init"].items()}
+    fields, coords, spec_at, integrate = _SYSTEMS[system]
     with _reading():
-        runs = [run(check) for run, check in zip(runs, checks)]
-        specs, integrate = read(case, grid_block, resolutions)
+        hydro.check_initial_data(init, fields, coords)
+        specs = [spec_at(res, block) for res in resolutions]
 
-    measured: dict[int, dict[str, float]] = {}
-    entries: list[dict] = []
+    measured, entries = {}, []
     for res, spec in zip(resolutions, specs):
-        grid = integrate(spec)
+        grid = integrate(init, spec)
         if dump:
             _dump_grid(grid, out_dir / f"{scenario_name}.{label}.{res}.csv")
         measured[res] = {}
-        for run in runs:
-            for key, entry in run(grid, f"{label}@{res}"):
+        for run, check in checks:
+            for key, entry in run(grid, f"{label}@{res}", check):
                 entries.append(entry)
                 measured[res][key] = entry["max_norm"]
-    return entries + _halving(label, resolutions, measured, min_ratio)
-
-
-def _resolutions(case: dict, least: int) -> list[int]:
-    """A grid case's non-empty list of resolutions, each at least ``least``."""
-    resolutions = _numbers(_field_or(case, "resolutions", required=True), "resolutions", int)
-    if min(resolutions, default=0) < least:
-        raise ScenarioError(f"resolutions: expected a non-empty list of integers of at least "
-                            f"{least}, got {resolutions!r}")
-    return resolutions
+    return entries + _halving(label, resolutions, measured, case["halving_ratio"])
 
 
 def _dump_grid(grid, csv_path: Path) -> None:
@@ -646,97 +715,65 @@ def _dump_grid(grid, csv_path: Path) -> None:
     dump(grid, csv_path)
 
 
-def _two_field(case: dict, grid_block: dict, resolutions: list):
-    t_end = _number(_field_or(grid_block, "t_end", required=True), "grid.t_end")
-    x0 = _number(grid_block.get("x0", 0.0), "grid.x0")
-    x1 = _number(grid_block.get("x1", hydro.TWO_PI), "grid.x1")
-    cfl = _number(grid_block.get("cfl", 0.5), "grid.cfl")
-    specs = [hydro.CharGridSpec(nx=res, t_end=t_end, x0=x0, x1=x1, cfl=cfl,
-                                bc=grid_block.get("bc", "periodic")) for res in resolutions]
-    init = _object(case, "init")
-    u = _parse_expr(_field_or(init, "u", required=True), "init.u")
-    v = _parse_expr(_field_or(init, "v", required=True), "init.v")
-    hydro.check_initial_data({"u": u, "v": v}, ("u", "v"), ("x",))
-    return specs, lambda spec: hydro.integrate_characteristics(u, v, spec)
+def _conservation(grid, where: str, check: dict) -> list[tuple[str, dict]]:
+    tol = check["tolerance_h2_coeff"] * grid.h**2
+    out = []
+    for n in check["n_values"]:
+        drift = hydro.conservation_drift(grid, n)
+        rep = ResidualReport(f"conservation_s{n}", grid.nt * grid.nx, drift, drift, 0)
+        out.append((f"s{n}", _entry(f"conservation_s{n}[{where}]", rep, tol,
+                                    grid.nt * grid.nx)))
+    return out
 
 
-def _multifield(case: dict, grid_block: dict, resolutions: list):
-    t_end = _number(_field_or(grid_block, "t_end", required=True), "grid.t_end")
-    cfl = _number(grid_block.get("cfl", 0.4), "grid.cfl")
-    specs = [hydro.MultiGridSpec(n2=res, n3=res, t_end=t_end, cfl=cfl) for res in resolutions]
-    init = {k: _parse_expr(v, f"init.{k}") for k, v in _object(case, "init").items()}
-    hydro.check_initial_data(init, hydro.MULTI_FIELDS, ("x2", "x3"))
-    return specs, lambda spec: hydro.integrate_multifield(init, spec)
+def _transport(grid, where: str, check: dict) -> list[tuple[str, dict]]:
+    tol = check["tolerance_h2_coeff"] * grid.h**2
+    m = grid.nt // 2
+    nodes = np.arange(grid.nx)
+    out = []
+    for name, field, other in (("u", grid.u, grid.v), ("v", grid.v, grid.u)):
+        jet = hydro.fd_jet_at(field, grid.dt, grid.h, m, nodes)
+        sample = residuals.transport(jet, [-other[m]], TransportPattern(0, (1,)))
+        rep = residuals.grid_report(f"transport_{name}", [sample])
+        out.append((f"transport_{name}",
+                    _entry(f"transport_{name}[{where}]", rep, tol, grid.nx)))
+    return out
 
 
-def _conservation(check: dict):
-    coeff = _number(check.get("tolerance_h2_coeff", 5.0), "tolerance_h2_coeff")
-    n_values = _numbers(check.get("n_values", [1, 2, 3, 4, 5]), "n_values", int)
-    if min(n_values, default=0) < 1:
-        raise ScenarioError(f"n_values: expected a non-empty list of integers of at least 1, "
-                            f"got {n_values!r}")
-
-    def run(grid, where: str) -> list[tuple[str, dict]]:
-        tol = coeff * grid.h**2
-        out = []
-        for n in n_values:
-            drift = hydro.conservation_drift(grid, n)
-            rep = ResidualReport(f"conservation_s{n}", grid.nt * grid.nx, drift, drift, 0)
-            out.append((f"s{n}", _entry(f"conservation_s{n}[{where}]", rep, tol,
-                                        grid.nt * grid.nx)))
-        return out
-    return run
-
-
-def _transport(check: dict):
-    coeff = _number(check.get("tolerance_h2_coeff", 5.0), "tolerance_h2_coeff")
-
-    def run(grid, where: str) -> list[tuple[str, dict]]:
-        tol = coeff * grid.h**2
-        m = grid.nt // 2
-        nodes = np.arange(grid.nx)
-        out = []
-        for name, field, other in (("u", grid.u, grid.v), ("v", grid.v, grid.u)):
-            jet = hydro.fd_jet_at(field, grid.dt, grid.h, m, nodes)
-            sample = residuals.transport(jet, [-other[m]], TransportPattern(0, (1,)))
-            rep = residuals.grid_report(f"transport_{name}", [sample])
-            out.append((f"transport_{name}",
-                        _entry(f"transport_{name}[{where}]", rep, tol, grid.nx)))
-        return out
-    return run
+def _multifield_det(grid, where: str, check: dict) -> list[tuple[str, dict]]:
+    tol = check["tolerance_h2_coeff"] * grid.h2**2
+    m = grid.nt // 2  # the one level read: differentiate only its neighbourhood
+    deriv = {n: hydro.fd_derivatives_multi(grid.fields[n][m - 1:m + 2], grid.dt,
+                                           grid.h2, grid.h3) for n in hydro.MULTI_FIELDS}
+    grads = [g[0].reshape(-1, 3) for _, g, _ in deriv.values()]
+    # Fields constant to rounding satisfy the determinant identically;
+    # their difference quotients are pure float noise with no scale.
+    deriv_mag = max(np.abs(g).max() for g in grads)
+    field_mag = max(np.abs(grid.fields[n]).max() for n in deriv)
+    flat = deriv_mag <= 1e-10 * max(field_mag, 1.0) / min(grid.h2, grid.h3)
+    n_nodes = grads[0].shape[0]
+    out = []
+    for j, fname in ((1, "u1"), (2, "u2")):
+        hess = deriv[fname][2][0].reshape(-1, 3, 3)
+        raw, scale = residuals.multifield_det_grid(grads, hess)
+        value = 0.0 if flat else float(np.abs(raw).max() / max(scale.max(), 1e-300))
+        rep = ResidualReport(f"multifield_det_j{j}", n_nodes, value, value, 0)
+        out.append((f"det_j{j}", _entry(f"multifield_det_j{j}[{where}]", rep, tol,
+                                        n_nodes)))
+    return out
 
 
-def _multifield_det(check: dict):
-    coeff = _number(check.get("tolerance_h2_coeff", 1.0), "tolerance_h2_coeff")
+# system -> (its fields, their coordinates, (resolution, read grid) -> grid spec,
+#            (initial data, grid spec) -> grid)
+_SYSTEMS = {
+    "two_field": (("u", "v"), ("x",), lambda res, grid: hydro.CharGridSpec(res, **grid),
+                  lambda init, spec: hydro.integrate_characteristics(init["u"], init["v"], spec)),
+    "multifield": (hydro.MULTI_FIELDS, ("x2", "x3"),
+                   lambda res, grid: hydro.MultiGridSpec(res, res, **grid),
+                   lambda init, spec: hydro.integrate_multifield(init, spec)),
+}
 
-    def run(grid, where: str) -> list[tuple[str, dict]]:
-        tol = coeff * grid.h2**2
-        m = grid.nt // 2  # the one level read: differentiate only its neighbourhood
-        deriv = {n: hydro.fd_derivatives_multi(grid.fields[n][m - 1:m + 2], grid.dt,
-                                               grid.h2, grid.h3) for n in hydro.MULTI_FIELDS}
-        grads = [g[0].reshape(-1, 3) for _, g, _ in deriv.values()]
-        # Fields constant to rounding satisfy the determinant identically;
-        # their difference quotients are pure float noise with no scale.
-        deriv_mag = max(np.abs(g).max() for g in grads)
-        field_mag = max(np.abs(grid.fields[n]).max() for n in deriv)
-        flat = deriv_mag <= 1e-10 * max(field_mag, 1.0) / min(grid.h2, grid.h3)
-        n_nodes = grads[0].shape[0]
-        out = []
-        for j, fname in ((1, "u1"), (2, "u2")):
-            hess = deriv[fname][2][0].reshape(-1, 3, 3)
-            raw, scale = residuals.multifield_det_grid(grads, hess)
-            value = 0.0 if flat else float(np.abs(raw).max() / max(scale.max(), 1e-300))
-            rep = ResidualReport(f"multifield_det_j{j}", n_nodes, value, value, 0)
-            out.append((f"det_j{j}", _entry(f"multifield_det_j{j}[{where}]", rep, tol,
-                                            n_nodes)))
-        return out
-    return run
-
-
-# system -> (case, grid block, resolutions) -> (grid spec per resolution, spec -> grid)
-_SYSTEMS = {"two_field": _two_field, "multifield": _multifield}
-
-# (system, check equation) -> (check block -> (grid, where) -> [(halving key, entry)])
+# (system, check equation) -> (grid, where, read check) -> [(halving key, entry)]
 _SIM_CHECKS = {
     ("two_field", "conservation"): _conservation,
     ("two_field", "transport"): _transport,
@@ -749,90 +786,65 @@ _SIM_CHECKS = {
 
 @dataclass
 class _Variational:
-    """A variational case as read, before any solve: its label, the source
+    """A variational case before any solve: its values as read, the source
     ``(f, g, config)`` as written (the cases of one source march their grids
     together), its solver and, per resolution, the grid nodes, the
     tolerance and one functional per factor."""
 
-    label: str
+    case: dict
     source: tuple
     solver: construct.HodographSolver
     grids: list  # (n, t_nodes, x_nodes, tolerance, [(factor, functional)])
-    psis: list
-    vary: list
-    resolutions: list
-    min_ratio: float
 
 
 def _read_variational_case(case: dict) -> _Variational:
-    label = _file_name(case.get("label", "variational"), "label")
-    src = _object(case, "source")
-    f_text = _field_or(src, "f", required=True)
-    f = _parse_expr(f_text, "source.f")
-    g_text = _field_or(src, "g", required=True)
-    g = _parse_expr(g_text, "source.g")
+    case = _read(case, "variational case")
+    src = _read(case["source"], "source", "source")
     with _reading():
-        cfg = _solve_config(_object(src, "config", False))
-    t_lo, t_hi = _numbers(_field_or(src, "t_window", required=True), "source.t_window",
-                          length=2)
-    x_lo, x_hi = _numbers(_field_or(src, "x_window", required=True), "source.x_window",
-                          length=2)
-    coeff = _number(case.get("tolerance_h2_coeff", 5.0), "tolerance_h2_coeff")
-    if coeff <= 0:
-        raise ScenarioError(f"tolerance_h2_coeff: expected a positive number, got {coeff!r}")
-    min_ratio = _number(case.get("halving_ratio", 0.0), "halving_ratio")
-    resolutions = _resolutions(case, 5)
-    psis = [(w, _parse_expr(w, "psi")) for w in _list(case, "psi", ["s"])]
-    if any(len(psi.vars) > 1 for _, psi in psis):
-        raise ScenarioError("psi: expected expressions of one variable")
-    factors = [(h, _parse_expr(h, "factor")) for h in _list(case, "factors", ["p/q"])]
-    vary_list = _list(case, "vary", ["psi", "phibar", "phi"], of="psi, phibar or phi")
-    if any(vary not in ("psi", "phibar", "phi") for vary in vary_list):
-        raise ScenarioError(f"vary must name psi, phibar or phi, got {vary_list!r}")
-    grids = []
-    with _reading():
-        solver = construct.HodographSolver(f, g, cfg)
+        cfg = _solve_config(src["config"], "source.config")
+        solver = construct.HodographSolver(src["f"].spec, src["g"].spec, cfg)
         construct.seed_pair(cfg.seed)
-        for n in resolutions:
-            t_nodes = np.linspace(t_lo, t_hi, n)
-            x_nodes = np.linspace(x_lo, x_hi, n)
-            ht = t_nodes[1] - t_nodes[0]
-            hx = x_nodes[1] - x_nodes[0]
-            grids.append((n, t_nodes, x_nodes, float(coeff * max(ht, hx) ** 2), [
-                (h, varlag.DiscreteFunctional(ht=ht, hx=hx, factor=factor))
-                for h, factor in factors]))
+    grids = []
+    for n in case["resolutions"]:
+        # outside _reading: an array too large for memory is a runtime failure
+        t_nodes = np.linspace(*src["t_window"], n)
+        x_nodes = np.linspace(*src["x_window"], n)
+        ht, hx = t_nodes[1] - t_nodes[0], x_nodes[1] - x_nodes[0]
+        tol = float(case["tolerance_h2_coeff"] * max(ht, hx) ** 2)
+        with _reading():
+            grids.append((n, t_nodes, x_nodes, tol, [
+                (h.text, varlag.DiscreteFunctional(ht=ht, hx=hx, factor=h.spec))
+                for h in case["factors"]]))
     # repr tells a seed of -0.0 from one of 0.0, which == does not
-    return _Variational(label, (f_text, g_text, repr(cfg)), solver, grids, psis, vary_list,
-                        resolutions, min_ratio)
+    return _Variational(case, (src["f"].text, src["g"].text, repr(cfg)), solver, grids)
 
 
 def _check_variational_case(c: _Variational, fields: list) -> list[dict]:
     """The entries of a read case from its grids' ``fields``, each ``(phi,
     phibar)`` or the exception the grid raised, which is raised here before
     that grid's checks."""
-    measured: dict[int, dict[str, float]] = {}
-    entries: list[dict] = []
+    label, measured, entries = c.case["label"], {}, []
     for (n, _, _, tol, functionals), grid in zip(c.grids, fields):
         if isinstance(grid, Exception):
             raise grid
         phi, phibar = grid
         measured[n] = {}
         for factor, func in functionals:
-            for w, psi_expr in c.psis:
+            for w, psi_expr in c.case["psi"]:
                 psi = varlag.psi_from(phibar, psi_expr)
                 deg = varlag.onshell_degeneracy(func, phi, phibar, psi, tolerance=tol)
-                for vary in c.vary:
+                for vary in c.case["vary"]:
                     rep = deg.per_vary[vary]
                     entries.append(_entry(
-                        f"variational_{vary}[{c.label}:psi={w},H={factor}@{n}]",
+                        f"variational_{vary}[{label}:psi={w},H={factor}@{n}]",
                         rep, tol, rep.samples))
                     measured[n][f"{vary}|psi={w}|H={factor}"] = entries[-1]["max_norm"]
                 rep = ResidualReport("degeneracy_action", phi.size,
                                      deg.action_normalized, deg.action_normalized, 0)
                 entries.append(_entry(
-                    f"degeneracy_action[{c.label}:psi={w},H={factor}@{n}]",
+                    f"degeneracy_action[{label}:psi={w},H={factor}@{n}]",
                     rep, tol, phi.size))
-    return entries + _halving(c.label, c.resolutions, measured, c.min_ratio)
+    return entries + _halving(label, c.case["resolutions"], measured, c.case["halving_ratio"])
 
 
 def _run_variational_cases(cases: list) -> list[dict]:
@@ -937,15 +949,8 @@ def _fd_probe(spec, names, point, steps):
 
 
 def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
-    count = _number(case.get("expressions", 500), "expressions", int)
-    if count < 1:
-        raise ScenarioError(f"expressions: expected an integer of at least 1, got {count!r}")
-    steps = _numbers(case.get("steps", [1e-3, 5e-4]), "steps", length=2)
-    # The probe divides by h^2, which must neither underflow nor overflow.
-    if not all(0 < h and 0 < h * h < math.inf for h in steps):
-        raise ScenarioError(f"steps: expected a pair of positive numbers with nonzero, "
-                            f"finite squares, got {steps!r}")
-    min_ratio = _number(case.get("min_ratio", 3.5), "min_ratio")
+    case = _read(case, "ad case")
+    count, steps, min_ratio = case["expressions"], case["steps"], case["min_ratio"]
     names = ["a", "b", "c"]
     defects = []
     produced = 0
@@ -992,26 +997,15 @@ def load_scenario(path) -> dict:
 
 
 def _scenario(text: str, path) -> dict:
-    """The scenario in JSON ``text``, validated at the top level."""
+    """The scenario in JSON ``text``, read at the top level (a case is read as it runs)."""
     try:
         data = json.loads(text)
     except ValueError as err:
         raise ScenarioError(f"cannot load scenario {path}: {err}") from None
-    if not isinstance(data, dict):
-        raise ScenarioError(f"scenario {path}: expected a JSON object, got {data!r}")
-    for key in ("name", "paper_anchor", "kind", "cases"):
-        if key not in data:
-            raise ScenarioError(f"scenario {path}: missing field {key!r}")
-    _file_name(data["name"], f"scenario {path}: name")
-    if not isinstance(data["paper_anchor"], str):
-        raise ScenarioError(f"scenario {path}: paper_anchor: expected a string, "
-                            f"got {data['paper_anchor']!r}")
-    if data["kind"] not in ("verify", "simulate", "variational", "ad"):
-        raise ScenarioError(f"scenario {path}: unknown kind {data['kind']!r}")
-    if not (isinstance(data["cases"], list) and data["cases"]
-            and all(isinstance(c, dict) for c in data["cases"])):
-        raise ScenarioError(f"scenario {path}: cases must be a non-empty list of JSON objects")
-    return data
+    try:
+        return _read(data, "scenario")
+    except ScenarioError as err:
+        raise ScenarioError(f"{path}: {err}") from None
 
 
 def run_scenario(data: dict, out_dir: Path, seed: int, dump: bool = False) -> tuple[dict, int]:

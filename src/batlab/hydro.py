@@ -94,6 +94,8 @@ class CharGridSpec:
             raise ValueError("cfl must be in (0, 0.9]")
         if not self.x1 > self.x0:
             raise ValueError("x1 must be greater than x0")
+        if not math.isfinite(self.x0 + (self.x1 - self.x0) * (self.nx - 1) / self.nx):
+            raise ValueError("grid nodes must be finite")
         if self.bc not in ("periodic", "open"):
             raise ValueError("bc must be 'periodic' or 'open'")
 
@@ -229,7 +231,10 @@ def _march(init: dict, h: float, spec, advance, build):
     # 15% headroom so mild speed growth during the window does not trip the
     # per-level CFL recheck; at least two steps so drift stencils fit.
     dt0 = spec.cfl * h / (1.15 * vmax)
-    n_steps = max(2, math.ceil(spec.t_end / dt0))
+    steps = spec.t_end / dt0 if dt0 > 0 else math.inf
+    if not math.isfinite(steps):  # as for a grid too large for memory: a runtime failure
+        raise ValueError(f"t_end {spec.t_end} takes {steps} steps of at most {dt0}")
+    n_steps = max(2, math.ceil(steps))
     dt = spec.t_end / n_steps
     t_levels = dt * np.arange(n_steps + 1)
     data = {}

@@ -1115,3 +1115,60 @@ def test_out_naming_a_file_exits_2(tmp_path, monkeypatch, capsys, command):
     assert cli.main([*args, "--out", str(out)]) == cli.EXIT_VALIDATION
     assert "error: --out: cannot create directory" in capsys.readouterr().err
     assert out.read_text() == "kept"
+
+
+@pytest.mark.parametrize("scenario,path,value", [
+    ("two_field", ("resolutions",), [2**63]),
+    ("multifield", ("resolutions",), [2**63]),
+    ("variational", ("resolutions",), [2**63]),
+    ("two_field", ("resolutions",), [2**62]),
+    ("variational", ("resolutions",), [2**62]),
+    ("implicit_fg", ("samples", "count"), 2**63),
+    ("ad", ("expressions",), 1e308),
+    ("covariance", ("checks", 0, "maps"), 2**63),
+    ("two_field", ("checks", 0, "n_values"), [2**63]),
+])
+def test_count_beyond_the_longest_array_exits_2_before_solving(tmp_path, monkeypatch, capsys,
+                                                               scenario, path, value):
+    """A count above the longest float64 array numpy can describe is refused
+    as read, not left to a traceback, an endless loop or a failed allocation."""
+    data = _with(_COMPLETE[scenario](), path, value)
+    _forbid_work(monkeypatch)
+    monkeypatch.setattr(cli, "eval_jet", lambda *args, **kwargs: pytest.fail("ad case ran"))
+    assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
+    assert str(cli._CAP) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario,path,value", [
+    ("two_field", ("grid", "t_end"), 1e308),
+    ("multifield", ("grid", "t_end"), 1e308),
+    ("two_field", ("grid", "cfl"), 5e-324),
+    ("multifield", ("grid", "cfl"), 5e-324),
+    ("two_field", ("grid", "x1"), 1e-308),
+])
+def test_grid_without_a_finite_step_count_exits_3(tmp_path, capsys, scenario, path, value):
+    """A grid whose t_end takes no finite number of CFL steps is a runtime
+    failure, like a grid too large for memory."""
+    data = _with(_COMPLETE[scenario](), path, value)
+    assert _main_exit(tmp_path, data) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("numerical failure: t_end")
+
+
+@pytest.mark.parametrize("scenario,path,value", [
+    ("two_field", ("grid", "x0"), -1e308),
+    ("two_field", ("grid", "x1"), 1e308),
+    ("implicit_fg", ("samples",), {"count": 4, "low": [-1e308] * 4, "high": [1e308] * 4}),
+    ("c05", ("checks", 0, "tolerance_h2_coef"), 1e-12),
+    ("c11", ("label",), "../escaped"),
+])
+def test_input_the_reader_once_let_through_exits_2_before_solving(
+        tmp_path, monkeypatch, capsys, scenario, path, value):
+    """Grid nodes or a sample box beyond the float range, a misspelt key (which
+    once left its default in force) and a bad ad label."""
+    bundled = {"c05": "c05_conservation_hierarchy", "c11": "c11_jet_convergence"}
+    data = _small(bundled[scenario]) if scenario in bundled else _COMPLETE[scenario]()
+    data = _with(data, path, value)
+    _forbid_work(monkeypatch)
+    monkeypatch.setattr(cli, "eval_jet", lambda *args, **kwargs: pytest.fail("ad case ran"))
+    assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")

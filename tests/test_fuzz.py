@@ -2,9 +2,9 @@
 
 Each example takes one bundled scenario, cut down to a few samples and small
 grids so an example runs in well under a second, and makes one mutation at
-one place in it: a dropped key, a value of the wrong JSON type, or a hostile
-expression.  ``cli.main`` must return 0-4, and any report it wrote must be
-strict JSON.
+one place in it: a dropped key, a value of the wrong JSON type, a hostile
+expression, or an unknown key.  ``cli.main`` must return 0-4, and any report
+it wrote must be strict JSON.
 """
 
 import json
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from batlab import cli
 
-_WRONG_TYPES = [None, True, -1, 0, 2.5, 7, "x", [], {}, ["x", 1]]
+_WRONG_TYPES = [None, True, -1, 0, 2.5, 7, "x", [], {}, ["x", 1], 2**63, 1e308, 5e-324]
 _HOSTILE = ["", "(", "x1 +", "1/0", "log(0)", "sqrt(0 - 1)", "exp(1000)", "0^(0 - 1)",
             "x1^1e300", "exp(exp(exp(9)))", "(" * 400 + "x" + ")" * 400,
             "x" + " + x" * 2000, "-" * 2000 + "x", "s^0.5^0.5", "nan", "1e999"]
@@ -62,10 +62,14 @@ def _at(data, path):
 def _mutated(draw):
     name, data = draw(st.sampled_from(_SCENARIOS))
     data = json.loads(json.dumps(data))
-    action = draw(st.sampled_from(["drop", "wrong type", "hostile"]))
+    action = draw(st.sampled_from(["drop", "wrong type", "hostile", "unknown key"]))
     paths = list(_paths(data))
     if action == "hostile":  # in place of an expression, label or other string
         paths = [path for path in paths if isinstance(_at(data, path), str)]
+    if action == "unknown key":  # into the top level or any object in it
+        paths = [()] + [path for path in paths if isinstance(_at(data, path), dict)]
+        _at(data, draw(st.sampled_from(paths)))["unknown"] = 1
+        return name, data
     path = draw(st.sampled_from(paths))
     parent = _at(data, path[:-1])
     if action == "drop":

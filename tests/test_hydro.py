@@ -491,3 +491,30 @@ def test_abort_keeps_only_computed_levels(run, error, level):
     for field in fields:
         assert field.shape[0] == partial.nt
         assert np.isfinite(field).all()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: integrate_characteristics(parse("1.0"), parse("1.0"),
+                                      CharGridSpec(nx=16, t_end=1e308)),
+    lambda: integrate_characteristics(parse("1.0"), parse("1.0"),
+                                      CharGridSpec(nx=16, t_end=0.05, cfl=5e-324)),
+    lambda: integrate_characteristics(parse("1.0"), parse("1.0"),
+                                      CharGridSpec(nx=16, t_end=0.05, x1=1e-308)),
+    lambda: integrate_multifield({n: parse("0.5") for n in MULTI_FIELDS},
+                                 MultiGridSpec(n2=8, n3=8, t_end=1e308)),
+    lambda: integrate_multifield({n: parse("0.5") for n in MULTI_FIELDS},
+                                 MultiGridSpec(n2=8, n3=8, t_end=0.1, cfl=5e-324)),
+], ids=["two_field_t_end", "two_field_cfl", "two_field_x1", "multifield_t_end",
+        "multifield_cfl"])
+def test_no_finite_step_count_raises_value_error(make):
+    """t_end / dt beyond the float range, or a first step of 0, is a ValueError,
+    not an OverflowError from ceil."""
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="steps"):
+        make()
+
+
+@pytest.mark.parametrize("x0,x1", [(-1e308, TWO_PI), (0.0, 1e308)])
+@pytest.mark.parametrize("bc", ["periodic", "open"])
+def test_grid_nodes_beyond_the_float_range_are_refused(x0, x1, bc):
+    with pytest.raises(ValueError, match="grid nodes must be finite"):
+        CharGridSpec(nx=16, t_end=1.0, x0=x0, x1=x1, bc=bc)
