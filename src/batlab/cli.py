@@ -165,7 +165,9 @@ _FORMAT = {
         "tolerance_h2_coeff": _Key("float", 5.0, low=_POSITIVE),
         "halving_ratio": _Key("float", 0.0)},
     "ad case": {
-        "label": _Key("file-name string", None), "expressions": _Key("integer", 500, **_COUNT),
+        "label": _Key("file-name string", None),
+        # a million random expressions take minutes; the bound keeps a case from running for years
+        "expressions": _Key("integer", 500, 1, 10**6),
         # the probe divides by h^2, which must neither underflow nor overflow
         "steps": _Key("float", [1e-3, 5e-4], 2 ** -537.5, math.sqrt(sys.float_info.max),
                       many="list", length=2),
@@ -922,66 +924,93 @@ _STENCIL = np.array([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0
                      (1, 0, 1), (1, 0, -1), (-1, 0, 1), (-1, 0, -1),
                      (0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1)], dtype=float)
 _STENCIL[_STENCIL == 0.0] = -0.0
+# The columns of a gradient and a row-major Hessian among those of the
+# quotients (gradient, Hessian diagonal, then the pairs 01, 02 and 12).
+_LAYOUT = [0, 1, 2, 3, 6, 7, 6, 4, 8, 7, 8, 5]
+# The rows of an ad case's block: it reduces its expressions this many at a
+# time, so its memory does not grow with their count.
+_BLOCK = 512
 
 
-def _fd_probe(spec, names, point, steps):
-    """Central-difference gradient and Hessian of ``spec`` at ``point`` (the
-    values of the three ``names``), one ``(grad, hess)`` pair of lists per
-    step in ``steps``.  The centre and every step's stencil are evaluated in
-    one array call, in that order; where it raises, the first failing point
-    in that order raises its error (``exprspec.at_points``).  Each stencil
-    point serves both the gradient and the Hessian diagonal."""
+def _stencil(steps) -> np.ndarray:
+    """The offsets of a probe's points from its centre, one row per variable:
+    the centre itself (-0.0), then each step's 18 stencil points in turn."""
     offsets = (_STENCIL * np.array(steps)[:, None, None]).reshape(-1, 3)
-    stencil = np.concatenate((point[None], point + offsets))
-    values = at_points(float_fn(spec, names), *stencil.T).tolist()
-    f0 = values[0]
-    probes = []
+    return np.concatenate((np.full((1, 3), -0.0), offsets)).T.copy()
+
+
+def _stencil_values(spec, names, point, stencil) -> np.ndarray:
+    """``spec`` at each point ``point + stencil`` (``point`` the values of the
+    three ``names``), in one array call; where it raises, the first failing
+    point in order raises its error (``exprspec.at_points``)."""
+    return at_points(float_fn(spec, names), *(point[:, None] + stencil))
+
+
+def _fd_quotients(values: np.ndarray, steps) -> list[np.ndarray]:
+    """Central-difference gradients and Hessians from rows of
+    ``_stencil_values``, one array per step in ``steps``: each row's gradient,
+    then its Hessian in row-major order.  Each stencil point serves both the
+    gradient and the Hessian diagonal."""
+    f0 = values[:, :1]
+    quotients = []
     for n, h in enumerate(steps):
-        fs = values[1 + 18 * n:19 + 18 * n]
-        grad = [(fs[2 * i] - fs[2 * i + 1]) / (2 * h) for i in range(3)]
-        hess = [[0.0] * 3 for _ in range(3)]
-        for i in range(3):
-            hess[i][i] = (fs[2 * i] - 2 * f0 + fs[2 * i + 1]) / h**2
-        for c, (i, j) in zip((6, 10, 14), ((0, 1), (0, 2), (1, 2))):
-            hess[i][j] = hess[j][i] = (fs[c] - fs[c + 1] - fs[c + 2] + fs[c + 3]) / (4 * h**2)
-        probes.append((grad, hess))
-    return probes
+        fs = values[:, 1 + 18 * n:19 + 18 * n]
+        plus, minus = fs[:, 0:6:2], fs[:, 1:6:2]
+        pp, pm, mp, mm = (fs[:, c::4] for c in range(6, 10))  # each pair's corners
+        parts = ((plus - minus) / (2 * h), (plus - 2 * f0 + minus) / h**2,
+                 (pp - pm - mp + mm) / (4 * h**2))
+        quotients.append(np.concatenate(parts, axis=1)[:, _LAYOUT])
+    return quotients
+
+
+def _defects(values: np.ndarray, exact: np.ndarray, steps, min_ratio: float) -> int:
+    """How many rows of a block fail the convergence test, from their
+    ``_stencil_values`` and their jets' value, gradient and Hessian."""
+    with np.errstate(all="ignore"):  # a quotient of extreme values is ±inf, as in floats
+        errs = [np.abs(q - exact[:, 1:]).max(axis=1) for q in _fd_quotients(values, steps)]
+        scale = np.maximum(np.abs(exact).max(axis=1), 1.0)
+        # Converged second order, or already at rounding level at the coarse
+        # step (near-linear compositions have ~zero truncation error, so the
+        # quotients are pure noise ~ eps * |f| / h^2 there).
+        noise_floor = np.maximum(1e-8 * scale, 1e3 * 2.3e-16 * scale / steps[0] ** 2)
+        ok = (errs[0] / np.maximum(errs[1], 1e-300) >= min_ratio) | (errs[0] <= noise_floor)
+    return int(np.count_nonzero(~ok))
 
 
 def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
     case = _read(case, "ad case")
     count, steps, min_ratio = case["expressions"], case["steps"], case["min_ratio"]
     names = ["a", "b", "c"]
-    defects = []
-    produced = 0
-    attempts = 0
+    stencil = _stencil(steps)
+    # a block of rows, one per admissible expression: its stencil values, and
+    # its jet's value, gradient and Hessian
+    values, exact = np.empty((_BLOCK, stencil.shape[1])), np.empty((_BLOCK, 13))
+    produced = attempts = defective = 0
     while produced < count and attempts < 20 * count:
         attempts += 1
         text = _random_expression(rng, names, depth=int(rng.integers(1, 4)))
         point = rng.uniform(0.4, 1.6, size=3)
+        row = produced % _BLOCK
         try:
             spec = parse(text)
             args = {n: jets.variable(i, point[i], 3) for i, n in enumerate(names)}
             jet = eval_jet(spec, args, k=3)
-            probes = _fd_probe(spec, names, point, steps)
+            values[row] = _stencil_values(spec, names, point, stencil)
         except EvaluationError:
             continue
+        at = exact[row]
+        at[0], at[1:4], at[4:] = jet.value, jet.grad, jet.hess.ravel()
         produced += 1
-        exact = jet.grad.tolist() + jet.hess.ravel().tolist()
-        errs = [max(abs(a - b) for a, b in zip(grad + [v for row in hess for v in row], exact))
-                for grad, hess in probes]
-        scale = max(1.0, abs(jet.value), *map(abs, exact))
-        # Converged second order, or already at rounding level at the coarse
-        # step (near-linear compositions have ~zero truncation error, so the
-        # quotients are pure noise ~ eps * |f| / h^2 there).
-        noise_floor = max(1e-8 * scale, 1e3 * 2.3e-16 * scale / steps[0] ** 2)
-        ok = errs[0] / max(errs[1], 1e-300) >= min_ratio or errs[0] <= noise_floor
-        defects.append(0.0 if ok else 1.0)
+        if produced % _BLOCK == 0:
+            defective += _defects(values, exact, steps, min_ratio)
     if produced < count:
         raise ScenarioError("could not generate enough admissible expressions")
-    arr = np.asarray(defects)
-    rep = ResidualReport("ad_convergence", produced, float(arr.max()),
-                         float(np.sqrt(np.mean(arr**2))), 0)
+    rows = produced % _BLOCK
+    defective += _defects(values[:rows], exact[:rows], steps, min_ratio)
+    # the max and root mean square of the 0/1 defects: their sum is exact, so
+    # these are the bits numpy gives for an array of them
+    rep = ResidualReport("ad_convergence", produced, float(defective > 0),
+                         math.sqrt(defective / produced), 0)
     return [_entry("ad_convergence", rep, 0.5, count)]
 
 

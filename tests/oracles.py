@@ -17,12 +17,12 @@ from typing import Mapping
 
 import numpy as np
 
-from batlab import exprspec, hydro, jets
+from batlab import cli, exprspec, hydro, jets
 from batlab.errors import EvaluationError, JetDomainError
 from batlab.exprspec import Bin, Call, ExprSpec, Neg, Node, Num, Var
 from batlab.hydro import MULTI_FIELDS, CharGrid, MultiCharGrid
 from batlab.jets import Jet2
-from batlab.residuals import ResidualSample
+from batlab.residuals import ResidualReport, ResidualSample
 
 
 # -- expression evaluation by walking the tree ---------------------------------------
@@ -174,7 +174,7 @@ def random_expression(rng: np.random.Generator, names: list[str], depth: int):
 
 
 def fd_probe(spec, names, point, h):
-    """``cli._fd_probe`` at the one step ``h``, with every stencil point a
+    """The ad case's probe at the one step ``h``, with every stencil point a
     numpy copy of ``point``, evaluated by name, f(x ± h e_i) twice."""
     def value(p):
         return exprspec.eval_float(spec, dict(zip(names, p)))
@@ -201,6 +201,75 @@ def fd_probe(spec, names, point, h):
             hess[i, j] = hess[j, i] = (value(pa) - value(pb) - value(pc)
                                        + value(pd)) / (4 * h**2)
     return grad, hess
+
+
+# The 18 stencil points of ``positional_fd_probe``, as offsets in units of the
+# step: x ± e_i for each i, then the corners ++, +-, -+ and -- of each pair
+# i < j, a coordinate left in place offset by -0.0.
+_STENCIL = np.array([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+                     (1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0),
+                     (1, 0, 1), (1, 0, -1), (-1, 0, 1), (-1, 0, -1),
+                     (0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1)], dtype=float)
+_STENCIL[_STENCIL == 0.0] = -0.0
+
+
+def positional_fd_probe(spec, names, point, steps):
+    """The probe of one ad expression: its central-difference gradient and
+    Hessian, one ``(grad, hess)`` pair of lists per step in ``steps``, from one
+    ``at_points`` call over the centre and every step's stencil, in float
+    arithmetic per entry."""
+    offsets = (_STENCIL * np.array(steps)[:, None, None]).reshape(-1, 3)
+    stencil = np.concatenate((point[None], point + offsets))
+    values = exprspec.at_points(exprspec.float_fn(spec, names), *stencil.T).tolist()
+    f0 = values[0]
+    probes = []
+    for n, h in enumerate(steps):
+        fs = values[1 + 18 * n:19 + 18 * n]
+        grad = [(fs[2 * i] - fs[2 * i + 1]) / (2 * h) for i in range(3)]
+        hess = [[0.0] * 3 for _ in range(3)]
+        for i in range(3):
+            hess[i][i] = (fs[2 * i] - 2 * f0 + fs[2 * i + 1]) / h**2
+        for c, (i, j) in zip((6, 10, 14), ((0, 1), (0, 2), (1, 2))):
+            hess[i][j] = hess[j][i] = (fs[c] - fs[c + 1] - fs[c + 2] + fs[c + 3]) / (4 * h**2)
+        probes.append((grad, hess))
+    return probes
+
+
+def run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
+    """``cli._run_ad_case`` one expression at a time: each expression's probe,
+    errors, scale and verdict in float arithmetic, its 0/1 defect kept in a
+    list that numpy reduces at the end."""
+    case = cli._read(case, "ad case")
+    count, steps, min_ratio = case["expressions"], case["steps"], case["min_ratio"]
+    names = ["a", "b", "c"]
+    defects = []
+    produced = 0
+    attempts = 0
+    while produced < count and attempts < 20 * count:
+        attempts += 1
+        text = cli._random_expression(rng, names, depth=int(rng.integers(1, 4)))
+        point = rng.uniform(0.4, 1.6, size=3)
+        try:
+            spec = exprspec.parse(text)
+            args = {n: jets.variable(i, point[i], 3) for i, n in enumerate(names)}
+            jet = exprspec.eval_jet(spec, args, k=3)
+            probes = positional_fd_probe(spec, names, point, steps)
+        except EvaluationError:
+            continue
+        produced += 1
+        exact = jet.grad.tolist() + jet.hess.ravel().tolist()
+        errs = [max(abs(a - b) for a, b in zip(grad + [v for row in hess for v in row], exact))
+                for grad, hess in probes]
+        scale = max(1.0, abs(jet.value), *map(abs, exact))
+        noise_floor = max(1e-8 * scale, 1e3 * 2.3e-16 * scale / steps[0] ** 2)
+        ok = errs[0] / max(errs[1], 1e-300) >= min_ratio or errs[0] <= noise_floor
+        defects.append(0.0 if ok else 1.0)
+    if produced < count:
+        raise cli.ScenarioError("could not generate enough admissible expressions")
+    arr = np.asarray(defects)
+    rep = ResidualReport("ad_convergence", produced, float(arr.max()),
+                         float(np.sqrt(np.mean(arr**2))), 0)
+    return [cli._entry("ad_convergence", rep, 0.5, count)]
 
 
 def node_values(spec: ExprSpec, coords: Mapping[str, np.ndarray]) -> np.ndarray:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -633,6 +634,66 @@ def test_covariance_entries_count_their_own_skips(tmp_path, monkeypatch):
     assert (speeds["samples"], speeds["skipped"]) == (9, 3)
 
 
+def _ad_reports(tmp_path, monkeypatch, data, seed) -> list[list]:
+    """The files, by name and bytes, that ad scenario ``data`` writes at
+    ``seed``: from the case that reduces its expressions in blocks, and from
+    the per-expression oracle."""
+    reports = []
+    for name, run_case in (("blocks", cli._run_ad_case), ("oracle", oracles.run_ad_case)):
+        monkeypatch.setattr(cli, "_run_ad_case", run_case)
+        out = tmp_path / f"{name}-{seed}"
+        cli.run_scenario(data, out, seed=seed)
+        reports.append([(p.name, p.read_bytes()) for p in sorted(out.iterdir())])
+    return reports
+
+
+@pytest.mark.parametrize("seed", [*range(30), 110, 7, 20240801])
+def test_ad_case_reports_the_bytes_of_the_per_expression_case(tmp_path, monkeypatch, seed):
+    """c11, whose 500 expressions fit one block, at the 60-seed sweep's first
+    30 seeds (seed 110 has its one false FAIL) and the benchmark's seeds."""
+    blocks, oracle = _ad_reports(tmp_path, monkeypatch, _small("c11_jet_convergence"), seed)
+    assert blocks == oracle
+
+
+@pytest.mark.parametrize("min_ratio", [0, 1e9])
+@pytest.mark.parametrize("steps", [[1e-3, 5e-4], [5e-4, 1e-3], [0.25, 1e-6]])
+def test_ad_case_at_other_steps_and_ratios_reports_the_bytes_of_the_per_expression_case(
+        tmp_path, monkeypatch, steps, min_ratio):
+    data = _small("c11_jet_convergence", expressions=150, steps=steps, min_ratio=min_ratio)
+    for seed in (3, 110):
+        blocks, oracle = _ad_reports(tmp_path, monkeypatch, data, seed)
+        assert blocks == oracle
+
+
+@pytest.mark.parametrize("block,expressions", [(cli._BLOCK, 2 * cli._BLOCK + 37), (16, 48)])
+def test_ad_case_over_several_blocks_reports_the_bytes_of_the_per_expression_case(
+        tmp_path, monkeypatch, block, expressions):
+    """Expressions that fill blocks and end in a partial block, or in a full one."""
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    data = _small("c11_jet_convergence", expressions=expressions, min_ratio=5.0)
+    blocks, oracle = _ad_reports(tmp_path, monkeypatch, data, 7)
+    assert blocks == oracle
+    assert 0 < json.loads(blocks[0][1])["reports"][0]["rms_norm"] < 1
+
+
+def test_ad_case_memory_stays_within_a_block():
+    """Four blocks' worth of expressions peak within 1.5x of one block's worth."""
+    def peak(expressions: int) -> int:
+        rng = np.random.default_rng(5)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        cli._run_ad_case({"expressions": expressions}, rng)
+        return tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        peak(20)  # whatever a first case leaves behind
+        one, four = peak(cli._BLOCK), peak(4 * cli._BLOCK)
+    finally:
+        tracemalloc.stop()
+    assert four <= 1.5 * one, (one, four)
+
+
 def _with(data, path, value):
     node = data["cases"][0]
     for key in path[:-1]:
@@ -642,7 +703,7 @@ def _with(data, path, value):
 
 
 def _forbid_work(monkeypatch):
-    """Make every solve and integration fail the test."""
+    """Make every solve and integration, and an ad case's first jet, fail the test."""
     def forbidden(*args, **kwargs):
         raise AssertionError("solved or integrated before validation")
 
@@ -655,10 +716,12 @@ def _forbid_work(monkeypatch):
     monkeypatch.setattr(hydro, "integrate_multifield", forbidden)
     monkeypatch.setattr(leznov, "solve_constraints", forbidden)
     monkeypatch.setattr(leznov, "solve_many", forbidden)
+    monkeypatch.setattr(cli, "eval_jet", forbidden)
 
 
 @pytest.mark.parametrize("scenario", ["implicit_fg", "holo_sum", "implicit_3d", "hodograph",
-                                      "leznov", "two_field", "multifield", "variational"])
+                                      "leznov", "two_field", "multifield", "variational",
+                                      "ad"])
 def test_forbid_work_bites(tmp_path, monkeypatch, scenario):
     """Each kind of case reaches one of the entry points ``_forbid_work``
     forbids, so the tests that use it would see a solve before validation."""
@@ -797,6 +860,9 @@ def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
     ("variational", ("vary",), []),
     ("ad", ("expressions",), 0),
     ("ad", ("expressions",), -3),
+    # more random expressions than a case may draw
+    ("ad", ("expressions",), 10**6 + 1),
+    ("ad", ("expressions",), 1e308),
     ("covariance", ("checks", 0, "maps"), 0),
     ("covariance", ("checks", 0, "maps"), -2),
     # a solve config out of range, also in a variational source; Newton keeps
@@ -1124,7 +1190,6 @@ def test_out_naming_a_file_exits_2(tmp_path, monkeypatch, capsys, command):
     ("two_field", ("resolutions",), [2**62]),
     ("variational", ("resolutions",), [2**62]),
     ("implicit_fg", ("samples", "count"), 2**63),
-    ("ad", ("expressions",), 1e308),
     ("covariance", ("checks", 0, "maps"), 2**63),
     ("two_field", ("checks", 0, "n_values"), [2**63]),
 ])
@@ -1134,7 +1199,6 @@ def test_count_beyond_the_longest_array_exits_2_before_solving(tmp_path, monkeyp
     as read, not left to a traceback, an endless loop or a failed allocation."""
     data = _with(_COMPLETE[scenario](), path, value)
     _forbid_work(monkeypatch)
-    monkeypatch.setattr(cli, "eval_jet", lambda *args, **kwargs: pytest.fail("ad case ran"))
     assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
     assert str(cli._CAP) in capsys.readouterr().err
 
@@ -1169,6 +1233,5 @@ def test_input_the_reader_once_let_through_exits_2_before_solving(
     data = _small(bundled[scenario]) if scenario in bundled else _COMPLETE[scenario]()
     data = _with(data, path, value)
     _forbid_work(monkeypatch)
-    monkeypatch.setattr(cli, "eval_jet", lambda *args, **kwargs: pytest.fail("ad case ran"))
     assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: ")

@@ -445,13 +445,15 @@ def test_c11_draws_the_expressions_of_rng_uniform_and_rng_choice(seed):
 
 
 def _probe_outcome(spec, point, steps):
-    """The bits of the probe's gradient and Hessian at each step, or the
-    class and args of what it raised."""
+    """The bits of the ad case's gradient and Hessian quotients at each step,
+    from its stencil values at ``point`` as one row of a block, or the class
+    and args of what evaluating the stencil raised."""
     try:
-        probes = cli._fd_probe(spec, list(_NAMES), np.array(point), steps)
+        values = cli._stencil_values(spec, list(_NAMES), np.array(point), cli._stencil(steps))
     except Exception as err:  # every outcome is compared, errors included
         return type(err), err.args
-    return [(np.array(grad).tobytes(), np.array(hess).tobytes()) for grad, hess in probes]
+    return [(q[0, :3].tobytes(), q[0, 3:].tobytes())
+            for q in cli._fd_quotients(values[None], steps)]
 
 
 def _name_keyed_outcome(spec, point, steps):
@@ -475,8 +477,8 @@ _steps = st.sampled_from([(1e-3, 5e-4), (5e-4, 1e-3), (0.25, 1e-6)])
 @settings(derandomize=True, max_examples=400, deadline=None)
 def test_fd_probe_matches_the_name_keyed_probe(seed, depth, point, steps):
     """On the ad scenario's random expressions, at its default steps and
-    others, the probe's gradient and Hessian at each step are those of
-    evaluating every stencil point by name, bit for bit and sign bits
+    others, the block quotients' gradient and Hessian at each step are those
+    of evaluating every stencil point by name, bit for bit and sign bits
     included."""
     spec = parse(cli._random_expression(np.random.default_rng(seed), list(_NAMES), depth))
     assert _probe_outcome(spec, point, steps) == _name_keyed_outcome(spec, point, steps)

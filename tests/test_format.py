@@ -5,9 +5,9 @@ For every key of every place the table lists, a scenario that holds that
 place gets, one at a time: a value of each JSON kind the key does not take, a
 value just outside each bound of its range, and an unknown key beside it.
 Each must exit 2 before any solve.  A value on a bound must get past the
-reader: to a solve or integration (which ``_forbid_work`` turns into an
-AssertionError), or, for a count at its upper bound, to an allocation that
-fails (exit 3).
+reader: to a solve, an integration or an ad case's first jet (which
+``_forbid_work`` turns into an AssertionError), or, for a count at its upper
+bound, to an allocation that fails (exit 3).
 """
 
 import json
@@ -117,16 +117,6 @@ def _bounds(key: cli._Key) -> tuple[list, list]:
 _ENTRIES = [(place, name) for place, keys in cli._FORMAT.items() for name in keys]
 
 
-def _forbid_all_work(monkeypatch):
-    """``_forbid_work``, and an ad case's first jet too."""
-    _forbid_work(monkeypatch)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("solved or integrated before validation")
-
-    monkeypatch.setattr(cli, "eval_jet", forbidden)
-
-
 def _with_value(place, name, value):
     data, path = _context(place)
     _at(data, path)[name] = value
@@ -137,7 +127,7 @@ def _with_value(place, name, value):
 def test_every_key_refuses_other_kinds_and_values_out_of_range(tmp_path, monkeypatch, capsys,
                                                               place, name):
     key = cli._FORMAT[place][name]
-    _forbid_all_work(monkeypatch)
+    _forbid_work(monkeypatch)
     inside, outside = _bounds(key)
     for value in _wrong_kinds(key) + outside:
         data = _with_value(place, name, value)
@@ -158,7 +148,7 @@ def test_every_key_refuses_other_kinds_and_values_out_of_range(tmp_path, monkeyp
 def test_every_place_refuses_an_unknown_key(tmp_path, monkeypatch, capsys, place):
     data, path = _context(place)
     _at(data, path)["unknown_key"] = 1
-    _forbid_all_work(monkeypatch)
+    _forbid_work(monkeypatch)
     assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
     where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[2:])
     assert f"{where.lstrip('.') or place}: unknown key 'unknown_key'" in capsys.readouterr().err
