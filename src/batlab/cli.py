@@ -100,9 +100,10 @@ def _entry(equation: str, report: ResidualReport, tolerance: float,
 
 # -- the scenario format ----------------------------------------------------------------
 #
-# Every key a scenario file may hold, by place.  A case is read against this
-# table before its first solve, and the README's format table is checked
-# against it.  Ranges that the library enforces are left to the library.
+# Every key a scenario file may hold, by place: ``_FORMAT``, built below from
+# the rows of the ops, checks and systems.  A case is read against it before
+# its first solve, and the README's format table is checked against it.
+# Ranges that the library enforces are left to the library.
 
 _REQUIRED = object()  # the default of a key that must be given
 _CAP = int(np.iinfo(np.intp).max) // 8  # the longest float64 array numpy can describe
@@ -125,94 +126,6 @@ class _Key:
     many: str = ""
     length: int | None = None
     error: str = ""
-
-
-def _variants(tag: str, family: str, **places) -> dict:
-    """The places ``f"{family} {name}"``, each of a block whose ``tag`` is ``name``."""
-    return {f"{family} {name}": {tag: _Key("choice", choices=(name,)), **keys}
-            for name, keys in places.items()}
-
-
-_EXPRESSION = _Key("expression")
-_CONFIG = _Key("JSON object", {})
-_WINDOW = _Key("float", many="list", length=2)
-_COUNT = {"low": 1, "high": _CAP}
-_TOLERANCE = {"tolerance": _Key("float")}
-_MAPS = {"maps": _Key("expression", ["s^3 + s"], 1, 1, many="list")}
-_SPEEDS = {**_TOLERANCE, "speeds_on_x": _Key("choice", "v", choices=("u", "v"))}
-
-# place -> key -> _Key
-_FORMAT = {
-    "scenario": {
-        "name": _Key("file-name string"), "paper_anchor": _Key("string"),
-        "kind": _Key("choice", choices=("verify", "simulate", "variational", "ad")),
-        "cases": _Key("JSON object", many="list")},
-    "verify case": {
-        "label": _Key("file-name string", None), "construct": _Key("JSON object"),
-        "samples": _Key("JSON object"), "checks": _Key("JSON object", many="list")},
-    "simulate case": {
-        "system": _Key("choice", "two_field", choices=("two_field", "multifield")),
-        "label": _Key("file-name string", None), "init": _Key("expression", many="object"),
-        "grid": _Key("JSON object"), "resolutions": _Key("integer", high=_CAP, many="list"),
-        "checks": _Key("JSON object", many="list"), "halving_ratio": _Key("float", 0.0)},
-    "variational case": {
-        "label": _Key("file-name string", "variational"), "source": _Key("JSON object"),
-        "resolutions": _Key("integer", low=5, high=_CAP, many="list"),
-        "psi": _Key("expression", ["s"], 0, 1, many="list"),
-        "factors": _Key("expression", ["p/q"], many="list"),
-        "vary": _Key("choice", ["psi", "phibar", "phi"], choices=("psi", "phibar", "phi"),
-                     many="list"),
-        "tolerance_h2_coeff": _Key("float", 5.0, low=_POSITIVE),
-        "halving_ratio": _Key("float", 0.0)},
-    "ad case": {
-        "label": _Key("file-name string", None),
-        # a million random expressions take minutes; the bound keeps a case from running for years
-        "expressions": _Key("integer", 500, 1, 10**6),
-        # the probe divides by h^2, which must neither underflow nor overflow
-        "steps": _Key("float", [1e-3, 5e-4], 2 ** -537.5, math.sqrt(sys.float_info.max),
-                      many="list", length=2),
-        "min_ratio": _Key("float", 3.5)},
-    "source": {"f": _EXPRESSION, "g": _EXPRESSION, "config": _CONFIG,
-               "t_window": _WINDOW, "x_window": _WINDOW},
-    "config": {
-        "newton_tol": _Key("float", 1e-12), "max_iter": _Key("integer", 50),
-        "seed": _Key("float", 1.0, many="or list"),
-        "bracket": _Key("float", None, many="list", length=2)},
-    "samples": {
-        "count": _Key("integer", **_COUNT,
-                      error=f"samples count must be at least 1 and at most {_CAP}"),
-        "low": _Key("float", many="list"), "high": _Key("float", many="list"),
-        "mode": _Key("choice", "uv_box", choices=("uv_box",))},
-    **_variants(
-        "op", "construct",
-        solve_implicit_fg={"F": _EXPRESSION, "G": _EXPRESSION, "config": _CONFIG},
-        holo_sum={"f": _EXPRESSION, "g": _EXPRESSION},
-        implicit_3d={"F": _EXPRESSION, "G": _EXPRESSION, "K": _EXPRESSION,
-                     "const_c": _Key("float", 0.0), "config": _CONFIG},
-        parametric_hodograph={"f": _EXPRESSION, "g": _EXPRESSION, "config": _CONFIG},
-        leznov={"n": _Key("integer"), "Q": _Key("expression", many="list"),
-                "P": _Key("expression", many="list"), "config": _CONFIG}),
-    **_variants(
-        "equation", "check",
-        **dict.fromkeys(("complex_bateman", "euclidean_3d", "euclid_first_order",
-                         "two_field_bateman", "hodograph_identities", "roundtrip",
-                         "constraint_gap"), _TOLERANCE),
-        reparametrization={**_TOLERANCE, "target": _Key("string", None), **_MAPS},
-        reparametrized_two_field={**_TOLERANCE, **_MAPS},
-        born_infeld={**_TOLERANCE, "lambda": _Key("float", 1.0, low=_POSITIVE)},
-        linear_covariance={**_TOLERANCE, "maps": _Key("integer", 10, **_COUNT),
-                           "speed_tolerance": _Key("float", 1e-8)},
-        holomorphy=_SPEEDS, zero_curvature=_SPEEDS,
-        conservation={"tolerance_h2_coeff": _Key("float", 5.0),
-                      "n_values": _Key("integer", [1, 2, 3, 4, 5], **_COUNT, many="list")},
-        transport={"tolerance_h2_coeff": _Key("float", 5.0)},
-        multifield_det={"tolerance_h2_coeff": _Key("float", 1.0)}),
-    "grid two_field": {
-        "t_end": _Key("float"), "x0": _Key("float", 0.0), "x1": _Key("float", hydro.TWO_PI),
-        "cfl": _Key("float", 0.5),
-        "bc": _Key("choice", "periodic", choices=("periodic", "open"))},
-    "grid multifield": {"t_end": _Key("float"), "cfl": _Key("float", 0.4)},
-}
 
 
 def _range(key: _Key) -> str:
@@ -312,17 +225,22 @@ def _read(block, place: str, where: str = "") -> dict:
     return values
 
 
-def _read_checks(case: dict, owner: str, runs: dict, label: str) -> list:
-    """``(run, check)`` per check of ``case``, read: ``runs[owner, key]`` is
-    its run (owner: an op or a system)."""
+def _read_checks(case: dict, owner: str, label: str) -> list:
+    """``(run, check)`` per check of ``case``, read: the run of its ``_CHECKS``
+    row for ``owner`` (an op or a system).  Only a reparametrization takes a
+    ``target``, the equation its field solves."""
     out = []
     for i, check in enumerate(case["checks"]):
         eq = check.get("equation")
-        key = f"{eq}:{check['target']}" if "target" in check else f"{eq}"
-        if (owner, key) not in runs:
+        run = _CHECKS[eq].runs.get(owner) if f"{eq}" in _CHECKS else None
+        if "target" in check and not (isinstance(run, _Reparametrized)
+                                      and check["target"] == run.equation):
+            run = None
+        if run is None:
+            key = f"{eq}:{check['target']}" if "target" in check else f"{eq}"
             raise ScenarioError(f"checks[{i}]: missing required field 'equation'" if eq is None
                                 else f"check {key!r} does not apply to {label!r}")
-        out.append((runs[owner, key], _read(check, f"check {eq}", f"checks[{i}]")))
+        out.append((run, _read(check, f"check {eq}", f"checks[{i}]")))
     return out
 
 
@@ -339,7 +257,7 @@ def _halving(label: str, resolutions: list, measured: dict, min_ratio: float) ->
             value = math.nan
         else:
             value = 0.0 if coarse <= 1e-14 and fine <= 1e-14 else fine / max(coarse, 1e-300)
-        rep = ResidualReport("halving", 2, value, value, 0)
+        rep = ResidualReport(2, value, value, 0)
         entries.append(_entry(f"halving[{label}:{key}]", rep, 1.0 / min_ratio, 2))
     return entries
 
@@ -424,7 +342,6 @@ def _field_case(make, dim: int):
     coordinates from its read construct block."""
 
     def build(block, label, case, rng) -> _Solved:
-        block = _read(block, f"construct {block['op']}", "construct")
         with _reading():
             handle = make(block)
         points, requested = _box_sampler(_samples(case, dim), rng, dim)
@@ -436,7 +353,6 @@ def _field_case(make, dim: int):
 
 
 def _hodograph_case(block, label, case, rng) -> _Solved:
-    block = _read(block, "construct parametric_hodograph", "construct")
     with _reading():
         solver = construct.HodographSolver(block["f"].spec, block["g"].spec,
                                            _solve_config(block["config"], "construct.config"))
@@ -454,7 +370,6 @@ def _uv_at(errors: list, uv: np.ndarray):
 
 
 def _leznov_case(block, label, case, rng) -> _Solved:
-    block = _read(block, "construct leznov", "construct")
     with _reading():
         sys_ = leznov.LeznovSystem(n=block["n"], Q=[q.spec for q in block["Q"]],
                                    P=[p.spec for p in block["P"]],
@@ -475,12 +390,12 @@ def _run_verify_case(case: dict, rng: np.random.Generator,
                      sink: dict | None = None) -> list[dict]:
     case = _read(case, "verify case")
     op = case["construct"].get("op")
-    if f"construct {op}" not in _FORMAT:
+    if f"{op}" not in _OPS:
         raise ScenarioError(f"unknown constructor op {op!r}")
     label = case["label"] or op
-    checks = _read_checks(case, op, _CHECKS, label)
-
-    c = _CONSTRUCTORS[op](case["construct"], label, case, rng)
+    checks = _read_checks(case, op, label)
+    block = _read(case["construct"], f"construct {op}", "construct")
+    c = _OPS[op].build(block, label, case, rng)
     if sink is not None:
         sink[label] = c.points if c.tx is None else [
             (*tx, *uv) for tx, uv in zip(c.tx, c.points)]
@@ -495,7 +410,7 @@ def _run_verify_case(case: dict, rng: np.random.Generator,
 
 def _swept(c: _Solved, name: str, residual, tol: float) -> dict:
     """Entry for ``residual`` of the case's batch of jets, normalized per sample."""
-    rep = residuals.sweep(name, c.batch, residual, c.skipped)
+    rep = residuals.sweep(c.batch, residual, c.skipped)
     return _entry(f"{name}[{c.label}]", rep, tol, c.requested)
 
 
@@ -509,18 +424,26 @@ def _reparametrized(c: _Solved, check: dict, name: str, residual) -> list[dict]:
     entries = []
     for text, spec in check["maps"]:
         h = construct.reparametrization(spec)
-        rep = residuals.sweep(name, c.batch, lambda j: residual(h, j), c.skipped)
+        rep = residuals.sweep(c.batch, lambda j: residual(h, j), c.skipped)
         entries.append(_entry(f"{name}[{c.label}:{text}]", rep, check["tolerance"], c.requested))
     return entries
 
 
+class _Reparametrized(namedtuple("_Reparametrized", "equation residual")):
+    """The reparametrization check of a scalar field that solves ``equation``
+    with ``residual``; a check's ``target`` can only be that equation."""
+
+    def __call__(self, c: _Solved, check: dict) -> list[dict]:
+        return _reparametrized(c, check, f"reparametrized_{self.equation}",
+                               lambda h, jet: self.residual(h(jet)))
+
+
 def _hodograph_identities(c: _Solved, check: dict) -> list[dict]:
-    rep = residuals.sweep("hodograph_identities", c.points,
-                          lambda uv: c.model.identity_residuals(uv[..., 0], uv[..., 1]))
+    rep = residuals.sweep(c.points, lambda uv: c.model.identity_residuals(uv[..., 0], uv[..., 1]))
     return [_entry(f"hodograph_identities[{c.label}]", rep, check["tolerance"], c.requested)]
 
 
-def _roundtrip(c: _Solved, tol: float) -> list[dict]:
+def _roundtrip(c: _Solved, check: dict) -> list[dict]:
     worst, skipped = 0.0, c.skipped
     if c.batch:
         # (u, v) = (phibar, phi) at the solved points, mapped forward again
@@ -532,8 +455,8 @@ def _roundtrip(c: _Solved, tol: float) -> list[dict]:
             # as Python's max from 0.0: a NaN never wins (residuals._larger)
             worst = max([0.0, *(abs(tx2[0] - t) / scale).tolist(),
                          *(abs(tx2[1] - x) / scale).tolist()])
-    rep = ResidualReport("roundtrip", c.requested - skipped, worst, worst, skipped)
-    return [_entry(f"roundtrip[{c.label}]", rep, tol, c.requested)]
+    rep = ResidualReport(c.requested - skipped, worst, worst, skipped)
+    return [_entry(f"roundtrip[{c.label}]", rep, check["tolerance"], c.requested)]
 
 
 def _born_infeld(c: _Solved, check: dict) -> list[dict]:
@@ -541,9 +464,8 @@ def _born_infeld(c: _Solved, check: dict) -> list[dict]:
     # (u, v) = (phibar, phi).  The integrability check solves from the
     # configured seed, not from the sample's.
     errors, cross = _at_solved(c.model.fields, *_uv_at(*c.model.solve_many(*zip(*c.tx))))
-    rep = residuals.sweep("born_infeld_cross", cross, lambda f: (
-        construct.born_infeld_cross_residual(f[1], f[0], lam)),
-        len(errors) - errors.count(None))
+    rep = residuals.sweep(cross, lambda f: construct.born_infeld_cross_residual(f[1], f[0], lam),
+                          len(errors) - errors.count(None))
     return [
         _swept(c, "born_infeld", lambda f: residuals.born_infeld(
             construct.born_infeld_jet(f[1], f[0], lam), lam), tol),
@@ -584,8 +506,8 @@ def _linear_covariance(c: _Solved, check: dict) -> list[dict]:
                 speed_samples.append(speeds)
         speed_skipped += len(errors) - matched.count(None)
     requested = n_maps * len(c.points)
-    rep = residuals.grid_report("linear_covariance", res_samples, res_skipped)
-    rep2 = residuals.grid_report("moebius_speed_match", speed_samples, speed_skipped)
+    rep = residuals.grid_report(res_samples, res_skipped)
+    rep2 = residuals.grid_report(speed_samples, speed_skipped)
     return [_entry(f"linear_covariance[{c.label}]", rep, tol, requested),
             _entry(f"moebius_speed_match[{c.label}]", rep2, speed_tol, requested)]
 
@@ -604,7 +526,7 @@ def _constraint_gap(c: _Solved, check: dict) -> list[dict]:
     gaps = leznov.constraint_gap(c.model, c.points[_ok(c.errors)], np.stack(
         [f.value for f in c.batch], axis=-1)).tolist() if c.batch else []
     worst = max(gaps, default=0.0)
-    rep = ResidualReport("constraint_gap", len(gaps), worst, worst, c.skipped)
+    rep = ResidualReport(len(gaps), worst, worst, c.skipped)
     return [_entry(f"constraint_gap[{c.label}]", rep, check["tolerance"], c.requested)]
 
 
@@ -618,69 +540,15 @@ def _speed_check(samples, *names):
         batches = [None] * len(names) if c.speeds is None else samples(
             c.model, c.speeds, check["speeds_on_x"])
         return [_entry(f"{name}[{c.label}]", residuals.grid_report(
-            name, [] if batch is None else [residuals.by_point(batch)], skipped),
+            [] if batch is None else [residuals.by_point(batch)], skipped),
             check["tolerance"], c.requested) for name, batch in zip(names, batches)]
     return run
-
-
-def _scalar_checks(equation: str, residual, **others) -> dict:
-    """Checks of a scalar field that solves ``equation``: the equation, its
-    reparametrization (whose ``target`` can only be that equation) and ``others``."""
-    def reparametrized(c, check):
-        return _reparametrized(c, check, f"reparametrized_{equation}",
-                               lambda h, jet: residual(h(jet)))
-    return {equation: _per_point(residual), "reparametrization": reparametrized,
-            f"reparametrization:{equation}": reparametrized, **others}
-
-
-_CONSTRUCTORS = {
-    "solve_implicit_fg": _field_case(lambda b: construct.solve_implicit_fg(
-        b["F"].spec, b["G"].spec, _solve_config(b["config"], "construct.config")), 4),
-    "holo_sum": _field_case(lambda b: construct.holo_sum(b["f"].spec, b["g"].spec), 4),
-    "implicit_3d": _field_case(lambda b: construct.implicit_3d(
-        b["F"].spec, b["G"].spec, b["K"].spec, b["const_c"],
-        _solve_config(b["config"], "construct.config")), 3),
-    "parametric_hodograph": _hodograph_case,
-    "leznov": _leznov_case,
-}
-
-# jet arity -> the checks of a scalar field with that arity
-_ARITY_CHECKS = {
-    4: _scalar_checks("complex_bateman", residuals.complex_bateman),
-    3: _scalar_checks("euclidean_3d", residuals.euclidean_3d,
-                      euclid_first_order=_per_point(residuals.euclidean_first_order)),
-}
-
-# (constructor op, check key) -> (solved case, read check) -> report entries
-_CHECKS = {
-    **{(op, eq): run for op, arity in (("solve_implicit_fg", 4), ("holo_sum", 4),
-                                        ("implicit_3d", 3))
-       for eq, run in _ARITY_CHECKS[arity].items()},
-    ("parametric_hodograph", "two_field_bateman"): _per_point(lambda f: (
-        residuals.two_field_bateman(*f), residuals.two_field_bateman(*f, conjugate=True))),
-    ("parametric_hodograph", "hodograph_identities"): _hodograph_identities,
-    ("parametric_hodograph", "roundtrip"): lambda c, check: _roundtrip(c, check["tolerance"]),
-    ("parametric_hodograph", "born_infeld"): _born_infeld,
-    ("parametric_hodograph", "linear_covariance"): _linear_covariance,
-    ("parametric_hodograph", "reparametrized_two_field"): lambda c, check: _reparametrized(
-        c, check, "reparametrized_two_field",
-        lambda h, fields: residuals.two_field_bateman(*map(h, fields))),
-    ("leznov", "constraint_gap"): _constraint_gap,
-    ("leznov", "holomorphy"): _speed_check(
-        lambda sys_, speeds, on_x: leznov.holomorphy_samples(sys_, *speeds, on_x),
-        "d_phi", "dbar_phi"),
-    ("leznov", "zero_curvature"): _speed_check(
-        lambda sys_, speeds, on_x: [leznov.zero_curvature_samples(sys_, speeds[1], on_x)],
-        "zero_curvature"),
-    # n = 2 only: a Leznov case rejects it on a larger system before solving
-    ("leznov", "complex_bateman"): _per_point(lambda f: residuals.complex_bateman(f[0])),
-}
 
 
 # -- simulate-kind cases -----------------------------------------------------------------
 #
 # A case reads its checks and a grid spec per resolution, then integrates its
-# system once per resolution and runs every check from ``_SIM_CHECKS`` on that
+# system once per resolution and runs every check from ``_CHECKS`` on that
 # grid; a check gives (halving key, report entry) pairs.
 
 
@@ -688,22 +556,25 @@ def _run_simulate_case(case: dict, rng: np.random.Generator, out_dir: Path,
                        scenario_name: str, dump: bool) -> list[dict]:
     case = _read(case, "simulate case")
     system, resolutions = case["system"], case["resolutions"]
-    label = case["label"] or system
+    label, row = case["label"] or system, _SYSTEMS[system]
     block = _read(case["grid"], f"grid {system}", "grid")
-    checks = _read_checks(case, system, _SIM_CHECKS, label)
+    checks = _read_checks(case, system, label)
     if block.get("bc") == "open" and any(c["equation"] == "transport" for c in case["checks"]):
         raise ScenarioError("transport checks need a periodic grid, not bc 'open'")
     init = {name: expr.spec for name, expr in case["init"].items()}
-    fields, coords, spec_at, integrate = _SYSTEMS[system]
     with _reading():
-        hydro.check_initial_data(init, fields, coords)
-        specs = [spec_at(res, block) for res in resolutions]
+        hydro.check_initial_data(init, row.fields, row.coords)
+        specs = [row.spec(res, block) for res in resolutions]
 
     measured, entries = {}, []
     for res, spec in zip(resolutions, specs):
-        grid = integrate(init, spec)
+        try:
+            grid = row.integrate(init, spec)
+        except (CharacteristicCrossingError, CFLViolationError) as err:  # hydro._march's aborts
+            row.dump(err.partial, out_dir / f"{scenario_name}.partial.csv")
+            raise
         if dump:
-            _dump_grid(grid, out_dir / f"{scenario_name}.{label}.{res}.csv")
+            row.dump(grid, out_dir / f"{scenario_name}.{label}.{res}.csv")
         measured[res] = {}
         for run, check in checks:
             for key, entry in run(grid, f"{label}@{res}", check):
@@ -712,17 +583,12 @@ def _run_simulate_case(case: dict, rng: np.random.Generator, out_dir: Path,
     return entries + _halving(label, resolutions, measured, case["halving_ratio"])
 
 
-def _dump_grid(grid, csv_path: Path) -> None:
-    dump = hydro.dump_char_grid if isinstance(grid, hydro.CharGrid) else hydro.dump_multi_grid
-    dump(grid, csv_path)
-
-
 def _conservation(grid, where: str, check: dict) -> list[tuple[str, dict]]:
     tol = check["tolerance_h2_coeff"] * grid.h**2
     out = []
     for n in check["n_values"]:
         drift = hydro.conservation_drift(grid, n)
-        rep = ResidualReport(f"conservation_s{n}", grid.nt * grid.nx, drift, drift, 0)
+        rep = ResidualReport(grid.nt * grid.nx, drift, drift, 0)
         out.append((f"s{n}", _entry(f"conservation_s{n}[{where}]", rep, tol,
                                     grid.nt * grid.nx)))
     return out
@@ -736,7 +602,7 @@ def _transport(grid, where: str, check: dict) -> list[tuple[str, dict]]:
     for name, field, other in (("u", grid.u, grid.v), ("v", grid.v, grid.u)):
         jet = hydro.fd_jet_at(field, grid.dt, grid.h, m, nodes)
         sample = residuals.transport(jet, [-other[m]], TransportPattern(0, (1,)))
-        rep = residuals.grid_report(f"transport_{name}", [sample])
+        rep = residuals.grid_report([sample])
         out.append((f"transport_{name}",
                     _entry(f"transport_{name}[{where}]", rep, tol, grid.nx)))
     return out
@@ -759,27 +625,162 @@ def _multifield_det(grid, where: str, check: dict) -> list[tuple[str, dict]]:
         hess = deriv[fname][2][0].reshape(-1, 3, 3)
         raw, scale = residuals.multifield_det_grid(grads, hess)
         value = 0.0 if flat else float(np.abs(raw).max() / max(scale.max(), 1e-300))
-        rep = ResidualReport(f"multifield_det_j{j}", n_nodes, value, value, 0)
+        rep = ResidualReport(n_nodes, value, value, 0)
         out.append((f"det_j{j}", _entry(f"multifield_det_j{j}[{where}]", rep, tol,
                                         n_nodes)))
     return out
 
 
-# system -> (its fields, their coordinates, (resolution, read grid) -> grid spec,
-#            (initial data, grid spec) -> grid)
-_SYSTEMS = {
-    "two_field": (("u", "v"), ("x",), lambda res, grid: hydro.CharGridSpec(res, **grid),
-                  lambda init, spec: hydro.integrate_characteristics(init["u"], init["v"], spec)),
-    "multifield": (hydro.MULTI_FIELDS, ("x2", "x3"),
-                   lambda res, grid: hydro.MultiGridSpec(res, res, **grid),
-                   lambda init, spec: hydro.integrate_multifield(init, spec)),
+# -- one row per op, system and check --------------------------------------------------------
+#
+# Each row holds the keys of its block (beside the ``op`` or ``equation`` that
+# picks the row) and what runs it.  A system looks its hydro functions up at
+# each call, so patching ``hydro`` reaches them; a check binds its residual here.
+
+_EXPRESSION = _Key("expression")
+_CONFIG = _Key("JSON object", {})
+_WINDOW = _Key("float", many="list", length=2)
+_COUNT = {"low": 1, "high": _CAP}
+_TOLERANCE = {"tolerance": _Key("float")}
+_MAPS = {"maps": _Key("expression", ["s^3 + s"], 1, 1, many="list")}
+_SPEEDS = {**_TOLERANCE, "speeds_on_x": _Key("choice", "v", choices=("u", "v"))}
+
+_Op = namedtuple("_Op", "keys build")
+_System = namedtuple("_System", "keys fields coords spec integrate dump")
+_Check = namedtuple("_Check", "keys runs")
+
+# op -> its construct block's keys, and (read block, label, read case, rng) -> _Solved
+_OPS = {
+    "solve_implicit_fg": _Op(
+        {"F": _EXPRESSION, "G": _EXPRESSION, "config": _CONFIG},
+        _field_case(lambda b: construct.solve_implicit_fg(
+            b["F"].spec, b["G"].spec, _solve_config(b["config"], "construct.config")), 4)),
+    "holo_sum": _Op({"f": _EXPRESSION, "g": _EXPRESSION},
+                    _field_case(lambda b: construct.holo_sum(b["f"].spec, b["g"].spec), 4)),
+    "implicit_3d": _Op(
+        {"F": _EXPRESSION, "G": _EXPRESSION, "K": _EXPRESSION,
+         "const_c": _Key("float", 0.0), "config": _CONFIG},
+        _field_case(lambda b: construct.implicit_3d(
+            b["F"].spec, b["G"].spec, b["K"].spec, b["const_c"],
+            _solve_config(b["config"], "construct.config")), 3)),
+    "parametric_hodograph": _Op({"f": _EXPRESSION, "g": _EXPRESSION, "config": _CONFIG},
+                                _hodograph_case),
+    "leznov": _Op({"n": _Key("integer"), "Q": _Key("expression", many="list"),
+                   "P": _Key("expression", many="list"), "config": _CONFIG}, _leznov_case),
 }
 
-# (system, check equation) -> (grid, where, read check) -> [(halving key, entry)]
-_SIM_CHECKS = {
-    ("two_field", "conservation"): _conservation,
-    ("two_field", "transport"): _transport,
-    ("multifield", "multifield_det"): _multifield_det,
+# system -> its grid block's keys, its fields and their coordinates,
+# (resolution, read grid) -> grid spec, (initial data, grid spec) -> grid,
+# and (grid, CSV path) -> None, which dumps the grid
+_SYSTEMS = {
+    "two_field": _System(
+        {"t_end": _Key("float"), "x0": _Key("float", 0.0), "x1": _Key("float", hydro.TWO_PI),
+         "cfl": _Key("float", 0.5),
+         "bc": _Key("choice", "periodic", choices=("periodic", "open"))},
+        ("u", "v"), ("x",), lambda res, grid: hydro.CharGridSpec(res, **grid),
+        lambda init, spec: hydro.integrate_characteristics(init["u"], init["v"], spec),
+        lambda grid, path: hydro.dump_char_grid(grid, path)),
+    "multifield": _System(
+        {"t_end": _Key("float"), "cfl": _Key("float", 0.4)},
+        hydro.MULTI_FIELDS, ("x2", "x3"), lambda res, grid: hydro.MultiGridSpec(res, res, **grid),
+        lambda init, spec: hydro.integrate_multifield(init, spec),
+        lambda grid, path: hydro.dump_multi_grid(grid, path)),
+}
+
+# check equation -> its block's keys, and the op or system it applies to ->
+# (solved case, read check) -> entries, for an op, or
+# (grid, where, read check) -> [(halving key, entry)], for a system
+_CHECKS = {
+    "complex_bateman": _Check(_TOLERANCE, {
+        **dict.fromkeys(("solve_implicit_fg", "holo_sum"), _per_point(residuals.complex_bateman)),
+        # n = 2 only: a Leznov case rejects it on a larger system before solving
+        "leznov": _per_point(lambda f: residuals.complex_bateman(f[0]))}),
+    "euclidean_3d": _Check(_TOLERANCE, {"implicit_3d": _per_point(residuals.euclidean_3d)}),
+    "euclid_first_order": _Check(_TOLERANCE, {
+        "implicit_3d": _per_point(residuals.euclidean_first_order)}),
+    "two_field_bateman": _Check(_TOLERANCE, {"parametric_hodograph": _per_point(lambda f: (
+        residuals.two_field_bateman(*f), residuals.two_field_bateman(*f, conjugate=True)))}),
+    "hodograph_identities": _Check(_TOLERANCE, {"parametric_hodograph": _hodograph_identities}),
+    "roundtrip": _Check(_TOLERANCE, {"parametric_hodograph": _roundtrip}),
+    "constraint_gap": _Check(_TOLERANCE, {"leznov": _constraint_gap}),
+    "reparametrization": _Check(
+        {**_TOLERANCE, "target": _Key("string", None), **_MAPS},
+        {**dict.fromkeys(("solve_implicit_fg", "holo_sum"),
+                         _Reparametrized("complex_bateman", residuals.complex_bateman)),
+         "implicit_3d": _Reparametrized("euclidean_3d", residuals.euclidean_3d)}),
+    "reparametrized_two_field": _Check({**_TOLERANCE, **_MAPS}, {
+        "parametric_hodograph": lambda c, check: _reparametrized(
+            c, check, "reparametrized_two_field",
+            lambda h, fields: residuals.two_field_bateman(*map(h, fields)))}),
+    "born_infeld": _Check({**_TOLERANCE, "lambda": _Key("float", 1.0, low=_POSITIVE)},
+                          {"parametric_hodograph": _born_infeld}),
+    "linear_covariance": _Check({**_TOLERANCE, "maps": _Key("integer", 10, **_COUNT),
+                                 "speed_tolerance": _Key("float", 1e-8)},
+                                {"parametric_hodograph": _linear_covariance}),
+    "holomorphy": _Check(_SPEEDS, {"leznov": _speed_check(
+        lambda sys_, speeds, on_x: leznov.holomorphy_samples(sys_, *speeds, on_x),
+        "d_phi", "dbar_phi")}),
+    "zero_curvature": _Check(_SPEEDS, {"leznov": _speed_check(
+        lambda sys_, speeds, on_x: [leznov.zero_curvature_samples(sys_, speeds[1], on_x)],
+        "zero_curvature")}),
+    "conservation": _Check(
+        # S_n grows like max(|u|, |v|)**n: on c05's grids its drift overflows to NaN
+        # between n = 800 and 1500, and n = 10**4 takes seconds
+        {"tolerance_h2_coeff": _Key("float", 5.0),
+         "n_values": _Key("integer", [1, 2, 3, 4, 5], 1, 1000, many="list")},
+        {"two_field": _conservation}),
+    "transport": _Check({"tolerance_h2_coeff": _Key("float", 5.0)}, {"two_field": _transport}),
+    "multifield_det": _Check({"tolerance_h2_coeff": _Key("float", 1.0)},
+                             {"multifield": _multifield_det}),
+}
+
+# place -> key -> _Key
+_FORMAT = {
+    "scenario": {
+        "name": _Key("file-name string"), "paper_anchor": _Key("string"),
+        "kind": _Key("choice", choices=("verify", "simulate", "variational", "ad")),
+        "cases": _Key("JSON object", many="list")},
+    "verify case": {
+        "label": _Key("file-name string", None), "construct": _Key("JSON object"),
+        "samples": _Key("JSON object"), "checks": _Key("JSON object", many="list")},
+    "simulate case": {
+        "system": _Key("choice", "two_field", choices=tuple(_SYSTEMS)),
+        "label": _Key("file-name string", None), "init": _Key("expression", many="object"),
+        "grid": _Key("JSON object"), "resolutions": _Key("integer", high=_CAP, many="list"),
+        "checks": _Key("JSON object", many="list"), "halving_ratio": _Key("float", 0.0)},
+    "variational case": {
+        "label": _Key("file-name string", "variational"), "source": _Key("JSON object"),
+        "resolutions": _Key("integer", low=5, high=_CAP, many="list"),
+        "psi": _Key("expression", ["s"], 0, 1, many="list"),
+        "factors": _Key("expression", ["p/q"], many="list"),
+        "vary": _Key("choice", ["psi", "phibar", "phi"], choices=("psi", "phibar", "phi"),
+                     many="list"),
+        "tolerance_h2_coeff": _Key("float", 5.0, low=_POSITIVE),
+        "halving_ratio": _Key("float", 0.0)},
+    "ad case": {
+        "label": _Key("file-name string", None),
+        # a million random expressions take minutes; the bound keeps a case from running for years
+        "expressions": _Key("integer", 500, 1, 10**6),
+        # the probe divides by h^2, which must neither underflow nor overflow
+        "steps": _Key("float", [1e-3, 5e-4], 2 ** -537.5, math.sqrt(sys.float_info.max),
+                      many="list", length=2),
+        "min_ratio": _Key("float", 3.5)},
+    "source": {"f": _EXPRESSION, "g": _EXPRESSION, "config": _CONFIG,
+               "t_window": _WINDOW, "x_window": _WINDOW},
+    "config": {
+        "newton_tol": _Key("float", 1e-12), "max_iter": _Key("integer", 50),
+        "seed": _Key("float", 1.0, many="or list"),
+        "bracket": _Key("float", None, many="list", length=2)},
+    "samples": {
+        "count": _Key("integer", **_COUNT,
+                      error=f"samples count must be at least 1 and at most {_CAP}"),
+        "low": _Key("float", many="list"), "high": _Key("float", many="list"),
+        "mode": _Key("choice", "uv_box", choices=("uv_box",))},
+    **{f"construct {op}": {"op": _Key("choice", choices=(op,)), **row.keys}
+       for op, row in _OPS.items()},
+    **{f"check {eq}": {"equation": _Key("choice", choices=(eq,)), **row.keys}
+       for eq, row in _CHECKS.items()},
+    **{f"grid {system}": row.keys for system, row in _SYSTEMS.items()},
 }
 
 
@@ -841,8 +842,8 @@ def _check_variational_case(c: _Variational, fields: list) -> list[dict]:
                         f"variational_{vary}[{label}:psi={w},H={factor}@{n}]",
                         rep, tol, rep.samples))
                     measured[n][f"{vary}|psi={w}|H={factor}"] = entries[-1]["max_norm"]
-                rep = ResidualReport("degeneracy_action", phi.size,
-                                     deg.action_normalized, deg.action_normalized, 0)
+                rep = ResidualReport(phi.size, deg.action_normalized,
+                                     deg.action_normalized, 0)
                 entries.append(_entry(
                     f"degeneracy_action[{label}:psi={w},H={factor}@{n}]",
                     rep, tol, phi.size))
@@ -1009,7 +1010,7 @@ def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
     defective += _defects(values[:rows], exact[:rows], steps, min_ratio)
     # the max and root mean square of the 0/1 defects: their sum is exact, so
     # these are the bits numpy gives for an array of them
-    rep = ResidualReport("ad_convergence", produced, float(defective > 0),
+    rep = ResidualReport(produced, float(defective > 0),
                          math.sqrt(defective / produced), 0)
     return [_entry("ad_convergence", rep, 0.5, count)]
 
@@ -1062,10 +1063,7 @@ def run_scenario(data: dict, out_dir: Path, seed: int, dump: bool = False) -> tu
                     else:
                         entries += _run_ad_case(case, rng)
     except (CharacteristicCrossingError, CFLViolationError) as err:
-        partial = getattr(err, "partial", None)
-        if partial is not None:
-            _dump_grid(partial, out_dir / f"{data['name']}.partial.csv")
-        rep = ResidualReport("aborted", 0, math.inf, math.inf, 0)
+        rep = ResidualReport(0, math.inf, math.inf, 0)
         entries.append(_entry(f"aborted[level={err.level}]", rep, 0.0, 0))
         abort_code = EXIT_ABORT
 

@@ -97,7 +97,6 @@ class ResidualSample:
 class ResidualReport:
     """Statistics of one residual operator over a sample set."""
 
-    equation: str
     samples: int
     max_norm: float
     rms_norm: float
@@ -114,18 +113,16 @@ def _from_terms(terms: Sequence, floor=0.0) -> ResidualSample:
                           np.array([math.fsum(map(abs, row)) for row in rows]), floor)
 
 
-def _report(equation: str, norms, skipped: int) -> ResidualReport:
+def _report(norms, skipped: int) -> ResidualReport:
     """Max and RMS of ``norms``, reduced in their order."""
     if norms is None or not norms.size:
-        return ResidualReport(equation, 0, math.inf, math.inf, skipped)
+        return ResidualReport(0, math.inf, math.inf, skipped)
     arr = norms.ravel()
-    return ResidualReport(equation, len(arr), float(arr.max()),
+    return ResidualReport(len(arr), float(arr.max()),
                           float(np.sqrt(np.mean(arr**2))), skipped)
 
 
-def grid_report(
-    equation: str, samples: Sequence[ResidualSample], skipped: int = 0
-) -> ResidualReport:
+def grid_report(samples: Sequence[ResidualSample], skipped: int = 0) -> ResidualReport:
     """Aggregate samples from one discretized field against the global term
     magnitude: one sample per point, or samples of batches of points.
 
@@ -136,10 +133,10 @@ def grid_report(
     propagates into that magnitude, so the report has no finite norm.
     """
     if not samples:
-        return _report(equation, None, skipped)
+        return _report(None, skipped)
     s = _join(samples)
     global_scale = np.maximum(s.scale, s.floor).max()
-    return _report(equation, np.abs(s.raw) / max(global_scale, _SCALE_FLOOR), skipped)
+    return _report(np.abs(s.raw) / max(global_scale, _SCALE_FLOOR), skipped)
 
 
 def attempt(fn: Callable, *args):
@@ -235,7 +232,6 @@ def _norms(out):
 
 
 def sweep(
-    equation: str,
     batch,
     evaluate: Callable[[object], ResidualSample | Sequence[ResidualSample]],
     skipped: int = 0,
@@ -253,7 +249,7 @@ def sweep(
     if batch is not None:
         errors, norms = batched(lambda b: _norms(evaluate(b)), batch)
         skipped += len(errors) - errors.count(None)
-    return _report(equation, norms, skipped)
+    return _report(norms, skipped)
 
 
 # -- the equations ---------------------------------------------------------------

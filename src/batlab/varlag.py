@@ -186,7 +186,7 @@ def onshell_degeneracy(
     ten times the requested tolerance.
     """
     density_pass = variational_residual(functional, phi, phibar, psi)
-    per = {vary: grid_report(vary, [grid]) for vary, grid in density_pass.grids.items()}
+    per = {vary: grid_report([grid]) for vary, grid in density_pass.grids.items()}
     if not math.isfinite(per["psi"].max_norm) or per["psi"].max_norm > 10 * tolerance:
         raise ValueError(
             f"fields are not on-shell: psi residual {per['psi'].max_norm!r} "

@@ -267,7 +267,7 @@ def run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
     if produced < count:
         raise cli.ScenarioError("could not generate enough admissible expressions")
     arr = np.asarray(defects)
-    rep = ResidualReport("ad_convergence", produced, float(arr.max()),
+    rep = ResidualReport(produced, float(arr.max()),
                          float(np.sqrt(np.mean(arr**2))), 0)
     return [cli._entry("ad_convergence", rep, 0.5, count)]
 

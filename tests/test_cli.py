@@ -384,7 +384,8 @@ def test_hodograph_case_raises_the_first_failing_samples_error():
         solver.forward(uv[:, 0], uv[:, 1])
     assert array_call.value.args != expected.value.args
     with pytest.raises(JetDomainError) as err:
-        cli._hodograph_case(block, "case", case, np.random.default_rng(3))
+        cli._hodograph_case(cli._read(block, "construct parametric_hodograph"), "case", case,
+                            np.random.default_rng(3))
     assert err.value.args == expected.value.args
 
 
@@ -395,7 +396,8 @@ def test_roundtrip_skips_the_points_whose_forward_map_fails():
     block = {"op": "parametric_hodograph", "f": "log(u)", "g": "v^3",
              "config": {"seed": [1.0, 2.5]}}
     case = {"samples": {"count": 40, "low": [0.5, 2.0], "high": [1.5, 3.0]}}
-    c = cli._hodograph_case(block, "log_cubic", case, np.random.default_rng(8))
+    c = cli._hodograph_case(cli._read(block, "construct parametric_hodograph"), "log_cubic",
+                            case, np.random.default_rng(8))
     assert c.skipped == 0
     errors = list(c.errors)
     errors[3] = errors[7] = EvaluationError("a failed solve")
@@ -405,7 +407,7 @@ def test_roundtrip_skips_the_points_whose_forward_map_fails():
     u[[1, 5, 9]] *= -1.0  # log(u) fails there
     u[12] *= 1.01  # maps to another (t, x)
     c = dataclasses.replace(c, errors=errors, batch=(phi, jets.Jet2(u, phibar.grad, phibar.hess)))
-    entry = cli._roundtrip(c, 1e-10)[0]
+    entry = cli._roundtrip(c, {"tolerance": 1e-10})[0]
     worst, skipped = oracles.roundtrip(c)
     assert skipped == 5 and worst > 1e-4
     assert (entry["samples"], entry["skipped"], entry["max_norm"]) == (40 - skipped, skipped,
@@ -694,6 +696,26 @@ def test_ad_case_memory_stays_within_a_block():
     assert four <= 1.5 * one, (one, four)
 
 
+def test_ad_noise_floor_scales_with_the_value():
+    """Rows of ``1e6 + a + b + c`` at steps (1e-3, 5e-4) pass only by the noise
+    floor scaled by |value|: their quotients are rounding noise of about 1e-4,
+    and their halving ratio is mostly 0.25, under the 3.5 bar.  The floor is
+    0.23 with |value| in the scale and 2.3e-7 without it."""
+    steps, names, spec = (1e-3, 5e-4), ["a", "b", "c"], parse("1e6 + a + b + c")
+    stencil, values, exact = cli._stencil(steps), [], []
+    for point in np.random.default_rng(0).uniform(0.4, 1.6, size=(20, 3)):
+        values.append(cli._stencil_values(spec, names, point, stencil))
+        jet = cli.eval_jet(spec, {n: jets.variable(i, point[i], 3) for i, n in enumerate(names)},
+                           k=3)
+        exact.append([jet.value, *jet.grad, *jet.hess.ravel()])
+    values, exact = np.array(values), np.array(exact)
+    errors = [np.abs(q - exact[:, 1:]).max(axis=1) for q in cli._fd_quotients(values, steps)]
+    assert 1e-5 < errors[0].max() < 1e-3
+    assert cli._defects(values, exact, steps, 3.5) == 0
+    exact[:, 0] = 0.0  # the value left out of the scale
+    assert cli._defects(values, exact, steps, 3.5) == 19
+
+
 def _with(data, path, value):
     node = data["cases"][0]
     for key in path[:-1]:
@@ -878,6 +900,8 @@ def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
     # a tolerance that no grid can meet
     ("variational", ("tolerance_h2_coeff",), -1),
     ("variational", ("tolerance_h2_coeff",), 0),
+    # an S_n beyond the longest array, and so beyond the bound
+    ("two_field", ("checks", 0, "n_values"), [2**63]),
 ])
 def test_scalar_of_wrong_type_exits_2_before_solving(tmp_path, monkeypatch, capsys, scenario,
                                                      path, value):
@@ -1191,7 +1215,6 @@ def test_out_naming_a_file_exits_2(tmp_path, monkeypatch, capsys, command):
     ("variational", ("resolutions",), [2**62]),
     ("implicit_fg", ("samples", "count"), 2**63),
     ("covariance", ("checks", 0, "maps"), 2**63),
-    ("two_field", ("checks", 0, "n_values"), [2**63]),
 ])
 def test_count_beyond_the_longest_array_exits_2_before_solving(tmp_path, monkeypatch, capsys,
                                                                scenario, path, value):

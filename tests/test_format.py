@@ -29,15 +29,11 @@ _TAKES = {"integer": {"integer"}, "float": {"integer", "fraction"}, "string": {"
           "file-name string": {"string"}, "expression": {"string"}, "choice": {"string"},
           "JSON object": {"object"}}
 
-# verify check equation -> a scenario of _COMPLETE whose op has that check
-_CHECK_SCENARIOS = {"complex_bateman": "implicit_fg", "reparametrization": "implicit_fg",
-                    "euclidean_3d": "implicit_3d", "euclid_first_order": "implicit_3d",
-                    "constraint_gap": "leznov", "holomorphy": "leznov",
-                    "zero_curvature": "leznov", "conservation": "two_field",
-                    "transport": "two_field", "multifield_det": "multifield"}
+# op or system -> a scenario of _COMPLETE that runs it; a check's scenario is
+# that of the first op or system its row names
 _OP_SCENARIOS = {"solve_implicit_fg": "implicit_fg", "holo_sum": "holo_sum",
                  "implicit_3d": "implicit_3d", "parametric_hodograph": "hodograph",
-                 "leznov": "leznov"}
+                 "leznov": "leznov", "two_field": "two_field", "multifield": "multifield"}
 
 
 def _context(place: str):
@@ -57,7 +53,7 @@ def _context(place: str):
     if family == "construct":
         return _COMPLETE[_OP_SCENARIOS[name]](), case + ("construct",)
     assert family == "check", f"no scenario holds {place!r}"
-    data = _COMPLETE[_CHECK_SCENARIOS.get(name, "hodograph")]()
+    data = _COMPLETE[_OP_SCENARIOS[next(iter(cli._CHECKS[name].runs))]]()
     simulate = data["kind"] == "simulate"
     data["cases"][0]["checks"] = [{"equation": name,
                                    **({} if simulate else {"tolerance": 1e-9})}]
@@ -152,6 +148,12 @@ def test_every_place_refuses_an_unknown_key(tmp_path, monkeypatch, capsys, place
     assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
     where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[2:])
     assert f"{where.lstrip('.') or place}: unknown key 'unknown_key'" in capsys.readouterr().err
+
+
+def test_every_check_applies_to_ops_or_systems_that_each_own_one():
+    owners = {owner for row in cli._CHECKS.values() for owner in row.runs}
+    assert set(cli._OPS).isdisjoint(cli._SYSTEMS)
+    assert owners == set(cli._OPS) | set(cli._SYSTEMS) == set(_OP_SCENARIOS)
 
 
 def test_every_place_has_a_scenario():

@@ -109,7 +109,7 @@ def test_transport_residual_second_order():
             ju = hydro.fd_jet_at(grid.u, grid.dt, grid.h, m, i)
             samples.append(residuals.transport(
                 ju, [-grid.v[m, i]], TransportPattern(time_axis=0, space_axes=(1,))))
-        rep = residuals.grid_report("transport_u", samples)
+        rep = residuals.grid_report(samples)
         results.append((rep.max_norm, grid.h))
         assert rep.rms_norm <= rep.max_norm
     (w1, h1), (w2, h2) = results

@@ -279,7 +279,7 @@ def test_sweep_skips_singular():
             raise EvaluationError("skip")
         return residuals.ResidualSample(raw=np.zeros(len(i)), scale=np.ones(len(i)))
 
-    rep = residuals.sweep("test_eq", np.arange(10), evaluate)
+    rep = residuals.sweep(np.arange(10), evaluate)
     assert rep.samples == 6
     assert rep.skipped_singular == 4
     assert rep.max_norm == 0.0
@@ -294,6 +294,6 @@ def test_grid_report_with_a_nan_scale_or_floor_fails(nan_in):
 
     parts = {"raw": np.array([1e-12, 2e-12]), "scale": np.ones(2), "floor": np.zeros(2)}
     parts[nan_in] = np.array([np.nan, 1.0])
-    rep = residuals.grid_report("r", [residuals.ResidualSample(**parts)])
+    rep = residuals.grid_report([residuals.ResidualSample(**parts)])
     entry = cli._entry("r", rep, 1e-9, 2)
     assert (entry["max_norm"], entry["rms_norm"], entry["pass"]) == (None, None, False)

@@ -108,7 +108,7 @@ def test_onshell_residuals_and_halving():
         psi = phibar.copy()
         maxima = {}
         for vary in ("psi", "phibar", "phi"):
-            rep = grid_report(vary, [variational_residual(func, phi, phibar, psi).grids[vary]])
+            rep = grid_report([variational_residual(func, phi, phibar, psi).grids[vary]])
             maxima[vary] = rep.max_norm
             assert rep.max_norm <= 5 * max(ht, hx) ** 2, (n, vary, rep.max_norm)
         results[n] = (maxima, max(ht, hx))
@@ -126,7 +126,7 @@ def test_psi_cubed_freedom():
     func = DiscreteFunctional(ht=ht, hx=hx)
     psi = psi_from(phibar, parse("s^3"))
     for vary in ("psi", "phibar", "phi"):
-        rep = grid_report(vary, [variational_residual(func, phi, phibar, psi).grids[vary]])
+        rep = grid_report([variational_residual(func, phi, phibar, psi).grids[vary]])
         assert rep.max_norm <= 5 * max(ht, hx) ** 2
 
 
@@ -145,7 +145,7 @@ def test_factor_freedom_preserves_zero_set():
     psi = phibar.copy()
     for factor in ("p/q", "p^2/(p^2 + q^2)", "(p - q)/(p + q)"):
         func = DiscreteFunctional(ht=ht, hx=hx, factor=parse(factor))
-        rep = grid_report("psi", [variational_residual(func, phi, phibar, psi).grids["psi"]])
+        rep = grid_report([variational_residual(func, phi, phibar, psi).grids["psi"]])
         assert rep.max_norm <= 5 * max(ht, hx) ** 2, (factor, rep.max_norm)
 
 
@@ -160,7 +160,7 @@ def test_density_pass_matches_its_pointwise_form():
     for vary, grid in density_pass.grids.items():
         samples = [ResidualSample(float(r), float(s), float(f)) for r, s, f in
                    zip(grid.raw.ravel(), grid.scale.ravel(), grid.floor.ravel())]
-        assert grid_report(vary, [grid]) == grid_report(vary, samples)
+        assert grid_report([grid]) == grid_report(samples)
 
     def slots(F):
         return ((F[2:, 1:-1] - F[:-2, 1:-1]) / (2 * ht),
@@ -219,7 +219,7 @@ def test_fields_from_char_grid_are_onshell(tmp_path):
     phibar, phi = loaded.u, loaded.v
     psi = psi_from(phibar, parse("s"))
     func = DiscreteFunctional(ht=float(loaded.dt), hx=float(loaded.h))
-    rep = grid_report("psi", [variational_residual(func, phi, phibar, psi).grids["psi"]])
+    rep = grid_report([variational_residual(func, phi, phibar, psi).grids["psi"]])
     tol = 5 * max(func.ht, func.hx) ** 2
     assert rep.max_norm <= tol, (rep.max_norm, tol)
 
