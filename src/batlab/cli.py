@@ -48,7 +48,7 @@ from .errors import (
 # eval_float is not called here; the benchmark's tracer (perfbench/tracing.py)
 # patches this binding by name.
 from .exprspec import at_points, eval_float, eval_jet, float_fn, parse  # noqa: F401
-from .residuals import ResidualReport, TransportPattern, _ok
+from .residuals import ResidualReport, _ok
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -279,11 +279,10 @@ def _samples(case: dict, dim: int) -> dict:
     return samples
 
 
-def _box_sampler(samples: dict, rng: np.random.Generator, dim: int):
+def _box_sampler(samples: dict, rng: np.random.Generator, dim: int) -> np.ndarray:
     """``count`` uniform points of the read ``samples`` box of ``dim`` coordinates,
     as a ``(count, dim)`` array (the bits and state of ``count`` one-point draws)."""
-    count = samples["count"]
-    return rng.uniform(samples["low"], samples["high"], size=(count, dim)), count
+    return rng.uniform(samples["low"], samples["high"], size=(samples["count"], dim))
 
 
 # -- verify-kind cases -------------------------------------------------------------------
@@ -303,7 +302,6 @@ class _Solved:
 
     label: str
     rng: np.random.Generator
-    requested: int
     points: np.ndarray  # (count, dim) sample points; (u, v) for hodograph cases
     errors: list  # per point: the EvaluationError of its solve or jets, or None
     # The constructor's jets at the points without an error, as one batch: the
@@ -316,6 +314,10 @@ class _Solved:
     # None; and at the points without one, the batch of (fields, (u, v)).
     speed_errors: list | None = None
     speeds: tuple | None = None
+
+    @property
+    def requested(self) -> int:
+        return len(self.points)
 
     @property
     def skipped(self) -> int:
@@ -344,10 +346,10 @@ def _field_case(make, dim: int):
     def build(block, label, case, rng) -> _Solved:
         with _reading():
             handle = make(block)
-        points, requested = _box_sampler(_samples(case, dim), rng, dim)
+        points = _box_sampler(_samples(case, dim), rng, dim)
         errors, roots = handle.solve_many(points)
         errors, batch = _at_solved(handle.jets, errors, points[_ok(errors)], roots)
-        return _Solved(label, rng, requested, points, errors, batch)
+        return _Solved(label, rng, points, errors, batch)
 
     return build
 
@@ -357,10 +359,10 @@ def _hodograph_case(block, label, case, rng) -> _Solved:
         solver = construct.HodographSolver(block["f"].spec, block["g"].spec,
                                            _solve_config(block["config"], "construct.config"))
         construct.seed_pair(solver.cfg.seed)  # the born_infeld check solves from it
-    uv, requested = _box_sampler(_samples(case, 2), rng, 2)
+    uv = _box_sampler(_samples(case, 2), rng, 2)
     t, x = at_points(solver.forward, uv[:, 0], uv[:, 1])
     errors, batch = _at_solved(solver.fields, *_uv_at(*solver.solve_many(t, x, uv)))
-    return _Solved(label, rng, requested, uv, errors, batch, solver,
+    return _Solved(label, rng, uv, errors, batch, solver,
                    list(zip(t.tolist(), x.tolist())))
 
 
@@ -376,13 +378,13 @@ def _leznov_case(block, label, case, rng) -> _Solved:
                                    cfg=_solve_config(block["config"], "construct.config"))
     if sys_.n != 2 and any(c.get("equation") == "complex_bateman" for c in case["checks"]):
         raise ScenarioError("complex_bateman check needs n = 2")
-    points, requested = _box_sampler(_samples(case, 2 * sys_.n), rng, 2 * sys_.n)
+    points = _box_sampler(_samples(case, 2 * sys_.n), rng, 2 * sys_.n)
     errors, roots = leznov.solve_many(sys_, points)
     errors, fields = _at_solved(lambda p, phi: leznov.field_jets(sys_, p, phi),
                                 errors, points[_ok(errors)], roots)
     speed_errors, speeds = _at_solved(
         lambda p, f: (f, leznov.speed_jets(sys_, p, f)), errors, points[_ok(errors)], fields)
-    return _Solved(label, rng, requested, points, errors, fields, sys_,
+    return _Solved(label, rng, points, errors, fields, sys_,
                    speed_errors=speed_errors, speeds=speeds)
 
 
@@ -505,7 +507,7 @@ def _linear_covariance(c: _Solved, check: dict) -> list[dict]:
             if speeds is not None:
                 speed_samples.append(speeds)
         speed_skipped += len(errors) - matched.count(None)
-    requested = n_maps * len(c.points)
+    requested = n_maps * c.requested
     rep = residuals.grid_report(res_samples, res_skipped)
     rep2 = residuals.grid_report(speed_samples, speed_skipped)
     return [_entry(f"linear_covariance[{c.label}]", rep, tol, requested),
@@ -601,7 +603,7 @@ def _transport(grid, where: str, check: dict) -> list[tuple[str, dict]]:
     out = []
     for name, field, other in (("u", grid.u, grid.v), ("v", grid.v, grid.u)):
         jet = hydro.fd_jet_at(field, grid.dt, grid.h, m, nodes)
-        sample = residuals.transport(jet, [-other[m]], TransportPattern(0, (1,)))
+        sample = residuals.transport(jet, [-other[m]], 0, (1,))
         rep = residuals.grid_report([sample])
         out.append((f"transport_{name}",
                     _entry(f"transport_{name}[{where}]", rep, tol, grid.nx)))

@@ -18,14 +18,14 @@ so ``-x^2`` is ``-(x^2)``.  Numbers are decimal with optional exponent.
 
 Evaluation never walks the tree: each spec is compiled once, on its first
 evaluation, into nested closures cached on the spec (:func:`_compile`).
-:func:`eval_float` and :func:`eval_jet` take their arguments by name.
-:func:`float_fn` is the positional float entry: it maps a tuple of variable
-names onto the spec's slots once, and the evaluator it returns takes bare
-values, for Newton loops and finite-difference stencils that call one spec
-many times.  Its values may also be arrays, one element per point, and each
-element of the result is the bits of the float evaluation at that point (see
-the array rules below); :func:`at_points` makes such a call and, where it
-raises, finds the first failing point.  The tree walker these closures
+:func:`eval_jet` takes its arguments by name.  :func:`float_fn` is the float
+entry: it maps a tuple of variable names onto the spec's slots once, and the
+evaluator it returns takes bare values, for Newton loops and finite-difference
+stencils that call one spec many times (:func:`eval_float` is its by-name call).
+Its values may also be arrays, one element per point, and each element of the
+result is the bits of the float evaluation at that point (see the array rules
+below); :func:`at_points` makes such a call and, where it raises, finds the
+first failing point.  The tree walker these closures
 replaced is kept in ``tests/oracles.py`` as the reference they are tested
 against.
 """
@@ -323,28 +323,14 @@ def _closure(node: Node, slots: Mapping[str, int]):
 
 
 def _literal_power(base, c):
-    """``base ^ c`` for a literal exponent ``c``.  The integer fast path (valid
-    for any base) is chosen here, once, by the rule of :func:`_float_pow`."""
-    if not (isinstance(c, float) and c.is_integer()):
-        def power(env):
-            b = base(env)
-            if isinstance(b, float):
-                return _float_pow(b, c)
-            return _array_power(b, c) if isinstance(b, np.ndarray) else jets.powc(b, c)
-        return power
-    e = int(c)
-
-    def integer_power(env):
+    """``base ^ c`` for a literal exponent ``c``, by the rule of :func:`_float_pow`
+    at each float, array element or jet."""
+    def power(env):
         b = base(env)
         if isinstance(b, float):
-            if e < 0 and b == 0.0:
-                raise JetDomainError("pow", 0.0)
-            try:
-                return float(b**e)
-            except OverflowError:
-                raise JetDomainError("pow", b) from None
+            return _float_pow(b, c)
         return _array_power(b, c) if isinstance(b, np.ndarray) else jets.powc(b, c)
-    return integer_power
+    return power
 
 
 def _array_power(b: np.ndarray, c: float):
@@ -451,36 +437,32 @@ def eval_jet(spec: ExprSpec, args: Mapping[str, jets.Jet2], k: int | None = None
         # over batched arguments, the same constant at each of their points
         n = next((len(a.value) for a in args.values() if not isinstance(a.value, float)), None)
         result = jets.constant(result, arity, n)
-    # As in eval_float: a non-finite result is a singular sample.
+    # As in float_fn: a non-finite result is a singular sample.
     jets._require_finite("eval", result.value, result.grad, result.hess)
     return result
 
 
 def eval_float(spec: ExprSpec, args: Mapping[str, float]) -> float:
-    """Plain float evaluation; a variable missing from ``args`` raises a
-    ValueError when the evaluation reaches it."""
-    out = spec._compiled([float(args[name]) if name in args else None
-                          for name in spec.vars])
-    if not math.isfinite(out):
-        raise JetDomainError("eval", out)
-    return out
+    """Plain float evaluation: :func:`float_fn` of ``spec`` over the names of
+    ``args``, called with their values."""
+    return float_fn(spec, tuple(args))(*args.values())
 
 
 def float_fn(spec: ExprSpec, names: Sequence[str] | None = None) -> Callable[..., float]:
-    """:func:`eval_float` of ``spec`` as a positional function, to bind once
-    outside a Newton loop or a finite-difference stencil.
+    """Plain float evaluation of ``spec`` as a positional function, to bind
+    once outside a Newton loop or a finite-difference stencil.
 
     ``float_fn(spec, names)`` takes the values of ``names``, in that order:
     ``float_fn(spec, ("phi", "x1"))(p, x)`` is ``eval_float(spec, {"phi": p,
-    "x1": x})``.  Names the spec does not use are ignored, and a variable of
-    the spec missing from ``names`` raises eval_float's ValueError when the
-    evaluation reaches it.  Without ``names`` the spec must have exactly one
-    variable, and the function takes its value.
+    "x1": x})``.  Names the spec does not use are ignored; a variable of the
+    spec missing from ``names`` raises a ValueError when the evaluation
+    reaches it, and a non-finite result a JetDomainError.  Without ``names``
+    the spec must have exactly one variable, and the function takes its value.
 
     The values may also be arrays of one shape, one element per point (the
     first value decides; a float among them holds at every point): the result
     is then a new array of that shape, each element the bits of the float
-    evaluation at its point, and a non-finite element raises eval_float's
+    evaluation at its point, and a non-finite element raises the same
     JetDomainError.  An evaluation failing at one point raises the float
     evaluation's error there; failing at several, the error of the first
     operation that fails, so a caller that needs each point's own error

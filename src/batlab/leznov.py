@@ -54,7 +54,7 @@ from .errors import SingularMatrixError
 # eval_float is not called here; the benchmark's tracer (perfbench/tracing.py)
 # patches this binding by name.
 from .exprspec import ExprSpec, eval_float, eval_jet, float_fn, partial  # noqa: F401
-from .residuals import ResidualSample, TransportPattern, _any, _larger, _solve, _square, transport
+from .residuals import _any, _larger, _solve, _square, transport
 
 _COND_LIMIT = 1e10
 
@@ -286,50 +286,38 @@ def speed_jets(sys: LeznovSystem, points, fields):
 # -- directional operators -------------------------------------------------------------
 
 
-def apply_D(field_jet, u_vals, v_vals, n: int, which: str = "D",
-            speeds_on_x: str = "v") -> ResidualSample:
-    """Directional derivative of a field jet.
-
-    ``which="D"`` acts on the x block (time-like coordinate x_n), ``"Dbar"``
-    on the xb block.  ``speeds_on_x`` picks the binding: ``"v"`` puts the
-    v speeds on the x block and u on the xb block; ``"u"`` swaps them.
-    """
-    if which not in ("D", "Dbar"):
-        raise ValueError("which must be 'D' or 'Dbar'")
+def _operators(n: int, speeds, speeds_on_x: str) -> tuple:
+    """The pair (D, Dbar) under the binding ``speeds_on_x``, each as (time
+    axis, space axes, speed family), from the speed families ``(u, v)``: D
+    acts on the x block along x_n, Dbar on the xb block along xb_n, and
+    ``"v"`` puts the v speeds on the x block and u on the xb block, ``"u"``
+    the other way round."""
     if speeds_on_x not in ("u", "v"):
         raise ValueError("speeds_on_x must be 'u' or 'v'")
-    if which == "D":
-        time_idx = n - 1
-        space = range(0, n - 1)
-        speeds = v_vals if speeds_on_x == "v" else u_vals
-    else:
-        time_idx = 2 * n - 1
-        space = range(n, 2 * n - 1)
-        speeds = u_vals if speeds_on_x == "v" else v_vals
-    return transport(field_jet, speeds, TransportPattern(time_idx, tuple(space)))
+    u, v = speeds
+    on_x, on_xb = (v, u) if speeds_on_x == "v" else (u, v)
+    return (n - 1, tuple(range(n - 1)), on_x), (2 * n - 1, tuple(range(n, 2 * n - 1)), on_xb)
 
 
 def holomorphy_samples(sys: LeznovSystem, fields, speeds, speeds_on_x: str = "v"):
     """(D phi^j, Dbar phi^j), each a tuple of one sample per field, at a solved
     point or over a batch, from its :func:`field_jets` and :func:`speed_jets`."""
-    u_vals, v_vals = ([j.value for j in s] for s in speeds)
-    return tuple(tuple(apply_D(f, u_vals, v_vals, sys.n, which, speeds_on_x) for f in fields)
-                 for which in ("D", "Dbar"))
+    return tuple(tuple(transport(f, [s.value for s in family], time_axis, space_axes)
+                       for f in fields)
+                 for time_axis, space_axes, family in _operators(sys.n, speeds, speeds_on_x))
 
 
 def zero_curvature_samples(sys: LeznovSystem, speeds, speeds_on_x: str = "v") -> tuple:
     """Commutator residuals of the operator pair on the derived speeds, at a
-    solved point or over a batch: the samples of D on the first speed family,
-    then of Dbar on the second.
+    solved point or over a batch: the samples of D on the speed family off
+    the x block, then of Dbar on the family on it.
 
     Under the ``v_on_x`` binding the pair commutes iff D u^j = 0 and
     Dbar v^j = 0; under ``u_on_x`` iff D v^j = 0 and Dbar u^j = 0.
     """
-    u, v = speeds
-    u_vals, v_vals = ([j.value for j in s] for s in speeds)
-    first, second = (u, v) if speeds_on_x == "v" else (v, u)
-    return (tuple(apply_D(s, u_vals, v_vals, sys.n, "D", speeds_on_x) for s in first)
-            + tuple(apply_D(s, u_vals, v_vals, sys.n, "Dbar", speeds_on_x) for s in second))
+    (t, xs, on_x), (tb, xbs, on_xb) = _operators(sys.n, speeds, speeds_on_x)
+    return (tuple(transport(s, [w.value for w in on_x], t, xs) for s in on_xb)
+            + tuple(transport(s, [w.value for w in on_xb], tb, xbs) for s in on_x))
 
 
 def constraint_gap(sys: LeznovSystem, point, phi):

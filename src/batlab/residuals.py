@@ -409,23 +409,16 @@ def multifield_det_grid(
     return raw, scale
 
 
-@dataclass(frozen=True)
-class TransportPattern:
-    """Which coordinate is time-like and which spatial axes the speeds multiply."""
-
-    time_axis: int
-    space_axes: tuple[int, ...]
-
-
-def transport(field: Jet2, speeds: Sequence[float], pattern: TransportPattern) -> ResidualSample:
+def transport(field: Jet2, speeds: Sequence[float], time_axis: int,
+              space_axes: Sequence[int]) -> ResidualSample:
     """r = d_time field + sum_j speeds[j] * d_{space_j} field."""
-    if len(speeds) != len(pattern.space_axes):
-        raise ValueError("speeds and pattern space axes differ in length")
-    axes = (pattern.time_axis, *pattern.space_axes)
+    if len(speeds) != len(space_axes):
+        raise ValueError("speeds and space axes differ in length")
+    axes = (time_axis, *space_axes)
     if any(a < 0 or a >= field.k for a in axes):
-        raise ValueError(f"pattern axes {axes} out of range for arity {field.k}")
+        raise ValueError(f"axes {axes} out of range for arity {field.k}")
     g = field.grad
-    terms = [g[..., pattern.time_axis]]
-    terms.extend(s * g[..., a] for s, a in zip(speeds, pattern.space_axes))
+    terms = [g[..., time_axis]]
+    terms.extend(s * g[..., a] for s, a in zip(speeds, space_axes))
     coef = 1.0 + sum(abs(s) for s in speeds)
     return _from_terms(terms, floor=coef * np.abs(g).max(axis=-1))

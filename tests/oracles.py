@@ -313,6 +313,26 @@ def density_jet(factor: ExprSpec, slots) -> tuple[Jet2, float]:
     return bracket * hj, hj.value
 
 
+def degree0_test(h_expr: ExprSpec) -> bool:
+    """``varlag.degree0_test`` with one arity-2 ``Jet2`` per random (p, q)."""
+    if set(h_expr.vars) - {"p", "q"}:
+        raise ValueError("factor must be an expression in (p, q)")
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        p = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+        q = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+        try:
+            hj = exprspec.eval_jet(h_expr, {"p": jets.variable(0, p, 2),
+                                            "q": jets.variable(1, q, 2)}, k=2)
+        except JetDomainError:
+            continue
+        euler = p * hj.grad[0] + q * hj.grad[1]
+        scale = abs(p * hj.grad[0]) + abs(q * hj.grad[1]) + abs(hj.value) + 1e-30
+        if abs(euler) > 1e-10 * scale:
+            return False
+    return True
+
+
 def _point_bits(result, i: int) -> bytes:
     """The bits of point ``i`` of a batched result, or of a pointwise one
     (``i`` is then ignored): jets, floats and tuples of them."""

@@ -31,7 +31,6 @@ from batlab.construct import HodographSolver, ImplicitSolveConfig, LinearMap2
 from batlab.errors import EvaluationError, NewtonConvergenceError
 from batlab.exprspec import float_fn, parse
 from batlab.jets import Jet2
-from batlab.residuals import TransportPattern
 
 import oracles
 
@@ -121,7 +120,7 @@ def test_field_constructors_and_scalar_residuals():
         _same(e3, [oracles.euclidean_3d(residuals.take(phi, i)) for i in range(len(phi.value))])
         _compare(residuals.euclidean_first_order, phi)
         _compare(lambda j: residuals.euclidean_3d(j * j * j + j), phi)
-        _compare(lambda j: residuals.transport(j, [j.value, 0.5], TransportPattern(0, (1, 2))),
+        _compare(lambda j: residuals.transport(j, [j.value, 0.5], 0, (1, 2)),
                  phi)
         g = phi.grad
         # Data that tell a BLAS dot product from a plain sum, and pow(x, 2)
@@ -212,7 +211,7 @@ def test_grid_jets_and_transport_samples():
         parse("1.2 + 0.25*sin(x)"), parse("2.1 + 0.2*cos(x)"), hydro.CharGridSpec(nx=64, t_end=0.2))
     m = grid.nt // 2
     jet, _ = _compare(lambda i: hydro.fd_jet_at(grid.u, grid.dt, grid.h, m, i), np.arange(grid.nx))
-    _compare(lambda j, s: residuals.transport(j, [s], TransportPattern(0, (1,))), jet, -grid.v[m])
+    _compare(lambda j, s: residuals.transport(j, [s], 0, (1,)), jet, -grid.v[m])
 
 
 def _args(rng, n):

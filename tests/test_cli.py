@@ -331,7 +331,7 @@ def test_points_failing_after_their_solve_skip_as_point_by_point(tmp_path, f, pa
     data = _with(_verify_scenario({"op": "holo_sum", "f": f, "g": "exp(xb1)*xb2"},
                                   [-1] * 4, [1] * 4), ("samples", "count"), 120)
     report, code = cli.run_scenario(data, tmp_path, seed=5)
-    points, _ = cli._box_sampler(data["cases"][0]["samples"], cli._scenario_rng(5, "m"), 4)
+    points = cli._box_sampler(data["cases"][0]["samples"], cli._scenario_rng(5, "m"), 4)
     handle = construct.holo_sum(parse(f), parse("exp(xb1)*xb2"))
     norms, skipped = [], 0
     for p in points:
@@ -351,7 +351,7 @@ def test_born_infeld_points_with_u_at_most_zero_skip_as_point_by_point(tmp_path)
                                    "config": {"seed": [0.0, 2.5]}}, [-0.5, 2.0], [0.5, 3.0],
                                   "born_infeld"), ("samples", "count"), 60)
     report, code = cli.run_scenario(data, tmp_path, seed=5)
-    uv, _ = cli._box_sampler(data["cases"][0]["samples"], cli._scenario_rng(5, "m"), 2)
+    uv = cli._box_sampler(data["cases"][0]["samples"], cli._scenario_rng(5, "m"), 2)
     solver = construct.HodographSolver(parse("u^2"), parse("v^2"),
                                        construct.ImplicitSolveConfig(seed=(0.0, 2.5)))
     norms, skipped = [], 0
@@ -374,7 +374,7 @@ def test_hodograph_case_raises_the_first_failing_samples_error():
     block = {"op": "parametric_hodograph", "f": "log(u - 1) + u^2", "g": "v*sqrt(v)",
              "config": {"seed": [0.5, 1.0]}}
     case = {"samples": {"count": 100, "low": [0.5, -0.5], "high": [1.0, 3.0]}}
-    uv, _ = cli._box_sampler(case["samples"], np.random.default_rng(3), 2)
+    uv = cli._box_sampler(case["samples"], np.random.default_rng(3), 2)
     solver = construct.HodographSolver(parse(block["f"]), parse(block["g"]),
                                        construct.ImplicitSolveConfig())
     with pytest.raises(JetDomainError) as expected:

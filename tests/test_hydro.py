@@ -20,7 +20,6 @@ from batlab.hydro import (
     integrate_characteristics,
     integrate_multifield,
 )
-from batlab.residuals import TransportPattern
 import oracles
 from oracles import load_char_grid, load_multi_grid, sn_polynomial
 
@@ -108,7 +107,7 @@ def test_transport_residual_second_order():
         for i in range(grid.nx):
             ju = hydro.fd_jet_at(grid.u, grid.dt, grid.h, m, i)
             samples.append(residuals.transport(
-                ju, [-grid.v[m, i]], TransportPattern(time_axis=0, space_axes=(1,))))
+                ju, [-grid.v[m, i]], time_axis=0, space_axes=(1,)))
         rep = residuals.grid_report(samples)
         results.append((rep.max_norm, grid.h))
         assert rep.rms_norm <= rep.max_norm

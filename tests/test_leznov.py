@@ -11,7 +11,6 @@ from batlab.errors import EvaluationError, NewtonConvergenceError, SingularMatri
 from batlab.exprspec import eval_jet, parse
 from batlab.leznov import (
     LeznovSystem,
-    apply_D,
     constraint_gap,
     field_jets,
     holomorphy_samples,
@@ -232,6 +231,49 @@ def test_holomorphy_and_zero_curvature(make_sys, points):
     assert zc.max_norm <= 1e-8
 
 
+# (time axis, space axes) of D (x_n over x_1..x_{n-1}) and of Dbar (xb_n over
+# xb_1..xb_{n-1}), by n, in the coordinate order (x_1..x_n, xb_1..xb_n).
+_OPERATOR_AXES = {2: ((1, (0,)), (3, (2,))), 3: ((2, (0, 1)), (5, (3, 4)))}
+
+
+def _sample_bits(samples):
+    return [b"".join(np.asarray(getattr(s, f), dtype=float).tobytes()
+                     for f in ("raw", "scale", "floor")) for s in samples]
+
+
+@pytest.mark.parametrize("speeds_on_x", ["u", "v"])
+@pytest.mark.parametrize("make_sys,points", [
+    (_sys_n2, _points_n2),
+    (_sys_n3, _points_n3),
+])
+def test_operator_binding_is_the_written_out_transport(make_sys, points, speeds_on_x):
+    """Under ``"v"`` D carries the v speeds and Dbar the u speeds, under
+    ``"u"`` the other way round; zero curvature applies D to the family off
+    the x block and Dbar to the family on it.  The samples are, bit for bit,
+    the transport residuals with those axes and families."""
+    sys = make_sys()
+    (fields, (u, v)), _ = _solved_batch(sys, points(12, np.random.default_rng(8)))
+    assert not np.array_equal(u[0].value, v[0].value)
+    (d_time, d_space), (dbar_time, dbar_space) = _OPERATOR_AXES[sys.n]
+    on_x, on_xb = {"v": (v, u), "u": (u, v)}[speeds_on_x]
+
+    def d(jet):
+        return residuals.transport(jet, [s.value for s in on_x], d_time, d_space)
+
+    def dbar(jet):
+        return residuals.transport(jet, [s.value for s in on_xb], dbar_time, dbar_space)
+
+    d_samples, dbar_samples = holomorphy_samples(sys, fields, (u, v), speeds_on_x)
+    assert _sample_bits(d_samples) == _sample_bits([d(f) for f in fields])
+    assert _sample_bits(dbar_samples) == _sample_bits([dbar(f) for f in fields])
+    assert _sample_bits(zero_curvature_samples(sys, (u, v), speeds_on_x)) == _sample_bits(
+        [d(s) for s in on_xb] + [dbar(s) for s in on_x])
+    with pytest.raises(ValueError):
+        holomorphy_samples(sys, fields, (u, v), "w")
+    with pytest.raises(ValueError):
+        zero_curvature_samples(sys, (u, v), "w")
+
+
 def test_binding_comparison_records_v_on_x():
     """The literal-definition binding (u on the x block) does not annihilate
     the constructed fields; the v binding does."""
@@ -258,7 +300,7 @@ def test_functions_of_phi_and_xb_annihilated_by_D():
     for z in _points_n2(15, rng):
         jet = _composite(sys, w, z)
         u, v = _speeds(sys, z)
-        samples.append(apply_D(jet, [u[0].value], [v[0].value], 2, "D", "v"))
+        samples.append(residuals.transport(jet, [v[0].value], 1, (0,)))  # D, v on x
     rep = residuals.grid_report(samples)
     assert rep.max_norm <= 1e-8
 
@@ -272,8 +314,8 @@ def test_constraint_directional_identities():
     for z in _points_n2(15, rng):
         u, v = _speeds(sys, z)
         q_comp, p_comp = (_composite(sys, c[0], z) for c in (sys.Q, sys.P))
-        q_samples.append(apply_D(q_comp, [u[0].value], [v[0].value], 2, "D", "v"))
-        p_samples.append(apply_D(p_comp, [u[0].value], [v[0].value], 2, "Dbar", "v"))
+        q_samples.append(residuals.transport(q_comp, [v[0].value], 1, (0,)))  # D, v on x
+        p_samples.append(residuals.transport(p_comp, [u[0].value], 3, (2,)))  # Dbar, u on xb
     assert residuals.grid_report(q_samples).max_norm <= 1e-8
     assert residuals.grid_report(p_samples).max_norm <= 1e-8
 

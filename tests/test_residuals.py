@@ -6,7 +6,6 @@ import sympy as sp
 
 from batlab import jets, residuals
 from batlab.exprspec import parse
-from batlab.residuals import TransportPattern
 from oracles import multifield_det
 
 
@@ -242,24 +241,22 @@ def test_multifield_det_grid_matches_scalar():
 
 def test_transport_constant_zero():
     j = jets.constant(2.0, 2)
-    p = TransportPattern(time_axis=0, space_axes=(1,))
-    assert residuals.transport(j, [1.3], p).raw == 0.0
+    assert residuals.transport(j, [1.3], time_axis=0, space_axes=(1,)).raw == 0.0
 
 
 def test_transport_traveling_profile():
     # u(t, x) = x + v0 t satisfies u_t - v0 u_x = 0.
     v0 = 1.7
     j = jets.from_parts(0.0, [v0, 1.0], np.zeros((2, 2)))
-    p = TransportPattern(time_axis=0, space_axes=(1,))
-    assert residuals.transport(j, [-v0], p).raw == 0.0
+    assert residuals.transport(j, [-v0], time_axis=0, space_axes=(1,)).raw == 0.0
 
 
 def test_transport_pattern_validation():
     j = jets.constant(0.0, 2)
     with pytest.raises(ValueError):
-        residuals.transport(j, [1.0, 2.0], TransportPattern(0, (1,)))
+        residuals.transport(j, [1.0, 2.0], 0, (1,))
     with pytest.raises(ValueError):
-        residuals.transport(j, [1.0], TransportPattern(0, (4,)))
+        residuals.transport(j, [1.0], 0, (4,))
 
 
 def test_normalized_bounded_by_one():
