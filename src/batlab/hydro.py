@@ -13,17 +13,23 @@ periodic bicubic spline interpolation.
 
 Both march through one semi-Lagrangian loop (``_march``): a time step with
 15% headroom under the initial CFL bound, a CFL recheck at every level, and a
-level update that locates foot points by one fixed-point solve
-(``_foot_points``) and pulls values back along them.  A predictor pass with
-frozen level-m speeds feeds a trapezoidal corrector, which keeps the scheme
-second order in time.  Each system supplies only its nodes, initial data,
-interpolant and step formulas.  Non-monotone foot points (a characteristic
-crossing) or a CFL violation abort with the levels computed so far attached
-to the exception as ``partial``; ``_write_grid`` dumps either grid as CSV.
+level update that locates foot points by fixed point (``_foot_points``) and
+pulls values back along them.  A predictor pass with frozen level-m speeds
+feeds a trapezoidal corrector, which keeps the scheme second order in time.
+Each stage solves the feet of every field it carries as one stack of
+independent problems, each stopping at its own sweep: (u, v) for the
+two-field system, whose two levels share one interpolant, and the pairs
+(u1, u2) and (v1, v2) for the four-field system.  The speeds at the nodes,
+where both stages start, are evaluated once per level.  Each system supplies
+only its nodes, initial data, interpolant and step formulas.  Non-monotone
+foot points (a characteristic crossing) or a CFL violation abort with the
+levels computed so far attached to the exception as ``partial``;
+``_write_grid`` dumps either grid as CSV.
 
-Every derivative of a stored grid, for the conservation drift, ``fd_jet_at``
-and ``fd_derivatives_multi``, comes from one second-order centered stencil,
-``fd_derivatives_time_space``, with each space axis wrapped or cut.
+Every derivative of a stored grid, for ``fd_jet_at`` and
+``fd_derivatives_multi``, comes from one second-order centered stencil,
+``fd_derivatives_time_space``, with each space axis wrapped or cut; the
+conservation drift reads only its first differences (``_first_difference``).
 """
 
 from __future__ import annotations
@@ -125,6 +131,10 @@ class CharGrid:
 class MonotoneCubic1D:
     """Monotonicity-limited cubic Hermite interpolation on a uniform grid.
 
+    ``values`` stacks one row of node values per interpolant along its leading
+    axis, (rows, n); a call evaluates each row of query points against the
+    interpolant row that the caller names.
+
     Derivative estimates are fourth-order centered differences.  Where four
     consecutive slopes share a sign (a resolved monotone run, e.g. a steep
     front) the strict Fritsch-Carlson clamp d in [0, 3 min|slope|] applies;
@@ -137,30 +147,32 @@ class MonotoneCubic1D:
         self.periodic = bc == "periodic"
         self.x0 = x0
         self.h = float(x_nodes[1] - x_nodes[0])
-        self.y = np.asarray(values, dtype=float)
-        n = len(self.y)
+        y = np.asarray(values, dtype=float)
+        self.n = n = y.shape[-1]
 
         if self.periodic:
-            yp1, ym1 = np.roll(self.y, -1), np.roll(self.y, 1)
-            yp2, ym2 = np.roll(self.y, -2), np.roll(self.y, 2)
-            d = (8.0 * (yp1 - ym1) - (yp2 - ym2)) / (12.0 * self.h)
-            slope_plus = (yp1 - self.y) / self.h       # S_i
-            slope_minus = np.roll(slope_plus, 1)       # S_{i-1}
-            slope_mm = np.roll(slope_plus, 2)          # S_{i-2}
-            slope_pp = np.roll(slope_plus, -1)         # S_{i+1}
+            # Column j + 2 of the wrapped copy holds node j mod n, j = -2..n+1.
+            w = np.concatenate([y[..., -2:], y, y[..., :2]], axis=-1)
+            d = (8.0 * (w[..., 3:n + 3] - w[..., 1:n + 1])
+                 - (w[..., 4:] - w[..., :n])) / (12.0 * self.h)
+            slopes = (w[..., 1:] - w[..., :-1]) / self.h  # column j + 2: S_j
+            slope_plus = slopes[..., 2:n + 2]              # S_i
+            slope_minus = slopes[..., 1:n + 1]             # S_{i-1}
+            slope_mm = slopes[..., :n]                     # S_{i-2}
+            slope_pp = slopes[..., 3:]                     # S_{i+1}
         else:
-            d = np.empty(n)
-            d[2:-2] = (8.0 * (self.y[3:-1] - self.y[1:-3])
-                       - (self.y[4:] - self.y[:-4])) / (12.0 * self.h)
-            d[1] = (self.y[2] - self.y[0]) / (2.0 * self.h)
-            d[-2] = (self.y[-1] - self.y[-3]) / (2.0 * self.h)
-            d[0] = (-3.0 * self.y[0] + 4.0 * self.y[1] - self.y[2]) / (2.0 * self.h)
-            d[-1] = (3.0 * self.y[-1] - 4.0 * self.y[-2] + self.y[-3]) / (2.0 * self.h)
-            slopes = np.diff(self.y) / self.h
-            slope_plus = np.concatenate([slopes, slopes[-1:]])
-            slope_minus = np.concatenate([slopes[:1], slopes])
-            slope_mm = np.concatenate([slopes[:1], slope_minus[:-1]])
-            slope_pp = np.concatenate([slope_plus[1:], slopes[-1:]])
+            d = np.empty_like(y)
+            d[..., 2:-2] = (8.0 * (y[..., 3:-1] - y[..., 1:-3])
+                            - (y[..., 4:] - y[..., :-4])) / (12.0 * self.h)
+            d[..., 1] = (y[..., 2] - y[..., 0]) / (2.0 * self.h)
+            d[..., -2] = (y[..., -1] - y[..., -3]) / (2.0 * self.h)
+            d[..., 0] = (-3.0 * y[..., 0] + 4.0 * y[..., 1] - y[..., 2]) / (2.0 * self.h)
+            d[..., -1] = (3.0 * y[..., -1] - 4.0 * y[..., -2] + y[..., -3]) / (2.0 * self.h)
+            slopes = np.diff(y, axis=-1) / self.h
+            slope_plus = np.concatenate([slopes, slopes[..., -1:]], axis=-1)
+            slope_minus = np.concatenate([slopes[..., :1], slopes], axis=-1)
+            slope_mm = np.concatenate([slopes[..., :1], slope_minus[..., :-1]], axis=-1)
+            slope_pp = np.concatenate([slope_plus[..., 1:], slopes[..., -1:]], axis=-1)
 
         strict = ((slope_mm * slope_minus > 0.0) & (slope_minus * slope_plus > 0.0)
                   & (slope_plus * slope_pp > 0.0))
@@ -171,50 +183,64 @@ class MonotoneCubic1D:
         lo = 3.0 * np.minimum(np.minimum(slope_minus, slope_plus), 0.0)
         hi = 3.0 * np.maximum(np.maximum(slope_minus, slope_plus), 0.0)
         d_relaxed = np.clip(d, lo, hi)
-        self.d = np.where(strict, d_strict, d_relaxed)
+        d = np.where(strict, d_strict, d_relaxed)
+        # Flat copies with one wrapped column per row, so node k + 1 of row r
+        # sits at r (n + 1) + k + 1 whatever k is.
+        self.y = np.concatenate([y, y[..., :1]], axis=-1).ravel()
+        self.d = np.concatenate([d, d[..., :1]], axis=-1).ravel()
 
-    def __call__(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        n = len(self.y)
-        s = (q - self.x0) / self.h
+    def __call__(self, q: np.ndarray, rows) -> np.ndarray:
+        """Row r of the query points ``q`` against interpolant row ``rows[r]``."""
+        n = self.n
+        s = (np.asarray(q, dtype=float) - self.x0) / self.h
         if self.periodic:
             s = np.mod(s, n)
             k = np.minimum(s.astype(int), n - 1)
-            kp = (k + 1) % n
         else:
             k = np.clip(s.astype(int), 0, n - 2)
-            kp = k + 1
         xi = s - k
         xi2 = xi * xi
         xi3 = xi2 * xi
         h10 = xi3 - 2.0 * xi2 + xi
         h01 = -2.0 * xi3 + 3.0 * xi2
         h11 = xi3 - xi2
+        k = k + (n + 1) * np.asarray(rows)[:, None]
+        y, yp, d, dp = self.y[k], self.y[k + 1], self.d[k], self.d[k + 1]
         # Written as y_k + (y_{k+1} - y_k) h01 + ... so constants interpolate
         # exactly (h00 + h01 = 1 holds algebraically, not in floats).
-        return (self.y[k] + (self.y[kp] - self.y[k]) * h01
-                + self.h * (self.d[k] * h10 + self.d[kp] * h11))
+        return y + (yp - y) * h01 + self.h * (d * h10 + dp * h11)
 
 
-def _foot_points(step, start, tol, level):
-    """Solve foot = step(foot) by fixed point from ``start`` (at most 10 sweeps).
+def _foot_points(step, start, tol, level, first=None):
+    """Solve foot = step(foot) by fixed point from ``start`` for a stack of
+    independent foot problems (at most 10 sweeps each).
 
-    A foot is a tuple of coordinate arrays, one per space axis, each shaped
-    like the nodes.  Feet that fail to increase strictly along their own axis
-    mean that characteristics crossed.
+    ``start`` holds one foot per problem along its leading axis, and a foot
+    holds one coordinate array per space axis, each shaped like the nodes.
+    ``step(feet, rows)`` maps the feet of the problems numbered ``rows`` to
+    their next iterates; ``first``, if given, is ``step`` of all of ``start``.
+    A problem stops at the first sweep that moves its foot by no more than
+    ``tol`` and keeps that foot while the others go on.  The problems are
+    checked in order, each for convergence and then for feet that fail to
+    increase strictly along their own axis, which means that characteristics
+    crossed.
     """
-    foot = start
-    for _ in range(10):
-        new = step(foot)
-        delta = max(np.abs(a - b).max() for a, b in zip(new, foot))
-        foot = new
-        if delta <= tol:
+    foot = np.array(start, dtype=float)
+    rows = np.arange(len(foot))
+    for sweep in range(10):
+        old = foot[rows]
+        new = step(old, rows) if sweep or first is None else first
+        foot[rows] = new
+        delta = np.abs(new - old).reshape(len(rows), -1).max(axis=1)
+        rows = rows[~(delta <= tol)]
+        if not rows.size:
             break
-    else:
-        raise CharacteristicCrossingError(
-            level, "foot-point fixed-point iteration did not converge")
-    if any(np.any(np.diff(f, axis=k) <= 0.0) for k, f in enumerate(foot)):
-        raise CharacteristicCrossingError(level)
+    for r, f in enumerate(foot):
+        if r in rows:
+            raise CharacteristicCrossingError(
+                level, "foot-point fixed-point iteration did not converge")
+        if any(np.any(np.diff(c, axis=k) <= 0.0) for k, c in enumerate(f)):
+            raise CharacteristicCrossingError(level)
     return foot
 
 
@@ -270,24 +296,30 @@ def integrate_characteristics(
     init = {name: at_points(float_fn(s, ("x",)), x_nodes)
             for name, s in (("u", init_u), ("v", init_v))}
 
+    # Row 0 is u and row 1 is v.  u is carried along dx/dt = -v and v along
+    # dx/dt = -u, so a foot point of row r solves x* = x_i + dt c(x*) with c
+    # the row speed[r].
+    fields, speed = np.array([0, 1]), np.array([1, 0])
+    nodes = np.stack([x_nodes, x_nodes])
+
     def advance(level, dt, m):
-        interp_u = MonotoneCubic1D(x_nodes, level["u"], spec.bc, spec.x0)
-        interp_v = MonotoneCubic1D(x_nodes, level["v"], spec.bc, spec.x0)
+        interp = MonotoneCubic1D(x_nodes, np.stack([level["u"], level["v"]]), spec.bc, spec.x0)
+        node_speeds = interp(nodes, speed)
 
-        def at_feet(interp, step):
-            return interp(*_foot_points(step, step((x_nodes,)), 1e-12 * h, m))
+        def at_feet(base, weight):
+            """Both fields at the feet of x* = base + weight c(x*)."""
+            foot = _foot_points(
+                lambda f, rows: (base[rows] + weight * interp(f[:, 0], speed[rows]))[:, None],
+                (base + weight * node_speeds)[:, None], 1e-12 * h, m)
+            return interp(foot[:, 0], fields)
 
-        # u is carried along dx/dt = -v and v along dx/dt = -u, so a foot point
-        # of u solves x* = x_i + dt v(x*).  Predictor: frozen level-m speeds.
-        u_star = at_feet(interp_u, lambda f: (x_nodes + dt * interp_v(*f),))
-        v_star = at_feet(interp_v, lambda f: (x_nodes + dt * interp_u(*f),))
-        # Corrector: x* = x_i + dt/2 (v_m(x*) + v_{m+1}(x_i)), with the
-        # predicted level standing in for m+1.
+        # Predictor: frozen level-m speeds.  Corrector:
+        # x* = x_i + dt/2 (c_m(x*) + c_{m+1}(x_i)), with the predicted level
+        # standing in for m+1.
         half = 0.5 * dt
-        return {
-            "u": at_feet(interp_u, lambda f: (x_nodes + half * v_star + half * interp_v(*f),)),
-            "v": at_feet(interp_v, lambda f: (x_nodes + half * u_star + half * interp_u(*f),)),
-        }
+        star = at_feet(nodes, dt)
+        new = at_feet(nodes + half * star[speed], half)
+        return {"u": new[0], "v": new[1]}
 
     return _march(init, h, spec, advance, lambda t, dt, f: CharGrid(
         t, x_nodes, f["u"], f["v"], h, dt, spec.cfl, spec.bc))
@@ -297,16 +329,24 @@ def integrate_characteristics(
 
 
 def conservation_drift(grid: CharGrid, n: int) -> float:
-    """Max interior normalized defect of d_t S_n = d_x (u v S_{n-1})."""
+    """Max interior normalized defect of d_t S_n = d_x (u v S_{n-1}).
+
+    Both sides are computed from u and v scaled by the power of two that
+    brings max(|u|, |v|) into [1, 2), which scales every term of degree n by
+    one power of two and leaves the normalized defect as it is, but keeps
+    S_n finite for every n up to the format's cap.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if grid.nt < 3:
         raise ValueError("need at least 3 time levels")
-    sn = sn_polynomial_grid(grid.u, grid.v, n)
-    flux = grid.u * grid.v * sn_polynomial_grid(grid.u, grid.v, n - 1)
+    e = int(np.frexp(max(np.abs(grid.u).max(), np.abs(grid.v).max()))[1]) - 1
+    us, vs = np.ldexp(grid.u, -e), np.ldexp(grid.v, -e)
+    sn = sn_polynomial_grid(us, vs, n)
+    flux = np.ldexp(us * vs * sn_polynomial_grid(us, vs, n - 1), e)
     wrap = grid.bc == "periodic"
-    dt_term = fd_derivatives_time_space(sn, grid.dt, grid.h, wrap=wrap)[1][..., 0]
-    dx_term = fd_derivatives_time_space(flux, grid.dt, grid.h, wrap=wrap)[1][..., 1]
+    dt_term = _first_difference(_stencil(sn, wrap), (1, 0), grid.dt)
+    dx_term = _first_difference(_stencil(flux, wrap), (0, 1), grid.h)
     raw = np.abs(dt_term - dx_term)
     scale = np.abs(dt_term) + np.abs(dx_term)
     if raw.max() == 0.0:
@@ -322,6 +362,21 @@ def conservation_drift(grid: CharGrid, n: int) -> float:
 # -- finite-difference jets from grids ------------------------------------------------
 
 
+def _stencil(F: np.ndarray, wrap: bool):
+    """``at(shift)``: F(level, space...) at every node the stencil keeps (the
+    interior levels, and each space axis whole if it wraps or cut to its
+    interior nodes) moved by ``shift`` nodes along the axes."""
+    if wrap:
+        F = np.pad(F, [(0, 0)] + [(1, 1)] * (F.ndim - 1), mode="wrap")
+    return lambda shift: F[tuple(slice(1 + s, n - 1 + s) for s, n in zip(shift, F.shape))]
+
+
+def _first_difference(at, unit, step: float) -> np.ndarray:
+    """Centered first difference along the axis of the ``unit`` shift."""
+    unit = np.asarray(unit)
+    return (at(unit) - at(-unit)) / (2 * step)
+
+
 def fd_derivatives_time_space(F: np.ndarray, dt: float, *h: float, wrap: bool):
     """Centered second-order derivatives of F(level, space...) at its interior levels.
 
@@ -332,21 +387,14 @@ def fd_derivatives_time_space(F: np.ndarray, dt: float, *h: float, wrap: bool):
     """
     steps = (dt, *h)
     k = len(steps)
-    if wrap:
-        F = np.pad(F, [(0, 0)] + [(1, 1)] * (k - 1), mode="wrap")
+    at = _stencil(F, wrap)
     e = np.eye(k, dtype=int)
-
-    def at(shift):
-        """F at every kept node moved by ``shift`` nodes along the axes."""
-        return F[tuple(slice(1 + s, n - 1 + s) for s, n in zip(shift, F.shape))]
-
     mid = at([0] * k)
     grad = np.empty(mid.shape + (k,))
     hess = np.empty(mid.shape + (k, k))
     for a in range(k):
-        up, down = at(e[a]), at(-e[a])
-        grad[..., a] = (up - down) / (2 * steps[a])
-        hess[..., a, a] = (up - 2 * mid + down) / steps[a]**2
+        grad[..., a] = _first_difference(at, e[a], steps[a])
+        hess[..., a, a] = (at(e[a]) - 2 * mid + at(-e[a])) / steps[a]**2
         for b in range(a + 1, k):
             hess[..., a, b] = hess[..., b, a] = (
                 at(e[a] + e[b]) - at(e[a] - e[b]) - at(e[b] - e[a]) + at(-e[a] - e[b])
@@ -434,29 +482,35 @@ def integrate_multifield(
     # Feet are in index units: node (i, k) sits at (i, k).
     idx2, idx3 = np.meshgrid(np.arange(spec.n2, dtype=float),
                              np.arange(spec.n3, dtype=float), indexing="ij")
-    # advecting speed pair -> the fields it carries
-    carried = {("v1", "v2"): ("u1", "u2"), ("u1", "u2"): ("v1", "v2")}
+    nodes = np.stack([idx2, idx3])
+    # Row 0 holds the feet of (u1, u2), carried by the speeds (v1, v2) along
+    # (x2, x3); row 1 those of (v1, v2), carried by (u1, u2).
+    carried = (("u1", "u2"), ("v1", "v2"))
+    speeds = (("v1", "v2"), ("u1", "u2"))
+    both = np.arange(2)
 
     def advance(level, dt, m):
         splines = {n: _PeriodicSpline2(f) for n, f in level.items()}
+
+        def speeds_at(feet, rows):
+            return np.array([[splines[c](*f) for c in speeds[r]] for f, r in zip(feet, rows)])
+
+        node_speeds = speeds_at((nodes, nodes), both)
+
+        def at_feet(step):
+            """The carried fields at the feet of foot = step(speeds at foot)."""
+            foot = _foot_points(lambda f, rows: step(speeds_at(f, rows), rows),
+                                (nodes, nodes), 1e-12, m, step(node_speeds, both))
+            return {name: splines[name](*foot[r]) for r in both for name in carried[r]}
+
         # Predictor with frozen speeds, then a corrector with trapezoidal
         # speeds from the predicted level.
-        star = None
-        for _ in range(2):
-            new = {}
-            for (c2, c3), names in carried.items():
-                s2, s3 = splines[c2], splines[c3]
-                if star is None:
-                    step = lambda f: (idx2 - (dt / h2) * s2(*f), idx3 - (dt / h3) * s3(*f))
-                else:
-                    p2, p3 = star[c2], star[c3]
-                    step = lambda f: (idx2 - 0.5 * (dt / h2) * (s2(*f) + p2),
-                                      idx3 - 0.5 * (dt / h3) * (s3(*f) + p3))
-                foot = _foot_points(step, (idx2, idx3), 1e-12, m)
-                for name in names:
-                    new[name] = splines[name](*foot)
-            star = new
-        return {n: level[n] if n in freeze else star[n] for n in MULTI_FIELDS}
+        full = np.array([dt / h2, dt / h3])[:, None, None]
+        half = np.array([0.5 * (dt / h2), 0.5 * (dt / h3)])[:, None, None]
+        star = at_feet(lambda c, rows: nodes - full * c)
+        p = np.array([[star[c] for c in pair] for pair in speeds])
+        new = at_feet(lambda c, rows: nodes - half * (c + p[rows]))
+        return {n: level[n] if n in freeze else new[n] for n in MULTI_FIELDS}
 
     return _march(f0, min(h2, h3), spec, advance, lambda t, dt, f: MultiCharGrid(
         t, x2, x3, f, h2, h3, dt, spec.cfl))

@@ -355,6 +355,20 @@ def powc(a, c):
                     powc(a._head(int(zero.argmax())), c)  # raises if an earlier point fails
                 raise JetDomainError("pow", 0.0)
             return constant(1.0, a.k) / powc(a, -c)
+        # A base whose power overflows is named before any product, as the
+        # float and array paths name it.
+        if isinstance(a.value, float):
+            try:
+                a.value ** c
+            except OverflowError:
+                raise JetDomainError("pow", a.value) from None
+        else:
+            with np.errstate(over="ignore"):
+                over = np.isfinite(a.value) & np.isinf(np.float_power(a.value, c))
+            if over.any():
+                at = int(over.argmax())
+                powc(a._head(at), c)  # raises if an earlier point fails
+                raise JetDomainError("pow", float(a.value[at]))
         result = constant(1.0, a.k)
         for _ in range(c):
             result = result * a

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from batlab import cli, exprspec, hydro, jets
-from batlab.errors import EvaluationError, JetDomainError
+from batlab.errors import CharacteristicCrossingError, EvaluationError, JetDomainError
 from batlab.exprspec import Bin, Call, ExprSpec, Neg, Node, Num, Var
 from batlab.hydro import MULTI_FIELDS, CharGrid, MultiCharGrid
 from batlab.jets import Jet2
@@ -608,6 +608,160 @@ def conservation_drift(grid: CharGrid, n: int) -> float:
         return 0.0
     floor = 1e-6 * (np.abs(sn).max() / grid.dt + np.abs(flux).max() / grid.h)
     return float(raw.max() / max(scale.max(), floor, 1e-300))
+
+
+# -- the characteristic march, one field per foot-point solve ----------------------------
+
+
+class MonotoneCubic1D:
+    """``hydro.MonotoneCubic1D`` over one field, with its neighbours taken by
+    ``np.roll``."""
+
+    def __init__(self, x_nodes: np.ndarray, values: np.ndarray, bc: str, x0: float):
+        self.periodic = bc == "periodic"
+        self.x0 = x0
+        self.h = float(x_nodes[1] - x_nodes[0])
+        self.y = np.asarray(values, dtype=float)
+        n = len(self.y)
+
+        if self.periodic:
+            yp1, ym1 = np.roll(self.y, -1), np.roll(self.y, 1)
+            yp2, ym2 = np.roll(self.y, -2), np.roll(self.y, 2)
+            d = (8.0 * (yp1 - ym1) - (yp2 - ym2)) / (12.0 * self.h)
+            slope_plus = (yp1 - self.y) / self.h       # S_i
+            slope_minus = np.roll(slope_plus, 1)       # S_{i-1}
+            slope_mm = np.roll(slope_plus, 2)          # S_{i-2}
+            slope_pp = np.roll(slope_plus, -1)         # S_{i+1}
+        else:
+            d = np.empty(n)
+            d[2:-2] = (8.0 * (self.y[3:-1] - self.y[1:-3])
+                       - (self.y[4:] - self.y[:-4])) / (12.0 * self.h)
+            d[1] = (self.y[2] - self.y[0]) / (2.0 * self.h)
+            d[-2] = (self.y[-1] - self.y[-3]) / (2.0 * self.h)
+            d[0] = (-3.0 * self.y[0] + 4.0 * self.y[1] - self.y[2]) / (2.0 * self.h)
+            d[-1] = (3.0 * self.y[-1] - 4.0 * self.y[-2] + self.y[-3]) / (2.0 * self.h)
+            slopes = np.diff(self.y) / self.h
+            slope_plus = np.concatenate([slopes, slopes[-1:]])
+            slope_minus = np.concatenate([slopes[:1], slopes])
+            slope_mm = np.concatenate([slopes[:1], slope_minus[:-1]])
+            slope_pp = np.concatenate([slope_plus[1:], slopes[-1:]])
+
+        strict = ((slope_mm * slope_minus > 0.0) & (slope_minus * slope_plus > 0.0)
+                  & (slope_plus * slope_pp > 0.0))
+        sigma = np.sign(slope_plus)
+        lim = 3.0 * np.minimum(np.abs(slope_minus), np.abs(slope_plus))
+        d_strict = np.where(np.sign(d) == sigma,
+                            sigma * np.minimum(np.abs(d), lim), 0.0)
+        lo = 3.0 * np.minimum(np.minimum(slope_minus, slope_plus), 0.0)
+        hi = 3.0 * np.maximum(np.maximum(slope_minus, slope_plus), 0.0)
+        d_relaxed = np.clip(d, lo, hi)
+        self.d = np.where(strict, d_strict, d_relaxed)
+
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        q = np.asarray(q, dtype=float)
+        n = len(self.y)
+        s = (q - self.x0) / self.h
+        if self.periodic:
+            s = np.mod(s, n)
+            k = np.minimum(s.astype(int), n - 1)
+            kp = (k + 1) % n
+        else:
+            k = np.clip(s.astype(int), 0, n - 2)
+            kp = k + 1
+        xi = s - k
+        xi2 = xi * xi
+        xi3 = xi2 * xi
+        h10 = xi3 - 2.0 * xi2 + xi
+        h01 = -2.0 * xi3 + 3.0 * xi2
+        h11 = xi3 - xi2
+        return (self.y[k] + (self.y[kp] - self.y[k]) * h01
+                + self.h * (self.d[k] * h10 + self.d[kp] * h11))
+
+
+def foot_points(step, start, tol, level):
+    """``hydro._foot_points`` for one foot problem: foot = step(foot) from
+    ``start``, a tuple of coordinate arrays, one per space axis."""
+    foot = start
+    for _ in range(10):
+        new = step(foot)
+        delta = max(np.abs(a - b).max() for a, b in zip(new, foot))
+        foot = new
+        if delta <= tol:
+            break
+    else:
+        raise CharacteristicCrossingError(
+            level, "foot-point fixed-point iteration did not converge")
+    if any(np.any(np.diff(f, axis=k) <= 0.0) for k, f in enumerate(foot)):
+        raise CharacteristicCrossingError(level)
+    return foot
+
+
+def integrate_characteristics(init_u: ExprSpec, init_v: ExprSpec, spec) -> CharGrid:
+    """``hydro.integrate_characteristics`` with one interpolant per field and
+    one foot-point solve per field and stage, each starting from the speeds
+    at the nodes."""
+    if spec.bc == "periodic":
+        x_nodes = spec.x0 + (spec.x1 - spec.x0) * np.arange(spec.nx) / spec.nx
+    else:
+        x_nodes = np.linspace(spec.x0, spec.x1, spec.nx)
+    h = float(x_nodes[1] - x_nodes[0])
+    init = {name: exprspec.at_points(exprspec.float_fn(s, ("x",)), x_nodes)
+            for name, s in (("u", init_u), ("v", init_v))}
+
+    def advance(level, dt, m):
+        interp_u = MonotoneCubic1D(x_nodes, level["u"], spec.bc, spec.x0)
+        interp_v = MonotoneCubic1D(x_nodes, level["v"], spec.bc, spec.x0)
+
+        def at_feet(interp, step):
+            return interp(*foot_points(step, step((x_nodes,)), 1e-12 * h, m))
+
+        u_star = at_feet(interp_u, lambda f: (x_nodes + dt * interp_v(*f),))
+        v_star = at_feet(interp_v, lambda f: (x_nodes + dt * interp_u(*f),))
+        half = 0.5 * dt
+        return {
+            "u": at_feet(interp_u, lambda f: (x_nodes + half * v_star + half * interp_v(*f),)),
+            "v": at_feet(interp_v, lambda f: (x_nodes + half * u_star + half * interp_u(*f),)),
+        }
+
+    return hydro._march(init, h, spec, advance, lambda t, dt, f: CharGrid(
+        t, x_nodes, f["u"], f["v"], h, dt, spec.cfl, spec.bc))
+
+
+def integrate_multifield(init: dict, spec, freeze: tuple = ()) -> MultiCharGrid:
+    """``hydro.integrate_multifield`` with one foot-point solve per carried
+    pair and stage, each evaluating the speed splines at the nodes."""
+    x2 = hydro.TWO_PI * np.arange(spec.n2) / spec.n2
+    x3 = hydro.TWO_PI * np.arange(spec.n3) / spec.n3
+    h2 = float(x2[1] - x2[0])
+    h3 = float(x3[1] - x3[0])
+    X2, X3 = np.meshgrid(x2, x3, indexing="ij")
+    f0 = {name: exprspec.at_points(exprspec.float_fn(init[name], ("x2", "x3")), X2, X3)
+          for name in MULTI_FIELDS}
+    idx2, idx3 = np.meshgrid(np.arange(spec.n2, dtype=float),
+                             np.arange(spec.n3, dtype=float), indexing="ij")
+    carried = {("v1", "v2"): ("u1", "u2"), ("u1", "u2"): ("v1", "v2")}
+
+    def advance(level, dt, m):
+        splines = {n: hydro._PeriodicSpline2(f) for n, f in level.items()}
+        star = None
+        for _ in range(2):
+            new = {}
+            for (c2, c3), names in carried.items():
+                s2, s3 = splines[c2], splines[c3]
+                if star is None:
+                    step = lambda f: (idx2 - (dt / h2) * s2(*f), idx3 - (dt / h3) * s3(*f))
+                else:
+                    p2, p3 = star[c2], star[c3]
+                    step = lambda f: (idx2 - 0.5 * (dt / h2) * (s2(*f) + p2),
+                                      idx3 - 0.5 * (dt / h3) * (s3(*f) + p3))
+                foot = foot_points(step, (idx2, idx3), 1e-12, m)
+                for name in names:
+                    new[name] = splines[name](*foot)
+            star = new
+        return {n: level[n] if n in freeze else star[n] for n in MULTI_FIELDS}
+
+    return hydro._march(f0, min(h2, h3), spec, advance, lambda t, dt, f: MultiCharGrid(
+        t, x2, x3, f, h2, h3, dt, spec.cfl))
 
 
 # -- file formats ------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1068,6 +1069,23 @@ def test_reports_are_strict_json(tmp_path):
     entry = _strict_json((tmp_path / "o" / "m.report.json").read_text())["reports"][-1]
     assert entry["equation"].startswith("aborted[level=")
     assert (entry["max_norm"], entry["pass"]) == (None, False)
+
+
+def test_conservation_at_the_n_values_cap_is_finite(tmp_path):
+    """At n = 1000, the cap of ``n_values``, both c05 cases report finite
+    drifts in strict JSON, with no null, where S_n of the unscaled fields
+    overflowed.  The drifts lie above 5 h^2, so the entries fail."""
+    path = next(p for p in cli.bundled_scenarios() if p.name.startswith("c05"))
+    data = {**json.loads(path.read_text()), "name": "m"}
+    for case in data["cases"]:
+        case["checks"] = [{"equation": "conservation", "n_values": [1000],
+                           "tolerance_h2_coeff": 5.0}]
+    assert _main_exit(tmp_path, data) == cli.EXIT_FAIL
+    text = (tmp_path / "o" / "m.report.json").read_text()
+    assert "null" not in text
+    drifts = [e["max_norm"] for e in _strict_json(text)["reports"]
+              if e["equation"].startswith("conservation_s1000")]
+    assert len(drifts) == 4 and all(math.isfinite(d) for d in drifts)
 
 
 def test_null_norm_fails_its_halving_entry():

@@ -337,16 +337,14 @@ def test_domain_guards_agree_on_the_float_array_and_jet_paths(name, x):
 
 
 @_quiet
-@pytest.mark.parametrize("text,x,overflows", [
-    ("a^-1", 0.0, False), ("a^-1", -0.0, False), ("a^400", 10.0, True),
-    ("a^0.5", -1.0, False), ("a^0.5", 0.0, False), ("a^2", 1e200, True),
-    ("a^1", -0.0, False), ("a^0", 0.0, False)])
-def test_literal_powers_agree_on_the_float_array_and_jet_paths(text, x, overflows):
+@pytest.mark.parametrize("text,x", [
+    ("a^-1", 0.0), ("a^-1", -0.0), ("a^400", 10.0), ("a^0.5", -1.0), ("a^0.5", 0.0),
+    ("a^2", 1e200), ("a^1", -0.0), ("a^0", 0.0)])
+def test_literal_powers_agree_on_the_float_array_and_jet_paths(text, x):
     """A literal power follows one rule on every path: the float evaluation,
     the array evaluation and the value of the jet, at one point or in a
-    batch, give the tree walker's bits or its JetDomainError.  A jet that
-    overflows names the overflowed value where the float path names the base,
-    so there only the error class is compared."""
+    batch, give the tree walker's bits or its JetDomainError, which names the
+    base also where the power overflows."""
     spec = parse(text)
     f = float_fn(spec, ("a",))
     expected = _outcome(oracles.eval_float, spec, {"a": x})
@@ -354,8 +352,7 @@ def test_literal_powers_agree_on_the_float_array_and_jet_paths(text, x, overflow
     assert _outcome(f, x) == expected
     assert _outcome(lambda: f(np.array([1.0, x]))[1]) == expected
     for jet in (jets.variable(0, x, 1), jets.variables([[1.0, x]])[0]):
-        got = _outcome(lambda: np.ravel(eval_jet(spec, {"a": jet}).value)[-1])
-        assert got[0] is expected[0] is JetDomainError if overflows else got == expected
+        assert _outcome(lambda: np.ravel(eval_jet(spec, {"a": jet}).value)[-1]) == expected
 
 
 def test_constant_spec_over_batched_arguments_is_a_batch():

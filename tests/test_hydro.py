@@ -517,3 +517,144 @@ def test_no_finite_step_count_raises_value_error(make):
 def test_grid_nodes_beyond_the_float_range_are_refused(x0, x1, bc):
     with pytest.raises(ValueError, match="grid nodes must be finite"):
         CharGridSpec(nx=16, t_end=1.0, x0=x0, x1=x1, bc=bc)
+
+
+# -- the stacked march against one solve per field --------------------------------------
+
+
+def _march_outcome(integrate, *args):
+    """The grid a march returns, or the partial grid, class and message of
+    the abort it raises."""
+    try:
+        return integrate(*args), None
+    except (CFLViolationError, CharacteristicCrossingError) as err:
+        return err.partial, (type(err), err.args, err.level)
+
+
+def _assert_same_march(integrate, reference, *args):
+    """Every level of the stacked march holds the bits of the march that
+    solves one field at a time, and an abort is the same abort."""
+    (new, error), (old, expected) = _march_outcome(integrate, *args), _march_outcome(reference, *args)
+    assert error == expected
+    fields = (lambda g: g.fields) if isinstance(old, hydro.MultiCharGrid) else (
+        lambda g: {"u": g.u, "v": g.v})
+    assert new.nt == old.nt and new.dt == old.dt
+    for name, field in fields(old).items():
+        for m in range(old.nt):
+            assert fields(new)[name][m].tobytes() == field[m].tobytes(), (name, m)
+    return new, error
+
+
+# c05's two cases: equal_fields_reduction and general_pair
+_C05 = [("1.5 + 0.3*sin(x)", "1.5 + 0.3*sin(x)", 0.25), ("1.2 + 0.25*sin(x)", "2.1 + 0.2*cos(x)", 0.2)]
+
+
+@pytest.mark.parametrize("u,v,grid,abort", [
+    *[(u, v, dict(nx=nx, t_end=t_end), None) for u, v, t_end in _C05 for nx in (128, 256)],
+    ("sqrt(-0.5*x)", "0 - sqrt(-0.5*x)", dict(nx=128, t_end=0.2, x0=-8.0, x1=-2.0, bc="open"),
+     None),
+    ("1.5 + 0.3*sin(x)", "1.5 + 0.3*sin(x)", dict(nx=96, t_end=4.0), 226),
+    ("x", "x", dict(nx=32, t_end=1.0, x0=0.0, x1=1.0, bc="open"), 11),
+], ids=["equal_fields_128", "equal_fields_256", "general_pair_128", "general_pair_256",
+        "open", "two_field_crossing", "two_field_cfl"])
+def test_two_field_march_repeats_one_solve_per_field(u, v, grid, abort):
+    _, error = _assert_same_march(integrate_characteristics, oracles.integrate_characteristics,
+                                  parse(u), parse(v), CharGridSpec(**grid))
+    assert (error and error[2]) == abort
+
+
+def test_converged_rows_keep_the_foot_of_their_own_last_sweep(monkeypatch):
+    """Where u's and v's foot solves stop after different numbers of sweeps,
+    the row that stops first keeps its foot while the other sweeps on; a
+    further sweep would move its last bits at level 1."""
+    live = []
+    foot_points = hydro._foot_points
+
+    def recording(step, start, tol, level, first=None):
+        sweeps = []
+        foot = foot_points(lambda f, rows: sweeps.append(len(rows)) or step(f, rows),
+                           start, tol, level, first)
+        live.append(sweeps)
+        return foot
+
+    monkeypatch.setattr(hydro, "_foot_points", recording)
+    _assert_same_march(integrate_characteristics, oracles.integrate_characteristics,
+                       parse("1.5 + 0.1*sin(x)"), parse("2.0 + 0.9*cos(x)"),
+                       CharGridSpec(nx=16, t_end=0.1))
+    assert any(1 in sweeps and 2 in sweeps for sweeps in live[2:4])
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_multifield_march_repeats_one_solve_per_pair(n):
+    _assert_same_march(integrate_multifield, oracles.integrate_multifield, _multi_init(),
+                       MultiGridSpec(n2=n, n3=n, t_end=0.12))
+
+
+def test_multifield_crossing_repeats_one_solve_per_pair():
+    init = {"u1": parse("3*sin(x2)"), "v1": parse("-3*sin(x2)"),
+            "u2": parse("0.2"), "v2": parse("0.1")}
+    _, error = _assert_same_march(integrate_multifield, oracles.integrate_multifield, init,
+                                  MultiGridSpec(n2=16, n3=16, t_end=20.0))
+    assert error[0] is CharacteristicCrossingError
+
+
+def test_stacked_march_counts_its_solves(monkeypatch):
+    """A two-field level builds one interpolant and makes two foot-point
+    solves; a multifield level evaluates each speed spline at the nodes once
+    and makes four fewer spline calls than one solve per pair did."""
+    counts = {"interpolants": 0, "solves": 0}
+
+    class Counting(hydro.MonotoneCubic1D):
+        def __init__(self, *args):
+            counts["interpolants"] += 1
+            super().__init__(*args)
+
+    foot_points = hydro._foot_points
+
+    def counting(*args):
+        counts["solves"] += 1
+        return foot_points(*args)
+
+    monkeypatch.setattr(hydro, "MonotoneCubic1D", Counting)
+    monkeypatch.setattr(hydro, "_foot_points", counting)
+    grid = _general_grid(64)
+    assert counts == {"interpolants": grid.nt - 1, "solves": 2 * (grid.nt - 1)}
+
+    at_nodes = []  # per spline built: how often it was evaluated at the nodes
+    spline_init, spline_call = hydro._PeriodicSpline2.__init__, hydro._PeriodicSpline2.__call__
+
+    def built(self, values):
+        self.serial = len(at_nodes)
+        at_nodes.append(0)
+        spline_init(self, values)
+
+    def spline(self, idx2, idx3):
+        counts["splines"] += 1
+        nodes = np.meshgrid(*map(np.arange, self.coeffs.shape), indexing="ij")
+        at_nodes[self.serial] += np.array_equal(idx2, nodes[0]) and np.array_equal(idx3, nodes[1])
+        return spline_call(self, idx2, idx3)
+
+    monkeypatch.setattr(hydro._PeriodicSpline2, "__init__", built)
+    monkeypatch.setattr(hydro._PeriodicSpline2, "__call__", spline)
+    spec = MultiGridSpec(n2=32, n3=32, t_end=0.12)
+    runs = []
+    for integrate in (integrate_multifield, oracles.integrate_multifield):
+        at_nodes.clear()
+        counts["splines"] = 0
+        grid = integrate(_multi_init(), spec)
+        runs.append((counts["splines"], list(at_nodes)))
+    (new_calls, new_at_nodes), (old_calls, old_at_nodes) = runs
+    levels = grid.nt - 1
+    assert new_at_nodes == [1] * 4 * levels and old_at_nodes == [2] * 4 * levels
+    assert new_calls == old_calls - 4 * levels
+
+
+def test_conservation_drift_of_scaled_fields_keeps_the_bits():
+    """On c05's four grids, the drift from scaled fields has the bits of the
+    unscaled written-out differences for n = 1..30."""
+    for u, v, t_end in _C05:
+        for nx in (128, 256):
+            grid = integrate_characteristics(parse(u), parse(v),
+                                             CharGridSpec(nx=nx, t_end=t_end))
+            for n in range(1, 31):
+                assert conservation_drift(grid, n) == oracles.conservation_drift(grid, n)

@@ -100,17 +100,16 @@ def holo_sum_cross_block(monkeypatch):
 
 
 def stencil_space_derivative(monkeypatch):
-    """The first derivative along the first space axis (x, or x2) from
-    ``hydro.fd_derivatives_time_space``, the one grid stencil, scaled by 1.001."""
-    stencil = hydro.fd_derivatives_time_space
+    """The first difference along the first space axis (x, or x2) from
+    ``hydro._first_difference``, the one formula of every grid gradient and of
+    the conservation drift, scaled by 1.001."""
+    first_difference = hydro._first_difference
 
-    def mutant(F, dt, *h, wrap):
-        value, grad, hess = stencil(F, dt, *h, wrap=wrap)
-        grad = grad.copy()
-        grad[..., 1] *= 1.001
-        return value, grad, hess
+    def mutant(at, unit, step):
+        difference = first_difference(at, unit, step)
+        return 1.001 * difference if np.asarray(unit)[1] else difference
 
-    monkeypatch.setattr(hydro, "fd_derivatives_time_space", mutant)
+    monkeypatch.setattr(hydro, "_first_difference", mutant)
 
 
 def moebius_speed(monkeypatch):
