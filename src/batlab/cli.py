@@ -561,8 +561,6 @@ def _run_simulate_case(case: dict, rng: np.random.Generator, out_dir: Path,
     label, row = case["label"] or system, _SYSTEMS[system]
     block = _read(case["grid"], f"grid {system}", "grid")
     checks = _read_checks(case, system, label)
-    if block.get("bc") == "open" and any(c["equation"] == "transport" for c in case["checks"]):
-        raise ScenarioError("transport checks need a periodic grid, not bc 'open'")
     init = {name: expr.spec for name, expr in case["init"].items()}
     with _reading():
         hydro.check_initial_data(init, row.fields, row.coords)
@@ -677,8 +675,7 @@ _OPS = {
 _SYSTEMS = {
     "two_field": _System(
         {"t_end": _Key("float"), "x0": _Key("float", 0.0), "x1": _Key("float", hydro.TWO_PI),
-         "cfl": _Key("float", 0.5),
-         "bc": _Key("choice", "periodic", choices=("periodic", "open"))},
+         "cfl": _Key("float", 0.5)},
         ("u", "v"), ("x",), lambda res, grid: hydro.CharGridSpec(res, **grid),
         lambda init, spec: hydro.integrate_characteristics(init["u"], init["v"], spec),
         lambda grid, path: hydro.dump_char_grid(grid, path)),

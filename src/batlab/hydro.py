@@ -1,8 +1,8 @@
 """Characteristic integration of the first-order hydrodynamic systems.
 
 The two-field system u_t = v u_x, v_t = u v_x carries u along dx/dt = -v and
-v along dx/dt = -u; its levels are interpolated by a monotone cubic.  The
-four-field system in two space dimensions
+v along dx/dt = -u on a periodic grid; its levels are interpolated by a
+monotone cubic.  The four-field system in two space dimensions
 
     w_{x1} + c1 w_{x2} + c2 w_{x3} = 0
 
@@ -82,14 +82,18 @@ def sn_polynomial_grid(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class CharGridSpec:
-    """Discretization request for the two-field system."""
+    """Discretization request for the two-field system.
+
+    The grid is periodic with period ``x1 - x0``: its ``nx`` nodes are
+    ``x0 + (x1 - x0) j / nx``, j = 0..nx-1.  There is no other boundary, so
+    a scenario's ``bc`` key, of any value, is unknown and exits 2.
+    """
 
     nx: int
     t_end: float
     x0: float = 0.0
     x1: float = TWO_PI
     cfl: float = 0.5
-    bc: str = "periodic"  # or "open"
 
     def __post_init__(self):
         if self.nx < 8:
@@ -102,13 +106,11 @@ class CharGridSpec:
             raise ValueError("x1 must be greater than x0")
         if not math.isfinite(self.x0 + (self.x1 - self.x0) * (self.nx - 1) / self.nx):
             raise ValueError("grid nodes must be finite")
-        if self.bc not in ("periodic", "open"):
-            raise ValueError("bc must be 'periodic' or 'open'")
 
 
 @dataclass
 class CharGrid:
-    """Filled space-time grid for (u, v)."""
+    """Filled space-time grid for (u, v) on periodic nodes."""
 
     t_levels: np.ndarray
     x_nodes: np.ndarray
@@ -117,7 +119,6 @@ class CharGrid:
     h: float
     dt: float
     cfl: float
-    bc: str
 
     @property
     def nt(self) -> int:
@@ -129,7 +130,8 @@ class CharGrid:
 
 
 class MonotoneCubic1D:
-    """Monotonicity-limited cubic Hermite interpolation on a uniform grid.
+    """Monotonicity-limited cubic Hermite interpolation on a uniform periodic
+    grid whose period is ``len(x_nodes)`` node spacings.
 
     ``values`` stacks one row of node values per interpolant along its leading
     axis, (rows, n); a call evaluates each row of query points against the
@@ -143,36 +145,20 @@ class MonotoneCubic1D:
     resolved data and therefore keeps the full interpolation order.
     """
 
-    def __init__(self, x_nodes: np.ndarray, values: np.ndarray, bc: str, x0: float):
-        self.periodic = bc == "periodic"
-        self.x0 = x0
+    def __init__(self, x_nodes: np.ndarray, values: np.ndarray):
+        self.x0 = float(x_nodes[0])
         self.h = float(x_nodes[1] - x_nodes[0])
         y = np.asarray(values, dtype=float)
         self.n = n = y.shape[-1]
-
-        if self.periodic:
-            # Column j + 2 of the wrapped copy holds node j mod n, j = -2..n+1.
-            w = np.concatenate([y[..., -2:], y, y[..., :2]], axis=-1)
-            d = (8.0 * (w[..., 3:n + 3] - w[..., 1:n + 1])
-                 - (w[..., 4:] - w[..., :n])) / (12.0 * self.h)
-            slopes = (w[..., 1:] - w[..., :-1]) / self.h  # column j + 2: S_j
-            slope_plus = slopes[..., 2:n + 2]              # S_i
-            slope_minus = slopes[..., 1:n + 1]             # S_{i-1}
-            slope_mm = slopes[..., :n]                     # S_{i-2}
-            slope_pp = slopes[..., 3:]                     # S_{i+1}
-        else:
-            d = np.empty_like(y)
-            d[..., 2:-2] = (8.0 * (y[..., 3:-1] - y[..., 1:-3])
-                            - (y[..., 4:] - y[..., :-4])) / (12.0 * self.h)
-            d[..., 1] = (y[..., 2] - y[..., 0]) / (2.0 * self.h)
-            d[..., -2] = (y[..., -1] - y[..., -3]) / (2.0 * self.h)
-            d[..., 0] = (-3.0 * y[..., 0] + 4.0 * y[..., 1] - y[..., 2]) / (2.0 * self.h)
-            d[..., -1] = (3.0 * y[..., -1] - 4.0 * y[..., -2] + y[..., -3]) / (2.0 * self.h)
-            slopes = np.diff(y, axis=-1) / self.h
-            slope_plus = np.concatenate([slopes, slopes[..., -1:]], axis=-1)
-            slope_minus = np.concatenate([slopes[..., :1], slopes], axis=-1)
-            slope_mm = np.concatenate([slopes[..., :1], slope_minus[..., :-1]], axis=-1)
-            slope_pp = np.concatenate([slope_plus[..., 1:], slopes[..., -1:]], axis=-1)
+        # Column j + 2 of the wrapped copy holds node j mod n, j = -2..n+1.
+        w = np.concatenate([y[..., -2:], y, y[..., :2]], axis=-1)
+        d = (8.0 * (w[..., 3:n + 3] - w[..., 1:n + 1])
+             - (w[..., 4:] - w[..., :n])) / (12.0 * self.h)
+        slopes = (w[..., 1:] - w[..., :-1]) / self.h  # column j + 2: S_j
+        slope_plus = slopes[..., 2:n + 2]              # S_i
+        slope_minus = slopes[..., 1:n + 1]             # S_{i-1}
+        slope_mm = slopes[..., :n]                     # S_{i-2}
+        slope_pp = slopes[..., 3:]                     # S_{i+1}
 
         strict = ((slope_mm * slope_minus > 0.0) & (slope_minus * slope_plus > 0.0)
                   & (slope_plus * slope_pp > 0.0))
@@ -192,12 +178,8 @@ class MonotoneCubic1D:
     def __call__(self, q: np.ndarray, rows) -> np.ndarray:
         """Row r of the query points ``q`` against interpolant row ``rows[r]``."""
         n = self.n
-        s = (np.asarray(q, dtype=float) - self.x0) / self.h
-        if self.periodic:
-            s = np.mod(s, n)
-            k = np.minimum(s.astype(int), n - 1)
-        else:
-            k = np.clip(s.astype(int), 0, n - 2)
+        s = np.mod((np.asarray(q, dtype=float) - self.x0) / self.h, n)
+        k = np.minimum(s.astype(int), n - 1)
         xi = s - k
         xi2 = xi * xi
         xi3 = xi2 * xi
@@ -288,10 +270,7 @@ def integrate_characteristics(
 ) -> CharGrid:
     """Fill a CharGrid from smooth initial data given as expressions of x."""
     check_initial_data({"u": init_u, "v": init_v}, ("u", "v"), ("x",))
-    if spec.bc == "periodic":
-        x_nodes = spec.x0 + (spec.x1 - spec.x0) * np.arange(spec.nx) / spec.nx
-    else:
-        x_nodes = np.linspace(spec.x0, spec.x1, spec.nx)
+    x_nodes = spec.x0 + (spec.x1 - spec.x0) * np.arange(spec.nx) / spec.nx
     h = float(x_nodes[1] - x_nodes[0])
     init = {name: at_points(float_fn(s, ("x",)), x_nodes)
             for name, s in (("u", init_u), ("v", init_v))}
@@ -303,7 +282,7 @@ def integrate_characteristics(
     nodes = np.stack([x_nodes, x_nodes])
 
     def advance(level, dt, m):
-        interp = MonotoneCubic1D(x_nodes, np.stack([level["u"], level["v"]]), spec.bc, spec.x0)
+        interp = MonotoneCubic1D(x_nodes, np.stack([level["u"], level["v"]]))
         node_speeds = interp(nodes, speed)
 
         def at_feet(base, weight):
@@ -322,7 +301,7 @@ def integrate_characteristics(
         return {"u": new[0], "v": new[1]}
 
     return _march(init, h, spec, advance, lambda t, dt, f: CharGrid(
-        t, x_nodes, f["u"], f["v"], h, dt, spec.cfl, spec.bc))
+        t, x_nodes, f["u"], f["v"], h, dt, spec.cfl))
 
 
 # -- conservation hierarchy ---------------------------------------------------------
@@ -344,9 +323,8 @@ def conservation_drift(grid: CharGrid, n: int) -> float:
     us, vs = np.ldexp(grid.u, -e), np.ldexp(grid.v, -e)
     sn = sn_polynomial_grid(us, vs, n)
     flux = np.ldexp(us * vs * sn_polynomial_grid(us, vs, n - 1), e)
-    wrap = grid.bc == "periodic"
-    dt_term = _first_difference(_stencil(sn, wrap), (1, 0), grid.dt)
-    dx_term = _first_difference(_stencil(flux, wrap), (0, 1), grid.h)
+    dt_term = _first_difference(_stencil(sn, True), (1, 0), grid.dt)
+    dx_term = _first_difference(_stencil(flux, True), (0, 1), grid.h)
     raw = np.abs(dt_term - dx_term)
     scale = np.abs(dt_term) + np.abs(dx_term)
     if raw.max() == 0.0:
@@ -554,7 +532,7 @@ def dump_char_grid(grid: CharGrid, csv_path) -> None:
     """CSV dump (one row per node) plus a JSON sidecar with the metadata."""
     _write_grid(csv_path, ("t", "x"), grid.t_levels, [grid.x_nodes],
                 {"u": grid.u, "v": grid.v},
-                {"h": grid.h, "dt": grid.dt, "cfl": grid.cfl, "bc": grid.bc,
+                {"h": grid.h, "dt": grid.dt, "cfl": grid.cfl, "bc": "periodic",
                  "nodes": grid.nx})
 
 

@@ -592,16 +592,11 @@ def fd_derivatives_multi(F: np.ndarray, dt: float, h2: float, h3: float):
 
 
 def conservation_drift(grid: CharGrid, n: int) -> float:
-    """``hydro.conservation_drift`` with its differences written out for each
-    boundary condition."""
+    """``hydro.conservation_drift`` with its differences written out."""
     sn = hydro.sn_polynomial_grid(grid.u, grid.v, n)
     flux = grid.u * grid.v * hydro.sn_polynomial_grid(grid.u, grid.v, n - 1)
     dt_term = (sn[2:, :] - sn[:-2, :]) / (2 * grid.dt)
-    if grid.bc == "periodic":
-        dx_term = (np.roll(flux, -1, axis=1) - np.roll(flux, 1, axis=1))[1:-1] / (2 * grid.h)
-    else:
-        dx_term = (flux[1:-1, 2:] - flux[1:-1, :-2]) / (2 * grid.h)
-        dt_term = dt_term[:, 1:-1]
+    dx_term = (np.roll(flux, -1, axis=1) - np.roll(flux, 1, axis=1))[1:-1] / (2 * grid.h)
     raw = np.abs(dt_term - dx_term)
     scale = np.abs(dt_term) + np.abs(dx_term)
     if raw.max() == 0.0:
@@ -617,34 +612,17 @@ class MonotoneCubic1D:
     """``hydro.MonotoneCubic1D`` over one field, with its neighbours taken by
     ``np.roll``."""
 
-    def __init__(self, x_nodes: np.ndarray, values: np.ndarray, bc: str, x0: float):
-        self.periodic = bc == "periodic"
-        self.x0 = x0
+    def __init__(self, x_nodes: np.ndarray, values: np.ndarray):
+        self.x0 = float(x_nodes[0])
         self.h = float(x_nodes[1] - x_nodes[0])
         self.y = np.asarray(values, dtype=float)
-        n = len(self.y)
-
-        if self.periodic:
-            yp1, ym1 = np.roll(self.y, -1), np.roll(self.y, 1)
-            yp2, ym2 = np.roll(self.y, -2), np.roll(self.y, 2)
-            d = (8.0 * (yp1 - ym1) - (yp2 - ym2)) / (12.0 * self.h)
-            slope_plus = (yp1 - self.y) / self.h       # S_i
-            slope_minus = np.roll(slope_plus, 1)       # S_{i-1}
-            slope_mm = np.roll(slope_plus, 2)          # S_{i-2}
-            slope_pp = np.roll(slope_plus, -1)         # S_{i+1}
-        else:
-            d = np.empty(n)
-            d[2:-2] = (8.0 * (self.y[3:-1] - self.y[1:-3])
-                       - (self.y[4:] - self.y[:-4])) / (12.0 * self.h)
-            d[1] = (self.y[2] - self.y[0]) / (2.0 * self.h)
-            d[-2] = (self.y[-1] - self.y[-3]) / (2.0 * self.h)
-            d[0] = (-3.0 * self.y[0] + 4.0 * self.y[1] - self.y[2]) / (2.0 * self.h)
-            d[-1] = (3.0 * self.y[-1] - 4.0 * self.y[-2] + self.y[-3]) / (2.0 * self.h)
-            slopes = np.diff(self.y) / self.h
-            slope_plus = np.concatenate([slopes, slopes[-1:]])
-            slope_minus = np.concatenate([slopes[:1], slopes])
-            slope_mm = np.concatenate([slopes[:1], slope_minus[:-1]])
-            slope_pp = np.concatenate([slope_plus[1:], slopes[-1:]])
+        yp1, ym1 = np.roll(self.y, -1), np.roll(self.y, 1)
+        yp2, ym2 = np.roll(self.y, -2), np.roll(self.y, 2)
+        d = (8.0 * (yp1 - ym1) - (yp2 - ym2)) / (12.0 * self.h)
+        slope_plus = (yp1 - self.y) / self.h       # S_i
+        slope_minus = np.roll(slope_plus, 1)       # S_{i-1}
+        slope_mm = np.roll(slope_plus, 2)          # S_{i-2}
+        slope_pp = np.roll(slope_plus, -1)         # S_{i+1}
 
         strict = ((slope_mm * slope_minus > 0.0) & (slope_minus * slope_plus > 0.0)
                   & (slope_plus * slope_pp > 0.0))
@@ -660,14 +638,9 @@ class MonotoneCubic1D:
     def __call__(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         n = len(self.y)
-        s = (q - self.x0) / self.h
-        if self.periodic:
-            s = np.mod(s, n)
-            k = np.minimum(s.astype(int), n - 1)
-            kp = (k + 1) % n
-        else:
-            k = np.clip(s.astype(int), 0, n - 2)
-            kp = k + 1
+        s = np.mod((q - self.x0) / self.h, n)
+        k = np.minimum(s.astype(int), n - 1)
+        kp = (k + 1) % n
         xi = s - k
         xi2 = xi * xi
         xi3 = xi2 * xi
@@ -700,17 +673,14 @@ def integrate_characteristics(init_u: ExprSpec, init_v: ExprSpec, spec) -> CharG
     """``hydro.integrate_characteristics`` with one interpolant per field and
     one foot-point solve per field and stage, each starting from the speeds
     at the nodes."""
-    if spec.bc == "periodic":
-        x_nodes = spec.x0 + (spec.x1 - spec.x0) * np.arange(spec.nx) / spec.nx
-    else:
-        x_nodes = np.linspace(spec.x0, spec.x1, spec.nx)
+    x_nodes = spec.x0 + (spec.x1 - spec.x0) * np.arange(spec.nx) / spec.nx
     h = float(x_nodes[1] - x_nodes[0])
     init = {name: exprspec.at_points(exprspec.float_fn(s, ("x",)), x_nodes)
             for name, s in (("u", init_u), ("v", init_v))}
 
     def advance(level, dt, m):
-        interp_u = MonotoneCubic1D(x_nodes, level["u"], spec.bc, spec.x0)
-        interp_v = MonotoneCubic1D(x_nodes, level["v"], spec.bc, spec.x0)
+        interp_u = MonotoneCubic1D(x_nodes, level["u"])
+        interp_v = MonotoneCubic1D(x_nodes, level["v"])
 
         def at_feet(interp, step):
             return interp(*foot_points(step, step((x_nodes,)), 1e-12 * h, m))
@@ -724,7 +694,7 @@ def integrate_characteristics(init_u: ExprSpec, init_v: ExprSpec, spec) -> CharG
         }
 
     return hydro._march(init, h, spec, advance, lambda t, dt, f: CharGrid(
-        t, x_nodes, f["u"], f["v"], h, dt, spec.cfl, spec.bc))
+        t, x_nodes, f["u"], f["v"], h, dt, spec.cfl))
 
 
 def integrate_multifield(init: dict, spec, freeze: tuple = ()) -> MultiCharGrid:
@@ -819,8 +789,7 @@ def load_char_grid(csv_path) -> CharGrid:
             x_nodes[i] = float(row[2])
             u[m, i] = float(row[3])
             v[m, i] = float(row[4])
-    return CharGrid(t_levels, x_nodes, u, v, meta["h"], meta["dt"], meta["cfl"],
-                    meta["bc"])
+    return CharGrid(t_levels, x_nodes, u, v, meta["h"], meta["dt"], meta["cfl"])
 
 
 def load_multi_grid(csv_path) -> MultiCharGrid:

@@ -131,20 +131,27 @@ def test_simulate_crossing_exits_4_with_partial_dump(tmp_path):
     assert (tmp_path / "o" / "steep.partial.csv").exists()
 
 
-def test_simulate_cfl_violation_exits_4_with_the_computed_levels(tmp_path):
-    """Speeds that grow past the CFL bound abort at level 11; the partial dump
-    holds exactly the levels 0..11."""
-    data = _with(_COMPLETE["two_field"](), ("init",), {"u": "x", "v": "x"})
-    data = _with(data, ("grid",), {"t_end": 1.0, "x0": 0.0, "x1": 1.0, "bc": "open"})
+def test_simulate_cfl_violation_exits_4_with_the_computed_levels(tmp_path, monkeypatch):
+    """Speeds that grow past the CFL bound abort at level 9; the partial dump
+    holds exactly the levels 0..9.  No tried periodic input grows its speeds
+    (each field is constant along its characteristic), so the interpolant is
+    made to scale what it returns by 1.02."""
+    class Growing(hydro.MonotoneCubic1D):
+        def __call__(self, *args):
+            return 1.02 * super().__call__(*args)
+
+    monkeypatch.setattr(hydro, "MonotoneCubic1D", Growing)
+    data = _with(_COMPLETE["two_field"](), ("init",), {"u": "1.5 + 0.3*sin(x)", "v": "2.0"})
+    data = _with(data, ("grid",), {"t_end": 1.0})
     data = _with(data, ("resolutions",), [32])
     assert _main_exit(tmp_path, data) == cli.EXIT_ABORT
     report = json.loads((tmp_path / "o" / "m.report.json").read_text())
-    assert report["reports"][-1]["equation"] == "aborted[level=11]"
+    assert report["reports"][-1]["equation"] == "aborted[level=9]"
     lines = (tmp_path / "o" / "m.partial.csv").read_text().splitlines()
-    assert len(lines) == 1 + 12 * 32
-    assert lines[-1].startswith("11,")
+    assert len(lines) == 1 + 10 * 32
+    assert lines[-1].startswith("9,")
     meta = json.loads((tmp_path / "o" / "m.partial.meta.json").read_text())
-    assert (meta["levels"], meta["nodes"]) == (12, 32)
+    assert (meta["levels"], meta["nodes"]) == (10, 32)
 
 
 def test_verify_determinism(tmp_path):
@@ -938,6 +945,7 @@ def test_power_overflow_skips_every_sample(tmp_path, capsys, block):
     ("two_field", ("checks",), [{"equation": "multifield_det"}]),
     ("multifield", ("checks",), [{"equation": "conservation"}]),
     ("transport", ("grid", "bc"), "open"),
+    ("two_field", ("grid", "bc"), "periodic"),
 ])
 def test_unknown_variation_system_or_check_exits_2_before_solving(
         tmp_path, monkeypatch, scenario, path, value):
