@@ -946,6 +946,7 @@ def test_power_overflow_skips_every_sample(tmp_path, capsys, block):
     ("multifield", ("checks",), [{"equation": "conservation"}]),
     ("transport", ("grid", "bc"), "open"),
     ("two_field", ("grid", "bc"), "periodic"),
+    ("two_field", ("grid", "bc"), "open"),
 ])
 def test_unknown_variation_system_or_check_exits_2_before_solving(
         tmp_path, monkeypatch, scenario, path, value):

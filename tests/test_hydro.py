@@ -519,13 +519,30 @@ def test_no_finite_step_count_raises_value_error(make):
         make()
 
 
-@pytest.mark.parametrize("x0,x1", [(-1e308, TWO_PI), (0.0, 1e308)])
+# The last row has finite ends but a period x1 - x0 beyond the float range.
+@pytest.mark.parametrize("x0,x1", [(-1e308, TWO_PI), (0.0, 1e308), (-1e308, 1e308)])
 def test_grid_nodes_beyond_the_float_range_are_refused(x0, x1):
     with pytest.raises(ValueError, match="grid nodes must be finite"):
         CharGridSpec(nx=16, t_end=1.0, x0=x0, x1=x1)
 
 
 # -- the stacked march against one solve per field --------------------------------------
+
+
+@pytest.mark.parametrize("x0,x1", [(0.0, TWO_PI), (-1.0, 3.0)], ids=["periodic", "shifted_period"])
+def test_stacked_interpolant_repeats_one_interpolant_per_row(x0, x1):
+    """Each row of the stacked interpolant gives the bits of its own
+    ``np.roll`` interpolant at query points over three periods, so a query
+    wraps by the period ``x1 - x0`` from either side."""
+    rng = np.random.default_rng(5)
+    nx = 24
+    x_nodes = x0 + (x1 - x0) * np.arange(nx) / nx
+    values = np.array([np.sin(TWO_PI * (x_nodes - x0) / (x1 - x0)),
+                       rng.uniform(-1.0, 1.0, nx), np.full(nx, 0.3)])
+    q = rng.uniform(2 * x0 - x1, 2 * x1 - x0, (len(values), 50))
+    stacked = hydro.MonotoneCubic1D(x_nodes, values)(q, range(len(values)))
+    for r, row in enumerate(values):
+        assert stacked[r].tobytes() == oracles.MonotoneCubic1D(x_nodes, row)(q[r]).tobytes(), r
 
 
 def _march_outcome(integrate, *args):
@@ -554,13 +571,20 @@ def _assert_same_march(integrate, reference, *args):
 # c05's two cases: equal_fields_reduction and general_pair
 _C05 = [("1.5 + 0.3*sin(x)", "1.5 + 0.3*sin(x)", 0.25), ("1.2 + 0.25*sin(x)", "2.1 + 0.2*cos(x)", 0.2)]
 
+# c05's general pair on the period [-1, 3): the interpolants read x0 and h
+# from the nodes, so a shifted origin and a period other than 2 pi move the
+# wrap of every foot point.
+_SHIFTED = ("1.2 + 0.25*sin(1.5707963267948966*x)", "2.1 + 0.2*cos(1.5707963267948966*x)",
+            dict(nx=128, t_end=0.2, x0=-1.0, x1=3.0))
+
 
 @pytest.mark.parametrize("u,v,grid,abort", [
     *[(u, v, dict(nx=nx, t_end=t_end), None) for u, v, t_end in _C05 for nx in (128, 256)],
+    (*_SHIFTED, None),
     ("1.5 + 0.3*sin(x)", "1.5 + 0.3*sin(x)", dict(nx=96, t_end=4.0), 226),
     (*_GROWING_RUN, 9),
 ], ids=["equal_fields_128", "equal_fields_256", "general_pair_128", "general_pair_256",
-        "two_field_crossing", "two_field_cfl"])
+        "shifted_period", "two_field_crossing", "two_field_cfl"])
 def test_two_field_march_repeats_one_solve_per_field(u, v, grid, abort, monkeypatch):
     if (u, v, grid) == _GROWING_RUN:  # both marches' interpolants grow alike
         for module in (hydro, oracles):
