@@ -47,7 +47,18 @@ from .errors import (
 )
 # eval_float is not called here; the benchmark's tracer (perfbench/tracing.py)
 # patches this binding by name.
-from .exprspec import at_points, eval_float, eval_jet, float_fn, parse  # noqa: F401
+from .exprspec import (  # noqa: F401
+    Bin,
+    Call,
+    ExprSpec,
+    Num,
+    Var,
+    at_points,
+    eval_float,
+    eval_jet,
+    float_fn,
+    parse,
+)
 from .residuals import ResidualReport, _ok
 
 EXIT_PASS = 0
@@ -262,6 +273,24 @@ def _halving(label: str, resolutions: list, measured: dict, min_ratio: float) ->
     return entries
 
 
+def _increasing(resolutions: list) -> list:
+    """``resolutions``, refused unless they strictly increase: ``_halving``
+    takes the first as coarse and the last as fine, and a grid's dump is named
+    by its resolution."""
+    if any(a >= b for a, b in zip(resolutions, resolutions[1:])):
+        raise ScenarioError(
+            f"resolutions: expected a strictly increasing list, got {resolutions!r}")
+    return resolutions
+
+
+def _unused(label: str, labels) -> str:
+    """``label``, refused if it is among ``labels``, those of the scenario's
+    earlier cases: this case's dumps would overwrite theirs."""
+    if label in labels:
+        raise ScenarioError(f"label {label!r}: already the label of an earlier case")
+    return label
+
+
 def _solve_config(block: dict, where: str) -> ImplicitSolveConfig:
     """The Newton config of the ``config`` block at ``where``."""
     return ImplicitSolveConfig(**{key: tuple(value) if isinstance(value, list) else value
@@ -390,11 +419,13 @@ def _leznov_case(block, label, case, rng) -> _Solved:
 
 def _run_verify_case(case: dict, rng: np.random.Generator,
                      sink: dict | None = None) -> list[dict]:
+    """The entries of a verify case.  ``sink`` maps the labels of the
+    scenario's earlier cases to their sample points; the case adds its own."""
     case = _read(case, "verify case")
     op = case["construct"].get("op")
     if f"{op}" not in _OPS:
         raise ScenarioError(f"unknown constructor op {op!r}")
-    label = case["label"] or op
+    label = _unused(case["label"] or op, sink or {})
     checks = _read_checks(case, op, label)
     block = _read(case["construct"], f"construct {op}", "construct")
     c = _OPS[op].build(block, label, case, rng)
@@ -555,10 +586,13 @@ def _speed_check(samples, *names):
 
 
 def _run_simulate_case(case: dict, rng: np.random.Generator, out_dir: Path,
-                       scenario_name: str, dump: bool) -> list[dict]:
+                       scenario_name: str, dump: bool, labels: set) -> list[dict]:
+    """The entries of a simulate case; ``labels`` holds those of the
+    scenario's earlier cases, and the case adds its own."""
     case = _read(case, "simulate case")
-    system, resolutions = case["system"], case["resolutions"]
-    label, row = case["label"] or system, _SYSTEMS[system]
+    system, resolutions = case["system"], _increasing(case["resolutions"])
+    label, row = _unused(case["label"] or system, labels), _SYSTEMS[system]
+    labels.add(label)
     block = _read(case["grid"], f"grid {system}", "grid")
     checks = _read_checks(case, system, label)
     init = {name: expr.spec for name, expr in case["init"].items()}
@@ -801,6 +835,7 @@ class _Variational:
 
 def _read_variational_case(case: dict) -> _Variational:
     case = _read(case, "variational case")
+    _increasing(case["resolutions"])
     src = _read(case["source"], "source", "source")
     with _reading():
         cfg = _solve_config(src["config"], "source.config")
@@ -890,29 +925,32 @@ def _draw(rng: np.random.Generator, seq):
 
 
 def _random_expression(rng: np.random.Generator, names: list[str], depth: int):
+    """A random composition of at most ``depth`` levels over ``names``, as the
+    tree that ``exprspec.parse`` builds from its text (``random_expression``
+    in the tests' oracles writes that text from the same draws).  A leaf is a
+    name or a constant in [0.2, 2.0] to three decimals.  The operand ``b`` of
+    a function or a power is drawn and dropped, so the draws stay in step
+    with the text; the arguments of ``log`` and ``sqrt`` are kept positive
+    and the denominators of ``/`` away from zero."""
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.6:
-            return _draw(rng, names)
-        return f"{rng.uniform(0.2, 2.0):.3f}"
-    kind = _draw(rng, ("add", "sub", "mul", "div", "func", "pow"))
+            return Var(_draw(rng, names))
+        return Num(float(f"{rng.uniform(0.2, 2.0):.3f}"))
+    kind = _draw(rng, ("+", "-", "*", "/", "func", "^"))
     a = _random_expression(rng, names, depth - 1)
     b = _random_expression(rng, names, depth - 1)
-    if kind == "add":
-        return f"({a} + {b})"
-    if kind == "sub":
-        return f"({a} - {b})"
-    if kind == "mul":
-        return f"({a} * {b})"
-    if kind == "div":
-        return f"({a} / (2.5 + sin({b})))"
-    if kind == "pow":
-        return f"({a})^{int(rng.integers(2, 4))}"
+    if kind in ("+", "-", "*"):
+        return Bin(kind, a, b)
+    if kind == "/":
+        return Bin("/", a, Bin("+", Num(2.5), Call("sin", b)))
+    if kind == "^":
+        return Bin("^", a, Num(float(rng.integers(2, 4))))
     fn = _draw(rng, ("exp", "log", "sin", "cos", "sqrt"))
     if fn == "exp":
-        return f"exp(0.3*({a}))"
+        return Call("exp", Bin("*", Num(0.3), a))
     if fn in ("log", "sqrt"):
-        return f"{fn}(3.5 + sin({a}))"
-    return f"{fn}({a})"
+        return Call(fn, Bin("+", Num(3.5), Call("sin", a)))
+    return Call(fn, a)
 
 
 # The 18 stencil points of a central-difference probe in three variables, as
@@ -981,6 +1019,7 @@ def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
     case = _read(case, "ad case")
     count, steps, min_ratio = case["expressions"], case["steps"], case["min_ratio"]
     names = ["a", "b", "c"]
+    variables = tuple(names)  # every spec's, used or not: its evaluators bind them by name
     stencil = _stencil(steps)
     # a block of rows, one per admissible expression: its stencil values, and
     # its jet's value, gradient and Hessian
@@ -988,11 +1027,10 @@ def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
     produced = attempts = defective = 0
     while produced < count and attempts < 20 * count:
         attempts += 1
-        text = _random_expression(rng, names, depth=int(rng.integers(1, 4)))
+        spec = ExprSpec(_random_expression(rng, names, depth=int(rng.integers(1, 4))), variables)
         point = rng.uniform(0.4, 1.6, size=3)
         row = produced % _BLOCK
         try:
-            spec = parse(text)
             args = {n: jets.variable(i, point[i], 3) for i, n in enumerate(names)}
             jet = eval_jet(spec, args, k=3)
             values[row] = _stencil_values(spec, names, point, stencil)
@@ -1043,7 +1081,8 @@ def run_scenario(data: dict, out_dir: Path, seed: int, dump: bool = False) -> tu
     out_dir.mkdir(parents=True, exist_ok=True)
     entries: list[dict] = []
     abort_code = None
-    sample_sink: dict = {}
+    sample_sink: dict = {}  # verify cases: label -> sample points
+    labels: set = set()  # simulate cases
     try:
         # A non-finite jet or float raises its guard's JetDomainError, and a
         # non-finite norm fails its entry (_entry), so numpy's floating-point
@@ -1054,11 +1093,10 @@ def run_scenario(data: dict, out_dir: Path, seed: int, dump: bool = False) -> tu
             else:
                 for case in data["cases"]:
                     if data["kind"] == "verify":
-                        entries += _run_verify_case(case, rng,
-                                                    sample_sink if dump else None)
+                        entries += _run_verify_case(case, rng, sample_sink)
                     elif data["kind"] == "simulate":
                         entries += _run_simulate_case(case, rng, out_dir, data["name"],
-                                                      dump)
+                                                      dump, labels)
                     else:
                         entries += _run_ad_case(case, rng)
     except (CharacteristicCrossingError, CFLViolationError) as err:

@@ -147,7 +147,9 @@ def eval_float(spec: ExprSpec, args: Mapping[str, float]) -> float:
 
 
 def random_expression(rng: np.random.Generator, names: list[str], depth: int):
-    """``cli._random_expression`` drawing each item with ``rng.choice``."""
+    """``cli._random_expression`` as text, drawing each item with
+    ``rng.choice``: the same draws, and ``exprspec.parse`` of the text is the
+    tree that it draws."""
     if depth == 0 or rng.uniform() < 0.3:
         if rng.uniform() < 0.6:
             return rng.choice(names)
@@ -236,9 +238,9 @@ def positional_fd_probe(spec, names, point, steps):
 
 
 def run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
-    """``cli._run_ad_case`` one expression at a time: each expression's probe,
-    errors, scale and verdict in float arithmetic, its 0/1 defect kept in a
-    list that numpy reduces at the end."""
+    """``cli._run_ad_case`` one expression at a time: each expression drawn as
+    text and parsed, its probe, errors, scale and verdict in float arithmetic,
+    its 0/1 defect kept in a list that numpy reduces at the end."""
     case = cli._read(case, "ad case")
     count, steps, min_ratio = case["expressions"], case["steps"], case["min_ratio"]
     names = ["a", "b", "c"]
@@ -247,7 +249,7 @@ def run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
     attempts = 0
     while produced < count and attempts < 20 * count:
         attempts += 1
-        text = cli._random_expression(rng, names, depth=int(rng.integers(1, 4)))
+        text = random_expression(rng, names, depth=int(rng.integers(1, 4)))
         point = rng.uniform(0.4, 1.6, size=3)
         try:
             spec = exprspec.parse(text)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from batlab import cli, construct, hydro, jets, leznov, residuals, varlag
+from batlab import cli, construct, exprspec, hydro, jets, leznov, residuals, varlag
 from batlab.errors import EvaluationError, JetDomainError, NewtonConvergenceError
 from batlab.exprspec import parse
 
@@ -686,6 +686,20 @@ def test_ad_case_over_several_blocks_reports_the_bytes_of_the_per_expression_cas
     assert 0 < json.loads(blocks[0][1])["reports"][0]["rms_norm"] < 1
 
 
+def test_ad_case_draws_trees_without_parsing(monkeypatch):
+    """Each random expression is drawn as the tree that the oracle parses
+    from its text: the case reports the oracle's entry with the tokenizer
+    and the parser refused."""
+    expected = oracles.run_ad_case({"expressions": 200}, np.random.default_rng(11))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an expression was tokenized or parsed")
+
+    monkeypatch.setattr(exprspec, "_tokenize", refused)
+    monkeypatch.setattr(cli, "parse", refused)
+    assert cli._run_ad_case({"expressions": 200}, np.random.default_rng(11)) == expected
+
+
 def test_ad_case_memory_stays_within_a_block():
     """Four blocks' worth of expressions peak within 1.5x of one block's worth."""
     def peak(expressions: int) -> int:
@@ -910,6 +924,11 @@ def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
     ("variational", ("tolerance_h2_coeff",), 0),
     # an S_n beyond the longest array, and so beyond the bound
     ("two_field", ("checks", 0, "n_values"), [2**63]),
+    # resolutions that do not strictly increase: halving takes the first as
+    # coarse and the last as fine, and a repeated one overwrites its dump
+    ("two_field", ("resolutions",), [16, 32, 24]),
+    ("multifield", ("resolutions",), [8, 8]),
+    ("variational", ("resolutions",), [17, 9]),
 ])
 def test_scalar_of_wrong_type_exits_2_before_solving(tmp_path, monkeypatch, capsys, scenario,
                                                      path, value):
@@ -918,6 +937,41 @@ def test_scalar_of_wrong_type_exits_2_before_solving(tmp_path, monkeypatch, caps
     assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "expected a" in err and path[-1] in err
+
+
+# a scenario -> the entry point that its cases solve or integrate through
+_CASE_WORK = {"implicit_fg": (construct.FieldHandle, "solve_many"),
+              "hodograph": (construct.HodographSolver, "solve_many"),
+              "leznov": (leznov, "solve_many"),
+              "two_field": (hydro, "integrate_characteristics"),
+              "multifield": (hydro, "integrate_multifield")}
+
+
+@pytest.mark.parametrize("labelled", [True, False], ids=["given", "defaulted"])
+@pytest.mark.parametrize("scenario", list(_CASE_WORK))
+def test_repeated_case_label_exits_2_before_that_case_solves(tmp_path, monkeypatch, capsys,
+                                                             scenario, labelled):
+    """A case under the label of an earlier case, given or defaulted to its op
+    or system, would overwrite that case's dumps: it exits 2 after the first
+    case's work and before its own."""
+    data = _COMPLETE[scenario]()
+    case = data["cases"][0]
+    if labelled:
+        case["label"] = "same"
+    else:
+        case.pop("label", None)
+    data["cases"] = [case, json.loads(json.dumps(case))]
+    owner, name = _CASE_WORK[scenario]
+    work, calls = getattr(owner, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return work(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    assert _main_exit(tmp_path, data, "--dump") == cli.EXIT_VALIDATION
+    assert "already the label of an earlier case" in capsys.readouterr().err
+    assert len(calls) == 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -1274,12 +1328,18 @@ def test_grid_without_a_finite_step_count_exits_3(tmp_path, capsys, scenario, pa
     ("implicit_fg", ("samples",), {"count": 4, "low": [-1e308] * 4, "high": [1e308] * 4}),
     ("c05", ("checks", 0, "tolerance_h2_coef"), 1e-12),
     ("c11", ("label",), "../escaped"),
+    # resolutions out of order, once read as a halving ratio of about 4
+    ("c05", ("resolutions",), [256, 128]),
+    ("c05", ("resolutions",), [128, 128]),
+    ("c09", ("resolutions",), [65, 33]),
 ])
 def test_input_the_reader_once_let_through_exits_2_before_solving(
         tmp_path, monkeypatch, capsys, scenario, path, value):
     """Grid nodes or a sample box beyond the float range, a misspelt key (which
-    once left its default in force) and a bad ad label."""
-    bundled = {"c05": "c05_conservation_hierarchy", "c11": "c11_jet_convergence"}
+    once left its default in force), a bad ad label and resolutions that do
+    not increase."""
+    bundled = {"c05": "c05_conservation_hierarchy", "c09": "c09_degenerate_lagrangian",
+               "c11": "c11_jet_convergence"}
     data = _small(bundled[scenario]) if scenario in bundled else _COMPLETE[scenario]()
     data = _with(data, path, value)
     _forbid_work(monkeypatch)

@@ -287,7 +287,7 @@ def test_compiled_evaluation_matches_the_tree_walker(seed, depth, point, numpy_a
     """On the ad scenario's random expressions: bit for bit on values,
     gradients and Hessians, and on the class and arguments of every error, in
     float and arity-3 jet mode; float arguments may be numpy scalars."""
-    text = cli._random_expression(np.random.default_rng(seed), list(_NAMES), depth)
+    text = oracles.random_expression(np.random.default_rng(seed), list(_NAMES), depth)
     _assert_matches_tree_walker(parse(text), point, numpy_args)
 
 
@@ -437,29 +437,36 @@ def test_float_fn_raises_what_eval_float_raises():
 
 def test_random_expressions_draw_what_rng_choice_draws():
     """Each integer-index draw picks the item rng.choice would and leaves the
-    generator in the same state."""
-    for seed in range(200):
-        for depth in (1, 2, 3):
-            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert cli._random_expression(ours, list(_NAMES), depth) == (
-                oracles.random_expression(reference, list(_NAMES), depth))
-            assert ours.bit_generator.state == reference.bit_generator.state
+    generator in the same state, and the tree drawn is the one parsed from the
+    text drawn, also at depth 0 and over other names."""
+    for names in (_NAMES, ("p", "q")):
+        for seed in range(200):
+            for depth in range(5):
+                ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert cli._random_expression(ours, list(names), depth) == parse(
+                    oracles.random_expression(reference, list(names), depth)).ast
+                assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def _parsed_expression(rng, names, depth):
+    """The tree of ``oracles.random_expression``'s text."""
+    return parse(oracles.random_expression(rng, names, depth)).ast
 
 
 @pytest.mark.parametrize("seed", [*range(30), 110, 7, 20240801])
 def test_c11_draws_the_expressions_of_rng_uniform_and_rng_choice(seed):
     """c11's attempts, replayed from its scenario RNG, draw the same
-    expression text and points through ``rng.random()`` and integer-index
-    draws as through ``rng.uniform()`` and ``rng.choice``, and leave the
-    generator in the same state."""
-    def attempt(rng, draw):  # one attempt of cli._run_ad_case: text and point
+    expression trees and points through ``rng.random()`` and integer-index
+    draws as the text drawn through ``rng.uniform()`` and ``rng.choice``
+    parses to, and leave the generator in the same state."""
+    def attempt(rng, draw):  # one attempt of cli._run_ad_case: tree and point
         depth = int(rng.integers(1, 4))
         return draw(rng, ["a", "b", "c"], depth), rng.uniform(0.4, 1.6, size=3).tobytes()
 
     ours, reference = (cli._scenario_rng(seed, "c11_jet_convergence") for _ in range(2))
     for _ in range(600):  # more attempts than c11 makes for its 500 expressions
         assert (attempt(ours, cli._random_expression)
-                == attempt(reference, oracles.random_expression))
+                == attempt(reference, _parsed_expression))
     assert ours.bit_generator.state == reference.bit_generator.state
 
 
@@ -499,7 +506,7 @@ def test_fd_probe_matches_the_name_keyed_probe(seed, depth, point, steps):
     others, the block quotients' gradient and Hessian at each step are those
     of evaluating every stencil point by name, bit for bit and sign bits
     included."""
-    spec = parse(cli._random_expression(np.random.default_rng(seed), list(_NAMES), depth))
+    spec = parse(oracles.random_expression(np.random.default_rng(seed), list(_NAMES), depth))
     assert _probe_outcome(spec, point, steps) == _name_keyed_outcome(spec, point, steps)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batlab import cli, jets
+from batlab import jets
 from batlab.construct import HodographSolver, ImplicitSolveConfig, hodograph_grid
 from batlab.exprspec import eval_jet, parse
 from batlab.residuals import ResidualSample, grid_report
@@ -45,7 +45,8 @@ _UNGUARDED = ("{}", "({}) / q", "log({})", "sqrt(p * ({}))", "({})^0.5", "({})^-
 def test_row_density_matches_one_jet2_per_node(seed, depth, outer, row):
     """The batched density of a row is, node by node, the scalar Jet2 density
     bit for bit; an error is one that a node raises."""
-    text = outer.format(cli._random_expression(np.random.default_rng(seed), ["p", "q"], depth))
+    text = outer.format(oracles.random_expression(np.random.default_rng(seed), ["p", "q"],
+                                                  depth))
     f = DiscreteFunctional(ht=0.1, hx=0.1)
     f.factor = parse(text)  # parity needs no weight-zero factor
     assert_batch_matches_points(
@@ -78,7 +79,7 @@ def test_degree0_batch_gives_the_pointwise_verdict_on_random_factors(seed):
     are of weight zero."""
     rng = np.random.default_rng(seed)
     names = ["p", "q"] if seed % 2 else ["(p/q)", "(q/p)"]
-    spec = parse(cli._random_expression(rng, names, 3))
+    spec = parse(oracles.random_expression(rng, names, 3))
     assert degree0_test(spec) == oracles.degree0_test(spec)
 
 
