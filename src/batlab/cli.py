@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import json
 import math
 import sys
@@ -37,8 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, construct, hydro, jets, leznov, residuals, varlag
-from .construct import ImplicitSolveConfig, LinearMap2
+from . import __version__, jets, residuals
 from .errors import (
     CFLViolationError,
     CharacteristicCrossingError,
@@ -68,6 +68,24 @@ EXIT_RUNTIME = 3
 EXIT_ABORT = 4
 
 MAX_SKIP_FRACTION = 0.2
+
+
+def _on_first_use(name: str):
+    """The submodule ``name`` of this package, bound now and run on its first
+    attribute access (``importlib.util.LazyLoader``), or as already imported."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return sys.modules[full]
+
+
+# Each runs only when a case of its kind first needs it: an ad run runs none
+# of them, a simulate run only hydro (README, "What a run imports").
+construct, hydro, leznov, varlag = map(_on_first_use, ("construct", "hydro", "leznov", "varlag"))
 
 
 class ScenarioError(ValueError):
@@ -291,10 +309,11 @@ def _unused(label: str, labels) -> str:
     return label
 
 
-def _solve_config(block: dict, where: str) -> ImplicitSolveConfig:
+def _solve_config(block: dict, where: str) -> construct.ImplicitSolveConfig:
     """The Newton config of the ``config`` block at ``where``."""
-    return ImplicitSolveConfig(**{key: tuple(value) if isinstance(value, list) else value
-                                  for key, value in _read(block, "config", where).items()})
+    return construct.ImplicitSolveConfig(**{
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in _read(block, "config", where).items()})
 
 
 def _samples(case: dict, dim: int) -> dict:
@@ -510,7 +529,7 @@ def _linear_covariance(c: _Solved, check: dict) -> list[dict]:
     n_maps, tol, speed_tol = check["maps"], check["tolerance"], check["speed_tolerance"]
     maps = []
     while len(maps) < n_maps:
-        m = LinearMap2(*c.rng.uniform(-2.0, 2.0, size=4))
+        m = construct.LinearMap2(*c.rng.uniform(-2.0, 2.0, size=4))
         if abs(m.det) >= 0.3:
             maps.append(m)
 
@@ -545,7 +564,7 @@ def _linear_covariance(c: _Solved, check: dict) -> list[dict]:
             _entry(f"moebius_speed_match[{c.label}]", rep2, speed_tol, requested)]
 
 
-def _speed_match(jb, base_bar, m: LinearMap2) -> residuals.ResidualSample:
+def _speed_match(jb, base_bar, m: construct.LinearMap2) -> residuals.ResidualSample:
     """The pulled-back phibar's speed against the Moebius image of the base
     phibar's speed, at one point or over a batch."""
     u_orig = base_bar.grad[..., 0] / base_bar.grad[..., 1]
@@ -675,7 +694,7 @@ _EXPRESSION = _Key("expression")
 _CONFIG = _Key("JSON object", {})
 _WINDOW = _Key("float", many="list", length=2)
 _COUNT = {"low": 1, "high": _CAP}
-_TOLERANCE = {"tolerance": _Key("float")}
+_TOLERANCE = {"tolerance": _Key("float", low=0.0)}
 _MAPS = {"maps": _Key("expression", ["s^3 + s"], 1, 1, many="list")}
 _SPEEDS = {**_TOLERANCE, "speeds_on_x": _Key("choice", "v", choices=("u", "v"))}
 
@@ -705,17 +724,20 @@ _OPS = {
 
 # system -> its grid block's keys, its fields and their coordinates,
 # (resolution, read grid) -> grid spec, (initial data, grid spec) -> grid,
-# and (grid, CSV path) -> None, which dumps the grid
+# and (grid, CSV path) -> None, which dumps the grid.  The default x1 and the
+# four-field names are hydro's TWO_PI and MULTI_FIELDS, written out so that
+# building these rows runs no hydro code (a test checks that they are equal).
 _SYSTEMS = {
     "two_field": _System(
-        {"t_end": _Key("float"), "x0": _Key("float", 0.0), "x1": _Key("float", hydro.TWO_PI),
+        {"t_end": _Key("float"), "x0": _Key("float", 0.0), "x1": _Key("float", 2.0 * math.pi),
          "cfl": _Key("float", 0.5)},
         ("u", "v"), ("x",), lambda res, grid: hydro.CharGridSpec(res, **grid),
         lambda init, spec: hydro.integrate_characteristics(init["u"], init["v"], spec),
         lambda grid, path: hydro.dump_char_grid(grid, path)),
     "multifield": _System(
         {"t_end": _Key("float"), "cfl": _Key("float", 0.4)},
-        hydro.MULTI_FIELDS, ("x2", "x3"), lambda res, grid: hydro.MultiGridSpec(res, res, **grid),
+        ("u1", "u2", "v1", "v2"), ("x2", "x3"),
+        lambda res, grid: hydro.MultiGridSpec(res, res, **grid),
         lambda init, spec: hydro.integrate_multifield(init, spec),
         lambda grid, path: hydro.dump_multi_grid(grid, path)),
 }
@@ -748,7 +770,7 @@ _CHECKS = {
     "born_infeld": _Check({**_TOLERANCE, "lambda": _Key("float", 1.0, low=_POSITIVE)},
                           {"parametric_hodograph": _born_infeld}),
     "linear_covariance": _Check({**_TOLERANCE, "maps": _Key("integer", 10, **_COUNT),
-                                 "speed_tolerance": _Key("float", 1e-8)},
+                                 "speed_tolerance": _Key("float", 1e-8, low=0.0)},
                                 {"parametric_hodograph": _linear_covariance}),
     "holomorphy": _Check(_SPEEDS, {"leznov": _speed_check(
         lambda sys_, speeds, on_x: leznov.holomorphy_samples(sys_, *speeds, on_x),
@@ -759,11 +781,12 @@ _CHECKS = {
     "conservation": _Check(
         # S_n grows like max(|u|, |v|)**n: on c05's grids its drift overflows to NaN
         # between n = 800 and 1500, and n = 10**4 takes seconds
-        {"tolerance_h2_coeff": _Key("float", 5.0),
+        {"tolerance_h2_coeff": _Key("float", 5.0, low=0.0),
          "n_values": _Key("integer", [1, 2, 3, 4, 5], 1, 1000, many="list")},
         {"two_field": _conservation}),
-    "transport": _Check({"tolerance_h2_coeff": _Key("float", 5.0)}, {"two_field": _transport}),
-    "multifield_det": _Check({"tolerance_h2_coeff": _Key("float", 1.0)},
+    "transport": _Check({"tolerance_h2_coeff": _Key("float", 5.0, low=0.0)},
+                        {"two_field": _transport}),
+    "multifield_det": _Check({"tolerance_h2_coeff": _Key("float", 1.0, low=0.0)},
                              {"multifield": _multifield_det}),
 }
 

@@ -266,36 +266,64 @@ def test_numerical_failure_is_the_only_line_on_stderr(tmp_path):
     assert run.stderr == "numerical failure: exp: offending value 1042.2384233266514\n"
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """Only the multifield integrator loads scipy, so a fresh interpreter
-    that imports the CLI does not pay for it."""
+# Python run in a fresh interpreter after ``from batlab import cli``; it prints
+# which of the modules ``cli`` binds on first use have run, then which of the
+# modules a run may not load are loaded.
+_FRESH = """
+import sys, types
+from batlab import cli
+{code}
+print([m for m in ("construct", "hydro", "leznov", "varlag")
+       if type(sys.modules.get("batlab." + m)) is types.ModuleType])
+print([m for m in {absent!r} if m in sys.modules])
+"""
+# scipy loads only for c08's spline, concurrent.futures only for ``suite --jobs
+# N`` with N > 1, and csv for no run: the dumps join their rows as strings
+_UNLOADED = ("scipy", "csv", "concurrent.futures")
+
+
+def _scenario_file(prefix: str) -> str:
+    return str(next(p for p in cli.bundled_scenarios() if p.name.startswith(prefix)))
+
+
+@pytest.mark.parametrize("command,ran,absent", [
+    ([], [], _UNLOADED),
+    (["load"], [], _UNLOADED),
+    (["verify", "c11"], [], _UNLOADED),
+    (["simulate", "c05"], ["hydro"], _UNLOADED),
+    (["verify", "c01"], ["construct"], _UNLOADED),
+    (["verify", "c07"], ["construct", "leznov"], _UNLOADED),
+    (["verify", "c09"], ["construct", "hydro", "varlag"], _UNLOADED),
+    # c08's spline loads scipy, which loads csv and concurrent.futures itself
+    (["suite"], ["construct", "hydro", "leznov", "varlag"], ()),
+], ids=["import", "load_every_bundled_file", "ad", "simulate", "verify", "verify_leznov",
+        "variational", "suite"])
+def test_a_run_imports_only_what_its_kind_needs(tmp_path, command, ran, absent):
+    """``cli`` binds construct, hydro, leznov and varlag as modules that run on
+    their first attribute access, so a fresh interpreter runs only those its
+    scenario's kind needs (a lazy placeholder has not run), and loads scipy,
+    csv and concurrent.futures only where a run needs them."""
+    if command == ["load"]:
+        code = "for path in cli.bundled_scenarios():\n    cli.load_scenario(path)"
+    elif command:
+        args = command[:1] + [_scenario_file(c) for c in command[1:]]
+        code = f"assert cli.main({args + ['--out', str(tmp_path)]!r}) == 0"
+    else:
+        code = ""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    run = subprocess.run([sys.executable, "-c",
-                          "import sys, batlab.cli; print('scipy' in sys.modules)"],
-                         capture_output=True, text=True, env=env, timeout=120)
+    run = subprocess.run([sys.executable, "-c", _FRESH.format(code=code, absent=absent)],
+                         capture_output=True, text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "False\n"
+    assert run.stdout.splitlines()[-2:] == [repr(ran), "[]"]
 
 
-def test_cli_import_leaves_csv_unloaded():
-    """The grid and sample dumps join their rows as strings; the csv module,
-    which numpy does not load either, stays out of a fresh CLI import."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    run = subprocess.run([sys.executable, "-c",
-                          "import sys, batlab.cli; print('csv' in sys.modules)"],
-                         capture_output=True, text=True, env=env, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "False\n"
-
-
-def test_cli_import_leaves_process_pools_unloaded():
-    """Only ``suite --jobs N`` with N > 1 imports concurrent.futures."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    run = subprocess.run([sys.executable, "-c",
-                          "import sys, batlab.cli; print('concurrent.futures' in sys.modules)"],
-                         capture_output=True, text=True, env=env, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "False\n"
+def test_format_writes_out_the_hydro_constants_it_needs():
+    """The two-field grid's default x1 and the four-field system's names are
+    written out in ``cli``, which reads no hydro constant while it builds its
+    tables; they must stay hydro's, bit for bit."""
+    x1 = cli._FORMAT["grid two_field"]["x1"].default
+    assert x1.hex() == hydro.TWO_PI.hex() == hydro.CharGridSpec(8, 1.0).x1.hex()
+    assert cli._SYSTEMS["multifield"].fields == hydro.MULTI_FIELDS
 
 
 def test_skip_fraction_gate(tmp_path):
@@ -929,6 +957,12 @@ def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
     ("two_field", ("resolutions",), [16, 32, 24]),
     ("multifield", ("resolutions",), [8, 8]),
     ("variational", ("resolutions",), [17, 9]),
+    # a negative tolerance, which no check meets: it once ran every solve and failed
+    ("implicit_fg", ("checks", 0, "tolerance"), -1.0),
+    ("covariance", ("checks", 0, "speed_tolerance"), -1.0),
+    ("two_field", ("checks", 0, "tolerance_h2_coeff"), -1.0),
+    ("transport", ("checks", 0, "tolerance_h2_coeff"), -1.0),
+    ("multifield", ("checks", 0, "tolerance_h2_coeff"), -1.0),
 ])
 def test_scalar_of_wrong_type_exits_2_before_solving(tmp_path, monkeypatch, capsys, scenario,
                                                      path, value):

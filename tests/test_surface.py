@@ -113,3 +113,24 @@ def test_every_import_is_used():
     """An import a refactor left behind is dead code too."""
     unused = _unused_imports()
     assert not unused, f"imported names the importing module never reads: {unused}"
+
+
+# The modules ``cli`` binds through ``_on_first_use``, to run on first use.
+_ON_FIRST_USE = {"construct", "hydro", "leznov", "varlag"}
+
+
+def test_cli_imports_its_kind_modules_only_on_first_use():
+    """An import statement for one of them would run it at ``import batlab.cli``,
+    in every run, whether its scenario's kind needs it or not."""
+    eager = []
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names = {node.module.removeprefix("batlab.")}
+        elif isinstance(node, ast.Import):
+            names = {a.name.removeprefix("batlab.") for a in node.names}
+        else:
+            continue
+        eager += [f"line {node.lineno}: {n}" for n in sorted(names & _ON_FIRST_USE)]
+    assert not eager, f"cli imports these at its own import: {eager}"
