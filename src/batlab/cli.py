@@ -144,8 +144,7 @@ class _Key:
     """One key: its kind, default (none if required) and range (``low`` and ``high``
     bound a number, or the variables of an expression).  ``many`` makes the value
     a non-empty JSON ``"list"`` of such values (of ``length`` if set), a JSON
-    ``"object"`` of them, or either (``"or list"``).  ``error`` replaces the
-    message for a value out of range."""
+    ``"object"`` of them, or either (``"or list"``)."""
 
     kind: str  # integer, float, string, file-name string, expression, choice, JSON object
     default: object = _REQUIRED
@@ -154,7 +153,6 @@ class _Key:
     choices: tuple = ()
     many: str = ""
     length: int | None = None
-    error: str = ""
 
 
 def _range(key: _Key) -> str:
@@ -183,7 +181,7 @@ _Expr = namedtuple("_Expr", "text spec")  # an expression as written, and parsed
 
 
 class _Refused(Exception):
-    """A value not of its key's kind; with an argument, of it but out of range."""
+    """A value not of its key's kind, or out of its range."""
 
 
 def _one(key: _Key, value, where: str):
@@ -196,7 +194,7 @@ def _one(key: _Key, value, where: str):
         except (TypeError, OverflowError):  # not a number, or an integer beyond the float range
             raise _Refused from None
         if not key.low <= cast(value) <= key.high:
-            raise _Refused("range")
+            raise _Refused
         return cast(value)
     if not isinstance(value, dict if key.kind == "JSON object" else str):
         raise _Refused
@@ -208,12 +206,12 @@ def _one(key: _Key, value, where: str):
         except RecursionError:
             raise ScenarioError(f"{where}: expression nested too deeply") from None
         if not key.low <= len(spec.vars) <= key.high:
-            raise _Refused("range")
+            raise _Refused
         return _Expr(value, spec)
     if key.kind == "choice" and value not in key.choices or key.kind == "file-name string" and (
             value in ("", ".", "..") or any(c in value for c in "/\\\0")
             or len(value.encode("utf-8", "replace")) > 100):  # two fit in a 255-byte name
-        raise _Refused("range")
+        raise _Refused
     return value
 
 
@@ -228,9 +226,8 @@ def _value(key: _Key, value, where: str):
         if key.many == "object":
             return {name: _one(key, v, where) for name, v in value.items()}
         return [_one(key, v, where) for v in value]
-    except _Refused as err:
-        expected = key.error if err.args and key.error else f"{where}: expected {_expected(key)}"
-        raise ScenarioError(f"{expected}, got {value!r}") from None
+    except _Refused:
+        raise ScenarioError(f"{where}: expected {_expected(key)}, got {value!r}") from None
 
 
 def _read(block, place: str, where: str = "") -> dict:
@@ -256,19 +253,14 @@ def _read(block, place: str, where: str = "") -> dict:
 
 def _read_checks(case: dict, owner: str, label: str) -> list:
     """``(run, check)`` per check of ``case``, read: the run of its ``_CHECKS``
-    row for ``owner`` (an op or a system).  Only a reparametrization takes a
-    ``target``, the equation its field solves."""
+    row for ``owner`` (an op or a system)."""
     out = []
     for i, check in enumerate(case["checks"]):
         eq = check.get("equation")
         run = _CHECKS[eq].runs.get(owner) if f"{eq}" in _CHECKS else None
-        if "target" in check and not (isinstance(run, _Reparametrized)
-                                      and check["target"] == run.equation):
-            run = None
         if run is None:
-            key = f"{eq}:{check['target']}" if "target" in check else f"{eq}"
             raise ScenarioError(f"checks[{i}]: missing required field 'equation'" if eq is None
-                                else f"check {key!r} does not apply to {label!r}")
+                                else f"check {str(eq)!r} does not apply to {label!r}")
         out.append((run, _read(check, f"check {eq}", f"checks[{i}]")))
     return out
 
@@ -471,23 +463,18 @@ def _per_point(residual):
     return lambda c, check: [_swept(c, check["equation"], residual, check["tolerance"])]
 
 
-def _reparametrized(c: _Solved, check: dict, name: str, residual) -> list[dict]:
-    """One entry per map h of the check: ``residual(h, jets)`` at every point."""
-    entries = []
-    for text, spec in check["maps"]:
-        h = construct.reparametrization(spec)
-        rep = residuals.sweep(c.batch, lambda j: residual(h, j), c.skipped)
-        entries.append(_entry(f"{name}[{c.label}:{text}]", rep, check["tolerance"], c.requested))
-    return entries
-
-
-class _Reparametrized(namedtuple("_Reparametrized", "equation residual")):
-    """The reparametrization check of a scalar field that solves ``equation``
-    with ``residual``; a check's ``target`` can only be that equation."""
-
-    def __call__(self, c: _Solved, check: dict) -> list[dict]:
-        return _reparametrized(c, check, f"reparametrized_{self.equation}",
-                               lambda h, jet: self.residual(h(jet)))
+def _reparametrized(name: str, residual):
+    """Check with one entry ``name`` per map h of the check: ``residual(h,
+    jets)`` at every point."""
+    def run(c: _Solved, check: dict) -> list[dict]:
+        entries = []
+        for text, spec in check["maps"]:
+            h = construct.reparametrization(spec)
+            rep = residuals.sweep(c.batch, lambda j: residual(h, j), c.skipped)
+            entries.append(_entry(f"{name}[{c.label}:{text}]", rep, check["tolerance"],
+                                  c.requested))
+        return entries
+    return run
 
 
 def _hodograph_identities(c: _Solved, check: dict) -> list[dict]:
@@ -568,7 +555,7 @@ def _speed_match(jb, base_bar, m: construct.LinearMap2) -> residuals.ResidualSam
     """The pulled-back phibar's speed against the Moebius image of the base
     phibar's speed, at one point or over a batch."""
     u_orig = base_bar.grad[..., 0] / base_bar.grad[..., 1]
-    expected_u, _ = construct.moebius_transform((u_orig, u_orig), m)
+    expected_u = construct.moebius_transform(u_orig, m)
     u_new = jb.grad[..., 0] / jb.grad[..., 1]
     return residuals.ResidualSample(u_new - expected_u, abs(u_new) + abs(expected_u))
 
@@ -584,13 +571,12 @@ def _constraint_gap(c: _Solved, check: dict) -> list[dict]:
 
 def _speed_check(samples, *names):
     """Check with one entry per name, from the Leznov samples in the order
-    ``samples(system, speeds, speeds_on_x)`` gives them (each a tuple of
+    ``samples(system, speeds)`` gives them (each a tuple of
     batches over the points with speeds), against the global term magnitude
     and reduced point by point."""
     def run(c: _Solved, check: dict) -> list[dict]:
         skipped = len(c.speed_errors) - c.speed_errors.count(None)
-        batches = [None] * len(names) if c.speeds is None else samples(
-            c.model, c.speeds, check["speeds_on_x"])
+        batches = [None] * len(names) if c.speeds is None else samples(c.model, c.speeds)
         return [_entry(f"{name}[{c.label}]", residuals.grid_report(
             [] if batch is None else [residuals.by_point(batch)], skipped),
             check["tolerance"], c.requested) for name, batch in zip(names, batches)]
@@ -696,7 +682,6 @@ _WINDOW = _Key("float", many="list", length=2)
 _COUNT = {"low": 1, "high": _CAP}
 _TOLERANCE = {"tolerance": _Key("float", low=0.0)}
 _MAPS = {"maps": _Key("expression", ["s^3 + s"], 1, 1, many="list")}
-_SPEEDS = {**_TOLERANCE, "speeds_on_x": _Key("choice", "v", choices=("u", "v"))}
 
 _Op = namedtuple("_Op", "keys build")
 _System = namedtuple("_System", "keys fields coords spec integrate dump")
@@ -758,25 +743,24 @@ _CHECKS = {
     "hodograph_identities": _Check(_TOLERANCE, {"parametric_hodograph": _hodograph_identities}),
     "roundtrip": _Check(_TOLERANCE, {"parametric_hodograph": _roundtrip}),
     "constraint_gap": _Check(_TOLERANCE, {"leznov": _constraint_gap}),
-    "reparametrization": _Check(
-        {**_TOLERANCE, "target": _Key("string", None), **_MAPS},
-        {**dict.fromkeys(("solve_implicit_fg", "holo_sum"),
-                         _Reparametrized("complex_bateman", residuals.complex_bateman)),
-         "implicit_3d": _Reparametrized("euclidean_3d", residuals.euclidean_3d)}),
+    "reparametrization": _Check({**_TOLERANCE, **_MAPS}, {
+        **dict.fromkeys(("solve_implicit_fg", "holo_sum"), _reparametrized(
+            "reparametrized_complex_bateman", lambda h, jet: residuals.complex_bateman(h(jet)))),
+        "implicit_3d": _reparametrized(
+            "reparametrized_euclidean_3d", lambda h, jet: residuals.euclidean_3d(h(jet)))}),
     "reparametrized_two_field": _Check({**_TOLERANCE, **_MAPS}, {
-        "parametric_hodograph": lambda c, check: _reparametrized(
-            c, check, "reparametrized_two_field",
+        "parametric_hodograph": _reparametrized(
+            "reparametrized_two_field",
             lambda h, fields: residuals.two_field_bateman(*map(h, fields)))}),
     "born_infeld": _Check({**_TOLERANCE, "lambda": _Key("float", 1.0, low=_POSITIVE)},
                           {"parametric_hodograph": _born_infeld}),
     "linear_covariance": _Check({**_TOLERANCE, "maps": _Key("integer", 10, **_COUNT),
                                  "speed_tolerance": _Key("float", 1e-8, low=0.0)},
                                 {"parametric_hodograph": _linear_covariance}),
-    "holomorphy": _Check(_SPEEDS, {"leznov": _speed_check(
-        lambda sys_, speeds, on_x: leznov.holomorphy_samples(sys_, *speeds, on_x),
-        "d_phi", "dbar_phi")}),
-    "zero_curvature": _Check(_SPEEDS, {"leznov": _speed_check(
-        lambda sys_, speeds, on_x: [leznov.zero_curvature_samples(sys_, speeds[1], on_x)],
+    "holomorphy": _Check(_TOLERANCE, {"leznov": _speed_check(
+        lambda sys_, speeds: leznov.holomorphy_samples(sys_, *speeds), "d_phi", "dbar_phi")}),
+    "zero_curvature": _Check(_TOLERANCE, {"leznov": _speed_check(
+        lambda sys_, speeds: [leznov.zero_curvature_samples(sys_, speeds[1])],
         "zero_curvature")}),
     "conservation": _Check(
         # S_n grows like max(|u|, |v|)**n: on c05's grids its drift overflows to NaN
@@ -820,7 +804,8 @@ _FORMAT = {
         # the probe divides by h^2, which must neither underflow nor overflow
         "steps": _Key("float", [1e-3, 5e-4], 2 ** -537.5, math.sqrt(sys.float_info.max),
                       many="list", length=2),
-        "min_ratio": _Key("float", 3.5)},
+        # at a ratio of 1 or less every expression converges, whatever its jets
+        "min_ratio": _Key("float", 3.5, low=math.nextafter(1.0, math.inf))},
     "source": {"f": _EXPRESSION, "g": _EXPRESSION, "config": _CONFIG,
                "t_window": _WINDOW, "x_window": _WINDOW},
     "config": {
@@ -828,10 +813,8 @@ _FORMAT = {
         "seed": _Key("float", 1.0, many="or list"),
         "bracket": _Key("float", None, many="list", length=2)},
     "samples": {
-        "count": _Key("integer", **_COUNT,
-                      error=f"samples count must be at least 1 and at most {_CAP}"),
-        "low": _Key("float", many="list"), "high": _Key("float", many="list"),
-        "mode": _Key("choice", "uv_box", choices=("uv_box",))},
+        "count": _Key("integer", **_COUNT),
+        "low": _Key("float", many="list"), "high": _Key("float", many="list")},
     **{f"construct {op}": {"op": _Key("choice", choices=(op,)), **row.keys}
        for op, row in _OPS.items()},
     **{f"check {eq}": {"equation": _Key("choice", choices=(eq,)), **row.keys}

@@ -579,19 +579,16 @@ class HodographSolver:
 # -- covariance machinery -----------------------------------------------------------
 
 
-def moebius_transform(uv, m: LinearMap2):
+def moebius_transform(s, m: LinearMap2):
     """Speed transform induced by (t, x) -> (a t + b x, c t + d x):
 
-    u' = (d u - c) / (a - b u), likewise for v; at one point or at each point
-    of a batch.
+    s' = (d s - c) / (a - b s), for either speed family; at one point or at
+    each point of a batch.
     """
-    out = []
-    for s in uv:
-        den = m.a - m.b * s
-        if _any(abs(den) <= 1e-13 * np.maximum(max(1.0, abs(m.a)), abs(m.b * s))):
-            raise PoleError(f"moebius pole: a - b*u = {den!r}")
-        out.append((m.d * s - m.c) / den)
-    return out[0], out[1]
+    den = m.a - m.b * s
+    if _any(abs(den) <= 1e-13 * np.maximum(max(1.0, abs(m.a)), abs(m.b * s))):
+        raise PoleError(f"moebius pole: a - b*u = {den!r}")
+    return (m.d * s - m.c) / den
 
 
 def pull_back(jet: jets.Jet2, minv: np.ndarray) -> jets.Jet2:

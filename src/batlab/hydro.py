@@ -441,14 +441,10 @@ class _PeriodicSpline2:
             self.coeffs, [idx2, idx3], order=3, mode="grid-wrap", prefilter=False)
 
 
-def integrate_multifield(
-    init: dict, spec: MultiGridSpec, freeze: tuple = ()
-) -> MultiCharGrid:
+def integrate_multifield(init: dict, spec: MultiGridSpec) -> MultiCharGrid:
     """Integrate the four-field system.
 
     ``init`` maps each of "u1", "u2", "v1", "v2" to an ExprSpec over (x2, x3).
-    ``freeze`` lists fields whose values stay at their initial data (used by
-    the frozen-speed transport oracle in the tests).
     """
     check_initial_data(init, MULTI_FIELDS, ("x2", "x3"))
     x2 = TWO_PI * np.arange(spec.n2) / spec.n2
@@ -487,8 +483,7 @@ def integrate_multifield(
         half = np.array([0.5 * (dt / h2), 0.5 * (dt / h3)])[:, None, None]
         star = at_feet(lambda c, rows: nodes - full * c)
         p = np.array([[star[c] for c in pair] for pair in speeds])
-        new = at_feet(lambda c, rows: nodes - half * (c + p[rows]))
-        return {n: level[n] if n in freeze else new[n] for n in MULTI_FIELDS}
+        return at_feet(lambda c, rows: nodes - half * (c + p[rows]))
 
     return _march(f0, min(h2, h3), spec, advance, lambda t, dt, f: MultiCharGrid(
         t, x2, x3, f, h2, h3, dt, spec.cfl))

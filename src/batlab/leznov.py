@@ -10,17 +10,15 @@ their derivatives follow from implicit differentiation, and the speed fields
 
 make the directional operators annihilate the constructed fields.
 
-The operator pair can be written with either speed family on the x block, and
-both bindings are exposed:
+The directional operators carry v on the x block and u on the xb block:
 
-* ``v_on_x`` (default): D = d/dx_n + sum_k v^k d/dx_k,
-  Dbar = d/dxb_n + sum_k u^k d/dxb_k.  With the derived speeds this
-  annihilates phi (and any function of (phi, xb) resp. (phi, x)), and the
-  zero-curvature residuals are D u^j and Dbar v^j.
-* ``u_on_x``: the operators with u on the x block and v on the xb block.
+    D = d/dx_n + sum_k v^k d/dx_k,   Dbar = d/dxb_n + sum_k u^k d/dxb_k.
 
-The test suite records which binding yields vanishing residuals on
-constructed systems (it is ``v_on_x``).
+With the derived speeds this pair annihilates phi (and any function of
+(phi, xb) resp. (phi, x)), and the zero-curvature residuals are D u^j and
+Dbar v^j.  The other binding, u on the x block, does not annihilate the
+constructed fields; ``test_binding_comparison_records_v_on_x`` in
+``tests/test_leznov.py`` records that.
 
 A case solves all its sample points as one batch (:func:`solve_many`, one
 batched Newton solve through ``construct._newton``) for the field values;
@@ -286,38 +284,30 @@ def speed_jets(sys: LeznovSystem, points, fields):
 # -- directional operators -------------------------------------------------------------
 
 
-def _operators(n: int, speeds, speeds_on_x: str) -> tuple:
-    """The pair (D, Dbar) under the binding ``speeds_on_x``, each as (time
-    axis, space axes, speed family), from the speed families ``(u, v)``: D
-    acts on the x block along x_n, Dbar on the xb block along xb_n, and
-    ``"v"`` puts the v speeds on the x block and u on the xb block, ``"u"``
-    the other way round."""
-    if speeds_on_x not in ("u", "v"):
-        raise ValueError("speeds_on_x must be 'u' or 'v'")
+def _operators(n: int, speeds) -> tuple:
+    """The pair (D, Dbar), each as (time axis, space axes, speed family), from
+    the speed families ``(u, v)``: D acts on the x block along x_n with the v
+    speeds, Dbar on the xb block along xb_n with the u speeds."""
     u, v = speeds
-    on_x, on_xb = (v, u) if speeds_on_x == "v" else (u, v)
-    return (n - 1, tuple(range(n - 1)), on_x), (2 * n - 1, tuple(range(n, 2 * n - 1)), on_xb)
+    return (n - 1, tuple(range(n - 1)), v), (2 * n - 1, tuple(range(n, 2 * n - 1)), u)
 
 
-def holomorphy_samples(sys: LeznovSystem, fields, speeds, speeds_on_x: str = "v"):
+def holomorphy_samples(sys: LeznovSystem, fields, speeds):
     """(D phi^j, Dbar phi^j), each a tuple of one sample per field, at a solved
     point or over a batch, from its :func:`field_jets` and :func:`speed_jets`."""
     return tuple(tuple(transport(f, [s.value for s in family], time_axis, space_axes)
                        for f in fields)
-                 for time_axis, space_axes, family in _operators(sys.n, speeds, speeds_on_x))
+                 for time_axis, space_axes, family in _operators(sys.n, speeds))
 
 
-def zero_curvature_samples(sys: LeznovSystem, speeds, speeds_on_x: str = "v") -> tuple:
+def zero_curvature_samples(sys: LeznovSystem, speeds) -> tuple:
     """Commutator residuals of the operator pair on the derived speeds, at a
-    solved point or over a batch: the samples of D on the speed family off
-    the x block, then of Dbar on the family on it.
-
-    Under the ``v_on_x`` binding the pair commutes iff D u^j = 0 and
-    Dbar v^j = 0; under ``u_on_x`` iff D v^j = 0 and Dbar u^j = 0.
+    solved point or over a batch: the samples of D u^j, then of Dbar v^j.
+    The pair commutes iff both vanish.
     """
-    (t, xs, on_x), (tb, xbs, on_xb) = _operators(sys.n, speeds, speeds_on_x)
-    return (tuple(transport(s, [w.value for w in on_x], t, xs) for s in on_xb)
-            + tuple(transport(s, [w.value for w in on_xb], tb, xbs) for s in on_x))
+    (t, xs, v), (tb, xbs, u) = _operators(sys.n, speeds)
+    return (tuple(transport(s, [w.value for w in v], t, xs) for s in u)
+            + tuple(transport(s, [w.value for w in u], tb, xbs) for s in v))
 
 
 def constraint_gap(sys: LeznovSystem, point, phi):

@@ -699,7 +699,7 @@ def integrate_characteristics(init_u: ExprSpec, init_v: ExprSpec, spec) -> CharG
         t, x_nodes, f["u"], f["v"], h, dt, spec.cfl))
 
 
-def integrate_multifield(init: dict, spec, freeze: tuple = ()) -> MultiCharGrid:
+def integrate_multifield(init: dict, spec) -> MultiCharGrid:
     """``hydro.integrate_multifield`` with one foot-point solve per carried
     pair and stage, each evaluating the speed splines at the nodes."""
     x2 = hydro.TWO_PI * np.arange(spec.n2) / spec.n2
@@ -730,7 +730,7 @@ def integrate_multifield(init: dict, spec, freeze: tuple = ()) -> MultiCharGrid:
                 for name in names:
                     new[name] = splines[name](*foot)
             star = new
-        return {n: level[n] if n in freeze else star[n] for n in MULTI_FIELDS}
+        return star
 
     return hydro._march(f0, min(h2, h3), spec, advance, lambda t, dt, f: MultiCharGrid(
         t, x2, x3, f, h2, h3, dt, spec.cfl))

@@ -152,7 +152,7 @@ def test_hodograph_fields_covariance_and_two_field_residuals(f, g, low, high):
     minv = m.inverse()
     pulled, _ = _compare(lambda f: tuple(construct.pull_back(j, minv) for j in f), fields)
     _compare(lambda f: residuals.two_field_bateman(*f), pulled)
-    _compare(lambda s: construct.moebius_transform((s, s), m)[0], pulled[1].grad[:, 0])
+    _compare(lambda s: construct.moebius_transform(s, m), pulled[1].grad[:, 0])
     bi, bi_failed = _compare(lambda f: construct.born_infeld_jet(f[1], f[0], 1.3), fields)
     assert bi_failed.any() == (low[0] < 0)
     born, _ = _compare(lambda j: residuals.born_infeld(j, 1.3), bi)
@@ -201,9 +201,8 @@ def test_leznov_fields_speeds_and_operator_samples(n):
     speeds, failed = _compare(lambda p, f: leznov.speed_jets(sys, p, f), points, fields)
     assert np.flatnonzero(failed).tolist() == [57]
     fields = residuals.take(fields, ~failed)
-    for speeds_on_x in ("u", "v"):
-        _compare(lambda f, s: leznov.holomorphy_samples(sys, f, s, speeds_on_x), fields, speeds)
-        _compare(lambda s: leznov.zero_curvature_samples(sys, s, speeds_on_x), speeds)
+    _compare(lambda f, s: leznov.holomorphy_samples(sys, f, s), fields, speeds)
+    _compare(lambda s: leznov.zero_curvature_samples(sys, s), speeds)
 
 
 def test_grid_jets_and_transport_samples():

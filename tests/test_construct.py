@@ -459,19 +459,19 @@ def test_hodograph_jets_match_finite_differences():
 
 
 def test_moebius_identity():
-    assert moebius_transform((0.7, -1.2), LinearMap2(1, 0, 0, 1)) == (0.7, -1.2)
+    assert moebius_transform(0.7, LinearMap2(1, 0, 0, 1)) == 0.7
+    assert moebius_transform(-1.2, LinearMap2(1, 0, 0, 1)) == -1.2
 
 
 def test_moebius_translation_case():
-    # a=1, b=0, c=1, d=1: u' = u - 1.
-    u, v = moebius_transform((0.7, -1.2), LinearMap2(1, 0, 1, 1))
-    assert u == pytest.approx(-0.3)
-    assert v == pytest.approx(-2.2)
+    # a=1, b=0, c=1, d=1: s' = s - 1.
+    assert moebius_transform(0.7, LinearMap2(1, 0, 1, 1)) == pytest.approx(-0.3)
+    assert moebius_transform(-1.2, LinearMap2(1, 0, 1, 1)) == pytest.approx(-2.2)
 
 
 def test_moebius_pole():
     with pytest.raises(PoleError):
-        moebius_transform((0.0, 1.0), LinearMap2(0, 1, 1, 1))
+        moebius_transform(0.0, LinearMap2(0, 1, 1, 1))
 
 
 def test_transform_identity_bitwise():
@@ -513,7 +513,7 @@ def test_transformed_solution_still_solves_and_speeds_follow_moebius():
             _, u_speed = _fields(solver, t, x, seed=(u0, v0))
             u_orig = u_speed.grad[0] / u_speed.grad[1]
             try:
-                expected_u, _ = moebius_transform((u_orig, u_orig), m)
+                expected_u = moebius_transform(u_orig, m)
             except PoleError:
                 continue
             u_new = jb.grad[0] / jb.grad[1]

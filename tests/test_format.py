@@ -162,6 +162,15 @@ def test_every_place_has_a_scenario():
         assert isinstance(_at(data, path), dict), place
 
 
+def test_every_choice_but_a_row_selector_offers_two_values():
+    """A choice of one value is a constant, not a setting: only ``op`` and
+    ``equation``, which pick a row of ``_OPS`` or ``_CHECKS``, have one."""
+    for place, keys in cli._FORMAT.items():
+        for name, key in keys.items():
+            if key.kind == "choice" and name not in ("op", "equation"):
+                assert len(key.choices) >= 2, f"{place}.{name}"
+
+
 def test_step_bounds_are_the_floats_whose_squares_are_neither_0_nor_inf():
     low, high = cli._FORMAT["ad case"]["steps"].low, cli._FORMAT["ad case"]["steps"].high
     assert low * low > 0 and math.nextafter(low, 0) ** 2 == 0

@@ -4,8 +4,9 @@ Each mutant replaces a library function from outside: it perturbs what the
 function returns (at each point of a batch) by a relative 1e-3 (one Hessian
 entry symmetrically, so that the result is still a valid jet, a value, or one
 derivative of a grid stencil; an entry that vanishes moves by 1e-3 of its
-Hessian's largest entry), drops one term of a jet product or quotient, or
-scales the second derivative of every univariate jet function.  Sampled
+Hessian's largest entry), drops one term of a jet product or quotient,
+scales the second derivative of every univariate jet function, or swaps the
+speed families of the Leznov operator pair.  Sampled
 scenarios run with fewer samples per case, the others whole; unmutated, the
 same runs pass, so each failure is the mutant's doing.
 """
@@ -113,11 +114,11 @@ def stencil_space_derivative(monkeypatch):
 
 
 def moebius_speed(monkeypatch):
-    """Both speeds from ``moebius_transform`` scaled by 1.001."""
+    """The speed from ``moebius_transform`` scaled by 1.001."""
     moebius_transform = construct.moebius_transform
 
-    def mutant(uv, m):
-        return tuple(1.001 * s for s in moebius_transform(uv, m))
+    def mutant(s, m):
+        return 1.001 * moebius_transform(s, m)
 
     monkeypatch.setattr(construct, "moebius_transform", mutant)
 
@@ -142,6 +143,18 @@ def leznov_v_speed(monkeypatch):
         return u, tuple(jets.from_parts(1.001 * w.value, w.grad, w.hess) for w in v)
 
     monkeypatch.setattr(leznov, "speed_jets", mutant)
+
+
+def swapped_operator_binding(monkeypatch):
+    """The speed families swapped in ``leznov._operators``: D carries u on the
+    x block and Dbar carries v on the xb block."""
+    operators = leznov._operators
+
+    def mutant(n, speeds):
+        u, v = speeds
+        return operators(n, (v, u))
+
+    monkeypatch.setattr(leznov, "_operators", mutant)
 
 
 def jet_product_cross_term(monkeypatch):
@@ -201,6 +214,7 @@ MUTANTS = {
     moebius_speed: ("c04",),
     pull_back_hessian: ("c04",),
     leznov_v_speed: ("c07",),
+    swapped_operator_binding: ("c07",),
     jet_product_cross_term: ("c09", "c11"),
     jet_quotient_cross_term: ("c11",),
     univariate_second_derivative: ("c11",),
@@ -220,3 +234,14 @@ def test_mutant_makes_scenario_fail(tmp_path, monkeypatch, mutant, scenario):
     mutant(monkeypatch)
     _, code = cli.run_scenario(_reduced(scenario), tmp_path, seed=SEED)
     assert code == cli.EXIT_FAIL
+
+
+def test_swapped_binding_fails_every_operator_entry_of_c07(tmp_path, monkeypatch):
+    """c07's ``zero_curvature`` reads 0 under the right binding (no coordinate
+    partial of its Q and P involves phi); under the swapped one it fails in
+    both cases, beside ``d_phi`` and ``dbar_phi``."""
+    swapped_operator_binding(monkeypatch)
+    report, _ = cli.run_scenario(_reduced("c07"), tmp_path, seed=SEED)
+    failing = sorted(e["equation"] for e in report["reports"] if not e["pass"])
+    assert failing == sorted(f"{name}[{label}]" for name in ("d_phi", "dbar_phi", "zero_curvature")
+                             for label in ("n2", "n3"))
