@@ -833,6 +833,22 @@ def test_complex_bateman_on_a_larger_leznov_system_exits_2_before_solving(
     assert "complex_bateman check needs n = 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario,equation", [
+    ("implicit_fg", "complex_bateman"),
+    ("holo_sum", "complex_bateman"),
+    ("implicit_3d", "euclidean_3d"),
+])
+def test_reparametrization_checks_the_fields_own_equation(tmp_path, scenario, equation):
+    data = _with(_COMPLETE[scenario](), ("checks",),
+                 [{"equation": "reparametrization", "tolerance": 1e-9}])
+    report, code = cli.run_scenario(data, tmp_path, seed=1)
+    assert code == cli.EXIT_PASS
+    case = data["cases"][0]
+    label = case.get("label", case["construct"]["op"])
+    assert [e["equation"] for e in report["reports"]] == [
+        f"reparametrized_{equation}[{label}:s^3 + s]"]
+
+
 @pytest.mark.parametrize("count", [0, -2])
 @pytest.mark.parametrize("dump", [False, True])
 def test_sample_count_below_one_exits_2(tmp_path, capsys, count, dump):
@@ -1029,6 +1045,8 @@ def test_power_overflow_skips_every_sample(tmp_path, capsys, block):
     ("implicit_fg", ("samples", "mode"), "uv_box"),
     ("reparametrization", ("checks", 0, "target"), "complex_bateman"),
     ("binding", ("checks", 0, "speeds_on_x"), "v"),
+    ("binding", ("checks", 0, "speeds_on_x"), "u"),
+    ("binding", ("checks", 1, "speeds_on_x"), "v"),
     ("binding", ("checks", 1, "speeds_on_x"), "u"),
 ])
 def test_unknown_variation_system_or_check_exits_2_before_solving(
