@@ -277,8 +277,9 @@ print([m for m in ("construct", "hydro", "leznov", "varlag")
        if type(sys.modules.get("batlab." + m)) is types.ModuleType])
 print([m for m in {absent!r} if m in sys.modules])
 """
-# scipy loads only for c08's spline, concurrent.futures only for ``suite --jobs
-# N`` with N > 1, and csv for no run: the dumps join their rows as strings
+# scipy's Python package loads for no run (c08's spline loads only its compiled
+# ndimage extension), concurrent.futures only for ``suite --jobs N`` with N > 1,
+# and csv for no run: the dumps join their rows as strings
 _UNLOADED = ("scipy", "csv", "concurrent.futures")
 
 
@@ -294,15 +295,16 @@ def _scenario_file(prefix: str) -> str:
     (["verify", "c01"], ["construct"], _UNLOADED),
     (["verify", "c07"], ["construct", "leznov"], _UNLOADED),
     (["verify", "c09"], ["construct", "hydro", "varlag"], _UNLOADED),
-    # c08's spline loads scipy, which loads csv and concurrent.futures itself
-    (["suite"], ["construct", "hydro", "leznov", "varlag"], ()),
+    (["simulate", "c08"], ["hydro"], _UNLOADED),
+    (["suite"], ["construct", "hydro", "leznov", "varlag"], _UNLOADED),
 ], ids=["import", "load_every_bundled_file", "ad", "simulate", "verify", "verify_leznov",
-        "variational", "suite"])
+        "variational", "simulate_spline", "suite"])
 def test_a_run_imports_only_what_its_kind_needs(tmp_path, command, ran, absent):
     """``cli`` binds construct, hydro, leznov and varlag as modules that run on
     their first attribute access, so a fresh interpreter runs only those its
-    scenario's kind needs (a lazy placeholder has not run), and loads scipy,
-    csv and concurrent.futures only where a run needs them."""
+    scenario's kind needs (a lazy placeholder has not run).  No run loads
+    scipy's Python package or csv, and concurrent.futures loads only where a
+    run needs it."""
     if command == ["load"]:
         code = "for path in cli.bundled_scenarios():\n    cli.load_scenario(path)"
     elif command:
@@ -526,16 +528,20 @@ def test_missing_required_field_exits_2(tmp_path, capsys, scenario, path):
 @pytest.mark.parametrize("seed", [20240801, 7])
 def test_pointwise_reports_match_recorded_digests(tmp_path, seed):
     """Reports of every bundled scenario, and the grid dumps of the simulate
-    ones, match the digests the benchmark recorded for its four workloads."""
+    ones, match the digests the benchmark recorded for its four workloads or,
+    for a scenario no workload runs, those in ``tests/digests.json``."""
     recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text())[str(seed)]
+    unbenched = json.loads((ROOT / "tests" / "digests.json").read_text())[str(seed)]
     digests = recorded["pointwise_verify"]
     assert sorted(digests) == [p.name[:-5] for p in cli.bundled_scenarios()
                                if p.name[:3] in ("c01", "c02", "c03", "c04", "c06",
                                                  "c07", "c10")]
     dumped = recorded["characteristic_dump"]
     assert sorted(dumped) == ["c05_conservation_hierarchy", "c08_multifield_determinant"]
-    digests = {**digests, **dumped, **recorded["variational_grid"],
+    benched = {**digests, **dumped, **recorded["variational_grid"],
                **recorded["fresh_expressions"]}
+    assert not benched.keys() & unbenched.keys()
+    digests = {**benched, **unbenched}
     assert sorted(digests) == [p.name[:-5] for p in cli.bundled_scenarios()]
     # the fresh_expressions workload runs c11 with its cases repeated 10 times
     # (``repeat_cases`` in perfbench/workloads.py)
@@ -549,6 +555,22 @@ def test_pointwise_reports_match_recorded_digests(tmp_path, seed):
         for fname, digest in digests[name].items():
             written = (tmp_path / name / fname).read_bytes()
             assert hashlib.sha256(written).hexdigest() == digest, fname
+
+
+def test_recorded_digests_hold_without_numpy_simd_dispatch():
+    """The digest test at seed 20240801 passes again in a pytest subprocess
+    with every SIMD target that numpy dispatches to on this CPU turned off
+    (``NPY_DISABLE_CPU_FEATURES``), so no report or dump byte depends on
+    which kernel a ufunc picked."""
+    from numpy._core import _multiarray_umath as umath
+    targets = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    test = f"{Path(__file__).resolve()}::test_pointwise_reports_match_recorded_digests[20240801]"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+                         capture_output=True, text=True, env=env, cwd=ROOT, timeout=600)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "1 passed" in run.stdout
 
 
 def test_one_solve_per_point_and_seed(tmp_path, monkeypatch):

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -692,3 +696,49 @@ def test_conservation_drift_of_scaled_fields_keeps_the_bits():
                                              CharGridSpec(nx=nx, t_end=t_end))
             for n in range(1, 31):
                 assert conservation_drift(grid, n) == oracles.conservation_drift(grid, n)
+
+
+# Builds the spline on random periodic grids, then imports scipy.ndimage (not
+# loaded until then) and compares bit for bit with its public functions.
+_SPLINE_REFERENCE = """
+import sys
+import numpy as np
+from batlab import hydro
+
+rng = np.random.default_rng(5)
+built = []
+for shape in ((8, 8), (8, 12), (12, 8), (9, 33), (17, 10), (64, 64)):
+    values = rng.standard_normal(shape)
+    # coordinates in [-3, n + 3) along each axis, shaped like the nodes
+    coords = [rng.uniform(-3.0, n + 3.0, size=shape) for n in shape]
+    spline = hydro._PeriodicSpline2(values)
+    built.append((values, coords, spline.coeffs, spline(*coords)))
+assert "scipy" not in sys.modules and "scipy.ndimage" not in sys.modules
+
+from scipy import ndimage
+
+def same_bits(a, b):
+    return a.dtype == b.dtype == np.float64 and np.array_equal(a.view(np.uint64),
+                                                               b.view(np.uint64))
+
+for values, coords, coeffs, at in built:
+    reference = ndimage.spline_filter(values, order=3, mode="grid-wrap")
+    assert same_bits(coeffs, reference), values.shape
+    assert same_bits(at, ndimage.map_coordinates(reference, coords, order=3, mode="grid-wrap",
+                                                 prefilter=False)), values.shape
+print(len(built))
+"""
+
+
+def test_periodic_spline_repeats_scipy_ndimage_bit_for_bit():
+    """The spline calls scipy's compiled ndimage extension directly, whose
+    signature is private: its coefficients and values must keep the bits of
+    the public ``spline_filter`` and ``map_coordinates`` in "grid-wrap" mode,
+    on square, non-square and odd grids, at feet outside one period.  A fresh
+    interpreter shows that building and evaluating it imports no part of
+    scipy's Python package, and that a later public import still works."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-c", _SPLINE_REFERENCE], capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["6"]

@@ -5,8 +5,9 @@ function returns (at each point of a batch) by a relative 1e-3 (one Hessian
 entry symmetrically, so that the result is still a valid jet, a value, or one
 derivative of a grid stencil; an entry that vanishes moves by 1e-3 of its
 Hessian's largest entry), drops one term of a jet product or quotient,
-scales the second derivative of every univariate jet function, or swaps the
-speed families of the Leznov operator pair.  Sampled
+scales the second derivative of every univariate jet function, swaps the
+speed families of the Leznov operator pair, or builds the four-field
+system's periodic spline on the raw grid values, with no prefilter.  Sampled
 scenarios run with fewer samples per case, the others whole; unmutated, the
 same runs pass, so each failure is the mutant's doing.
 """
@@ -113,6 +114,15 @@ def stencil_space_derivative(monkeypatch):
     monkeypatch.setattr(hydro, "_first_difference", mutant)
 
 
+def spline_prefilter_dropped(monkeypatch):
+    """``hydro._PeriodicSpline2`` with the grid values as its coefficients:
+    evaluation runs as before, but no spline prefilter runs first."""
+    def mutant(self, values):
+        self.coeffs = np.array(values, dtype=float)
+
+    monkeypatch.setattr(hydro._PeriodicSpline2, "__init__", mutant)
+
+
 def moebius_speed(monkeypatch):
     """The speed from ``moebius_transform`` scaled by 1.001."""
     moebius_transform = construct.moebius_transform
@@ -211,6 +221,7 @@ MUTANTS = {
     implicit_split_cross_block: ("c01", "c04", "c10"),
     holo_sum_cross_block: ("c02",),
     stencil_space_derivative: ("c05", "c08", "c09"),
+    spline_prefilter_dropped: ("c08",),
     moebius_speed: ("c04",),
     pull_back_hessian: ("c04",),
     leznov_v_speed: ("c07",),
