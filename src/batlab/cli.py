@@ -132,7 +132,8 @@ def _entry(equation: str, report: ResidualReport, tolerance: float,
 # Every key a scenario file may hold, by place: ``_FORMAT``, built below from
 # the rows of the ops, checks and systems.  A case is read against it before
 # its first solve, and the README's format table is checked against it.
-# Ranges that the library enforces are left to the library.
+# Every range of a single key is stated here, and only here: the library keeps
+# only the rules that relate several keys or the variables of expressions.
 
 _REQUIRED = object()  # the default of a key that must be given
 _CAP = int(np.iinfo(np.intp).max) // 8  # the longest float64 array numpy can describe
@@ -301,11 +302,12 @@ def _unused(label: str, labels) -> str:
     return label
 
 
-def _solve_config(block: dict, where: str) -> construct.ImplicitSolveConfig:
-    """The Newton config of the ``config`` block at ``where``."""
+def _solve_config(block: dict, place: str, where: str) -> construct.ImplicitSolveConfig:
+    """The Newton config of the ``config`` block at ``where``, read as ``place``
+    (the config place of its solver family)."""
     return construct.ImplicitSolveConfig(**{
         key: tuple(value) if isinstance(value, list) else value
-        for key, value in _read(block, "config", where).items()})
+        for key, value in _read(block, place, where).items()})
 
 
 def _samples(case: dict, dim: int) -> dict:
@@ -396,9 +398,9 @@ def _field_case(make, dim: int):
 
 def _hodograph_case(block, label, case, rng) -> _Solved:
     with _reading():
-        solver = construct.HodographSolver(block["f"].spec, block["g"].spec,
-                                           _solve_config(block["config"], "construct.config"))
-        construct.seed_pair(solver.cfg.seed)  # the born_infeld check solves from it
+        solver = construct.HodographSolver(
+            block["f"].spec, block["g"].spec,
+            _solve_config(block["config"], "pair config", "construct.config"))
     uv = _box_sampler(_samples(case, 2), rng, 2)
     t, x = at_points(solver.forward, uv[:, 0], uv[:, 1])
     errors, batch = _at_solved(solver.fields, *_uv_at(*solver.solve_many(t, x, uv)))
@@ -415,7 +417,8 @@ def _leznov_case(block, label, case, rng) -> _Solved:
     with _reading():
         sys_ = leznov.LeznovSystem(n=block["n"], Q=[q.spec for q in block["Q"]],
                                    P=[p.spec for p in block["P"]],
-                                   cfg=_solve_config(block["config"], "construct.config"))
+                                   cfg=_solve_config(block["config"], "leznov config",
+                                                     "construct.config"))
     if sys_.n != 2 and any(c.get("equation") == "complex_bateman" for c in case["checks"]):
         raise ScenarioError("complex_bateman check needs n = 2")
     points = _box_sampler(_samples(case, 2 * sys_.n), rng, 2 * sys_.n)
@@ -428,21 +431,18 @@ def _leznov_case(block, label, case, rng) -> _Solved:
                    speed_errors=speed_errors, speeds=speeds)
 
 
-def _run_verify_case(case: dict, rng: np.random.Generator,
-                     sink: dict | None = None) -> list[dict]:
+def _run_verify_case(case: dict, rng: np.random.Generator, sink: dict) -> list[dict]:
     """The entries of a verify case.  ``sink`` maps the labels of the
     scenario's earlier cases to their sample points; the case adds its own."""
     case = _read(case, "verify case")
     op = case["construct"].get("op")
     if f"{op}" not in _OPS:
         raise ScenarioError(f"unknown constructor op {op!r}")
-    label = _unused(case["label"] or op, sink or {})
+    label = _unused(case["label"] or op, sink)
     checks = _read_checks(case, op, label)
     block = _read(case["construct"], f"construct {op}", "construct")
     c = _OPS[op].build(block, label, case, rng)
-    if sink is not None:
-        sink[label] = c.points if c.tx is None else [
-            (*tx, *uv) for tx, uv in zip(c.tx, c.points)]
+    sink[label] = c.points if c.tx is None else [(*tx, *uv) for tx, uv in zip(c.tx, c.points)]
     entries = []
     for run, check in checks:
         entries += run(c, check)
@@ -590,8 +590,8 @@ def _speed_check(samples, *names):
 # grid; a check gives (halving key, report entry) pairs.
 
 
-def _run_simulate_case(case: dict, rng: np.random.Generator, out_dir: Path,
-                       scenario_name: str, dump: bool, labels: set) -> list[dict]:
+def _run_simulate_case(case: dict, out_dir: Path, scenario_name: str, dump: bool,
+                       labels: set) -> list[dict]:
     """The entries of a simulate case; ``labels`` holds those of the
     scenario's earlier cases, and the case adds its own."""
     case = _read(case, "simulate case")
@@ -692,7 +692,8 @@ _OPS = {
     "solve_implicit_fg": _Op(
         {"F": _EXPRESSION, "G": _EXPRESSION, "config": _CONFIG},
         _field_case(lambda b: construct.solve_implicit_fg(
-            b["F"].spec, b["G"].spec, _solve_config(b["config"], "construct.config")), 4)),
+            b["F"].spec, b["G"].spec,
+            _solve_config(b["config"], "scalar config", "construct.config")), 4)),
     "holo_sum": _Op({"f": _EXPRESSION, "g": _EXPRESSION},
                     _field_case(lambda b: construct.holo_sum(b["f"].spec, b["g"].spec), 4)),
     "implicit_3d": _Op(
@@ -700,7 +701,7 @@ _OPS = {
          "const_c": _Key("float", 0.0), "config": _CONFIG},
         _field_case(lambda b: construct.implicit_3d(
             b["F"].spec, b["G"].spec, b["K"].spec, b["const_c"],
-            _solve_config(b["config"], "construct.config")), 3)),
+            _solve_config(b["config"], "scalar config", "construct.config")), 3)),
     "parametric_hodograph": _Op({"f": _EXPRESSION, "g": _EXPRESSION, "config": _CONFIG},
                                 _hodograph_case),
     "leznov": _Op({"n": _Key("integer"), "Q": _Key("expression", many="list"),
@@ -714,13 +715,13 @@ _OPS = {
 # building these rows runs no hydro code (a test checks that they are equal).
 _SYSTEMS = {
     "two_field": _System(
-        {"t_end": _Key("float"), "x0": _Key("float", 0.0), "x1": _Key("float", 2.0 * math.pi),
-         "cfl": _Key("float", 0.5)},
+        {"t_end": _Key("float", low=_POSITIVE), "x0": _Key("float", 0.0),
+         "x1": _Key("float", 2.0 * math.pi), "cfl": _Key("float", 0.5, _POSITIVE, 0.9)},
         ("u", "v"), ("x",), lambda res, grid: hydro.CharGridSpec(res, **grid),
         lambda init, spec: hydro.integrate_characteristics(init["u"], init["v"], spec),
         lambda grid, path: hydro.dump_char_grid(grid, path)),
     "multifield": _System(
-        {"t_end": _Key("float"), "cfl": _Key("float", 0.4)},
+        {"t_end": _Key("float", low=_POSITIVE), "cfl": _Key("float", 0.4, _POSITIVE, 0.9)},
         ("u1", "u2", "v1", "v2"), ("x2", "x3"),
         lambda res, grid: hydro.MultiGridSpec(res, res, **grid),
         lambda init, spec: hydro.integrate_multifield(init, spec),
@@ -774,6 +775,11 @@ _CHECKS = {
                              {"multifield": _multifield_det}),
 }
 
+# the Newton keys of every config place; Newton keeps every iterate of a
+# solve, (max_iter + 1) per point, so max_iter is capped
+_NEWTON = {"newton_tol": _Key("float", 1e-12, low=_POSITIVE),
+           "max_iter": _Key("integer", 50, 1, 1000)}
+
 # place -> key -> _Key
 _FORMAT = {
     "scenario": {
@@ -786,10 +792,11 @@ _FORMAT = {
     "simulate case": {
         "system": _Key("choice", "two_field", choices=tuple(_SYSTEMS)),
         "label": _Key("file-name string", None), "init": _Key("expression", many="object"),
-        "grid": _Key("JSON object"), "resolutions": _Key("integer", high=_CAP, many="list"),
+        "grid": _Key("JSON object"), "resolutions": _Key("integer", low=8, high=_CAP, many="list"),
         "checks": _Key("JSON object", many="list"), "halving_ratio": _Key("float", 0.0)},
     "variational case": {
         "label": _Key("file-name string", "variational"), "source": _Key("JSON object"),
+        # the residuals lie two nodes inside each edge of a grid
         "resolutions": _Key("integer", low=5, high=_CAP, many="list"),
         "psi": _Key("expression", ["s"], 0, 1, many="list"),
         "factors": _Key("expression", ["p/q"], many="list"),
@@ -798,7 +805,6 @@ _FORMAT = {
         "tolerance_h2_coeff": _Key("float", 5.0, low=_POSITIVE),
         "halving_ratio": _Key("float", 0.0)},
     "ad case": {
-        "label": _Key("file-name string", None),
         # a million random expressions take minutes; the bound keeps a case from running for years
         "expressions": _Key("integer", 500, 1, 10**6),
         # the probe divides by h^2, which must neither underflow nor overflow
@@ -808,10 +814,13 @@ _FORMAT = {
         "min_ratio": _Key("float", 3.5, low=math.nextafter(1.0, math.inf))},
     "source": {"f": _EXPRESSION, "g": _EXPRESSION, "config": _CONFIG,
                "t_window": _WINDOW, "x_window": _WINDOW},
-    "config": {
-        "newton_tol": _Key("float", 1e-12), "max_iter": _Key("integer", 50),
-        "seed": _Key("float", 1.0, many="or list"),
-        "bracket": _Key("float", None, many="list", length=2)},
+    # solve_implicit_fg and implicit_3d: a scalar seed, and bisection on a bracket
+    "scalar config": {**_NEWTON, "seed": _Key("float", 1.0),
+                      "bracket": _Key("float", None, many="list", length=2)},
+    # parametric_hodograph and a variational source: a (u, v) seed pair
+    "pair config": {**_NEWTON, "seed": _Key("float", many="list", length=2)},
+    # leznov: one seed for every field, or one per field (n - 1 of them)
+    "leznov config": {**_NEWTON, "seed": _Key("float", 1.0, many="or list")},
     "samples": {
         "count": _Key("integer", **_COUNT),
         "low": _Key("float", many="list"), "high": _Key("float", many="list")},
@@ -844,9 +853,8 @@ def _read_variational_case(case: dict) -> _Variational:
     _increasing(case["resolutions"])
     src = _read(case["source"], "source", "source")
     with _reading():
-        cfg = _solve_config(src["config"], "source.config")
+        cfg = _solve_config(src["config"], "pair config", "source.config")
         solver = construct.HodographSolver(src["f"].spec, src["g"].spec, cfg)
-        construct.seed_pair(cfg.seed)
     grids = []
     for n in case["resolutions"]:
         # outside _reading: an array too large for memory is a runtime failure
@@ -1101,8 +1109,8 @@ def run_scenario(data: dict, out_dir: Path, seed: int, dump: bool = False) -> tu
                     if data["kind"] == "verify":
                         entries += _run_verify_case(case, rng, sample_sink)
                     elif data["kind"] == "simulate":
-                        entries += _run_simulate_case(case, rng, out_dir, data["name"],
-                                                      dump, labels)
+                        entries += _run_simulate_case(case, out_dir, data["name"], dump,
+                                                      labels)
                     else:
                         entries += _run_ad_case(case, rng)
     except (CharacteristicCrossingError, CFLViolationError) as err:

@@ -151,11 +151,6 @@ class Jet2:
     def __neg__(self):
         return Jet2(-self.value, -self.grad, -self.hess)
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            return NotImplemented
-        return powc(self, exponent)
-
     def _univariate(self, op: str, parts) -> "Jet2":
         """f(self) from ``parts(value) = (f, f', f'')``, called point by point."""
         if isinstance(self.value, float):

@@ -308,8 +308,6 @@ def born_infeld(phi: Jet2, lam: float) -> ResidualSample:
     """
     if phi.k != 2:
         raise ValueError(f"expected arity 2, got {phi.k}")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     g, H = phi.grad, phi.hess
     terms = (
         _square(g[..., 1]) * H[..., 0, 0],

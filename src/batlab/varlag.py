@@ -112,8 +112,6 @@ def variational_residual(
     the density stencil, another for the divergence of the momenta).
     """
     nt, nx = phi.shape
-    if nt < 5 or nx < 5:
-        raise ValueError("grid too small: need at least 5 nodes per axis")
     if phibar.shape != (nt, nx) or psi.shape != (nt, nx):
         raise ValueError("field grids must share one shape")
 
@@ -201,7 +199,5 @@ def psi_from(phibar: np.ndarray, w_expr: ExprSpec) -> np.ndarray:
     """Nodal psi = W(phibar), evaluated over the grid at once; each node the
     bits of W at that node.  Where W fails, the error is that of the first
     failing node in row-major order."""
-    if len(w_expr.vars) > 1:
-        raise ValueError("W must be a single-variable expression")
     return at_points(float_fn(w_expr, w_expr.vars or ("s",)), np.asarray(phibar, dtype=float))
 

@@ -203,7 +203,7 @@ def _assert_samples_dump(tmp_path, monkeypatch, data, name, count, width):
     sinks = []
     run_case = cli._run_verify_case
 
-    def keep_sink(case, rng, sink=None):
+    def keep_sink(case, rng, sink):
         sinks.append(sink)
         return run_case(case, rng, sink)
 
@@ -523,6 +523,19 @@ def test_missing_required_field_exits_2(tmp_path, capsys, scenario, path):
     args = [command, _write(tmp_path, "m.json", data), "--out", str(tmp_path / "o")]
     assert cli.main(args) == cli.EXIT_VALIDATION
     assert f"missing required field {path[-1]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario,block", [("hodograph", "construct"),
+                                            ("variational", "source")])
+def test_pair_solve_without_config_needs_a_seed(tmp_path, monkeypatch, capsys, scenario,
+                                                block):
+    """A (u, v) solve has no default seed: without a ``config`` it exits 2
+    before any solve."""
+    data = _COMPLETE[scenario]()
+    del data["cases"][0][block]["config"]
+    _forbid_work(monkeypatch)
+    assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
+    assert "config: missing required field 'seed'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", [20240801, 7])
@@ -991,6 +1004,32 @@ def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
     ("ad", ("min_ratio",), -1.0),
     ("ad", ("min_ratio",), 0.0),
     ("ad", ("min_ratio",), 1.0),
+    # a seed of the wrong shape for its solver family, a config, grid or
+    # resolution out of range, and a sample box of the wrong dimension
+    ("implicit_fg", ("construct", "config", "seed"), [0.0, 1.0]),
+    ("implicit_3d", ("construct", "config", "seed"), [0.0]),
+    ("variational", ("source", "config", "seed"), 1.5),
+    ("hodograph", ("construct", "config", "seed"), 1.5),
+    ("born_infeld", ("construct", "config", "seed"), 1.5),
+    ("implicit_fg", ("construct", "config", "max_iter"), 0),
+    ("implicit_fg", ("construct", "config", "newton_tol"), -1),
+    ("implicit_fg", ("checks",), [{"equation": "reparametrization", "tolerance": 1e-9,
+                                   "maps": ["s*t"]}]),
+    ("variational", ("psi",), ["s*t"]),
+    ("two_field", ("checks", 0, "n_values"), [0]),
+    ("two_field", ("resolutions",), [16, 4]),
+    ("multifield", ("resolutions",), [4]),
+    ("variational", ("resolutions",), [9, 4]),
+    ("two_field", ("grid", "t_end"), -1),
+    ("two_field", ("grid", "cfl"), 2),
+    ("multifield", ("grid", "cfl"), 0),
+    ("multifield", ("grid", "cfl"), -0.5),
+    ("multifield", ("grid", "cfl"), 5),
+    ("implicit_fg", ("samples",), {"count": 4, "low": [-1] * 3, "high": [1] * 3}),
+    ("holo_sum", ("samples",), {"count": 4, "low": [-1] * 5, "high": [1] * 5}),
+    ("implicit_3d", ("samples",), {"count": 4, "low": [0.5, -1, -1, -1], "high": [1.5, 1, 1, 1]}),
+    ("hodograph", ("samples",), {"count": 4, "low": [1.0, 3.0, 0.0], "high": [2.0, 4.0, 1.0]}),
+    ("leznov", ("samples",), {"count": 4, "low": [-1] * 3, "high": [1] * 3}),
 ])
 def test_scalar_of_wrong_type_exits_2_before_solving(tmp_path, monkeypatch, capsys, scenario,
                                                      path, value):
@@ -1070,6 +1109,10 @@ def test_power_overflow_skips_every_sample(tmp_path, capsys, block):
     ("binding", ("checks", 0, "speeds_on_x"), "u"),
     ("binding", ("checks", 1, "speeds_on_x"), "v"),
     ("binding", ("checks", 1, "speeds_on_x"), "u"),
+    # a bisection bracket, which only the scalar solves read
+    ("hodograph", ("construct", "config", "bracket"), [1.0, 2.0]),
+    ("leznov", ("construct", "config"), {"bracket": [5.0, 6.0]}),
+    ("variational", ("source", "config", "bracket"), [1.0, 2.0]),
 ])
 def test_unknown_variation_system_or_check_exits_2_before_solving(
         tmp_path, monkeypatch, scenario, path, value):
@@ -1081,41 +1124,20 @@ def test_unknown_variation_system_or_check_exits_2_before_solving(
 @pytest.mark.parametrize("scenario,path,value", [
     ("implicit_fg", ("construct", "F"), "phi - x"),
     ("hodograph", ("construct", "f"), "v^2"),
-    ("implicit_fg", ("construct", "config", "seed"), [0.0, 1.0]),
-    ("implicit_3d", ("construct", "config", "seed"), [0.0]),
-    ("implicit_fg", ("construct", "config", "max_iter"), 0),
-    ("implicit_fg", ("construct", "config", "newton_tol"), -1),
-    ("implicit_fg", ("checks",), [{"equation": "reparametrization", "tolerance": 1e-9,
-                                   "maps": ["s*t"]}]),
-    ("two_field", ("resolutions",), [16, 4]),
-    ("multifield", ("resolutions",), [4]),
-    ("two_field", ("grid", "t_end"), -1),
-    ("two_field", ("grid", "cfl"), 2),
-    ("two_field", ("checks", 0, "n_values"), [0]),
-    ("variational", ("resolutions",), [9, 4]),
     ("variational", ("factors",), ["p"]),
-    ("variational", ("psi",), ["s*t"]),
-    ("variational", ("source", "config", "seed"), 1.5),
     ("leznov", ("construct", "n"), 4),
     ("leznov", ("construct", "config"), {"seed": [0.0, 1.0]}),
-    ("hodograph", ("construct", "config", "seed"), 1.5),
-    ("born_infeld", ("construct", "config", "seed"), 1.5),
-    ("implicit_fg", ("samples",), {"count": 4, "low": [-1] * 3, "high": [1] * 3}),
-    ("holo_sum", ("samples",), {"count": 4, "low": [-1] * 5, "high": [1] * 5}),
-    ("implicit_3d", ("samples",), {"count": 4, "low": [0.5, -1, -1, -1], "high": [1.5, 1, 1, 1]}),
-    ("hodograph", ("samples",), {"count": 4, "low": [1.0, 3.0, 0.0], "high": [2.0, 4.0, 1.0]}),
-    ("leznov", ("samples",), {"count": 4, "low": [-1] * 3, "high": [1] * 3}),
     ("two_field", ("init", "u"), "1.0 + 0.1*sin(y)"),
     ("multifield", ("init", "u1"), "0.4 + 0.1*sin(x1)"),
     ("multifield", ("init",), {"u1": "0.4", "u2": "-0.3", "v1": "0.9"}),
     ("variational", ("source", "f"), "v^2"),
     ("variational", ("source", "g"), "v^2 + u"),
-    # Grids the marcher cannot step: no cell width, or a CFL number outside (0, 0.9].
+    # A grid the marcher cannot step: no cell width.
     ("two_field", ("grid", "x1"), 0.0),
     ("two_field", ("grid", "x1"), -1.0),
-    ("multifield", ("grid", "cfl"), 0),
-    ("multifield", ("grid", "cfl"), -0.5),
-    ("multifield", ("grid", "cfl"), 5),
+    # A variational window of no width, or reversed: no grid spacing.
+    ("variational", ("source", "t_window"), [10.0, 10.0]),
+    ("variational", ("source", "x_window"), [-14.25, -14.75]),
 ])
 def test_input_error_caught_by_the_library_exits_2_before_solving(
         tmp_path, monkeypatch, capsys, scenario, path, value):
@@ -1405,8 +1427,8 @@ def test_grid_without_a_finite_step_count_exits_3(tmp_path, capsys, scenario, pa
 def test_input_the_reader_once_let_through_exits_2_before_solving(
         tmp_path, monkeypatch, capsys, scenario, path, value):
     """Grid nodes or a sample box beyond the float range, a misspelt key (which
-    once left its default in force), a bad ad label and resolutions that do
-    not increase."""
+    once left its default in force), an ad label (a key an ad case does not
+    have) and resolutions that do not increase."""
     bundled = {"c05": "c05_conservation_hierarchy", "c09": "c09_degenerate_lagrangian",
                "c11": "c11_jet_convergence"}
     data = _small(bundled[scenario]) if scenario in bundled else _COMPLETE[scenario]()

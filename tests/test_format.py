@@ -42,14 +42,19 @@ def _context(place: str):
     fixed = {"scenario": ("implicit_fg", ()), "verify case": ("implicit_fg", case),
              "simulate case": ("two_field", case), "variational case": ("variational", case),
              "ad case": ("ad", case), "source": ("variational", case + ("source",)),
-             "config": ("implicit_fg", case + ("construct", "config")),
+             "scalar config": ("implicit_fg", case + ("construct", "config")),
+             "pair config": ("hodograph", case + ("construct", "config")),
+             "leznov config": ("leznov", case + ("construct", "config")),
              "samples": ("implicit_fg", case + ("samples",)),
              "grid two_field": ("two_field", case + ("grid",)),
              "grid multifield": ("multifield", case + ("grid",))}
     family, _, name = place.partition(" ")
     if place in fixed:
         scenario, path = fixed[place]
-        return _COMPLETE[scenario](), path
+        data = _COMPLETE[scenario]()
+        if place == "leznov config":  # the Leznov case has none
+            _at(data, path[:-1])["config"] = {}
+        return data, path
     if family == "construct":
         return _COMPLETE[_OP_SCENARIOS[name]](), case + ("construct",)
     assert family == "check", f"no scenario holds {place!r}"

@@ -128,11 +128,6 @@ def test_born_infeld_hand_case():
     assert s.scale == pytest.approx(3.0)
 
 
-def test_born_infeld_lambda_validation():
-    with pytest.raises(ValueError):
-        residuals.born_infeld(jets.constant(0.0, 2), -1.0)
-
-
 def test_born_infeld_formula_sympy_cross_derivative_oracle():
     """Derive the equation as the integrability condition of the gradient
     substitution; the implemented form must vanish and the doubled-first-term

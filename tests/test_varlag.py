@@ -102,13 +102,6 @@ def test_linear_fields_exactly_stationary():
         assert np.abs(grid.raw).max() <= 1e-12
 
 
-def test_grid_too_small():
-    f = DiscreteFunctional(ht=0.1, hx=0.1)
-    z = np.zeros((4, 6))
-    with pytest.raises(ValueError):
-        variational_residual(f, z, z, z)
-
-
 # -- on-shell configurations from the hodograph construction -------------------------
 
 
