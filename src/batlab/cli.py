@@ -702,8 +702,9 @@ _OPS = {
         _field_case(lambda b: construct.implicit_3d(
             b["F"].spec, b["G"].spec, b["K"].spec, b["const_c"],
             _solve_config(b["config"], "scalar config", "construct.config")), 3)),
-    "parametric_hodograph": _Op({"f": _EXPRESSION, "g": _EXPRESSION, "config": _CONFIG},
-                                _hodograph_case),
+    # a (u, v) solve has no default seed, so its config has no default
+    "parametric_hodograph": _Op(
+        {"f": _EXPRESSION, "g": _EXPRESSION, "config": _Key("JSON object")}, _hodograph_case),
     "leznov": _Op({"n": _Key("integer"), "Q": _Key("expression", many="list"),
                    "P": _Key("expression", many="list"), "config": _CONFIG}, _leznov_case),
 }
@@ -812,7 +813,7 @@ _FORMAT = {
                       many="list", length=2),
         # at a ratio of 1 or less every expression converges, whatever its jets
         "min_ratio": _Key("float", 3.5, low=math.nextafter(1.0, math.inf))},
-    "source": {"f": _EXPRESSION, "g": _EXPRESSION, "config": _CONFIG,
+    "source": {"f": _EXPRESSION, "g": _EXPRESSION, "config": _Key("JSON object"),
                "t_window": _WINDOW, "x_window": _WINDOW},
     # solve_implicit_fg and implicit_3d: a scalar seed, and bisection on a bracket
     "scalar config": {**_NEWTON, "seed": _Key("float", 1.0),

@@ -215,7 +215,12 @@ def constant(value: float, k: int, n: int | None = None) -> Jet2:
 def variables(values) -> list[Jet2]:
     """Seed jets of the k = len(values) independent variables, variable i
     taking the value ``values[i]`` at one point, or the values ``values[i]``
-    at the N points of a batch."""
+    at the N points of a batch.
+
+    A batch seed's gradients and Hessians are read-only broadcast views of
+    one unit row and of one zero ``(k, k)`` Hessian shared by all k seeds, so
+    seeding allocates nothing per point; every operation on them gives the
+    bits it gives on dense arrays."""
     v = np.array(values, dtype=float)
     if v.ndim == 1:
         return [variable(i, value, len(v)) for i, value in enumerate(v)]
@@ -223,12 +228,9 @@ def variables(values) -> list[Jet2]:
         raise ValueError("batch values must be k equally long sequences")
     k, n = v.shape
     _check_arity(k)
-    seeds = []
-    for i in range(k):
-        g = np.zeros((n, k))
-        g[:, i] = 1.0
-        seeds.append(Jet2(v[i], g, np.zeros((n, k, k))))
-    return seeds
+    unit = np.eye(k)
+    hess = np.broadcast_to(np.zeros((k, k)), (n, k, k))
+    return [Jet2(v[i], np.broadcast_to(unit[i], (n, k)), hess) for i in range(k)]
 
 
 def from_parts(value, grad, hess) -> Jet2:

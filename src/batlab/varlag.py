@@ -10,13 +10,14 @@ by centered differences.  Variational residuals are the *exact* derivatives of
 that discrete sum with respect to nodal values: because the density depends on
 a nodal value only through the centered stencils, the derivative is the
 centered divergence of the momentum grids dL/d(field_t), dL/d(field_x).
-All three residuals come from one pass over the interior grid rows: the
-density at the nodes of a row is one arity-6 ``jets.Jet2`` over the row's
-nodes in every field's slots, so its gradients and Hessians hold the momenta
-and the expanded-equation terms of each field at once, and the factor H
-evaluated there gives the action density at those nodes.  Each node's data is
-bit for bit that of a single-point ``Jet2`` density at the node; a row at a
-time keeps the batch's temporaries small.
+All three residuals come from one pass over the interior nodes, taken
+row-major in blocks of ``_BLOCK``: the density at the nodes of a block is one
+arity-6 ``jets.Jet2`` over those nodes in every field's slots, so its
+gradients and Hessians hold the momenta and the expanded-equation terms of
+each field at once, and the factor H evaluated there gives the action density
+at those nodes.  Each node's data is bit for bit that of a single-point
+``Jet2`` density at the node, whatever block it falls in; a fixed node
+count per block keeps the batch's temporaries small on any grid.
 Convergence of these residuals to zero on sampled exact solutions is then the
 tested property.
 
@@ -39,6 +40,12 @@ from .exprspec import ExprSpec, at_points, eval_jet, float_fn, parse
 from .residuals import ResidualSample, _ok, batched, grid_report
 
 _SLOTS = ("phi_t", "phi_x", "phibar_t", "phibar_x", "psi_t", "psi_x")
+
+# Interior nodes per batched density jet.  A jet's cost per node does not
+# depend on its batch size, so the batch is sized by node count, not by grid
+# row: 256 nodes amortize numpy's per-call overhead, and one jet over the
+# whole grid is no faster while holding all of its temporaries together.
+_BLOCK = 256
 
 
 def degree0_test(h_expr: ExprSpec) -> bool:
@@ -79,9 +86,9 @@ class DiscreteFunctional:
             raise ValueError(f"factor {self.factor} is not homogeneous of weight zero")
 
     def _density_jet(self, slots: Sequence[np.ndarray]) -> tuple[jets.Jet2, np.ndarray]:
-        """L at the nodes of one grid row, given each of the six ``_SLOTS``
-        there, as a batched arity-6 jet in the slots, whose gradients are the
-        full sets of momenta; and the values of the factor H."""
+        """L at a batch of nodes, given each of the six ``_SLOTS`` there, as
+        a batched arity-6 jet in the slots, whose gradients are the full sets
+        of momenta; and the values of the factor H."""
         sv = dict(zip(_SLOTS, jets.variables(slots)))
         bracket = sv["phibar_t"] * sv["psi_x"] - sv["psi_t"] * sv["phibar_x"]
         hj = eval_jet(self.factor, {"p": sv["phi_t"], "q": sv["phi_x"]}, k=6)
@@ -121,16 +128,22 @@ def variational_residual(
           for F in (phi, phibar, psi)]
     slots = np.concatenate([grad for _, grad, _ in fd], axis=-1)
     second = np.concatenate([hess for _, _, hess in fd], axis=-2)
+    del fd  # copied into slots and second; freed before the density jets run
 
-    # One batched density jet per row; its gradients hold every field's momenta.
-    mom = np.empty(slots.shape)
-    hess = np.empty(slots.shape + (6,))
-    factor = np.empty(slots.shape[:2])
-    for a in range(len(slots)):
-        lj, factor[a] = functional._density_jet(slots[a].T)
-        mom[a] = lj.grad
-        hess[a] = lj.hess
-    np.abs(hess, out=hess)
+    # One batched density jet per block of interior nodes, row-major; its
+    # gradients hold every field's momenta.
+    nodes = slots.reshape(-1, 6)
+    mom = np.empty(nodes.shape)
+    hess = np.empty(nodes.shape + (6,))
+    factor = np.empty(len(nodes))
+    for start in range(0, len(nodes), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        lj, factor[block] = functional._density_jet(nodes[block].T)
+        mom[block] = lj.grad
+        hess[block] = lj.hess
+    mom = mom.reshape(slots.shape)
+    hess = np.abs(hess, out=hess).reshape(slots.shape + (6,))
+    factor = factor.reshape(slots.shape[:2])
 
     grids = {}
     for vary, offset in (("psi", 4), ("phibar", 2), ("phi", 0)):

@@ -509,8 +509,10 @@ _COMPLETE = {
     ("implicit_3d", ("construct", "F")), ("implicit_3d", ("construct", "G")),
     ("implicit_3d", ("construct", "K")),
     ("hodograph", ("construct", "f")), ("hodograph", ("construct", "g")),
+    ("hodograph", ("construct", "config")),
     ("two_field", ("init",)), ("multifield", ("init",)),
     ("variational", ("source", "f")), ("variational", ("source", "g")),
+    ("variational", ("source", "config")),
     ("variational", ("source", "t_window")), ("variational", ("source", "x_window")),
 ])
 def test_missing_required_field_exits_2(tmp_path, capsys, scenario, path):
@@ -523,19 +525,6 @@ def test_missing_required_field_exits_2(tmp_path, capsys, scenario, path):
     args = [command, _write(tmp_path, "m.json", data), "--out", str(tmp_path / "o")]
     assert cli.main(args) == cli.EXIT_VALIDATION
     assert f"missing required field {path[-1]!r}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("scenario,block", [("hodograph", "construct"),
-                                            ("variational", "source")])
-def test_pair_solve_without_config_needs_a_seed(tmp_path, monkeypatch, capsys, scenario,
-                                                block):
-    """A (u, v) solve has no default seed: without a ``config`` it exits 2
-    before any solve."""
-    data = _COMPLETE[scenario]()
-    del data["cases"][0][block]["config"]
-    _forbid_work(monkeypatch)
-    assert _main_exit(tmp_path, data) == cli.EXIT_VALIDATION
-    assert "config: missing required field 'seed'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", [20240801, 7])
@@ -1178,7 +1167,7 @@ def test_variational_scenario_raises_its_first_cases_error(tmp_path, capsys, fir
 def test_one_density_jet_per_node(tmp_path, monkeypatch):
     """A variational case evaluates the density once per interior node and
     (resolution, factor, psi), shared by all three variations, in one batched
-    jet per interior row."""
+    jet per block of at most ``varlag._BLOCK`` interior nodes."""
     calls, nodes = Counter(), Counter()
     density_jet = varlag.DiscreteFunctional._density_jet
 
@@ -1196,7 +1185,8 @@ def test_one_density_jet_per_node(tmp_path, monkeypatch):
     assert len(report["reports"]) == 2 * 2 * 2 * 4
     # two factors times two psi choices per resolution
     assert sorted(nodes.values()) == [4 * (11 - 2) ** 2, 4 * (9 - 2) ** 2][::-1]
-    assert sorted(calls.values()) == [4 * (11 - 2), 4 * (9 - 2)][::-1]
+    assert sorted(calls.values()) == [4 * math.ceil((n - 2) ** 2 / varlag._BLOCK)
+                                      for n in (9, 11)]
 
 
 def _strict_json(text: str):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batlab import jets
+from batlab import jets, residuals
 from batlab.errors import JetDomainError
 
 import oracles
@@ -366,3 +366,73 @@ def test_single_and_batch_operands_match_points(op, single_first, single):
         return op(single, other) if single_first else op(other, single)
 
     oracles.assert_batch_matches_points(lambda: pair(s, b), lambda i: pair(s, at(i)), len(_XS))
+
+
+# -- read-only batch seeds -------------------------------------------------------------
+
+_SEED_VALUES = ((0.7, 1.3, 2.5, 0.2, 4.0), (1.9, 0.4, 0.6, 3.1, 0.25), (0.8, 2.2, 1.1, 0.5, 1.7))
+
+
+def _dense_seeds(values):
+    """The batch seeds of ``values`` as writable ``np.zeros`` arrays."""
+    k, n = len(values), len(values[0])
+    seeds = []
+    for i, value in enumerate(values):
+        g = np.zeros((n, k))
+        g[:, i] = 1.0
+        seeds.append(jets.Jet2(np.array(value), g, np.zeros((n, k, k))))
+    return seeds
+
+
+def _bits(batch):
+    """The int64 views of a batch's parts: of each jet of a tuple, of a jet's
+    value, gradients and Hessians, or of an array."""
+    if isinstance(batch, tuple):
+        return [b for item in batch for b in _bits(item)]
+    if isinstance(batch, jets.Jet2):
+        return [b for part in (batch.value, batch.grad, batch.hess) for b in _bits(part)]
+    return [np.asarray(batch, dtype=np.float64).view(np.int64)]
+
+
+def _assert_same_bits(got, want):
+    got, want = _bits(got), _bits(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_batch_seeds_are_read_only_views():
+    seeds = jets.variables(_SEED_VALUES)
+    for seed in seeds:
+        for part in (seed.grad, seed.hess):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 1.0
+    # one zero Hessian for every seed
+    assert all(np.shares_memory(seed.hess, seeds[0].hess) for seed in seeds)
+    _assert_same_bits(tuple(seeds), tuple(_dense_seeds(_SEED_VALUES)))
+
+
+@pytest.mark.parametrize("op", [
+    operator.add, operator.sub, operator.mul, operator.truediv,
+    lambda x, y: -x, lambda x, y: jets.powc(x, 3), lambda x, y: jets.powc(y, -2),
+    lambda x, y: jets.powc(x, 2.5), lambda x, y: jets.exp(x), lambda x, y: jets.log(y),
+    lambda x, y: jets.sin(x), lambda x, y: jets.cos(y), lambda x, y: jets.sqrt(x),
+    lambda x, y: x * y - y / x + jets.constant(0.5, 3),
+], ids=["add", "sub", "mul", "truediv", "neg", "powc3", "powc-2", "powc2.5", "exp", "log",
+        "sin", "cos", "sqrt", "composite"])
+def test_read_only_seeds_give_the_bits_of_dense_seeds(op):
+    x, y, _ = jets.variables(_SEED_VALUES)
+    dx, dy, _ = _dense_seeds(_SEED_VALUES)
+    _assert_same_bits(op(x, y), op(dx, dy))
+
+
+@pytest.mark.parametrize("index", [2, slice(1, 4), np.array([3, 0, 3]),
+                                   np.array([True, False, True, True, False])],
+                         ids=["point", "slice", "indices", "mask"])
+def test_take_and_join_of_read_only_seeds_give_the_bits_of_dense_seeds(index):
+    seeds, dense = tuple(jets.variables(_SEED_VALUES)), tuple(_dense_seeds(_SEED_VALUES))
+    _assert_same_bits(residuals.take(seeds, index), residuals.take(dense, index))
+    if isinstance(index, int):
+        return
+    _assert_same_bits(residuals._join([residuals.take(seeds, index), seeds]),
+                      residuals._join([residuals.take(dense, index), dense]))

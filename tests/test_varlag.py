@@ -1,11 +1,13 @@
 """Discrete variational suite: density values, degree-0 factors, on-shell residuals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batlab import jets
+from batlab import jets, varlag
 from batlab.construct import HodographSolver, ImplicitSolveConfig, hodograph_grid
 from batlab.exprspec import eval_jet, parse
 from batlab.residuals import ResidualSample, grid_report
@@ -189,6 +191,49 @@ def test_density_pass_matches_its_pointwise_form():
         assert density_pass.density[a, b] == (bt[a, b] * sx[a, b] - st[a, b] * bx[a, b]) * h
         assert density_pass.density_scale[a, b] == \
             (abs(bt[a, b] * sx[a, b]) + abs(st[a, b] * bx[a, b])) * abs(h)
+
+
+def _pass_bits(density_pass):
+    """The int64 views of every array of a ``DensityPass``."""
+    arrays = [density_pass.density, density_pass.density_scale]
+    for vary in ("psi", "phibar", "phi"):
+        grid = density_pass.grids[vary]
+        arrays += [grid.raw, grid.scale, grid.floor]
+    return [a.view(np.int64) for a in arrays]
+
+
+def test_density_pass_keeps_its_bits_whatever_the_block(monkeypatch):
+    """Blocks of 1 node, of 7 (which divides no row), of one row and of the
+    whole grid give the same bits in every array of the pass."""
+    phi, phibar, ht, hx = _onshell_grids(17)
+    phi, phibar = phi[:, :12], phibar[:, :12]  # 15 x 10 interior nodes
+    func = DiscreteFunctional(ht=ht, hx=hx, factor=parse("p^2/(p^2 + q^2)"))
+    psi = psi_from(phibar, parse("s^3"))
+    passes = []
+    for block in (1, 7, 10, 150):
+        monkeypatch.setattr(varlag, "_BLOCK", block)
+        passes.append(_pass_bits(variational_residual(func, phi, phibar, psi)))
+    for other in passes[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(passes[0], other))
+
+
+def test_density_pass_memory_on_c09s_finest_grid():
+    """One pass on c09's 65^2 grid peaks at 2.9 MB of traced memory or less
+    (2.6 MB measured): its density jets run over blocks of 256 nodes from
+    read-only seeds.  Dense seeds over the same blocks peak at 3.1 MB, and
+    the whole grid in one jet at 9.7 MB."""
+    phi, phibar, ht, hx = _onshell_grids(65)
+    func = DiscreteFunctional(ht=ht, hx=hx)
+    psi = phibar.copy()
+    variational_residual(func, phi, phibar, psi)  # whatever a first pass leaves behind
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        variational_residual(func, phi, phibar, psi)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.9e6, peak
 
 
 def test_onshell_degeneracy_report():
