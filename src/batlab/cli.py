@@ -512,10 +512,15 @@ def _born_infeld(c: _Solved, check: dict) -> list[dict]:
     ]
 
 
+# The random linear maps of a linear_covariance check, and the bar of their
+# Moebius speed match.
+_COVARIANCE_MAPS = 10
+_SPEED_TOLERANCE = 1e-8
+
+
 def _linear_covariance(c: _Solved, check: dict) -> list[dict]:
-    n_maps, tol, speed_tol = check["maps"], check["tolerance"], check["speed_tolerance"]
     maps = []
-    while len(maps) < n_maps:
+    while len(maps) < _COVARIANCE_MAPS:
         m = construct.LinearMap2(*c.rng.uniform(-2.0, 2.0, size=4))
         if abs(m.det) >= 0.3:
             maps.append(m)
@@ -544,11 +549,11 @@ def _linear_covariance(c: _Solved, check: dict) -> list[dict]:
             if speeds is not None:
                 speed_samples.append(speeds)
         speed_skipped += len(errors) - matched.count(None)
-    requested = n_maps * c.requested
+    requested = _COVARIANCE_MAPS * c.requested
     rep = residuals.grid_report(res_samples, res_skipped)
     rep2 = residuals.grid_report(speed_samples, speed_skipped)
-    return [_entry(f"linear_covariance[{c.label}]", rep, tol, requested),
-            _entry(f"moebius_speed_match[{c.label}]", rep2, speed_tol, requested)]
+    return [_entry(f"linear_covariance[{c.label}]", rep, check["tolerance"], requested),
+            _entry(f"moebius_speed_match[{c.label}]", rep2, _SPEED_TOLERANCE, requested)]
 
 
 def _speed_match(jb, base_bar, m: construct.LinearMap2) -> residuals.ResidualSample:
@@ -585,9 +590,10 @@ def _speed_check(samples, *names):
 
 # -- simulate-kind cases -----------------------------------------------------------------
 #
-# A case reads its checks and a grid spec per resolution, then integrates its
-# system once per resolution and runs every check from ``_CHECKS`` on that
-# grid; a check gives (halving key, report entry) pairs.
+# A case reads its checks, then integrates its system once per resolution up
+# to its ``t_end`` and runs every check from ``_CHECKS`` on that grid; a check
+# gives (halving key, report entry) pairs.  Each check's bar is a fixed
+# multiple of the grid's squared spacing.
 
 
 def _run_simulate_case(case: dict, out_dir: Path, scenario_name: str, dump: bool,
@@ -598,17 +604,15 @@ def _run_simulate_case(case: dict, out_dir: Path, scenario_name: str, dump: bool
     system, resolutions = case["system"], _increasing(case["resolutions"])
     label, row = _unused(case["label"] or system, labels), _SYSTEMS[system]
     labels.add(label)
-    block = _read(case["grid"], f"grid {system}", "grid")
     checks = _read_checks(case, system, label)
     init = {name: expr.spec for name, expr in case["init"].items()}
     with _reading():
         hydro.check_initial_data(init, row.fields, row.coords)
-        specs = [row.spec(res, block) for res in resolutions]
 
     measured, entries = {}, []
-    for res, spec in zip(resolutions, specs):
+    for res in resolutions:
         try:
-            grid = row.integrate(init, spec)
+            grid = row.integrate(init, res, case["t_end"])
         except (CharacteristicCrossingError, CFLViolationError) as err:  # hydro._march's aborts
             row.dump(err.partial, out_dir / f"{scenario_name}.partial.csv")
             raise
@@ -623,9 +627,10 @@ def _run_simulate_case(case: dict, out_dir: Path, scenario_name: str, dump: bool
 
 
 def _conservation(grid, where: str, check: dict) -> list[tuple[str, dict]]:
-    tol = check["tolerance_h2_coeff"] * grid.h**2
+    """The drift of each of S_1..S_5, against 5 h^2."""
+    tol = 5.0 * grid.h**2
     out = []
-    for n in check["n_values"]:
+    for n in range(1, 6):
         drift = hydro.conservation_drift(grid, n)
         rep = ResidualReport(grid.nt * grid.nx, drift, drift, 0)
         out.append((f"s{n}", _entry(f"conservation_s{n}[{where}]", rep, tol,
@@ -634,7 +639,8 @@ def _conservation(grid, where: str, check: dict) -> list[tuple[str, dict]]:
 
 
 def _transport(grid, where: str, check: dict) -> list[tuple[str, dict]]:
-    tol = check["tolerance_h2_coeff"] * grid.h**2
+    """Each field's transport residual at the middle level, against 5 h^2."""
+    tol = 5.0 * grid.h**2
     m = grid.nt // 2
     nodes = np.arange(grid.nx)
     out = []
@@ -648,7 +654,8 @@ def _transport(grid, where: str, check: dict) -> list[tuple[str, dict]]:
 
 
 def _multifield_det(grid, where: str, check: dict) -> list[tuple[str, dict]]:
-    tol = check["tolerance_h2_coeff"] * grid.h2**2
+    """The determinant equation of u1 and of u2 at the middle level, against h2^2."""
+    tol = grid.h2**2
     m = grid.nt // 2  # the one level read: differentiate only its neighbourhood
     deriv = {n: hydro.fd_derivatives_multi(grid.fields[n][m - 1:m + 2], grid.dt,
                                            grid.h2, grid.h3) for n in hydro.MULTI_FIELDS}
@@ -672,19 +679,20 @@ def _multifield_det(grid, where: str, check: dict) -> list[tuple[str, dict]]:
 
 # -- one row per op, system and check --------------------------------------------------------
 #
-# Each row holds the keys of its block (beside the ``op`` or ``equation`` that
-# picks the row) and what runs it.  A system looks its hydro functions up at
-# each call, so patching ``hydro`` reaches them; a check binds its residual here.
+# An op or check row holds the keys of its block (beside the ``op`` or
+# ``equation`` that picks the row) and what runs it; a system row holds its
+# fields and what integrates and dumps them.  A system looks its hydro
+# functions up at each call, so patching ``hydro`` reaches them; a check binds
+# its residual here.
 
 _EXPRESSION = _Key("expression")
 _CONFIG = _Key("JSON object", {})
 _WINDOW = _Key("float", many="list", length=2)
-_COUNT = {"low": 1, "high": _CAP}
 _TOLERANCE = {"tolerance": _Key("float", low=0.0)}
 _MAPS = {"maps": _Key("expression", ["s^3 + s"], 1, 1, many="list")}
 
 _Op = namedtuple("_Op", "keys build")
-_System = namedtuple("_System", "keys fields coords spec integrate dump")
+_System = namedtuple("_System", "fields coords integrate dump")
 _Check = namedtuple("_Check", "keys runs")
 
 # op -> its construct block's keys, and (read block, label, read case, rng) -> _Solved
@@ -709,23 +717,19 @@ _OPS = {
                    "P": _Key("expression", many="list"), "config": _CONFIG}, _leznov_case),
 }
 
-# system -> its grid block's keys, its fields and their coordinates,
-# (resolution, read grid) -> grid spec, (initial data, grid spec) -> grid,
-# and (grid, CSV path) -> None, which dumps the grid.  The default x1 and the
-# four-field names are hydro's TWO_PI and MULTI_FIELDS, written out so that
-# building these rows runs no hydro code (a test checks that they are equal).
+# system -> its fields and their coordinates, (initial data, resolution,
+# t_end) -> grid, and (grid, CSV path) -> None, which dumps the grid.  The
+# four-field names are hydro's MULTI_FIELDS, written out so that building
+# these rows runs no hydro code (a test checks that they are equal).
 _SYSTEMS = {
     "two_field": _System(
-        {"t_end": _Key("float", low=_POSITIVE), "x0": _Key("float", 0.0),
-         "x1": _Key("float", 2.0 * math.pi), "cfl": _Key("float", 0.5, _POSITIVE, 0.9)},
-        ("u", "v"), ("x",), lambda res, grid: hydro.CharGridSpec(res, **grid),
-        lambda init, spec: hydro.integrate_characteristics(init["u"], init["v"], spec),
+        ("u", "v"), ("x",),
+        lambda init, res, t_end: hydro.integrate_characteristics(
+            init["u"], init["v"], res, t_end),
         lambda grid, path: hydro.dump_char_grid(grid, path)),
     "multifield": _System(
-        {"t_end": _Key("float", low=_POSITIVE), "cfl": _Key("float", 0.4, _POSITIVE, 0.9)},
         ("u1", "u2", "v1", "v2"), ("x2", "x3"),
-        lambda res, grid: hydro.MultiGridSpec(res, res, **grid),
-        lambda init, spec: hydro.integrate_multifield(init, spec),
+        lambda init, res, t_end: hydro.integrate_multifield(init, res, res, t_end),
         lambda grid, path: hydro.dump_multi_grid(grid, path)),
 }
 
@@ -756,30 +760,20 @@ _CHECKS = {
             lambda h, fields: residuals.two_field_bateman(*map(h, fields)))}),
     "born_infeld": _Check({**_TOLERANCE, "lambda": _Key("float", 1.0, low=_POSITIVE)},
                           {"parametric_hodograph": _born_infeld}),
-    "linear_covariance": _Check({**_TOLERANCE, "maps": _Key("integer", 10, **_COUNT),
-                                 "speed_tolerance": _Key("float", 1e-8, low=0.0)},
-                                {"parametric_hodograph": _linear_covariance}),
+    "linear_covariance": _Check(_TOLERANCE, {"parametric_hodograph": _linear_covariance}),
     "holomorphy": _Check(_TOLERANCE, {"leznov": _speed_check(
         lambda sys_, speeds: leznov.holomorphy_samples(sys_, *speeds), "d_phi", "dbar_phi")}),
     "zero_curvature": _Check(_TOLERANCE, {"leznov": _speed_check(
         lambda sys_, speeds: [leznov.zero_curvature_samples(sys_, speeds[1])],
         "zero_curvature")}),
-    "conservation": _Check(
-        # S_n grows like max(|u|, |v|)**n: on c05's grids its drift overflows to NaN
-        # between n = 800 and 1500, and n = 10**4 takes seconds
-        {"tolerance_h2_coeff": _Key("float", 5.0, low=0.0),
-         "n_values": _Key("integer", [1, 2, 3, 4, 5], 1, 1000, many="list")},
-        {"two_field": _conservation}),
-    "transport": _Check({"tolerance_h2_coeff": _Key("float", 5.0, low=0.0)},
-                        {"two_field": _transport}),
-    "multifield_det": _Check({"tolerance_h2_coeff": _Key("float", 1.0, low=0.0)},
-                             {"multifield": _multifield_det}),
+    "conservation": _Check({}, {"two_field": _conservation}),
+    "transport": _Check({}, {"two_field": _transport}),
+    "multifield_det": _Check({}, {"multifield": _multifield_det}),
 }
 
-# the Newton keys of every config place; Newton keeps every iterate of a
-# solve, (max_iter + 1) per point, so max_iter is capped
-_NEWTON = {"newton_tol": _Key("float", 1e-12, low=_POSITIVE),
-           "max_iter": _Key("integer", 50, 1, 1000)}
+# the key every config place has; Newton keeps every iterate of a solve,
+# (max_iter + 1) per point, so max_iter is capped
+_MAX_ITER = {"max_iter": _Key("integer", 50, 1, 1000)}
 
 # place -> key -> _Key
 _FORMAT = {
@@ -793,7 +787,8 @@ _FORMAT = {
     "simulate case": {
         "system": _Key("choice", "two_field", choices=tuple(_SYSTEMS)),
         "label": _Key("file-name string", None), "init": _Key("expression", many="object"),
-        "grid": _Key("JSON object"), "resolutions": _Key("integer", low=8, high=_CAP, many="list"),
+        "t_end": _Key("float", low=_POSITIVE),
+        "resolutions": _Key("integer", low=8, high=_CAP, many="list"),
         "checks": _Key("JSON object", many="list"), "halving_ratio": _Key("float", 0.0)},
     "variational case": {
         "label": _Key("file-name string", "variational"), "source": _Key("JSON object"),
@@ -801,9 +796,6 @@ _FORMAT = {
         "resolutions": _Key("integer", low=5, high=_CAP, many="list"),
         "psi": _Key("expression", ["s"], 0, 1, many="list"),
         "factors": _Key("expression", ["p/q"], many="list"),
-        "vary": _Key("choice", ["psi", "phibar", "phi"], choices=("psi", "phibar", "phi"),
-                     many="list"),
-        "tolerance_h2_coeff": _Key("float", 5.0, low=_POSITIVE),
         "halving_ratio": _Key("float", 0.0)},
     "ad case": {
         # a million random expressions take minutes; the bound keeps a case from running for years
@@ -816,20 +808,19 @@ _FORMAT = {
     "source": {"f": _EXPRESSION, "g": _EXPRESSION, "config": _Key("JSON object"),
                "t_window": _WINDOW, "x_window": _WINDOW},
     # solve_implicit_fg and implicit_3d: a scalar seed, and bisection on a bracket
-    "scalar config": {**_NEWTON, "seed": _Key("float", 1.0),
+    "scalar config": {**_MAX_ITER, "seed": _Key("float", 1.0),
                       "bracket": _Key("float", None, many="list", length=2)},
     # parametric_hodograph and a variational source: a (u, v) seed pair
-    "pair config": {**_NEWTON, "seed": _Key("float", many="list", length=2)},
+    "pair config": {**_MAX_ITER, "seed": _Key("float", many="list", length=2)},
     # leznov: one seed for every field, or one per field (n - 1 of them)
-    "leznov config": {**_NEWTON, "seed": _Key("float", 1.0, many="or list")},
+    "leznov config": {**_MAX_ITER, "seed": _Key("float", 1.0, many="or list")},
     "samples": {
-        "count": _Key("integer", **_COUNT),
+        "count": _Key("integer", low=1, high=_CAP),
         "low": _Key("float", many="list"), "high": _Key("float", many="list")},
     **{f"construct {op}": {"op": _Key("choice", choices=(op,)), **row.keys}
        for op, row in _OPS.items()},
     **{f"check {eq}": {"equation": _Key("choice", choices=(eq,)), **row.keys}
        for eq, row in _CHECKS.items()},
-    **{f"grid {system}": row.keys for system, row in _SYSTEMS.items()},
 }
 
 
@@ -841,7 +832,7 @@ class _Variational:
     """A variational case before any solve: its values as read, the source
     ``(f, g, config)`` as written (the cases of one source march their grids
     together), its solver and, per resolution, the grid nodes, the
-    tolerance and one functional per factor."""
+    tolerance (5 h^2, h the larger spacing) and one functional per factor."""
 
     case: dict
     source: tuple
@@ -862,7 +853,7 @@ def _read_variational_case(case: dict) -> _Variational:
         t_nodes = np.linspace(*src["t_window"], n)
         x_nodes = np.linspace(*src["x_window"], n)
         ht, hx = t_nodes[1] - t_nodes[0], x_nodes[1] - x_nodes[0]
-        tol = float(case["tolerance_h2_coeff"] * max(ht, hx) ** 2)
+        tol = float(5.0 * max(ht, hx) ** 2)
         with _reading():
             grids.append((n, t_nodes, x_nodes, tol, [
                 (h.text, varlag.DiscreteFunctional(ht=ht, hx=hx, factor=h.spec))
@@ -885,8 +876,7 @@ def _check_variational_case(c: _Variational, fields: list) -> list[dict]:
             for w, psi_expr in c.case["psi"]:
                 psi = varlag.psi_from(phibar, psi_expr)
                 deg = varlag.onshell_degeneracy(func, phi, phibar, psi, tolerance=tol)
-                for vary in c.case["vary"]:
-                    rep = deg.per_vary[vary]
+                for vary, rep in deg.per_vary.items():  # psi, phibar, phi
                     entries.append(_entry(
                         f"variational_{vary}[{label}:psi={w},H={factor}@{n}]",
                         rep, tol, rep.samples))

@@ -62,6 +62,9 @@ from .residuals import (ResidualSample, _any, _dot, _from_terms, _larger, _ok, _
                         attempt, batched)
 
 _DEGENERATE_REL = 1e-10
+# The residual at which every implicit solve (here and in ``leznov``) stops,
+# relative to the point's scale for hodograph solves.
+NEWTON_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,6 @@ class ImplicitSolveConfig:
     scenario format (``cli._FORMAT``) states the range of each setting.
     """
 
-    newton_tol: float = 1e-12
     max_iter: int = 50
     seed: float | tuple[float, float] = 1.0
     bracket: tuple[float, float] | None = None
@@ -269,8 +271,8 @@ def _scalar_seeds(cfg: ImplicitSolveConfig, n: int, seeds=None) -> np.ndarray:
 
 
 def _newton_scalar(fun, dfun, cfg: ImplicitSolveConfig, seeds) -> tuple[list, np.ndarray]:
-    """Newton iteration over a batch of points, polished past the configured
-    tolerance toward machine precision so downstream finite-difference probes
+    """Newton iteration over a batch of points, polished past ``NEWTON_TOL``
+    toward machine precision so downstream finite-difference probes
     are not noise limited; bisection on ``cfg.bracket`` at each point where
     it does not converge.  ``fun(idx, p)`` and ``dfun(idx, p)`` evaluate at
     the points ``idx`` (an index array with an array ``p``, or one index with
@@ -284,11 +286,11 @@ def _newton_scalar(fun, dfun, cfg: ImplicitSolveConfig, seeds) -> tuple[list, np
         nxt = x - f / d
         return nxt, (d == 0.0) | ~np.isfinite(d) | ~np.isfinite(nxt) | (nxt == x)
 
-    errors, roots = _newton(residual, step, seeds, cfg.max_iter, cfg.newton_tol)
+    errors, roots = _newton(residual, step, seeds, cfg.max_iter, NEWTON_TOL)
     if cfg.bracket is not None:
         for k, err in enumerate(errors):
             if isinstance(err, NewtonConvergenceError):
-                root = attempt(_bisect, lambda p: fun(k, p), cfg.bracket, cfg.newton_tol)
+                root = attempt(_bisect, lambda p: fun(k, p), cfg.bracket, NEWTON_TOL)
                 if isinstance(root, EvaluationError):
                     errors[k] = root
                 else:
@@ -530,7 +532,7 @@ class HodographSolver:
             uv = seeds.astype(float)  # a pair of numbers per point already
         else:
             uv = np.array([seed_pair(s) for s in seeds]).reshape(len(t), 2)
-        tol = self.cfg.newton_tol * _larger(_larger(1.0, abs(t)), abs(x))
+        tol = NEWTON_TOL * _larger(_larger(1.0, abs(t)), abs(x))
         return _solved(*_newton(residual, step, uv, self.cfg.max_iter, tol))
 
     def jets_uv(self, u, v):

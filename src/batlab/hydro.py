@@ -82,27 +82,6 @@ def sn_polynomial_grid(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 
 
 @dataclass
-class CharGridSpec:
-    """Discretization request for the two-field system.
-
-    The grid is periodic with period ``x1 - x0``: its ``nx`` nodes are
-    ``x0 + (x1 - x0) j / nx``, j = 0..nx-1; there is no other boundary.
-    """
-
-    nx: int
-    t_end: float
-    x0: float = 0.0
-    x1: float = TWO_PI
-    cfl: float = 0.5
-
-    def __post_init__(self):
-        if not self.x1 > self.x0:
-            raise ValueError("x1 must be greater than x0")
-        if not math.isfinite(self.x0 + (self.x1 - self.x0) * (self.nx - 1) / self.nx):
-            raise ValueError("grid nodes must be finite")
-
-
-@dataclass
 class CharGrid:
     """Filled space-time grid for (u, v) on periodic nodes."""
 
@@ -220,8 +199,9 @@ def _foot_points(step, start, tol, level, first=None):
     return foot
 
 
-def _march(init: dict, h: float, spec, advance, build):
-    """The level loop both systems share.
+def _march(init: dict, h: float, t_end: float, cfl: float, advance, build):
+    """The level loop both systems share, from level 0 to ``t_end`` at
+    Courant number at most ``cfl``.
 
     ``init`` maps each field to its level-0 array and ``h`` is the smallest
     node spacing.  ``advance(level, dt, m)`` maps the fields at level m to
@@ -232,12 +212,12 @@ def _march(init: dict, h: float, spec, advance, build):
     vmax = max(*(np.abs(f).max() for f in init.values()), 1e-12)
     # 15% headroom so mild speed growth during the window does not trip the
     # per-level CFL recheck; at least two steps so drift stencils fit.
-    dt0 = spec.cfl * h / (1.15 * vmax)
-    steps = spec.t_end / dt0 if dt0 > 0 else math.inf
+    dt0 = cfl * h / (1.15 * vmax)
+    steps = t_end / dt0 if dt0 > 0 else math.inf
     if not math.isfinite(steps):  # as for a grid too large for memory: a runtime failure
-        raise ValueError(f"t_end {spec.t_end} takes {steps} steps of at most {dt0}")
+        raise ValueError(f"t_end {t_end} takes {steps} steps of at most {dt0}")
     n_steps = max(2, math.ceil(steps))
-    dt = spec.t_end / n_steps
+    dt = t_end / n_steps
     t_levels = dt * np.arange(n_steps + 1)
     data = {}
     for name, f in init.items():
@@ -246,7 +226,7 @@ def _march(init: dict, h: float, spec, advance, build):
 
     for m in range(n_steps):
         level = {n: a[m] for n, a in data.items()}
-        allowed = spec.cfl * h / max(*(np.abs(f).max() for f in level.values()), 1e-12)
+        allowed = cfl * h / max(*(np.abs(f).max() for f in level.values()), 1e-12)
         try:
             if dt > allowed * (1 + 1e-12):
                 raise CFLViolationError(m, dt, allowed)
@@ -259,12 +239,16 @@ def _march(init: dict, h: float, spec, advance, build):
     return build(t_levels, dt, data)
 
 
-def integrate_characteristics(
-    init_u: ExprSpec, init_v: ExprSpec, spec: CharGridSpec
-) -> CharGrid:
-    """Fill a CharGrid from smooth initial data given as expressions of x."""
+# The Courant number of the two-field march.
+CHAR_CFL = 0.5
+
+
+def integrate_characteristics(init_u: ExprSpec, init_v: ExprSpec, nx: int,
+                              t_end: float) -> CharGrid:
+    """Fill a CharGrid of ``nx`` periodic nodes 2 pi j / nx up to ``t_end``
+    from smooth initial data given as expressions of x."""
     check_initial_data({"u": init_u, "v": init_v}, ("u", "v"), ("x",))
-    x_nodes = spec.x0 + (spec.x1 - spec.x0) * np.arange(spec.nx) / spec.nx
+    x_nodes = TWO_PI * np.arange(nx) / nx
     h = float(x_nodes[1] - x_nodes[0])
     init = {name: at_points(float_fn(s, ("x",)), x_nodes)
             for name, s in (("u", init_u), ("v", init_v))}
@@ -294,8 +278,8 @@ def integrate_characteristics(
         new = at_feet(nodes + half * star[speed], half)
         return {"u": new[0], "v": new[1]}
 
-    return _march(init, h, spec, advance, lambda t, dt, f: CharGrid(
-        t, x_nodes, f["u"], f["v"], h, dt, spec.cfl))
+    return _march(init, h, t_end, CHAR_CFL, advance, lambda t, dt, f: CharGrid(
+        t, x_nodes, f["u"], f["v"], h, dt, CHAR_CFL))
 
 
 # -- conservation hierarchy ---------------------------------------------------------
@@ -307,7 +291,8 @@ def conservation_drift(grid: CharGrid, n: int) -> float:
     Both sides are computed from u and v scaled by the power of two that
     brings max(|u|, |v|) into [1, 2), which scales every term of degree n by
     one power of two and leaves the normalized defect as it is, but keeps
-    S_n finite for every n up to the format's cap.
+    S_n, its flux and their difference quotients finite whatever the
+    amplitude of u and v.
     """
     if grid.nt < 3:
         raise ValueError("need at least 3 time levels")
@@ -385,14 +370,6 @@ def fd_jet_at(F: np.ndarray, dt: float, h: float, m: int, i) -> jets.Jet2:
 
 
 @dataclass
-class MultiGridSpec:
-    n2: int
-    n3: int
-    t_end: float
-    cfl: float = 0.4
-
-
-@dataclass
 class MultiCharGrid:
     """Filled (x1; x2, x3) grid for (u1, u2, v1, v2); x1 is the level axis."""
 
@@ -461,21 +438,26 @@ class _PeriodicSpline2:
         return out
 
 
-def integrate_multifield(init: dict, spec: MultiGridSpec) -> MultiCharGrid:
-    """Integrate the four-field system.
+# The Courant number of the four-field march.
+MULTI_CFL = 0.4
+
+
+def integrate_multifield(init: dict, n2: int, n3: int, t_end: float) -> MultiCharGrid:
+    """Integrate the four-field system up to ``t_end`` on ``n2`` by ``n3``
+    periodic nodes, 2 pi j / n along each axis.
 
     ``init`` maps each of "u1", "u2", "v1", "v2" to an ExprSpec over (x2, x3).
     """
     check_initial_data(init, MULTI_FIELDS, ("x2", "x3"))
-    x2 = TWO_PI * np.arange(spec.n2) / spec.n2
-    x3 = TWO_PI * np.arange(spec.n3) / spec.n3
+    x2 = TWO_PI * np.arange(n2) / n2
+    x3 = TWO_PI * np.arange(n3) / n3
     h2 = float(x2[1] - x2[0])
     h3 = float(x3[1] - x3[0])
     X2, X3 = np.meshgrid(x2, x3, indexing="ij")
     f0 = {name: at_points(float_fn(init[name], ("x2", "x3")), X2, X3) for name in MULTI_FIELDS}
     # Feet are in index units: node (i, k) sits at (i, k).
-    idx2, idx3 = np.meshgrid(np.arange(spec.n2, dtype=float),
-                             np.arange(spec.n3, dtype=float), indexing="ij")
+    idx2, idx3 = np.meshgrid(np.arange(n2, dtype=float),
+                             np.arange(n3, dtype=float), indexing="ij")
     nodes = np.stack([idx2, idx3])
     # Row 0 holds the feet of (u1, u2), carried by the speeds (v1, v2) along
     # (x2, x3); row 1 those of (v1, v2), carried by (u1, u2).
@@ -505,8 +487,8 @@ def integrate_multifield(init: dict, spec: MultiGridSpec) -> MultiCharGrid:
         p = np.array([[star[c] for c in pair] for pair in speeds])
         return at_feet(lambda c, rows: nodes - half * (c + p[rows]))
 
-    return _march(f0, min(h2, h3), spec, advance, lambda t, dt, f: MultiCharGrid(
-        t, x2, x3, f, h2, h3, dt, spec.cfl))
+    return _march(f0, min(h2, h3), t_end, MULTI_CFL, advance, lambda t, dt, f: MultiCharGrid(
+        t, x2, x3, f, h2, h3, dt, MULTI_CFL))
 
 
 def fd_derivatives_multi(F: np.ndarray, dt: float, h2: float, h3: float):

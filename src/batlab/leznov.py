@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from . import jets
-from .construct import ImplicitSolveConfig, _newton, _solved
+from .construct import NEWTON_TOL, ImplicitSolveConfig, _newton, _solved
 from .errors import SingularMatrixError
 # eval_float is not called here; the benchmark's tracer (perfbench/tracing.py)
 # patches this binding by name.
@@ -169,7 +169,7 @@ def solve_many(sys: LeznovSystem, points, seeds=None) -> tuple[list, np.ndarray]
 
     seeds = [sys.cfg.seed] * len(points) if seeds is None else seeds
     phi = np.array([sys.seed_fields(s) for s in seeds]).reshape(len(points), sys.nf)
-    return _solved(*_newton(residual, step, phi, sys.cfg.max_iter, sys.cfg.newton_tol))
+    return _solved(*_newton(residual, step, phi, sys.cfg.max_iter, NEWTON_TOL))
 
 
 def field_jets(sys: LeznovSystem, points, phi) -> tuple:

@@ -671,11 +671,12 @@ def foot_points(step, start, tol, level):
     return foot
 
 
-def integrate_characteristics(init_u: ExprSpec, init_v: ExprSpec, spec) -> CharGrid:
+def integrate_characteristics(init_u: ExprSpec, init_v: ExprSpec, nx: int,
+                              t_end: float) -> CharGrid:
     """``hydro.integrate_characteristics`` with one interpolant per field and
     one foot-point solve per field and stage, each starting from the speeds
     at the nodes."""
-    x_nodes = spec.x0 + (spec.x1 - spec.x0) * np.arange(spec.nx) / spec.nx
+    x_nodes = hydro.TWO_PI * np.arange(nx) / nx
     h = float(x_nodes[1] - x_nodes[0])
     init = {name: exprspec.at_points(exprspec.float_fn(s, ("x",)), x_nodes)
             for name, s in (("u", init_u), ("v", init_v))}
@@ -695,22 +696,22 @@ def integrate_characteristics(init_u: ExprSpec, init_v: ExprSpec, spec) -> CharG
             "v": at_feet(interp_v, lambda f: (x_nodes + half * u_star + half * interp_u(*f),)),
         }
 
-    return hydro._march(init, h, spec, advance, lambda t, dt, f: CharGrid(
-        t, x_nodes, f["u"], f["v"], h, dt, spec.cfl))
+    return hydro._march(init, h, t_end, hydro.CHAR_CFL, advance, lambda t, dt, f: CharGrid(
+        t, x_nodes, f["u"], f["v"], h, dt, hydro.CHAR_CFL))
 
 
-def integrate_multifield(init: dict, spec) -> MultiCharGrid:
+def integrate_multifield(init: dict, n2: int, n3: int, t_end: float) -> MultiCharGrid:
     """``hydro.integrate_multifield`` with one foot-point solve per carried
     pair and stage, each evaluating the speed splines at the nodes."""
-    x2 = hydro.TWO_PI * np.arange(spec.n2) / spec.n2
-    x3 = hydro.TWO_PI * np.arange(spec.n3) / spec.n3
+    x2 = hydro.TWO_PI * np.arange(n2) / n2
+    x3 = hydro.TWO_PI * np.arange(n3) / n3
     h2 = float(x2[1] - x2[0])
     h3 = float(x3[1] - x3[0])
     X2, X3 = np.meshgrid(x2, x3, indexing="ij")
     f0 = {name: exprspec.at_points(exprspec.float_fn(init[name], ("x2", "x3")), X2, X3)
           for name in MULTI_FIELDS}
-    idx2, idx3 = np.meshgrid(np.arange(spec.n2, dtype=float),
-                             np.arange(spec.n3, dtype=float), indexing="ij")
+    idx2, idx3 = np.meshgrid(np.arange(n2, dtype=float),
+                             np.arange(n3, dtype=float), indexing="ij")
     carried = {("v1", "v2"): ("u1", "u2"), ("u1", "u2"): ("v1", "v2")}
 
     def advance(level, dt, m):
@@ -732,8 +733,8 @@ def integrate_multifield(init: dict, spec) -> MultiCharGrid:
             star = new
         return star
 
-    return hydro._march(f0, min(h2, h3), spec, advance, lambda t, dt, f: MultiCharGrid(
-        t, x2, x3, f, h2, h3, dt, spec.cfl))
+    return hydro._march(f0, min(h2, h3), t_end, hydro.MULTI_CFL, advance,
+                        lambda t, dt, f: MultiCharGrid(t, x2, x3, f, h2, h3, dt, hydro.MULTI_CFL))
 
 
 # -- file formats ------------------------------------------------------------------------

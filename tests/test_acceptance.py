@@ -8,7 +8,6 @@ import filecmp
 import json
 import time
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,26 +17,23 @@ from batlab import cli, jets
 from batlab.cli import EXIT_PASS
 from oracles import multifield_det
 
-_OUT = None
+@pytest.fixture(scope="session")
+def _run(tmp_path_factory):
+    """``run(name)``: (report, exit code, seconds) of the bundled scenario
+    whose file name starts with ``name``, run once per session into one
+    directory that pytest manages."""
+    out = tmp_path_factory.mktemp("acceptance")
 
+    @lru_cache(maxsize=None)
+    def run(name: str):
+        path = next(p for p in cli.bundled_scenarios() if p.name.startswith(name))
+        data = json.loads(path.read_text())
+        start = time.perf_counter()
+        report, code = cli.run_scenario(data, out / name, seed=20240801)
+        elapsed = time.perf_counter() - start
+        return report, code, elapsed
 
-def _outdir(tmp_path_factory=None) -> Path:
-    global _OUT
-    if _OUT is None:
-        import tempfile
-
-        _OUT = Path(tempfile.mkdtemp(prefix="batlab-acceptance-"))
-    return _OUT
-
-
-@lru_cache(maxsize=None)
-def _run(name: str):
-    path = next(p for p in cli.bundled_scenarios() if p.name.startswith(name))
-    data = json.loads(path.read_text())
-    start = time.perf_counter()
-    report, code = cli.run_scenario(data, _outdir() / name, seed=20240801)
-    elapsed = time.perf_counter() - start
-    return report, code, elapsed
+    return run
 
 
 def _report_line(criterion: str, ok: bool, detail: str = "") -> None:
@@ -51,7 +47,7 @@ def _entries(report, prefix: str):
     return out
 
 
-def test_criterion_01_implicit_constraint_solutions():
+def test_criterion_01_implicit_constraint_solutions(_run):
     report, code, _ = _run("c01")
     entries = _entries(report, "complex_bateman")
     ok = (code == EXIT_PASS and len(entries) == 5
@@ -62,7 +58,7 @@ def test_criterion_01_implicit_constraint_solutions():
     assert ok
 
 
-def test_criterion_02_holomorphic_sum_subclass():
+def test_criterion_02_holomorphic_sum_subclass(_run):
     report, code, _ = _run("c02")
     entries = _entries(report, "complex_bateman")
     ok = (code == EXIT_PASS and len(entries) == 5
@@ -72,7 +68,7 @@ def test_criterion_02_holomorphic_sum_subclass():
     assert ok
 
 
-def test_criterion_03_hodograph_solutions():
+def test_criterion_03_hodograph_solutions(_run):
     report, code, _ = _run("c03")
     eq2 = _entries(report, "two_field_bateman")
     ident = _entries(report, "hodograph_identities")
@@ -85,7 +81,7 @@ def test_criterion_03_hodograph_solutions():
     assert ok
 
 
-def test_criterion_04_covariance_suite():
+def test_criterion_04_covariance_suite(_run):
     report, code, _ = _run("c04")
     reparam = [e for e in report["reports"]
                if e["equation"].startswith("reparametrized")]
@@ -96,7 +92,7 @@ def test_criterion_04_covariance_suite():
     assert ok
 
 
-def test_criterion_05_conservation_hierarchy():
+def test_criterion_05_conservation_hierarchy(_run):
     report, code, _ = _run("c05")
     drift = [e for e in report["reports"] if e["equation"].startswith("conservation_s")]
     ratios = [e for e in report["reports"] if e["equation"].startswith("halving")
@@ -109,7 +105,7 @@ def test_criterion_05_conservation_hierarchy():
     assert ok
 
 
-def test_criterion_06_born_infeld():
+def test_criterion_06_born_infeld(_run):
     # The residual formula must first be confirmed by the symbolic
     # cross-derivative oracle, then hold on hodograph-fed fields.
     u, v, lam, ux, vx = sp.symbols("u v lam u_x v_x", positive=True)
@@ -129,7 +125,7 @@ def test_criterion_06_born_infeld():
     assert ok
 
 
-def test_criterion_07_zero_curvature_construction():
+def test_criterion_07_zero_curvature_construction(_run):
     report, code, _ = _run("c07")
     gaps = _entries(report, "constraint_gap")
     dphi = _entries(report, "d_phi") + _entries(report, "dbar_phi")
@@ -143,7 +139,7 @@ def test_criterion_07_zero_curvature_construction():
     assert ok
 
 
-def test_criterion_08_multifield_determinant():
+def test_criterion_08_multifield_determinant(_run):
     # Exact zero cases first.
     rng = np.random.default_rng(0)
     lin = [jets.from_parts(rng.normal(), rng.normal(size=3), np.zeros((3, 3)))
@@ -168,7 +164,7 @@ def test_criterion_08_multifield_determinant():
     assert ok
 
 
-def test_criterion_09_variational_suite():
+def test_criterion_09_variational_suite(_run):
     report, code, _ = _run("c09")
     entries = [e for e in report["reports"] if e["equation"].startswith("variational")]
     psi_choices = {e["equation"] for e in entries if "psi=s^3" in e["equation"]}
@@ -180,7 +176,7 @@ def test_criterion_09_variational_suite():
     assert ok
 
 
-def test_criterion_10_euclidean_family():
+def test_criterion_10_euclidean_family(_run):
     report, code, _ = _run("c10")
     eq = _entries(report, "euclidean_3d")
     first = _entries(report, "euclid_first_order")
@@ -191,12 +187,74 @@ def test_criterion_10_euclidean_family():
     assert ok
 
 
-def test_criterion_11_jet_foundation():
+def test_criterion_11_jet_foundation(_run):
     report, code, _ = _run("c11")
     entry = _entries(report, "ad_convergence")[0]
     ok = (code == EXIT_PASS and entry["samples"] == 500 and entry["max_norm"] == 0.0)
     _report_line("criterion 11 (500 random expressions converge 2nd order)", ok)
     assert ok
+
+
+# -- the bars the code fixes -------------------------------------------------------------
+
+# (scenario, entry name up to its bracket, bar / h^2); h is 2 pi / n on a
+# grid of resolution n, and the larger window spacing of a variational grid
+_FIXED_BARS = [
+    *(("c05", f"conservation_s{n}", 5.0) for n in range(1, 6)),
+    ("c05", "transport_u", 5.0), ("c05", "transport_v", 5.0),
+    ("c08", "multifield_det_j1", 1.0), ("c08", "multifield_det_j2", 1.0),
+    *(("c09", name, 5.0) for name in ("variational_psi", "variational_phibar",
+                                      "variational_phi", "degeneracy_action")),
+]
+
+
+def _scenario_case(name: str, label: str) -> dict:
+    path = next(p for p in cli.bundled_scenarios() if p.name.startswith(name))
+    return next(c for c in json.loads(path.read_text())["cases"] if c["label"] == label)
+
+
+@pytest.mark.parametrize("scenario,equation,coeff", _FIXED_BARS,
+                         ids=[equation for _, equation, _ in _FIXED_BARS])
+def test_each_grid_entry_has_its_fixed_multiple_of_h2_as_bar(_run, scenario, equation, coeff):
+    report, _, _ = _run(scenario)
+    entries = _entries(report, equation + "[")
+    for e in entries:
+        where, n = e["equation"][len(equation) + 1:-1].rsplit("@", 1)
+        n = int(n)
+        if scenario == "c09":
+            source = _scenario_case(scenario, where.split(":")[0])["source"]
+            nodes = [np.linspace(*source[w], n) for w in ("t_window", "x_window")]
+            h = max(a[1] - a[0] for a in nodes)
+        else:
+            h = 2.0 * np.pi / n
+        assert e["tolerance"] == float(coeff * h**2), e["equation"]
+
+
+def test_conservation_checks_s1_to_s5_on_every_grid(_run):
+    report, _, _ = _run("c05")
+    names = [e["equation"] for e in _entries(report, "conservation_s")]
+    grids = list(dict.fromkeys(name.split("[")[1] for name in names))
+    assert len(grids) == 4  # two cases, two resolutions each
+    assert names == [f"conservation_s{n}[{grid}" for grid in grids for n in range(1, 6)]
+
+
+def test_variational_entries_are_psi_phibar_phi_in_that_order(_run):
+    report, _, _ = _run("c09")
+    names = [e["equation"] for e in report["reports"] if not e["equation"].startswith("halving")]
+    grids = list(dict.fromkeys(name.split("[")[1] for name in names))
+    assert len(grids) == 6
+    assert names == [f"{vary}[{grid}" for grid in grids for vary in (
+        "variational_psi", "variational_phibar", "variational_phi", "degeneracy_action")]
+
+
+def test_linear_covariance_draws_ten_maps_and_matches_speeds_to_1e_8(_run):
+    report, _, _ = _run("c04")
+    count = _scenario_case("c04", "linear_maps")["samples"]["count"]
+    linear, speeds = _entries(report, "linear_covariance"), _entries(report, "moebius_speed_match")
+    assert len(linear) == len(speeds) == 1
+    assert linear[0]["samples"] + linear[0]["skipped"] == 10 * count
+    assert speeds[0]["samples"] + speeds[0]["skipped"] == 10 * count
+    assert speeds[0]["tolerance"] == 1e-8
 
 
 @pytest.mark.slow

@@ -207,7 +207,7 @@ def test_leznov_fields_speeds_and_operator_samples(n):
 
 def test_grid_jets_and_transport_samples():
     grid = hydro.integrate_characteristics(
-        parse("1.2 + 0.25*sin(x)"), parse("2.1 + 0.2*cos(x)"), hydro.CharGridSpec(nx=64, t_end=0.2))
+        parse("1.2 + 0.25*sin(x)"), parse("2.1 + 0.2*cos(x)"), 64, 0.2)
     m = grid.nt // 2
     jet, _ = _compare(lambda i: hydro.fd_jet_at(grid.u, grid.dt, grid.h, m, i), np.arange(grid.nx))
     _compare(lambda j, s: residuals.transport(j, [s], 0, (1,)), jet, -grid.v[m])

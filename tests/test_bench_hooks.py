@@ -51,12 +51,12 @@ def _tiny_scenarios() -> list[tuple[dict, bool]]:
             "checks": [{"equation": "complex_bateman", "tolerance": 1e-9}]}), False),
         (scenario("simulate", {
             "system": "two_field", "init": {"u": "1.5 + 0.3*sin(x)", "v": "2.0"},
-            "grid": {"t_end": 0.05}, "resolutions": [16],
-            "checks": [{"equation": "conservation", "n_values": [1]}]}), True),
+            "t_end": 0.05, "resolutions": [16],
+            "checks": [{"equation": "conservation"}]}), True),
         (scenario("simulate", {
             "system": "multifield",
             "init": {"u1": "0.4", "u2": "-0.3", "v1": "0.9", "v2": "1.1"},
-            "grid": {"t_end": 0.1}, "resolutions": [8],
+            "t_end": 0.1, "resolutions": [8],
             "checks": [{"equation": "multifield_det"}]}), True),
         (scenario("variational", {
             "source": {"f": "u^2", "g": "v^2", "config": {"seed": [1.5, 3.5]},

@@ -90,9 +90,9 @@ def test_kind_command_mismatch(tmp_path):
         "name": "sim", "paper_anchor": "t", "kind": "simulate",
         "cases": [{"system": "two_field",
                    "init": {"u": "1.0", "v": "1.0"},
-                   "grid": {"t_end": 0.05},
+                   "t_end": 0.05,
                    "resolutions": [16],
-                   "checks": [{"equation": "conservation", "n_values": [1]}]}],
+                   "checks": [{"equation": "conservation"}]}],
     }
     path = _write(tmp_path, "sim.json", data)
     assert cli.main(["verify", path, "--out", str(tmp_path / "o")]) == cli.EXIT_VALIDATION
@@ -104,10 +104,9 @@ def test_simulate_constant_data_zero_drift(tmp_path):
         "name": "const", "paper_anchor": "t", "kind": "simulate",
         "cases": [{"system": "two_field",
                    "init": {"u": "1.4", "v": "-0.6"},
-                   "grid": {"t_end": 0.1},
+                   "t_end": 0.1,
                    "resolutions": [32],
-                   "checks": [{"equation": "conservation",
-                               "n_values": [1, 2, 3, 4, 5]}]}],
+                   "checks": [{"equation": "conservation"}]}],
     }
     path = _write(tmp_path, "c.json", data)
     assert cli.main(["simulate", path, "--out", str(tmp_path / "o")]) == cli.EXIT_PASS
@@ -120,9 +119,9 @@ def test_simulate_crossing_exits_4_with_partial_dump(tmp_path):
         "name": "steep", "paper_anchor": "t", "kind": "simulate",
         "cases": [{"system": "two_field",
                    "init": {"u": "1.5 + 0.3*sin(x)", "v": "1.5 + 0.3*sin(x)"},
-                   "grid": {"t_end": 4.0},
+                   "t_end": 4.0,
                    "resolutions": [64],
-                   "checks": [{"equation": "conservation", "n_values": [1]}]}],
+                   "checks": [{"equation": "conservation"}]}],
     }
     path = _write(tmp_path, "steep.json", data)
     assert cli.main(["simulate", path, "--out", str(tmp_path / "o")]) == cli.EXIT_ABORT
@@ -142,7 +141,7 @@ def test_simulate_cfl_violation_exits_4_with_the_computed_levels(tmp_path, monke
 
     monkeypatch.setattr(hydro, "MonotoneCubic1D", Growing)
     data = _with(_COMPLETE["two_field"](), ("init",), {"u": "1.5 + 0.3*sin(x)", "v": "2.0"})
-    data = _with(data, ("grid",), {"t_end": 1.0})
+    data = _with(data, ("t_end",), 1.0)
     data = _with(data, ("resolutions",), [32])
     assert _main_exit(tmp_path, data) == cli.EXIT_ABORT
     report = json.loads((tmp_path / "o" / "m.report.json").read_text())
@@ -184,10 +183,9 @@ def test_simulate_multifield_dump(tmp_path):
         "name": "mf", "paper_anchor": "t", "kind": "simulate",
         "cases": [{"system": "multifield", "label": "flat",
                    "init": {"u1": "0.4", "u2": "-0.3", "v1": "0.9", "v2": "1.1"},
-                   "grid": {"t_end": 0.1},
+                   "t_end": 0.1,
                    "resolutions": [8],
-                   "checks": [{"equation": "multifield_det",
-                               "tolerance_h2_coeff": 1.0}]}],
+                   "checks": [{"equation": "multifield_det"}]}],
     }
     path = _write(tmp_path, "mf.json", data)
     code = cli.main(["simulate", path, "--out", str(tmp_path / "o"), "--dump"])
@@ -320,11 +318,8 @@ def test_a_run_imports_only_what_its_kind_needs(tmp_path, command, ran, absent):
 
 
 def test_format_writes_out_the_hydro_constants_it_needs():
-    """The two-field grid's default x1 and the four-field system's names are
-    written out in ``cli``, which reads no hydro constant while it builds its
-    tables; they must stay hydro's, bit for bit."""
-    x1 = cli._FORMAT["grid two_field"]["x1"].default
-    assert x1.hex() == hydro.TWO_PI.hex() == hydro.CharGridSpec(8, 1.0).x1.hex()
+    """The four-field system's names are written out in ``cli``, which reads
+    no hydro constant while it builds its tables; they must stay hydro's."""
     assert cli._SYSTEMS["multifield"].fields == hydro.MULTI_FIELDS
 
 
@@ -471,13 +466,13 @@ _COMPLETE = {
     "two_field": lambda: {
         "name": "m", "paper_anchor": "t", "kind": "simulate",
         "cases": [{"system": "two_field", "init": {"u": "1.0", "v": "1.0"},
-                   "grid": {"t_end": 0.05}, "resolutions": [16],
-                   "checks": [{"equation": "conservation", "n_values": [1]}]}]},
+                   "t_end": 0.05, "resolutions": [16],
+                   "checks": [{"equation": "conservation"}]}]},
     "multifield": lambda: {
         "name": "m", "paper_anchor": "t", "kind": "simulate",
         "cases": [{"system": "multifield",
                    "init": {"u1": "0.4", "u2": "-0.3", "v1": "0.9", "v2": "1.1"},
-                   "grid": {"t_end": 0.1}, "resolutions": [8],
+                   "t_end": 0.1, "resolutions": [8],
                    "checks": [{"equation": "multifield_det"}]}]},
     "variational": lambda: {
         "name": "m", "paper_anchor": "t", "kind": "variational",
@@ -511,6 +506,7 @@ _COMPLETE = {
     ("hodograph", ("construct", "f")), ("hodograph", ("construct", "g")),
     ("hodograph", ("construct", "config")),
     ("two_field", ("init",)), ("multifield", ("init",)),
+    ("two_field", ("t_end",)), ("multifield", ("t_end",)),
     ("variational", ("source", "f")), ("variational", ("source", "g")),
     ("variational", ("source", "config")),
     ("variational", ("source", "t_window")), ("variational", ("source", "x_window")),
@@ -688,11 +684,11 @@ def test_covariance_entries_count_their_own_skips(tmp_path, monkeypatch):
         return errors, uv
 
     monkeypatch.setattr(construct.HodographSolver, "solve_many", first_solve_fails)
-    data = _with(_COMPLETE["covariance"](), ("checks", 0, "maps"), 3)
-    report, _ = cli.run_scenario(data, tmp_path, seed=1)
+    report, _ = cli.run_scenario(_COMPLETE["covariance"](), tmp_path, seed=1)
     covariance, speeds = report["reports"]
-    assert (covariance["samples"], covariance["skipped"]) == (12, 0)
-    assert (speeds["samples"], speeds["skipped"]) == (9, 3)
+    # 4 points under each of the check's 10 maps
+    assert (covariance["samples"], covariance["skipped"]) == (40, 0)
+    assert (speeds["samples"], speeds["skipped"]) == (30, 10)
 
 
 def _ad_reports(tmp_path, monkeypatch, data, seed) -> list[list]:
@@ -885,7 +881,6 @@ def test_sample_count_below_one_exits_2(tmp_path, capsys, count, dump):
 @pytest.mark.parametrize("scenario,path,value", [
     ("two_field", ("init",), "uv"),
     ("multifield", ("init",), "uv"),
-    ("two_field", ("grid",), "fine"),
     ("implicit_fg", ("construct",), "solve_implicit_fg"),
     ("implicit_fg", ("construct", "config"), "fast"),
     ("hodograph", ("construct", "config"), [1.5, 3.5]),
@@ -932,7 +927,9 @@ def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
     ("implicit_fg", ("construct", "config", "bracket"), [0.0]),
     ("hodograph", ("construct", "config", "seed"), ["1.5", 3.5]),
     ("two_field", ("resolutions",), ["16"]),
-    ("two_field", ("grid", "t_end"), "soon"),
+    ("two_field", ("t_end",), "soon"),
+    ("multifield", ("t_end",), "soon"),
+    ("multifield", ("t_end",), [0.1]),
     ("variational", ("resolutions",), 9),
     ("variational", ("source", "t_window"), [9.75]),
     ("leznov", ("construct", "Q"), 5),
@@ -944,40 +941,28 @@ def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
     ("variational", ("label",), ["x"]),
     ("born_infeld", ("checks", 0, "lambda"), "big"),
     ("born_infeld", ("checks", 0, "lambda"), -1),
-    ("covariance", ("checks", 0, "maps"), "ten"),
-    ("covariance", ("checks", 0, "speed_tolerance"), "tight"),
-    # inputs that would give no report entry for a check, grid, map or variation
+    # inputs that would give no report entry for a check, grid or map
     ("implicit_fg", ("checks",), []),
     ("two_field", ("checks",), []),
     ("two_field", ("resolutions",), []),
-    ("two_field", ("checks", 0, "n_values"), []),
     ("reparametrization", ("checks", 0, "maps"), []),
     ("variational", ("resolutions",), []),
     ("variational", ("psi",), []),
     ("variational", ("factors",), []),
-    ("variational", ("vary",), []),
     ("ad", ("expressions",), 0),
     ("ad", ("expressions",), -3),
     # more random expressions than a case may draw
     ("ad", ("expressions",), 10**6 + 1),
     ("ad", ("expressions",), 1e308),
-    ("covariance", ("checks", 0, "maps"), 0),
-    ("covariance", ("checks", 0, "maps"), -2),
     # a solve config out of range, also in a variational source; Newton keeps
     # (max_iter + 1) iterates per point, so a huge max_iter is refused before
     # any solve, not left to fail an allocation
     ("variational", ("source", "config", "max_iter"), 0),
-    ("variational", ("source", "config", "newton_tol"), -1),
     ("implicit_fg", ("construct", "config", "max_iter"), 10**13),
     ("variational", ("source", "config", "max_iter"), 10**13),
     # finite-difference steps whose squares underflow or overflow
     ("ad", ("steps",), [1e-200, 1e-200]),
     ("ad", ("steps",), [1e300, 1e300]),
-    # a tolerance that no grid can meet
-    ("variational", ("tolerance_h2_coeff",), -1),
-    ("variational", ("tolerance_h2_coeff",), 0),
-    # an S_n beyond the longest array, and so beyond the bound
-    ("two_field", ("checks", 0, "n_values"), [2**63]),
     # resolutions that do not strictly increase: halving takes the first as
     # coarse and the last as fine, and a repeated one overwrites its dump
     ("two_field", ("resolutions",), [16, 32, 24]),
@@ -985,15 +970,11 @@ def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
     ("variational", ("resolutions",), [17, 9]),
     # a negative tolerance, which no check meets: it once ran every solve and failed
     ("implicit_fg", ("checks", 0, "tolerance"), -1.0),
-    ("covariance", ("checks", 0, "speed_tolerance"), -1.0),
-    ("two_field", ("checks", 0, "tolerance_h2_coeff"), -1.0),
-    ("transport", ("checks", 0, "tolerance_h2_coeff"), -1.0),
-    ("multifield", ("checks", 0, "tolerance_h2_coeff"), -1.0),
     # a convergence ratio that every expression meets, whatever its jets
     ("ad", ("min_ratio",), -1.0),
     ("ad", ("min_ratio",), 0.0),
     ("ad", ("min_ratio",), 1.0),
-    # a seed of the wrong shape for its solver family, a config, grid or
+    # a seed of the wrong shape for its solver family, a config, t_end or
     # resolution out of range, and a sample box of the wrong dimension
     ("implicit_fg", ("construct", "config", "seed"), [0.0, 1.0]),
     ("implicit_3d", ("construct", "config", "seed"), [0.0]),
@@ -1001,19 +982,15 @@ def test_case_of_wrong_json_type_exits_2(tmp_path, capsys):
     ("hodograph", ("construct", "config", "seed"), 1.5),
     ("born_infeld", ("construct", "config", "seed"), 1.5),
     ("implicit_fg", ("construct", "config", "max_iter"), 0),
-    ("implicit_fg", ("construct", "config", "newton_tol"), -1),
     ("implicit_fg", ("checks",), [{"equation": "reparametrization", "tolerance": 1e-9,
                                    "maps": ["s*t"]}]),
     ("variational", ("psi",), ["s*t"]),
-    ("two_field", ("checks", 0, "n_values"), [0]),
     ("two_field", ("resolutions",), [16, 4]),
     ("multifield", ("resolutions",), [4]),
     ("variational", ("resolutions",), [9, 4]),
-    ("two_field", ("grid", "t_end"), -1),
-    ("two_field", ("grid", "cfl"), 2),
-    ("multifield", ("grid", "cfl"), 0),
-    ("multifield", ("grid", "cfl"), -0.5),
-    ("multifield", ("grid", "cfl"), 5),
+    ("two_field", ("t_end",), -1),
+    ("multifield", ("t_end",), -1),
+    ("multifield", ("t_end",), 0.0),
     ("implicit_fg", ("samples",), {"count": 4, "low": [-1] * 3, "high": [1] * 3}),
     ("holo_sum", ("samples",), {"count": 4, "low": [-1] * 5, "high": [1] * 5}),
     ("implicit_3d", ("samples",), {"count": 4, "low": [0.5, -1, -1, -1], "high": [1.5, 1, 1, 1]}),
@@ -1082,15 +1059,12 @@ def test_power_overflow_skips_every_sample(tmp_path, capsys, block):
 
 
 @pytest.mark.parametrize("scenario,path,value", [
-    ("variational", ("vary",), ["psi", "chi"]),
-    ("variational", ("vary",), [["psi"]]),
-    ("variational", ("vary",), 5),
     ("two_field", ("system",), "three_field"),
     ("two_field", ("checks",), [{"equation": "multifield_det"}]),
     ("multifield", ("checks",), [{"equation": "conservation"}]),
-    ("transport", ("grid", "bc"), "open"),
-    ("two_field", ("grid", "bc"), "periodic"),
-    ("two_field", ("grid", "bc"), "open"),
+    ("transport", ("bc",), "open"),
+    ("two_field", ("bc",), "periodic"),
+    ("two_field", ("bc",), "open"),
     # settings the code fixes, each to its one useful value
     ("implicit_fg", ("samples", "mode"), "uv_box"),
     ("reparametrization", ("checks", 0, "target"), "complex_bateman"),
@@ -1098,6 +1072,24 @@ def test_power_overflow_skips_every_sample(tmp_path, capsys, block):
     ("binding", ("checks", 0, "speeds_on_x"), "u"),
     ("binding", ("checks", 1, "speeds_on_x"), "v"),
     ("binding", ("checks", 1, "speeds_on_x"), "u"),
+    ("implicit_fg", ("construct", "config", "newton_tol"), 1e-12),
+    ("hodograph", ("construct", "config", "newton_tol"), 1e-12),
+    ("leznov", ("construct", "config"), {"newton_tol": 1e-12}),
+    ("variational", ("source", "config", "newton_tol"), 1e-12),
+    ("two_field", ("grid",), {"t_end": 0.05, "cfl": 0.5}),
+    ("multifield", ("grid",), {"t_end": 0.1, "cfl": 0.4}),
+    ("two_field", ("x0",), 0.0),
+    ("two_field", ("x1",), 2 * math.pi),
+    ("two_field", ("cfl",), 0.5),
+    ("multifield", ("cfl",), 0.4),
+    ("two_field", ("checks", 0, "n_values"), [1, 2, 3, 4, 5]),
+    ("two_field", ("checks", 0, "tolerance_h2_coeff"), 5.0),
+    ("transport", ("checks", 0, "tolerance_h2_coeff"), 5.0),
+    ("multifield", ("checks", 0, "tolerance_h2_coeff"), 1.0),
+    ("variational", ("tolerance_h2_coeff",), 5.0),
+    ("covariance", ("checks", 0, "maps"), 10),
+    ("covariance", ("checks", 0, "speed_tolerance"), 1e-8),
+    ("variational", ("vary",), ["psi", "phibar", "phi"]),
     # a bisection bracket, which only the scalar solves read
     ("hodograph", ("construct", "config", "bracket"), [1.0, 2.0]),
     ("leznov", ("construct", "config"), {"bracket": [5.0, 6.0]}),
@@ -1121,9 +1113,6 @@ def test_unknown_variation_system_or_check_exits_2_before_solving(
     ("multifield", ("init",), {"u1": "0.4", "u2": "-0.3", "v1": "0.9"}),
     ("variational", ("source", "f"), "v^2"),
     ("variational", ("source", "g"), "v^2 + u"),
-    # A grid the marcher cannot step: no cell width.
-    ("two_field", ("grid", "x1"), 0.0),
-    ("two_field", ("grid", "x1"), -1.0),
     # A variational window of no width, or reversed: no grid spacing.
     ("variational", ("source", "t_window"), [10.0, 10.0]),
     ("variational", ("source", "x_window"), [-14.25, -14.75]),
@@ -1148,14 +1137,32 @@ def _variational_case(**changes) -> dict:
 _FAILING_GRID = {"source": {"f": "u^2 + 0*log(1.75 - u)"}}
 
 
-@pytest.mark.parametrize("first,second", [
-    (_variational_case(**_FAILING_GRID), _variational_case(resolutions=9)),
-    (_variational_case(tolerance_h2_coeff=1e-12), _variational_case(**_FAILING_GRID)),
+def _off_shell(monkeypatch):
+    """Scale phi by 1.001 at one node of every grid that marches, which puts
+    the psi residual of a 9^2 grid above ten times its 5 h^2 bar."""
+    march = construct.hodograph_grid
+
+    def bumped(solver, nodes):
+        grids = march(solver, nodes)
+        for grid in grids:
+            if not isinstance(grid, Exception):
+                grid[0][4, 4] *= 1.001
+        return grids
+
+    monkeypatch.setattr(construct, "hodograph_grid", bumped)
+
+
+@pytest.mark.parametrize("first,second,off_shell", [
+    (_variational_case(**_FAILING_GRID), _variational_case(resolutions=9), False),
+    (_variational_case(), _variational_case(**_FAILING_GRID), True),
 ], ids=["grid_then_malformed", "off_shell_then_grid"])
-def test_variational_scenario_raises_its_first_cases_error(tmp_path, capsys, first, second):
+def test_variational_scenario_raises_its_first_cases_error(tmp_path, monkeypatch, capsys, first,
+                                                           second, off_shell):
     """A two-case variational scenario fails with the error of its first
     case, whatever its second case would raise: a failing grid before a
     malformed case, an on-shell guard before a failing grid."""
+    if off_shell:
+        _off_shell(monkeypatch)
     data = {**_COMPLETE["variational"](), "cases": [first]}
     assert _main_exit(tmp_path, data) == cli.EXIT_RUNTIME
     alone = capsys.readouterr().err
@@ -1208,28 +1215,51 @@ def test_reports_are_strict_json(tmp_path):
     # An aborted integration.
     data = _with(_COMPLETE["two_field"](), ("init",),
                  {"u": "1.5 + 0.3*sin(x)", "v": "1.5 + 0.3*sin(x)"})
-    data = _with(data, ("grid",), {"t_end": 4.0})
+    data = _with(data, ("t_end",), 4.0)
     assert _main_exit(tmp_path, data) == cli.EXIT_ABORT
     entry = _strict_json((tmp_path / "o" / "m.report.json").read_text())["reports"][-1]
     assert entry["equation"].startswith("aborted[level=")
     assert (entry["max_norm"], entry["pass"]) == (None, False)
 
 
-def test_conservation_at_the_n_values_cap_is_finite(tmp_path):
-    """At n = 1000, the cap of ``n_values``, both c05 cases report finite
-    drifts in strict JSON, with no null, where S_n of the unscaled fields
-    overflowed.  The drifts lie above 5 h^2, so the entries fail."""
+@pytest.mark.parametrize("scale", [1e70, 1e100])
+def test_conservation_of_fields_of_any_amplitude_is_finite(tmp_path, scale):
+    """c05's general pair scaled by 1e70 or 1e100, marched for that fraction
+    of its time, passes with five finite drifts per grid in strict JSON.
+    Unscaled, the difference quotients of S_4 and S_5 (at 1e70) or S_3..S_5
+    (at 1e100) overflow on these grids and their drifts would be null."""
     path = next(p for p in cli.bundled_scenarios() if p.name.startswith("c05"))
     data = {**json.loads(path.read_text()), "name": "m"}
-    for case in data["cases"]:
-        case["checks"] = [{"equation": "conservation", "n_values": [1000],
-                           "tolerance_h2_coeff": 5.0}]
-    assert _main_exit(tmp_path, data) == cli.EXIT_FAIL
+    (case,) = data["cases"] = [c for c in data["cases"] if c["label"] == "general_pair"]
+    case["init"] = {name: f"{scale!r}*({text})" for name, text in case["init"].items()}
+    case["t_end"] /= scale
+    assert _main_exit(tmp_path, data) == cli.EXIT_PASS
     text = (tmp_path / "o" / "m.report.json").read_text()
     assert "null" not in text
     drifts = [e["max_norm"] for e in _strict_json(text)["reports"]
-              if e["equation"].startswith("conservation_s1000")]
-    assert len(drifts) == 4 and all(math.isfinite(d) for d in drifts)
+              if e["equation"].startswith("conservation_s")]
+    assert len(drifts) == 2 * 5 and all(math.isfinite(d) for d in drifts)
+
+
+@pytest.mark.parametrize("wider", ["t_window", "x_window"])
+def test_variational_bar_is_5_h2_of_the_larger_spacing(tmp_path, wider):
+    """Every variational entry of a case whose windows differ in width has
+    the bar 5 h^2, h the spacing of the wider window."""
+    data = _COMPLETE["variational"]()
+    source = data["cases"][0]["source"]
+    source[wider] = [source[wider][0], source[wider][0] + 0.6]  # the other is 0.5 wide
+    assert _main_exit(tmp_path, data) == cli.EXIT_PASS
+    nodes = np.linspace(*source[wider], 9)
+    bars = {e["tolerance"] for e in json.loads((tmp_path / "o" / "m.report.json").read_text())
+            ["reports"] if e["equation"].startswith("variational_")}
+    assert bars == {float(5.0 * (nodes[1] - nodes[0]) ** 2)}
+
+
+@pytest.mark.parametrize("system,cfl", [("two_field", 0.5), ("multifield", 0.4)])
+def test_dump_sidecar_records_the_fixed_courant_number(tmp_path, system, cfl):
+    assert _main_exit(tmp_path, _COMPLETE[system](), "--dump") == cli.EXIT_PASS
+    (sidecar,) = (tmp_path / "o").glob("*.meta.json")
+    assert json.loads(sidecar.read_text())["cfl"] == cfl
 
 
 def test_null_norm_fails_its_halving_entry():
@@ -1376,7 +1406,6 @@ def test_out_naming_a_file_exits_2(tmp_path, monkeypatch, capsys, command):
     ("two_field", ("resolutions",), [2**62]),
     ("variational", ("resolutions",), [2**62]),
     ("implicit_fg", ("samples", "count"), 2**63),
-    ("covariance", ("checks", 0, "maps"), 2**63),
 ])
 def test_count_beyond_the_longest_array_exits_2_before_solving(tmp_path, monkeypatch, capsys,
                                                                scenario, path, value):
@@ -1389,11 +1418,11 @@ def test_count_beyond_the_longest_array_exits_2_before_solving(tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("scenario,path,value", [
-    ("two_field", ("grid", "t_end"), 1e308),
-    ("multifield", ("grid", "t_end"), 1e308),
-    ("two_field", ("grid", "cfl"), 5e-324),
-    ("multifield", ("grid", "cfl"), 5e-324),
-    ("two_field", ("grid", "x1"), 1e-308),
+    ("two_field", ("t_end",), 1e308),
+    ("multifield", ("t_end",), 1e308),
+    # a speed so large that its first step is 0
+    ("two_field", ("init", "u"), "1.7e308"),
+    ("multifield", ("init", "v2"), "1.7e308"),
 ])
 def test_grid_without_a_finite_step_count_exits_3(tmp_path, capsys, scenario, path, value):
     """A grid whose t_end takes no finite number of CFL steps is a runtime
@@ -1404,8 +1433,6 @@ def test_grid_without_a_finite_step_count_exits_3(tmp_path, capsys, scenario, pa
 
 
 @pytest.mark.parametrize("scenario,path,value", [
-    ("two_field", ("grid", "x0"), -1e308),
-    ("two_field", ("grid", "x1"), 1e308),
     ("implicit_fg", ("samples",), {"count": 4, "low": [-1e308] * 4, "high": [1e308] * 4}),
     ("c05", ("checks", 0, "tolerance_h2_coef"), 1e-12),
     ("c11", ("label",), "../escaped"),
@@ -1416,9 +1443,9 @@ def test_grid_without_a_finite_step_count_exits_3(tmp_path, capsys, scenario, pa
 ])
 def test_input_the_reader_once_let_through_exits_2_before_solving(
         tmp_path, monkeypatch, capsys, scenario, path, value):
-    """Grid nodes or a sample box beyond the float range, a misspelt key (which
-    once left its default in force), an ad label (a key an ad case does not
-    have) and resolutions that do not increase."""
+    """A sample box beyond the float range, a misspelt key (which once left
+    its default in force), an ad label (a key an ad case does not have) and
+    resolutions that do not increase."""
     bundled = {"c05": "c05_conservation_hierarchy", "c09": "c09_degenerate_lagrangian",
                "c11": "c11_jet_convergence"}
     data = _small(bundled[scenario]) if scenario in bundled else _COMPLETE[scenario]()

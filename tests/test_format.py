@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from batlab import cli
+from batlab import cli, construct, hydro
 from test_cli import _COMPLETE, _forbid_work, _main_exit
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,9 +45,7 @@ def _context(place: str):
              "scalar config": ("implicit_fg", case + ("construct", "config")),
              "pair config": ("hodograph", case + ("construct", "config")),
              "leznov config": ("leznov", case + ("construct", "config")),
-             "samples": ("implicit_fg", case + ("samples",)),
-             "grid two_field": ("two_field", case + ("grid",)),
-             "grid multifield": ("multifield", case + ("grid",))}
+             "samples": ("implicit_fg", case + ("samples",))}
     family, _, name = place.partition(" ")
     if place in fixed:
         scenario, path = fixed[place]
@@ -201,3 +199,17 @@ def test_readme_format_table_is_the_code_table():
             for line in table.splitlines()[1:]]
     assert rows == [_row(place, name, key) for place, keys in cli._FORMAT.items()
                     for name, key in keys.items()]
+
+
+@pytest.mark.parametrize("value,phrase", [
+    (construct.NEWTON_TOL, "a residual of {} (`construct.NEWTON_TOL`"),
+    (hydro.CHAR_CFL, "Courant number {} (`hydro.CHAR_CFL`)"),
+    (hydro.MULTI_CFL, "four-field march at {} (`hydro.MULTI_CFL`)"),
+    (cli._COVARIANCE_MAPS, "draws {} random linear maps"),
+    (cli._SPEED_TOLERANCE, "entries have the bar {};"),
+], ids=["newton_tol", "char_cfl", "multi_cfl", "covariance_maps", "speed_tolerance"])
+def test_readme_fixed_settings_state_the_code_constants(value, phrase):
+    """The README's list of fixed settings gives each constant's value."""
+    text = (ROOT / "README.md").read_text()
+    fixed = " ".join(text.split("\nFixed settings.", 1)[1].split("\n## ", 1)[0].split())
+    assert phrase.format(repr(value).replace("e-0", "e-")) in fixed

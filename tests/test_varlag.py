@@ -268,11 +268,10 @@ def test_fields_from_char_grid_are_onshell(tmp_path):
     on-shell for the variational residual to the scheme's accuracy: phibar is
     the u field, phi the v field, psi = W(phibar), and the grid spacings
     become (dt, h)."""
-    from batlab.hydro import CharGridSpec, dump_char_grid, integrate_characteristics
+    from batlab.hydro import dump_char_grid, integrate_characteristics
 
     grid = integrate_characteristics(
-        parse("1.2 + 0.25*sin(x)"), parse("2.1 + 0.2*cos(x)"),
-        CharGridSpec(nx=96, t_end=0.3))
+        parse("1.2 + 0.25*sin(x)"), parse("2.1 + 0.2*cos(x)"), 96, 0.3)
     path = tmp_path / "grid.csv"
     dump_char_grid(grid, path)
     loaded = load_char_grid(path)
