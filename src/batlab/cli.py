@@ -1036,8 +1036,7 @@ def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
         point = rng.uniform(0.4, 1.6, size=3)
         row = produced % _BLOCK
         try:
-            args = {n: jets.variable(i, point[i], 3) for i, n in enumerate(names)}
-            jet = eval_jet(spec, args, k=3)
+            jet = eval_jet(spec, dict(zip(names, jets.variables(point))), k=3)
             values[row] = _stencil_values(spec, names, point, stencil)
         except EvaluationError:
             continue

@@ -274,13 +274,12 @@ def _closure(node: Node, slots: Mapping[str, int]):
     if isinstance(node, Var):
         name, i = node.name, slots.get(node.name)
 
-        def missing(env):
-            raise ValueError(f"missing variable {name!r}")
-
         def var(env):
-            value = env[i]
-            return missing(env) if value is None else value
-        return missing if i is None else var
+            value = None if i is None else env[i]
+            if value is None:
+                raise ValueError(f"missing variable {name!r}")
+            return value
+        return var
     if isinstance(node, Neg):
         operand = _closure(node.operand, slots)
         return lambda env: -operand(env)
@@ -476,7 +475,7 @@ def float_fn(spec: ExprSpec, names: Sequence[str] | None = None) -> Callable[...
         position = {name: i for i, name in enumerate(names)}
         slots = [position.get(name) for name in spec.vars]
     top = spec.ast
-    while isinstance(top, Bin) and top.op == "^" and top.right == Num(1.0):
+    while isinstance(top, Bin) and top.op == "^" and _is_one(top.right):
         top = top.left  # b ^ 1 is b itself
     returns_argument = isinstance(top, Var)
     array = np.ndarray

@@ -14,6 +14,11 @@ by point from ``math`` through the scalar guards, so every point of a batch is
 bit for bit the single-point jet of that point.  A single jet combined with a
 batch is the same jet at every point.  A batch operation that fails raises
 what the single-point operation raises at the first failing point.
+
+Seeds (:func:`variable`, :func:`variables`) and one-point constants share
+read-only gradients and Hessians, one unit matrix and one set of zero arrays
+per arity, broadcast over a batch's points; no operation writes into its
+operands, so a jet costs only its arithmetic.
 """
 
 from __future__ import annotations
@@ -182,9 +187,12 @@ def _stacked(rows):
 
 def _require_finite(op: str, value, grad, hess) -> None:
     """JetDomainError(op, value) unless every entry is finite; for a batch, at
-    the first point that is not."""
+    the first point that is not.  One point's entries are checked as Python
+    floats, which costs a fraction of a numpy call per array."""
     if isinstance(value, float):
-        if not (math.isfinite(value) and np.isfinite(grad).all() and np.isfinite(hess).all()):
+        isfinite = math.isfinite
+        if not (isfinite(value) and all(map(isfinite, grad.tolist()))
+                and all(map(isfinite, hess.ravel().tolist()))):
             raise JetDomainError(op, value)
         return
     bad = ~(np.isfinite(value) & np.isfinite(grad).all(axis=1)
@@ -193,22 +201,36 @@ def _require_finite(op: str, value, grad, hess) -> None:
         raise JetDomainError(op, float(value[bad.argmax()]))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# Per arity k, the parts every one-point seed and constant shares, read-only:
+# the k unit gradients (the rows of one identity), a zero gradient and a zero
+# Hessian.  No operation writes into its operands, so sharing them gives the
+# bits of fresh arrays and allocates nothing per jet.
+_UNITS = {k: tuple(_read_only(np.eye(k))) for k in range(1, MAX_ARITY + 1)}
+_ZEROS = {k: (_read_only(np.zeros(k)), _read_only(np.zeros((k, k))))
+          for k in range(1, MAX_ARITY + 1)}
+
+
 def variable(index: int, value: float, k: int) -> Jet2:
-    """Seed jet for independent variable ``index`` of ``k``."""
+    """Seed jet for independent variable ``index`` of ``k``; its gradient and
+    Hessian are shared read-only arrays."""
     _check_arity(k)
     if not 0 <= index < k:
         raise ValueError(f"variable index {index} out of range for arity {k}")
-    g = np.zeros(k)
-    g[index] = 1.0
-    return Jet2(float(value), g, np.zeros((k, k)))
+    return Jet2(float(value), _UNITS[k][index], _ZEROS[k][1])
 
 
 def constant(value: float, k: int, n: int | None = None) -> Jet2:
     """The constant ``value`` over k variables, at one point or, given ``n``,
-    at each of a batch of n points."""
+    at each of a batch of n points.  At one point its gradient and Hessian
+    are shared read-only zero arrays."""
     _check_arity(k)
     if n is None:
-        return Jet2(float(value), np.zeros(k), np.zeros((k, k)))
+        return Jet2(float(value), *_ZEROS[k])
     return Jet2(np.full(n, float(value)), np.zeros((n, k)), np.zeros((n, k, k)))
 
 
@@ -217,20 +239,23 @@ def variables(values) -> list[Jet2]:
     taking the value ``values[i]`` at one point, or the values ``values[i]``
     at the N points of a batch.
 
-    A batch seed's gradients and Hessians are read-only broadcast views of
-    one unit row and of one zero ``(k, k)`` Hessian shared by all k seeds, so
-    seeding allocates nothing per point; every operation on them gives the
-    bits it gives on dense arrays."""
+    A seed's gradient and Hessian are read-only: at one point, the shared
+    arrays of :func:`variable`; over a batch, broadcast views of one unit row
+    and of one zero ``(k, k)`` Hessian shared by all k seeds.  So seeding
+    allocates nothing per point, and every operation on them gives the bits
+    it gives on dense arrays."""
     v = np.array(values, dtype=float)
     if v.ndim == 1:
-        return [variable(i, value, len(v)) for i, value in enumerate(v)]
+        k = len(v)
+        _check_arity(k)
+        hess = _ZEROS[k][1]
+        return [Jet2(value, unit, hess) for value, unit in zip(v.tolist(), _UNITS[k])]
     if v.ndim != 2:
         raise ValueError("batch values must be k equally long sequences")
     k, n = v.shape
     _check_arity(k)
-    unit = np.eye(k)
-    hess = np.broadcast_to(np.zeros((k, k)), (n, k, k))
-    return [Jet2(v[i], np.broadcast_to(unit[i], (n, k)), hess) for i in range(k)]
+    hess = np.broadcast_to(_ZEROS[k][1], (n, k, k))
+    return [Jet2(v[i], np.broadcast_to(unit, (n, k)), hess) for i, unit in enumerate(_UNITS[k])]
 
 
 def from_parts(value, grad, hess) -> Jet2:

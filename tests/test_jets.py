@@ -368,20 +368,35 @@ def test_single_and_batch_operands_match_points(op, single_first, single):
     oracles.assert_batch_matches_points(lambda: pair(s, b), lambda i: pair(s, at(i)), len(_XS))
 
 
-# -- read-only batch seeds -------------------------------------------------------------
+# -- read-only seeds and constants ------------------------------------------------------
 
 _SEED_VALUES = ((0.7, 1.3, 2.5, 0.2, 4.0), (1.9, 0.4, 0.6, 3.1, 0.25), (0.8, 2.2, 1.1, 0.5, 1.7))
+_POINT = tuple(values[0] for values in _SEED_VALUES)  # the batch's first point
 
 
 def _dense_seeds(values):
-    """The batch seeds of ``values`` as writable ``np.zeros`` arrays."""
-    k, n = len(values), len(values[0])
+    """The seeds of ``values``, over a batch or at one point, as writable
+    ``np.zeros`` arrays."""
+    k, point = len(values), np.shape(values)[1:]
     seeds = []
     for i, value in enumerate(values):
-        g = np.zeros((n, k))
-        g[:, i] = 1.0
-        seeds.append(jets.Jet2(np.array(value), g, np.zeros((n, k, k))))
+        g = np.zeros(point + (k,))
+        g[..., i] = 1.0
+        seeds.append(jets.Jet2(np.array(value) if point else value, g, np.zeros(point + (k, k))))
     return seeds
+
+
+# Jets with shared read-only parts, and the same jets on dense arrays: the
+# seeds of a batch, the seeds of one point (from ``variables`` and from
+# ``variable``) and one-point constants.
+_SHARED = {
+    "batch": (lambda: jets.variables(_SEED_VALUES), lambda: _dense_seeds(_SEED_VALUES)),
+    "point": (lambda: jets.variables(_POINT), lambda: _dense_seeds(_POINT)),
+    "variable": (lambda: [jets.variable(i, v, 3) for i, v in enumerate(_POINT)],
+                 lambda: _dense_seeds(_POINT)),
+    "constant": (lambda: [jets.constant(v, 3) for v in _POINT],
+                 lambda: [jets.Jet2(v, np.zeros(3), np.zeros((3, 3))) for v in _POINT]),
+}
 
 
 def _bits(batch):
@@ -401,17 +416,20 @@ def _assert_same_bits(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)
 
 
-def test_batch_seeds_are_read_only_views():
-    seeds = jets.variables(_SEED_VALUES)
+@pytest.mark.parametrize("kind", list(_SHARED))
+def test_batch_seeds_are_read_only_views(kind):
+    shared, dense = _SHARED[kind]
+    seeds = shared()
     for seed in seeds:
         for part in (seed.grad, seed.hess):
             with pytest.raises(ValueError, match="read-only"):
                 part[0] = 1.0
     # one zero Hessian for every seed
     assert all(np.shares_memory(seed.hess, seeds[0].hess) for seed in seeds)
-    _assert_same_bits(tuple(seeds), tuple(_dense_seeds(_SEED_VALUES)))
+    _assert_same_bits(tuple(seeds), tuple(dense()))
 
 
+@pytest.mark.parametrize("kind", list(_SHARED))
 @pytest.mark.parametrize("op", [
     operator.add, operator.sub, operator.mul, operator.truediv,
     lambda x, y: -x, lambda x, y: jets.powc(x, 3), lambda x, y: jets.powc(y, -2),
@@ -420,9 +438,10 @@ def test_batch_seeds_are_read_only_views():
     lambda x, y: x * y - y / x + jets.constant(0.5, 3),
 ], ids=["add", "sub", "mul", "truediv", "neg", "powc3", "powc-2", "powc2.5", "exp", "log",
         "sin", "cos", "sqrt", "composite"])
-def test_read_only_seeds_give_the_bits_of_dense_seeds(op):
-    x, y, _ = jets.variables(_SEED_VALUES)
-    dx, dy, _ = _dense_seeds(_SEED_VALUES)
+def test_read_only_seeds_give_the_bits_of_dense_seeds(op, kind):
+    shared, dense = _SHARED[kind]
+    x, y, _ = shared()
+    dx, dy, _ = dense()
     _assert_same_bits(op(x, y), op(dx, dy))
 
 
@@ -436,3 +455,37 @@ def test_take_and_join_of_read_only_seeds_give_the_bits_of_dense_seeds(index):
         return
     _assert_same_bits(residuals._join([residuals.take(seeds, index), seeds]),
                       residuals._join([residuals.take(dense, index), dense]))
+
+
+# -- the one-point finiteness guard -------------------------------------------------------
+
+def _numpy_require_finite(op, value, grad, hess):
+    """The one-point guard as numpy array scans, the reference for the float form."""
+    if not (math.isfinite(value) and np.isfinite(grad).all() and np.isfinite(hess).all()):
+        raise JetDomainError(op, value)
+
+
+_ENTRIES = [("value",)] + [("grad", i) for i in range(3)] + [
+    ("hess", i, j) for i in range(3) for j in range(3)]
+
+
+@pytest.mark.parametrize("entry,bad", [
+    (entry, bad) for entry in _ENTRIES for bad in (math.inf, -math.inf, math.nan)
+] + [(None, None)], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_one_point_finiteness_guard_raises_as_numpy_form(entry, bad):
+    value, grad, hess = 0.7, np.array([0.3, -1.2, 2.5]), np.arange(9.0).reshape(3, 3) - 4.0
+    if entry == ("value",):
+        value = bad
+    elif entry is not None:
+        (grad if entry[0] == "grad" else hess)[entry[1:]] = bad
+
+    def outcome(guard):
+        try:
+            guard("div", value, grad, hess)
+        except JetDomainError as err:
+            return type(err), str(err)
+        return None
+
+    want = outcome(_numpy_require_finite)
+    assert (want is None) == (entry is None)
+    assert outcome(jets._require_finite) == want

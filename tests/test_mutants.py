@@ -6,8 +6,9 @@ entry symmetrically, so that the result is still a valid jet, a value, or one
 derivative of a grid stencil; an entry that vanishes moves by 1e-3 of its
 Hessian's largest entry), drops one term of a jet product or quotient,
 scales the second derivative of every univariate jet function, swaps the
-speed families of the Leznov operator pair, or builds the four-field
-system's periodic spline on the raw grid values, with no prefilter.  Sampled
+speed families of the Leznov operator pair, skips the corrector of each
+characteristic level, or builds the four-field system's periodic spline on
+the raw grid values, with no prefilter.  Sampled
 scenarios run with fewer samples per case, the others whole; unmutated, the
 same runs pass, so each failure is the mutant's doing.
 """
@@ -112,6 +113,24 @@ def stencil_space_derivative(monkeypatch):
         return 1.001 * difference if np.asarray(unit)[1] else difference
 
     monkeypatch.setattr(hydro, "_first_difference", mutant)
+
+
+def foot_point_corrector_dropped(monkeypatch):
+    """The corrector of each level of ``hydro._march`` skipped: the second
+    foot-point solve of a level, by ``hydro._foot_points``, returns its start
+    feet without a sweep, so a level keeps only its predictor's speeds."""
+    foot_points = hydro._foot_points
+    predicted = []  # the level whose predictor has solved
+
+    def mutant(step, start, tol, level, first=None):
+        if predicted == [level]:
+            predicted.clear()
+            return np.array(start, dtype=float)
+        foot = foot_points(step, start, tol, level, first)
+        predicted[:] = [level]
+        return foot
+
+    monkeypatch.setattr(hydro, "_foot_points", mutant)
 
 
 def spline_prefilter_dropped(monkeypatch):
@@ -221,6 +240,7 @@ MUTANTS = {
     implicit_split_cross_block: ("c01", "c04", "c10"),
     holo_sum_cross_block: ("c02",),
     stencil_space_derivative: ("c05", "c08", "c09"),
+    foot_point_corrector_dropped: ("c05", "c08"),
     spline_prefilter_dropped: ("c08",),
     moebius_speed: ("c04",),
     pull_back_hessian: ("c04",),
