@@ -529,12 +529,21 @@ def _linear_covariance(c: _Solved, check: dict) -> list[dict]:
     # is a covariance sample even if its speed cannot be matched.
     res_samples, speed_samples, res_skipped, speed_skipped = [], [], 0, 0
     has_base = _ok(c.errors)
-    for m in maps:
-        mat, minv = m.matrix(), m.inverse()
-        tx = [minv @ (mat @ np.array(p)) for p in c.tx]  # (t, x) only up to rounding
+    # Every map's images of the points, (t, x) only up to rounding, solved as
+    # one batch, each from its point's (u, v); then split per map.
+    inverses = [m.inverse() for m in maps]
+    tx = np.array([minv @ (m.matrix() @ np.array(p))
+                   for m, minv in zip(maps, inverses) for p in c.tx])
+    all_errors, all_uv = c.model.solve_many(tx[:, 0], tx[:, 1],
+                                            np.tile(c.points, (len(maps), 1)))
+    n, done = len(c.tx), 0  # points per map; solved rows taken from all_uv
+    for k, (m, minv) in enumerate(zip(maps, inverses)):
+        errors = all_errors[k * n:(k + 1) * n]
+        solved = errors.count(None)
         errors, pulled = _at_solved(lambda u, v: tuple(
             construct.pull_back(j, minv) for j in c.model.fields(u, v)),
-            *_uv_at(*c.model.solve_many(*zip(*tx), c.points)))
+            *_uv_at(errors, all_uv[done:done + solved]))
+        done += solved
         has_pulled = _ok(errors)
         res_skipped += len(errors) - errors.count(None)
         if pulled is not None:

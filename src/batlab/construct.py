@@ -59,7 +59,7 @@ from .errors import (
 # patches this binding by name.
 from .exprspec import Bin, ExprSpec, Var, eval_float, eval_jet, float_fn, partial  # noqa: F401
 from .residuals import (ResidualSample, _any, _dot, _from_terms, _larger, _ok, _solve,
-                        attempt, batched)
+                        attempt, rerun_rows)
 
 _DEGENERATE_REL = 1e-10
 # The residual at which every implicit solve (here and in ``leznov``) stops,
@@ -177,8 +177,8 @@ def _newton(residual, step, x, max_iter: int, tol):
       best iterate;
     * when ``residual`` or ``step`` raises an EvaluationError over the batch,
       that call is rerun one point at a time as one-row batches
-      (:func:`~batlab.residuals.batched`): the points that raise retire with
-      their own error, and the others go on.
+      (:func:`~batlab.residuals.rerun_rows`): the points that raise retire
+      with their own error, and the others go on.
 
     ``residual`` and ``step`` must be pure functions of the iterate, and each
     row of their results must be the bits of the float arithmetic at that
@@ -188,45 +188,63 @@ def _newton(residual, step, x, max_iter: int, tol):
     ``np.maximum``, which propagates a NaN.  A repeated iterate then starts a
     cycle that would run to ``max_iter`` without changing the best iterate
     (its test is strict), so stopping there returns, or raises, the same as
-    running on."""
+    running on.
+
+    A hodograph march makes many small solves in turn, so an iteration costs
+    its fixed overhead more than its arithmetic.  The fast path keeps that
+    overhead small: ``residual`` and ``step`` are called on the batch directly
+    and split into one-row calls only after they raise (a one-row batch that
+    raises is not called again: its error is its point's); while every point
+    still iterates, the best iterates and the visited bits are written
+    through plain slices, not gathered and scattered through the point
+    indices; and the per-point verdict loop runs only when some point stops
+    on a step error or outside its ``tol``."""
     x = np.array(x, dtype=float)
     n = len(x)
     best, best_size = x.copy(), np.full(n, math.inf)
     errors: list = [None] * n  # raised by residual, or by step other than as a stop
     stops: list = [None] * n  # raised by step
     visited = np.empty((max_iter + 1,) + x.shape, dtype=np.int64)  # iterate bits
+    if not n:
+        return errors, best
     idx = np.arange(n)  # the points still iterating
     with np.errstate(all="ignore"):
         for i in range(max_iter + 1):
-            if not len(idx):
-                break
-            failed, out = batched(residual, idx, x)
-            idx, x = _retire(errors, failed, idx, x)
+            idx, x, out = _call(residual, errors, idx, x)
             if out is None:
                 break
             size, r = out
-            better = size < best_size[idx]
-            best[idx[better]] = x[better]
-            best_size[idx[better]] = size[better]
+            rows = slice(None) if len(idx) == n else idx  # idx, as a slice while it can be
+            better = size < best_size[rows]
+            if np.count_nonzero(better) == len(idx):
+                best[rows], best_size[rows] = x, size
+            else:
+                at = idx[better]
+                best[at], best_size[at] = x[better], size[better]
             if i == max_iter:
                 break
             go = size != 0.0
-            if not go.all():
+            if np.count_nonzero(go) < len(idx):
                 idx, x, r = idx[go], x[go], r[go]
                 if not len(idx):
                     break
-            visited[i, idx] = x.view(np.int64)
-            failed, out = batched(step, idx, x, r)
-            idx, x = _retire(stops, failed, idx, x)
+                rows = idx
+            visited[i, rows] = x.view(np.int64)
+            idx, x, out = _call(step, stops, idx, x, r)
             if out is None:
                 break
             x, halt = out
-            seen = visited[:i + 1, idx] == x.view(np.int64)
-            if seen.any():  # some component repeats: is a whole iterate seen?
+            seen = visited[:i + 1, slice(None) if len(idx) == n else idx] == x.view(np.int64)
+            if np.count_nonzero(seen):  # some component repeats: is a whole iterate seen?
                 halt = halt | seen.reshape(i + 1, len(idx), -1).all(axis=-1).any(axis=0)
-            if halt.any():
+            if np.count_nonzero(halt):
                 idx, x = idx[~halt], x[~halt]
-    within = (best_size <= tol).tolist()
+                if not len(idx):
+                    break
+    within = best_size <= tol
+    if np.count_nonzero(within) == n and stops.count(None) == n:
+        return errors, best
+    within = within.tolist()
     for k, stop in enumerate(stops):
         if errors[k] is not None or within[k] and stop is None:
             continue
@@ -238,21 +256,32 @@ def _newton(residual, step, x, max_iter: int, tol):
     return errors, best
 
 
-def _retire(errors: list, failed: list, idx, x):
-    """``(idx, x)`` without the points where ``failed`` (one entry per point
-    of ``idx``) holds an error, each such error recorded in ``errors``."""
-    if failed.count(None) == len(failed):
-        return idx, x
+def _call(fn, errors: list, idx, x, *rest):
+    """``fn(idx, x, *rest)`` over the points ``idx`` with iterates ``x``, as
+    ``(idx, x, out)``.  Where the call raises an EvaluationError, ``fn`` is
+    rerun one row at a time, unless the batch is that one row: the points
+    where it raises leave ``idx`` and ``x``, each with its error recorded in
+    ``errors``, and ``out`` holds the results at the others (None if there
+    are none)."""
+    try:
+        return idx, x, fn(idx, x, *rest)
+    except EvaluationError as err:
+        if len(idx) == 1:
+            errors[int(idx[0])] = err
+            return idx[:0], x[:0], None
+        failed, out = rerun_rows(fn, idx, x, *rest)
     for k, err in zip(idx.tolist(), failed):
         if err is not None:
             errors[k] = err
     keep = _ok(failed)
-    return idx[keep], x[keep]
+    return idx[keep], x[keep], out
 
 
 def _solved(errors: list, roots: np.ndarray):
     """``(errors, roots)`` of a batch solve, the roots kept at the points
     without an error."""
+    if errors.count(None) == len(errors):
+        return errors, roots
     return errors, roots[_ok(errors)]
 
 
@@ -429,9 +458,9 @@ def _fold_det(f2, g2, u, v):
     fg = f2 * g2  # also g2 * f2: the product commutes exactly
     det = fg * (u - v)
     scale = abs(fg * v) + abs(fg * u)
-    # |det| <= REL * max(scale, 1e-30), without Python's max for a batch
-    size = abs(det)
-    if _any((size <= _DEGENERATE_REL * scale) | (size <= _DEGENERATE_REL * 1e-30)):
+    # |det| <= REL * max(scale, 1e-30): |det| <= REL * scale or |det| <= REL *
+    # 1e-30, which np.fmax joins (a NaN REL * scale leaves the second test)
+    if np.count_nonzero(abs(det) <= np.fmax(_DEGENERATE_REL * scale, _DEGENERATE_REL * 1e-30)):
         raise SingularMatrixError("hodograph fold: J = f''g''(u - v) ~ 0")
     return det
 
@@ -508,9 +537,10 @@ class HodographSolver:
             u, v = uv[:, 0], uv[:, 1]
             fu, f1 = f(u), d1f(u)
             gv, g1 = g(v), d1g(v)
+            ti, xi = (t, x) if len(i) == len(t) else (t[i], x[i])  # i is every point, or some
             r = np.empty_like(uv)
-            r1 = np.subtract(f1 + g1, t[i], out=r[:, 0])
-            r2 = np.subtract(fu - u * f1 + gv - v * g1, x[i], out=r[:, 1])
+            r1 = np.subtract(f1 + g1, ti, out=r[:, 0])
+            r2 = np.subtract(fu - u * f1 + gv - v * g1, xi, out=r[:, 1])
             return _larger(abs(r1), abs(r2)), r
 
         def step(i, uv, r):
@@ -522,7 +552,7 @@ class HodographSolver:
             nxt = np.empty_like(uv)
             un = np.subtract(u, (-v * g2 * r1 - g2 * r2) / det, out=nxt[:, 0])
             vn = np.subtract(v, (u * f2 * r1 + f2 * r2) / det, out=nxt[:, 1])
-            if not np.isfinite(nxt).all():
+            if np.count_nonzero(np.isfinite(nxt)) < nxt.size:
                 raise NewtonConvergenceError("hodograph Newton diverged")
             return nxt, (un == u) & (vn == v)
 
@@ -723,12 +753,15 @@ def hodograph_grid(solver: HodographSolver, grids: Sequence) -> list:
         t = np.concatenate([grids[k][0][rows] for k, rows, _ in nodes])
         x = np.concatenate([np.full(len(rows), grids[k][1][j]) for k, rows, j in nodes])
         errors, uv = solver.solve_many(t, x, seeds)
+        clean = errors.count(None) == len(errors)  # the usual round: every node solved
         solved, at, done = [], 0, 0  # into errors, into uv
         for k, rows, j in nodes:
-            errs = errors[at:at + len(rows)]
-            at += len(rows)
-            failed[k].update((i, err) for i, err in zip(rows.tolist(), errs) if err is not None)
-            rows = rows[_ok(errs)]
+            if not clean:
+                errs = errors[at:at + len(rows)]
+                at += len(rows)
+                failed[k].update((i, err) for i, err in zip(rows.tolist(), errs)
+                                 if err is not None)
+                rows = rows[_ok(errs)]
             phi, phibar = fields[k]
             phibar[rows, j], phi[rows, j] = uv[done:done + len(rows)].T
             done += len(rows)

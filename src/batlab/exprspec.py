@@ -366,6 +366,9 @@ def _power(base, expo):
     return power
 
 
+_FLOAT64 = np.dtype(float)
+
+
 def _finite(a: np.ndarray) -> bool:
     """Whether every element of ``a`` is finite."""
     return np.count_nonzero(np.isfinite(a)) == a.size
@@ -465,7 +468,8 @@ def float_fn(spec: ExprSpec, names: Sequence[str] | None = None) -> Callable[...
     JetDomainError.  An evaluation failing at one point raises the float
     evaluation's error there; failing at several, the error of the first
     operation that fails, so a caller that needs each point's own error
-    evaluates the points one at a time after a failure.
+    evaluates the points one at a time after a failure.  A spec of one
+    variable, taken as the first value, evaluates a float64 array as it is.
     """
     if names is None:
         if len(spec.vars) != 1:
@@ -480,26 +484,46 @@ def float_fn(spec: ExprSpec, names: Sequence[str] | None = None) -> Callable[...
     returns_argument = isinstance(top, Var)
     array = np.ndarray
 
+    def compiled(env):
+        # the spec's closure, bound here at the first evaluation: a function
+        # that is never called compiles nothing
+        nonlocal compiled
+        compiled = spec._compiled
+        return compiled(env)
+
     def evaluate_at(*values):
         if values and type(values[0]) is array:
-            return evaluate_arrays(values)
-        out = spec._compiled([None if i is None else float(values[i]) for i in slots])
+            env = [None if i is None else np.asarray(values[i], dtype=float) for i in slots]
+            return _array_result(compiled(env), values[0].shape, returns_argument)
+        out = compiled([None if i is None else float(values[i]) for i in slots])
         if not math.isfinite(out):
             raise JetDomainError("eval", out)
         return out
 
-    def evaluate_arrays(values) -> np.ndarray:
-        out = spec._compiled([None if i is None else np.asarray(values[i], dtype=float)
-                              for i in slots])
-        if type(out) is not np.ndarray:  # a constant: its value at each point
-            if not math.isfinite(out):
-                raise JetDomainError("eval", out)
-            return np.full(values[0].shape, out)
-        if not _finite(out):
-            raise JetDomainError("eval", float(out[~np.isfinite(out)][0]))
-        # a new array, also where the spec returns an argument as it is
-        return out.copy() if returns_argument else out
-    return evaluate_at
+    if slots != [0]:
+        return evaluate_at
+
+    def evaluate_one(*values):
+        x = values[0] if values else None
+        if type(x) is array and x.dtype is _FLOAT64:
+            return _array_result(compiled([x]), x.shape, returns_argument)
+        return evaluate_at(*values)
+    return evaluate_one
+
+
+def _array_result(out, shape: tuple, returns_argument: bool) -> np.ndarray:
+    """A new array of ``shape`` from an array evaluation's result ``out``:
+    a constant at each point, or ``out`` itself, copied where the spec
+    returns an argument as it is; a non-finite element raises."""
+    if type(out) is not np.ndarray:  # a constant: its value at each point
+        if not math.isfinite(out):
+            raise JetDomainError("eval", out)
+        full = np.empty(shape)  # np.full(shape, out), without its dtype inference
+        full.fill(out)
+        return full
+    if not _finite(out):
+        raise JetDomainError("eval", float(out[~np.isfinite(out)][0]))
+    return out.copy() if returns_argument else out
 
 
 def at_points(fn: Callable, *columns: np.ndarray):

@@ -13,8 +13,9 @@ batch its sample holds one raw residual, scale and floor per point, each the
 bits of that point's own sample.  Terms are summed with ``math.fsum`` point by
 point.  :func:`sweep` evaluates an operator on a whole batch at once; if that
 raises an ``EvaluationError`` it evaluates each point as a batch of one row,
-and skips the points that raise (:func:`batched`, the one place that splits a
-failing batch, for the sweeps, the verify cases and the Newton loop alike).
+and skips the points that raise (:func:`batched`, whose :func:`rerun_rows` is
+the one place that splits a failing batch, for the sweeps, the verify cases
+and the Newton loop alike).
 
 Coordinate conventions (index order of the incoming jets):
 
@@ -206,9 +207,15 @@ def batched(fn: Callable, *batches):
     try:
         return [None] * n, fn(*batches)
     except EvaluationError:
-        pass
+        return rerun_rows(fn, *batches)
+
+
+def rerun_rows(fn: Callable, *batches):
+    """``fn`` on each point of batches of the same N points, as a batch of
+    one row: ``(errors, out)`` as :func:`batched` gives them where ``fn``
+    raises over the whole batch."""
     errors, outs = [], []
-    for i in range(n):
+    for i in range(_size(batches[0])):
         try:
             outs.append(fn(*(take(b, slice(i, i + 1)) for b in batches)))
             errors.append(None)

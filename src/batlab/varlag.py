@@ -29,6 +29,7 @@ nodewise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -48,14 +49,23 @@ _SLOTS = ("phi_t", "phi_x", "phibar_t", "phibar_x", "psi_t", "psi_x")
 _BLOCK = 256
 
 
+@functools.cache
+def _degree0_points() -> np.ndarray:
+    """The 50 random (p, q) of :func:`degree0_test`, the same for every
+    factor: drawn once, on first use, as one read-only array."""
+    rng = np.random.default_rng(2024)
+    pq = np.array([[rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]) for _ in "pq"]
+                   for _ in range(50)])
+    pq.flags.writeable = False
+    return pq
+
+
 def degree0_test(h_expr: ExprSpec) -> bool:
     """Euler's relation for weight zero: p H_p + q H_q = 0 at 50 random (p, q),
     evaluated as one batched jet; a point where H fails is left out."""
     if set(h_expr.vars) - {"p", "q"}:
         raise ValueError("factor must be an expression in (p, q)")
-    rng = np.random.default_rng(2024)
-    pq = np.array([[rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]) for _ in "pq"]
-                   for _ in range(50)])
+    pq = _degree0_points()
 
     def factor_jet(points):
         pj, qj = jets.variables(points.T)

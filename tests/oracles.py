@@ -315,14 +315,21 @@ def density_jet(factor: ExprSpec, slots) -> tuple[Jet2, float]:
     return bracket * hj, hj.value
 
 
-def degree0_test(h_expr: ExprSpec) -> bool:
-    """``varlag.degree0_test`` with one arity-2 ``Jet2`` per random (p, q)."""
-    if set(h_expr.vars) - {"p", "q"}:
-        raise ValueError("factor must be an expression in (p, q)")
+def degree0_points():
+    """The random (p, q) that ``degree0_test`` probes, in order: 50 pairs
+    drawn one number at a time from ``default_rng(2024)``."""
     rng = np.random.default_rng(2024)
     for _ in range(50):
         p = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
         q = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+        yield p, q
+
+
+def degree0_test(h_expr: ExprSpec) -> bool:
+    """``varlag.degree0_test`` with one arity-2 ``Jet2`` per random (p, q)."""
+    if set(h_expr.vars) - {"p", "q"}:
+        raise ValueError("factor must be an expression in (p, q)")
+    for p, q in degree0_points():
         try:
             hj = exprspec.eval_jet(h_expr, {"p": jets.variable(0, p, 2),
                                             "q": jets.variable(1, q, 2)}, k=2)

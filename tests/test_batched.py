@@ -28,7 +28,8 @@ import pytest
 
 from batlab import construct, hydro, jets, leznov, residuals
 from batlab.construct import HodographSolver, ImplicitSolveConfig, LinearMap2
-from batlab.errors import EvaluationError, NewtonConvergenceError
+from batlab.errors import (EvaluationError, JetDomainError, NewtonConvergenceError,
+                           SingularMatrixError)
 from batlab.exprspec import float_fn, parse
 from batlab.jets import Jet2
 
@@ -269,6 +270,48 @@ def test_array_closures_raise_what_the_float_closures_raise():
     assert float_fn(parse("x"), ("x",))(same) is not same
 
 
+def test_one_variable_array_path_gives_the_float_bits():
+    """A spec of one variable takes a float64 array as it is, and every other
+    array through ``np.asarray``: over int, float32, 0-d, strided and 2-d
+    arrays each element is the bits of its float evaluation; a spec that
+    returns its argument gives a new array; a constant is ``np.full``; and a
+    non-finite element raises the JetDomainError of the first one."""
+    grid = np.linspace(-3.0, 3.0, 24)
+    arrays = [np.arange(-3, 4), grid.astype(np.float32), np.array(1.25), np.array(-0.0),
+              grid, grid[::3], grid.reshape(4, 6), np.array([7], dtype=np.int8)]
+    for text in ("u^3 - 2*u + exp(u/4)", "u^2", "2.0 * u^1", "sin(u)^1"):
+        for f in (float_fn(parse(text)), float_fn(parse(text), ("u", "w"))):
+            for values in arrays:
+                out = f(values)
+                assert type(out) is np.ndarray and out.dtype == np.float64
+                assert out.shape == values.shape
+                singles = np.array([f(v) for v in values.ravel().tolist()])
+                assert out.ravel().view(np.int64).tolist() == singles.view(np.int64).tolist()
+    for text in ("u^1", "u", "(u^1)^1"):
+        for values in (grid, grid[::3], np.array(2.5)):
+            out = float_fn(parse(text))(values)
+            assert out is not values and not np.shares_memory(out, values)
+            assert out.view(np.int64).tolist() == values.view(np.int64).tolist()
+    constant = float_fn(parse("2.0 * u^0"))
+    for values in (grid, grid.reshape(4, 6), np.array(1.0), np.arange(3)):
+        out = constant(values)
+        assert np.array_equal(out, np.full(values.shape, 2.0)) and out.dtype == np.float64
+        assert out.flags.writeable and constant(values) is not out
+    blowing_up = float_fn(parse("u * 1e300 * 1e300"))
+    nan = float_fn(parse("u * 1e300 * 1e300 - u * 1e300 * 1e300"))
+    for f, values, first in ((blowing_up, [0.0, -2.0, 3.0], -math.inf),
+                             (blowing_up, [0.0, 0.5, -2.0], math.inf),
+                             (nan, [0.0, 0.0, 4.0, -1.0], math.nan)):
+        for array in (np.array(values), np.array(values, dtype=np.float32)):
+            with pytest.raises(JetDomainError) as err, np.errstate(all="ignore"):
+                f(array)
+            assert err.value.operation == "eval"
+            assert np.array_equal(err.value.value, first, equal_nan=True)
+            with pytest.raises(JetDomainError) as single:
+                f(next(v for v in values if v != 0.0))
+            assert str(single.value) == str(err.value)
+
+
 @pytest.mark.parametrize("size", [1, 2])
 def test_stacked_solve_and_cond_repeat_each_system(size):
     """``residuals._solve`` and ``np.linalg.cond`` over a stack of systems
@@ -350,6 +393,113 @@ def test_fallback_reruns_one_row_batches_and_joins_them():
     assert shapes == [((4,), (4, 2), (4,))]
     none_left, out = residuals.batched(fn, residuals.take(jet, failed), x[failed])
     assert out is None and all(isinstance(err, EvaluationError) for err in none_left)
+
+
+# How a point leaves a ``_newton`` batch: each a scalar iteration of
+# ``_leaving`` from its seed, which the shift moves by whole steps.
+_ZERO, _CYCLE, _HALT, _MAX_ITER, _RESIDUAL_RAISES, _STEP_RAISES, _SINGULAR = range(7)
+_SEEDS = {_ZERO: 3.0, _CYCLE: 2.0, _HALT: 4.0, _MAX_ITER: 1.0, _RESIDUAL_RAISES: 5.0,
+          _STEP_RAISES: 6.0, _SINGULAR: 6.0}
+# the residual size is |x - target| (1 / x for _MAX_ITER)
+_TARGETS = np.array([0.0, 0.0, 0.9, 0.0, 0.0, 0.0, 4.2])
+# each kind's best iterate, from its seed, with max_iter 12
+_BEST = {_ZERO: lambda s: 0.0, _CYCLE: lambda s: s, _HALT: lambda s: 1.0,
+         _MAX_ITER: lambda s: s + 12, _RESIDUAL_RAISES: lambda s: 3.0,
+         _STEP_RAISES: lambda s: 3.0, _SINGULAR: lambda s: 4.0}
+
+
+def _leaving(kinds):
+    """The batched ``(residual, step)`` of points iterating by ``kinds`` (one
+    per point), and the logs of their calls: per call the indices and
+    iterate bits it got, and whether it raised.
+
+    * _ZERO steps x - 1 down to an exact zero size;
+    * _CYCLE steps to -x, so its third iterate repeats its first;
+    * _HALT halves x, and its step halts once the next iterate is below 1;
+    * _MAX_ITER steps to x + 1 and never repeats;
+    * _RESIDUAL_RAISES steps x - 1, and its residual raises a JetDomainError
+      below 2.5;
+    * _STEP_RAISES steps x - 1, and its step raises a "diverged"
+      NewtonConvergenceError below 3.5;
+    * _SINGULAR steps x - 1, and its step raises a SingularMatrixError below
+      4.5, a stop judged by the best iterate.
+
+    Each error names the iterate it failed at, so each point's error is its
+    own."""
+    kinds = np.array(kinds)
+    logs = {"residual": [], "step": []}
+
+    def logged(name, idx, x, bad, error):
+        logs[name].append((tuple(idx.tolist()), x.tobytes(), bool(bad.any())))
+        if bad.any():
+            raise error(float(x[bad][0]))
+
+    def residual(idx, x):
+        kind = kinds[idx]
+        logged("residual", idx, x, (kind == _RESIDUAL_RAISES) & (x < 2.5),
+               lambda v: JetDomainError("log", v))
+        return np.where(kind == _MAX_ITER, 1.0 / x, abs(x - _TARGETS[kind])), x
+
+    def step(idx, x, r):
+        kind = kinds[idx]
+        diverged = (kind == _STEP_RAISES) & (x < 3.5)
+        logged("step", idx, x, diverged | (kind == _SINGULAR) & (x < 4.5), lambda v: (
+            NewtonConvergenceError(f"diverged at {v!r}") if diverged.any()
+            else SingularMatrixError(f"singular at {v!r}")))
+        nxt = np.select([kind == _CYCLE, kind == _HALT, kind == _MAX_ITER],
+                        [-x, x / 2, x + 1], x - 1)
+        return nxt, (kind == _HALT) & (nxt < 1.0)
+    return residual, step, logs
+
+
+def test_newton_fast_paths_keep_each_points_one_row_solve():
+    """Points leave a batch by every route (an exact zero, a repeated
+    iterate, a halt, ``max_iter``, a residual or a step raising on a later
+    iteration, a singular step), at different iterations and in different
+    orders: each ends with the error, by type and message, and the best
+    iterate, by its bits, of its own one-row ``_newton``.  A batch whose
+    call raises is rerun one row at a time, never whole again, and a one-row
+    batch that raises is not called again."""
+    # (kind, shift, tol): a tolerance on either side of the best size
+    points = [(_ZERO, 0, 1e-12), (_ZERO, 2, 1e-12), (_CYCLE, 0, 1e-12), (_CYCLE, 1, 3.5),
+              (_HALT, 0, 0.2), (_HALT, 1, 0.05), (_MAX_ITER, 0, 0.1), (_MAX_ITER, 3, 0.01),
+              (_RESIDUAL_RAISES, 0, 1e-12), (_RESIDUAL_RAISES, 2, 1e-12),
+              (_STEP_RAISES, 0, 1e-12), (_STEP_RAISES, 1, 1e-12),
+              (_SINGULAR, 0, 0.25), (_SINGULAR, 2, 0.1)]
+    rng = np.random.default_rng(_RNG_SEED)
+    orders = [points, points[::-1]] + [[points[k] for k in rng.permutation(len(points))]
+                                       for _ in range(4)]
+    routes = set()
+    for order in orders:
+        kinds = [kind for kind, _, _ in order]
+        # ``shift`` steps before the kind's seed
+        seeds = np.array([_SEEDS[kind] * 2.0 ** shift if kind == _HALT else _SEEDS[kind] + shift
+                          for kind, shift, _ in order])
+        tol = np.array([t for _, _, t in order])
+        residual, step, logs = _leaving(kinds)
+        errors, best = construct._newton(residual, step, seeds, 12, tol)
+        for name, log in logs.items():
+            raised = [call for call in log if call[2]]
+            assert any(len(call[0]) > 1 for call in raised), name
+            # no call that raised is made again with the same rows and iterates
+            assert len({call[:2] for call in raised}) == len(raised)
+            assert not {call[:2] for call in raised} & {call[:2] for call in log if not call[2]}
+        for k, err in enumerate(errors):
+            one_residual, one_step, one_logs = _leaving(kinds[k:k + 1])
+            one, one_best = construct._newton(one_residual, one_step, seeds[k:k + 1], 12,
+                                              tol[k:k + 1])
+            assert (type(err), str(err)) == (type(one[0]), str(one[0]))
+            assert best[k:k + 1].view(np.int64).tolist() == one_best.view(np.int64).tolist()
+            assert best[k] == _BEST[kinds[k]](seeds[k])
+            for log in one_logs.values():  # a one-row batch that raises is not rerun
+                assert [call[2] for call in log].count(True) == (1 if log and log[-1][2] else 0)
+            routes.add((kinds[k], type(err)))
+    assert routes == {
+        (_ZERO, type(None)), (_CYCLE, NewtonConvergenceError), (_CYCLE, type(None)),
+        (_HALT, type(None)), (_HALT, NewtonConvergenceError), (_MAX_ITER, type(None)),
+        (_MAX_ITER, NewtonConvergenceError), (_RESIDUAL_RAISES, JetDomainError),
+        (_STEP_RAISES, NewtonConvergenceError), (_SINGULAR, type(None)),
+        (_SINGULAR, SingularMatrixError)}
 
 
 def test_newton_retires_each_failing_point_with_its_own_error():

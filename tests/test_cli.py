@@ -653,9 +653,10 @@ def test_verify_cases_solve_as_batches_and_grids_by_columns(tmp_path, monkeypatc
     for name in ("c03_hodograph_parametric", "c04_covariance", "c07_zero_curvature"):
         cli.run_scenario(_small(name, count=5), tmp_path / name, seed=1)
     assert calls["solve"] == calls["solve_constraints"] == 0
-    # c03: 5 cases; c04: 3 cases, the last with one more solve per linear map
-    # (10 maps); c07: 2 cases.
-    assert calls["solve_many"] == 5 + 3 + 10 + 2
+    # c03: 5 cases; c04: 3 cases, the last with one more solve over the
+    # points of all 10 linear maps; c07: 2 cases.
+    assert calls["solve_many"] == 5 + 3 + 1 + 2
+    assert rows[10 * 5] == 1
 
     calls.clear()
     rows.clear()

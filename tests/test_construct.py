@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from batlab import construct, jets, residuals
+from batlab import cli, construct, jets, residuals
 from batlab.construct import (
     HodographSolver,
     ImplicitSolveConfig,
@@ -765,6 +765,35 @@ def test_hodograph_grid_raises_at_its_first_failing_node(f, g, seed, window, whe
     for failing in (before, after):
         assert (type(failing), str(failing)) == (type(alone), str(alone))
     assert _same_bytes(fields, oracles.hodograph_grid(solver, *other))
+
+
+def test_c09_marches_in_129_rounds_of_742_newton_iterations(tmp_path, monkeypatch):
+    """The cost model of c09's march, whose rounds depend on each other:
+    its bundled grids (33, 65 and 41 nodes a side) take 65 first-column
+    rounds of 1 to 3 nodes and 64 column rounds of at most 139 rows, 129
+    batched solves in all, which evaluate their residuals 742 times.  A
+    change that adds rounds or Newton iterations shows here."""
+    rounds, evaluations = [], []
+    solve_many, newton = HodographSolver.solve_many, construct._newton
+
+    def counting_solve(self, t, x, seeds=None):
+        rounds.append(len(t))
+        return solve_many(self, t, x, seeds)
+
+    def counting_newton(residual, step, x, max_iter, tol):
+        def counted(idx, x):
+            evaluations.append(len(idx))
+            return residual(idx, x)
+        return newton(counted, step, x, max_iter, tol)
+
+    monkeypatch.setattr(HodographSolver, "solve_many", counting_solve)
+    monkeypatch.setattr(construct, "_newton", counting_newton)
+    [path] = [p for p in cli.bundled_scenarios() if p.name.startswith("c09_")]
+    assert cli.run_scenario(cli.load_scenario(path), tmp_path, seed=1)[1] == cli.EXIT_PASS
+    assert len(rounds) == 129 and len(evaluations) == 742
+    assert rounds[:65] == [3] * 33 + [2] * 8 + [1] * 24
+    assert rounds[65:] == [139] * 32 + [106] * 8 + [65] * 24
+    assert sum(rounds) == 33**2 + 65**2 + 41**2
 
 
 def test_hodograph_grid_matches_handles():

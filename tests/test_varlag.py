@@ -1,6 +1,10 @@
 """Discrete variational suite: density values, degree-0 factors, on-shell residuals."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +66,35 @@ def test_degree0_examples():
     assert not degree0_test(parse("p"))
     assert not degree0_test(parse("p*q"))
     assert degree0_test(parse("(p - q)/(p + q)"))
+
+
+def test_degree0_points_are_drawn_once_and_read_only(monkeypatch):
+    """Every weight-zero test probes the same 50 (p, q), the draws of the
+    oracle in order, drawn by one generator on first use (not at import)
+    into one read-only array."""
+    code = ("from batlab import cli, varlag\n"
+            "for path in cli.bundled_scenarios():\n    cli.load_scenario(path)\n"
+            "print(varlag._degree0_points.cache_info().currsize)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0"]
+
+    varlag._degree0_points.cache_clear()
+    generators, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: generators.append(seed) or default_rng(seed))
+    verdicts = [degree0_test(parse(text)) for text in ("p/q", "p", "log(p/q)", "p/q")]
+    assert verdicts == [True, False, True, True] and generators == [2024]
+    pq = varlag._degree0_points()
+    assert pq is varlag._degree0_points() and pq.shape == (50, 2)
+    assert not pq.flags.writeable
+    with pytest.raises(ValueError):
+        pq[0, 0] = 1.0
+    monkeypatch.undo()
+    assert pq.view(np.int64).tolist() == np.array(
+        list(oracles.degree0_points())).view(np.int64).tolist()
 
 
 _DEGREE0_FACTORS = ("p/q", "p^2/(p^2 + q^2)", "p", "p*q", "(p - q)/(p + q)",
