@@ -967,59 +967,58 @@ def _random_expression(rng: np.random.Generator, names: list[str], depth: int):
     return Call(fn, a)
 
 
-# The 18 stencil points of a central-difference probe in three variables, as
-# offsets in units of the step: x ± e_i for each i, then the corners ++, +-,
-# -+ and -- of each pair i < j.  A coordinate left in place is offset by
-# -0.0, since x + -0.0 is x for every x, -0.0 included.
-_STENCIL = np.array([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
-                     (1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0),
-                     (1, 0, 1), (1, 0, -1), (-1, 0, 1), (-1, 0, -1),
-                     (0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1)], dtype=float)
-_STENCIL[_STENCIL == 0.0] = -0.0
-# The columns of a gradient and a row-major Hessian among those of the
-# quotients (gradient, Hessian diagonal, then the pairs 01, 02 and 12).
-_LAYOUT = [0, 1, 2, 3, 6, 7, 6, 4, 8, 7, 8, 5]
 # The rows of an ad case's block: it reduces its expressions this many at a
 # time, so its memory does not grow with their count.
 _BLOCK = 512
 
 
-def _stencil(steps) -> np.ndarray:
+def _probe_shifts(k: int) -> np.ndarray:
+    """The points of a central-difference probe in k variables other than its
+    centre, as offsets in units of the step: x ± e_i for each i, then the
+    corners ++, +-, -+ and -- of each pair i < j.  A coordinate left in place
+    is offset by -0.0, since x + -0.0 is x for every x, -0.0 included."""
+    e = np.eye(k)
+    shifts = np.array([s for i in range(k) for s in (e[i], -e[i])]
+                      + [s for i in range(k) for j in range(i + 1, k)
+                         for s in (e[i] + e[j], e[i] - e[j], e[j] - e[i], -e[i] - e[j])])
+    shifts[shifts == 0.0] = -0.0
+    return shifts
+
+
+def _stencil(k: int, steps) -> np.ndarray:
     """The offsets of a probe's points from its centre, one row per variable:
-    the centre itself (-0.0), then each step's 18 stencil points in turn."""
-    offsets = (_STENCIL * np.array(steps)[:, None, None]).reshape(-1, 3)
-    return np.concatenate((np.full((1, 3), -0.0), offsets)).T.copy()
+    the centre itself (-0.0), then each step's ``_probe_shifts`` in turn."""
+    offsets = (_probe_shifts(k) * np.array(steps)[:, None, None]).reshape(-1, k)
+    return np.concatenate((np.full((1, k), -0.0), offsets)).T.copy()
 
 
 def _stencil_values(spec, names, point, stencil) -> np.ndarray:
     """``spec`` at each point ``point + stencil`` (``point`` the values of the
-    three ``names``), in one array call; where it raises, the first failing
-    point in order raises its error (``exprspec.at_points``)."""
+    ``names``), in one array call; where it raises, the first failing point
+    in order raises its error (``exprspec.at_points``)."""
     return at_points(float_fn(spec, names), *(point[:, None] + stencil))
 
 
-def _fd_quotients(values: np.ndarray, steps) -> list[np.ndarray]:
-    """Central-difference gradients and Hessians from rows of
-    ``_stencil_values``, one array per step in ``steps``: each row's gradient,
-    then its Hessian in row-major order.  Each stencil point serves both the
-    gradient and the Hessian diagonal."""
-    f0 = values[:, :1]
+def _quotients(values: np.ndarray, k: int, steps) -> list[np.ndarray]:
+    """Each row's gradient, then its row-major Hessian, one array per step in
+    ``steps``: ``jets.central_differences`` over that step's columns of rows
+    of ``_stencil_values`` in k variables."""
+    shifts = [tuple(s) for s in _probe_shifts(k).tolist()]
     quotients = []
     for n, h in enumerate(steps):
-        fs = values[:, 1 + 18 * n:19 + 18 * n]
-        plus, minus = fs[:, 0:6:2], fs[:, 1:6:2]
-        pp, pm, mp, mm = (fs[:, c::4] for c in range(6, 10))  # each pair's corners
-        parts = ((plus - minus) / (2 * h), (plus - 2 * f0 + minus) / h**2,
-                 (pp - pm - mp + mm) / (4 * h**2))
-        quotients.append(np.concatenate(parts, axis=1)[:, _LAYOUT])
+        column = {shift: c for c, shift in enumerate(shifts, 1 + n * len(shifts))}
+        column[(0,) * k] = 0  # the centre, shared by every step
+        _, grad, hess = jets.central_differences(
+            lambda shift: values[:, column[tuple(shift)]], (h,) * k)
+        quotients.append(np.concatenate((grad, hess.reshape(len(hess), k * k)), axis=1))
     return quotients
 
 
-def _defects(values: np.ndarray, exact: np.ndarray, steps, min_ratio: float) -> int:
+def _defects(values: np.ndarray, exact: np.ndarray, k: int, steps, min_ratio: float) -> int:
     """How many rows of a block fail the convergence test, from their
-    ``_stencil_values`` and their jets' value, gradient and Hessian."""
+    ``_stencil_values`` in k variables and their jets' (value, grad, hess)."""
     with np.errstate(all="ignore"):  # a quotient of extreme values is ±inf, as in floats
-        errs = [np.abs(q - exact[:, 1:]).max(axis=1) for q in _fd_quotients(values, steps)]
+        errs = [np.abs(q - exact[:, 1:]).max(axis=1) for q in _quotients(values, k, steps)]
         scale = np.maximum(np.abs(exact).max(axis=1), 1.0)
         # Converged second order, or already at rounding level at the coarse
         # step (near-linear compositions have ~zero truncation error, so the
@@ -1034,30 +1033,31 @@ def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
     count, steps, min_ratio = case["expressions"], case["steps"], case["min_ratio"]
     names = ["a", "b", "c"]
     variables = tuple(names)  # every spec's, used or not: its evaluators bind them by name
-    stencil = _stencil(steps)
+    k = len(names)
+    stencil = _stencil(k, steps)
     # a block of rows, one per admissible expression: its stencil values, and
     # its jet's value, gradient and Hessian
-    values, exact = np.empty((_BLOCK, stencil.shape[1])), np.empty((_BLOCK, 13))
+    values, exact = np.empty((_BLOCK, stencil.shape[1])), np.empty((_BLOCK, 1 + k + k * k))
     produced = attempts = defective = 0
     while produced < count and attempts < 20 * count:
         attempts += 1
         spec = ExprSpec(_random_expression(rng, names, depth=int(rng.integers(1, 4))), variables)
-        point = rng.uniform(0.4, 1.6, size=3)
+        point = rng.uniform(0.4, 1.6, size=k)
         row = produced % _BLOCK
         try:
-            jet = eval_jet(spec, dict(zip(names, jets.variables(point))), k=3)
+            jet = eval_jet(spec, dict(zip(names, jets.variables(point))), k=k)
             values[row] = _stencil_values(spec, names, point, stencil)
         except EvaluationError:
             continue
-        at = exact[row]
-        at[0], at[1:4], at[4:] = jet.value, jet.grad, jet.hess.ravel()
+        out = exact[row]
+        out[0], out[1:k + 1], out[k + 1:] = jet.value, jet.grad, jet.hess.ravel()
         produced += 1
         if produced % _BLOCK == 0:
-            defective += _defects(values, exact, steps, min_ratio)
+            defective += _defects(values, exact, k, steps, min_ratio)
     if produced < count:
         raise ScenarioError("could not generate enough admissible expressions")
     rows = produced % _BLOCK
-    defective += _defects(values[:rows], exact[:rows], steps, min_ratio)
+    defective += _defects(values[:rows], exact[:rows], k, steps, min_ratio)
     # the max and root mean square of the 0/1 defects: their sum is exact, so
     # these are the bits numpy gives for an array of them
     rep = ResidualReport(produced, float(defective > 0),

@@ -59,7 +59,7 @@ from .errors import (
 # patches this binding by name.
 from .exprspec import Bin, ExprSpec, Var, eval_float, eval_jet, float_fn, partial  # noqa: F401
 from .residuals import (ResidualSample, _any, _dot, _from_terms, _larger, _ok, _solve,
-                        attempt, rerun_rows)
+                        attempt, batched)
 
 _DEGENERATE_REL = 1e-10
 # The residual at which every implicit solve (here and in ``leznov``) stops,
@@ -177,7 +177,7 @@ def _newton(residual, step, x, max_iter: int, tol):
       best iterate;
     * when ``residual`` or ``step`` raises an EvaluationError over the batch,
       that call is rerun one point at a time as one-row batches
-      (:func:`~batlab.residuals.rerun_rows`): the points that raise retire
+      (:func:`~batlab.residuals.batched`): the points that raise retire
       with their own error, and the others go on.
 
     ``residual`` and ``step`` must be pure functions of the iterate, and each
@@ -192,13 +192,12 @@ def _newton(residual, step, x, max_iter: int, tol):
 
     A hodograph march makes many small solves in turn, so an iteration costs
     its fixed overhead more than its arithmetic.  The fast path keeps that
-    overhead small: ``residual`` and ``step`` are called on the batch directly
-    and split into one-row calls only after they raise (a one-row batch that
-    raises is not called again: its error is its point's); while every point
-    still iterates, the best iterates and the visited bits are written
-    through plain slices, not gathered and scattered through the point
-    indices; and the per-point verdict loop runs only when some point stops
-    on a step error or outside its ``tol``."""
+    overhead small: ``residual`` and ``step`` are called on the batch through
+    ``residuals.batched``, split into one-row calls only after they raise;
+    while every point still iterates, the best iterates and the visited bits
+    are written through plain slices, not gathered and scattered through the
+    point indices; and the per-point verdict loop runs only when some point
+    stops on a step error or outside its ``tol``."""
     x = np.array(x, dtype=float)
     n = len(x)
     best, best_size = x.copy(), np.full(n, math.inf)
@@ -258,18 +257,13 @@ def _newton(residual, step, x, max_iter: int, tol):
 
 def _call(fn, errors: list, idx, x, *rest):
     """``fn(idx, x, *rest)`` over the points ``idx`` with iterates ``x``, as
-    ``(idx, x, out)``.  Where the call raises an EvaluationError, ``fn`` is
-    rerun one row at a time, unless the batch is that one row: the points
+    ``(idx, x, out)``, through :func:`~batlab.residuals.batched`: the points
     where it raises leave ``idx`` and ``x``, each with its error recorded in
     ``errors``, and ``out`` holds the results at the others (None if there
     are none)."""
-    try:
-        return idx, x, fn(idx, x, *rest)
-    except EvaluationError as err:
-        if len(idx) == 1:
-            errors[int(idx[0])] = err
-            return idx[:0], x[:0], None
-        failed, out = rerun_rows(fn, idx, x, *rest)
+    failed, out = batched(fn, idx, x, *rest)
+    if failed.count(None) == len(failed):
+        return idx, x, out
     for k, err in zip(idx.tolist(), failed):
         if err is not None:
             errors[k] = err

@@ -26,10 +26,11 @@ foot points (a characteristic crossing) or a CFL violation abort with the
 levels computed so far attached to the exception as ``partial``;
 ``_write_grid`` dumps either grid as CSV.
 
-Every derivative of a stored grid, for ``fd_jet_at`` and
-``fd_derivatives_multi``, comes from one second-order centered stencil,
-``fd_derivatives_time_space``, with each space axis wrapped or cut; the
-conservation drift reads only its first differences (``_first_difference``).
+Every derivative of a stored grid, for ``fd_jet_at``, ``fd_derivatives_multi``
+and ``varlag``'s slots, is ``fd_derivatives_time_space``: the one
+central-difference 2-jet (``jets.central_differences``) over the grid's nodes
+(``_stencil``), with each space axis wrapped or cut; the conservation drift
+reads only its first differences (``jets._first_difference``).
 """
 
 from __future__ import annotations
@@ -300,8 +301,8 @@ def conservation_drift(grid: CharGrid, n: int) -> float:
     us, vs = np.ldexp(grid.u, -e), np.ldexp(grid.v, -e)
     sn = sn_polynomial_grid(us, vs, n)
     flux = np.ldexp(us * vs * sn_polynomial_grid(us, vs, n - 1), e)
-    dt_term = _first_difference(_stencil(sn, True), (1, 0), grid.dt)
-    dx_term = _first_difference(_stencil(flux, True), (0, 1), grid.h)
+    dt_term = jets._first_difference(_stencil(sn, True), (1, 0), grid.dt)
+    dx_term = jets._first_difference(_stencil(flux, True), (0, 1), grid.h)
     raw = np.abs(dt_term - dx_term)
     scale = np.abs(dt_term) + np.abs(dx_term)
     if raw.max() == 0.0:
@@ -326,35 +327,11 @@ def _stencil(F: np.ndarray, wrap: bool):
     return lambda shift: F[tuple(slice(1 + s, n - 1 + s) for s, n in zip(shift, F.shape))]
 
 
-def _first_difference(at, unit, step: float) -> np.ndarray:
-    """Centered first difference along the axis of the ``unit`` shift."""
-    unit = np.asarray(unit)
-    return (at(unit) - at(-unit)) / (2 * step)
-
-
 def fd_derivatives_time_space(F: np.ndarray, dt: float, *h: float, wrap: bool):
-    """Centered second-order derivatives of F(level, space...) at its interior levels.
-
-    ``dt`` is the level spacing and ``h`` holds one spacing per space axis.
-    Each space axis either wraps (``wrap``, a periodic grid) or is cut to its
-    interior nodes.  Returns (value, grad, hess) over the nodes kept: grad is
-    shaped (..., k) and hess (..., k, k), k = F.ndim, with the level first.
-    """
-    steps = (dt, *h)
-    k = len(steps)
-    at = _stencil(F, wrap)
-    e = np.eye(k, dtype=int)
-    mid = at([0] * k)
-    grad = np.empty(mid.shape + (k,))
-    hess = np.empty(mid.shape + (k, k))
-    for a in range(k):
-        grad[..., a] = _first_difference(at, e[a], steps[a])
-        hess[..., a, a] = (at(e[a]) - 2 * mid + at(-e[a])) / steps[a]**2
-        for b in range(a + 1, k):
-            hess[..., a, b] = hess[..., b, a] = (
-                at(e[a] + e[b]) - at(e[a] - e[b]) - at(e[b] - e[a]) + at(-e[a] - e[b])
-            ) / (4 * steps[a] * steps[b])
-    return mid, grad, hess
+    """:func:`jets.central_differences` of F(level, space...) at its interior
+    levels, ``dt`` apart, with one spacing in ``h`` per space axis, each wrapped
+    (``wrap``, a periodic grid) or cut to its interior nodes; axis 0 is the level."""
+    return jets.central_differences(_stencil(F, wrap), (dt, *h))
 
 
 def fd_jet_at(F: np.ndarray, dt: float, h: float, m: int, i) -> jets.Jet2:

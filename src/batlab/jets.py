@@ -19,6 +19,9 @@ Seeds (:func:`variable`, :func:`variables`) and one-point constants share
 read-only gradients and Hessians, one unit matrix and one set of zero arrays
 per arity, broadcast over a batch's points; no operation writes into its
 operands, so a jet costs only its arithmetic.
+
+:func:`central_differences` is the one centred finite-difference 2-jet, of the
+stored grids and of the ad scenario's probe alike.
 """
 
 from __future__ import annotations
@@ -283,6 +286,32 @@ def from_parts(value, grad, hess) -> Jet2:
         value = np.broadcast_to(np.asarray(value, dtype=float), g.shape[:-1]).copy()
     _require_finite("from_parts", value, g, h)
     return Jet2(value, g, h)
+
+
+def _first_difference(at, unit, step: float) -> np.ndarray:
+    """Centered first difference along the axis of the ``unit`` shift."""
+    unit = np.asarray(unit)
+    return (at(unit) - at(-unit)) / (2 * step)
+
+
+def central_differences(at, steps):
+    """Centered second-order (value, grad, hess) over k = len(steps) axes from
+    ``at(shift)``, the values at the points moved by the k integers ``shift``
+    along the axes, ``steps[a]`` apart along axis a: grad (..., k), hess
+    (..., k, k)."""
+    k = len(steps)
+    e = np.eye(k, dtype=int)
+    mid = at([0] * k)
+    grad = np.empty(mid.shape + (k,))
+    hess = np.empty(mid.shape + (k, k))
+    for a in range(k):
+        grad[..., a] = _first_difference(at, e[a], steps[a])
+        hess[..., a, a] = (at(e[a]) - 2 * mid + at(-e[a])) / steps[a]**2
+        for b in range(a + 1, k):
+            hess[..., a, b] = hess[..., b, a] = (
+                at(e[a] + e[b]) - at(e[a] - e[b]) - at(e[b] - e[a]) + at(-e[a] - e[b])
+            ) / (4 * steps[a] * steps[b])
+    return mid, grad, hess
 
 
 # Each function at a float, with its domain guard: the float and array

@@ -13,9 +13,8 @@ batch its sample holds one raw residual, scale and floor per point, each the
 bits of that point's own sample.  Terms are summed with ``math.fsum`` point by
 point.  :func:`sweep` evaluates an operator on a whole batch at once; if that
 raises an ``EvaluationError`` it evaluates each point as a batch of one row,
-and skips the points that raise (:func:`batched`, whose :func:`rerun_rows` is
-the one place that splits a failing batch, for the sweeps, the verify cases
-and the Newton loop alike).
+and skips the points that raise (:func:`batched`, the one place that splits a
+failing batch, for the sweeps, the verify cases and the Newton loop alike).
 
 Coordinate conventions (index order of the incoming jets):
 
@@ -199,23 +198,19 @@ def batched(fn: Callable, *batches):
     If that raises an EvaluationError, ``fn`` runs on each point as a batch of
     one row instead: ``errors[i]`` is the error it raised at point i or None,
     and ``out`` joins its results at the other points (None if there are
-    none).  ``fn`` only ever sees batches.
+    none).  A batch of one row that raises is not run again: its error is its
+    point's.  ``fn`` only ever sees batches.
     """
     n = _size(batches[0])
     if not n:
         return [], None
     try:
         return [None] * n, fn(*batches)
-    except EvaluationError:
-        return rerun_rows(fn, *batches)
-
-
-def rerun_rows(fn: Callable, *batches):
-    """``fn`` on each point of batches of the same N points, as a batch of
-    one row: ``(errors, out)`` as :func:`batched` gives them where ``fn``
-    raises over the whole batch."""
+    except EvaluationError as err:
+        if n == 1:
+            return [err], None
     errors, outs = [], []
-    for i in range(_size(batches[0])):
+    for i in range(n):
         try:
             outs.append(fn(*(take(b, slice(i, i + 1)) for b in batches)))
             errors.append(None)

@@ -201,7 +201,7 @@ def fd_probe(spec, names, point, h):
             pc[i] -= h
             pc[j] += h
             hess[i, j] = hess[j, i] = (value(pa) - value(pb) - value(pc)
-                                       + value(pd)) / (4 * h**2)
+                                       + value(pd)) / (4 * h * h)
     return grad, hess
 
 
@@ -232,7 +232,7 @@ def positional_fd_probe(spec, names, point, steps):
         for i in range(3):
             hess[i][i] = (fs[2 * i] - 2 * f0 + fs[2 * i + 1]) / h**2
         for c, (i, j) in zip((6, 10, 14), ((0, 1), (0, 2), (1, 2))):
-            hess[i][j] = hess[j][i] = (fs[c] - fs[c + 1] - fs[c + 2] + fs[c + 3]) / (4 * h**2)
+            hess[i][j] = hess[j][i] = (fs[c] - fs[c + 1] - fs[c + 2] + fs[c + 3]) / (4 * h * h)
         probes.append((grad, hess))
     return probes
 

@@ -395,6 +395,20 @@ def test_fallback_reruns_one_row_batches_and_joins_them():
     assert out is None and all(isinstance(err, EvaluationError) for err in none_left)
 
 
+def test_a_one_row_batch_that_raises_runs_once():
+    """A batch of one row that raises is that row's error: ``batched`` does
+    not rerun it."""
+    calls = []
+
+    def fn(x):
+        calls.append(x.tolist())
+        return jets.log(jets.variables([x])[0])
+
+    errors, out = residuals.batched(fn, np.array([-1.0]))
+    assert calls == [[-1.0]] and out is None
+    assert len(errors) == 1 and isinstance(errors[0], EvaluationError)
+
+
 # How a point leaves a ``_newton`` batch: each a scalar iteration of
 # ``_leaving`` from its seed, which the shift moves by whole steps.
 _ZERO, _CYCLE, _HALT, _MAX_ITER, _RESIDUAL_RAISES, _STEP_RAISES, _SINGULAR = range(7)

@@ -766,24 +766,37 @@ def test_ad_case_memory_stays_within_a_block():
     assert four <= 1.5 * one, (one, four)
 
 
+def test_probe_shifts_of_three_variables_are_the_written_out_stencil():
+    """The probe stencil built for k = 3 is the 18 offsets of ``oracles``'s
+    literal table, in its order and with its -0.0 coordinates, byte for byte;
+    and each step's stencil is that table scaled by the step."""
+    shifts = cli._probe_shifts(3)
+    assert shifts.shape == oracles._STENCIL.shape
+    assert shifts.tobytes() == oracles._STENCIL.tobytes()
+    for steps in ((1e-2, 5e-3), (1e-3, 5e-4), (0.25, 1e-6)):
+        expected = (oracles._STENCIL * np.array(steps)[:, None, None]).reshape(-1, 3)
+        expected = np.concatenate((np.full((1, 3), -0.0), expected)).T
+        assert cli._stencil(3, steps).tobytes() == expected.tobytes()
+
+
 def test_ad_noise_floor_scales_with_the_value():
     """Rows of ``1e6 + a + b + c`` at steps (1e-3, 5e-4) pass only by the noise
     floor scaled by |value|: their quotients are rounding noise of about 1e-4,
     and their halving ratio is mostly 0.25, under the 3.5 bar.  The floor is
     0.23 with |value| in the scale and 2.3e-7 without it."""
     steps, names, spec = (1e-3, 5e-4), ["a", "b", "c"], parse("1e6 + a + b + c")
-    stencil, values, exact = cli._stencil(steps), [], []
+    stencil, values, exact = cli._stencil(3, steps), [], []
     for point in np.random.default_rng(0).uniform(0.4, 1.6, size=(20, 3)):
         values.append(cli._stencil_values(spec, names, point, stencil))
         jet = cli.eval_jet(spec, {n: jets.variable(i, point[i], 3) for i, n in enumerate(names)},
                            k=3)
         exact.append([jet.value, *jet.grad, *jet.hess.ravel()])
     values, exact = np.array(values), np.array(exact)
-    errors = [np.abs(q - exact[:, 1:]).max(axis=1) for q in cli._fd_quotients(values, steps)]
+    errors = [np.abs(q - exact[:, 1:]).max(axis=1) for q in cli._quotients(values, 3, steps)]
     assert 1e-5 < errors[0].max() < 1e-3
-    assert cli._defects(values, exact, steps, 3.5) == 0
+    assert cli._defects(values, exact, 3, steps, 3.5) == 0
     exact[:, 0] = 0.0  # the value left out of the scale
-    assert cli._defects(values, exact, steps, 3.5) == 19
+    assert cli._defects(values, exact, 3, steps, 3.5) == 19
 
 
 def _with(data, path, value):

@@ -248,6 +248,37 @@ def test_fd_convergence_second_order(J):
     assert errs[0] / max(errs[1], 1e-300) >= 3.5
 
 
+@pytest.mark.parametrize("k", range(1, 6))
+def test_central_differences_against_closed_forms(k):
+    """``central_differences`` over k axes with their own steps, at a batch
+    of points: a quadratic's value, gradient and Hessian to rounding, and a
+    cubic (w.x)^3's with its gradient's truncation term h_a^2 w_a^3, since a
+    centred second and mixed difference of a cubic is exact."""
+    rng = np.random.default_rng(k)
+    x = rng.uniform(-1.0, 1.0, size=(7, k))
+    steps = 1e-2 * rng.uniform(0.5, 2.0, size=k)
+    a = rng.uniform(-1.0, 1.0, size=(k, k))
+    a = a + a.T
+    b, w = rng.uniform(-1.0, 1.0, size=(2, k))
+
+    def quadratic(p):
+        return 0.5 + p @ b + 0.5 * np.einsum("ni,ij,nj->n", p, a, p)
+
+    def cubic(p):
+        return (p @ w) ** 3
+
+    for f, grad, hess in (
+            (quadratic, x @ a + b, np.broadcast_to(a, (7, k, k))),
+            (cubic, 3 * (x @ w)[:, None] ** 2 * w + steps**2 * w**3,
+             6 * (x @ w)[:, None, None] * np.outer(w, w))):
+        mid, g, h = jets.central_differences(lambda shift: f(x + np.asarray(shift) * steps),
+                                             tuple(steps))
+        assert np.array_equal(mid, f(x))
+        assert g.shape == (7, k) and h.shape == (7, k, k)
+        np.testing.assert_allclose(g, grad, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(h, hess, rtol=0, atol=1e-9)
+
+
 # -- invariants -------------------------------------------------------------------
 
 

@@ -103,16 +103,16 @@ def holo_sum_cross_block(monkeypatch):
 
 
 def stencil_space_derivative(monkeypatch):
-    """The first difference along the first space axis (x, or x2) from
-    ``hydro._first_difference``, the one formula of every grid gradient and of
-    the conservation drift, scaled by 1.001."""
-    first_difference = hydro._first_difference
+    """The first difference along the second axis (x, x2, or c11's b) from
+    ``jets._first_difference``, the one formula of every grid gradient, of
+    the conservation drift and of c11's probe, scaled by 1.001."""
+    first_difference = jets._first_difference
 
     def mutant(at, unit, step):
         difference = first_difference(at, unit, step)
         return 1.001 * difference if np.asarray(unit)[1] else difference
 
-    monkeypatch.setattr(hydro, "_first_difference", mutant)
+    monkeypatch.setattr(jets, "_first_difference", mutant)
 
 
 def foot_point_corrector_dropped(monkeypatch):
@@ -239,7 +239,7 @@ MUTANTS = {
     hodograph_second_derivative: ("c03", "c06"),
     implicit_split_cross_block: ("c01", "c04", "c10"),
     holo_sum_cross_block: ("c02",),
-    stencil_space_derivative: ("c05", "c08", "c09"),
+    stencil_space_derivative: ("c05", "c08", "c09", "c11"),
     foot_point_corrector_dropped: ("c05", "c08"),
     spline_prefilter_dropped: ("c08",),
     moebius_speed: ("c04",),
