@@ -302,6 +302,19 @@ def _unused(label: str, labels) -> str:
     return label
 
 
+def _read_until_error(read_case, cases: list) -> tuple[list, Exception | None]:
+    """``read_case`` of each of ``cases`` in order up to the first that
+    raises: the cases read, and that error (None if every case reads), which
+    the caller raises after running the cases read before it."""
+    read = []
+    for case in cases:
+        try:
+            read.append(read_case(case))
+        except Exception as err:
+            return read, err
+    return read, None
+
+
 def _solve_config(block: dict, place: str, where: str) -> construct.ImplicitSolveConfig:
     """The Newton config of the ``config`` block at ``where``, read as ``place``
     (the config place of its solver family)."""
@@ -602,45 +615,112 @@ def _speed_check(samples, *names):
 # A case reads its checks, then integrates its system once per resolution up
 # to its ``t_end`` and runs every check from ``_CHECKS`` on that grid; a check
 # gives (halving key, report entry) pairs.  Each check's bar is a fixed
-# multiple of the grid's squared spacing.
+# multiple of the grid's squared spacing.  The cases are read first, so that
+# the two-field grids of all of them that share a node count march as one
+# stack (``_simulate_grids``).
 
 
-def _run_simulate_case(case: dict, out_dir: Path, scenario_name: str, dump: bool,
-                       labels: set) -> list[dict]:
-    """The entries of a simulate case; ``labels`` holds those of the
-    scenario's earlier cases, and the case adds its own."""
+@dataclass(eq=False)  # hashed by identity, as a key to its grids
+class _Simulate:
+    """A simulate case before any integration: its values as read, its
+    label, its system's row, its read checks and its initial data."""
+
+    case: dict
+    label: str
+    row: _System
+    checks: list
+    init: dict
+
+
+def _read_simulate_case(case: dict, labels: set) -> _Simulate:
+    """``case`` read; ``labels`` holds those of the scenario's earlier cases,
+    and the case adds its own."""
     case = _read(case, "simulate case")
-    system, resolutions = case["system"], _increasing(case["resolutions"])
+    system = case["system"]
+    _increasing(case["resolutions"])
     label, row = _unused(case["label"] or system, labels), _SYSTEMS[system]
     labels.add(label)
     checks = _read_checks(case, system, label)
     init = {name: expr.spec for name, expr in case["init"].items()}
     with _reading():
         hydro.check_initial_data(init, row.fields, row.coords)
+    return _Simulate(case, label, row, checks, init)
 
+
+def _simulate_grids(read: list):
+    """``grid(c, res)``: the grid of read case ``c`` at resolution ``res``.
+
+    At the turn of the first grid of a node count that several of the cases'
+    grids share, the grids of that count whose system marches as a stack are
+    marched in one call, and each case then takes its own in its turn.  If
+    that call raises, each of its grids is integrated alone at its own turn,
+    which raises there whatever that grid raises alone.
+    """
+    stacks: dict[int, list] = {}  # node count -> the cases with a grid of it to stack
+    for c in read:
+        if c.row.stack is not None:
+            for res in c.case["resolutions"]:
+                stacks.setdefault(res, []).append(c)
+    marched: dict[tuple, object] = {}  # (case, resolution) -> grid, until taken
+
+    def grid(c: _Simulate, res: int):
+        members = stacks.pop(res, []) if c.row.stack is not None else []
+        if len(members) > 1:
+            try:
+                grids = c.row.stack([(m.init, m.case["t_end"]) for m in members], res)
+            except Exception:  # each member is integrated alone at its turn
+                grids = []
+            marched.update(zip([(m, res) for m in members], grids))
+        if (c, res) in marched:
+            return marched.pop((c, res))
+        return c.row.integrate(c.init, res, c.case["t_end"])
+    return grid
+
+
+def _run_simulate_cases(cases: list, out_dir: Path, scenario_name: str, dump: bool,
+                        entries: list) -> None:
+    """Add to ``entries`` those of a simulate scenario's cases, each as its
+    case ends, the same as running them one by one, with their grids marched
+    by ``_simulate_grids``.
+
+    The cases are read in order up to the first that fails to read, whose
+    error is raised after the cases before it have run.  An abort keeps the
+    entries of the cases before the one that aborts."""
+    labels: set = set()
+    read, unread = _read_until_error(lambda case: _read_simulate_case(case, labels), cases)
+    grid = _simulate_grids(read)
+    for c in read:
+        entries += _run_simulate_case(c, grid, out_dir, scenario_name, dump)
+    if unread is not None:
+        raise unread
+
+
+def _run_simulate_case(c: _Simulate, grid, out_dir: Path, scenario_name: str,
+                       dump: bool) -> list[dict]:
+    """The entries of read case ``c``, whose grid at each resolution is ``grid(c, res)``."""
+    resolutions = c.case["resolutions"]
     measured, entries = {}, []
     for res in resolutions:
         try:
-            grid = row.integrate(init, res, case["t_end"])
-        except (CharacteristicCrossingError, CFLViolationError) as err:  # hydro._march's aborts
-            row.dump(err.partial, out_dir / f"{scenario_name}.partial.csv")
+            g = grid(c, res)
+        except (CharacteristicCrossingError, CFLViolationError) as err:  # a march's aborts
+            c.row.dump(err.partial, out_dir / f"{scenario_name}.partial.csv")
             raise
         if dump:
-            row.dump(grid, out_dir / f"{scenario_name}.{label}.{res}.csv")
+            c.row.dump(g, out_dir / f"{scenario_name}.{c.label}.{res}.csv")
         measured[res] = {}
-        for run, check in checks:
-            for key, entry in run(grid, f"{label}@{res}", check):
+        for run, check in c.checks:
+            for key, entry in run(g, f"{c.label}@{res}", check):
                 entries.append(entry)
                 measured[res][key] = entry["max_norm"]
-    return entries + _halving(label, resolutions, measured, case["halving_ratio"])
+    return entries + _halving(c.label, resolutions, measured, c.case["halving_ratio"])
 
 
 def _conservation(grid, where: str, check: dict) -> list[tuple[str, dict]]:
     """The drift of each of S_1..S_5, against 5 h^2."""
     tol = 5.0 * grid.h**2
     out = []
-    for n in range(1, 6):
-        drift = hydro.conservation_drift(grid, n)
+    for n, drift in enumerate(hydro.conservation_drifts(grid, 5), 1):
         rep = ResidualReport(grid.nt * grid.nx, drift, drift, 0)
         out.append((f"s{n}", _entry(f"conservation_s{n}[{where}]", rep, tol,
                                     grid.nt * grid.nx)))
@@ -701,7 +781,7 @@ _TOLERANCE = {"tolerance": _Key("float", low=0.0)}
 _MAPS = {"maps": _Key("expression", ["s^3 + s"], 1, 1, many="list")}
 
 _Op = namedtuple("_Op", "keys build")
-_System = namedtuple("_System", "fields coords integrate dump")
+_System = namedtuple("_System", "fields coords integrate stack dump")
 _Check = namedtuple("_Check", "keys runs")
 
 # op -> its construct block's keys, and (read block, label, read case, rng) -> _Solved
@@ -727,7 +807,9 @@ _OPS = {
 }
 
 # system -> its fields and their coordinates, (initial data, resolution,
-# t_end) -> grid, and (grid, CSV path) -> None, which dumps the grid.  The
+# t_end) -> grid, ([(initial data, t_end)], resolution) -> their grids,
+# marched as one stack (None for a system whose grids are not worth stacking),
+# and (grid, CSV path) -> None, which dumps the grid.  The
 # four-field names are hydro's MULTI_FIELDS, written out so that building
 # these rows runs no hydro code (a test checks that they are equal).
 _SYSTEMS = {
@@ -735,10 +817,12 @@ _SYSTEMS = {
         ("u", "v"), ("x",),
         lambda init, res, t_end: hydro.integrate_characteristics(
             init["u"], init["v"], res, t_end),
+        lambda problems, res: hydro.integrate_characteristics_stack(
+            [(init["u"], init["v"], t_end) for init, t_end in problems], res),
         lambda grid, path: hydro.dump_char_grid(grid, path)),
     "multifield": _System(
         ("u1", "u2", "v1", "v2"), ("x2", "x3"),
-        lambda init, res, t_end: hydro.integrate_multifield(init, res, res, t_end),
+        lambda init, res, t_end: hydro.integrate_multifield(init, res, res, t_end), None,
         lambda grid, path: hydro.dump_multi_grid(grid, path)),
 }
 
@@ -909,13 +993,7 @@ def _run_variational_cases(cases: list) -> list[dict]:
     grid's checks, a read error after the checks of the cases before it.
     Variational cases draw nothing from the scenario RNG, so reading them
     early moves no draw."""
-    read, unread = [], None
-    for case in cases:
-        try:
-            read.append(_read_variational_case(case))
-        except Exception as err:  # raised after the cases before it are checked
-            unread = err
-            break
+    read, unread = _read_until_error(_read_variational_case, cases)
     sources: dict[tuple, tuple] = {}  # source -> its solver and its grids' nodes
     for c in read:
         sources.setdefault(c.source, (c.solver, []))[1].extend(grid[1:3] for grid in c.grids)
@@ -1095,7 +1173,6 @@ def run_scenario(data: dict, out_dir: Path, seed: int, dump: bool = False) -> tu
     entries: list[dict] = []
     abort_code = None
     sample_sink: dict = {}  # verify cases: label -> sample points
-    labels: set = set()  # simulate cases
     try:
         # A non-finite jet or float raises its guard's JetDomainError, and a
         # non-finite norm fails its entry (_entry), so numpy's floating-point
@@ -1103,13 +1180,12 @@ def run_scenario(data: dict, out_dir: Path, seed: int, dump: bool = False) -> tu
         with np.errstate(all="ignore"):
             if data["kind"] == "variational":
                 entries = _run_variational_cases(data["cases"])
+            elif data["kind"] == "simulate":
+                _run_simulate_cases(data["cases"], out_dir, data["name"], dump, entries)
             else:
                 for case in data["cases"]:
                     if data["kind"] == "verify":
                         entries += _run_verify_case(case, rng, sample_sink)
-                    elif data["kind"] == "simulate":
-                        entries += _run_simulate_case(case, out_dir, data["name"], dump,
-                                                      labels)
                     else:
                         entries += _run_ad_case(case, rng)
     except (CharacteristicCrossingError, CFLViolationError) as err:

@@ -262,8 +262,20 @@ def to_string(node: Node) -> str:
 
 
 def _compile(spec: ExprSpec):
-    """The closure evaluating ``spec`` at a sequence of values by slot in ``spec.vars``."""
-    return _closure(spec.ast, {name: i for i, name in enumerate(spec.vars)})
+    """The closure evaluating ``spec`` at a sequence of values by slot in
+    ``spec.vars``.  A literal power at the root (:func:`_root_power`) raises
+    float_fn's error at a non-finite element of an array result itself, so
+    float_fn scans such a result only once."""
+    slots = {name: i for i, name in enumerate(spec.vars)}
+    if _root_power(spec.ast):
+        return _literal_power(_closure(spec.ast.left, slots), spec.ast.right.value, root=True)
+    return _closure(spec.ast, slots)
+
+
+def _root_power(ast: Node) -> bool:
+    """Whether ``ast`` is a literal power other than ``b ^ 1``, which is b itself."""
+    return (isinstance(ast, Bin) and ast.op == "^" and isinstance(ast.right, Num)
+            and not _is_one(ast.right))
 
 
 def _closure(node: Node, slots: Mapping[str, int]):
@@ -321,20 +333,21 @@ def _closure(node: Node, slots: Mapping[str, int]):
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _literal_power(base, c):
+def _literal_power(base, c, root=False):
     """``base ^ c`` for a literal exponent ``c``, by the rule of :func:`_float_pow`
-    at each float, array element or jet."""
+    at each float, array element or jet; ``root`` as for :func:`_array_power`."""
     def power(env):
         b = base(env)
         if isinstance(b, float):
             return _float_pow(b, c)
-        return _array_power(b, c) if isinstance(b, np.ndarray) else jets.powc(b, c)
+        return _array_power(b, c, root) if isinstance(b, np.ndarray) else jets.powc(b, c)
     return power
 
 
-def _array_power(b: np.ndarray, c: float):
+def _array_power(b: np.ndarray, c: float, root: bool = False):
     """``b ^ c`` for a literal ``c`` at each element of ``b``, as
-    :func:`_float_pow` gives it."""
+    :func:`_float_pow` gives it.  With ``root``, the power at the root of a
+    float_fn evaluation, a non-finite element raises float_fn's error."""
     if c == 1.0:  # b ** 1 is b and b ** 0 is 1.0, whatever b, as pow gives them
         return b
     if c == 0.0:
@@ -342,9 +355,13 @@ def _array_power(b: np.ndarray, c: float):
     # Where _float_pow's guards hold, or pow overflows, it raises (or returns a
     # NaN) element by element.
     if (b <= 0.0).any() if not c.is_integer() else c < 0.0 and (b == 0.0).any():
-        return _elementwise(lambda v: _float_pow(v, c), b)
-    out = np.float_power(b, c)
-    return out if _finite(out) else _elementwise(lambda v: _float_pow(v, c), b)
+        out = _elementwise(lambda v: _float_pow(v, c), b)
+    else:
+        out = np.float_power(b, c)
+        if _finite(out):
+            return out
+        out = _elementwise(lambda v: _float_pow(v, c), b)
+    return _finite_array(out) if root else out
 
 
 def _power(base, expo):
@@ -372,6 +389,14 @@ _FLOAT64 = np.dtype(float)
 def _finite(a: np.ndarray) -> bool:
     """Whether every element of ``a`` is finite."""
     return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def _finite_array(out: np.ndarray) -> np.ndarray:
+    """``out``, unless an element is not finite: then float_fn's JetDomainError
+    at the first such element."""
+    if not _finite(out):
+        raise JetDomainError("eval", float(out[~np.isfinite(out)][0]))
+    return out
 
 
 def _elementwise(fn, *arrays) -> np.ndarray:
@@ -482,6 +507,7 @@ def float_fn(spec: ExprSpec, names: Sequence[str] | None = None) -> Callable[...
     while isinstance(top, Bin) and top.op == "^" and _is_one(top.right):
         top = top.left  # b ^ 1 is b itself
     returns_argument = isinstance(top, Var)
+    scanned = _root_power(spec.ast)  # an array result is already known finite
     array = np.ndarray
 
     def compiled(env):
@@ -494,7 +520,7 @@ def float_fn(spec: ExprSpec, names: Sequence[str] | None = None) -> Callable[...
     def evaluate_at(*values):
         if values and type(values[0]) is array:
             env = [None if i is None else np.asarray(values[i], dtype=float) for i in slots]
-            return _array_result(compiled(env), values[0].shape, returns_argument)
+            return _array_result(compiled(env), values[0].shape, returns_argument, scanned)
         out = compiled([None if i is None else float(values[i]) for i in slots])
         if not math.isfinite(out):
             raise JetDomainError("eval", out)
@@ -506,23 +532,24 @@ def float_fn(spec: ExprSpec, names: Sequence[str] | None = None) -> Callable[...
     def evaluate_one(*values):
         x = values[0] if values else None
         if type(x) is array and x.dtype is _FLOAT64:
-            return _array_result(compiled([x]), x.shape, returns_argument)
+            return _array_result(compiled([x]), x.shape, returns_argument, scanned)
         return evaluate_at(*values)
     return evaluate_one
 
 
-def _array_result(out, shape: tuple, returns_argument: bool) -> np.ndarray:
+def _array_result(out, shape: tuple, returns_argument: bool, scanned: bool) -> np.ndarray:
     """A new array of ``shape`` from an array evaluation's result ``out``:
     a constant at each point, or ``out`` itself, copied where the spec
-    returns an argument as it is; a non-finite element raises."""
+    returns an argument as it is; a non-finite element raises, unless the
+    array is ``scanned`` already."""
     if type(out) is not np.ndarray:  # a constant: its value at each point
         if not math.isfinite(out):
             raise JetDomainError("eval", out)
         full = np.empty(shape)  # np.full(shape, out), without its dtype inference
         full.fill(out)
         return full
-    if not _finite(out):
-        raise JetDomainError("eval", float(out[~np.isfinite(out)][0]))
+    if not scanned:
+        _finite_array(out)
     return out.copy() if returns_argument else out
 
 

@@ -11,26 +11,36 @@ the speed attached to x2 is the first one, matching the derivation-order
 convention validated by the determinant tests) takes x1 as the level axis and
 periodic bicubic spline interpolation.
 
-Both march through one semi-Lagrangian loop (``_march``): a time step with
-15% headroom under the initial CFL bound, a CFL recheck at every level, and a
-level update that locates foot points by fixed point (``_foot_points``) and
-pulls values back along them.  A predictor pass with frozen level-m speeds
-feeds a trapezoidal corrector, which keeps the scheme second order in time.
-Each stage solves the feet of every field it carries as one stack of
-independent problems, each stopping at its own sweep: (u, v) for the
-two-field system, whose two levels share one interpolant, and the pairs
-(u1, u2) and (v1, v2) for the four-field system.  The speeds at the nodes,
-where both stages start, are evaluated once per level.  Each system supplies
-only its nodes, initial data, interpolant and step formulas.  Non-monotone
-foot points (a characteristic crossing) or a CFL violation abort with the
-levels computed so far attached to the exception as ``partial``;
-``_write_grid`` dumps either grid as CSV.
+Both march through one semi-Lagrangian loop (``_march_stack``, or ``_march``
+for one problem): a time step with 15% headroom under the initial CFL bound,
+a CFL recheck at every level, and a level update that locates foot points by
+fixed point (``_foot_points``) and pulls values back along them.  A predictor
+pass with frozen level-m speeds feeds a trapezoidal corrector, which keeps
+the scheme second order in time.  Each stage solves the feet of every field
+it carries as one stack of independent problems, each stopping at its own
+sweep: (u, v) for the two-field system, whose two levels share one
+interpolant, and the pairs (u1, u2) and (v1, v2) for the four-field system.
+The speeds at the nodes, where both stages start, are evaluated once per
+level.  Each system supplies only its nodes, initial data, interpolant and
+step formulas.  Non-monotone foot points (a characteristic crossing) or a
+CFL violation abort with the levels computed so far attached to the
+exception as ``partial``; ``_write_grid`` dumps either grid as CSV.
+
+Two-field problems on the same nodes also march as one stack
+(``integrate_characteristics_stack``, which a single march is a stack of
+one): the rows [u_0, v_0, u_1, v_1, ...] share one interpolant per level,
+each row takes its own problem's time step as its foot-point weight, and each
+problem leaves the stack once it has marched all of its levels, so that each
+grid holds the bits of its march alone.  An abort in any problem aborts the
+stack.  The four-field system marches alone: its spline cost is per point,
+so a stack would save little.
 
 Every derivative of a stored grid, for ``fd_jet_at``, ``fd_derivatives_multi``
 and ``varlag``'s slots, is ``fd_derivatives_time_space``: the one
 central-difference 2-jet (``jets.central_differences``) over the grid's nodes
 (``_stencil``), with each space axis wrapped or cut; the conservation drift
-reads only its first differences (``jets._first_difference``).
+reads only its first differences (``jets._first_difference``), for S_1..S_5
+from one pass of the S_n recurrence (``conservation_drifts``).
 """
 
 from __future__ import annotations
@@ -65,18 +75,6 @@ def check_initial_data(init: dict, names: tuple, coords: tuple) -> None:
         if extra:
             raise ValueError(f"initial data {name} may only use {list(coords)}, "
                              f"got {sorted(extra)}")
-
-
-def sn_polynomial_grid(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """Complete homogeneous symmetric polynomial S_n(u, v), elementwise.
-
-    S_0 = 1 (the recurrence base that keeps degree counting consistent);
-    S_n = u^n + v S_{n-1}.
-    """
-    s = np.ones_like(u)
-    for m in range(1, n + 1):
-        s = u**m + v * s
-    return s
 
 
 # -- grids ------------------------------------------------------------------------
@@ -160,8 +158,10 @@ class MonotoneCubic1D:
         h10 = xi3 - 2.0 * xi2 + xi
         h01 = -2.0 * xi3 + 3.0 * xi2
         h11 = xi3 - xi2
-        k = k + (n + 1) * np.asarray(rows)[:, None]
-        y, yp, d, dp = self.y[k], self.y[k + 1], self.d[k], self.d[k + 1]
+        k += (n + 1) * np.asarray(rows)[:, None]
+        y, d = self.y.take(k), self.d.take(k)
+        k += 1
+        yp, dp = self.y.take(k), self.d.take(k)
         # Written as y_k + (y_{k+1} - y_k) h01 + ... so constants interpolate
         # exactly (h00 + h01 = 1 holds algebraically, not in floats).
         return y + (yp - y) * h01 + self.h * (d * h10 + dp * h11)
@@ -191,53 +191,75 @@ def _foot_points(step, start, tol, level, first=None):
         rows = rows[~(delta <= tol)]
         if not rows.size:
             break
-    for r, f in enumerate(foot):
-        if r in rows:
+    unconverged = np.zeros(len(foot), dtype=bool)
+    unconverged[rows] = True
+    failed = unconverged.copy()
+    for k in range(foot.shape[1]):  # coordinate k of each foot, along its own axis
+        failed |= (np.diff(foot[:, k], axis=k + 1) <= 0.0).reshape(len(foot), -1).any(axis=1)
+    for r in np.flatnonzero(failed)[:1]:
+        if unconverged[r]:
             raise CharacteristicCrossingError(
                 level, "foot-point fixed-point iteration did not converge")
-        if any(np.any(np.diff(c, axis=k) <= 0.0) for k, c in enumerate(f)):
-            raise CharacteristicCrossingError(level)
+        raise CharacteristicCrossingError(level)
     return foot
 
 
-def _march(init: dict, h: float, t_end: float, cfl: float, advance, build):
-    """The level loop both systems share, from level 0 to ``t_end`` at
-    Courant number at most ``cfl``.
+def _march_stack(inits: list, h: float, t_ends: list, cfl: float, advance, build) -> list:
+    """The level loop every march shares, for a stack of independent
+    problems, each from level 0 to its own ``t_end`` at Courant number at most
+    ``cfl``.
 
-    ``init`` maps each field to its level-0 array and ``h`` is the smallest
-    node spacing.  ``advance(level, dt, m)`` maps the fields at level m to
-    those at m + 1, and ``build(t_levels, dt, fields)`` wraps arrays into a
-    grid.  Every level rechecks the CFL bound; an abort attaches the grid of
-    the levels 0..m computed so far to the exception as ``partial``.
+    ``inits`` holds, per problem, a map of each field to its level-0 array,
+    and ``h`` is the smallest node spacing.  Each problem takes its own time
+    step and number of levels, and leaves the stack once it has marched them
+    all.  ``advance(levels, dts, m)`` maps the fields at level m of the
+    problems still marching, with their time steps, to theirs at m + 1, and
+    ``build(t_levels, dt, fields)`` wraps one problem's arrays into a grid.
+    Every level rechecks each problem's CFL bound.  An abort in any problem
+    aborts the stack; in a stack of one, the grid of the levels 0..m computed
+    so far is attached to the exception as ``partial``.
     """
-    vmax = max(*(np.abs(f).max() for f in init.values()), 1e-12)
-    # 15% headroom so mild speed growth during the window does not trip the
-    # per-level CFL recheck; at least two steps so drift stencils fit.
-    dt0 = cfl * h / (1.15 * vmax)
-    steps = t_end / dt0 if dt0 > 0 else math.inf
-    if not math.isfinite(steps):  # as for a grid too large for memory: a runtime failure
-        raise ValueError(f"t_end {t_end} takes {steps} steps of at most {dt0}")
-    n_steps = max(2, math.ceil(steps))
-    dt = t_end / n_steps
-    t_levels = dt * np.arange(n_steps + 1)
-    data = {}
-    for name, f in init.items():
-        data[name] = np.empty((n_steps + 1, *f.shape))
-        data[name][0] = f
+    marches = []  # (levels to march, dt, field -> (levels, ...) array)
+    for init, t_end in zip(inits, t_ends):
+        vmax = max(*(np.abs(f).max() for f in init.values()), 1e-12)
+        # 15% headroom so mild speed growth during the window does not trip the
+        # per-level CFL recheck; at least two steps so drift stencils fit.
+        dt0 = cfl * h / (1.15 * vmax)
+        steps = t_end / dt0 if dt0 > 0 else math.inf
+        if not math.isfinite(steps):  # as for a grid too large for memory: a runtime failure
+            raise ValueError(f"t_end {t_end} takes {steps} steps of at most {dt0}")
+        n_steps = max(2, math.ceil(steps))
+        data = {}
+        for name, f in init.items():
+            data[name] = np.empty((n_steps + 1, *f.shape))
+            data[name][0] = f
+        marches.append((n_steps, t_end / n_steps, data))
 
-    for m in range(n_steps):
-        level = {n: a[m] for n, a in data.items()}
-        allowed = cfl * h / max(*(np.abs(f).max() for f in level.values()), 1e-12)
+    for m in range(max(n for n, _, _ in marches)):
+        live = [(dt, data) for n, dt, data in marches if m < n]
+        levels = [{n: a[m] for n, a in data.items()} for _, data in live]
         try:
-            if dt > allowed * (1 + 1e-12):
-                raise CFLViolationError(m, dt, allowed)
-            for name, f in advance(level, dt, m).items():
-                data[name][m + 1] = f
+            for (dt, _), level in zip(live, levels):
+                allowed = cfl * h / max(*(np.abs(f).max() for f in level.values()), 1e-12)
+                if dt > allowed * (1 + 1e-12):
+                    raise CFLViolationError(m, dt, allowed)
+            for (_, data), new in zip(live, advance(levels, [dt for dt, _ in live], m)):
+                for name, f in new.items():
+                    data[name][m + 1] = f
         except (CFLViolationError, CharacteristicCrossingError) as err:
-            err.partial = build(t_levels[:m + 1], dt,
-                                {n: a[:m + 1] for n, a in data.items()})
+            if len(marches) == 1:
+                [(_, dt, data)] = marches
+                err.partial = build(dt * np.arange(m + 1), dt,
+                                    {n: a[:m + 1] for n, a in data.items()})
             raise
-    return build(t_levels, dt, data)
+    return [build(dt * np.arange(n + 1), dt, data) for n, dt, data in marches]
+
+
+def _march(init: dict, h: float, t_end: float, cfl: float, advance, build):
+    """:func:`_march_stack` of one problem, whose ``advance(level, dt, m)``
+    maps its fields at level m to those at m + 1."""
+    return _march_stack([init], h, [t_end], cfl, lambda levels, dts, m: [
+        advance(levels[0], dts[0], m)], build)[0]
 
 
 # The Courant number of the two-field march.
@@ -248,46 +270,63 @@ def integrate_characteristics(init_u: ExprSpec, init_v: ExprSpec, nx: int,
                               t_end: float) -> CharGrid:
     """Fill a CharGrid of ``nx`` periodic nodes 2 pi j / nx up to ``t_end``
     from smooth initial data given as expressions of x."""
-    check_initial_data({"u": init_u, "v": init_v}, ("u", "v"), ("x",))
+    return integrate_characteristics_stack([(init_u, init_v, t_end)], nx)[0]
+
+
+def integrate_characteristics_stack(problems: list, nx: int) -> list[CharGrid]:
+    """:func:`integrate_characteristics` of each ``(init_u, init_v, t_end)``
+    of ``problems`` on the same ``nx`` nodes, marched as one stack.
+
+    Each problem keeps its own time step and levels, and its grid holds the
+    bits of its march alone.  An abort in any problem aborts the stack; the
+    exception carries a ``partial`` grid only for a stack of one.
+    """
+    for init_u, init_v, _ in problems:
+        check_initial_data({"u": init_u, "v": init_v}, ("u", "v"), ("x",))
     x_nodes = TWO_PI * np.arange(nx) / nx
     h = float(x_nodes[1] - x_nodes[0])
-    init = {name: at_points(float_fn(s, ("x",)), x_nodes)
-            for name, s in (("u", init_u), ("v", init_v))}
+    inits = [{"u": at_points(float_fn(u, ("x",)), x_nodes),
+              "v": at_points(float_fn(v, ("x",)), x_nodes)} for u, v, _ in problems]
 
-    # Row 0 is u and row 1 is v.  u is carried along dx/dt = -v and v along
-    # dx/dt = -u, so a foot point of row r solves x* = x_i + dt c(x*) with c
-    # the row speed[r].
-    fields, speed = np.array([0, 1]), np.array([1, 0])
-    nodes = np.stack([x_nodes, x_nodes])
-
-    def advance(level, dt, m):
-        interp = MonotoneCubic1D(x_nodes, np.stack([level["u"], level["v"]]))
+    def advance(levels, dts, m):
+        # Rows [u_0, v_0, u_1, v_1, ...] of the problems still marching.  u is
+        # carried along dx/dt = -v and v along dx/dt = -u, so a foot point of
+        # row r solves x* = x_i + dt c(x*) with c the row speed[r] = r ^ 1.
+        fields = np.arange(2 * len(levels))
+        speed = fields ^ 1
+        nodes = np.broadcast_to(x_nodes, (len(fields), nx))
+        step = np.repeat(dts, 2)[:, None]  # each row's own dt
+        interp = MonotoneCubic1D(x_nodes, np.stack(
+            [f for level in levels for f in (level["u"], level["v"])]))
         node_speeds = interp(nodes, speed)
 
         def at_feet(base, weight):
-            """Both fields at the feet of x* = base + weight c(x*)."""
+            """Every field at the feet of x* = base + weight c(x*)."""
             foot = _foot_points(
-                lambda f, rows: (base[rows] + weight * interp(f[:, 0], speed[rows]))[:, None],
+                lambda f, rows: (base[rows] + weight[rows] * interp(f[:, 0], speed[rows]))[:, None],
                 (base + weight * node_speeds)[:, None], 1e-12 * h, m)
             return interp(foot[:, 0], fields)
 
         # Predictor: frozen level-m speeds.  Corrector:
         # x* = x_i + dt/2 (c_m(x*) + c_{m+1}(x_i)), with the predicted level
         # standing in for m+1.
-        half = 0.5 * dt
-        star = at_feet(nodes, dt)
+        half = 0.5 * step
+        star = at_feet(nodes, step)
         new = at_feet(nodes + half * star[speed], half)
-        return {"u": new[0], "v": new[1]}
+        return [{"u": new[2 * i], "v": new[2 * i + 1]} for i in range(len(levels))]
 
-    return _march(init, h, t_end, CHAR_CFL, advance, lambda t, dt, f: CharGrid(
-        t, x_nodes, f["u"], f["v"], h, dt, CHAR_CFL))
+    return _march_stack(inits, h, [t_end for _, _, t_end in problems], CHAR_CFL, advance,
+                        lambda t, dt, f: CharGrid(t, x_nodes, f["u"], f["v"], h, dt, CHAR_CFL))
 
 
 # -- conservation hierarchy ---------------------------------------------------------
 
 
-def conservation_drift(grid: CharGrid, n: int) -> float:
-    """Max interior normalized defect of d_t S_n = d_x (u v S_{n-1}).
+def conservation_drifts(grid: CharGrid, n_max: int) -> list[float]:
+    """For each of n = 1..n_max, the max interior normalized defect of
+    d_t S_n = d_x (u v S_{n-1}), where S_n(u, v) is the complete homogeneous
+    symmetric polynomial: S_0 = 1 and S_n = u^n + v S_{n-1}, a recurrence
+    run once for all n.
 
     Both sides are computed from u and v scaled by the power of two that
     brings max(|u|, |v|) into [1, 2), which scales every term of degree n by
@@ -299,20 +338,26 @@ def conservation_drift(grid: CharGrid, n: int) -> float:
         raise ValueError("need at least 3 time levels")
     e = int(np.frexp(max(np.abs(grid.u).max(), np.abs(grid.v).max()))[1]) - 1
     us, vs = np.ldexp(grid.u, -e), np.ldexp(grid.v, -e)
-    sn = sn_polynomial_grid(us, vs, n)
-    flux = np.ldexp(us * vs * sn_polynomial_grid(us, vs, n - 1), e)
-    dt_term = jets._first_difference(_stencil(sn, True), (1, 0), grid.dt)
-    dx_term = jets._first_difference(_stencil(flux, True), (0, 1), grid.h)
-    raw = np.abs(dt_term - dx_term)
-    scale = np.abs(dt_term) + np.abs(dx_term)
-    if raw.max() == 0.0:
-        return 0.0
-    # Relative to the largest term magnitude on the grid: both terms cross
-    # zero locally, so a per-node quotient would be 0/0 noise there.  The
-    # floor covers grids whose stored values are constant to rounding, where
-    # even the global term magnitude is pure float noise.
-    floor = 1e-6 * (np.abs(sn).max() / grid.dt + np.abs(flux).max() / grid.h)
-    return float(raw.max() / max(scale.max(), floor, 1e-300))
+    uv = us * vs
+    drifts, s_prev = [], np.ones_like(us)  # S_0
+    for n in range(1, n_max + 1):
+        sn = us**n + vs * s_prev
+        flux = np.ldexp(uv * s_prev, e)
+        s_prev = sn
+        dt_term = jets._first_difference(_stencil(sn, True), (1, 0), grid.dt)
+        dx_term = jets._first_difference(_stencil(flux, True), (0, 1), grid.h)
+        raw = np.abs(dt_term - dx_term)
+        if raw.max() == 0.0:
+            drifts.append(0.0)
+            continue
+        # Relative to the largest term magnitude on the grid: both terms cross
+        # zero locally, so a per-node quotient would be 0/0 noise there.  The
+        # floor covers grids whose stored values are constant to rounding,
+        # where even the global term magnitude is pure float noise.
+        scale = np.abs(dt_term) + np.abs(dx_term)
+        floor = 1e-6 * (np.abs(sn).max() / grid.dt + np.abs(flux).max() / grid.h)
+        drifts.append(float(raw.max() / max(scale.max(), floor, 1e-300)))
+    return drifts
 
 
 # -- finite-difference jets from grids ------------------------------------------------

@@ -378,6 +378,11 @@ def euclidean_first_order(phi: Jet2) -> tuple[ResidualSample, ResidualSample]:
     return first, second
 
 
+# The permutations of the 5x5 determinant matrix whose terms can be nonzero:
+# rows 0 and 1 in columns 2-4.
+_PERMANENT_TERMS = [p for p in itertools.permutations(range(5)) if min(p[:2]) >= 2]
+
+
 def multifield_det_grid(
     grads: Sequence[np.ndarray], hess_j: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -401,7 +406,11 @@ def multifield_det_grid(
     raw = np.linalg.det(m)
     am = np.abs(m)
     scale = np.zeros(n)
-    for perm in itertools.permutations(range(5)):
+    # Finite entries make every term through the zero block of rows 0-1 and
+    # columns 0-1 exactly 0.0, which leaves the non-negative sum as it is;
+    # an inf or NaN entry turns such a term into NaN, so then every term counts.
+    finite = np.count_nonzero(np.isfinite(am)) == am.size
+    for perm in _PERMANENT_TERMS if finite else itertools.permutations(range(5)):
         scale += (
             am[:, 0, perm[0]] * am[:, 1, perm[1]] * am[:, 2, perm[2]]
             * am[:, 3, perm[3]] * am[:, 4, perm[4]]

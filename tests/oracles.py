@@ -494,7 +494,7 @@ def euclidean_3d(phi: Jet2) -> ResidualSample:
 
 def sn_polynomial(u: float, v: float, n: int) -> float:
     """Complete homogeneous symmetric polynomial S_n(u, v) at one point:
-    S_0 = 1, S_n = u^n + v S_{n-1} (``hydro.sn_polynomial_grid`` on grids)."""
+    S_0 = 1, S_n = u^n + v S_{n-1}; elementwise on arrays of u and v."""
     if n < 0:
         raise ValueError("n must be >= 0")
     s = 1.0
@@ -601,9 +601,10 @@ def fd_derivatives_multi(F: np.ndarray, dt: float, h2: float, h3: float):
 
 
 def conservation_drift(grid: CharGrid, n: int) -> float:
-    """``hydro.conservation_drift`` with its differences written out."""
-    sn = hydro.sn_polynomial_grid(grid.u, grid.v, n)
-    flux = grid.u * grid.v * hydro.sn_polynomial_grid(grid.u, grid.v, n - 1)
+    """The drift of S_n in ``hydro.conservation_drifts``, from unscaled fields,
+    with its differences written out."""
+    sn = sn_polynomial(grid.u, grid.v, n)
+    flux = grid.u * grid.v * sn_polynomial(grid.u, grid.v, n - 1)
     dt_term = (sn[2:, :] - sn[:-2, :]) / (2 * grid.dt)
     dx_term = (np.roll(flux, -1, axis=1) - np.roll(flux, 1, axis=1))[1:-1] / (2 * grid.h)
     raw = np.abs(dt_term - dx_term)

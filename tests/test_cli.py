@@ -153,6 +153,76 @@ def test_simulate_cfl_violation_exits_4_with_the_computed_levels(tmp_path, monke
     assert (meta["levels"], meta["nodes"]) == (10, 32)
 
 
+def _two_field_case(label, u, v, t_end):
+    return {"label": label, "system": "two_field", "init": {"u": u, "v": v},
+            "t_end": t_end, "resolutions": [96],
+            "checks": [{"equation": "conservation"}, {"equation": "transport"}]}
+
+
+def _stacks(monkeypatch) -> list:
+    """The number of problems of each call of ``integrate_characteristics_stack``,
+    through which a two-field grid marched alone goes too, as a stack of one."""
+    stack, sizes = hydro.integrate_characteristics_stack, []
+
+    def counted(problems, nx):
+        sizes.append(len(problems))
+        return stack(problems, nx)
+    monkeypatch.setattr(hydro, "integrate_characteristics_stack", counted)
+    return sizes
+
+
+def _run_both_ways(tmp_path, monkeypatch, data, *extra):
+    """The exit code and output files of ``simulate`` on ``data``, with its
+    two-field grids stacked and then with each marched alone, and the sizes
+    of the stacks each run marched."""
+    runs, sizes = [], _stacks(monkeypatch)
+    for way in ("stacked", "alone"):
+        if way == "alone":
+            monkeypatch.setitem(cli._SYSTEMS, "two_field",
+                                cli._SYSTEMS["two_field"]._replace(stack=None))
+        (tmp_path / way).mkdir()
+        code = _main_exit(tmp_path / way, data, *extra)
+        out = tmp_path / way / "o"
+        runs.append((code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}, sizes[:]))
+        sizes.clear()
+    return runs
+
+
+def test_an_abort_in_a_stack_is_the_abort_of_the_case_by_case_run(tmp_path, monkeypatch):
+    """Two two-field cases on 96 nodes, the second crossing at level 226: the
+    stacked march raises, each grid is then marched alone at its own turn,
+    and the run exits 4 with the first case's dumps and entries and the
+    second case's partial dump, byte for byte those of a run that marches
+    each grid alone."""
+    data = {"name": "pair", "paper_anchor": "t", "kind": "simulate", "cases": [
+        _two_field_case("general", "1.2 + 0.25*sin(x)", "2.1 + 0.2*cos(x)", 0.2),
+        _two_field_case("steep", "1.5 + 0.3*sin(x)", "1.5 + 0.3*sin(x)", 4.0)]}
+    (code, files, sizes), alone = _run_both_ways(tmp_path, monkeypatch, data, "--dump")
+    assert (code, files) == alone[:2]
+    assert (sizes, alone[2]) == ([2, 1, 1], [1, 1])
+    assert code == cli.EXIT_ABORT
+    assert sorted(files) == ["pair.general.96.csv", "pair.general.96.meta.json",
+                             "pair.partial.csv", "pair.partial.meta.json", "pair.report.json"]
+    names = [e["equation"] for e in json.loads(files["pair.report.json"])["reports"]]
+    assert names[-1] == "aborted[level=226]"
+    assert names[:-1] == [f"conservation_s{n}[general@96]" for n in range(1, 6)] + [
+        "transport_u[general@96]", "transport_v[general@96]"]
+    assert json.loads(files["pair.partial.meta.json"])["levels"] == 227
+
+
+def test_c05_marches_two_stacks_and_writes_what_grids_marched_alone_write(tmp_path,
+                                                                        monkeypatch):
+    """c05's two cases share their node counts, 128 and 256: one stacked
+    march of both cases' grids per count, and no grid marched alone; the
+    report and dumps are those of marching each grid alone."""
+    data = json.loads((ROOT / "src/batlab/scenarios/c05_conservation_hierarchy.json")
+                      .read_text())
+    (code, files, sizes), alone = _run_both_ways(tmp_path, monkeypatch, data, "--dump")
+    assert (code, files) == alone[:2]
+    assert (code, sizes, alone[2]) == (cli.EXIT_PASS, [2, 2], [1, 1, 1, 1])
+    assert len(files) == 9
+
+
 def test_verify_determinism(tmp_path):
     path = _write(tmp_path, "s.json", _tiny_verify_scenario())
     cli.main(["verify", path, "--out", str(tmp_path / "a"), "--seed", "99"])
@@ -818,6 +888,7 @@ def _forbid_work(monkeypatch):
     monkeypatch.setattr(construct.HodographSolver, "solve_many", forbidden)
     monkeypatch.setattr(construct, "hodograph_grid", forbidden)
     monkeypatch.setattr(hydro, "integrate_characteristics", forbidden)
+    monkeypatch.setattr(hydro, "integrate_characteristics_stack", forbidden)
     monkeypatch.setattr(hydro, "integrate_multifield", forbidden)
     monkeypatch.setattr(leznov, "solve_constraints", forbidden)
     monkeypatch.setattr(leznov, "solve_many", forbidden)

@@ -355,6 +355,26 @@ def test_literal_powers_agree_on_the_float_array_and_jet_paths(text, x):
         assert _outcome(lambda: np.ravel(eval_jet(spec, {"a": jet}).value)[-1]) == expected
 
 
+@_quiet
+@pytest.mark.parametrize("text,x,scans", [
+    ("a^2", 3.0, 1), ("a^0.5", 2.0, 1), ("a^400", 10.0, None), ("a^0.5", -1.0, None),
+    ("(a * 1e300 * 1e300)^2", 1.0, None), ("(a * 1e300 * 1e300 - a * 1e300 * 1e300)^3", 1.0, None),
+    ("(a^2)^1", 3.0, 2), ("(a^2)^1", 1e200, None), ("-a^2", 3.0, 2), ("-a^2", 1e200, None)])
+def test_a_literal_power_at_the_root_scans_an_array_result_once(text, x, scans, monkeypatch):
+    """float_fn over an array scans the result of a literal power at the root
+    for finiteness once, in the power, and gives the float path's value bits
+    or error at the element; other roots keep their own scan of the result."""
+    spec = parse(text)
+    expected = _outcome(oracles.eval_float, spec, {"a": x})
+    finite, scanned = exprspec._finite, []
+    monkeypatch.setattr(exprspec, "_finite", lambda a: scanned.append(1) or finite(a))
+    f = float_fn(spec, ("a",))
+    assert _outcome(lambda: f(np.array([1.0, x]))[1]) == expected
+    assert isinstance(expected, tuple) == (scans is None)
+    if scans is not None:
+        assert len(scanned) == scans
+
+
 def test_constant_spec_over_batched_arguments_is_a_batch():
     """A constant expression over a batch is the constant at each point, so
     every jet a batch evaluation returns has the batch's points."""

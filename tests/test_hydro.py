@@ -17,7 +17,7 @@ from batlab.exprspec import float_fn, parse
 from batlab.hydro import (
     MULTI_FIELDS,
     TWO_PI,
-    conservation_drift,
+    conservation_drifts,
     dump_char_grid,
     dump_multi_grid,
     integrate_characteristics,
@@ -48,8 +48,7 @@ def test_constant_data_stays_constant():
     grid = integrate_characteristics(parse("1.5"), parse("-0.7"), 32, 0.3)
     assert np.allclose(grid.u, 1.5, atol=1e-13)
     assert np.allclose(grid.v, -0.7, atol=1e-13)
-    for n in range(1, 6):
-        assert conservation_drift(grid, n) == 0.0
+    assert conservation_drifts(grid, 5) == [0.0] * 5
 
 
 def _scalar_reduction_oracle(w0_fn, x, t, seed):
@@ -121,7 +120,7 @@ def test_conservation_hierarchy_and_halving():
     drifts = {}
     for nx in (128, 256):
         grid = _general_grid(nx)
-        drifts[nx] = [conservation_drift(grid, n) for n in range(1, 6)]
+        drifts[nx] = conservation_drifts(grid, 5)
         for n, d in zip(range(1, 6), drifts[nx]):
             assert d <= 5 * grid.h**2, f"n={n}: drift {d} vs {5 * grid.h ** 2}"
     for d1, d2 in zip(drifts[128], drifts[256]):
@@ -156,9 +155,9 @@ def test_induction_structure_of_the_hierarchy():
     r_v = centered_t(v) - u[mid] * centered_x(v)
 
     for n in (2, 3, 5):
-        sn = hydro.sn_polynomial_grid(u, v, n)
-        sn1 = hydro.sn_polynomial_grid(u, v, n - 1)
-        sn2 = hydro.sn_polynomial_grid(u, v, n - 2)
+        sn = sn_polynomial(u, v, n)
+        sn1 = sn_polynomial(u, v, n - 1)
+        sn2 = sn_polynomial(u, v, n - 2)
         i_n = centered_t(sn) - centered_x(u * v * sn1)
         i_n1 = centered_t(sn1) - centered_x(u * v * sn2)
         lhs = i_n - v[mid] * i_n1
@@ -331,8 +330,8 @@ def test_conservation_drift_repeats_the_written_out_differences():
     grid = hydro.CharGrid(0.01 * np.arange(nt), 0.1 * np.arange(nx),
                           rng.uniform(0.5, 1.5, (nt, nx)), rng.uniform(0.5, 1.5, (nt, nx)),
                           0.1, 0.01, 0.5)
-    for n in range(1, 6):
-        assert conservation_drift(grid, n) == oracles.conservation_drift(grid, n)
+    assert conservation_drifts(grid, 5) == [oracles.conservation_drift(grid, n)
+                                            for n in range(1, 6)]
 
 
 def test_multi_csv_roundtrip(tmp_path):
@@ -612,6 +611,41 @@ def test_two_field_march_repeats_one_solve_per_field(u, v, nx, t_end, abort, mon
     assert (error and error[2]) == abort
 
 
+# c05's two cases at each of their node counts: 23 and 23 levels at 128
+# nodes, 44 and 45 at 256, so at 256 one problem leaves the stack first.
+@pytest.mark.parametrize("nx,levels", [(128, [23, 23]), (256, [44, 45])])
+def test_stacked_problems_repeat_one_march_each(nx, levels):
+    """Every level of each problem of a stack holds the bits of its march
+    alone with one solve per field."""
+    problems = [(parse(u), parse(v), t_end) for u, v, t_end in _C05]
+    grids = hydro.integrate_characteristics_stack(problems, nx)
+    assert [g.nt for g in grids] == levels
+    for problem, grid in zip(problems, grids):
+        old = oracles.integrate_characteristics(*problem[:2], nx, problem[2])
+        assert (grid.nt, grid.dt, grid.h) == (old.nt, old.dt, old.h)
+        assert grid.t_levels.tobytes() == old.t_levels.tobytes()
+        assert grid.u.tobytes() == old.u.tobytes() and grid.v.tobytes() == old.v.tobytes()
+
+
+# The crossing at level 226 of a 96-node grid, and c05's general pair on the
+# same nodes, which marches 18 levels and leaves the stack long before.
+_CROSSING_96 = (parse("1.5 + 0.3*sin(x)"), parse("1.5 + 0.3*sin(x)"), 4.0)
+_GENERAL_96 = (parse("1.2 + 0.25*sin(x)"), parse("2.1 + 0.2*cos(x)"), 0.2)
+
+
+@pytest.mark.parametrize("problems", [[_GENERAL_96, _CROSSING_96], [_CROSSING_96, _GENERAL_96]],
+                         ids=["second_aborts", "first_aborts"])
+def test_stack_aborts_where_its_aborting_problem_aborts_alone(problems):
+    """A stack in which one problem crosses raises that problem's abort at
+    the level where it aborts alone, with no partial grid; the other problem
+    marched alone still has the bits of the march with one solve per field."""
+    with pytest.raises(CharacteristicCrossingError) as err:
+        hydro.integrate_characteristics_stack(problems, 96)
+    assert err.value.level == 226 and not hasattr(err.value, "partial")
+    _assert_same_march(integrate_characteristics, oracles.integrate_characteristics,
+                       *_GENERAL_96[:2], 96, _GENERAL_96[2])
+
+
 def test_converged_rows_keep_the_foot_of_their_own_last_sweep(monkeypatch):
     """Where u's and v's foot solves stop after different numbers of sweeps,
     the row that stops first keeps its foot while the other sweeps on; a
@@ -699,13 +733,14 @@ def test_stacked_march_counts_its_solves(monkeypatch):
 
 def test_conservation_drift_of_scaled_fields_keeps_the_bits():
     """On c05's four grids, the drift from scaled fields has the bits of the
-    unscaled written-out differences for n = 1..30."""
+    unscaled written-out differences for n = 1..30, all from one pass of the
+    S_n recurrence."""
     for u, v, t_end in _C05:
         for nx in (128, 256):
             grid = integrate_characteristics(parse(u), parse(v),
                                              nx, t_end)
-            for n in range(1, 31):
-                assert conservation_drift(grid, n) == oracles.conservation_drift(grid, n)
+            assert conservation_drifts(grid, 30) == [oracles.conservation_drift(grid, n)
+                                                     for n in range(1, 31)]
 
 
 # Builds the spline on random periodic grids, then imports scipy.ndimage (not

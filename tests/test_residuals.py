@@ -1,5 +1,7 @@
 """Residual operators: hand values, symbolic oracles, homogeneity properties."""
 
+import itertools
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -232,6 +234,35 @@ def test_multifield_det_grid_matches_scalar():
         s = multifield_det(*fs, j=1)
         assert raw[n] == pytest.approx(s.raw, rel=1e-12)
         assert scale[n] == pytest.approx(s.scale, rel=1e-12)
+
+
+def _permanent_of_every_term(grads, hess):
+    """The permanent of |m| summed over all 120 permutations, in the order of
+    ``itertools.permutations``."""
+    m = np.zeros((len(hess), 5, 5))
+    m[:, 0, 2:], m[:, 1, 2:] = grads[2], grads[3]
+    m[:, 2:, 0], m[:, 2:, 1] = grads[0], grads[1]
+    m[:, 2:, 2:] = hess
+    am, scale = np.abs(m), np.zeros(len(hess))
+    for p in itertools.permutations(range(5)):
+        scale += am[:, 0, p[0]] * am[:, 1, p[1]] * am[:, 2, p[2]] * am[:, 3, p[3]] * am[:, 4, p[4]]
+    return scale
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("hostile", [None, np.inf, -np.inf, np.nan])
+def test_multifield_det_grid_permanent_keeps_the_bits_of_every_term(hostile):
+    """The permanent skips the terms through the zero block of the barred rows
+    and columns, with the bits of the sum over every term; with an inf or NaN
+    entry, where those terms are NaN, it is that sum too."""
+    rng = np.random.default_rng(11)
+    grads = [rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-3, 4, (40, 1)) for _ in range(4)]
+    hess = rng.normal(size=(40, 3, 3))
+    if hostile is not None:
+        grads[1][7, 2] = hostile
+        hess[30, 1, 0] = hostile
+    _, scale = residuals.multifield_det_grid(grads, hess)
+    assert scale.tobytes() == _permanent_of_every_term(grads, hess).tobytes()
 
 
 def test_transport_constant_zero():
