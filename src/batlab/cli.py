@@ -52,6 +52,7 @@ from .exprspec import (  # noqa: F401
     Call,
     ExprSpec,
     Num,
+    Round,
     Var,
     at_points,
     eval_float,
@@ -1027,7 +1028,7 @@ def _random_expression(rng: np.random.Generator, names: list[str], depth: int):
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.6:
             return Var(_draw(rng, names))
-        return Num(float(f"{rng.uniform(0.2, 2.0):.3f}"))
+        return Num(round(0.2 + (2.0 - 0.2) * rng.random(), 3))
     kind = _draw(rng, ("+", "-", "*", "/", "func", "^"))
     a = _random_expression(rng, names, depth - 1)
     b = _random_expression(rng, names, depth - 1)
@@ -1106,31 +1107,73 @@ def _defects(values: np.ndarray, exact: np.ndarray, k: int, steps, min_ratio: fl
     return int(np.count_nonzero(~ok))
 
 
+def _attempt(rng: np.random.Generator, names: list[str]):
+    """One attempt of an ad case: a random expression over ``names`` and the
+    point to evaluate it at."""
+    tree = _random_expression(rng, names, depth=int(rng.integers(1, 4)))
+    return tree, rng.uniform(0.4, 1.6, size=len(names))
+
+
+def _round(rng, names, stencil, values, exact, points) -> int:
+    """``len(values)`` attempts evaluated together (``exprspec.Round``), each
+    row of the block ``values`` and ``exact`` filled; raises where any
+    evaluation raises or gives a value that is not finite."""
+    table = Round(names)
+    for row in range(len(values)):
+        tree, points[row] = _attempt(rng, names)
+        table.add(tree)
+    table.rows(points[:len(values)], stencil, exact, values)
+    return len(values)
+
+
+def _one_at_a_time(rng, names, stencil, values, exact) -> int:
+    """``len(values)`` attempts evaluated one at a time: an attempt whose jet
+    or probe raises an EvaluationError is skipped, and the rows of the others
+    fill ``values`` and ``exact`` in order.  Returns how many rows it filled."""
+    k, variables = len(names), tuple(names)  # every spec's, used or not: bound by name
+    produced = 0
+    for _ in range(len(values)):
+        tree, point = _attempt(rng, names)
+        spec = ExprSpec(tree, variables)
+        try:
+            jet = eval_jet(spec, dict(zip(names, jets.variables(point))), k=k)
+            values[produced] = _stencil_values(spec, names, point, stencil)
+        except EvaluationError:
+            continue
+        out = exact[produced]
+        out[0], out[1:k + 1], out[k + 1:] = jet.value, jet.grad, jet.hess.ravel()
+        produced += 1
+    return produced
+
+
 def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
     case = _read(case, "ad case")
     count, steps, min_ratio = case["expressions"], case["steps"], case["min_ratio"]
     names = ["a", "b", "c"]
-    variables = tuple(names)  # every spec's, used or not: its evaluators bind them by name
     k = len(names)
     stencil = _stencil(k, steps)
     # a block of rows, one per admissible expression: its stencil values, and
-    # its jet's value, gradient and Hessian
+    # its jet's value, gradient and Hessian; and a round's points
     values, exact = np.empty((_BLOCK, stencil.shape[1])), np.empty((_BLOCK, 1 + k + k * k))
+    points = np.empty((_BLOCK, k))
     produced = attempts = defective = 0
     while produced < count and attempts < 20 * count:
-        attempts += 1
-        spec = ExprSpec(_random_expression(rng, names, depth=int(rng.integers(1, 4))), variables)
-        point = rng.uniform(0.4, 1.6, size=k)
+        # A round: attempts that, made one at a time, would each be made and
+        # could each fill the block's next row.  Where one raises, the
+        # generator goes back to the round's start and the round runs one
+        # attempt at a time, to skip what it skips and raise what it raises.
         row = produced % _BLOCK
+        n = min(count - produced, 20 * count - attempts, _BLOCK - row)
+        start = rng.bit_generator.state
+        block = slice(row, row + n)
         try:
-            jet = eval_jet(spec, dict(zip(names, jets.variables(point))), k=k)
-            values[row] = _stencil_values(spec, names, point, stencil)
-        except EvaluationError:
-            continue
-        out = exact[row]
-        out[0], out[1:k + 1], out[k + 1:] = jet.value, jet.grad, jet.hess.ravel()
-        produced += 1
-        if produced % _BLOCK == 0:
+            made = _round(rng, names, stencil, values[block], exact[block], points)
+        except Exception:  # any failure: the round reruns one attempt at a time
+            rng.bit_generator.state = start
+            made = _one_at_a_time(rng, names, stencil, values[block], exact[block])
+        produced += made
+        attempts += n
+        if made and produced % _BLOCK == 0:
             defective += _defects(values, exact, k, steps, min_ratio)
     if produced < count:
         raise ScenarioError("could not generate enough admissible expressions")

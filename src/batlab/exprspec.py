@@ -28,6 +28,16 @@ below); :func:`at_points` makes such a call and, where it raises, finds the
 first failing point.  The tree walker these closures
 replaced is kept in ``tests/oracles.py`` as the reference they are tested
 against.
+
+Many expressions, each at its own point, evaluate together in a
+:class:`Round`, which walks each tree once into a table of its nodes.  It
+runs each group of like operations, height by height, as one call of the
+same closures, on batched jets for the exact jets and on arrays for the
+probe values at the point plus given offsets, and gives each expression the
+bits of its own evaluation.  Where any expression of the round raises or
+gives a value that is not finite, the round raises; its caller (the ad
+scenario in ``cli``) then evaluates the expressions one at a time, which
+decides what is skipped and what error propagates.
 """
 
 from __future__ import annotations
@@ -565,6 +575,160 @@ def at_points(fn: Callable, *columns: np.ndarray):
         for point in zip(*(c.ravel().tolist() for c in columns)):
             fn(*point)
         raise
+
+
+# -- a round of expressions, evaluated together ------------------------------------
+#
+# A Round walks each tree once, as it is added, into a table of its operation
+# nodes.  A node's value is of one of three kinds: a constant (no variable
+# below it), a variable (a leaf) or a jet (an operation over a variable).  A
+# constant node keeps one float, and a jet node a value, gradient, Hessian and
+# probe row; a variable is read from its expression's point when an operation
+# takes it.  Nodes fall into groups by (height, operation, operand kinds), and
+# each group is one call of the closure that evaluates its operation alone
+# (:func:`_operation`), height after height: on batched jets for the exact
+# jets, and on arrays, one row per node, for the probe values, by the float
+# path's array rules.  A constant group runs on the array of its constants, and
+# a constant meeting a jet enters as a batched constant jet, and as a column
+# beside the probe rows.  Each element is the bits its expression's own
+# evaluation gives it, since every operation acts element by element; a + or *
+# with a constant on its left swaps its operands, as Python's reflected
+# operators do, so a jet meets a constant as it does in the closures.
+
+_CONST, _VAR, _JET = 0, 1, 2
+
+
+@functools.cache
+def _operation(op):
+    """The closure evaluating one operation at its operands' values, given in
+    order: ``op`` is an operator of ``+ - * /``, a function name, "neg", or
+    the exponent of a literal power."""
+    operands = (Var("x"), Var("y"))
+    if isinstance(op, float):
+        node = Bin("^", operands[0], Num(op))
+    elif op == "neg":
+        node = Neg(operands[0])
+    elif op in FUNCTION_NAMES:
+        node = Call(op, operands[0])
+    else:
+        node = Bin(op, *operands)
+    return _closure(node, {"x": 0, "y": 1})
+
+
+class Round:
+    """Expressions over ``names`` evaluated together: :meth:`add` walks each
+    tree into the table, :meth:`rows` evaluates them all.  Literal powers
+    only: a power with an expression exponent raises a ValueError in
+    :meth:`add`."""
+
+    def __init__(self, names: Sequence[str]):
+        self._slots = {name: i for i, name in enumerate(names)}
+        self._k = len(names)
+        self._consts: list[float] = []  # a Num's value, or NaN until its group runs
+        self._jets = 0  # how many jet nodes
+        # (height, op, operand kinds) -> each node's index, then its operands',
+        # node after node
+        self._groups: dict[tuple, list[int]] = {}
+        self._roots: list[int] = []  # each tree's kind and index, in turn
+
+    def add(self, tree: Node) -> None:
+        """Walk ``tree`` into the table as the next row."""
+        kind, index, _ = self._walk(tree, len(self._roots) // 2)
+        self._roots.extend((kind, index))
+
+    def _walk(self, node: Node, row: int) -> tuple[int, int, int]:
+        """The kind, index and height of ``node``'s value: a constant's index
+        in the constants, a jet's among the jets, a variable's ``row * k + slot``."""
+        cls = type(node)
+        if cls is Num:
+            self._consts.append(node.value)
+            return _CONST, len(self._consts) - 1, 0
+        if cls is Var:
+            return _VAR, row * self._k + self._slots[node.name], 0
+        if cls is Bin and node.op != "^":
+            op = node.op
+            (ka, a, ha), (kb, b, hb) = self._walk(node.left, row), self._walk(node.right, row)
+            if ka == _CONST != kb and op in "+*":
+                ka, a, kb, b = kb, b, ka, a
+            kinds, operands, height = (ka, kb), (a, b), max(ha, hb)
+        else:
+            if cls is Bin:
+                if type(node.right) is not Num:
+                    raise ValueError("a power with an expression exponent")
+                op, child = node.right.value, node.left
+            elif cls is Call:
+                op, child = node.func, node.arg
+            elif cls is Neg:
+                op, child = "neg", node.operand
+            else:
+                raise TypeError(f"not an AST node: {node!r}")
+            ka, a, height = self._walk(child, row)
+            kinds, operands = (ka,), (a,)
+        if kinds[0] == kinds[-1] == _CONST:  # every operand, one or two, a constant
+            kind, index = _CONST, len(self._consts)
+            self._consts.append(math.nan)
+        else:
+            kind, index = _JET, self._jets
+            self._jets += 1
+        height += 1
+        group = self._groups.setdefault((height, op, kinds), [])
+        group.append(index)
+        group.extend(operands)
+        return kind, index, height
+
+    def rows(self, points: np.ndarray, offsets: np.ndarray, exact: np.ndarray,
+             probe: np.ndarray) -> None:
+        """Each expression's jet at its row of ``points`` (n, k) into its row
+        of ``exact``: value, gradient and row-major Hessian; and its values at
+        the row's point plus each column of ``offsets`` (k, P) into its row of
+        ``probe``.  Raises whatever an operation raises, and a JetDomainError
+        where a value written is not finite."""
+        k = self._k
+        consts = np.array(self._consts)
+        table = (np.empty(self._jets), np.empty((self._jets, k)),
+                 np.empty((self._jets, k, k)), np.empty((self._jets, offsets.shape[1])))
+        # zero gradients and Hessians for as many nodes as any group or the
+        # roots take, read-only views of one of each
+        n = max([len(self._roots), *map(len, self._groups.values())])
+        zeros = [np.broadcast_to(zero, (n,) + zero.shape) for zero in jets._ZEROS[k]]
+        seeds = (points.ravel(), np.eye(k), offsets, *zeros)
+
+        for (_, op, kinds), group in sorted(self._groups.items(), key=lambda item: item[0][0]):
+            out, *operands = np.array(group).reshape(-1, 1 + len(kinds)).T
+            fn = _operation(op)
+            if _VAR not in kinds and _JET not in kinds:
+                consts[out] = fn([consts[i] for i in operands])
+                continue
+            args = [_operand(kind, i, consts, table, seeds) for kind, i in zip(kinds, operands)]
+            jet = fn([jet for jet, _ in args])
+            for column, part in zip(table, (jet.value, jet.grad, jet.hess, fn([p for _, p in args]))):
+                column[out] = part
+
+        kinds, indices = np.array(self._roots).reshape(-1, 2).T
+        for kind in (_CONST, _VAR, _JET):
+            rows = np.flatnonzero(kinds == kind)
+            if len(rows):
+                jet, values = _operand(kind, indices[rows], consts, table, seeds)
+                exact[rows, 0] = jet.value
+                exact[rows, 1:k + 1] = jet.grad
+                exact[rows, k + 1:] = jet.hess.reshape(len(rows), k * k)
+                probe[rows] = values
+        for out in (exact, probe):
+            _finite_array(out)
+
+
+def _operand(kind: int, i: np.ndarray, consts: np.ndarray, table: tuple, seeds: tuple):
+    """The batched jet and the probe rows of the nodes ``i`` of one kind: a
+    constant's as a constant jet and a column, a variable's as its seed."""
+    if kind == _JET:
+        value, grad, hess, probe = table
+        return jets.Jet2(value[i], grad[i], hess[i]), probe[i]
+    flat, eye, offsets, grad, hess = seeds
+    if kind == _CONST:
+        value = consts[i]
+        return jets.Jet2(value, grad[:len(i)], hess[:len(i)]), value[:, None]
+    value, slot = flat[i], i % len(eye)
+    return jets.Jet2(value, eye[slot], hess[:len(i)]), value[:, None] + offsets[slot]
 
 
 # -- symbolic first derivative ---------------------------------------------------

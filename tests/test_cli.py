@@ -1,5 +1,6 @@
 """Scenario driver: exit codes, report schema, determinism, bundled files."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -836,6 +837,79 @@ def test_ad_case_memory_stays_within_a_block():
     assert four <= 1.5 * one, (one, four)
 
 
+# Exit codes of c11 at seeds 1, 2, 3, 7 and 20240801 and steps where some
+# expressions are inadmissible (the exp guard at [5e3, 2.5e3]), or where
+# math.sin(inf) aborts the case ([1e154, 5e153]); and at the bundled steps.
+_AD_EXITS = {(5e3, 2.5e3): [1, 1, 1, 1, 1], (1e154, 5e153): [1, 3, 3, 3, 1],
+             (1e-2, 5e-3): [0, 0, 0, 0, 0]}
+
+
+def _refused(*args):
+    raise AssertionError("a round evaluated together")
+
+
+@pytest.mark.parametrize("steps", list(_AD_EXITS))
+def test_a_failing_round_reruns_as_the_per_expression_case(tmp_path, monkeypatch, capsys, steps):
+    """Where a round raises, the case reruns it one expression at a time:
+    ``batlab verify`` exits with the code, prints the output and writes the
+    report bytes of a run with every round refused, which evaluates each
+    expression alone; and the scenario's generator ends in the state the
+    per-expression oracle leaves it in.  At the bundled steps no round
+    reruns."""
+    path = _write(tmp_path, "ad.json", _small("c11_jet_convergence", steps=list(steps)))
+    case = _small("c11_jet_convergence", steps=list(steps))["cases"][0]
+    reruns, states = [], []
+    one_at_a_time, run_ad_case = cli._one_at_a_time, cli._run_ad_case
+
+    def counted(*args):
+        reruns.append(len(args[3]))
+        return one_at_a_time(*args)
+
+    def run(case, rng):
+        try:
+            return run_ad_case(case, rng)
+        finally:
+            states.append(rng.bit_generator.state)
+
+    monkeypatch.setattr(cli, "_one_at_a_time", counted)
+    monkeypatch.setattr(cli, "_run_ad_case", run)
+    codes, rounds_rerun = [], 0
+    for seed in (1, 2, 3, 7, 20240801):
+        runs = []
+        for name in ("rounds", "alone"):
+            with pytest.MonkeyPatch.context() as patch:
+                if name == "alone":
+                    patch.setattr(cli, "_round", _refused)
+                out = tmp_path / name / str(seed)
+                code = cli.main(["verify", path, "--out", str(out), "--seed", str(seed)])
+            runs.append((code, capsys.readouterr(), [(p.name, p.read_bytes())
+                                                     for p in sorted(out.iterdir())]))
+            rounds_rerun += len(reruns) if name == "rounds" else 0
+            reruns.clear()
+        assert runs[0] == runs[1]
+        codes.append(runs[0][0])
+        rng = cli._scenario_rng(seed, "c11_jet_convergence")
+        with contextlib.suppress(ValueError, cli.ScenarioError), np.errstate(all="ignore"):
+            oracles.run_ad_case(case, rng)
+        assert states[-2] == states[-1] == rng.bit_generator.state
+    assert codes == _AD_EXITS[steps]
+    assert bool(rounds_rerun) == (steps != (1e-2, 5e-3))
+
+
+def test_a_bundled_ad_case_traces_at_most_two_megabytes():
+    """c11's 500 expressions, evaluated in one round, peak at most 2 MB above
+    what was allocated before the case."""
+    case = _small("c11_jet_convergence")["cases"][0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli._run_ad_case(case, cli._scenario_rng(20240801, "c11_jet_convergence"))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6, peak
+
+
 def test_probe_shifts_of_three_variables_are_the_written_out_stencil():
     """The probe stencil built for k = 3 is the 18 offsets of ``oracles``'s
     literal table, in its order and with its -0.0 coordinates, byte for byte;
@@ -893,6 +967,7 @@ def _forbid_work(monkeypatch):
     monkeypatch.setattr(leznov, "solve_constraints", forbidden)
     monkeypatch.setattr(leznov, "solve_many", forbidden)
     monkeypatch.setattr(cli, "eval_jet", forbidden)
+    monkeypatch.setattr(exprspec.Round, "rows", forbidden)
 
 
 @pytest.mark.parametrize("scenario", ["implicit_fg", "holo_sum", "implicit_3d", "hodograph",

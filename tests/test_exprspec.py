@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from batlab import cli, exprspec, jets
 from batlab.errors import ExprSyntaxError, JetDomainError
-from batlab.exprspec import (Bin, Call, ExprSpec, Num, Var, eval_float, eval_jet, float_fn,
+from batlab.exprspec import (Bin, Call, ExprSpec, Neg, Num, Var, eval_float, eval_jet, float_fn,
                              parse, partial, to_string)
 
 import oracles
@@ -545,3 +545,103 @@ def test_fd_probe_matches_the_name_keyed_probe_on_hostile_specs(spec, point, ste
     """The first failing stencil point, in the order of step 1's 19 points,
     then step 2's, raises the same error; -0.0 coordinates keep their sign."""
     assert _probe_outcome(spec, point, steps) == _name_keyed_outcome(spec, point, steps)
+
+
+# -- a round of random expressions against each evaluated alone ---------------------------
+
+# Trees of a constant only and of a bare variable, beside the drawn ones
+_LEAVES = [Num(1.25), Var("c"), Neg(Var("a")), Bin("/", Num(2.0), Bin("+", Num(2.5), Call(
+    "sin", Num(0.7)))), Bin("*", Num(0.5), Var("b")), Bin("-", Num(0.3), Var("a")),
+    Bin("^", Call("log", Bin("+", Num(3.5), Call("sin", Num(1.5)))), Num(3.0))]
+
+
+def _alone(trees, points, steps) -> list:
+    """Each tree's row as the ad case fills it one expression at a time: the
+    bytes of its jet's value, gradient and Hessian (``cli.eval_jet``) and of
+    its stencil values (``cli._stencil_values``), or the class of what that
+    raised."""
+    stencil, rows = cli._stencil(3, steps), []
+    for tree, point in zip(trees, points):
+        spec = ExprSpec(tree, _NAMES)
+        try:
+            jet = cli.eval_jet(spec, dict(zip(_NAMES, jets.variables(point))), k=3)
+            values = cli._stencil_values(spec, list(_NAMES), np.array(point), stencil)
+        except Exception as err:  # every outcome is compared, errors included
+            rows.append(type(err))
+            continue
+        exact = np.concatenate(([jet.value], jet.grad, jet.hess.ravel()))
+        rows.append((exact.tobytes(), values.tobytes()))
+    return rows
+
+
+def _together(trees, points, steps) -> list:
+    """The same rows from one ``exprspec.Round`` of all the trees."""
+    stencil, table = cli._stencil(3, steps), exprspec.Round(_NAMES)
+    for tree in trees:
+        table.add(tree)
+    exact, values = np.empty((len(trees), 13)), np.empty((len(trees), stencil.shape[1]))
+    table.rows(np.array(points, dtype=float).reshape(-1, 3), stencil, exact, values)
+    return [(e.tobytes(), v.tobytes()) for e, v in zip(exact, values)]
+
+
+def _c11_attempts(seed: int, steps) -> tuple[list, list]:
+    """The trees and points of c11's first 500 attempts at ``seed`` that are
+    admissible alone at ``steps``, with ``_LEAVES`` at the first points."""
+    rng = cli._scenario_rng(seed, "c11_jet_convergence")
+    trees, points = zip(*(cli._attempt(rng, list(_NAMES)) for _ in range(500)))
+    trees, points = _LEAVES + list(trees), list(points[:len(_LEAVES)]) + list(points)
+    admissible = [type(row) is tuple for row in _alone(trees, points, steps)]
+    return ([t for t, ok in zip(trees, admissible) if ok],
+            [p for p, ok in zip(points, admissible) if ok])
+
+
+@pytest.mark.parametrize("seed", [*range(30), 110, 7, 20240801])
+def test_a_round_gives_each_row_of_its_expressions_alone(seed):
+    """c11's expressions at its bundled steps, all admissible alone: the
+    round's value, gradient, Hessian and 37 stencil values of every row are
+    those of evaluating its expression alone, bit for bit."""
+    steps = [1e-2, 5e-3]
+    trees, points = _c11_attempts(seed, steps)
+    assert len(trees) == 500 + len(_LEAVES)
+    assert _together(trees, points, steps) == _alone(trees, points, steps)
+
+
+@pytest.mark.parametrize("steps", [[1e-3, 5e-4], [5e-4, 1e-3], [0.25, 1e-6]])
+@pytest.mark.parametrize("seed", [3, 110])
+def test_a_round_at_other_steps_gives_each_row_of_its_expressions_alone(seed, steps):
+    trees, points = _c11_attempts(seed, steps)
+    assert len(trees) > 450
+    assert _together(trees, points, steps) == _alone(trees, points, steps)
+
+
+@_quiet
+@given(draws=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 4), _point),
+                      min_size=1, max_size=8),
+       hostile=st.one_of(st.none(), st.sampled_from(_HOSTILE)), steps=_steps)
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_a_round_raises_or_gives_each_row_of_its_expressions_alone(draws, hostile, steps):
+    """On ``cli._random_expression`` trees of depth 0 to 4 (a leaf at depth
+    0: a constant or a bare variable), at points that reach the guards, and
+    with a hostile spec among them: where each expression alone gives a row,
+    the round gives those rows bit for bit, unless it holds a power with an
+    expression exponent, which it refuses; where one raises, so does the
+    round."""
+    trees = [cli._random_expression(np.random.default_rng(seed), list(_NAMES), depth)
+             for seed, depth, _ in draws]
+    points = [point for _, _, point in draws]
+    if hostile is not None:
+        trees.insert(len(trees) // 2, hostile.ast)
+        points.insert(len(points) // 2, points[0])
+    alone = _alone(trees, points, steps)
+    try:
+        together = _together(trees, points, steps)
+    except Exception as err:  # any error: the ad case reruns the round
+        assert "expression exponent" in str(err) or not all(type(r) is tuple for r in alone)
+    else:
+        assert together == alone
+
+
+def test_a_round_refuses_a_power_with_an_expression_exponent():
+    """The round takes literal powers only; the ad case draws no other."""
+    with pytest.raises(ValueError, match="expression exponent"):
+        exprspec.Round(_NAMES).add(parse("a ^ b").ast)
