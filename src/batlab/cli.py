@@ -1011,20 +1011,113 @@ def _run_variational_cases(cases: list) -> list[dict]:
 # -- ad-kind cases ----------------------------------------------------------------------
 
 
-def _draw(rng: np.random.Generator, seq):
-    """``rng.choice(seq)``: the same item and generator state, drawn as one
-    integer index instead of through an array of ``seq``."""
-    return seq[int(rng.integers(len(seq)))]
+# The raw words a _Replay fetches from its generator's stream at a time.
+_WORDS = 1024
 
 
-def _random_expression(rng: np.random.Generator, names: list[str], depth: int):
+class _Replay:
+    """The draws of the PCG64 ``np.random.Generator`` ``rng``, bit for bit,
+    from its raw 64-bit words fetched ``_WORDS`` at a time (``random_raw``):
+    a fraction of numpy's cost per call.  ``random()`` is numpy's double from
+    a word's upper 53 bits; ``integers(low, high)`` is numpy's Lemire draw on
+    32-bit halves, the upper half of a word kept pending for the next one as
+    PCG64 keeps it; ``uniform(low, high, size)`` scales ``random()`` per
+    element.  ``mark()`` and ``rewind(mark)`` go back to a point already
+    drawn, and ``write_back()`` leaves ``rng`` where the draws stopped."""
+
+    def __init__(self, rng: np.random.Generator):
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise TypeError(f"draws replay a PCG64 generator, not "
+                            f"{type(rng.bit_generator).__name__}")
+        self._rng, self._start = rng, rng.bit_generator.state
+        self._source = np.random.PCG64(0)
+        self._seek(0, self._start["has_uint32"], self._start["uinteger"])
+
+    def _advance(self, used: int):
+        """Set the source to the start of the stream advanced by ``used`` words."""
+        self._source.state = self._start
+        self._source.advance(used)
+
+    def _seek(self, used: int, has_upper, upper: int):
+        """Go to word ``used`` of the stream, with PCG64's pending half."""
+        self._advance(used)
+        self._base, self._pos = used, 0
+        self._words = self._source.random_raw(_WORDS).tolist()
+        self._has_upper, self._upper = has_upper, upper
+
+    def _word(self) -> int:
+        try:
+            word = self._words[self._pos]
+        except IndexError:  # the block is used up: the next one follows it
+            self._base += _WORDS
+            self._words = self._source.random_raw(_WORDS).tolist()
+            self._pos, word = 0, self._words[0]
+        self._pos += 1
+        return word
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int) -> int:
+        """One of low, ..., high - 1, for ``low < high <= low + 2**32``."""
+        span = high - low
+        if span == 1:  # numpy draws nothing for a range of one
+            return low
+        m = self._half() * span
+        if m & 0xFFFFFFFF < span:  # true for every draw of a span beyond 32 bits
+            if span > 1 << 32:
+                raise ValueError(f"a range of {span} needs 64-bit draws")
+            threshold = ((1 << 32) - span) % span  # below it, a draw is biased
+            while m & 0xFFFFFFFF < threshold:
+                m = self._half() * span
+        return low + (m >> 32)
+
+    def _half(self) -> int:
+        """The next 32 bits: the pending upper half, or else the lower half of
+        the next word, whose upper half is then pending."""
+        if self._has_upper:
+            self._has_upper = 0
+            return self._upper
+        word = self._word()
+        self._has_upper, self._upper = 1, word >> 32
+        return word & 0xFFFFFFFF
+
+    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
+        scale = high - low
+        return np.array([low + scale * self.random() for _ in range(size)])
+
+    def mark(self) -> tuple:
+        return self._base + self._pos, self._has_upper, self._upper
+
+    def rewind(self, mark: tuple):
+        self._seek(*mark)
+
+    def write_back(self):
+        """Set ``rng`` to its state at the start advanced by the words used,
+        with the pending half."""
+        used, has_upper, upper = self.mark()
+        self._advance(used)
+        state = self._source.state
+        state["has_uint32"], state["uinteger"] = has_upper, upper
+        self._rng.bit_generator.state = state
+
+
+def _draw(rng: _Replay, seq):
+    """``rng.choice(seq)`` of the generator that ``rng`` replays: the same
+    item and state, drawn as one integer index instead of through an array
+    of ``seq``."""
+    return seq[rng.integers(0, len(seq))]
+
+
+def _random_expression(rng: _Replay, names: list[str], depth: int):
     """A random composition of at most ``depth`` levels over ``names``, as the
     tree that ``exprspec.parse`` builds from its text (``random_expression``
-    in the tests' oracles writes that text from the same draws).  A leaf is a
-    name or a constant in [0.2, 2.0] to three decimals.  The operand ``b`` of
-    a function or a power is drawn and dropped, so the draws stay in step
-    with the text; the arguments of ``log`` and ``sqrt`` are kept positive
-    and the denominators of ``/`` away from zero."""
+    in the tests' oracles writes that text from the same draws of the
+    generator that ``rng`` replays).  A leaf is a name or a constant in
+    [0.2, 2.0] to three decimals.  The operand ``b`` of a function or a power
+    is drawn and dropped, so the draws stay in step with the text; the
+    arguments of ``log`` and ``sqrt`` are kept positive and the denominators
+    of ``/`` away from zero."""
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.6:
             return Var(_draw(rng, names))
@@ -1107,10 +1200,10 @@ def _defects(values: np.ndarray, exact: np.ndarray, k: int, steps, min_ratio: fl
     return int(np.count_nonzero(~ok))
 
 
-def _attempt(rng: np.random.Generator, names: list[str]):
+def _attempt(rng: _Replay, names: list[str]):
     """One attempt of an ad case: a random expression over ``names`` and the
     point to evaluate it at."""
-    tree = _random_expression(rng, names, depth=int(rng.integers(1, 4)))
+    tree = _random_expression(rng, names, depth=rng.integers(1, 4))
     return tree, rng.uniform(0.4, 1.6, size=len(names))
 
 
@@ -1157,24 +1250,28 @@ def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
     values, exact = np.empty((_BLOCK, stencil.shape[1])), np.empty((_BLOCK, 1 + k + k * k))
     points = np.empty((_BLOCK, k))
     produced = attempts = defective = 0
-    while produced < count and attempts < 20 * count:
-        # A round: attempts that, made one at a time, would each be made and
-        # could each fill the block's next row.  Where one raises, the
-        # generator goes back to the round's start and the round runs one
-        # attempt at a time, to skip what it skips and raise what it raises.
-        row = produced % _BLOCK
-        n = min(count - produced, 20 * count - attempts, _BLOCK - row)
-        start = rng.bit_generator.state
-        block = slice(row, row + n)
-        try:
-            made = _round(rng, names, stencil, values[block], exact[block], points)
-        except Exception:  # any failure: the round reruns one attempt at a time
-            rng.bit_generator.state = start
-            made = _one_at_a_time(rng, names, stencil, values[block], exact[block])
-        produced += made
-        attempts += n
-        if made and produced % _BLOCK == 0:
-            defective += _defects(values, exact, k, steps, min_ratio)
+    draws = _Replay(rng)
+    try:
+        while produced < count and attempts < 20 * count:
+            # A round: attempts that, made one at a time, would each be made
+            # and could each fill the block's next row.  Where one raises, the
+            # draws go back to the round's start and the round runs one
+            # attempt at a time, to skip what it skips and raise what it raises.
+            row = produced % _BLOCK
+            n = min(count - produced, 20 * count - attempts, _BLOCK - row)
+            start = draws.mark()
+            block = slice(row, row + n)
+            try:
+                made = _round(draws, names, stencil, values[block], exact[block], points)
+            except Exception:  # any failure: the round reruns one attempt at a time
+                draws.rewind(start)
+                made = _one_at_a_time(draws, names, stencil, values[block], exact[block])
+            produced += made
+            attempts += n
+            if made and produced % _BLOCK == 0:
+                defective += _defects(values, exact, k, steps, min_ratio)
+    finally:  # the scenario's next case draws on from here
+        draws.write_back()
     if produced < count:
         raise ScenarioError("could not generate enough admissible expressions")
     rows = produced % _BLOCK

@@ -418,8 +418,8 @@ def _elementwise(fn, *arrays) -> np.ndarray:
 
 def _by_ufunc(ufunc, name: str):
     """The array form of float function ``name`` through ``ufunc``, which rounds
-    as it does; where the float function raises at some element (math.sin at
-    an infinity, sqrt at a value <= 0), element by element instead."""
+    as it does; where the float function raises at some element (sin or cos
+    at an infinity, sqrt at a value <= 0), element by element instead."""
     float_fun = jets.FLOAT_FUNCTIONS[name]
     domain = np.isinf if name != "sqrt" else lambda a: a <= 0.0
 

@@ -335,7 +335,21 @@ def sqrt_float(v: float) -> float:
     return math.sqrt(v)
 
 
-FLOAT_FUNCTIONS = {"exp": exp_float, "log": log_float, "sin": math.sin, "cos": math.cos,
+def sin_float(v: float) -> float:
+    try:
+        return math.sin(v)
+    except ValueError:  # v is ±inf
+        raise JetDomainError("sin", v) from None
+
+
+def cos_float(v: float) -> float:
+    try:
+        return math.cos(v)
+    except ValueError:  # v is ±inf
+        raise JetDomainError("cos", v) from None
+
+
+FLOAT_FUNCTIONS = {"exp": exp_float, "log": log_float, "sin": sin_float, "cos": cos_float,
                    "sqrt": sqrt_float}
 
 
@@ -356,12 +370,18 @@ def _log(v: float):
 
 
 def _sin(v: float):
-    s, c = math.sin(v), math.cos(v)
+    try:
+        s, c = math.sin(v), math.cos(v)
+    except ValueError:  # v is ±inf
+        raise JetDomainError("sin", v) from None
     return s, c, -s
 
 
 def _cos(v: float):
-    s, c = math.sin(v), math.cos(v)
+    try:
+        s, c = math.sin(v), math.cos(v)
+    except ValueError:  # v is ±inf
+        raise JetDomainError("cos", v) from None
     return c, -s, -c
 
 

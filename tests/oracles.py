@@ -89,10 +89,10 @@ def _apply_float(func: str, v: float) -> float:
         if v <= 0.0:
             raise JetDomainError("log", v)
         return math.log(v)
-    if func == "sin":
-        return math.sin(v)
-    if func == "cos":
-        return math.cos(v)
+    if func in ("sin", "cos"):
+        if math.isinf(v):
+            raise JetDomainError(func, v)
+        return math.sin(v) if func == "sin" else math.cos(v)
     if func == "sqrt":
         if v <= 0.0:
             raise JetDomainError("sqrt", v)

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batlab import cli, construct, exprspec, hydro, jets, leznov, residuals, varlag
 from batlab.errors import EvaluationError, JetDomainError, NewtonConvergenceError
@@ -819,6 +821,61 @@ def test_ad_case_draws_trees_without_parsing(monkeypatch):
     assert cli._run_ad_case({"expressions": 200}, np.random.default_rng(11)) == expected
 
 
+# Spans of an integer draw: one (no draw), small ones, ones just above 2**31,
+# where about every other 32-bit draw is rejected, and up to 2**32.
+_SPANS = st.one_of(st.integers(1, 8), st.integers(2**31 + 1, 2**31 + 2**16),
+                   st.integers(1, 2**32))
+_DRAWS = st.lists(st.one_of(
+    st.tuples(st.just("random")),
+    st.tuples(st.just("integers"), st.integers(-2**40, 2**40), _SPANS),
+    st.tuples(st.just("uniform"), st.floats(-1e6, 1e6), st.floats(0.0, 1e6), st.integers(0, 5)),
+    st.tuples(st.just("mark")), st.tuples(st.just("rewind"))), max_size=40)
+
+
+@given(seed=st.integers(0, 2**64 - 1), pending=st.none() | st.integers(0, 2**32 - 1),
+       words=st.sampled_from([1, 2, 7, cli._WORDS]), draws=_DRAWS)
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_replayed_draws_are_the_bits_of_the_generator(seed, pending, words, draws):
+    """Any interleaving of ``random()``, ``integers(low, high)`` and
+    ``uniform(low, high, size)``, from a start with or without PCG64's pending
+    32-bit half, over blocks of a few words or of ``_WORDS``, with rewinds to
+    a mark, draws the generator's bits and writes back its end state."""
+    ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (ours, reference):
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = (0, 0) if pending is None else (1, pending)
+        rng.bit_generator.state = state
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_WORDS", words)
+        replay = cli._Replay(ours)
+        mark = replay.mark(), reference.bit_generator.state
+        for name, *args in draws:
+            if name == "mark":
+                mark = replay.mark(), reference.bit_generator.state
+            elif name == "rewind":
+                replay.rewind(mark[0])
+                reference.bit_generator.state = mark[1]
+            elif name == "integers":
+                low, span = args
+                assert replay.integers(low, low + span) == reference.integers(low, low + span)
+            elif name == "uniform":
+                low, scale, size = args
+                assert (replay.uniform(low, low + scale, size).tobytes()
+                        == reference.uniform(low, low + scale, size=size).tobytes())
+            else:
+                assert (np.float64(replay.random()).tobytes()
+                        == np.float64(reference.random()).tobytes())
+        replay.write_back()
+    assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def test_only_a_pcg64_generator_replays():
+    with pytest.raises(TypeError, match="MT19937"):
+        cli._Replay(np.random.Generator(np.random.MT19937(0)))
+    with pytest.raises(TypeError, match="MT19937"):
+        cli._run_ad_case({"expressions": 5}, np.random.Generator(np.random.MT19937(0)))
+
+
 def test_ad_case_memory_stays_within_a_block():
     """Four blocks' worth of expressions peak within 1.5x of one block's worth."""
     def peak(expressions: int) -> int:
@@ -838,14 +895,29 @@ def test_ad_case_memory_stays_within_a_block():
 
 
 # Exit codes of c11 at seeds 1, 2, 3, 7 and 20240801 and steps where some
-# expressions are inadmissible (the exp guard at [5e3, 2.5e3]), or where
-# math.sin(inf) aborts the case ([1e154, 5e153]); and at the bundled steps.
-_AD_EXITS = {(5e3, 2.5e3): [1, 1, 1, 1, 1], (1e154, 5e153): [1, 3, 3, 3, 1],
+# expressions are inadmissible (the exp guard at [5e3, 2.5e3], and sin or cos
+# at an infinity at [1e154, 5e153]); and at the bundled steps.
+_AD_EXITS = {(5e3, 2.5e3): [1, 1, 1, 1, 1], (1e154, 5e153): [1, 1, 1, 1, 1],
              (1e-2, 5e-3): [0, 0, 0, 0, 0]}
 
 
 def _refused(*args):
     raise AssertionError("a round evaluated together")
+
+
+def _case_states(monkeypatch, run_case) -> list:
+    """Patch ``cli._run_ad_case`` to ``run_case``, recording the generator's
+    state after each case, raised or returned, in the list returned."""
+    states = []
+
+    def run(case, rng):
+        try:
+            return run_case(case, rng)
+        finally:
+            states.append(rng.bit_generator.state)
+
+    monkeypatch.setattr(cli, "_run_ad_case", run)
+    return states
 
 
 @pytest.mark.parametrize("steps", list(_AD_EXITS))
@@ -858,21 +930,14 @@ def test_a_failing_round_reruns_as_the_per_expression_case(tmp_path, monkeypatch
     reruns."""
     path = _write(tmp_path, "ad.json", _small("c11_jet_convergence", steps=list(steps)))
     case = _small("c11_jet_convergence", steps=list(steps))["cases"][0]
-    reruns, states = [], []
-    one_at_a_time, run_ad_case = cli._one_at_a_time, cli._run_ad_case
+    reruns, one_at_a_time = [], cli._one_at_a_time
 
     def counted(*args):
         reruns.append(len(args[3]))
         return one_at_a_time(*args)
 
-    def run(case, rng):
-        try:
-            return run_ad_case(case, rng)
-        finally:
-            states.append(rng.bit_generator.state)
-
     monkeypatch.setattr(cli, "_one_at_a_time", counted)
-    monkeypatch.setattr(cli, "_run_ad_case", run)
+    states = _case_states(monkeypatch, cli._run_ad_case)
     codes, rounds_rerun = [], 0
     for seed in (1, 2, 3, 7, 20240801):
         runs = []
@@ -894,6 +959,43 @@ def test_a_failing_round_reruns_as_the_per_expression_case(tmp_path, monkeypatch
         assert states[-2] == states[-1] == rng.bit_generator.state
     assert codes == _AD_EXITS[steps]
     assert bool(rounds_rerun) == (steps != (1e-2, 5e-3))
+
+
+def test_repeated_ad_cases_draw_on_where_the_last_stopped(tmp_path, monkeypatch):
+    """c11's case three times in one scenario, as the benchmark repeats it:
+    each case's draws go on from the state the one before wrote back, so the
+    scenario writes the report bytes, and leaves the generator in the states,
+    of the per-expression oracle run three times on one generator."""
+    data = _small("c11_jet_convergence")
+    data["cases"] *= 3
+    runs = []
+    for run_case in (cli._run_ad_case, oracles.run_ad_case):
+        states = _case_states(monkeypatch, run_case)
+        out = tmp_path / str(len(runs))
+        cli.run_scenario(data, out, seed=20240801)
+        runs.append(([(p.name, p.read_bytes()) for p in sorted(out.iterdir())], states))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == 3
+
+
+def test_an_ad_case_that_raises_writes_back_the_oracles_state(monkeypatch):
+    """A case that cannot produce its expressions raises the oracle's
+    ScenarioError after its 20 * count attempts, every round rerun, and
+    leaves the generator where the oracle's draws leave it."""
+    def rejected(*args, **kwargs):
+        raise JetDomainError("eval", math.inf)
+
+    monkeypatch.setattr(cli, "_round", _refused)
+    monkeypatch.setattr(cli, "eval_jet", rejected)
+    monkeypatch.setattr(exprspec, "eval_jet", rejected)  # the oracle's
+    for seed in (1, 20240801):
+        ends = []
+        for run_case in (cli._run_ad_case, oracles.run_ad_case):
+            rng = cli._scenario_rng(seed, "c11_jet_convergence")
+            with pytest.raises(cli.ScenarioError, match="could not generate enough"):
+                run_case({"expressions": 40}, rng)
+            ends.append(rng.bit_generator.state)
+        assert ends[0] == ends[1]
 
 
 def test_a_bundled_ad_case_traces_at_most_two_megabytes():

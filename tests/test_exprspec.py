@@ -456,15 +456,18 @@ def test_float_fn_raises_what_eval_float_raises():
 
 
 def test_random_expressions_draw_what_rng_choice_draws():
-    """Each integer-index draw picks the item rng.choice would and leaves the
-    generator in the same state, and the tree drawn is the one parsed from the
-    text drawn, also at depth 0 and over other names."""
+    """Each integer-index draw, replayed from the generator's words, picks the
+    item rng.choice would, and written back leaves the generator in the same
+    state; the tree drawn is the one parsed from the text drawn, also at
+    depth 0 and over other names."""
     for names in (_NAMES, ("p", "q")):
         for seed in range(200):
             for depth in range(5):
                 ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-                assert cli._random_expression(ours, list(names), depth) == parse(
+                draws = cli._Replay(ours)
+                assert cli._random_expression(draws, list(names), depth) == parse(
                     oracles.random_expression(reference, list(names), depth)).ast
+                draws.write_back()
                 assert ours.bit_generator.state == reference.bit_generator.state
 
 
@@ -475,18 +478,20 @@ def _parsed_expression(rng, names, depth):
 
 @pytest.mark.parametrize("seed", [*range(30), 110, 7, 20240801])
 def test_c11_draws_the_expressions_of_rng_uniform_and_rng_choice(seed):
-    """c11's attempts, replayed from its scenario RNG, draw the same
-    expression trees and points through ``rng.random()`` and integer-index
+    """c11's attempts, replayed from the words of its scenario RNG, draw the
+    same expression trees and points through ``random()`` and integer-index
     draws as the text drawn through ``rng.uniform()`` and ``rng.choice``
-    parses to, and leave the generator in the same state."""
+    parses to, and written back leave the generator in the same state."""
     def attempt(rng, draw):  # one attempt of cli._run_ad_case: tree and point
         depth = int(rng.integers(1, 4))
         return draw(rng, ["a", "b", "c"], depth), rng.uniform(0.4, 1.6, size=3).tobytes()
 
     ours, reference = (cli._scenario_rng(seed, "c11_jet_convergence") for _ in range(2))
+    draws = cli._Replay(ours)
     for _ in range(600):  # more attempts than c11 makes for its 500 expressions
-        assert (attempt(ours, cli._random_expression)
+        assert (attempt(draws, cli._random_expression)
                 == attempt(reference, _parsed_expression))
+    draws.write_back()
     assert ours.bit_generator.state == reference.bit_generator.state
 
 

@@ -104,6 +104,12 @@ def test_domain_errors(J):
         J.powc(neg, 0.5)
     with pytest.raises(JetDomainError):
         J.exp(J.constant(1e4, 1))
+    for name in ("sin", "cos"):  # math's bare ValueError at an infinity, named
+        for inf in (math.inf, -math.inf):
+            with pytest.raises(JetDomainError, match=name):
+                J.FUNCTIONS[name](J.variable(0, inf, 1))
+            with pytest.raises(JetDomainError, match=name):
+                J.FLOAT_FUNCTIONS[name](inf)
 
 
 def test_integer_pow_negative_base(J):
