@@ -45,19 +45,17 @@ from .errors import (
     EvaluationError,
     ExprSyntaxError,
 )
-# eval_float is not called here; the benchmark's tracer (perfbench/tracing.py)
-# patches this binding by name.
+# eval_float and eval_jet are not called here; the benchmark's tracer
+# (perfbench/tracing.py) patches these bindings by name.
 from .exprspec import (  # noqa: F401
     Bin,
     Call,
-    ExprSpec,
     Num,
     Round,
     Var,
     at_points,
     eval_float,
     eval_jet,
-    float_fn,
     parse,
 )
 from .residuals import ResidualReport, _ok
@@ -267,11 +265,11 @@ def _read_checks(case: dict, owner: str, label: str) -> list:
     return out
 
 
-def _halving(label: str, resolutions: list, measured: dict, min_ratio: float) -> list[dict]:
+def _halving(label: str, resolutions: list, measured: dict, min_ratio: float | None) -> list[dict]:
     """One entry per key measured at every resolution: fine/coarse, which must not
-    exceed 1/min_ratio.  Identically zero pairs (exactly satisfied identities)
-    count as converged."""
-    if min_ratio <= 0 or len(resolutions) < 2:
+    exceed 1/min_ratio; none without a ``min_ratio``.  Identically zero pairs
+    (exactly satisfied identities) count as converged."""
+    if min_ratio is None or len(resolutions) < 2:
         return []
     entries = []
     for key, coarse in measured[resolutions[0]].items():
@@ -869,6 +867,10 @@ _CHECKS = {
 # (max_iter + 1) per point, so max_iter is capped
 _MAX_ITER = {"max_iter": _Key("integer", 50, 1, 1000)}
 
+# none gives no halving entries; a bar 1/ratio above 1 would pass an error
+# that grows under refinement
+_HALVING_RATIO = _Key("float", None, 1.0)
+
 # place -> key -> _Key
 _FORMAT = {
     "scenario": {
@@ -883,14 +885,14 @@ _FORMAT = {
         "label": _Key("file-name string", None), "init": _Key("expression", many="object"),
         "t_end": _Key("float", low=_POSITIVE),
         "resolutions": _Key("integer", low=8, high=_CAP, many="list"),
-        "checks": _Key("JSON object", many="list"), "halving_ratio": _Key("float", 0.0)},
+        "checks": _Key("JSON object", many="list"), "halving_ratio": _HALVING_RATIO},
     "variational case": {
         "label": _Key("file-name string", "variational"), "source": _Key("JSON object"),
         # the residuals lie two nodes inside each edge of a grid
         "resolutions": _Key("integer", low=5, high=_CAP, many="list"),
         "psi": _Key("expression", ["s"], 0, 1, many="list"),
         "factors": _Key("expression", ["p/q"], many="list"),
-        "halving_ratio": _Key("float", 0.0)},
+        "halving_ratio": _HALVING_RATIO},
     "ad case": {
         # a million random expressions take minutes; the bound keeps a case from running for years
         "expressions": _Key("integer", 500, 1, 10**6),
@@ -1022,8 +1024,7 @@ class _Replay:
     a word's upper 53 bits; ``integers(low, high)`` is numpy's Lemire draw on
     32-bit halves, the upper half of a word kept pending for the next one as
     PCG64 keeps it; ``uniform(low, high, size)`` scales ``random()`` per
-    element.  ``mark()`` and ``rewind(mark)`` go back to a point already
-    drawn, and ``write_back()`` leaves ``rng`` where the draws stopped."""
+    element.  ``write_back()`` leaves ``rng`` where the draws stopped."""
 
     def __init__(self, rng: np.random.Generator):
         if not isinstance(rng.bit_generator, np.random.PCG64):
@@ -1031,19 +1032,10 @@ class _Replay:
                             f"{type(rng.bit_generator).__name__}")
         self._rng, self._start = rng, rng.bit_generator.state
         self._source = np.random.PCG64(0)
-        self._seek(0, self._start["has_uint32"], self._start["uinteger"])
-
-    def _advance(self, used: int):
-        """Set the source to the start of the stream advanced by ``used`` words."""
         self._source.state = self._start
-        self._source.advance(used)
-
-    def _seek(self, used: int, has_upper, upper: int):
-        """Go to word ``used`` of the stream, with PCG64's pending half."""
-        self._advance(used)
-        self._base, self._pos = used, 0
-        self._words = self._source.random_raw(_WORDS).tolist()
-        self._has_upper, self._upper = has_upper, upper
+        # the words before the block, the block and the next word's place in it
+        self._base, self._words, self._pos = 0, self._source.random_raw(_WORDS).tolist(), 0
+        self._has_upper, self._upper = self._start["has_uint32"], self._start["uinteger"]
 
     def _word(self) -> int:
         try:
@@ -1086,19 +1078,13 @@ class _Replay:
         scale = high - low
         return np.array([low + scale * self.random() for _ in range(size)])
 
-    def mark(self) -> tuple:
-        return self._base + self._pos, self._has_upper, self._upper
-
-    def rewind(self, mark: tuple):
-        self._seek(*mark)
-
     def write_back(self):
         """Set ``rng`` to its state at the start advanced by the words used,
         with the pending half."""
-        used, has_upper, upper = self.mark()
-        self._advance(used)
+        self._source.state = self._start
+        self._source.advance(self._base + self._pos)
         state = self._source.state
-        state["has_uint32"], state["uinteger"] = has_upper, upper
+        state["has_uint32"], state["uinteger"] = self._has_upper, self._upper
         self._rng.bit_generator.state = state
 
 
@@ -1164,17 +1150,11 @@ def _stencil(k: int, steps) -> np.ndarray:
     return np.concatenate((np.full((1, k), -0.0), offsets)).T.copy()
 
 
-def _stencil_values(spec, names, point, stencil) -> np.ndarray:
-    """``spec`` at each point ``point + stencil`` (``point`` the values of the
-    ``names``), in one array call; where it raises, the first failing point
-    in order raises its error (``exprspec.at_points``)."""
-    return at_points(float_fn(spec, names), *(point[:, None] + stencil))
-
-
 def _quotients(values: np.ndarray, k: int, steps) -> list[np.ndarray]:
     """Each row's gradient, then its row-major Hessian, one array per step in
     ``steps``: ``jets.central_differences`` over that step's columns of rows
-    of ``_stencil_values`` in k variables."""
+    of probe values in k variables (each row's values at its point plus each
+    column of ``_stencil(k, steps)``)."""
     shifts = [tuple(s) for s in _probe_shifts(k).tolist()]
     quotients = []
     for n, h in enumerate(steps):
@@ -1188,7 +1168,7 @@ def _quotients(values: np.ndarray, k: int, steps) -> list[np.ndarray]:
 
 def _defects(values: np.ndarray, exact: np.ndarray, k: int, steps, min_ratio: float) -> int:
     """How many rows of a block fail the convergence test, from their
-    ``_stencil_values`` in k variables and their jets' (value, grad, hess)."""
+    probe values in k variables and their jets' (value, grad, hess)."""
     with np.errstate(all="ignore"):  # a quotient of extreme values is ±inf, as in floats
         errs = [np.abs(q - exact[:, 1:]).max(axis=1) for q in _quotients(values, k, steps)]
         scale = np.maximum(np.abs(exact).max(axis=1), 1.0)
@@ -1207,36 +1187,17 @@ def _attempt(rng: _Replay, names: list[str]):
     return tree, rng.uniform(0.4, 1.6, size=len(names))
 
 
-def _round(rng, names, stencil, values, exact, points) -> int:
-    """``len(values)`` attempts evaluated together (``exprspec.Round``), each
-    row of the block ``values`` and ``exact`` filled; raises where any
-    evaluation raises or gives a value that is not finite."""
+def _fill(names, stencil, trees, points, values, exact, row: int):
+    """The rows of ``values`` and ``exact`` from ``row`` on, one per tree of
+    ``trees``, evaluated together at its row of ``points`` (``exprspec.Round``):
+    its values at the point plus each column of ``stencil``, and its jet's
+    value, gradient and Hessian.  Raises where any evaluation raises or gives
+    a value that is not finite."""
     table = Round(names)
-    for row in range(len(values)):
-        tree, points[row] = _attempt(rng, names)
+    for tree in trees:
         table.add(tree)
-    table.rows(points[:len(values)], stencil, exact, values)
-    return len(values)
-
-
-def _one_at_a_time(rng, names, stencil, values, exact) -> int:
-    """``len(values)`` attempts evaluated one at a time: an attempt whose jet
-    or probe raises an EvaluationError is skipped, and the rows of the others
-    fill ``values`` and ``exact`` in order.  Returns how many rows it filled."""
-    k, variables = len(names), tuple(names)  # every spec's, used or not: bound by name
-    produced = 0
-    for _ in range(len(values)):
-        tree, point = _attempt(rng, names)
-        spec = ExprSpec(tree, variables)
-        try:
-            jet = eval_jet(spec, dict(zip(names, jets.variables(point))), k=k)
-            values[produced] = _stencil_values(spec, names, point, stencil)
-        except EvaluationError:
-            continue
-        out = exact[produced]
-        out[0], out[1:k + 1], out[k + 1:] = jet.value, jet.grad, jet.hess.ravel()
-        produced += 1
-    return produced
+    rows = slice(row, row + len(trees))  # no more: Round.rows scans all it is given
+    table.rows(points, stencil, exact[rows], values[rows])
 
 
 def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
@@ -1253,19 +1214,27 @@ def _run_ad_case(case: dict, rng: np.random.Generator) -> list[dict]:
     draws = _Replay(rng)
     try:
         while produced < count and attempts < 20 * count:
-            # A round: attempts that, made one at a time, would each be made
-            # and could each fill the block's next row.  Where one raises, the
-            # draws go back to the round's start and the round runs one
-            # attempt at a time, to skip what it skips and raise what it raises.
+            # A round: the attempts that could each fill the block's next row,
+            # drawn, then evaluated together.  Where that raises, each attempt
+            # is evaluated as a round of its own: one that raises an
+            # EvaluationError is skipped, and any other error propagates.
             row = produced % _BLOCK
             n = min(count - produced, 20 * count - attempts, _BLOCK - row)
-            start = draws.mark()
-            block = slice(row, row + n)
+            trees = []
+            for i in range(n):
+                tree, points[i] = _attempt(draws, names)
+                trees.append(tree)
             try:
-                made = _round(draws, names, stencil, values[block], exact[block], points)
-            except Exception:  # any failure: the round reruns one attempt at a time
-                draws.rewind(start)
-                made = _one_at_a_time(draws, names, stencil, values[block], exact[block])
+                _fill(names, stencil, trees, points[:n], values, exact, row)
+                made = n
+            except Exception:  # any failure: each attempt alone
+                made = 0
+                for i, tree in enumerate(trees):
+                    try:
+                        _fill(names, stencil, [tree], points[i:i + 1], values, exact, row + made)
+                    except EvaluationError:
+                        continue
+                    made += 1
             produced += made
             attempts += n
             if made and produced % _BLOCK == 0:
@@ -1459,6 +1428,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs: expected an integer of at least 1, got {args.jobs}")
+    if not 0 <= args.seed < 2**64:
+        parser.error(f"--seed: expected an integer in [0, 2**64), got {args.seed}")
 
     if args.command == "suite":
         try:

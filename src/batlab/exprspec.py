@@ -36,7 +36,7 @@ same closures, on batched jets for the exact jets and on arrays for the
 probe values at the point plus given offsets, and gives each expression the
 bits of its own evaluation.  Where any expression of the round raises or
 gives a value that is not finite, the round raises; its caller (the ad
-scenario in ``cli``) then evaluates the expressions one at a time, which
+scenario in ``cli``) then evaluates each expression as a round of one, which
 decides what is skipped and what error propagates.
 """
 
@@ -617,9 +617,11 @@ def _operation(op):
 
 class Round:
     """Expressions over ``names`` evaluated together: :meth:`add` walks each
-    tree into the table, :meth:`rows` evaluates them all.  Literal powers
-    only: a power with an expression exponent raises a ValueError in
-    :meth:`add`."""
+    tree into the table, :meth:`rows` evaluates them all.  A round of one
+    raises an EvaluationError exactly where its expression evaluated alone
+    (:func:`eval_jet`, and :func:`float_fn` at each probe point) raises one,
+    and otherwise gives its bits.  Literal powers only: a power with an
+    expression exponent raises a ValueError in :meth:`add`."""
 
     def __init__(self, names: Sequence[str]):
         self._slots = {name: i for i, name in enumerate(names)}

@@ -215,6 +215,14 @@ _STENCIL = np.array([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0
 _STENCIL[_STENCIL == 0.0] = -0.0
 
 
+def stencil_values(spec, names, point, stencil) -> np.ndarray:
+    """``spec`` alone at each point ``point + stencil`` (``point`` the values
+    of the ``names``, ``stencil`` one row of offsets per variable, as
+    ``cli._stencil`` builds it), in one array call; where it raises, the first
+    failing point in order raises its error (``exprspec.at_points``)."""
+    return exprspec.at_points(exprspec.float_fn(spec, names), *(point[:, None] + stencil))
+
+
 def positional_fd_probe(spec, names, point, steps):
     """The probe of one ad expression: its central-difference gradient and
     Hessian, one ``(grad, hess)`` pair of lists per step in ``steps``, from one

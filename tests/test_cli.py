@@ -828,8 +828,8 @@ _SPANS = st.one_of(st.integers(1, 8), st.integers(2**31 + 1, 2**31 + 2**16),
 _DRAWS = st.lists(st.one_of(
     st.tuples(st.just("random")),
     st.tuples(st.just("integers"), st.integers(-2**40, 2**40), _SPANS),
-    st.tuples(st.just("uniform"), st.floats(-1e6, 1e6), st.floats(0.0, 1e6), st.integers(0, 5)),
-    st.tuples(st.just("mark")), st.tuples(st.just("rewind"))), max_size=40)
+    st.tuples(st.just("uniform"), st.floats(-1e6, 1e6), st.floats(0.0, 1e6), st.integers(0, 5))),
+    max_size=40)
 
 
 @given(seed=st.integers(0, 2**64 - 1), pending=st.none() | st.integers(0, 2**32 - 1),
@@ -838,8 +838,8 @@ _DRAWS = st.lists(st.one_of(
 def test_replayed_draws_are_the_bits_of_the_generator(seed, pending, words, draws):
     """Any interleaving of ``random()``, ``integers(low, high)`` and
     ``uniform(low, high, size)``, from a start with or without PCG64's pending
-    32-bit half, over blocks of a few words or of ``_WORDS``, with rewinds to
-    a mark, draws the generator's bits and writes back its end state."""
+    32-bit half, over blocks of a few words or of ``_WORDS``, draws the
+    generator's bits and writes back its end state."""
     ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
     for rng in (ours, reference):
         state = rng.bit_generator.state
@@ -848,14 +848,8 @@ def test_replayed_draws_are_the_bits_of_the_generator(seed, pending, words, draw
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_WORDS", words)
         replay = cli._Replay(ours)
-        mark = replay.mark(), reference.bit_generator.state
         for name, *args in draws:
-            if name == "mark":
-                mark = replay.mark(), reference.bit_generator.state
-            elif name == "rewind":
-                replay.rewind(mark[0])
-                reference.bit_generator.state = mark[1]
-            elif name == "integers":
+            if name == "integers":
                 low, span = args
                 assert replay.integers(low, low + span) == reference.integers(low, low + span)
             elif name == "uniform":
@@ -922,21 +916,27 @@ def _case_states(monkeypatch, run_case) -> list:
 
 @pytest.mark.parametrize("steps", list(_AD_EXITS))
 def test_a_failing_round_reruns_as_the_per_expression_case(tmp_path, monkeypatch, capsys, steps):
-    """Where a round raises, the case reruns it one expression at a time:
-    ``batlab verify`` exits with the code, prints the output and writes the
-    report bytes of a run with every round refused, which evaluates each
-    expression alone; and the scenario's generator ends in the state the
-    per-expression oracle leaves it in.  At the bundled steps no round
-    reruns."""
+    """Where a round raises, the case reruns each of its expressions as a
+    round of one: ``batlab verify`` exits with the code, prints the output and
+    writes the report bytes of a run with every round of more than one
+    expression refused, which evaluates each expression alone; and the
+    scenario's generator ends in the state the per-expression oracle leaves
+    it in.  At the bundled steps no round reruns."""
     path = _write(tmp_path, "ad.json", _small("c11_jet_convergence", steps=list(steps)))
     case = _small("c11_jet_convergence", steps=list(steps))["cases"][0]
-    reruns, one_at_a_time = [], cli._one_at_a_time
+    reruns, rows = [], exprspec.Round.rows
 
-    def counted(*args):
-        reruns.append(len(args[3]))
-        return one_at_a_time(*args)
+    def counted(table, points, *args):  # a round of one tree
+        if len(points) == 1:
+            reruns.append(points)
+        return rows(table, points, *args)
 
-    monkeypatch.setattr(cli, "_one_at_a_time", counted)
+    def alone(table, points, *args):
+        if len(points) > 1:
+            _refused()
+        return counted(table, points, *args)
+
+    monkeypatch.setattr(exprspec.Round, "rows", counted)
     states = _case_states(monkeypatch, cli._run_ad_case)
     codes, rounds_rerun = [], 0
     for seed in (1, 2, 3, 7, 20240801):
@@ -944,7 +944,7 @@ def test_a_failing_round_reruns_as_the_per_expression_case(tmp_path, monkeypatch
         for name in ("rounds", "alone"):
             with pytest.MonkeyPatch.context() as patch:
                 if name == "alone":
-                    patch.setattr(cli, "_round", _refused)
+                    patch.setattr(exprspec.Round, "rows", alone)
                 out = tmp_path / name / str(seed)
                 code = cli.main(["verify", path, "--out", str(out), "--seed", str(seed)])
             runs.append((code, capsys.readouterr(), [(p.name, p.read_bytes())
@@ -985,8 +985,7 @@ def test_an_ad_case_that_raises_writes_back_the_oracles_state(monkeypatch):
     def rejected(*args, **kwargs):
         raise JetDomainError("eval", math.inf)
 
-    monkeypatch.setattr(cli, "_round", _refused)
-    monkeypatch.setattr(cli, "eval_jet", rejected)
+    monkeypatch.setattr(exprspec.Round, "rows", rejected)
     monkeypatch.setattr(exprspec, "eval_jet", rejected)  # the oracle's
     for seed in (1, 20240801):
         ends = []
@@ -1033,9 +1032,9 @@ def test_ad_noise_floor_scales_with_the_value():
     steps, names, spec = (1e-3, 5e-4), ["a", "b", "c"], parse("1e6 + a + b + c")
     stencil, values, exact = cli._stencil(3, steps), [], []
     for point in np.random.default_rng(0).uniform(0.4, 1.6, size=(20, 3)):
-        values.append(cli._stencil_values(spec, names, point, stencil))
-        jet = cli.eval_jet(spec, {n: jets.variable(i, point[i], 3) for i, n in enumerate(names)},
-                           k=3)
+        values.append(oracles.stencil_values(spec, names, point, stencil))
+        jet = exprspec.eval_jet(spec, {n: jets.variable(i, point[i], 3)
+                                       for i, n in enumerate(names)}, k=3)
         exact.append([jet.value, *jet.grad, *jet.hess.ravel()])
     values, exact = np.array(values), np.array(exact)
     errors = [np.abs(q - exact[:, 1:]).max(axis=1) for q in cli._quotients(values, 3, steps)]
@@ -1054,7 +1053,7 @@ def _with(data, path, value):
 
 
 def _forbid_work(monkeypatch):
-    """Make every solve and integration, and an ad case's first jet, fail the test."""
+    """Make every solve and integration, and an ad case's first round, fail the test."""
     def forbidden(*args, **kwargs):
         raise AssertionError("solved or integrated before validation")
 
@@ -1068,7 +1067,6 @@ def _forbid_work(monkeypatch):
     monkeypatch.setattr(hydro, "integrate_multifield", forbidden)
     monkeypatch.setattr(leznov, "solve_constraints", forbidden)
     monkeypatch.setattr(leznov, "solve_many", forbidden)
-    monkeypatch.setattr(cli, "eval_jet", forbidden)
     monkeypatch.setattr(exprspec.Round, "rows", forbidden)
 
 
@@ -1612,6 +1610,22 @@ def test_suite_jobs_below_one_exits_2(tmp_path, monkeypatch, capsys, jobs):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "suite"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
+def test_seed_outside_64_bits_exits_2(tmp_path, monkeypatch, capsys, command, seed):
+    """A seed the scenario generator would take modulo 2**64, and so record
+    under one seed the entries of another, is refused before any run."""
+    monkeypatch.setattr(cli, "bundled_scenarios", lambda: pytest.fail("the suite ran"))
+    monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: pytest.fail("a scenario ran"))
+    args = [command] if command == "suite" else [command, _write(
+        tmp_path, "m.json", _small("c01_implicit_constraint"))]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, "--seed", seed, "--out", str(tmp_path / "o")])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert f"--seed: expected an integer in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_suite_survives_a_bad_scenario(tmp_path, monkeypatch, capsys):
     good = _COMPLETE["two_field"]()
     good["name"] = "good"
@@ -1702,12 +1716,17 @@ def test_grid_without_a_finite_step_count_exits_3(tmp_path, capsys, scenario, pa
     ("c05", ("resolutions",), [256, 128]),
     ("c05", ("resolutions",), [128, 128]),
     ("c09", ("resolutions",), [65, 33]),
+    # halving ratios once read as no halving entries (a negative one) or as
+    # an infinite bar, which the report could not write as strict JSON
+    ("c05", ("halving_ratio",), -3.5),
+    ("c05", ("halving_ratio",), 0.0),
+    ("c05", ("halving_ratio",), 5e-324),
 ])
 def test_input_the_reader_once_let_through_exits_2_before_solving(
         tmp_path, monkeypatch, capsys, scenario, path, value):
     """A sample box beyond the float range, a misspelt key (which once left
-    its default in force), an ad label (a key an ad case does not have) and
-    resolutions that do not increase."""
+    its default in force), an ad label (a key an ad case does not have),
+    resolutions that do not increase and a halving ratio below 1."""
     bundled = {"c05": "c05_conservation_hierarchy", "c09": "c09_degenerate_lagrangian",
                "c11": "c11_jet_convergence"}
     data = _small(bundled[scenario]) if scenario in bundled else _COMPLETE[scenario]()

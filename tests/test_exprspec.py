@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from batlab import cli, exprspec, jets
-from batlab.errors import ExprSyntaxError, JetDomainError
+from batlab.errors import EvaluationError, ExprSyntaxError, JetDomainError
 from batlab.exprspec import (Bin, Call, ExprSpec, Neg, Num, Var, eval_float, eval_jet, float_fn,
                              parse, partial, to_string)
 
@@ -500,8 +500,8 @@ def _probe_outcome(spec, point, steps):
     from its stencil values at ``point`` as one row of a block, or the class
     and args of what evaluating the stencil raised."""
     try:
-        values = cli._stencil_values(spec, list(_NAMES), np.array(point),
-                                      cli._stencil(3, steps))
+        values = oracles.stencil_values(spec, list(_NAMES), np.array(point),
+                                        cli._stencil(3, steps))
     except Exception as err:  # every outcome is compared, errors included
         return type(err), err.args
     return [(q[0, :3].tobytes(), q[0, 3:].tobytes())
@@ -561,16 +561,15 @@ _LEAVES = [Num(1.25), Var("c"), Neg(Var("a")), Bin("/", Num(2.0), Bin("+", Num(2
 
 
 def _alone(trees, points, steps) -> list:
-    """Each tree's row as the ad case fills it one expression at a time: the
-    bytes of its jet's value, gradient and Hessian (``cli.eval_jet``) and of
-    its stencil values (``cli._stencil_values``), or the class of what that
-    raised."""
+    """Each tree's row from its expression evaluated alone: the bytes of its
+    jet's value, gradient and Hessian (``eval_jet``) and of its stencil values
+    (``oracles.stencil_values``), or the class of what that raised."""
     stencil, rows = cli._stencil(3, steps), []
     for tree, point in zip(trees, points):
         spec = ExprSpec(tree, _NAMES)
         try:
-            jet = cli.eval_jet(spec, dict(zip(_NAMES, jets.variables(point))), k=3)
-            values = cli._stencil_values(spec, list(_NAMES), np.array(point), stencil)
+            jet = eval_jet(spec, dict(zip(_NAMES, jets.variables(point))), k=3)
+            values = oracles.stencil_values(spec, list(_NAMES), np.array(point), stencil)
         except Exception as err:  # every outcome is compared, errors included
             rows.append(type(err))
             continue
@@ -644,6 +643,26 @@ def test_a_round_raises_or_gives_each_row_of_its_expressions_alone(draws, hostil
         assert "expression exponent" in str(err) or not all(type(r) is tuple for r in alone)
     else:
         assert together == alone
+
+
+@_quiet
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 4), point=_point, steps=_steps)
+@settings(derandomize=True, max_examples=500, deadline=None)
+def test_a_round_of_one_raises_exactly_where_its_expression_alone_raises(seed, depth, point,
+                                                                          steps):
+    """The converse for a round of one, as the ad case evaluates each attempt
+    of a round that raised: on ``cli._random_expression`` trees of depth 0 to
+    4, at points that reach the guards, the round raises an EvaluationError
+    exactly where the expression alone raises one, and otherwise gives its
+    row bit for bit."""
+    tree = cli._random_expression(np.random.default_rng(seed), list(_NAMES), depth)
+    alone = _alone([tree], [point], steps)
+    if type(alone[0]) is tuple:
+        assert _together([tree], [point], steps) == alone
+    else:
+        assert issubclass(alone[0], EvaluationError), alone[0]
+        with pytest.raises(EvaluationError):
+            _together([tree], [point], steps)
 
 
 def test_a_round_refuses_a_power_with_an_expression_exponent():

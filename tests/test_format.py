@@ -5,7 +5,7 @@ For every key of every place the table lists, a scenario that holds that
 place gets, one at a time: a value of each JSON kind the key does not take, a
 value just outside each bound of its range, and an unknown key beside it.
 Each must exit 2 before any solve.  A value on a bound must get past the
-reader: to a solve, an integration or an ad case's first jet (which
+reader: to a solve, an integration or an ad case's first round (which
 ``_forbid_work`` turns into an AssertionError), or, for a count at its upper
 bound, to an allocation that fails (exit 3).
 """

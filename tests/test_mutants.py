@@ -7,8 +7,9 @@ derivative of a grid stencil; an entry that vanishes moves by 1e-3 of its
 Hessian's largest entry), drops one term of a jet product or quotient,
 scales the second derivative of every univariate jet function, swaps the
 speed families of the Leznov operator pair, skips the corrector of each
-characteristic level, or builds the four-field system's periodic spline on
-the raw grid values, with no prefilter.  Sampled
+characteristic level, builds the four-field system's periodic spline on
+the raw grid values, with no prefilter, or swaps the coarse and fine grids of
+each halving ratio.  Sampled
 scenarios run with fewer samples per case, the others whole; unmutated, the
 same runs pass, so each failure is the mutant's doing.
 """
@@ -233,6 +234,17 @@ def univariate_second_derivative(monkeypatch):
     monkeypatch.setattr(jets.Jet2, "_apply", mutant)
 
 
+def halving_resolutions_reversed(monkeypatch):
+    """``cli._halving`` with its resolutions reversed: each halving entry's
+    ratio is coarse/fine, not fine/coarse."""
+    halving = cli._halving
+
+    def mutant(label, resolutions, measured, min_ratio):
+        return halving(label, resolutions[::-1], measured, min_ratio)
+
+    monkeypatch.setattr(cli, "_halving", mutant)
+
+
 # mutant -> the bundled scenarios it must make FAIL
 MUTANTS = {
     leznov_field_hessian: ("c07",),
@@ -249,6 +261,7 @@ MUTANTS = {
     jet_product_cross_term: ("c09", "c11"),
     jet_quotient_cross_term: ("c11",),
     univariate_second_derivative: ("c11",),
+    halving_resolutions_reversed: ("c05", "c08", "c09"),
 }
 
 
